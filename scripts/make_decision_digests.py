@@ -1,0 +1,105 @@
+"""Regenerate (or verify) the pinned decision digests of the reference trace.
+
+``tests/simulator/decision_digests.json`` records, for the shipped 660-task
+transcoding trace under each of the six paper heuristics and both engine
+modes (``batch_window`` 0 and 120), a BLAKE2 digest of the per-task outcome
+map (``offline_decision_map``) and the run's ``SimulationCounters``.  A
+performance change that claims "same decisions, less work" is checked
+against this committed artefact in tier-1
+(``tests/simulator/test_decision_digests.py``), not only against sibling
+code paths inside the tree.
+
+Usage::
+
+    PYTHONPATH=src python scripts/make_decision_digests.py [--check]
+
+Rewrite the file only when a change is *meant* to alter decisions (and bump
+``repro.core.batch.KERNEL_VERSION`` with it).  ``--check`` verifies the
+committed file without writing (exit status 1 on mismatch).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.heuristics.registry import HEURISTIC_NAMES, make_heuristic  # noqa: E402
+from repro.pet.builders import build_transcoding_pet  # noqa: E402
+from repro.serve.service import offline_decision_map  # noqa: E402
+from repro.simulator.engine import HCSimulator, SimulatorConfig  # noqa: E402
+from repro.workload.traces import load_trace  # noqa: E402
+
+REFERENCE_TRACE = REPO_ROOT / "examples" / "transcoding_660.trace.json"
+DIGEST_PATH = REPO_ROOT / "tests" / "simulator" / "decision_digests.json"
+BATCH_WINDOWS = (0, 120)
+PET_SEED = 2019
+ENGINE_SEED = 2021
+
+
+def digest_key(heuristic: str, batch_window: int) -> str:
+    return f"{heuristic}/window={batch_window}"
+
+
+def decision_digest(pet, trace, heuristic: str, batch_window: int) -> str:
+    """BLAKE2 of one seeded run's per-task outcomes and counters."""
+    sim = HCSimulator(
+        pet,
+        make_heuristic(heuristic, num_task_types=pet.num_task_types),
+        config=SimulatorConfig(batch_window=batch_window),
+        rng=ENGINE_SEED,
+    )
+    result = sim.run(trace)
+    payload = repr(
+        (
+            sorted(offline_decision_map(result).items()),
+            sorted(result.counters.as_dict().items()),
+        )
+    )
+    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
+
+
+def compute_digests() -> dict[str, str]:
+    pet = build_transcoding_pet(rng=PET_SEED)
+    trace = load_trace(REFERENCE_TRACE)
+    return {
+        digest_key(heuristic, window): decision_digest(pet, trace, heuristic, window)
+        for heuristic in HEURISTIC_NAMES
+        for window in BATCH_WINDOWS
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="verify the committed digests instead of writing them",
+    )
+    args = parser.parse_args(argv)
+
+    digests = compute_digests()
+    if args.check:
+        committed = json.loads(DIGEST_PATH.read_text())
+        drifted = sorted(
+            key
+            for key in committed.keys() | digests.keys()
+            if committed.get(key) != digests.get(key)
+        )
+        if drifted:
+            print(f"decision digests drifted: {drifted}")
+            return 1
+        print(f"decision digests OK ({len(digests)} runs)")
+        return 0
+    DIGEST_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGEST_PATH} ({len(digests)} runs)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

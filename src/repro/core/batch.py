@@ -47,8 +47,9 @@ this possible:
    zeros is a bit-level no-op, unlike NumPy's default pairwise ``sum``/BLAS
    ``dot`` whose grouping depends on array length;
 2. convolution is a shift-and-add over the kernel operand's non-zero
-   impulses in ascending time order, mirroring
-   :meth:`DiscretePMF.convolve_with` operation for operation.
+   impulses in ascending time order — :func:`batched_convolve` and
+   :meth:`DiscretePMF.convolve_with` are the ``n``-row and one-row cases of
+   one implementation, :func:`repro.core.pmf.shift_and_add`.
 
 ``tests/core/test_batch.py`` enforces the contract with zero-tolerance
 comparisons; treat any relaxation of those tests as an API break.
@@ -82,7 +83,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pmf import MASS_TOLERANCE, DiscretePMF
+from .pmf import MASS_TOLERANCE, DiscretePMF, shift_and_add
 
 __all__ = [
     "KERNEL_VERSION",
@@ -392,9 +393,10 @@ def batched_convolve(batch: PMFBatch, kernel: DiscretePMF) -> PMFBatch:
 
     This is the queue-composition operator of Eq. 2 applied to ``n`` PMFs at
     once: a shift-and-add over the kernel's non-zero impulses in ascending
-    time order.  It is bit-identical to calling
-    :meth:`DiscretePMF.convolve_with` on each row — same accumulation order,
-    and the batch grid's zero padding only ever contributes exact-zero terms.
+    time order (:func:`repro.core.pmf.shift_and_add`).  It is bit-identical
+    to calling :meth:`DiscretePMF.convolve_with` — the one-row case of the
+    same function — on each row, and the batch grid's zero padding only ever
+    contributes exact-zero terms.
 
     Parameters
     ----------
@@ -424,14 +426,9 @@ def batched_convolve(batch: PMFBatch, kernel: DiscretePMF) -> PMFBatch:
     [12.5, 12.5]
     """
     offset = batch.offset + kernel.offset
-    nonzero = np.flatnonzero(kernel.probs)
-    if nonzero.size == 0:
+    if not kernel.probs.any():
         return PMFBatch(np.zeros((batch.n_pmfs, 1), dtype=np.float64), offset)
-    width = batch.support
-    out = np.zeros((batch.n_pmfs, width + kernel.probs.size - 1), dtype=np.float64)
-    for index in nonzero.tolist():
-        out[:, index : index + width] += kernel.probs[index] * batch.probs
-    return PMFBatch(out, offset)
+    return PMFBatch(shift_and_add(batch.probs, kernel.probs), offset)
 
 
 def batched_convolve_ragged(

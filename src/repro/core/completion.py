@@ -25,8 +25,6 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-import numpy as np
-
 from .batch import PMFBatch
 from .kernels import active_backend
 from .pmf import DiscretePMF
@@ -213,8 +211,8 @@ def batched_completion_step(
         pet, start = pets[i], started[i]
         if pet.is_zero() or start.is_zero():
             continue
-        nnz_start = int(np.count_nonzero(start.probs))
-        nnz_pet = int(np.count_nonzero(pet.probs))
+        nnz_start = start.nonzero_count()
+        nnz_pet = pet.nonzero_count()
         if nnz_start >= nnz_pet:
             continue  # scalar path would treat the PET entry as the kernel
         if nnz_start * pet.probs.size >= pet.probs.size * start.probs.size:

@@ -24,11 +24,11 @@ This class is deliberately a *thin scalar wrapper* over the same arithmetic
 the batched engine in :mod:`repro.core.batch` uses: reductions
 (:meth:`DiscretePMF.total_mass`, :meth:`DiscretePMF.mean`) accumulate
 strictly left to right (``np.cumsum``) and :meth:`DiscretePMF.convolve_with`
-is the exact scalar counterpart of ``batched_convolve``.  That shared
-op-for-op discipline is what lets the batched kernels guarantee
-bit-identical (``atol=0``) results whether PMFs are scored one at a time or
-as a padded ``(n_pmfs, support)`` block — see the exact-equivalence contract
-documented in :mod:`repro.core.batch`.
+is the one-row case of the :func:`shift_and_add` that also implements
+``batched_convolve``.  That shared op-for-op discipline is what lets the
+batched kernels guarantee bit-identical (``atol=0``) results whether PMFs
+are scored one at a time or as a padded ``(n_pmfs, support)`` block — see
+the exact-equivalence contract documented in :mod:`repro.core.batch`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["DiscretePMF", "MASS_TOLERANCE"]
+__all__ = ["DiscretePMF", "MASS_TOLERANCE", "shift_and_add"]
 
 #: Tolerance used when checking that probability mass sums to one.
 MASS_TOLERANCE = 1e-9
@@ -55,6 +55,59 @@ def _as_probability_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
     if np.any(arr < -MASS_TOLERANCE):
         raise ValueError("PMF probabilities must be non-negative")
     return np.clip(arr, 0.0, None)
+
+
+def shift_and_add(dense: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Convolve every row of ``dense`` with one ``kernel``, impulse by impulse.
+
+    THE convolution of the PMF algebra: :meth:`DiscretePMF.convolve_with`
+    is its one-row case and :func:`repro.core.batch.batched_convolve` its
+    ``n``-row case.
+
+    Parameters
+    ----------
+    dense:
+        ``(n, width)`` float64 rows.
+    kernel:
+        ``(support,)`` float64 vector with at least one non-zero entry; only
+        its non-zero impulses cost anything.
+
+    Returns
+    -------
+    np.ndarray
+        ``(n, width + support - 1)``; row ``i`` is ``dense[i] * kernel``.
+
+    Notes
+    -----
+    Each kernel impulse ``k`` contributes the row ``kernel[k] * dense``
+    shifted right by ``k``.  The shifted copies are gathered as rows of a
+    strided window over the zero-padded operand, scaled, and reduced down
+    the impulse axis.  ``np.add.reduce`` over a non-contiguous axis
+    accumulates slice by slice in index order, so every output bin receives
+    the same products in the same (ascending impulse) order as a Python loop
+    of ``out[k : k + width] += kernel[k] * dense`` — the padding only ever
+    adds exact zeros.  ``tests/core/test_shift_and_add.py`` pins both that
+    equivalence and the reduction order at zero tolerance.  The temporary is
+    ``n * nnz(kernel)`` output rows.
+    """
+    n, width = dense.shape
+    support = kernel.size
+    impulses = kernel.nonzero()[0]
+    out_width = width + support - 1
+    padded = np.zeros((n, out_width + support - 1), dtype=np.float64)
+    padded[:, support - 1 : support - 1 + width] = dense
+    row_stride, stride = padded.strides
+    # windows[i, r] is padded[i, r : r + out_width]: ``dense[i]`` shifted
+    # right by ``support - 1 - r`` on the output grid.
+    windows = np.ndarray(
+        (n, support, out_width),
+        np.float64,
+        buffer=padded,
+        strides=(row_stride, stride, stride),
+    )
+    shifted = windows[:, support - 1 - impulses]
+    shifted *= kernel[impulses][None, :, None]
+    return np.add.reduce(shifted, axis=1)
 
 
 @dataclass(frozen=True)
@@ -108,13 +161,26 @@ class DiscretePMF:
 
     @staticmethod
     def point(time: int, mass: float = 1.0) -> "DiscretePMF":
-        """A degenerate PMF with all mass at ``time`` (e.g. an idle machine)."""
-        return DiscretePMF(np.array([mass], dtype=np.float64), offset=int(time))
+        """A degenerate PMF with all mass at ``time`` (e.g. an idle machine).
+
+        Validates the scalar ``mass`` under the constructor's rules (finite,
+        non-negative within :data:`MASS_TOLERANCE`, at most one) without the
+        per-array checks — idle-machine availabilities and chain bases build
+        one of these per query.
+        """
+        mass = float(mass)
+        if not np.isfinite(mass):
+            raise ValueError("PMF probabilities must be finite")
+        if mass < -MASS_TOLERANCE:
+            raise ValueError("PMF probabilities must be non-negative")
+        if mass > 1.0 + 1e-6:
+            raise ValueError(f"PMF mass {mass} exceeds one")
+        return DiscretePMF._raw(np.array([max(mass, 0.0)]), time)
 
     @staticmethod
     def zero() -> "DiscretePMF":
         """A PMF carrying no probability mass at all."""
-        return DiscretePMF(np.array([0.0]), offset=0)
+        return DiscretePMF._raw(np.array([0.0]), 0)
 
     @staticmethod
     def from_impulses(impulses: Mapping[int, float] | Iterable[tuple[int, float]]) -> "DiscretePMF":
@@ -222,6 +288,18 @@ class DiscretePMF:
         if cached is None:
             cached = float(np.cumsum(self.probs)[-1])
             self.__dict__["_total_cache"] = cached
+        return cached
+
+    def nonzero_count(self) -> int:
+        """Number of non-zero impulses.  Cached on first use.
+
+        :meth:`convolve` and the lockstep chain step choose their operand
+        order by it, mostly on PET entries that live as long as the matrix.
+        """
+        cached = self.__dict__.get("_nonzero_cache")
+        if cached is None:
+            cached = int(np.count_nonzero(self.probs))
+            self.__dict__["_nonzero_cache"] = cached
         return cached
 
     def is_normalised(self, tol: float = 1e-6) -> bool:
@@ -372,13 +450,19 @@ class DiscretePMF:
 
     def compact(self) -> "DiscretePMF":
         """Strip leading/trailing zero bins (keeps at least one bin)."""
-        nz = np.nonzero(self.probs)[0]
-        if nz.size == 0:
+        return self._compact(self.probs.nonzero()[0])
+
+    def _compact(self, nonzero: np.ndarray) -> "DiscretePMF":
+        """:meth:`compact` given the indices of the non-zero bins."""
+        if nonzero.size == 0:
             return DiscretePMF._raw(np.array([0.0]), self.offset)
-        lo, hi = int(nz[0]), int(nz[-1])
+        lo, hi = int(nonzero[0]), int(nonzero[-1])
         if lo == 0 and hi == self.probs.size - 1:
-            return self
-        return DiscretePMF._raw(self.probs[lo : hi + 1], self.offset + lo)
+            compacted = self
+        else:
+            compacted = DiscretePMF._raw(self.probs[lo : hi + 1], self.offset + lo)
+        compacted.__dict__["_nonzero_cache"] = int(nonzero.size)
+        return compacted
 
     def convolve_with(self, kernel: "DiscretePMF") -> "DiscretePMF":
         """Convolve with ``kernel`` by shift-and-add over its impulses.
@@ -397,20 +481,16 @@ class DiscretePMF:
 
         Notes
         -----
-        This is the exact scalar counterpart of
-        :func:`repro.core.batch.batched_convolve`: both accumulate the
-        kernel's impulses in ascending time order, one vector
-        multiply-accumulate per impulse, so a batch row and a lone PMF
-        produce bit-identical results.  Prefer :meth:`convolve` unless the
-        caller needs that guarantee — it picks the cheaper operand order
-        automatically.
+        This is the one-row case of :func:`shift_and_add`, the
+        implementation behind :func:`repro.core.batch.batched_convolve`:
+        the kernel's impulses accumulate in ascending time order, so a
+        batch row and a lone PMF produce bit-identical results.  Prefer
+        :meth:`convolve` unless the caller needs that guarantee — it picks
+        the cheaper operand order automatically.
         """
         if self.is_zero() or kernel.is_zero():
             return DiscretePMF._raw(np.array([0.0]), self.offset + kernel.offset)
-        width = self.probs.size
-        probs = np.zeros(width + kernel.probs.size - 1, dtype=np.float64)
-        for index in np.flatnonzero(kernel.probs).tolist():
-            probs[index : index + width] += kernel.probs[index] * self.probs
+        probs = shift_and_add(self.probs[None, :], kernel.probs)[0]
         return DiscretePMF._raw(probs, self.offset + kernel.offset)
 
     def convolve(self, other: "DiscretePMF") -> "DiscretePMF":
@@ -441,10 +521,9 @@ class DiscretePMF:
         if self.is_zero() or other.is_zero():
             return DiscretePMF._raw(np.array([0.0]), self.offset + other.offset)
         sparse, dense = (self, other)
-        if np.count_nonzero(other.probs) < np.count_nonzero(self.probs):
+        if other.nonzero_count() < self.nonzero_count():
             sparse, dense = other, self
-        nnz = np.count_nonzero(sparse.probs)
-        if nnz * dense.probs.size < self.probs.size * other.probs.size:
+        if sparse.nonzero_count() * dense.probs.size < self.probs.size * other.probs.size:
             return dense.convolve_with(sparse)
         probs = np.convolve(self.probs, other.probs)
         return DiscretePMF._raw(probs, self.offset + other.offset)
@@ -556,9 +635,9 @@ class DiscretePMF:
         """
         if max_impulses < 1:
             raise ValueError("max_impulses must be >= 1")
-        compacted = self.compact()
-        nz = np.nonzero(compacted.probs)[0]
-        if nz.size <= max_impulses:
+        nonzero = self.probs.nonzero()[0]
+        compacted = self._compact(nonzero)
+        if nonzero.size <= max_impulses:
             return compacted
         # Vectorised equal-width re-binning: assign every bin to one of
         # ``max_impulses`` groups, place each group's mass at its
@@ -572,9 +651,9 @@ class DiscretePMF:
         )
         keep = mass > 0.0
         centres = np.rint(weighted_rel[keep] / mass[keep]).astype(np.int64)
-        lo, hi = int(centres.min()), int(centres.max())
-        probs = np.zeros(hi - lo + 1, dtype=np.float64)
-        np.add.at(probs, centres - lo, mass[keep])
+        lo = int(centres.min())
+        # Like ``np.add.at``, ``bincount`` adds colliding groups in input order.
+        probs = np.bincount(centres - lo, weights=mass[keep])
         return DiscretePMF._raw(probs, compacted.offset + lo)
 
     # ------------------------------------------------------------------

@@ -17,10 +17,13 @@ bookkeeping and decision assembly live here.  Availability comes from the
 engine's live :class:`~repro.simulator.state.SystemState`: machine chains
 are maintained incrementally across mapping events, and
 :class:`VirtualSystemState` is a cheap copy-on-write *fork* of that state —
-each virtual machine starts as a reference to the live (immutable)
-availability PMF and only diverges as phase 2 commits provisional
-assignments.  Phase-1 scores are held in a :class:`ScoreTable` (robustness
-and expected-completion matrices over task x machine) backed by the batched
+each virtual machine resolves to a reference to the live (immutable)
+availability PMF the first time it is read (a machine nobody scores costs
+no chain work) and only diverges as phase 2 commits provisional
+assignments; the chain step of each commit is handed back to the live
+state so applying the decision does not compute it again.  Phase-1 scores
+are held in a :class:`ScoreTable` (robustness and expected-completion
+matrices over task x machine) backed by the batched
 PMF engine of :mod:`repro.core.batch`: the virtual availabilities form a
 padded ``(n_machines, support)`` :class:`~repro.core.batch.PMFBatch` and
 every candidate pair is scored in a single
@@ -36,17 +39,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter_ns
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..core.batch import PMFBatch
-from ..core.completion import chain_step
 from ..core.kernels import active_backend
 from ..core.pmf import DiscretePMF
 from ..obs.telemetry import active as obs_active
-from ..pet.matrix import PETMatrix
 from ..simulator.mapping import MappingContext, MappingDecision
 from ..simulator.task import Task
 
@@ -74,13 +76,39 @@ class CandidatePair:
     mean_execution: float
 
 
-@dataclass
 class VirtualMachine:
-    """Virtual-queue state of one machine during a mapping event."""
+    """Virtual-queue state of one machine during a mapping event.
 
-    index: int
-    free_slots: int
-    availability: DiscretePMF
+    ``availability`` is either given or resolved by ``resolve`` on first
+    read; assigning it (a phase-2 commit) replaces whichever it was.
+    """
+
+    __slots__ = ("index", "free_slots", "_availability", "_resolve")
+
+    def __init__(
+        self,
+        index: int,
+        free_slots: int,
+        availability: DiscretePMF | None = None,
+        *,
+        resolve: Callable[[], DiscretePMF] | None = None,
+    ) -> None:
+        if availability is None and resolve is None:
+            raise ValueError("a virtual machine needs an availability or a resolver")
+        self.index = index
+        self.free_slots = free_slots
+        self._availability = availability
+        self._resolve = resolve
+
+    @property
+    def availability(self) -> DiscretePMF:
+        if self._availability is None:
+            self._availability = self._resolve()
+        return self._availability
+
+    @availability.setter
+    def availability(self, value: DiscretePMF) -> None:
+        self._availability = value
 
     @property
     def has_free_slot(self) -> bool:
@@ -91,12 +119,16 @@ class VirtualSystemState:
     """Copy-on-write fork of the live system state for one mapping event.
 
     The virtual state *forks* the engine's incrementally-maintained
-    :class:`~repro.simulator.state.SystemState`: each virtual machine starts
-    with a reference to the live availability PMF (PMFs are immutable, so no
-    copying happens) and only diverges when phase 2 commits an assignment —
-    :meth:`assign` replaces that machine's reference with an extended chain,
-    leaving the live state untouched.  Machines carrying pruner drops start
-    from :meth:`~repro.simulator.mapping.MappingContext.availability_excluding`,
+    :class:`~repro.simulator.state.SystemState` on demand: a virtual
+    machine's availability resolves to a reference to the live PMF (PMFs
+    are immutable, so no copying happens) the first time something reads it
+    — :class:`ScoreTable` reads only machines with a free slot and
+    :meth:`assign` the chosen one — so a full machine, or an event that
+    returns before scoring anything, costs no chain work.  It only diverges
+    when phase 2 commits an assignment: :meth:`assign` replaces that
+    machine's reference with an extended chain, leaving the live state
+    untouched.  Machines carrying pruner drops resolve through
+    :meth:`~repro.simulator.mapping.MappingContext.availability_excluding`,
     which reuses the live chain prefix ahead of the first drop.  This is the
     "temporary (virtual) queue of machine-task mappings" of Section III.
     """
@@ -109,23 +141,30 @@ class VirtualSystemState:
         availability_override: dict[int, DiscretePMF] | None = None,
     ) -> None:
         self._context = context
-        self._policy = context.policy
-        self._pet: PETMatrix = context.pet
-        self._max_impulses = context.max_impulses
         dropped = set(dropped_task_ids)
         override = availability_override or {}
         self.machines: list[VirtualMachine] = []
         for machine in context.machines:
-            queued = machine.queued_tasks()
-            kept = [t for t in queued if t.task_id not in dropped]
-            free = machine.queue_capacity - len(kept)
-            if machine.index in override:
-                availability = override[machine.index]
-            elif len(kept) == len(queued):
-                availability = context.machine_availability(machine.index)
+            index = machine.index
+            lost = (
+                sum(1 for t in machine.queued_tasks() if t.task_id in dropped)
+                if dropped
+                else 0
+            )
+            free = machine.free_slots + lost
+            if index in override:
+                vm = VirtualMachine(index, free, override[index])
+            elif not lost:
+                vm = VirtualMachine(
+                    index, free, resolve=partial(context.machine_availability, index)
+                )
             else:
-                availability = context.availability_excluding(machine.index, dropped)
-            self.machines.append(VirtualMachine(machine.index, free, availability))
+                vm = VirtualMachine(
+                    index,
+                    free,
+                    resolve=partial(context.availability_excluding, index, dropped),
+                )
+            self.machines.append(vm)
 
     # ------------------------------------------------------------------
     @property
@@ -143,9 +182,8 @@ class VirtualSystemState:
         vm = self.machines[machine_index]
         if not vm.has_free_slot:
             raise RuntimeError(f"virtual machine {machine_index} has no free slot")
-        pet_entry = self._pet.get(task.task_type, machine_index)
-        vm.availability = chain_step(
-            pet_entry, vm.availability, task.deadline, self._policy, self._max_impulses
+        vm.availability = self._context.extend_availability(
+            machine_index, task, vm.availability
         )
         vm.free_slots -= 1
 

@@ -159,6 +159,34 @@ class MappingContext:
             prev = chain_step(pet_entry, prev, task.deadline, self.policy, self.max_impulses)
         return prev
 
+    def extend_availability(
+        self, machine_index: int, task: Task, prev: DiscretePMF
+    ) -> DiscretePMF:
+        """Availability of a machine once ``task`` is queued behind ``prev``.
+
+        One chain step on the context's settings.  When the live state runs
+        the same settings the step is also handed to it
+        (:meth:`SystemState.offer_step`): if the engine then enqueues
+        ``task`` there, behind that ``prev``, the state adopts the step
+        instead of computing it a second time.
+        """
+        result = chain_step(
+            self.pet.get(task.task_type, machine_index),
+            prev,
+            task.deadline,
+            self.policy,
+            self.max_impulses,
+        )
+        state = self.state
+        if (
+            state is not None
+            and state.pet is self.pet
+            and state.policy is self.policy
+            and state.max_impulses == self.max_impulses
+        ):
+            state.offer_step(machine_index, task, prev, result)
+        return result
+
     def executing_pmf(self, machine_index: int) -> DiscretePMF:
         """Completion-time PMF of the machine's executing task (if any)."""
         machine = self.machines[machine_index]

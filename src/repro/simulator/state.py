@@ -12,8 +12,14 @@ simulation-lifetime, incrementally-maintained structure:
 * queue mutations are *notifications* (:meth:`notify_enqueue`,
   :meth:`notify_start`, :meth:`notify_finish`, :meth:`notify_remove`) that
   invalidate only the dirty *suffix* of the affected machine's chain — an
-  enqueue costs one convolution step, a drop at position ``p`` costs
-  ``len(queue) - p`` steps, and untouched machines cost nothing,
+  enqueue costs at most one convolution step, a drop at position ``p``
+  costs ``len(queue) - p`` steps, and untouched machines cost nothing,
+* the dirty suffix is recomputed *on demand*, by the first query that reads
+  the machine (:meth:`availability`, :meth:`chain`, ...) — a machine nobody
+  reads between two mutations is never advanced in between,
+* a chain step the mapper already computed while building its virtual queue
+  can be handed over (:meth:`offer_step`) and is adopted instead of being
+  recomputed when the task lands behind that very predecessor PMF,
 * all machines' availability PMFs are served as one live, padded
   ``(n_machines, support)`` :class:`~repro.core.batch.PMFBatch`
   (:meth:`availability_batch`) — the exact input shape the batched scoring
@@ -49,6 +55,7 @@ re-anchored when queried at a different ``now``.
 
 from __future__ import annotations
 
+from time import perf_counter_ns
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,6 +69,7 @@ from ..core.completion import (
 )
 from ..core.pmf import DiscretePMF
 from ..core.robustness import success_probability
+from ..obs.telemetry import active as obs_active
 from ..pet.matrix import PETMatrix
 from .machine import Machine
 from .task import Task
@@ -80,6 +88,7 @@ class _MachineChain:
         "tasks",
         "chain",
         "meta",
+        "offers",
         "dirty_from",
         "head_executing",
         "anchor_now",
@@ -101,6 +110,9 @@ class _MachineChain:
         #: is, so entries are never stale; may be shorter than ``chain``
         #: until the pruning path asks for it.
         self.meta: list[tuple[float, float]] = []
+        #: Chain steps handed over by the mapper, ``(task, prev, result)``
+        #: with each entry's ``prev`` the previous entry's ``result``.
+        self.offers: list[tuple[Task, DiscretePMF, DiscretePMF]] = []
         #: First chain index that needs recomputation (``len(tasks)`` = clean).
         self.dirty_from: int = 0
         #: Whether ``chain[0]`` was computed with ``tasks[0]`` executing.
@@ -164,6 +176,9 @@ class SystemState:
         self._records = [_MachineChain() for _ in self.machines]
         self._version = 0
         self._batch_cache: tuple[tuple[int, int], PMFBatch] | None = None
+        #: Telemetry registry of the run that built this state (the engine
+        #: builds one state per stream); only read when enabled.
+        self._obs = obs_active()
         for machine, rec in zip(self.machines, self._records):
             self._resync_from_machine(rec, machine)
 
@@ -228,6 +243,31 @@ class SystemState:
             self._resync_from_machine(rec, machine)
         self._touch(rec)
 
+    def offer_step(
+        self,
+        machine_index: int,
+        task: Task,
+        prev: DiscretePMF,
+        result: DiscretePMF,
+    ) -> None:
+        """Hand over a chain step computed outside the state.
+
+        ``result`` must be this state's own step — ``chain_step`` of the
+        machine's PET entry for ``task`` behind ``prev`` under the state's
+        policy and aggregation cap.  If ``task`` is then enqueued on the
+        machine directly behind that very ``prev`` *object*, the next query
+        adopts ``result`` instead of recomputing it.  Identity, not
+        equality, is the key: the PMFs a query serves are the chain's own
+        immutable entries, so ``prev is chain[k - 1]`` proves the step has
+        the same inputs without comparing a single bin, and an offer that
+        does not match (task never enqueued, enqueued elsewhere, chain
+        re-anchored or rebuilt in between) is simply never looked at again.
+        """
+        offers = self._records[machine_index].offers
+        if offers and offers[-1][2] is not prev:
+            offers.clear()
+        offers.append((task, prev, result))
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -242,6 +282,8 @@ class SystemState:
         rec = self._sync(machine_index, int(now))
         if self.cross_check:
             self._verify(machine_index, int(now), rec)
+        if self._obs.enabled:
+            self._obs.count("state.availability_resolved")
         if not rec.tasks:
             return DiscretePMF.point(int(now))
         return rec.chain[-1]
@@ -379,6 +421,7 @@ class SystemState:
             rec.tasks = machine.queued_tasks()
             rec.chain = chain
             rec.meta = []
+            rec.offers.clear()
             rec.dirty_from = len(rec.tasks)
             rec.head_executing = bool(rec.tasks) and rec.tasks[0] is machine.executing
             rec.anchor_now = now
@@ -488,12 +531,32 @@ class SystemState:
                 rec.dirty_from = 0
         if rec.dirty_from >= len(tasks):
             return rec
-        self._advance(rec, machine, now)
+        obs = self._obs
+        if obs.enabled:
+            start_ns = perf_counter_ns()
+        computed, adopted = self._advance(rec, machine, now)
+        if obs.enabled:
+            obs.add_span(
+                "state.advance",
+                start_ns,
+                perf_counter_ns() - start_ns,
+                machine=machine_index,
+                computed=computed,
+                adopted=adopted,
+            )
+            obs.count("state.chain_steps", computed)
+            obs.count("state.chain_steps_adopted", adopted)
         self._touch(rec)
         return rec
 
-    def _advance(self, rec: _MachineChain, machine: Machine, now: int) -> None:
-        """Recompute the dirty suffix of one machine's chain."""
+    def _advance(
+        self, rec: _MachineChain, machine: Machine, now: int
+    ) -> tuple[int, int]:
+        """Recompute the dirty suffix of one machine's chain.
+
+        Returns how many chain steps were computed here and how many were
+        adopted from :meth:`offer_step` hand-overs instead.
+        """
         tasks = rec.tasks
         start = rec.dirty_from
         del rec.chain[start:]
@@ -512,16 +575,32 @@ class SystemState:
             rec.anchor_now = now
         else:
             prev = rec.chain[start - 1]
+        computed = adopted = 0
         for task in tasks[start:]:
-            prev = chain_step(
-                self.pet.get(task.task_type, machine.index),
-                prev,
-                task.deadline,
-                self.policy,
-                self.max_impulses,
+            offered = next(
+                (
+                    result
+                    for offered_task, offered_prev, result in rec.offers
+                    if offered_task is task and offered_prev is prev
+                ),
+                None,
             )
+            if offered is not None:
+                prev = offered
+                adopted += 1
+            else:
+                prev = chain_step(
+                    self.pet.get(task.task_type, machine.index),
+                    prev,
+                    task.deadline,
+                    self.policy,
+                    self.max_impulses,
+                )
+                computed += 1
             rec.chain.append(prev)
+        rec.offers.clear()
         rec.dirty_from = len(tasks)
+        return computed, adopted
 
     def _verify(self, machine_index: int, now: int, rec: _MachineChain) -> None:
         """Cross-check the incremental chain against a from-scratch rebuild.

@@ -75,6 +75,27 @@ class TestSingleAtom:
         assert point.variance() == 0.0
         assert point.skewness() == 0.0
 
+    @pytest.mark.parametrize(
+        "mass", [-0.1, -1e-6, 1.0 + 1e-5, 2.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_point_rejects_what_the_constructor_rejects(self, mass):
+        with pytest.raises(ValueError):
+            DiscretePMF.point(3, mass=mass)
+        with pytest.raises(ValueError):
+            DiscretePMF(np.array([mass]), offset=3)
+
+    @pytest.mark.parametrize("mass", [0.0, -1e-12, 0.25, 1.0, 1.0 + 1e-7])
+    def test_point_builds_what_the_constructor_builds(self, mass):
+        point = DiscretePMF.point(-4, mass=mass)
+        built = DiscretePMF(np.array([mass]), offset=-4)
+        assert point.offset == built.offset == -4
+        assert np.array_equal(point.probs, built.probs)
+        assert point.probs.dtype == np.float64 and point.probs[0] >= 0.0
+
+    def test_zero_is_one_empty_bin_at_the_origin(self):
+        zero = DiscretePMF.zero()
+        assert zero.offset == 0 and zero.probs.tolist() == [0.0]
+
 
 class TestMisalignedConvolution:
     """Operands whose supports start at wildly different (even negative) times."""

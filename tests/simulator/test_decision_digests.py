@@ -1,0 +1,50 @@
+"""Decisions on the reference trace are pinned to a committed artefact.
+
+``decision_digests.json`` was generated by ``scripts/make_decision_digests.py``
+at the commit *before* availability became demand-driven, so a matching
+digest proves a performance change took the same decisions as the code it
+replaced — not merely that two paths inside the current tree agree.  Six
+heuristics x both engine modes on the 660-task transcoding trace.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "make_decision_digests", REPO_ROOT / "scripts" / "make_decision_digests.py"
+)
+digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digests)
+
+COMMITTED = json.loads(digests.DIGEST_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def reference_inputs():
+    from repro.pet.builders import build_transcoding_pet
+    from repro.workload.traces import load_trace
+
+    return build_transcoding_pet(rng=digests.PET_SEED), load_trace(digests.REFERENCE_TRACE)
+
+
+def test_fixture_covers_every_heuristic_and_mode():
+    from repro.heuristics.registry import HEURISTIC_NAMES
+
+    assert set(COMMITTED) == {
+        digests.digest_key(heuristic, window)
+        for heuristic in HEURISTIC_NAMES
+        for window in digests.BATCH_WINDOWS
+    }
+
+
+@pytest.mark.parametrize("key", sorted(COMMITTED))
+def test_decisions_match_committed_digest(key, reference_inputs):
+    pet, trace = reference_inputs
+    heuristic, window = key.split("/window=")
+    assert digests.decision_digest(pet, trace, heuristic, int(window)) == COMMITTED[key]
