@@ -3,9 +3,12 @@
 ``tests/simulator/decision_digests.json`` records, for the shipped 660-task
 transcoding trace under each of the six paper heuristics and both engine
 modes (``batch_window`` 0 and 120), a BLAKE2 digest of the per-task outcome
-map (``offline_decision_map``) and the run's ``SimulationCounters``.  A
-performance change that claims "same decisions, less work" is checked
-against this committed artefact in tier-1
+map (``offline_decision_map``) and the run's ``SimulationCounters``.  The
+``scale-oversub/`` rows pin the oversubscribed regime the same way: a
+600-task load-3.0 scale trace on the SPEC PET under the three
+robustness-based heuristics (where every event re-evaluates the deferred
+batch).  A performance change that claims "same decisions, less work" is
+checked against this committed artefact in tier-1
 (``tests/simulator/test_decision_digests.py``), not only against sibling
 code paths inside the tree.
 
@@ -30,9 +33,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.heuristics.registry import HEURISTIC_NAMES, make_heuristic  # noqa: E402
-from repro.pet.builders import build_transcoding_pet  # noqa: E402
+from repro.pet.builders import build_spec_pet, build_transcoding_pet  # noqa: E402
 from repro.serve.service import offline_decision_map  # noqa: E402
 from repro.simulator.engine import HCSimulator, SimulatorConfig  # noqa: E402
+from repro.workload.scale import ScaleTraceConfig, generate_scale_trace  # noqa: E402
 from repro.workload.traces import load_trace  # noqa: E402
 
 REFERENCE_TRACE = REPO_ROOT / "examples" / "transcoding_660.trace.json"
@@ -40,10 +44,27 @@ DIGEST_PATH = REPO_ROOT / "tests" / "simulator" / "decision_digests.json"
 BATCH_WINDOWS = (0, 120)
 PET_SEED = 2019
 ENGINE_SEED = 2021
+SCALE_OVERSUB = "scale-oversub"
+SCALE_OVERSUB_CONFIG = ScaleTraceConfig(num_tasks=600, load_factor=3.0)
+SCALE_OVERSUB_SEED = 2019
+SCALE_OVERSUB_HEURISTICS = ("PAMF", "PAM", "MOC")
 
 
-def digest_key(heuristic: str, batch_window: int) -> str:
-    return f"{heuristic}/window={batch_window}"
+def digest_key(heuristic: str, batch_window: int, workload: str = "") -> str:
+    """``[workload/]heuristic/window=N``; the 660-task rows carry no workload."""
+    key = f"{heuristic}/window={batch_window}"
+    return f"{workload}/{key}" if workload else key
+
+
+def reference_inputs():
+    """PET and trace of the 660-task rows."""
+    return build_transcoding_pet(rng=PET_SEED), load_trace(REFERENCE_TRACE)
+
+
+def scale_oversub_inputs():
+    """PET and trace of the ``scale-oversub/`` rows."""
+    pet = build_spec_pet(rng=PET_SEED)
+    return pet, generate_scale_trace(SCALE_OVERSUB_CONFIG, rng=SCALE_OVERSUB_SEED, pet=pet)
 
 
 def decision_digest(pet, trace, heuristic: str, batch_window: int) -> str:
@@ -64,14 +85,23 @@ def decision_digest(pet, trace, heuristic: str, batch_window: int) -> str:
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
+#: Key prefix -> (inputs builder, heuristics pinned on those inputs).
+WORKLOADS = {
+    "": (reference_inputs, HEURISTIC_NAMES),
+    SCALE_OVERSUB: (scale_oversub_inputs, SCALE_OVERSUB_HEURISTICS),
+}
+
+
 def compute_digests() -> dict[str, str]:
-    pet = build_transcoding_pet(rng=PET_SEED)
-    trace = load_trace(REFERENCE_TRACE)
-    return {
-        digest_key(heuristic, window): decision_digest(pet, trace, heuristic, window)
-        for heuristic in HEURISTIC_NAMES
-        for window in BATCH_WINDOWS
-    }
+    digests = {}
+    for workload, (build_inputs, heuristics) in WORKLOADS.items():
+        pet, trace = build_inputs()
+        for heuristic in heuristics:
+            for window in BATCH_WINDOWS:
+                digests[digest_key(heuristic, window, workload)] = decision_digest(
+                    pet, trace, heuristic, window
+                )
+    return digests
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -32,7 +32,10 @@ to the scalar :func:`~repro.heuristics.scoring.fast_success_probability`
 per-pair path.  After each phase-2 commit only the *dirty column* (the
 committed machine) is marked for rescoring, and the one-column refresh runs
 lazily at the next phase-1 evaluation — the rest of the (task, machine)
-grid is never touched.
+grid is never touched.  Across mapping events the heuristic keeps the
+previous event's table and the next fill copies every score whose task and
+availability *object* are unchanged (a deferred task against a machine
+nothing happened to), so the kernel only sees what moved.
 """
 
 from __future__ import annotations
@@ -51,6 +54,15 @@ from ..core.pmf import DiscretePMF
 from ..obs.telemetry import active as obs_active
 from ..simulator.mapping import MappingContext, MappingDecision
 from ..simulator.task import Task
+
+#: Fewest (task, machine) pairs a fill must be able to carry over from the
+#: previous event's table for the carry to be attempted.  Carrying costs a
+#: row match and two index copies, and an event with both changed columns
+#: and new rows a second kernel call whose fixed cost is worth ~20 pairs of
+#: kernel work; so the 1-3-row grids of per-arrival mapping are scored whole
+#: in one call, and the oversubscribed regime's ~30-row deferred batches are
+#: carried.
+_MIN_CARRIED_PAIRS = 32
 
 __all__ = [
     "CandidatePair",
@@ -206,7 +218,18 @@ class ScoreTable:
     rescore runs lazily at the next :meth:`best_pairs` call — several dirty
     columns flush through one batched kernel call, and a column dirtied
     after the final commit of an event is never rescored at all.  The
-    values are bit-identical however columns are grouped.
+    values are bit-identical however the grid is cut into calls.
+
+    The fill is *incremental across mapping events*: given the ``previous``
+    event's table it copies ``robustness[row, j]`` for every task that was a
+    row there into every open column whose availability **is** the object
+    that column was last scored against, and hands the kernel only the rest
+    (all rows of changed columns, new rows of unchanged ones).  A score is a
+    function of the task, the machine's PET column and the (immutable)
+    availability PMF only — never of ``now`` — so object identity is a
+    sufficient key, and the previous table's strong references keep every
+    keyed object alive.  ``completion`` is recomputed every time (two cached
+    means per pair).
     """
 
     def __init__(
@@ -214,10 +237,11 @@ class ScoreTable:
         context: MappingContext,
         virtual: VirtualSystemState,
         tasks: list[Task],
+        previous: "ScoreTable | None" = None,
     ) -> None:
-        self._context = context
         self._pet = context.pet
         self._cdf_table = context.pet.cdf_table()
+        self._kernels = active_backend()
         self._virtual = virtual
         self._dirty: set[int] = set()
         self.tasks = list(tasks)
@@ -231,10 +255,18 @@ class ScoreTable:
         self.robustness = np.full((self.n, self.m), -1.0, dtype=np.float64)
         self.completion = np.full((self.n, self.m), np.inf, dtype=np.float64)
         self.machine_open = np.zeros(self.m, dtype=bool)
+        #: Per column, the availability object ``robustness[:, j]`` holds the
+        #: scores of (``None``: closed or never scored).
+        self._scored_against: list[DiscretePMF | None] = [None] * self.m
+        #: (task, machine) pairs handed to the kernel / copied from ``previous``.
+        self.pairs_scored = 0
+        self.pairs_reused = 0
         obs = obs_active()
         if obs.enabled:
             start_ns = perf_counter_ns()
-        self.refresh_machines((vm.index for vm in virtual.machines), virtual)
+        self.refresh_machines(
+            (vm.index for vm in virtual.machines), virtual, previous=previous
+        )
         if obs.enabled:
             obs.add_span(
                 "score_table.fill",
@@ -244,6 +276,8 @@ class ScoreTable:
                 machines=self.m,
             )
             obs.count("score_table.fills")
+            obs.count("score_table.pairs_scored", self.pairs_scored)
+            obs.count("score_table.pairs_reused", self.pairs_reused)
 
     # ------------------------------------------------------------------
     def mark_dirty(self, machine_index: int) -> None:
@@ -264,6 +298,7 @@ class ScoreTable:
         obs = obs_active()
         if obs.enabled:
             start_ns = perf_counter_ns()
+            scored_before = self.pairs_scored
         self.refresh_machines(dirty, self._virtual)
         if obs.enabled:
             obs.add_span(
@@ -274,11 +309,20 @@ class ScoreTable:
             )
             obs.count("score_table.rescores")
             obs.count("score_table.dirty_columns", len(dirty))
+            obs.count("score_table.pairs_scored", self.pairs_scored - scored_before)
 
     def refresh_machines(
-        self, machine_indices: Iterable[int], virtual: VirtualSystemState
+        self,
+        machine_indices: Iterable[int],
+        virtual: VirtualSystemState,
+        previous: "ScoreTable | None" = None,
     ) -> None:
-        """Recompute the score columns of several machines in one batched call."""
+        """Recompute the score columns of several machines.
+
+        One batched kernel call, unless ``previous`` (another event's table)
+        already holds part of the grid: what it holds is copied and only the
+        rest is scored — see :meth:`_carry_from`.
+        """
         open_indices: list[int] = []
         for machine_index in machine_indices:
             self._dirty.discard(machine_index)
@@ -289,23 +333,113 @@ class ScoreTable:
                 self.machine_open[machine_index] = False
                 self.robustness[:, machine_index] = -1.0
                 self.completion[:, machine_index] = np.inf
+                self._scored_against[machine_index] = None
         if not open_indices or self.n == 0:
             return
         availabilities = [virtual.machines[j].availability for j in open_indices]
-        batch = PMFBatch.from_pmfs(availabilities)
         columns = np.array(open_indices, dtype=np.int64)
-        kernels = active_backend()
-        self.robustness[:, columns] = kernels.success_probability(
-            batch, self._cdf_table, self.types, self.deadlines, machine_indices=columns
-        )
         expected_start = np.array([a.mean() for a in availabilities], dtype=np.float64)
-        completion = kernels.expected_completion(
+        completion = self._kernels.expected_completion(
             expected_start, self.mean_execution[:, columns]
         )
         # A zero-mass availability has no expected start time; such machines
         # can never complete anything (robustness is already exactly 0).
         completion[:, np.isnan(expected_start)] = np.inf
         self.completion[:, columns] = completion
+
+        if previous is None or not self._carry_from(previous, columns, availabilities):
+            self._score(None, columns, availabilities)
+        for machine_index, availability in zip(open_indices, availabilities):
+            self._scored_against[machine_index] = availability
+
+    def _score(
+        self,
+        rows: np.ndarray | None,
+        columns: np.ndarray,
+        availabilities: list[DiscretePMF],
+    ) -> None:
+        """One kernel call: task ``rows`` (``None``: all) against machine ``columns``.
+
+        All rows is the per-event hot path (every dirty-column rescore, every
+        fill that carries nothing), so it stays on basic slices.
+        """
+        whole = rows is None
+        scores = self._kernels.success_probability(
+            PMFBatch.from_pmfs(availabilities),
+            self._cdf_table,
+            self.types if whole else self.types[rows],
+            self.deadlines if whole else self.deadlines[rows],
+            machine_indices=columns,
+        )
+        if whole:
+            self.robustness[:, columns] = scores
+        else:
+            self.robustness[rows[:, None], columns] = scores
+        self.pairs_scored += scores.size
+
+    def _carry_from(
+        self,
+        previous: "ScoreTable",
+        columns: np.ndarray,
+        availabilities: list[DiscretePMF],
+    ) -> bool:
+        """Fill ``columns`` from ``previous`` where it can; False if it did not.
+
+        A pair is carried when its task was a row of ``previous`` and the
+        column's availability *is* the object ``previous`` last scored that
+        column against: the live chain entry of a machine nothing happened
+        to, the ``chain[-1]`` the pruner hands through for a machine it
+        drops nothing from, or the phase-2 step the engine adopted.  (An
+        equal-valued new object — an idle machine's ``point(now)`` — is
+        simply scored again; nothing is ever compared by value.)  The rest
+        goes to the kernel: new rows of unchanged columns, all rows of
+        changed ones — two calls when an event has both.  Matching, copying
+        and a possible second call only pay on a carried block of at least
+        ``_MIN_CARRIED_PAIRS``; a smaller grid is scored whole.
+        """
+        if (
+            self.n * columns.size < _MIN_CARRIED_PAIRS
+            or previous._cdf_table is not self._cdf_table
+            or previous._kernels is not self._kernels
+            or previous.m != self.m
+        ):
+            return False
+        scored_against = previous._scored_against
+        same = [scored_against[j] is a for j, a in zip(columns.tolist(), availabilities)]
+        n_same = sum(same)
+        if self.n * n_same < _MIN_CARRIED_PAIRS:
+            return False
+        rows: list[int] = []
+        previous_rows: list[int] = []
+        previous_index = previous._index_of
+        previous_tasks = previous.tasks
+        for row, task in enumerate(self.tasks):
+            previous_row = previous_index.get(task.task_id)
+            if previous_row is not None and previous_tasks[previous_row] is task:
+                rows.append(row)
+                previous_rows.append(previous_row)
+        carried = len(rows) * n_same
+        if carried < _MIN_CARRIED_PAIRS:
+            return False
+
+        same_columns = columns[same]
+        self.robustness[np.ix_(rows, same_columns)] = previous.robustness[
+            np.ix_(previous_rows, same_columns)
+        ]
+        self.pairs_reused += carried
+        if len(rows) < self.n:
+            self._score(
+                np.delete(np.arange(self.n), rows),
+                same_columns,
+                [a for a, kept in zip(availabilities, same) if kept],
+            )
+        if n_same < columns.size:
+            self._score(
+                None,
+                columns[np.logical_not(same)],
+                [a for a, kept in zip(availabilities, same) if not kept],
+            )
+        return True
 
     def refresh_machine(self, machine_index: int, virtual: VirtualSystemState) -> None:
         """Recompute one machine's scores against all tasks."""
@@ -379,7 +513,10 @@ class MappingHeuristic(abc.ABC):
         """Return the assignments/drops/deferrals for one mapping event."""
 
     def reset(self) -> None:
-        """Clear any cross-event state before a new simulation run."""
+        """Clear any cross-event state before a new simulation run.
+
+        Overrides must chain to ``super().reset()``.
+        """
 
 
 class TwoPhaseBatchHeuristic(MappingHeuristic):
@@ -389,6 +526,14 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
     #: completion time (False).  Robustness-based heuristics still record the
     #: expected completion time for phase-2 tie-breaking.
     robustness_based: bool = False
+
+    #: The latest mapping event's score table; the next fill carries over
+    #: every score whose task and availability object are unchanged.
+    _previous_table: ScoreTable | None = None
+
+    def reset(self) -> None:
+        super().reset()
+        self._previous_table = None
 
     # ------------------------------------------------------------------
     # Hooks
@@ -439,7 +584,8 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
         tasks = list(context.batch)
         if not tasks or virtual.total_free_slots == 0:
             return decision
-        table = ScoreTable(context, virtual, tasks)
+        table = ScoreTable(context, virtual, tasks, previous=self._previous_table)
+        self._previous_table = table
 
         while table.any_active and virtual.total_free_slots > 0:
             pairs = table.best_pairs(robustness_based=self.robustness_based)

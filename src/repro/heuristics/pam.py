@@ -59,6 +59,7 @@ class PruningAwareMapper(TwoPhaseBatchHeuristic):
         return self.pruner.thresholds
 
     def reset(self) -> None:
+        super().reset()
         self.pruner.reset()
         self._dropping_engaged = False
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core.pmf import DiscretePMF
-from repro.pet.builders import build_pet_from_means
+from repro.pet.builders import build_pet_from_means, build_spec_pet
 from repro.pet.matrix import PETMatrix
 from repro.workload.generator import WorkloadConfig, generate_workload
+from repro.workload.scale import ScaleTraceConfig, generate_scale_trace
 
 
 @pytest.fixture
@@ -86,3 +87,17 @@ def light_trace(small_gamma_pet):
     """A lightly loaded trace (most tasks should succeed)."""
     config = WorkloadConfig(num_tasks=40, time_span=1500, beta=3.0)
     return generate_workload(config, small_gamma_pet, rng=13)
+
+
+@pytest.fixture(scope="session")
+def oversub_inputs():
+    """SPEC PET and a 600-task load-3.0 scale trace: the oversubscribed regime.
+
+    The inputs of the perf ledger's ``trial-oversub`` workload at seed 2019
+    (and of the ``scale-oversub/`` decision digests).
+    """
+    pet = build_spec_pet(rng=2019)
+    trace = generate_scale_trace(
+        ScaleTraceConfig(num_tasks=600, load_factor=3.0), rng=2019, pet=pet
+    )
+    return pet, trace

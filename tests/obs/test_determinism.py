@@ -97,6 +97,17 @@ def test_tracing_actually_recorded_the_trial(traced_and_null):
     assert telemetry.counters["engine.events.arrival"] == 660
 
 
+def test_score_reuse_is_counted_in_the_traced_trial(traced_and_null):
+    """The trial that equals the untraced one did carry scores, and counted them."""
+    _, _, telemetry = traced_and_null
+    counters = telemetry.counters
+    fills = [attrs for name, _, _, attrs in telemetry.spans if name == "score_table.fill"]
+    assert len(fills) == counters["score_table.fills"]
+    grid = sum(attrs["tasks"] * attrs["machines"] for attrs in fills)
+    assert 0 < counters["score_table.pairs_reused"] < grid
+    assert 0 < counters["score_table.pairs_scored"]
+
+
 def test_state_sync_is_no_longer_dark(traced_and_null):
     _, _, telemetry = traced_and_null
     counters = telemetry.counters
@@ -130,6 +141,40 @@ def test_disabled_hook_sites_stay_inside_the_overhead_gates_budget():
     assert _reference_trial(registry) == _reference_trial(NULL_TELEMETRY)
     engine_events = 2 * 660  # arrival + finish per task, as the gate counts
     assert 0 < registry.reads / engine_events < 25
+
+
+def test_score_reuse_adds_no_disabled_hook_site(small_gamma_pet):
+    """A fill asks ``enabled`` twice (span start, span end), carried or not."""
+    from repro.core.pmf import DiscretePMF
+    from repro.heuristics.base import ScoreTable, VirtualSystemState
+    from repro.simulator.machine import Machine
+    from repro.simulator.mapping import MappingContext
+    from repro.simulator.task import Task
+    from repro.workload.spec import TaskSpec
+
+    pet = small_gamma_pet
+    context = MappingContext(
+        now=0,
+        batch=tuple(
+            Task(TaskSpec(arrival=0, task_id=i, task_type=i % 4, deadline=90 + i))
+            for i in range(12)
+        ),
+        machines=tuple(Machine(j, name) for j, name in enumerate(pet.machine_names)),
+        pet=pet,
+    )
+    # Availabilities given up front: no state query (and its hooks) in the fill.
+    virtual = VirtualSystemState(
+        context,
+        availability_override={j: DiscretePMF.point(3 * j) for j in range(pet.num_machines)},
+    )
+    registry = _CountingNull()
+    with use_telemetry(registry):
+        first = ScoreTable(context, virtual, list(context.batch))
+        after_first = registry.reads
+        second = ScoreTable(context, virtual, list(context.batch), previous=first)
+    assert (first.pairs_reused, second.pairs_scored) == (0, 0)
+    assert second.pairs_reused == first.pairs_scored == 12 * pet.num_machines
+    assert after_first == 2 and registry.reads == 4
 
 
 def _reference_point() -> SweepPoint:

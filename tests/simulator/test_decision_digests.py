@@ -4,7 +4,10 @@
 at the commit *before* availability became demand-driven, so a matching
 digest proves a performance change took the same decisions as the code it
 replaced — not merely that two paths inside the current tree agree.  Six
-heuristics x both engine modes on the 660-task transcoding trace.
+heuristics x both engine modes on the 660-task transcoding trace, plus the
+``scale-oversub/`` rows (generated at the commit before phase-1 scores were
+carried across mapping events): the three robustness-based heuristics x
+both modes on a 600-task load-3.0 scale trace.
 """
 
 from __future__ import annotations
@@ -26,25 +29,25 @@ COMMITTED = json.loads(digests.DIGEST_PATH.read_text())
 
 
 @pytest.fixture(scope="module")
-def reference_inputs():
-    from repro.pet.builders import build_transcoding_pet
-    from repro.workload.traces import load_trace
-
-    return build_transcoding_pet(rng=digests.PET_SEED), load_trace(digests.REFERENCE_TRACE)
+def inputs():
+    return {workload: build() for workload, (build, _) in digests.WORKLOADS.items()}
 
 
 def test_fixture_covers_every_heuristic_and_mode():
     from repro.heuristics.registry import HEURISTIC_NAMES
 
+    assert digests.WORKLOADS[""][1] == HEURISTIC_NAMES
     assert set(COMMITTED) == {
-        digests.digest_key(heuristic, window)
-        for heuristic in HEURISTIC_NAMES
+        digests.digest_key(heuristic, window, workload)
+        for workload, (_, heuristics) in digests.WORKLOADS.items()
+        for heuristic in heuristics
         for window in digests.BATCH_WINDOWS
     }
 
 
 @pytest.mark.parametrize("key", sorted(COMMITTED))
-def test_decisions_match_committed_digest(key, reference_inputs):
-    pet, trace = reference_inputs
-    heuristic, window = key.split("/window=")
+def test_decisions_match_committed_digest(key, inputs):
+    run, window = key.split("/window=")
+    workload, _, heuristic = run.rpartition("/")
+    pet, trace = inputs[workload]
     assert digests.decision_digest(pet, trace, heuristic, int(window)) == COMMITTED[key]

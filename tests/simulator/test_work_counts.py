@@ -13,6 +13,13 @@ the ``state.*`` counters ``SystemState`` publishes:
 * a machine without a free slot is never advanced by a mapping event that
   does not prune it;
 * a mapper without a pruner resolves exactly the machines it scores.
+
+The same for phase-1 scoring on the oversubscribed regime (the bench's
+``trial-oversub`` inputs): a (task, machine, availability object) triple
+the previous mapping event's ``ScoreTable`` holds never reaches the scoring
+kernel again — except in a fill too small to be worth a second kernel call,
+which is scored whole — and the pairs handed to the kernel stay under a
+fifth of the from-scratch count.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.heuristics import base as heuristics_base
+from repro.heuristics.base import ScoreTable
 from repro.heuristics.registry import make_heuristic
 from repro.obs import Telemetry, use_telemetry
 from repro.pet.builders import build_transcoding_pet
@@ -138,3 +147,71 @@ def test_only_scored_machines_are_resolved(watched_run):
     else:
         # The pruner's post-drop availabilities stand in for some reads.
         assert resolved <= heuristic.scorable_machines
+
+
+# ----------------------------------------------------------------------
+# Phase-1 scoring across mapping events (oversubscribed regime)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def oversub_fills(oversub_inputs):
+    """PAMF on the bench's ``trial-oversub`` inputs (seed 2019), every fill watched.
+
+    Per initial fill: how many triples the previous table held were handed
+    to the kernel again, and how many pairs the fill carried over.  (Both
+    tables are alive while they are compared, so ``id`` is a sound key.)
+    """
+    fills: list[tuple[int, int]] = []
+    scored: list[tuple] = []
+    init, score = ScoreTable.__init__, ScoreTable._score
+
+    def recording_score(self, rows, columns, availabilities):
+        tasks = self.tasks if rows is None else [self.tasks[row] for row in rows.tolist()]
+        scored.extend(
+            (task.task_id, j, id(a))
+            for task in tasks
+            for j, a in zip(columns.tolist(), availabilities)
+        )
+        return score(self, rows, columns, availabilities)
+
+    def recording_init(self, context, virtual, tasks, previous=None):
+        held = set()
+        if previous is not None:
+            held = {
+                (task.task_id, j, id(a))
+                for task in previous.tasks
+                for j, a in enumerate(previous._scored_against)
+                if a is not None
+            }
+        del scored[:]
+        init(self, context, virtual, tasks, previous=previous)
+        fills.append((len(held.intersection(scored)), self.pairs_reused))
+
+    pet, trace = oversub_inputs
+    heuristic = make_heuristic("PAMF", num_task_types=pet.num_task_types)
+    telemetry = Telemetry()
+    ScoreTable.__init__, ScoreTable._score = recording_init, recording_score
+    try:
+        with use_telemetry(telemetry):
+            HCSimulator(pet, heuristic, rng=2019).run(trace)
+    finally:
+        ScoreTable.__init__, ScoreTable._score = init, score
+    return fills, telemetry.counters
+
+
+def test_no_held_score_reaches_the_kernel_again(oversub_fills):
+    fills, _ = oversub_fills
+    rescored_whole = [again for again, reused in fills if again]
+    # Only a fill too small to carry repeats anything: it reuses nothing and
+    # what it repeats is less than the size rule's bound.
+    assert all(reused == 0 for again, reused in fills if again)
+    assert all(again < heuristics_base._MIN_CARRIED_PAIRS for again in rescored_whole)
+    assert sum(reused for _, reused in fills) > 5 * sum(rescored_whole)
+
+
+def test_oversubscribed_trial_scores_a_fraction_of_the_grid(oversub_fills):
+    fills, counters = oversub_fills
+    assert counters["score_table.fills"] == len(fills) == 808
+    # 209,962 when every fill started from scratch; exact for a seed.
+    assert counters["score_table.pairs_scored"] <= 45_000
+    assert counters["score_table.pairs_reused"] == sum(reused for _, reused in fills)
+    assert counters["score_table.pairs_reused"] > 3 * counters["score_table.pairs_scored"]
