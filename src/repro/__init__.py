@@ -28,6 +28,8 @@ Quickstart::
     print(result.robustness_percent())
 """
 
+from importlib import import_module
+
 from .core import (
     DiscretePMF,
     DroppingPolicy,
@@ -66,17 +68,6 @@ from .simulator import (
     SystemState,
     simulate,
 )
-from .sweep import (
-    HeuristicSpec,
-    ParallelExecutor,
-    PETSpec,
-    ResultCache,
-    SweepOutcome,
-    SweepPoint,
-    SweepSpec,
-    TraceSpec,
-    run_sweep,
-)
 from .workload import (
     TaskSpec,
     WorkloadConfig,
@@ -88,6 +79,32 @@ from .workload import (
 )
 
 __version__ = "0.3.0"
+
+#: Resolved on first access (PEP 562), like the two subpackages themselves: a process that
+#: only simulates or serves never imports the process pool, the SQLite queue or the figures.
+_LAZY_EXPORTS = {
+    "sweep": (
+        "HeuristicSpec",
+        "ParallelExecutor",
+        "PETSpec",
+        "ResultCache",
+        "SweepOutcome",
+        "SweepPoint",
+        "SweepSpec",
+        "TraceSpec",
+        "run_sweep",
+    ),
+    "experiments": ("ExperimentConfig", *(f"run_fig{n}" for n in range(4, 10))),
+}
+
+
+def __getattr__(name: str):
+    for subpackage, exports in _LAZY_EXPORTS.items():
+        if name == subpackage or name in exports:
+            module = import_module(f"{__name__}.{subpackage}")
+            return module if name == subpackage else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -129,16 +146,9 @@ __all__ = [
     "MinCompletionMaxUrgency",
     "HEURISTIC_NAMES",
     "make_heuristic",
-    # sweep orchestration
-    "PETSpec",
-    "HeuristicSpec",
-    "TraceSpec",
-    "SweepPoint",
-    "SweepSpec",
-    "SweepOutcome",
-    "ParallelExecutor",
-    "ResultCache",
-    "run_sweep",
+    # sweep orchestration and figure drivers (lazy, see _LAZY_EXPORTS)
+    *_LAZY_EXPORTS["sweep"],
+    *_LAZY_EXPORTS["experiments"],
     # trace persistence / replay
     "save_trace",
     "load_trace",

@@ -93,20 +93,10 @@ from . import (
     make_heuristic,
     simulate,
 )
-from .experiments import (
-    ExperimentConfig,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-)
-from .experiments.reporting import save_figure_result
-from .core.kernels import KERNEL_BACKEND_NAMES
+from .core.kernels import KERNEL_BACKEND_NAMES, parse_kernel_tag
 from .heuristics.registry import HEURISTIC_NAMES
 from .simulator.engine import SimulatorConfig
-from .sweep import BACKEND_NAMES, StreamReporter
+from .utils.tables import format_table
 from .workload import (
     TRACE_BUILDERS,
     build_named_trace,
@@ -117,15 +107,19 @@ from .workload import (
 
 __all__ = ["main", "build_parser"]
 
-#: Figure number -> (driver, CSV headers)
-_FIGURES: dict[int, tuple[Callable[..., object], list[str]]] = {
-    4: (run_fig4, ["lambda", "default robustness %", "default ci95", "schmitt robustness %", "schmitt ci95"]),
-    5: (run_fig5, ["drop threshold %", "defer threshold %", "robustness %", "ci95"]),
-    6: (run_fig6, ["level", "fairness factor %", "variance of type completion %", "robustness %", "ci95"]),
-    7: (run_fig7, ["level", "heuristic", "robustness %", "ci95"]),
-    8: (run_fig8, ["level", "heuristic", "total cost", "robustness %", "cost / percent on-time"]),
-    9: (run_fig9, ["level", "heuristic", "robustness %", "ci95"]),
+#: Figure number -> CSV headers (the driver is ``repro.experiments.run_fig<N>``).
+_FIGURES: dict[int, list[str]] = {
+    4: ["lambda", "default robustness %", "default ci95", "schmitt robustness %", "schmitt ci95"],
+    5: ["drop threshold %", "defer threshold %", "robustness %", "ci95"],
+    6: ["level", "fairness factor %", "variance of type completion %", "robustness %", "ci95"],
+    7: ["level", "heuristic", "robustness %", "ci95"],
+    8: ["level", "heuristic", "total cost", "robustness %", "cost / percent on-time"],
+    9: ["level", "heuristic", "robustness %", "ci95"],
 }
+
+#: ``repro.sweep.BACKEND_NAMES`` spelled out (pinned equal in ``tests/test_cli.py``):
+#: the handlers that use ``repro.sweep``/``repro.experiments`` import them, not this module.
+_SWEEP_BACKEND_NAMES = ("serial", "process", "queue")
 
 
 def _positive_int(value: str) -> int:
@@ -609,7 +603,7 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     """Execution-backend selection shared by figure/sweep/replay commands."""
     parser.add_argument(
         "--backend",
-        choices=BACKEND_NAMES,
+        choices=_SWEEP_BACKEND_NAMES,
         default="process",
         help="where trials execute: in-process, a local process pool, or a "
         "durable work queue drained by detached 'repro worker' processes",
@@ -676,8 +670,9 @@ def _run_figure(
     *,
     progress: Callable | None = None,
 ) -> None:
-    driver, headers = _FIGURES[number]
-    config = ExperimentConfig(
+    from . import experiments
+
+    config = experiments.ExperimentConfig(
         trials=args.trials,
         seed=args.seed,
         task_scale=args.task_scale,
@@ -702,7 +697,7 @@ def _run_figure(
             raise SystemExit(str(exc)) from exc
     if args.backend == "queue" and args.queue_dir is None:
         raise SystemExit("--backend queue requires --queue-dir")
-    result = driver(
+    result = getattr(experiments, f"run_fig{number}")(
         config,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -714,7 +709,9 @@ def _run_figure(
     )
     print(result.to_text())
     if args.output_dir is not None:
-        paths = save_figure_result(result, headers, args.output_dir, name=f"figure{number}")
+        paths = experiments.save_figure_result(
+            result, _FIGURES[number], args.output_dir, name=f"figure{number}"
+        )
         for kind, path in paths.items():
             print(f"wrote {kind}: {path}")
 
@@ -725,6 +722,8 @@ def _command_figure(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from .sweep import StreamReporter
+
     progress = None if args.quiet else StreamReporter()
     for number in args.numbers:
         _run_figure(number, args, progress=progress)
@@ -793,18 +792,19 @@ def _command_trace_inspect(args: argparse.Namespace) -> int:
 
 
 def _command_trace_replay(args: argparse.Namespace) -> int:
+    from .experiments import ExperimentConfig
     from .experiments.fig9_transcoding import TRACE_LEVEL_LABEL
     from .simulator.cost import default_prices_for
     from .sweep import (
         HeuristicSpec,
         PETSpec,
+        StreamReporter,
         SweepSpec,
         TraceSpec,
         pet_for,
         run_sweep,
         trace_for,
     )
-    from .utils.tables import format_table
 
     heuristics = list(dict.fromkeys(args.heuristics))
     config = ExperimentConfig(
@@ -883,7 +883,6 @@ def _command_worker(args: argparse.Namespace) -> int:
 
 def _command_queue(args: argparse.Namespace) -> int:
     from .sweep import WorkQueue, format_heartbeat
-    from .utils.tables import format_table
 
     queue = WorkQueue(args.queue_dir)
     if args.queue_command == "status":
@@ -919,12 +918,9 @@ def _command_queue(args: argparse.Namespace) -> int:
 def _command_cache(args: argparse.Namespace) -> int:
     from .core.batch import KERNEL_VERSION
     from .sweep import ResultCache
-    from .utils.tables import format_table
 
     cache = ResultCache(args.cache_dir)
     if args.cache_command == "stats":
-        from .core.kernels import parse_kernel_tag
-
         stats = cache.disk_stats()
         print(f"entries            : {stats['entries']}")
         print(f"bytes              : {stats['bytes']}")
@@ -1090,7 +1086,6 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
 def _command_serve_bench(args: argparse.Namespace) -> int:
     from .serve import run_bench, slice_trace
     from .serve.loadgen import DEFAULT_TIME_UNIT_SECONDS
-    from .utils.tables import format_table
 
     pet = _serve_pet(args)
     trace = slice_trace(load_trace(args.trace), args.tasks)

@@ -35,6 +35,7 @@ __all__ = [
     "pct_pending_drop",
     "pct_evict_drop",
     "completion_pmf",
+    "completion_and_success",
     "chain_step",
     "batched_completion_step",
     "queue_completion_pmfs",
@@ -84,12 +85,7 @@ def pct_pending_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> 
     * add back the predecessor's mass at or after the deadline unchanged
       (the ``c_pend(i-1,j)(t)`` pass-through term of Eq. 4).
     """
-    started = prev_pct.truncate_before(deadline)
-    dropped = prev_pct.truncate_from(deadline)
-    result = pet.convolve(started) if not started.is_zero() else DiscretePMF.zero()
-    if not dropped.is_zero():
-        result = result.add(dropped)
-    return result.compact()
+    return _merge(_ran(pet, prev_pct, deadline), prev_pct, deadline)
 
 
 def pct_evict_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
@@ -104,16 +100,19 @@ def pct_evict_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> Di
     still pending — is preserved at the predecessor's completion times, as
     the paper notes those "discarded impulses ... must be added to C_ij".
     """
+    return _merge(_ran(pet, prev_pct, deadline).collapse_tail_to(deadline), prev_pct, deadline)
+
+
+def _ran(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
+    """Eq. 3's truncated convolution, the branch where the task starts."""
     started = prev_pct.truncate_before(deadline)
-    dropped_pending = prev_pct.truncate_from(deadline)
-    if started.is_zero():
-        ran = DiscretePMF.zero()
-    else:
-        ran = pet.convolve(started).collapse_tail_to(deadline)
-    result = ran
-    if not dropped_pending.is_zero():
-        result = result.add(dropped_pending)
-    return result.compact()
+    return DiscretePMF.zero() if started.is_zero() else pet.convolve(started)
+
+
+def _merge(ran: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
+    """Add back the predecessor mass at or after ``deadline`` (dropped while pending)."""
+    dropped = prev_pct.truncate_from(deadline)
+    return (ran if dropped.is_zero() else ran.add(dropped)).compact()
 
 
 def completion_pmf(
@@ -130,6 +129,32 @@ def completion_pmf(
     if policy is DroppingPolicy.EVICT:
         return pct_evict_drop(pet, prev_pct, deadline)
     raise ValueError(f"unknown dropping policy: {policy!r}")
+
+
+def completion_and_success(
+    pet: DiscretePMF,
+    prev_pct: DiscretePMF,
+    deadline: int,
+    policy: DroppingPolicy = DroppingPolicy.EVICT,
+) -> tuple[DiscretePMF, float]:
+    """:func:`completion_pmf` and the task's success probability, from one convolution.
+
+    The probability is the mass of the branch where the task starts at or
+    before the deadline, read before Eq. 5 collapses the tail onto the
+    deadline (that impulse is eviction, not success).  The pruner needs both
+    values for every task it examines.
+    """
+    deadline = int(deadline)
+    if policy is DroppingPolicy.NONE:
+        ran = pet.convolve(prev_pct)
+        return ran.compact(), float(min(1.0, ran.cdf(deadline)))
+    if policy is not DroppingPolicy.PENDING and policy is not DroppingPolicy.EVICT:
+        raise ValueError(f"unknown dropping policy: {policy!r}")
+    ran = _ran(pet, prev_pct, deadline)
+    prob = float(min(1.0, ran.cdf(deadline)))
+    if policy is DroppingPolicy.EVICT:
+        ran = ran.collapse_tail_to(deadline)
+    return _merge(ran, prev_pct, deadline), prob
 
 
 def chain_step(
@@ -281,8 +306,6 @@ def queue_completion_pmfs(
     out: list[DiscretePMF] = []
     prev = start
     for pet, deadline in zip(pets, deadlines):
-        prev = completion_pmf(pet, prev, int(deadline), policy)
-        if max_impulses is not None:
-            prev = prev.aggregate(max_impulses)
+        prev = chain_step(pet, prev, deadline, policy, max_impulses)
         out.append(prev)
     return out

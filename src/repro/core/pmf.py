@@ -6,7 +6,7 @@ provides :class:`DiscretePMF`, the dense vector representation used by the
 rest of the library: a NumPy probability vector anchored at an integer
 ``offset``.  All PMF algebra needed by the paper is implemented here:
 
-* construction from impulses, samples, or scipy distributions,
+* construction from impulses or samples,
 * shifting (task start time, Section IV),
 * convolution (queue completion times, Eq. 2),
 * truncation and mass queries (pending/evict dropping, Eqs. 3-5),
@@ -229,18 +229,6 @@ class DiscretePMF:
         values, counts = np.unique(quantised, return_counts=True)
         probs = counts.astype(np.float64) / counts.sum()
         return DiscretePMF.from_impulses(dict(zip(values.tolist(), probs.tolist())))
-
-    @staticmethod
-    def from_scipy(dist, *, n_samples: int = 500, rng: np.random.Generator | None = None,
-                   bin_width: int = 1, min_time: int = 1) -> "DiscretePMF":
-        """Sample a scipy frozen distribution and histogram it into a PMF.
-
-        The paper builds each PET entry by drawing 500 samples from a gamma
-        distribution and histogramming them (Section VI-A).
-        """
-        rng = np.random.default_rng() if rng is None else rng
-        samples = dist.rvs(size=n_samples, random_state=rng)
-        return DiscretePMF.from_samples(samples, bin_width=bin_width, min_time=min_time)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -663,16 +651,20 @@ class DiscretePMF:
         """Draw execution times from the (renormalised) PMF.
 
         The simulator's execution oracle uses this to decide how long a task
-        actually runs on the machine it was mapped to.
+        actually runs on the machine it was mapped to.  Exactly the steps of
+        ``rng.choice(self.times, size=size, p=self.probs / total)`` — same
+        values, same generator state — with the CDF cached across draws.
         """
-        total = self.total_mass()
-        if total <= MASS_TOLERANCE:
-            raise ValueError("cannot sample from a zero-mass PMF")
-        p = self.probs / total
-        drawn = rng.choice(self.times, size=size, p=p)
-        if size is None:
-            return int(drawn)
-        return drawn.astype(np.int64)
+        cdf = self.__dict__.get("_sample_cdf_cache")
+        if cdf is None:
+            total = self.total_mass()
+            if total <= MASS_TOLERANCE:
+                raise ValueError("cannot sample from a zero-mass PMF")
+            cdf = (self.probs / total).cumsum()
+            cdf /= cdf[-1]
+            self.__dict__["_sample_cdf_cache"] = cdf
+        drawn = self.offset + cdf.searchsorted(rng.random(size), side="right")
+        return int(drawn) if size is None else drawn
 
     def allclose(self, other: "DiscretePMF", *, atol: float = 1e-9) -> bool:
         """True when both PMFs place (numerically) identical mass everywhere."""

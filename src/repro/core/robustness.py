@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .completion import DroppingPolicy
+from .completion import DroppingPolicy, completion_and_success
 from .pmf import DiscretePMF
 
 __all__ = [
@@ -42,13 +42,7 @@ def success_probability(
     the execution finishes by the deadline; mass routed through the dropped
     branches is excluded.
     """
-    deadline = int(deadline)
-    if policy is DroppingPolicy.NONE:
-        return float(min(1.0, pet.convolve(prev_pct).cdf(deadline)))
-    started = prev_pct.truncate_before(deadline)
-    if started.is_zero():
-        return 0.0
-    return float(min(1.0, pet.convolve(started).cdf(deadline)))
+    return completion_and_success(pet, prev_pct, deadline, policy)[1]
 
 
 def queue_success_probabilities(
@@ -63,17 +57,15 @@ def queue_success_probabilities(
 
     The chain of availability PMFs is propagated with the requested dropping
     policy (Eqs. 2-5) while each task's own success probability is computed
-    from the pre-aggregation branch via :func:`success_probability`.
+    from the pre-aggregation branch (:func:`completion_and_success`).
     """
     if len(pets) != len(deadlines):
         raise ValueError("pets and deadlines must have the same length")
-    from .completion import completion_pmf  # local import to avoid cycle confusion
-
     probs: list[float] = []
     prev = start
     for pet, deadline in zip(pets, deadlines):
-        probs.append(success_probability(pet, prev, int(deadline), policy))
-        prev = completion_pmf(pet, prev, int(deadline), policy)
+        prev, prob = completion_and_success(pet, prev, deadline, policy)
+        probs.append(prob)
         if max_impulses is not None:
             prev = prev.aggregate(max_impulses)
     return probs

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from ..core.pmf import DiscretePMF
 from ..utils.rng import make_generator
@@ -54,16 +53,16 @@ def gamma_execution_pmf(
 
     The gamma distribution is parameterised by its mean and shape ``k``;
     the scale is ``mean / k`` so the sampled mean matches the tabulated
-    mean execution time.
+    mean execution time.  ``standard_gamma(k) * scale`` is the draw
+    ``scipy.stats.gamma(a=k, scale=scale).rvs`` makes, value for value
+    (pinned in ``tests/core/test_pmf.py``), without importing scipy.
     """
     if mean <= 0:
         raise ValueError("mean execution time must be positive")
     if shape <= 0:
         raise ValueError("gamma shape must be positive")
-    dist = sp_stats.gamma(a=shape, scale=mean / shape)
-    return DiscretePMF.from_scipy(
-        dist, n_samples=n_samples, rng=rng, bin_width=bin_width, min_time=1
-    )
+    samples = rng.standard_gamma(shape, size=n_samples) * (mean / shape)
+    return DiscretePMF.from_samples(samples, bin_width=bin_width, min_time=1)
 
 
 def build_pet_from_means(
@@ -95,22 +94,13 @@ def build_pet_from_means(
     lo, hi = shape_range
     if not (0 < lo <= hi):
         raise ValueError("invalid gamma shape range")
-    rows = []
-    for t in range(len(task_types)):
-        row = []
-        for m in range(len(machine_names)):
-            shape = float(rng.uniform(lo, hi))
-            row.append(
-                gamma_execution_pmf(
-                    float(means_arr[t, m]),
-                    shape,
-                    rng=rng,
-                    n_samples=n_samples,
-                    bin_width=bin_width,
-                )
-            )
-        rows.append(tuple(row))
-    return PETMatrix(tuple(task_types), tuple(machine_names), tuple(rows))
+
+    def entry(mean: float) -> DiscretePMF:
+        shape = float(rng.uniform(lo, hi))  # drawn before the entry's samples
+        return gamma_execution_pmf(mean, shape, rng=rng, n_samples=n_samples, bin_width=bin_width)
+
+    rows = tuple(tuple(entry(mean) for mean in row) for row in means_arr.tolist())
+    return PETMatrix(tuple(task_types), tuple(machine_names), rows)
 
 
 def build_spec_pet(

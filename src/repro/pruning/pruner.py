@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.completion import DroppingPolicy, completion_pmf
+from ..core.completion import DroppingPolicy, completion_and_success
 from ..core.pmf import DiscretePMF
-from ..core.robustness import success_probability
 from ..simulator.machine import Machine
 from ..simulator.mapping import MappingContext, QueueDrop
 from .fairness import SufferageTracker
@@ -202,8 +201,7 @@ class Pruner:
         """
         for position, task in enumerate(tasks[start_position:], start=start_position):
             pet_entry = context.pet.get(task.task_type, machine.index)
-            prob = success_probability(pet_entry, prev, task.deadline, context.policy)
-            pct = completion_pmf(pet_entry, prev, task.deadline, context.policy)
+            pct, prob = completion_and_success(pet_entry, prev, task.deadline, context.policy)
             threshold = self.thresholds.dropping_threshold_for(
                 pct,
                 queue_position=position,

@@ -65,10 +65,9 @@ from ..core.completion import (
     DroppingPolicy,
     batched_completion_step,
     chain_step,
-    completion_pmf,
+    completion_and_success,
 )
 from ..core.pmf import DiscretePMF
-from ..core.robustness import success_probability
 from ..obs.telemetry import active as obs_active
 from ..pet.matrix import PETMatrix
 from .machine import Machine
@@ -394,8 +393,7 @@ class SystemState:
             else:
                 prev = rec.chain[k - 1] if k else DiscretePMF.point(now)
                 pet_entry = self.pet.get(task.task_type, machine.index)
-                prob = success_probability(pet_entry, prev, task.deadline, self.policy)
-                pct = completion_pmf(pet_entry, prev, task.deadline, self.policy)
+                pct, prob = completion_and_success(pet_entry, prev, task.deadline, self.policy)
                 skew = pct.bounded_skewness()
             rec.meta.append((prob, skew))
         return tuple(rec.meta)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 __all__ = ["confidence_interval_95", "mean_and_ci", "Summary", "summarize"]
 
@@ -24,6 +23,9 @@ def confidence_interval_95(values: Sequence[float]) -> float:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         return 0.0
+    # The package's only use of scipy, which takes ~1 s to import: not a module-level import.
+    from scipy import stats as sp_stats
+
     sem = sp_stats.sem(arr)
     if sem == 0.0:
         return 0.0

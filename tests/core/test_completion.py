@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.completion import (
     DroppingPolicy,
+    completion_and_success,
     completion_pmf,
     pct_evict_drop,
     pct_no_drop,
@@ -115,6 +116,37 @@ class TestDispatcherAndChains:
     def test_dispatcher_rejects_unknown_policy(self, simple_pmf, fig2_prev_pct):
         with pytest.raises(ValueError):
             completion_pmf(simple_pmf, fig2_prev_pct, 6, policy="bogus")  # type: ignore[arg-type]
+        with pytest.raises(ValueError):
+            completion_and_success(simple_pmf, fig2_prev_pct, 6, policy="bogus")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("policy", list(DroppingPolicy))
+    def test_completion_and_success_is_both_one_value_forms(self, policy, rng):
+        """One convolution, the same bits: the pair equals ``completion_pmf``
+        and the two-convolution success probability the pruner used to take."""
+
+        def reference_success(pet, prev, deadline):
+            if policy is DroppingPolicy.NONE:
+                return float(min(1.0, pet.convolve(prev).cdf(deadline)))
+            started = prev.truncate_before(deadline)
+            if started.is_zero():
+                return 0.0
+            return float(min(1.0, pet.convolve(started).cdf(deadline)))
+
+        pet = DiscretePMF.from_samples(rng.gamma(4.0, 20.0, size=500))
+        prevs = [
+            DiscretePMF.point(10),
+            DiscretePMF.from_samples(rng.gamma(3.0, 30.0, size=300)).aggregate(24),
+            DiscretePMF.from_samples(rng.gamma(2.0, 25.0, size=200)),  # dense-dense branch
+            DiscretePMF(np.array([0.2, 0.0, 0.3]), offset=40),  # sub-normalised
+        ]
+        for prev in prevs:
+            lo, hi = prev.min_time, prev.max_time + pet.max_time
+            for deadline in (lo - 5, lo, lo + 1, (lo + hi) // 2, prev.max_time, hi, hi + 50):
+                pct, prob = completion_and_success(pet, prev, deadline, policy)
+                expected = completion_pmf(pet, prev, deadline, policy)
+                assert pct.offset == expected.offset
+                assert np.array_equal(pct.probs, expected.probs)
+                assert prob == reference_success(pet, prev, deadline)
 
     def test_queue_chain_lengths_and_monotone_means(self, simple_pmf):
         pets = [simple_pmf, simple_pmf, simple_pmf]

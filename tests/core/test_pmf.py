@@ -66,10 +66,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscretePMF.from_samples([])
 
-    def test_from_scipy_distribution(self, rng):
-        pmf = DiscretePMF.from_scipy(sp_stats.gamma(a=4, scale=10), n_samples=300, rng=rng)
-        assert pmf.is_normalised()
-        assert 20 < pmf.mean() < 70
+    @pytest.mark.parametrize("shape", [1.0, 1.37, 4.0, 9.5, 13.25, 20.0])
+    def test_standard_gamma_times_scale_is_the_scipy_gamma_draw(self, shape):
+        """The PET builders' primitive equals the frozen scipy distribution
+        they used to sample (Section VI-A: 500 gamma draws per entry), value
+        for value, and leaves the generator in the same state."""
+        scale = 80.0 / shape
+        for seed in range(5):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = ours.standard_gamma(shape, size=500) * scale
+            reference = sp_stats.gamma(a=shape, scale=scale).rvs(size=500, random_state=theirs)
+            assert np.array_equal(drawn, reference)
+            assert ours.random() == theirs.random()
 
     def test_negative_probabilities_rejected(self):
         with pytest.raises(ValueError):
@@ -314,6 +322,31 @@ class TestSamplingAndComparison:
     def test_sample_zero_mass_raises(self, rng):
         with pytest.raises(ValueError):
             DiscretePMF.zero().sample(rng)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            DiscretePMF.from_impulses({1: 0.25, 2: 0.5, 3: 0.25}),
+            DiscretePMF.from_samples(np.random.default_rng(3).gamma(4.0, 20.0, size=500)),
+            DiscretePMF(np.array([0.1, 0.0, 0.2, 0.3]), offset=7),  # sub-normalised
+            DiscretePMF.point(42),
+        ],
+        ids=["simple", "gamma-histogram", "sub-normalised", "point"],
+    )
+    def test_sample_stream_is_generator_choice(self, pmf):
+        """``sample`` is ``Generator.choice`` over the renormalised PMF: same
+        values one draw at a time and with ``size=``, same generator state."""
+        p = pmf.probs / pmf.total_mass()
+        ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
+        for _ in range(300):
+            assert pmf.sample(ours) == int(theirs.choice(pmf.times, p=p))
+        drawn = pmf.sample(ours, size=400)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, theirs.choice(pmf.times, size=400, p=p))
+        assert np.array_equal(
+            pmf.sample(ours, size=(3, 5)), theirs.choice(pmf.times, size=(3, 5), p=p)
+        )
+        assert ours.random() == theirs.random()
 
     def test_allclose_with_different_padding(self):
         a = DiscretePMF(np.array([0.0, 0.5, 0.5, 0.0]), offset=0)

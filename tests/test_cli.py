@@ -400,6 +400,12 @@ class TestWorkerAndQueueCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "4", "--backend", "rpc"])
 
+    def test_backend_choices_are_the_sweep_registry(self):
+        # The parser spells the names out so it need not import repro.sweep.
+        from repro import cli, sweep
+
+        assert cli._SWEEP_BACKEND_NAMES == sweep.BACKEND_NAMES
+
     def test_queue_backend_requires_queue_dir(self, tmp_path):
         with pytest.raises(SystemExit, match="--queue-dir"):
             main(["sweep", "4", "--backend", "queue", "--trials", "1"])

@@ -1,0 +1,114 @@
+"""What a ``repro`` process imports before it does anything.
+
+scipy costs about a second and ~60 MiB to import and the package uses it
+for one thing — the Student-t quantile behind figure confidence intervals
+(``repro.utils.stats.confidence_interval_95``).  A process that parses a
+command line, runs a trial or serves submissions must never load it; nor
+should ``import repro`` load the sweep fabric or the figure drivers before
+something asks for them.  Each check runs in a fresh interpreter because
+this test process has long since imported everything.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Prepended to every child's code: the loaded modules under the given packages.
+LOADED = (
+    "def loaded(*packages):\n"
+    "    import sys\n"
+    "    return sorted(m for m in sys.modules\n"
+    "                  if any(m == p or m.startswith(p + '.') for p in packages))\n"
+)
+
+
+def _python(code: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))  # fmt: skip
+    return subprocess.Popen(
+        [sys.executable, "-c", LOADED + code],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _run(code: str) -> str:
+    child = _python(code)
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    return out
+
+
+def test_cli_import_and_a_trial_load_neither_scipy_nor_the_sweep_fabric():
+    out = _run(
+        "import repro.cli\n"
+        "print(loaded('scipy', 'repro.sweep', 'repro.experiments'))\n"
+        "import repro\n"
+        "pet = repro.build_spec_pet(rng=1)\n"
+        "trace = repro.generate_workload(\n"
+        "    repro.WorkloadConfig(num_tasks=50, time_span=500), pet, rng=2)\n"
+        "result = repro.simulate(pet, repro.make_heuristic('PAMF', num_task_types=12), trace, rng=3)\n"
+        "assert len(result.tasks) == 50\n"
+        "print(loaded('scipy', 'repro.sweep', 'repro.experiments'))\n"
+    )
+    assert out.splitlines() == ["[]", "[]"]
+
+
+def test_lazy_exports_keep_the_public_names():
+    out = _run(
+        "import repro\n"
+        "from repro import run_fig7\n"
+        "assert callable(repro.run_sweep) and callable(run_fig7)\n"
+        "assert repro.SweepSpec is repro.sweep.SweepSpec\n"
+        "assert repro.ExperimentConfig is repro.experiments.ExperimentConfig\n"
+        "missing = [name for name in repro.__all__ if not hasattr(repro, name)]\n"
+        "assert not missing, missing\n"
+        "assert len(set(repro.__all__)) == len(repro.__all__)\n"
+        "try:\n"
+        "    repro.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')\n"
+        "print(loaded('scipy'))\n"
+    )
+    assert out.splitlines() == ["[]"]
+
+
+def test_serve_run_child_serves_a_submission_without_scipy(tmp_path):
+    from repro.cli import main
+
+    sock = tmp_path / "serve.sock"
+    child = _python(
+        "import sys\n"
+        "from repro.cli import main\n"
+        f"code = main(['serve', 'run', '--socket', {str(sock)!r}, '--heuristic', 'PAMF', '--seed', '5'])\n"
+        "print('loaded:', loaded('scipy', 'repro.sweep', 'repro.experiments'))\n"
+        "sys.exit(code)\n"
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while not sock.exists():
+            assert child.poll() is None, child.stderr.read()
+            assert time.monotonic() < deadline, "serve run did not start listening"
+            time.sleep(0.01)
+        # One accepted submission, then ``--close`` drains the service and
+        # the child's ``main`` returns.
+        assert main(["serve", "submit", "--socket", str(sock), "--task", "0", "0", "5", "400", "--close"]) == 0
+        out, err = child.communicate(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.communicate()
+    assert child.returncode == 0, err
+    assert '"submitted": 1,' in out and '"completed": 1,' in out
+    assert "loaded: []" in out.splitlines()
