@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from _artefacts import record_bench
 
-from repro.core.batch import PMFBatch, batched_success_probability
+from repro.core.batch import PMFBatch, batched_success_probability, pack_impulses
 from repro.core.completion import DroppingPolicy, queue_completion_pmfs
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.registry import make_heuristic
@@ -202,7 +202,7 @@ def test_bench_kernel_backend_matrix(benchmark, spec_pet):
     ]
     types = rng.integers(0, spec_pet.num_task_types, size=n_tasks)
     deadlines = rng.integers(100, 1200, size=n_tasks)
-    avail_batch = PMFBatch.from_pmfs(availabilities)
+    packed = pack_impulses(availabilities)
     cdf_table = spec_pet.cdf_table()
 
     pets = [spec_pet.get(int(types[i]), i % n_machines) for i in range(n_tasks)]
@@ -223,7 +223,7 @@ def test_bench_kernel_backend_matrix(benchmark, spec_pet):
         return best
 
     reference = get_backend("numpy")
-    ref_grid = reference.success_probability(avail_batch, cdf_table, types, deadlines)
+    ref_grid = reference.success_probability(*packed, cdf_table, types, deadlines)
     ref_conv = reference.convolve_ragged(pet_batch, ragged_kernels)
 
     rows: dict[str, dict[str, float]] = {}
@@ -231,7 +231,7 @@ def test_bench_kernel_backend_matrix(benchmark, spec_pet):
         backend = get_backend(name)
 
         def score():
-            return backend.success_probability(avail_batch, cdf_table, types, deadlines)
+            return backend.success_probability(*packed, cdf_table, types, deadlines)
 
         def ragged():
             return backend.convolve_ragged(pet_batch, ragged_kernels)
@@ -265,7 +265,7 @@ def test_bench_kernel_backend_matrix(benchmark, spec_pet):
         )
 
     grid = benchmark.pedantic(
-        lambda: reference.success_probability(avail_batch, cdf_table, types, deadlines),
+        lambda: reference.success_probability(*packed, cdf_table, types, deadlines),
         rounds=3,
         iterations=1,
     )

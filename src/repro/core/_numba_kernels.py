@@ -13,7 +13,7 @@ Both kernels reproduce the NumPy reference accumulation order exactly:
   order and skips exact-zero coefficients — in the NumPy path those columns
   contribute ``+= 0.0`` terms, which are bit-level no-ops on the
   non-negative accumulators, so skipping them changes nothing;
-* :func:`success_probability_grid` accumulates the start-time reduction
+* :func:`success_probability_pairs` accumulates each pair's impulses
   strictly left to right (the ``np.cumsum`` order of
   :func:`repro.core.batch.sequential_sum`).
 
@@ -22,6 +22,9 @@ Neither kernel contains a floating-point reduction LLVM may legally reorder
 (``atol=0``) to :class:`~repro.core.kernels.NumpyBackend` — the differential
 suite in ``tests/core/test_kernel_backends.py`` pins exactly that.
 
+The loop bodies are plain Python functions, jitted only where numba is
+installed, so tier-1 runs them as they stand against the NumPy reference
+(``tests/core/test_kernel_backends.py``) on an interpreter without numba.
 Compilation is lazy: the first call through the backend pays the jit cost
 (a few seconds), subsequent calls run the cached machine code.
 """
@@ -35,72 +38,72 @@ except ImportError:
 
 NUMBA_AVAILABLE = numba is not None
 
+
+def ragged_convolve(probs, coeffs, out):
+    """Accumulate ``n`` independent shift-and-add convolutions.
+
+    ``probs`` is the ``(n, width)`` dense operand, ``coeffs`` the
+    ``(n, k_width)`` per-row kernel coefficients on their shared grid,
+    ``out`` the zero-initialised ``(n, width + k_width - 1)`` result.
+    """
+    n, width = probs.shape
+    k_width = coeffs.shape[1]
+    for i in range(n):
+        for index in range(k_width):
+            coeff = coeffs[i, index]
+            if coeff != 0.0:
+                for t in range(width):
+                    out[i, index + t] += coeff * probs[i, t]
+
+
+def success_probability_pairs(
+    start_times,
+    start_probs,
+    cdfs,
+    cdf_offsets,
+    cdf_lengths,
+    types,
+    deadlines,
+    machines,
+    slots,
+    out,
+):
+    """Fill ``out[p]`` with the success probability of candidate pair ``p``.
+
+    Mirrors :func:`repro.core.batch.packed_success_probability` pair by
+    pair (a grid is its pairs, raveled): pair ``p`` is a task of type
+    ``types[p]`` due at ``deadlines[p]`` on PET column ``machines[p]``
+    behind the packed availability row ``slots[p]``, whose impulses are
+    summed strictly left to right, restricted to start times before the
+    deadline with a non-negative clipped CDF budget.
+    """
+    n_starts = start_times.shape[1]
+    for p in range(out.shape[0]):
+        deadline = deadlines[p]
+        task_type = types[p]
+        machine = machines[p]
+        slot = slots[p]
+        offset = cdf_offsets[task_type, machine]
+        last = cdf_lengths[task_type, machine] - 1
+        acc = 0.0
+        for u in range(n_starts):
+            start = start_times[slot, u]
+            if start >= deadline:
+                continue
+            mass = start_probs[slot, u]
+            if mass == 0.0:
+                continue
+            budget = deadline - start - offset
+            if budget < 0:
+                continue
+            if budget > last:
+                budget = last
+            acc += cdfs[task_type, machine, budget] * mass
+        if acc > 1.0:
+            acc = 1.0
+        out[p] = acc
+
+
 if NUMBA_AVAILABLE:  # pragma: no cover - compiled code, never traced
-
-    @numba.njit(cache=True, nogil=True)
-    def ragged_convolve(probs, coeffs, out):
-        """Accumulate ``n`` independent shift-and-add convolutions.
-
-        ``probs`` is the ``(n, width)`` dense operand, ``coeffs`` the
-        ``(n, k_width)`` per-row kernel coefficients on their shared grid,
-        ``out`` the zero-initialised ``(n, width + k_width - 1)`` result.
-        """
-        n, width = probs.shape
-        k_width = coeffs.shape[1]
-        for i in range(n):
-            for index in range(k_width):
-                coeff = coeffs[i, index]
-                if coeff != 0.0:
-                    for t in range(width):
-                        out[i, index + t] += coeff * probs[i, t]
-
-    @numba.njit(cache=True, nogil=True)
-    def success_probability_grid(
-        start_times,
-        start_probs,
-        cdfs,
-        cdf_offsets,
-        cdf_lengths,
-        type_indices,
-        machine_indices,
-        deadlines,
-        out,
-    ):
-        """Fill the ``(n_tasks, n_machines)`` success-probability grid.
-
-        Mirrors :func:`repro.core.batch.batched_success_probability` pair by
-        pair: for every candidate the start-time contributions are summed
-        strictly left to right, restricted to start times before the
-        deadline with a non-negative clipped CDF budget.
-        """
-        n_tasks = type_indices.shape[0]
-        n_machines = machine_indices.shape[0]
-        n_starts = start_times.shape[0]
-        for i in range(n_tasks):
-            deadline = deadlines[i]
-            task_type = type_indices[i]
-            for j in range(n_machines):
-                machine = machine_indices[j]
-                offset = cdf_offsets[task_type, machine]
-                last = cdf_lengths[task_type, machine] - 1
-                acc = 0.0
-                for u in range(n_starts):
-                    start = start_times[u]
-                    if start >= deadline:
-                        continue
-                    mass = start_probs[j, u]
-                    if mass == 0.0:
-                        continue
-                    budget = deadline - start - offset
-                    if budget < 0:
-                        continue
-                    if budget > last:
-                        budget = last
-                    acc += cdfs[task_type, machine, budget] * mass
-                if acc > 1.0:
-                    acc = 1.0
-                out[i, j] = acc
-
-else:
-    ragged_convolve = None
-    success_probability_grid = None
+    ragged_convolve = numba.njit(cache=True, nogil=True)(ragged_convolve)
+    success_probability_pairs = numba.njit(cache=True, nogil=True)(success_probability_pairs)

@@ -17,22 +17,14 @@ A :class:`PMFBatch` stores ``n`` PMFs as one padded 2-D array:
   rows whose support starts later are left-padded with zeros, rows whose
   support ends earlier are right-padded ("aligned offsets").
 
-All batched kernels (:func:`batched_shift`, :func:`batched_convolve`,
-:func:`batched_success_probability`, :func:`batched_expected_completion`)
-operate on this layout.  Execution-time CDFs are pre-gathered once per PET
-matrix into a :class:`CDFTable` of shape ``(n_task_types, n_machines,
-max_cdf_len)``.
-
-Shape conventions
------------------
-``n`` (or ``n_pmfs``)
-    number of PMFs in a batch — one row per machine availability in the
-    scoring kernels.
-``support`` (or ``W``)
-    width of the shared padded time grid.
-``(n_tasks, n_machines)``
-    every scoring kernel returns one value per candidate pair, tasks on
-    axis 0 and machines on axis 1, matching ``ScoreTable.robustness``.
+The convolution kernels (:func:`batched_shift`, :func:`batched_convolve`,
+:func:`batched_convolve_ragged`) operate on this layout.  The scoring
+kernel (:func:`packed_success_probability`) takes each machine's
+availability as its own impulses instead — :func:`pack_impulses`, one
+``(n_machines, K)`` row per machine — and returns one value per candidate
+pair, ``(n_tasks, n_machines)`` like ``ScoreTable.robustness`` or one per
+listed pair.  Execution-time CDFs are pre-gathered once per PET matrix into
+a :class:`CDFTable` of shape ``(n_task_types, n_machines, max_cdf_len)``.
 
 Exact-equivalence contract
 --------------------------
@@ -93,6 +85,10 @@ __all__ = [
     "batched_shift",
     "batched_convolve",
     "batched_convolve_ragged",
+    "ragged_kernel_coeffs",
+    "pack_impulses",
+    "pack_batch",
+    "packed_success_probability",
     "batched_success_probability",
     "batched_expected_completion",
 ]
@@ -480,6 +476,18 @@ def batched_convolve_ragged(
     >>> [p.mean() for p in out.to_pmfs()]
     [12.5, 6.0]
     """
+    coeffs, k_lo = ragged_kernel_coeffs(batch, kernels)
+    width = batch.support
+    out = np.zeros((batch.n_pmfs, width + coeffs.shape[1] - 1), dtype=np.float64)
+    for index in np.flatnonzero(coeffs.any(axis=0)).tolist():
+        out[:, index : index + width] += coeffs[:, index : index + 1] * batch.probs
+    return PMFBatch(out, batch.offset + k_lo)
+
+
+def ragged_kernel_coeffs(
+    batch: PMFBatch, kernels: Sequence[DiscretePMF]
+) -> tuple[np.ndarray, int]:
+    """Per-row kernel coefficients of a ragged convolve on their shared grid, and its offset."""
     kernels = list(kernels)
     if len(kernels) != batch.n_pmfs:
         raise ValueError(
@@ -488,16 +496,134 @@ def batched_convolve_ragged(
         )
     k_lo = min(k.offset for k in kernels)
     k_hi = max(k.max_time for k in kernels)
-    k_width = k_hi - k_lo + 1
-    coeffs = np.zeros((batch.n_pmfs, k_width), dtype=np.float64)
+    coeffs = np.zeros((batch.n_pmfs, k_hi - k_lo + 1), dtype=np.float64)
     for i, kernel in enumerate(kernels):
         start = kernel.offset - k_lo
         coeffs[i, start : start + kernel.probs.size] = kernel.probs
-    width = batch.support
-    out = np.zeros((batch.n_pmfs, width + k_width - 1), dtype=np.float64)
-    for index in np.flatnonzero(coeffs.any(axis=0)).tolist():
-        out[:, index : index + width] += coeffs[:, index : index + 1] * batch.probs
-    return PMFBatch(out, batch.offset + k_lo)
+    return coeffs, k_lo
+
+
+def pack_impulses(pmfs: Sequence[DiscretePMF]) -> tuple[np.ndarray, np.ndarray]:
+    """The scoring operand: every PMF's own impulses, one packed row each.
+
+    Returns ``(start_times, start_probs)``, both ``(n_pmfs, K)``: row ``j``
+    holds :meth:`DiscretePMF.impulses` of ``pmfs[j]``, zero-padded on the
+    right to the widest row.  A padded entry has probability ``0.0``, so it
+    adds an exact ``+0.0`` to a :func:`sequential_sum` — as the columns of
+    *other* machines did on a shared grid, which is why a score does not
+    depend on how its operand was laid out.
+    """
+    impulses = [pmf.impulses() for pmf in pmfs]
+    width = max(times.size for times, _ in impulses)
+    start_times = np.zeros((len(impulses), width), dtype=np.int64)
+    start_probs = np.zeros((len(impulses), width), dtype=np.float64)
+    for row, (times, probs) in enumerate(impulses):
+        start_times[row, : times.size] = times
+        start_probs[row, : times.size] = probs
+    return start_times, start_probs
+
+
+def pack_batch(batch: PMFBatch) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pack_impulses` of the rows of a padded batch."""
+    nonzero = batch.probs != 0.0
+    # A stable sort on "is zero" lists each row's non-zero columns first, in
+    # ascending order; what follows them within the widest row's count is zero.
+    order = np.argsort(~nonzero, axis=1, kind="stable")[:, : int(nonzero.sum(axis=1).max())]
+    return batch.offset + order, np.take_along_axis(batch.probs, order, axis=1)
+
+
+def success_probability_operands(
+    n_slots: int,
+    type_indices: np.ndarray,
+    deadlines: np.ndarray,
+    machine_indices: np.ndarray | None,
+    pairs: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-result ``(types, deadlines, machines, slots)`` of one scoring call.
+
+    Every backend's validation and indexing: the four arrays broadcast to
+    the result shape — ``(n_tasks, n_slots)`` for the grid, ``(n_pairs,)``
+    for a pair list — and give each result its task's type and deadline,
+    its PET column and its row of the packed operand.
+    """
+    type_indices = np.asarray(type_indices, dtype=np.int64)
+    deadlines = np.asarray(deadlines, dtype=np.int64)
+    if machine_indices is None:
+        machine_indices = np.arange(n_slots, dtype=np.int64)
+    else:
+        machine_indices = np.asarray(machine_indices, dtype=np.int64)
+    if machine_indices.size != n_slots:
+        raise ValueError(
+            "availability must have one row per entry of machine_indices "
+            f"(got {n_slots} rows for {machine_indices.size} machines)"
+        )
+    if pairs is None:
+        slots = np.arange(n_slots, dtype=np.int64)[None, :]
+        return type_indices[:, None], deadlines[:, None], machine_indices[None, :], slots
+    rows, slots = pairs
+    return type_indices[rows], deadlines[rows], machine_indices[slots], slots
+
+
+def packed_success_probability(
+    start_times: np.ndarray,
+    start_probs: np.ndarray,
+    execution: CDFTable,
+    type_indices: np.ndarray,
+    deadlines: np.ndarray,
+    machine_indices: np.ndarray | None = None,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Deadline-success probability of (task, machine) candidate pairs.
+
+    For task ``i`` and machine ``j`` this is Eq. 1 evaluated on the
+    (availability x execution) convolution without materialising it::
+
+        P_ij = min(1, sum_t  P(machine j free at t) * P(exec_ij <= d_i - t))
+
+    over the impulses of machine ``j``'s availability, restricted to start
+    times strictly before the deadline — exactly what
+    :func:`repro.heuristics.scoring.fast_success_probability` computes for
+    one pair.
+
+    Parameters
+    ----------
+    start_times, start_probs:
+        ``(n_slots, K)`` packed availabilities (:func:`pack_impulses`), one
+        row per *candidate machine* in the order of ``machine_indices``.
+    execution:
+        CDF table of the PET matrix (see :meth:`PETMatrix.cdf_table`).
+    type_indices, deadlines:
+        ``(n_tasks,)`` int arrays: task type (row of ``execution``) and
+        absolute deadline per task.
+    machine_indices:
+        ``(n_slots,)`` column of ``execution`` behind each operand row;
+        defaults to ``0..n_slots-1``.
+    pairs:
+        ``None`` scores the whole grid; ``(task_rows, slots)``, two equal
+        length int arrays, exactly those pairs — what a fill that carries
+        part of its grid over from the previous event still owes.
+
+    Returns
+    -------
+    np.ndarray
+        ``(n_tasks, n_slots)`` success probabilities in ``[0, 1]``, or
+        ``(n_pairs,)`` for a pair list.  Bit-identical to the scalar
+        per-pair computation however the pairs are grouped into calls: the
+        reduction is a :func:`sequential_sum` over the machine's own
+        impulses in ascending time, and padding adds exact zeros.
+    """
+    types, deadline, machines, slots = success_probability_operands(
+        start_times.shape[0], type_indices, deadlines, machine_indices, pairs
+    )
+    if pairs is not None:  # (n_pairs, K); the grid broadcasts (n_slots, K) as it is
+        start_times, start_probs = start_times[slots], start_probs[slots]
+    # Integer "time budget left for execution" of every (pair, impulse).
+    budgets = (deadline - execution.offsets[types, machines])[..., None] - start_times
+    clipped = np.minimum(budgets, (execution.lengths[types, machines] - 1)[..., None])
+    usable = (start_times < deadline[..., None]) & (clipped >= 0)
+    gathered = execution.cdfs[types[..., None], machines[..., None], np.maximum(clipped, 0)]
+    contributions = np.where(usable, gathered, 0.0) * start_probs
+    return np.minimum(1.0, sequential_sum(contributions, axis=-1))
 
 
 def batched_success_probability(
@@ -507,42 +633,10 @@ def batched_success_probability(
     deadlines: np.ndarray,
     machine_indices: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Deadline-success probability of every (task, machine) candidate pair.
+    """:func:`packed_success_probability` of a padded availability batch.
 
-    For task ``i`` and machine ``j`` this is Eq. 1 evaluated on the
-    (availability x execution) convolution without materialising it::
-
-        P_ij = min(1, sum_t  P(machine j free at t) * P(exec_ij <= d_i - t))
-
-    restricted to start times strictly before the deadline — exactly what
-    :func:`repro.heuristics.scoring.fast_success_probability` computes for
-    one pair, but for the whole ``(n_tasks, n_machines)`` grid in one call.
-
-    Parameters
-    ----------
-    availability:
-        One row per *candidate machine*, in the same order as
-        ``machine_indices`` — the machines' virtual-queue availability PMFs
-        on their shared grid.
-    execution:
-        CDF table of the PET matrix (see :meth:`PETMatrix.cdf_table`).
-    type_indices:
-        ``(n_tasks,)`` int array; task type (row of ``execution``) per task.
-    deadlines:
-        ``(n_tasks,)`` int array; absolute deadline per task.
-    machine_indices:
-        ``(n_machines,)`` int array selecting columns of ``execution`` for
-        each availability row; defaults to ``0..n-1`` (i.e. availability row
-        ``j`` is machine ``j``).
-
-    Returns
-    -------
-    np.ndarray
-        ``(n_tasks, n_machines)`` float64 success probabilities in
-        ``[0, 1]``.  Bit-identical to the scalar per-pair computation: the
-        time reduction is a :func:`sequential_sum` over the availability
-        grid, so co-batched machines and zero padding cannot perturb any
-        pair's value.
+    One row of ``availability`` per candidate machine, in the order of
+    ``machine_indices``; returns the ``(n_tasks, n_machines)`` grid.
 
     Examples
     --------
@@ -558,44 +652,9 @@ def batched_success_probability(
     >>> [round(v, 2) for v in grid[:, 0].tolist()]
     [1.0, 0.75]
     """
-    type_indices = np.asarray(type_indices, dtype=np.int64)
-    deadlines = np.asarray(deadlines, dtype=np.int64)
-    if machine_indices is None:
-        machine_indices = np.arange(availability.n_pmfs, dtype=np.int64)
-    else:
-        machine_indices = np.asarray(machine_indices, dtype=np.int64)
-    if machine_indices.size != availability.n_pmfs:
-        raise ValueError(
-            "availability must have one row per entry of machine_indices "
-            f"(got {availability.n_pmfs} rows for {machine_indices.size} machines)"
-        )
-    n_tasks, n_machines = type_indices.size, machine_indices.size
-    result = np.zeros((n_tasks, n_machines), dtype=np.float64)
-    if n_tasks == 0:
-        return result
-    columns = np.flatnonzero(availability.probs.any(axis=0))
-    if columns.size == 0:
-        return result
-    start_times = availability.offset + columns  # (U,)
-    start_probs = availability.probs[:, columns]  # (n_machines, U)
-
-    exec_offsets = execution.offsets[type_indices[:, None], machine_indices[None, :]]
-    exec_lengths = execution.lengths[type_indices[:, None], machine_indices[None, :]]
-    # (n_tasks, n_machines, U) integer "time budget left for execution".
-    budgets = (
-        deadlines[:, None, None]
-        - start_times[None, None, :]
-        - exec_offsets[:, :, None]
+    return packed_success_probability(
+        *pack_batch(availability), execution, type_indices, deadlines, machine_indices
     )
-    clipped = np.minimum(budgets, (exec_lengths - 1)[:, :, None])
-    usable = (start_times[None, None, :] < deadlines[:, None, None]) & (clipped >= 0)
-    gathered = execution.cdfs[
-        type_indices[:, None, None],
-        machine_indices[None, :, None],
-        np.maximum(clipped, 0),
-    ]
-    contributions = np.where(usable, gathered, 0.0) * start_probs[None, :, :]
-    return np.minimum(1.0, sequential_sum(contributions, axis=-1))
 
 
 def batched_expected_completion(

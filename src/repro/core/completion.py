@@ -23,11 +23,13 @@ the symbol PCT for it).
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .batch import PMFBatch
 from .kernels import active_backend
-from .pmf import DiscretePMF
+from .pmf import MASS_TOLERANCE, DiscretePMF, convolve_probs
 
 __all__ = [
     "DroppingPolicy",
@@ -36,7 +38,10 @@ __all__ = [
     "pct_evict_drop",
     "completion_pmf",
     "completion_and_success",
+    "ChainStep",
+    "completion_step",
     "chain_step",
+    "batched_completion_steps",
     "batched_completion_step",
     "queue_completion_pmfs",
     "start_pmf_for_idle_machine",
@@ -64,55 +69,132 @@ def start_pmf_for_idle_machine(current_time: int) -> DiscretePMF:
     return DiscretePMF.point(int(current_time))
 
 
-def pct_no_drop(pet: DiscretePMF, prev_pct: DiscretePMF) -> DiscretePMF:
-    """Eq. 2 — completion time when no mapped task can be dropped.
+class ChainStep(NamedTuple):
+    """What one availability-chain step computes, kept together."""
 
-    ``PCT(i, j) = PET(i, j) * PCT(i-1, j)`` (discrete convolution).
+    #: Availability of the machine after the task (impulse cap applied) —
+    #: what the next queued task's PET entry is convolved with.
+    availability: DiscretePMF
+    #: Probability the task completes by its deadline, read before Eq. 5
+    #: collapses the tail onto the deadline (that impulse is eviction).
+    success_probability: float
+    #: The completion PMF before the impulse cap (Eq. 6 reads its skewness).
+    completion: DiscretePMF
+
+
+def completion_step(
+    pet: DiscretePMF,
+    prev: DiscretePMF,
+    deadline: int,
+    policy: DroppingPolicy = DroppingPolicy.EVICT,
+    max_impulses: int | None = None,
+) -> ChainStep:
+    """THE availability-chain step: Eqs. 2-5 and the impulse cap, computed once.
+
+    Under ``PENDING`` the PET is convolved with the predecessor's PCT
+    *truncated strictly below* the deadline (Eq. 3: the task starts) and
+    the predecessor's mass at or after the deadline is added back unchanged
+    (Eq. 4: dropped while pending, the machine frees when the predecessor
+    finishes); under ``EVICT`` the started branch's mass at or after the
+    deadline also collapses onto the deadline (Eq. 5).
+
+    Every chain walk in the codebase — the incremental
+    :class:`~repro.simulator.state.SystemState`, the mapper's virtual queue,
+    the pruner's post-drop walk, ``Machine.queue_snapshot`` — advances
+    through this function, so they are bit-identical by construction, and
+    whoever needs the task's success probability or its pre-cap completion
+    PMF takes them from the step instead of convolving again.  The lockstep
+    counterpart is :func:`batched_completion_steps`.
     """
-    return pet.convolve(prev_pct).compact()
+    deadline = int(deadline)
+    cut = _cut(prev, deadline, policy)
+    probs = prev.probs
+    offset = pet.offset + prev.offset
+    if cut >= probs.size:
+        started, mass = probs, prev.total_mass()
+    elif cut > 0:
+        started, mass = probs[:cut], float(prev.cumulative()[cut - 1])
+    else:
+        mass = 0.0
+    if mass <= MASS_TOLERANCE:
+        # Zero-mass conventions of the scalar algebra: Eq. 2 keeps the summed
+        # offset, an empty started branch is ``DiscretePMF.zero()``.
+        ran, offset = np.array([0.0]), (offset if policy is DroppingPolicy.NONE else 0)
+    elif pet.is_zero():
+        ran = np.array([0.0])
+    else:
+        nonzero = prev.nonzero_count() if started is probs else int(np.count_nonzero(started))
+        ran = convolve_probs(pet.probs, pet.nonzero_count(), started, nonzero)
+    return _finish_step(ran, offset, prev, cut, deadline, policy, max_impulses)
 
 
-def pct_pending_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
-    """Eqs. 3-4 — completion time when pending tasks can be dropped.
+def _cut(prev: DiscretePMF, deadline: int, policy: DroppingPolicy) -> int:
+    """Bins of ``prev`` strictly before the deadline (all of them for Eq. 2)."""
+    if policy is DroppingPolicy.NONE:
+        return prev.probs.size
+    if policy is DroppingPolicy.PENDING or policy is DroppingPolicy.EVICT:
+        return deadline - prev.offset
+    raise ValueError(f"unknown dropping policy: {policy!r}")
 
-    If the predecessor finishes at or after ``deadline`` the task never
-    starts (it is dropped while pending), so the machine becomes available
-    exactly when the predecessor finishes.  Otherwise the task executes
-    normally.  In PMF terms:
 
-    * convolve the PET with the predecessor's PCT *truncated strictly below*
-      the deadline (the helper ``f(t, k)`` of Eq. 3),
-    * add back the predecessor's mass at or after the deadline unchanged
-      (the ``c_pend(i-1,j)(t)`` pass-through term of Eq. 4).
+def _finish_step(
+    ran: np.ndarray,
+    offset: int,
+    prev: DiscretePMF,
+    cut: int,
+    deadline: int,
+    policy: DroppingPolicy,
+    max_impulses: int | None,
+) -> ChainStep:
+    """Everything behind the convolution ``ran`` (at ``offset``) of one step.
+
+    One ``cumsum`` serves the success probability and the total mass, both
+    branches are written into one vector, one non-zero scan serves
+    compaction and the impulse cap.  Zero padding in ``ran`` (the lockstep
+    kernel's shared grid) only ever adds exact zeros.
     """
-    return _merge(_ran(pet, prev_pct, deadline), prev_pct, deadline)
-
-
-def pct_evict_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
-    """Eq. 5 — completion time when even the executing task can be dropped.
-
-    The task is guaranteed to leave the machine by its deadline: either it
-    completes before the deadline, or it is evicted exactly at the deadline.
-    Therefore all mass of the "task actually ran" branch that lands at or
-    after the deadline is aggregated into a single impulse at the deadline
-    (the task is killed the moment the deadline passes).  The predecessor
-    mass at or after the deadline — the case where the task is dropped while
-    still pending — is preserved at the predecessor's completion times, as
-    the paper notes those "discarded impulses ... must be added to C_ij".
-    """
-    return _merge(_ran(pet, prev_pct, deadline).collapse_tail_to(deadline), prev_pct, deadline)
-
-
-def _ran(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
-    """Eq. 3's truncated convolution, the branch where the task starts."""
-    started = prev_pct.truncate_before(deadline)
-    return DiscretePMF.zero() if started.is_zero() else pet.convolve(started)
-
-
-def _merge(ran: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
-    """Add back the predecessor mass at or after ``deadline`` (dropped while pending)."""
-    dropped = prev_pct.truncate_from(deadline)
-    return (ran if dropped.is_zero() else ran.add(dropped)).compact()
+    cumulative = np.cumsum(ran)
+    at = deadline - offset
+    prob = 0.0 if at < 0 else min(1.0, float(cumulative[min(at, ran.size - 1)]))
+    spike = None
+    if policy is DroppingPolicy.EVICT:
+        total = float(cumulative[-1])
+        if total <= MASS_TOLERANCE:
+            ran = ran[:0]
+        elif at <= 0:
+            ran, offset, spike, at = ran[:0], deadline, total, 0
+        elif at < ran.size:
+            tail = float(np.cumsum(ran[at:])[-1])
+            ran = ran[:at]
+            if tail > MASS_TOLERANCE:
+                spike = tail
+    lo, hi = offset, offset + ran.size + (spike is not None)
+    dropped = None
+    if cut < prev.probs.size and policy is not DroppingPolicy.NONE:
+        # Predecessor mass at or after the deadline: dropped while pending.
+        if cut <= 0:
+            dropped, dropped_at, mass = prev.probs, prev.offset, prev.total_mass()
+        else:
+            dropped, dropped_at = prev.probs[cut:], deadline
+            mass = float(np.cumsum(dropped)[-1])
+        if mass <= MASS_TOLERANCE:
+            dropped = None
+        elif hi == lo:
+            lo, hi = dropped_at, dropped_at + dropped.size
+        else:
+            lo, hi = min(lo, dropped_at), max(hi, dropped_at + dropped.size)
+    if dropped is None and spike is None:
+        merged = ran if ran.size else np.array([0.0])
+    else:
+        merged = np.zeros(hi - lo, dtype=np.float64)
+        merged[offset - lo : offset - lo + ran.size] = ran
+        if spike is not None:
+            merged[offset - lo + at] = spike
+        if dropped is not None:
+            merged[dropped_at - lo : dropped_at - lo + dropped.size] += dropped
+    completion = DiscretePMF._raw(merged, lo)._compact(merged.nonzero()[0])
+    availability = completion if max_impulses is None else completion._rebin(max_impulses)
+    return ChainStep(availability, prob, completion)
 
 
 def completion_pmf(
@@ -121,14 +203,23 @@ def completion_pmf(
     deadline: int,
     policy: DroppingPolicy = DroppingPolicy.EVICT,
 ) -> DiscretePMF:
-    """Dispatch to the completion-time formula matching ``policy``."""
-    if policy is DroppingPolicy.NONE:
-        return pct_no_drop(pet, prev_pct)
-    if policy is DroppingPolicy.PENDING:
-        return pct_pending_drop(pet, prev_pct, deadline)
-    if policy is DroppingPolicy.EVICT:
-        return pct_evict_drop(pet, prev_pct, deadline)
-    raise ValueError(f"unknown dropping policy: {policy!r}")
+    """The completion-time PMF of :func:`completion_step` under ``policy``."""
+    return completion_step(pet, prev_pct, deadline, policy).completion
+
+
+def pct_no_drop(pet: DiscretePMF, prev_pct: DiscretePMF) -> DiscretePMF:
+    """Eq. 2 — completion time when no mapped task can be dropped."""
+    return completion_pmf(pet, prev_pct, 0, DroppingPolicy.NONE)
+
+
+def pct_pending_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
+    """Eqs. 3-4 — completion time when pending tasks can be dropped."""
+    return completion_pmf(pet, prev_pct, deadline, DroppingPolicy.PENDING)
+
+
+def pct_evict_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
+    """Eq. 5 — completion time when even the executing task can be dropped."""
+    return completion_pmf(pet, prev_pct, deadline, DroppingPolicy.EVICT)
 
 
 def completion_and_success(
@@ -137,24 +228,9 @@ def completion_and_success(
     deadline: int,
     policy: DroppingPolicy = DroppingPolicy.EVICT,
 ) -> tuple[DiscretePMF, float]:
-    """:func:`completion_pmf` and the task's success probability, from one convolution.
-
-    The probability is the mass of the branch where the task starts at or
-    before the deadline, read before Eq. 5 collapses the tail onto the
-    deadline (that impulse is eviction, not success).  The pruner needs both
-    values for every task it examines.
-    """
-    deadline = int(deadline)
-    if policy is DroppingPolicy.NONE:
-        ran = pet.convolve(prev_pct)
-        return ran.compact(), float(min(1.0, ran.cdf(deadline)))
-    if policy is not DroppingPolicy.PENDING and policy is not DroppingPolicy.EVICT:
-        raise ValueError(f"unknown dropping policy: {policy!r}")
-    ran = _ran(pet, prev_pct, deadline)
-    prob = float(min(1.0, ran.cdf(deadline)))
-    if policy is DroppingPolicy.EVICT:
-        ran = ran.collapse_tail_to(deadline)
-    return _merge(ran, prev_pct, deadline), prob
+    """:func:`completion_pmf` and the task's success probability, from one step."""
+    step = completion_step(pet, prev_pct, deadline, policy)
+    return step.completion, step.success_probability
 
 
 def chain_step(
@@ -164,20 +240,71 @@ def chain_step(
     policy: DroppingPolicy = DroppingPolicy.EVICT,
     max_impulses: int | None = None,
 ) -> DiscretePMF:
-    """THE availability-chain step: one queued task's completion PMF.
+    """The availability :func:`completion_step` leaves behind."""
+    return completion_step(pet, prev, deadline, policy, max_impulses).availability
 
-    ``completion_pmf`` under ``policy`` followed by the impulse-aggregation
-    cap.  Every availability-chain walk in the codebase — the incremental
-    :class:`~repro.simulator.state.SystemState`, its pruning-path
-    ``availability_excluding`` variants, and the per-machine
-    ``Machine.queue_snapshot`` reference path — must advance through this
-    single helper so the paths stay bit-identical by construction.  The
-    lockstep counterpart is :func:`batched_completion_step`.
+
+def batched_completion_steps(
+    pets: Sequence[DiscretePMF],
+    prevs: Sequence[DiscretePMF],
+    deadlines: Sequence[int],
+    policy: DroppingPolicy = DroppingPolicy.EVICT,
+    *,
+    max_impulses: int | None = None,
+) -> list[ChainStep]:
+    """Advance several *independent* completion chains one step, in lockstep.
+
+    Row ``i`` is ``completion_step(pets[i], prevs[i], deadlines[i], policy,
+    max_impulses)`` — one queue position of machine ``i``'s chain — and
+    **bit-identical** (``atol=0``) to it.  The convolution runs through the
+    ragged batch kernel :func:`repro.core.batch.batched_convolve_ragged`
+    for every row whose scalar step would shift-and-add with the
+    (aggregated, hence sparse) predecessor PMF as the kernel: the batched
+    branch mirrors that impulse order exactly and the shared grid's padding
+    only contributes exact-zero terms.  The remaining rows take the scalar
+    step, and everything behind the convolution is the scalar step's own
+    code.  ``repro.simulator.state.SystemState`` relies on this to make its
+    incremental and rebuild-from-scratch paths interchangeable.
     """
-    out = completion_pmf(pet, prev, int(deadline), policy)
-    if max_impulses is not None:
-        out = out.aggregate(max_impulses)
-    return out
+    pets = list(pets)
+    prevs = list(prevs)
+    deadlines = [int(d) for d in deadlines]
+    if not (len(pets) == len(prevs) == len(deadlines)):
+        raise ValueError("pets, prevs and deadlines must have the same length")
+    # Batch the rows whose scalar convolve would do a shift-and-add with the
+    # predecessor as the kernel; everything else (zero-mass operands, dense
+    # ``np.convolve`` rows, sparse-PET rows) takes the scalar step wholesale
+    # so the branch choice — and therefore the bit pattern — is the same.
+    batch_rows: list[int] = []
+    started: list[DiscretePMF] = []
+    for i, (pet, prev, deadline) in enumerate(zip(pets, prevs, deadlines)):
+        start = prev if policy is DroppingPolicy.NONE else prev.truncate_before(deadline)
+        if (
+            not (pet.is_zero() or start.is_zero())
+            and start.nonzero_count() < pet.nonzero_count()
+            and start.nonzero_count() * pet.probs.size < pet.probs.size * start.probs.size
+        ):
+            batch_rows.append(i)
+            started.append(start)
+    results: dict[int, ChainStep] = {}
+    if batch_rows:
+        convolved = active_backend().convolve_ragged(
+            PMFBatch.from_pmfs([pets[i] for i in batch_rows]), started
+        )
+        for row, i in enumerate(batch_rows):
+            results[i] = _finish_step(
+                convolved.probs[row].copy(),
+                convolved.offset,
+                prevs[i],
+                _cut(prevs[i], deadlines[i], policy),
+                deadlines[i],
+                policy,
+                max_impulses,
+            )
+    return [
+        results.get(i) or completion_step(pets[i], prevs[i], deadlines[i], policy, max_impulses)
+        for i in range(len(pets))
+    ]
 
 
 def batched_completion_step(
@@ -188,85 +315,9 @@ def batched_completion_step(
     *,
     max_impulses: int | None = None,
 ) -> list[DiscretePMF]:
-    """Advance several *independent* completion chains one step, in lockstep.
-
-    Row ``i`` computes ``completion_pmf(pets[i], prevs[i], deadlines[i],
-    policy)`` (optionally followed by ``.aggregate(max_impulses)``) — one
-    queue position of machine ``i``'s chain.  The expensive part, the
-    convolution, runs through the ragged batch kernel
-    :func:`repro.core.batch.batched_convolve_ragged` for every row whose
-    scalar path would take the sparse shift-and-add branch of
-    :meth:`DiscretePMF.convolve` with the (aggregated, hence sparse)
-    predecessor PMF as the kernel; the remaining rows fall back to the
-    scalar functions.  The per-deadline truncations and the policy
-    bookkeeping are cheap slicing and stay scalar.
-
-    Returns
-    -------
-    list of DiscretePMF
-        ``result[i]`` is **bit-identical** (``atol=0``) to the scalar
-        per-row step: the batched branch mirrors the scalar shift-and-add
-        impulse order exactly and zero padding from the shared grid only
-        contributes exact-zero terms.  ``repro.simulator.state.SystemState``
-        relies on this to make its incremental and rebuild-from-scratch
-        paths interchangeable.
-    """
-    pets = list(pets)
-    prevs = list(prevs)
-    deadlines = [int(d) for d in deadlines]
-    if not (len(pets) == len(prevs) == len(deadlines)):
-        raise ValueError("pets, prevs and deadlines must have the same length")
-    n = len(pets)
-    results: list[DiscretePMF | None] = [None] * n
-
-    if policy is DroppingPolicy.NONE:
-        started = prevs
-        dropped: list[DiscretePMF | None] = [None] * n
-    else:
-        started = [prev.truncate_before(d) for prev, d in zip(prevs, deadlines)]
-        dropped = [prev.truncate_from(d) for prev, d in zip(prevs, deadlines)]
-
-    # Partition rows: batch the ones whose scalar convolve would do a
-    # shift-and-add with the predecessor as the kernel; everything else
-    # (zero-mass operands, dense-dense ``np.convolve`` rows, sparse-PET
-    # rows) goes through the scalar step wholesale so the branch choice —
-    # and therefore the bit pattern — matches the scalar path exactly.
-    batch_rows: list[int] = []
-    for i in range(n):
-        pet, start = pets[i], started[i]
-        if pet.is_zero() or start.is_zero():
-            continue
-        nnz_start = start.nonzero_count()
-        nnz_pet = pet.nonzero_count()
-        if nnz_start >= nnz_pet:
-            continue  # scalar path would treat the PET entry as the kernel
-        if nnz_start * pet.probs.size >= pet.probs.size * start.probs.size:
-            continue  # scalar path would use the dense ``np.convolve``
-        batch_rows.append(i)
-
-    if batch_rows:
-        dense = PMFBatch.from_pmfs([pets[i] for i in batch_rows])
-        convolved = active_backend().convolve_ragged(
-            dense, [started[i] for i in batch_rows]
-        )
-        for row, i in enumerate(batch_rows):
-            ran = DiscretePMF._raw(convolved.probs[row].copy(), convolved.offset)
-            if policy is DroppingPolicy.EVICT:
-                ran = ran.collapse_tail_to(deadlines[i])
-            drop = dropped[i]
-            if drop is not None and not drop.is_zero():
-                ran = ran.add(drop)
-            results[i] = ran.compact()
-
-    out: list[DiscretePMF] = []
-    for i in range(n):
-        result = results[i]
-        if result is None:
-            result = completion_pmf(pets[i], prevs[i], deadlines[i], policy)
-        if max_impulses is not None:
-            result = result.aggregate(max_impulses)
-        out.append(result)
-    return out
+    """The availabilities of :func:`batched_completion_steps`."""
+    steps = batched_completion_steps(pets, prevs, deadlines, policy, max_impulses=max_impulses)
+    return [step.availability for step in steps]
 
 
 def queue_completion_pmfs(

@@ -64,8 +64,10 @@ from .batch import (
     batched_convolve_ragged,
     batched_expected_completion,
     batched_shift,
-    batched_success_probability,
+    packed_success_probability,
+    ragged_kernel_coeffs,
     sequential_sum,
+    success_probability_operands,
 )
 from .pmf import DiscretePMF
 
@@ -141,11 +143,13 @@ class KernelBackend(Protocol):
 
     def success_probability(
         self,
-        availability: PMFBatch,
+        start_times: np.ndarray,
+        start_probs: np.ndarray,
         execution: CDFTable,
         type_indices: np.ndarray,
         deadlines: np.ndarray,
         machine_indices: np.ndarray | None = None,
+        pairs: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:  # pragma: no cover
         ...
 
@@ -178,14 +182,16 @@ class NumpyBackend:
 
     def success_probability(
         self,
-        availability: PMFBatch,
+        start_times: np.ndarray,
+        start_probs: np.ndarray,
         execution: CDFTable,
         type_indices: np.ndarray,
         deadlines: np.ndarray,
         machine_indices: np.ndarray | None = None,
+        pairs: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        return batched_success_probability(
-            availability, execution, type_indices, deadlines, machine_indices
+        return packed_success_probability(
+            start_times, start_probs, execution, type_indices, deadlines, machine_indices, pairs
         )
 
     def expected_completion(
@@ -194,59 +200,12 @@ class NumpyBackend:
         return batched_expected_completion(availability_means, execution_means)
 
 
-def _ragged_kernel_coeffs(
-    batch: PMFBatch, kernels: Sequence[DiscretePMF]
-) -> tuple[np.ndarray, int]:
-    """Per-row kernel coefficients on their shared grid (reference layout)."""
-    kernels = list(kernels)
-    if len(kernels) != batch.n_pmfs:
-        raise ValueError(
-            f"expected one kernel per row, got {len(kernels)} kernels "
-            f"for {batch.n_pmfs} rows"
-        )
-    k_lo = min(k.offset for k in kernels)
-    k_hi = max(k.max_time for k in kernels)
-    coeffs = np.zeros((batch.n_pmfs, k_hi - k_lo + 1), dtype=np.float64)
-    for i, kernel in enumerate(kernels):
-        start = kernel.offset - k_lo
-        coeffs[i, start : start + kernel.probs.size] = kernel.probs
-    return coeffs, k_lo
-
-
-def _success_probability_operands(
-    availability: PMFBatch,
-    type_indices: np.ndarray,
-    machine_indices: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Shared validation + start-column prefilter of the scoring kernel.
-
-    Returns ``(type_indices, machine_indices, start_times, start_probs)``
-    with ``start_probs=None`` when no availability column carries mass (the
-    result is then exactly zero).
-    """
-    type_indices = np.asarray(type_indices, dtype=np.int64)
-    if machine_indices is None:
-        machine_indices = np.arange(availability.n_pmfs, dtype=np.int64)
-    else:
-        machine_indices = np.asarray(machine_indices, dtype=np.int64)
-    if machine_indices.size != availability.n_pmfs:
-        raise ValueError(
-            "availability must have one row per entry of machine_indices "
-            f"(got {availability.n_pmfs} rows for {machine_indices.size} machines)"
-        )
-    columns = np.flatnonzero(availability.probs.any(axis=0))
-    if columns.size == 0 or type_indices.size == 0:
-        return type_indices, machine_indices, np.zeros(0, dtype=np.int64), None
-    start_times = availability.offset + columns
-    return type_indices, machine_indices, start_times, availability.probs[:, columns]
-
-
-class NumbaBackend:
-    """Jitted CPU backend for the ragged convolve and the scoring grid fill.
+class NumbaBackend(NumpyBackend):
+    """Jitted CPU backend for the ragged convolve and the scoring kernel.
 
     Only the two loop-bound kernels are compiled; everything NumPy already
-    fuses well (shift, shared-kernel convolve, the reductions) delegates to
-    the reference.  The jitted loops replay the reference accumulation order
+    fuses well (shift, shared-kernel convolve, the reductions) is the
+    reference's.  The jitted loops replay the reference accumulation order
     exactly (``fastmath`` off, strict left-to-right reductions, exact-zero
     terms skipped — bit-level no-ops), so this backend pins ``atol=0``.
 
@@ -257,8 +216,6 @@ class NumbaBackend:
     """
 
     name = "numba"
-    rtol = 0.0
-    atol = 0.0
 
     def __init__(self) -> None:
         from . import _numba_kernels
@@ -270,24 +227,10 @@ class NumbaBackend:
             )
         self._jit = _numba_kernels  # pragma: no cover - requires numba
 
-    def shift(self, batch: PMFBatch, delta) -> PMFBatch:  # pragma: no cover - requires numba
-        return batched_shift(batch, delta)
-
-    def convolve(self, batch: PMFBatch, kernel: DiscretePMF) -> PMFBatch:  # pragma: no cover - requires numba
-        return batched_convolve(batch, kernel)
-
-    def sequential_sum(self, values: np.ndarray, axis: int = -1) -> np.ndarray:  # pragma: no cover - requires numba
-        return sequential_sum(values, axis=axis)
-
-    def expected_completion(
-        self, availability_means: np.ndarray, execution_means: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - requires numba
-        return batched_expected_completion(availability_means, execution_means)
-
     def convolve_ragged(
         self, batch: PMFBatch, kernels: Sequence[DiscretePMF]
-    ) -> PMFBatch:  # pragma: no cover - requires numba; CI `backends` job
-        coeffs, k_lo = _ragged_kernel_coeffs(batch, kernels)
+    ) -> PMFBatch:
+        coeffs, k_lo = ragged_kernel_coeffs(batch, kernels)
         out = np.zeros(
             (batch.n_pmfs, batch.support + coeffs.shape[1] - 1), dtype=np.float64
         )
@@ -296,30 +239,30 @@ class NumbaBackend:
 
     def success_probability(
         self,
-        availability: PMFBatch,
+        start_times: np.ndarray,
+        start_probs: np.ndarray,
         execution: CDFTable,
         type_indices: np.ndarray,
         deadlines: np.ndarray,
         machine_indices: np.ndarray | None = None,
-    ) -> np.ndarray:  # pragma: no cover - requires numba; CI `backends` job
-        type_indices, machine_indices, start_times, start_probs = (
-            _success_probability_operands(availability, type_indices, machine_indices)
+        pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        operands = np.broadcast_arrays(
+            *success_probability_operands(
+                start_times.shape[0], type_indices, deadlines, machine_indices, pairs
+            )
         )
-        out = np.zeros((type_indices.size, machine_indices.size), dtype=np.float64)
-        if start_probs is None:
-            return out
-        self._jit.success_probability_grid(
-            start_times,
+        out = np.zeros(operands[0].size, dtype=np.float64)
+        self._jit.success_probability_pairs(
+            np.ascontiguousarray(start_times),
             np.ascontiguousarray(start_probs),
             execution.cdfs,
             execution.offsets,
             execution.lengths,
-            type_indices,
-            machine_indices,
-            np.asarray(deadlines, dtype=np.int64),
+            *(np.ascontiguousarray(operand).reshape(-1) for operand in operands),
             out,
         )
-        return out
+        return out.reshape(operands[0].shape)
 
 
 class ArrayApiBackend:
@@ -399,7 +342,7 @@ class ArrayApiBackend:
     def convolve_ragged(
         self, batch: PMFBatch, kernels: Sequence[DiscretePMF]
     ) -> PMFBatch:
-        coeffs, k_lo = _ragged_kernel_coeffs(batch, kernels)
+        coeffs, k_lo = ragged_kernel_coeffs(batch, kernels)
         nonzero = np.flatnonzero(coeffs.any(axis=0))
         return PMFBatch(
             self._shift_and_add(batch.probs, coeffs, nonzero), batch.offset + k_lo
@@ -436,56 +379,42 @@ class ArrayApiBackend:
 
     def success_probability(
         self,
-        availability: PMFBatch,
+        start_times: np.ndarray,
+        start_probs: np.ndarray,
         execution: CDFTable,
         type_indices: np.ndarray,
         deadlines: np.ndarray,
         machine_indices: np.ndarray | None = None,
+        pairs: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        type_indices, machine_indices, start_times, start_probs = (
-            _success_probability_operands(availability, type_indices, machine_indices)
+        types, deadline, machines, slots = success_probability_operands(
+            start_times.shape[0], type_indices, deadlines, machine_indices, pairs
         )
-        n_tasks, n_machines = type_indices.size, machine_indices.size
-        if start_probs is None:
-            return np.zeros((n_tasks, n_machines), dtype=np.float64)
         xp = self.xp
-        deadlines = np.asarray(deadlines, dtype=np.int64)
+        zero = xp.zeros((), dtype=xp.int64)
         # Small per-pair gathers stay on the host (NumPy): the standard has
-        # no multi-axis advanced indexing, and these are (n_tasks, n_machines)
-        # integer tables, not the hot (…, U) reduction below.
-        exec_offsets = execution.offsets[type_indices[:, None], machine_indices[None, :]]
-        exec_lengths = execution.lengths[type_indices[:, None], machine_indices[None, :]]
-        flat_base = (
-            type_indices[:, None] * execution.cdfs.shape[1] + machine_indices[None, :]
-        ) * execution.cdfs.shape[2]
-
-        starts = self._to_xp(start_times)
-        dl = self._to_xp(deadlines)
-        budgets = (
-            dl[:, None, None]
-            - starts[None, None, :]
-            - self._to_xp(exec_offsets)[:, :, None]
-        )
-        clipped = xp.minimum(budgets, self._to_xp(exec_lengths - 1)[:, :, None])
-        usable = (starts[None, None, :] < dl[:, None, None]) & (
-            clipped >= xp.zeros((), dtype=clipped.dtype)
-        )
-        gather = self._to_xp(flat_base)[:, :, None] + xp.maximum(
-            clipped, xp.zeros((), dtype=clipped.dtype)
-        )
+        # no multi-axis advanced indexing, and these are one value per
+        # result, not the hot (…, K) reduction below.
+        base = self._to_xp(deadline - execution.offsets[types, machines])[..., None]
+        last = self._to_xp(execution.lengths[types, machines] - 1)[..., None]
+        flat_base = self._to_xp(
+            (types * execution.cdfs.shape[1] + machines) * execution.cdfs.shape[2]
+        )[..., None]
+        times = self._to_xp(start_times[slots])
+        clipped = xp.minimum(base - times, last)
+        usable = (times < self._to_xp(deadline)[..., None]) & (clipped >= zero)
+        gather = flat_base + xp.maximum(clipped, zero)
         # take() is restricted to 1-D indices in the standard: gather from
-        # the flattened CDF table and restore the grid shape.
+        # the flattened CDF table and restore the result shape.
         flat_cdfs = xp.reshape(self._to_xp(execution.cdfs), (-1,))
-        gathered = xp.reshape(
-            xp.take(flat_cdfs, xp.reshape(gather, (-1,))),
-            (n_tasks, n_machines, start_times.size),
-        )
+        gathered = xp.reshape(xp.take(flat_cdfs, xp.reshape(gather, (-1,))), gather.shape)
         contributions = xp.where(
             usable, gathered, xp.zeros((), dtype=xp.float64)
-        ) * self._to_xp(start_probs)[None, :, :]
+        ) * self._to_xp(start_probs[slots])
+        if contributions.shape[-1] == 0:
+            return np.zeros(contributions.shape[:-1], dtype=np.float64)
         total = self._cumsum_last(contributions)[..., -1]
-        result = xp.minimum(xp.ones((), dtype=xp.float64), total)
-        return self._to_numpy(result)
+        return self._to_numpy(xp.minimum(xp.ones((), dtype=xp.float64), total))
 
     def expected_completion(
         self, availability_means: np.ndarray, execution_means: np.ndarray
@@ -618,16 +547,38 @@ class use_backend:
             _ACTIVE = self._previous
 
 
+_KERNEL_OPS = (
+    "shift",
+    "convolve",
+    "convolve_ragged",
+    "sequential_sum",
+    "success_probability",
+    "expected_completion",
+)
+
+
+def _timed_op(method: str):
+    """One :class:`InstrumentedBackend` method: forward the call, record its span."""
+
+    def op(self, *args, **kwargs):
+        start = time.perf_counter_ns()
+        result = getattr(self.inner, method)(*args, **kwargs)
+        self.telemetry.add_span(self._metric[method], start, time.perf_counter_ns() - start)
+        return result
+
+    op.__name__ = method
+    return op
+
+
 class InstrumentedBackend:
     """A delegating backend wrapper timing every kernel call into telemetry.
 
     Each call becomes a ``kernel.<backend>.<method>`` span (metric names
-    precomputed at construction, so the per-call overhead is two
-    ``perf_counter_ns`` stamps plus one ``add_span``).  The engine installs
-    this wrapper around its resolved backend *only when telemetry is
-    enabled* — a disabled run dispatches through the bare backend and
-    executes bit-identical code (the never-perturbs contract in
-    :mod:`repro.obs`).
+    precomputed at construction; arguments forwarded as given, so the
+    wrapper has every op's signature by construction).  The engine installs
+    it around its resolved backend *only when telemetry is enabled* — a
+    disabled run dispatches through the bare backend and executes
+    bit-identical code (the never-perturbs contract in :mod:`repro.obs`).
 
     Wrapping never changes cache identity: :attr:`name`/``rtol``/``atol``
     mirror the inner backend, and :func:`kernel_cache_tag` only ever sees
@@ -642,79 +593,14 @@ class InstrumentedBackend:
         self.name = inner.name
         self.rtol = inner.rtol
         self.atol = inner.atol
-        prefix = f"kernel.{inner.name}."
-        self._metric = {
-            method: prefix + method
-            for method in (
-                "shift",
-                "convolve",
-                "convolve_ragged",
-                "sequential_sum",
-                "success_probability",
-                "expected_completion",
-            )
-        }
+        self._metric = {method: f"kernel.{inner.name}.{method}" for method in _KERNEL_OPS}
 
-    def shift(self, batch: PMFBatch, delta) -> PMFBatch:
-        start = time.perf_counter_ns()
-        result = self.inner.shift(batch, delta)
-        self.telemetry.add_span(
-            self._metric["shift"], start, time.perf_counter_ns() - start
-        )
-        return result
-
-    def convolve(self, batch: PMFBatch, kernel: DiscretePMF) -> PMFBatch:
-        start = time.perf_counter_ns()
-        result = self.inner.convolve(batch, kernel)
-        self.telemetry.add_span(
-            self._metric["convolve"], start, time.perf_counter_ns() - start
-        )
-        return result
-
-    def convolve_ragged(
-        self, batch: PMFBatch, kernels: Sequence[DiscretePMF]
-    ) -> PMFBatch:
-        start = time.perf_counter_ns()
-        result = self.inner.convolve_ragged(batch, kernels)
-        self.telemetry.add_span(
-            self._metric["convolve_ragged"], start, time.perf_counter_ns() - start
-        )
-        return result
-
-    def sequential_sum(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
-        start = time.perf_counter_ns()
-        result = self.inner.sequential_sum(values, axis=axis)
-        self.telemetry.add_span(
-            self._metric["sequential_sum"], start, time.perf_counter_ns() - start
-        )
-        return result
-
-    def success_probability(
-        self,
-        availability: PMFBatch,
-        execution: CDFTable,
-        type_indices: np.ndarray,
-        deadlines: np.ndarray,
-        machine_indices: np.ndarray | None = None,
-    ) -> np.ndarray:
-        start = time.perf_counter_ns()
-        result = self.inner.success_probability(
-            availability, execution, type_indices, deadlines, machine_indices
-        )
-        self.telemetry.add_span(
-            self._metric["success_probability"], start, time.perf_counter_ns() - start
-        )
-        return result
-
-    def expected_completion(
-        self, availability_means: np.ndarray, execution_means: np.ndarray
-    ) -> np.ndarray:
-        start = time.perf_counter_ns()
-        result = self.inner.expected_completion(availability_means, execution_means)
-        self.telemetry.add_span(
-            self._metric["expected_completion"], start, time.perf_counter_ns() - start
-        )
-        return result
+    shift = _timed_op("shift")
+    convolve = _timed_op("convolve")
+    convolve_ragged = _timed_op("convolve_ragged")
+    sequential_sum = _timed_op("sequential_sum")
+    success_probability = _timed_op("success_probability")
+    expected_completion = _timed_op("expected_completion")
 
 
 def kernel_cache_tag(

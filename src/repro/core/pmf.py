@@ -34,11 +34,12 @@ the exact-equivalence contract documented in :mod:`repro.core.batch`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["DiscretePMF", "MASS_TOLERANCE", "shift_and_add"]
+__all__ = ["DiscretePMF", "MASS_TOLERANCE", "shift_and_add", "convolve_probs"]
 
 #: Tolerance used when checking that probability mass sums to one.
 MASS_TOLERANCE = 1e-9
@@ -108,6 +109,34 @@ def shift_and_add(dense: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     shifted = windows[:, support - 1 - impulses]
     shifted *= kernel[impulses][None, :, None]
     return np.add.reduce(shifted, axis=1)
+
+
+def convolve_probs(a: np.ndarray, a_nonzero: int, b: np.ndarray, b_nonzero: int) -> np.ndarray:
+    """``a * b`` for two non-zero-mass probability vectors, by THE operand rule.
+
+    When one operand has few non-zero impulses (an aggregated availability
+    against a dense execution PMF) the shift-and-add over *its* impulses
+    beats the dense ``numpy.convolve`` — same sum, far fewer operations.
+    ``b`` is the sparse operand only when strictly sparser than ``a``.
+    :meth:`DiscretePMF.convolve` and the chain step of
+    :mod:`repro.core.completion` both choose through here, so a lone
+    convolution and a chain step can never disagree in a single bit.
+    """
+    if b_nonzero < a_nonzero:
+        sparse, dense, nonzero = b, a, b_nonzero
+    else:
+        sparse, dense, nonzero = a, b, a_nonzero
+    if nonzero * dense.size < a.size * b.size:
+        return shift_and_add(dense[None, :], sparse)[0]
+    return np.convolve(a, b)
+
+
+@lru_cache(maxsize=256)
+def _rebin_groups(n: int, max_impulses: int) -> np.ndarray:
+    """Equal-width group (of ``max_impulses``) of each of ``n`` consecutive bins."""
+    group = (np.arange(n) * max_impulses) // n
+    group.flags.writeable = False
+    return group
 
 
 @dataclass(frozen=True)
@@ -251,43 +280,42 @@ class DiscretePMF:
 
         Returns ``(offset, offset)`` for an all-zero PMF.
         """
-        nz = np.nonzero(self.probs)[0]
-        if nz.size == 0:
-            return (self.offset, self.offset)
-        return (self.offset + int(nz[0]), self.offset + int(nz[-1]))
+        times = self.impulses()[0]
+        return (int(times[0]), int(times[-1])) if times.size else (self.offset, self.offset)
 
     def total_mass(self) -> float:
-        """Total probability mass of the PMF.
+        """Total probability mass (1.0 for a proper PMF, less for sub-normalised ones).
 
-        Returns
-        -------
-        float
-            Sum of all bins (1.0 for a proper PMF, less for sub-normalised
-            ones).  Cached on first use.
-
-        Notes
-        -----
-        The sum is accumulated strictly left to right (via ``np.cumsum``)
-        rather than with NumPy's pairwise ``sum`` so that the batched engine
-        (:meth:`repro.core.batch.PMFBatch.total_mass`), whose rows carry zero
-        padding, reproduces the value bit for bit.
+        The last entry of :meth:`cumulative`: accumulated strictly left to
+        right rather than with NumPy's pairwise ``sum``, so the batched
+        engine (:meth:`repro.core.batch.PMFBatch.total_mass`), whose rows
+        carry zero padding, reproduces the value bit for bit.
         """
-        cached = self.__dict__.get("_total_cache")
-        if cached is None:
-            cached = float(np.cumsum(self.probs)[-1])
-            self.__dict__["_total_cache"] = cached
-        return cached
+        return float(self.cumulative()[-1])
 
     def nonzero_count(self) -> int:
         """Number of non-zero impulses.  Cached on first use.
 
-        :meth:`convolve` and the lockstep chain step choose their operand
-        order by it, mostly on PET entries that live as long as the matrix.
+        :meth:`convolve` and the chain step choose their operand order by
+        it, mostly on PET entries that live as long as the matrix.
         """
         cached = self.__dict__.get("_nonzero_cache")
         if cached is None:
             cached = int(np.count_nonzero(self.probs))
             self.__dict__["_nonzero_cache"] = cached
+        return cached
+
+    def impulses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Times and masses of the non-zero impulses, ascending in time.  Cached.
+
+        The paper's own representation ("a set of impulses") and the operand
+        of the scoring kernels: Eq. 1 sums over exactly these.
+        """
+        cached = self.__dict__.get("_impulses_cache")
+        if cached is None:
+            nonzero = self.probs.nonzero()[0]
+            cached = (self.offset + nonzero, self.probs[nonzero])
+            self.__dict__["_impulses_cache"] = cached
         return cached
 
     def is_normalised(self, tol: float = 1e-6) -> bool:
@@ -382,11 +410,11 @@ class DiscretePMF:
         total = self.total_mass()
         if total <= MASS_TOLERANCE:
             return 0.0
-        mu = self.mean()
-        var = self.variance()
+        centred = self.times - self.mean()
+        var = float(np.dot(centred ** 2, self.probs) / total)
         if var <= MASS_TOLERANCE:
             return 0.0
-        third = float(np.dot((self.times - mu) ** 3, self.probs) / total)
+        third = float(np.dot(centred ** 3, self.probs) / total)
         return third / var ** 1.5
 
     def bounded_skewness(self) -> float:
@@ -394,7 +422,7 @@ class DiscretePMF:
 
         Values beyond +/-1 are "highly skewed" and clipped.
         """
-        return float(np.clip(self.skewness(), -1.0, 1.0))
+        return min(1.0, max(-1.0, self.skewness()))
 
     def expected_value(self) -> float:
         """Alias of :meth:`mean`, matching E(C_ij) in the MMU urgency metric."""
@@ -443,12 +471,12 @@ class DiscretePMF:
     def _compact(self, nonzero: np.ndarray) -> "DiscretePMF":
         """:meth:`compact` given the indices of the non-zero bins."""
         if nonzero.size == 0:
-            return DiscretePMF._raw(np.array([0.0]), self.offset)
-        lo, hi = int(nonzero[0]), int(nonzero[-1])
-        if lo == 0 and hi == self.probs.size - 1:
+            compacted = DiscretePMF._raw(np.array([0.0]), self.offset)
+        elif nonzero[0] == 0 and nonzero[-1] == self.probs.size - 1:
             compacted = self
         else:
-            compacted = DiscretePMF._raw(self.probs[lo : hi + 1], self.offset + lo)
+            lo = int(nonzero[0])
+            compacted = DiscretePMF._raw(self.probs[lo : nonzero[-1] + 1], self.offset + lo)
         compacted.__dict__["_nonzero_cache"] = int(nonzero.size)
         return compacted
 
@@ -498,22 +526,13 @@ class DiscretePMF:
         DiscretePMF
             PMF of the sum, at offset ``self.offset + other.offset``.
 
-        Notes
-        -----
-        Completion-time chains convolve a dense execution PMF with a sparse
-        (impulse-aggregated) availability PMF, so when one operand has few
-        non-zero impulses the shift-and-add of :meth:`convolve_with` is used
-        instead of the dense ``numpy.convolve`` — same result, far fewer
-        operations.
+        The operand order and method are :func:`convolve_probs`'s.
         """
         if self.is_zero() or other.is_zero():
             return DiscretePMF._raw(np.array([0.0]), self.offset + other.offset)
-        sparse, dense = (self, other)
-        if other.nonzero_count() < self.nonzero_count():
-            sparse, dense = other, self
-        if sparse.nonzero_count() * dense.probs.size < self.probs.size * other.probs.size:
-            return dense.convolve_with(sparse)
-        probs = np.convolve(self.probs, other.probs)
+        probs = convolve_probs(
+            self.probs, self.nonzero_count(), other.probs, other.nonzero_count()
+        )
         return DiscretePMF._raw(probs, self.offset + other.offset)
 
     def truncate_before(self, time: int) -> "DiscretePMF":
@@ -623,26 +642,29 @@ class DiscretePMF:
         """
         if max_impulses < 1:
             raise ValueError("max_impulses must be >= 1")
-        nonzero = self.probs.nonzero()[0]
-        compacted = self._compact(nonzero)
-        if nonzero.size <= max_impulses:
-            return compacted
+        return self._compact(self.probs.nonzero()[0])._rebin(max_impulses)
+
+    def _rebin(self, max_impulses: int) -> "DiscretePMF":
+        """:meth:`aggregate` of an already compacted PMF (non-zero count cached)."""
+        if self.__dict__["_nonzero_cache"] <= max_impulses:
+            return self
         # Vectorised equal-width re-binning: assign every bin to one of
         # ``max_impulses`` groups, place each group's mass at its
         # mass-weighted mean time (rounded to the grid).
-        n = compacted.probs.size
-        rel = np.arange(n)
-        group = (rel * max_impulses) // n
-        mass = np.bincount(group, weights=compacted.probs, minlength=max_impulses)
+        n = self.probs.size
+        group = _rebin_groups(n, max_impulses)
+        mass = np.bincount(group, weights=self.probs, minlength=max_impulses)
         weighted_rel = np.bincount(
-            group, weights=compacted.probs * rel, minlength=max_impulses
+            group, weights=self.probs * np.arange(n, dtype=np.float64), minlength=max_impulses
         )
         keep = mass > 0.0
-        centres = np.rint(weighted_rel[keep] / mass[keep]).astype(np.int64)
-        lo = int(centres.min())
+        mass = mass[keep]
+        # Groups ascend and a centre stays inside its group: the first is the lowest.
+        centres = np.rint(weighted_rel[keep] / mass).astype(np.int64)
+        lo = int(centres[0])
         # Like ``np.add.at``, ``bincount`` adds colliding groups in input order.
-        probs = np.bincount(centres - lo, weights=mass[keep])
-        return DiscretePMF._raw(probs, compacted.offset + lo)
+        probs = np.bincount(centres - lo, weights=mass)
+        return DiscretePMF._raw(probs, self.offset + lo)
 
     # ------------------------------------------------------------------
     # Sampling / comparison
@@ -681,8 +703,8 @@ class DiscretePMF:
 
     def to_impulses(self) -> dict[int, float]:
         """Return the non-zero impulses as ``{time: probability}``."""
-        nz = np.nonzero(self.probs)[0]
-        return {int(self.offset + i): float(self.probs[i]) for i in nz}
+        times, probs = self.impulses()
+        return dict(zip(times.tolist(), probs.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         lo, hi = self.support()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .completion import DroppingPolicy, completion_and_success
+from .completion import DroppingPolicy, completion_step
 from .pmf import DiscretePMF
 
 __all__ = [
@@ -42,7 +42,7 @@ def success_probability(
     the execution finishes by the deadline; mass routed through the dropped
     branches is excluded.
     """
-    return completion_and_success(pet, prev_pct, deadline, policy)[1]
+    return completion_step(pet, prev_pct, deadline, policy).success_probability
 
 
 def queue_success_probabilities(
@@ -57,15 +57,14 @@ def queue_success_probabilities(
 
     The chain of availability PMFs is propagated with the requested dropping
     policy (Eqs. 2-5) while each task's own success probability is computed
-    from the pre-aggregation branch (:func:`completion_and_success`).
+    from the pre-aggregation branch, one :func:`completion_step` per task.
     """
     if len(pets) != len(deadlines):
         raise ValueError("pets and deadlines must have the same length")
     probs: list[float] = []
     prev = start
     for pet, deadline in zip(pets, deadlines):
-        prev, prob = completion_and_success(pet, prev, deadline, policy)
-        probs.append(prob)
-        if max_impulses is not None:
-            prev = prev.aggregate(max_impulses)
+        step = completion_step(pet, prev, deadline, policy, max_impulses)
+        probs.append(step.success_probability)
+        prev = step.availability
     return probs

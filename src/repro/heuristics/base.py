@@ -23,19 +23,11 @@ no chain work) and only diverges as phase 2 commits provisional
 assignments; the chain step of each commit is handed back to the live
 state so applying the decision does not compute it again.  Phase-1 scores
 are held in a :class:`ScoreTable` (robustness and expected-completion
-matrices over task x machine) backed by the batched
-PMF engine of :mod:`repro.core.batch`: the virtual availabilities form a
-padded ``(n_machines, support)`` :class:`~repro.core.batch.PMFBatch` and
-every candidate pair is scored in a single
-:func:`~repro.core.batch.batched_success_probability` call — bit-identical
-to the scalar :func:`~repro.heuristics.scoring.fast_success_probability`
-per-pair path.  After each phase-2 commit only the *dirty column* (the
-committed machine) is marked for rescoring, and the one-column refresh runs
-lazily at the next phase-1 evaluation — the rest of the (task, machine)
-grid is never touched.  Across mapping events the heuristic keeps the
-previous event's table and the next fill copies every score whose task and
-availability *object* are unchanged (a deferred task against a machine
-nothing happened to), so the kernel only sees what moved.
+matrices over task x machine, filled by the batched PMF engine of
+:mod:`repro.core.batch`, rescored one dirty column at a time and carried
+across mapping events — see the class).  The deferring stage reads the
+score arrays directly; a :class:`CandidatePair` object is built only for a
+task that is still a candidate when phase 2 chooses.
 """
 
 from __future__ import annotations
@@ -48,21 +40,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..core.batch import PMFBatch
+from ..core.batch import pack_impulses
 from ..core.kernels import active_backend
 from ..core.pmf import DiscretePMF
 from ..obs.telemetry import active as obs_active
 from ..simulator.mapping import MappingContext, MappingDecision
 from ..simulator.task import Task
-
-#: Fewest (task, machine) pairs a fill must be able to carry over from the
-#: previous event's table for the carry to be attempted.  Carrying costs a
-#: row match and two index copies, and an event with both changed columns
-#: and new rows a second kernel call whose fixed cost is worth ~20 pairs of
-#: kernel work; so the 1-3-row grids of per-arrival mapping are scored whole
-#: in one call, and the oversubscribed regime's ~30-row deferred batches are
-#: carried.
-_MIN_CARRIED_PAIRS = 32
 
 __all__ = [
     "CandidatePair",
@@ -183,12 +166,6 @@ class VirtualSystemState:
     def total_free_slots(self) -> int:
         return sum(m.free_slots for m in self.machines)
 
-    def machines_with_free_slots(self) -> list[VirtualMachine]:
-        return [m for m in self.machines if m.has_free_slot]
-
-    def availability(self, machine_index: int) -> DiscretePMF:
-        return self.machines[machine_index].availability
-
     def assign(self, task: Task, machine_index: int) -> None:
         """Commit a provisional mapping to the virtual queue."""
         vm = self.machines[machine_index]
@@ -209,27 +186,28 @@ class ScoreTable:
     convolution); ``completion[i, j]`` is the expected completion time.
 
     Both matrices are filled by one call into the batched PMF engine
-    (:mod:`repro.core.batch`): the virtual availabilities become a padded
-    ``(n_machines, support)`` :class:`PMFBatch` and
-    :func:`batched_success_probability` scores the whole grid against the
-    PET matrix's cached :class:`~repro.core.batch.CDFTable`.  Refreshes are
-    *dirty-column driven*: after phase 2 commits an assignment the affected
-    machine is merely marked dirty (:meth:`mark_dirty`) and the one-column
-    rescore runs lazily at the next :meth:`best_pairs` call — several dirty
-    columns flush through one batched kernel call, and a column dirtied
-    after the final commit of an event is never rescored at all.  The
-    values are bit-identical however the grid is cut into calls.
+    (:mod:`repro.core.batch`): the virtual availabilities are packed to
+    their own impulses and :func:`packed_success_probability` scores the
+    whole grid against the PET matrix's cached
+    :class:`~repro.core.batch.CDFTable` — bit-identical to the scalar
+    :func:`~repro.heuristics.scoring.fast_success_probability` per pair.
+    Refreshes are *dirty-column driven*: after phase 2 commits an assignment
+    the affected machine is merely marked dirty (:meth:`mark_dirty`) and the
+    one-column rescore runs lazily at the next :meth:`best_rows` call —
+    several dirty columns flush through one batched kernel call, and a
+    column dirtied after the final commit of an event is never rescored at
+    all.  The values are bit-identical however the grid is cut into calls.
 
     The fill is *incremental across mapping events*: given the ``previous``
     event's table it copies ``robustness[row, j]`` for every task that was a
     row there into every open column whose availability **is** the object
     that column was last scored against, and hands the kernel only the rest
-    (all rows of changed columns, new rows of unchanged ones).  A score is a
-    function of the task, the machine's PET column and the (immutable)
-    availability PMF only — never of ``now`` — so object identity is a
-    sufficient key, and the previous table's strong references keep every
-    keyed object alive.  ``completion`` is recomputed every time (two cached
-    means per pair).
+    (all rows of changed columns, new rows of unchanged ones) as one pair
+    list.  A score is a function of the task, the machine's PET column and
+    the (immutable) availability PMF only — never of ``now`` — so object
+    identity is a sufficient key, and the previous table's strong
+    references keep every keyed object alive.  ``completion`` is recomputed
+    every time (two cached means per pair).
     """
 
     def __init__(
@@ -247,10 +225,13 @@ class ScoreTable:
         self.tasks = list(tasks)
         self.n = len(self.tasks)
         self.m = len(context.machines)
-        self.deadlines = np.array([t.deadline for t in self.tasks], dtype=np.int64)
-        self.types = np.array([t.task_type for t in self.tasks], dtype=np.int64)
+        specs = [t.spec for t in self.tasks]
+        self._ids = [spec.task_id for spec in specs]
+        self.task_ids = np.array(self._ids, dtype=np.int64)
+        self.deadlines = np.array([spec.deadline for spec in specs], dtype=np.int64)
+        self.types = np.array([spec.task_type for spec in specs], dtype=np.int64)
         self.active = np.ones(self.n, dtype=bool)
-        self._index_of = {t.task_id: i for i, t in enumerate(self.tasks)}
+        self._index_of = dict(zip(self._ids, range(self.n)))
         self.mean_execution = self._pet.mean_execution_times()[self.types, :]
         self.robustness = np.full((self.n, self.m), -1.0, dtype=np.float64)
         self.completion = np.full((self.n, self.m), np.inf, dtype=np.float64)
@@ -319,9 +300,8 @@ class ScoreTable:
     ) -> None:
         """Recompute the score columns of several machines.
 
-        One batched kernel call, unless ``previous`` (another event's table)
-        already holds part of the grid: what it holds is copied and only the
-        rest is scored — see :meth:`_carry_from`.
+        One kernel call over the grid or, when ``previous`` (another event's
+        table) holds part of it, over the rest: see :meth:`_carry_from`.
         """
         open_indices: list[int] = []
         for machine_index in machine_indices:
@@ -347,34 +327,31 @@ class ScoreTable:
         completion[:, np.isnan(expected_start)] = np.inf
         self.completion[:, columns] = completion
 
-        if previous is None or not self._carry_from(previous, columns, availabilities):
-            self._score(None, columns, availabilities)
+        pairs = None if previous is None else self._carry_from(previous, columns, availabilities)
+        if pairs is None or pairs[0].size:
+            self._score(columns, availabilities, pairs)
         for machine_index, availability in zip(open_indices, availabilities):
             self._scored_against[machine_index] = availability
 
     def _score(
         self,
-        rows: np.ndarray | None,
         columns: np.ndarray,
         availabilities: list[DiscretePMF],
+        pairs: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        """One kernel call: task ``rows`` (``None``: all) against machine ``columns``.
-
-        All rows is the per-event hot path (every dirty-column rescore, every
-        fill that carries nothing), so it stays on basic slices.
-        """
-        whole = rows is None
+        """One kernel call: all tasks x ``columns``, or ``pairs`` (rows, positions in columns)."""
         scores = self._kernels.success_probability(
-            PMFBatch.from_pmfs(availabilities),
+            *pack_impulses(availabilities),
             self._cdf_table,
-            self.types if whole else self.types[rows],
-            self.deadlines if whole else self.deadlines[rows],
-            machine_indices=columns,
+            self.types,
+            self.deadlines,
+            columns,
+            pairs,
         )
-        if whole:
+        if pairs is None:
             self.robustness[:, columns] = scores
         else:
-            self.robustness[rows[:, None], columns] = scores
+            self.robustness[pairs[0], columns[pairs[1]]] = scores
         self.pairs_scored += scores.size
 
     def _carry_from(
@@ -382,8 +359,8 @@ class ScoreTable:
         previous: "ScoreTable",
         columns: np.ndarray,
         availabilities: list[DiscretePMF],
-    ) -> bool:
-        """Fill ``columns`` from ``previous`` where it can; False if it did not.
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Fill ``columns`` from ``previous`` where it can; the pairs still to score.
 
         A pair is carried when its task was a row of ``previous`` and the
         column's availability *is* the object ``previous`` last scored that
@@ -392,54 +369,41 @@ class ScoreTable:
         drops nothing from, or the phase-2 step the engine adopted.  (An
         equal-valued new object — an idle machine's ``point(now)`` — is
         simply scored again; nothing is ever compared by value.)  The rest
-        goes to the kernel: new rows of unchanged columns, all rows of
-        changed ones — two calls when an event has both.  Matching, copying
-        and a possible second call only pay on a carried block of at least
-        ``_MIN_CARRIED_PAIRS``; a smaller grid is scored whole.
+        — new rows of unchanged columns, all rows of changed ones — comes
+        back as one pair list; ``None`` when nothing could be carried.
         """
         if (
-            self.n * columns.size < _MIN_CARRIED_PAIRS
-            or previous._cdf_table is not self._cdf_table
+            previous._cdf_table is not self._cdf_table
             or previous._kernels is not self._kernels
             or previous.m != self.m
         ):
-            return False
+            return None
         scored_against = previous._scored_against
         same = [scored_against[j] is a for j, a in zip(columns.tolist(), availabilities)]
-        n_same = sum(same)
-        if self.n * n_same < _MIN_CARRIED_PAIRS:
-            return False
+        if not any(same):
+            return None
         rows: list[int] = []
         previous_rows: list[int] = []
         previous_index = previous._index_of
         previous_tasks = previous.tasks
-        for row, task in enumerate(self.tasks):
-            previous_row = previous_index.get(task.task_id)
-            if previous_row is not None and previous_tasks[previous_row] is task:
+        tasks = self.tasks
+        for row, task_id in enumerate(self._ids):
+            previous_row = previous_index.get(task_id)
+            if previous_row is not None and previous_tasks[previous_row] is tasks[row]:
                 rows.append(row)
                 previous_rows.append(previous_row)
-        carried = len(rows) * n_same
-        if carried < _MIN_CARRIED_PAIRS:
-            return False
-
+        if not rows:
+            return None
+        held = np.array(rows)[:, None]
+        same = np.array(same)
         same_columns = columns[same]
-        self.robustness[np.ix_(rows, same_columns)] = previous.robustness[
-            np.ix_(previous_rows, same_columns)
+        self.robustness[held, same_columns] = previous.robustness[
+            np.array(previous_rows)[:, None], same_columns
         ]
-        self.pairs_reused += carried
-        if len(rows) < self.n:
-            self._score(
-                np.delete(np.arange(self.n), rows),
-                same_columns,
-                [a for a, kept in zip(availabilities, same) if kept],
-            )
-        if n_same < columns.size:
-            self._score(
-                None,
-                columns[np.logical_not(same)],
-                [a for a, kept in zip(availabilities, same) if not kept],
-            )
-        return True
+        self.pairs_reused += len(rows) * same_columns.size
+        owed = np.ones((self.n, columns.size), dtype=bool)
+        owed[held, np.flatnonzero(same)] = False
+        return np.nonzero(owed)
 
     def refresh_machine(self, machine_index: int, virtual: VirtualSystemState) -> None:
         """Recompute one machine's scores against all tasks."""
@@ -456,50 +420,49 @@ class ScoreTable:
         return bool(self.active.any())
 
     # ------------------------------------------------------------------
-    def best_pairs(self, *, robustness_based: bool) -> list[CandidatePair]:
-        """Phase 1: the best machine for every active task.
+    def best_rows(self, *, robustness_based: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Phase 1 on arrays: the candidate task rows and each one's best machine.
 
         One argmax/argmin over the batched score matrices picks every active
-        task's machine at once; only the surviving (open-machine, finite
-        completion) pairs are materialised as :class:`CandidatePair`.  Any
-        columns dirtied by phase-2 commits since the previous call are
-        rescored first (one batched kernel call for all of them).
+        task's machine at once; rows whose best machine is closed or can
+        never complete anything are left out.  Any columns dirtied by
+        phase-2 commits since the previous call are rescored first (one
+        batched kernel call for all of them).
         """
         self._flush_dirty()
         if not self.any_active or not self.machine_open.any():
-            return []
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         active_idx = np.nonzero(self.active)[0]
-        robustness = self.robustness[active_idx, :]
         completion = self.completion[active_idx, :]
-        mean_exec = self.mean_execution[active_idx, :]
         if robustness_based:
-            primary = robustness
+            primary, secondary = self.robustness[active_idx, :], completion
             best_primary = primary.max(axis=1)
-            tie = primary == best_primary[:, None]
-            tiebreak = np.where(tie, completion, np.inf)
-            best_machine = tiebreak.argmin(axis=1)
         else:
-            primary = completion
+            primary, secondary = completion, self.mean_execution[active_idx, :]
             best_primary = primary.min(axis=1)
-            tie = primary == best_primary[:, None]
-            tiebreak = np.where(tie, mean_exec, np.inf)
-            best_machine = tiebreak.argmin(axis=1)
-        chosen = np.arange(active_idx.size)
+        tie = primary == best_primary[:, None]
+        best_machine = np.where(tie, secondary, np.inf).argmin(axis=1)
         valid = self.machine_open[best_machine] & np.isfinite(
-            completion[chosen, best_machine]
+            completion[np.arange(active_idx.size), best_machine]
         )
+        return active_idx[valid], best_machine[valid]
+
+    def pairs(self, rows: np.ndarray, machines: np.ndarray) -> list[CandidatePair]:
+        """The (task row, machine) candidates as objects for phase 2."""
         return [
             CandidatePair(
                 task=self.tasks[row],
-                machine_index=int(machine_index),
+                machine_index=machine_index,
                 expected_completion=float(self.completion[row, machine_index]),
                 robustness=float(self.robustness[row, machine_index]),
                 mean_execution=float(self.mean_execution[row, machine_index]),
             )
-            for row, machine_index in zip(
-                active_idx[valid].tolist(), best_machine[valid].tolist()
-            )
+            for row, machine_index in zip(rows.tolist(), machines.tolist())
         ]
+
+    def best_pairs(self, *, robustness_based: bool) -> list[CandidatePair]:
+        """Phase 1: the best machine for every active task, as objects."""
+        return self.pairs(*self.best_rows(robustness_based=robustness_based))
 
 
 class MappingHeuristic(abc.ABC):
@@ -552,18 +515,20 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
         """
         return set(), None
 
-    def filter_candidates(
-        self,
-        pairs: list[CandidatePair],
-        context: MappingContext,
-        decision: MappingDecision,
-    ) -> tuple[list[CandidatePair], set[int]]:
-        """Deferring stage hook.
+    #: Whether deferred candidates count as pruner deferrals
+    #: (``MappingDecision.deferrals``); a culled task is just left out.
+    records_deferrals: bool = False
 
-        Returns the pairs to keep plus the ids of tasks to defer (removed
-        from this mapping event; they stay in the batch queue).
+    def filter_candidates(
+        self, robustness: np.ndarray, task_types: np.ndarray
+    ) -> np.ndarray | None:
+        """Deferring stage hook, on the phase-1 score arrays.
+
+        Given every candidate's best robustness and task type, returns the
+        boolean mask of candidates to defer (removed from this mapping
+        event; they stay in the batch queue), or ``None`` to keep them all.
         """
-        return pairs, set()
+        return None
 
     @abc.abstractmethod
     def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:
@@ -588,16 +553,19 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
         self._previous_table = table
 
         while table.any_active and virtual.total_free_slots > 0:
-            pairs = table.best_pairs(robustness_based=self.robustness_based)
-            if not pairs:
+            rows, machines = table.best_rows(robustness_based=self.robustness_based)
+            if not rows.size:
                 break
-            kept, deferred_ids = self.filter_candidates(pairs, context, decision)
-            table.deactivate(deferred_ids)
-            if not kept:
-                if not deferred_ids:
-                    break  # defensive: a filter must defer or keep something
-                continue
-            chosen = self.phase2_select(kept, context)
+            deferred = self.filter_candidates(table.robustness[rows, machines], table.types[rows])
+            if deferred is not None and deferred.any():
+                table.active[rows[deferred]] = False
+                if self.records_deferrals:
+                    decision.deferrals.extend(table.task_ids[rows[deferred]].tolist())
+                kept = ~deferred
+                rows, machines = rows[kept], machines[kept]
+                if not rows.size:
+                    continue
+            chosen = self.phase2_select(table.pairs(rows, machines), context)
             decision.assign(chosen.task, chosen.machine_index)
             virtual.assign(chosen.task, chosen.machine_index)
             table.deactivate([chosen.task.task_id])

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import itertools
 
-from ..simulator.mapping import MappingContext, MappingDecision
+import numpy as np
+
+from ..simulator.mapping import MappingContext
 from .base import CandidatePair, TwoPhaseBatchHeuristic
 from .scoring import urgency
 
@@ -103,14 +105,9 @@ class MaxOntimeCompletions(TwoPhaseBatchHeuristic):
         self.permutation_depth = int(permutation_depth)
 
     def filter_candidates(
-        self,
-        pairs: list[CandidatePair],
-        context: MappingContext,
-        decision: MappingDecision,
-    ) -> tuple[list[CandidatePair], set[int]]:
-        kept = [p for p in pairs if p.robustness >= self.culling_threshold]
-        culled = {p.task.task_id for p in pairs if p.robustness < self.culling_threshold}
-        return kept, culled
+        self, robustness: np.ndarray, task_types: np.ndarray
+    ) -> np.ndarray | None:
+        return robustness < self.culling_threshold
 
     def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:
         top = sorted(pairs, key=lambda p: (-p.robustness, p.expected_completion, p.task.task_id))

@@ -19,6 +19,8 @@ At every mapping event PAM:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.pmf import DiscretePMF
 from ..pruning.oversubscription import OversubscriptionDetector
 from ..pruning.pruner import Pruner
@@ -34,6 +36,7 @@ class PruningAwareMapper(TwoPhaseBatchHeuristic):
 
     name = "PAM"
     robustness_based = True
+    records_deferrals = True
 
     def __init__(
         self,
@@ -80,22 +83,11 @@ class PruningAwareMapper(TwoPhaseBatchHeuristic):
         return {d.task_id for d in drops}, availability
 
     def filter_candidates(
-        self,
-        pairs: list[CandidatePair],
-        context: MappingContext,
-        decision: MappingDecision,
-    ) -> tuple[list[CandidatePair], set[int]]:
+        self, robustness: np.ndarray, task_types: np.ndarray
+    ) -> np.ndarray | None:
         if not self.enable_deferring:
-            return pairs, set()
-        kept: list[CandidatePair] = []
-        deferred: set[int] = set()
-        for pair in pairs:
-            if self.pruner.should_defer(pair.robustness, pair.task.task_type):
-                deferred.add(pair.task.task_id)
-                decision.defer(pair.task)
-            else:
-                kept.append(pair)
-        return kept, deferred
+            return None
+        return self.pruner.defer_mask(robustness, task_types)
 
     # ------------------------------------------------------------------
     def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:

@@ -13,8 +13,8 @@ would dominate the simulation cost, so this module provides shortcuts:
 
 Both are the *exact scalar counterparts* of the batched kernels in
 :mod:`repro.core.batch`: they perform the same elementwise operations over
-the same columns in the same order as a one-task, one-machine invocation of
-:func:`~repro.core.batch.batched_success_probability` /
+the same impulses in the same order as a one-task, one-machine invocation of
+:func:`~repro.core.batch.packed_success_probability` /
 :func:`~repro.core.batch.batched_expected_completion` (sequential
 ``np.cumsum`` reduction included), so scoring one pair at a time or a whole
 ``(n_tasks, n_machines)`` grid at once produces bit-identical values — the
@@ -67,17 +67,15 @@ def fast_success_probability(
     Notes
     -----
     Exact scalar counterpart of
-    :func:`repro.core.batch.batched_success_probability`: same elementwise
-    values over the availability's non-zero columns in ascending time order,
-    same strict left-to-right reduction — bit-identical to scoring the same
-    pair inside any larger batch, without the batch's per-call setup cost.
+    :func:`repro.core.batch.packed_success_probability`: same elementwise
+    values over the availability's impulses in ascending time order, same
+    strict left-to-right reduction — bit-identical to scoring the same pair
+    inside any larger call, without the call's set-up cost.
     """
     deadline = int(deadline)
-    nonzero = np.flatnonzero(availability.probs)
-    if nonzero.size == 0:
+    start_times, start_probs = availability.impulses()
+    if start_times.size == 0:
         return 0.0
-    start_times = availability.offset + nonzero
-    start_probs = availability.probs[nonzero]
     cdf = exec_pmf.cumulative()
     budgets = deadline - start_times - exec_pmf.offset
     clipped = np.minimum(budgets, cdf.size - 1)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.completion import DroppingPolicy, completion_and_success
+import numpy as np
+
+from ..core.completion import DroppingPolicy, completion_step
 from ..core.pmf import DiscretePMF
 from ..simulator.machine import Machine
 from ..simulator.mapping import MappingContext, QueueDrop
@@ -94,6 +96,13 @@ class Pruner:
             best_robustness, self.deferring_threshold(task_type)
         )
 
+    def defer_mask(self, best_robustness: np.ndarray, task_types: np.ndarray) -> np.ndarray:
+        """:meth:`should_defer` of many batch tasks at once, op for op (the mapper's form)."""
+        if self.fairness is None:
+            return best_robustness < self.thresholds.deferring_threshold_for()
+        relaxed = self.thresholds.deferring - np.maximum(0.0, self.fairness.values)
+        return best_robustness < np.minimum(1.0, np.maximum(0.0, relaxed))[task_types]
+
     # ------------------------------------------------------------------
     # Dropping stage
     # ------------------------------------------------------------------
@@ -120,6 +129,7 @@ class Pruner:
         if (
             state is not None
             and context.policy is DroppingPolicy.EVICT
+            and state.pet is context.pet
             and state.policy is context.policy
             and state.max_impulses == context.max_impulses
             and state.condition_executing_on_now == context.condition_executing_on_now
@@ -179,6 +189,7 @@ class Pruner:
             tasks,
             start_position=first_drop + 1,
             prev=prev,
+            offer=state.offer_step,
         )
         return report
 
@@ -191,29 +202,38 @@ class Pruner:
         *,
         start_position: int,
         prev: DiscretePMF,
+        offer=None,
     ) -> None:
         """The head-first dropping walk over ``tasks[start_position:]``.
 
         ``prev`` is the availability PMF of the kept tasks ahead; the chain
-        is advanced task by task (Eqs. 2-5 + impulse aggregation) with
+        is advanced one :func:`completion_step` per task (which also yields
+        its success probability and the completion PMF Eq. 7 reads) with
         dropped tasks skipped — shared by the self-contained walk and the
-        post-first-drop suffix of the state-backed walk.
+        post-first-drop suffix of the state-backed walk.  The latter passes
+        the live state's ``offer_step``: once the engine applies the drops,
+        the state adopts the kept tasks' steps instead of recomputing them.
         """
         for position, task in enumerate(tasks[start_position:], start=start_position):
-            pet_entry = context.pet.get(task.task_type, machine.index)
-            pct, prob = completion_and_success(pet_entry, prev, task.deadline, context.policy)
+            step = completion_step(
+                context.pet.get(task.task_type, machine.index),
+                prev,
+                task.deadline,
+                context.policy,
+                context.max_impulses,
+            )
             threshold = self.thresholds.dropping_threshold_for(
-                pct,
+                step.completion,
                 queue_position=position,
                 sufferage=self._sufferage_of(task.task_type),
             )
-            report.examined.append((task.task_id, prob, threshold))
-            if self.thresholds.should_drop(prob, threshold):
+            report.examined.append((task.task_id, step.success_probability, threshold))
+            if self.thresholds.should_drop(step.success_probability, threshold):
                 report.drops.append(QueueDrop(task.task_id, machine.index))
                 continue  # the chain skips the dropped task
-            prev = pct
-            if context.max_impulses is not None:
-                prev = prev.aggregate(context.max_impulses)
+            if offer is not None:
+                offer(machine.index, task, prev, step)
+            prev = step.availability
         report.availability = prev
 
     def _prune_machine_queue_rebuilding(

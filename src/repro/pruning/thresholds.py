@@ -106,11 +106,10 @@ class PruningThresholds:
         base threshold); the Eq. 7 adjustment is applied when a completion
         PMF is supplied and per-task dynamics are enabled.
         """
-        base = max(0.0, self.dropping - max(0.0, sufferage))
         if completion_pmf is None or not self.dynamic_per_task:
-            return float(min(1.0, base))
-        return adjusted_dropping_threshold(
-            base, completion_pmf, queue_position, rho=self.rho
+            return float(min(1.0, max(0.0, self.dropping - max(0.0, sufferage))))
+        return self.dropping_threshold_for_skewness(
+            completion_pmf.bounded_skewness(), queue_position, sufferage=sufferage
         )
 
     def dropping_threshold_for_skewness(
@@ -120,12 +119,10 @@ class PruningThresholds:
         *,
         sufferage: float = 0.0,
     ) -> float:
-        """Effective dropping threshold from a precomputed bounded skewness.
+        """:meth:`dropping_threshold_for` from a precomputed bounded skewness.
 
-        Bit-identical to :meth:`dropping_threshold_for` fed the PMF whose
-        ``bounded_skewness()`` equals ``skewness`` — the state-backed
-        pruning walk caches the skewness alongside each chain entry so it
-        never has to materialise the pre-aggregation completion PMF again.
+        The state-backed pruning walk caches the skewness alongside each
+        chain entry so it never has to look at the completion PMF again.
         """
         base = max(0.0, self.dropping - max(0.0, sufferage))
         if not self.dynamic_per_task:

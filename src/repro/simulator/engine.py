@@ -98,7 +98,6 @@ from .mapping import (
     MappingContext,
     MappingDecision,
     TerminalEvent,
-    batch_in_arrival_order,
 )
 from .metrics import SimulationCounters, SimulationResult
 from .state import SystemState
@@ -268,7 +267,12 @@ class HCSimulator:
         #: watermarks as typed events).
         self.events = EventManager()
         self.tasks: dict[int, Task] = {}
+        #: The batch queue, kept in ``(arrival, task_id)`` order: arrivals
+        #: mostly join in that order already, so it is re-sorted only after
+        #: one that did not (``_batch_tail`` is the largest key seen).
         self._batch: dict[int, Task] = {}
+        self._batch_tail = (-1, -1)
+        self._batch_in_order = True
         self._counters = SimulationCounters()
         self._misses_since_event = 0
         self._terminal_since_event: list[TerminalEvent] = []
@@ -401,6 +405,10 @@ class HCSimulator:
             if kind == _ARRIVAL:
                 self._popped_arrivals += 1
                 batch[task_id] = tasks[task_id]
+                if (now, task_id) > self._batch_tail:
+                    self._batch_tail = (now, task_id)
+                else:
+                    self._batch_in_order = False
             elif kind == _FINISH:
                 self._popped_finishes += 1
                 self._handle_finish(tasks[task_id], now)
@@ -444,6 +452,8 @@ class HCSimulator:
         )
         self.tasks = {}
         self._batch = {}
+        self._batch_tail = (-1, -1)
+        self._batch_in_order = True
         self.events = EventManager()
         self._counters = SimulationCounters()
         self._misses_since_event = 0
@@ -543,9 +553,14 @@ class HCSimulator:
                 self._record_terminal(task)
 
     def _run_mapping_event(self, now: int) -> None:
+        if not self._batch_in_order:
+            self._batch = dict(
+                sorted(self._batch.items(), key=lambda item: (item[1].arrival, item[0]))
+            )
+            self._batch_in_order = True
         context = MappingContext(
             now=now,
-            batch=batch_in_arrival_order(self._batch.values()),
+            batch=tuple(self._batch.values()),
             machines=tuple(self.machines),
             pet=self.pet,
             policy=self.config.dropping_policy,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..core.batch import PMFBatch
-from ..core.completion import DroppingPolicy, chain_step
+from ..core.completion import DroppingPolicy, chain_step, completion_step
 from ..core.pmf import DiscretePMF
 from ..pet.matrix import PETMatrix
 from .machine import Machine, batched_availability
@@ -165,12 +165,12 @@ class MappingContext:
         """Availability of a machine once ``task`` is queued behind ``prev``.
 
         One chain step on the context's settings.  When the live state runs
-        the same settings the step is also handed to it
+        the same settings the step is also handed to it, by-products and all
         (:meth:`SystemState.offer_step`): if the engine then enqueues
         ``task`` there, behind that ``prev``, the state adopts the step
         instead of computing it a second time.
         """
-        result = chain_step(
+        step = completion_step(
             self.pet.get(task.task_type, machine_index),
             prev,
             task.deadline,
@@ -184,15 +184,8 @@ class MappingContext:
             and state.policy is self.policy
             and state.max_impulses == self.max_impulses
         ):
-            state.offer_step(machine_index, task, prev, result)
-        return result
-
-    def executing_pmf(self, machine_index: int) -> DiscretePMF:
-        """Completion-time PMF of the machine's executing task (if any)."""
-        machine = self.machines[machine_index]
-        return machine.executing_completion_pmf(
-            self.pet, self.now, condition_on_now=self.condition_executing_on_now
-        )
+            state.offer_step(machine_index, task, prev, step)
+        return step.availability
 
     def execution_pmf(self, task: Task, machine_index: int) -> DiscretePMF:
         """PET entry of a task on a machine."""
@@ -251,11 +244,14 @@ class MappingDecision:
                     f"assignment references unknown machine {assignment.machine_index}"
                 )
             seen.add(assignment.task_id)
+        queued: dict[int, set[int]] = {}
         for drop in self.queue_drops:
             if not 0 <= drop.machine_index < len(context.machines):
                 raise ValueError(f"queue drop references unknown machine {drop.machine_index}")
-            machine = context.machines[drop.machine_index]
-            if drop.task_id not in {t.task_id for t in machine.queued_tasks()}:
+            if drop.machine_index not in queued:
+                machine = context.machines[drop.machine_index]
+                queued[drop.machine_index] = {t.task_id for t in machine.queued_tasks()}
+            if drop.task_id not in queued[drop.machine_index]:
                 raise ValueError(
                     f"queue drop references task {drop.task_id} not queued on machine "
                     f"{drop.machine_index}"

@@ -26,17 +26,17 @@ simulation-lifetime, incrementally-maintained structure:
   kernels consume,
 * :meth:`rebuild` recomputes everything from scratch, propagating the
   independent per-machine chains *in lockstep* through
-  :func:`~repro.core.completion.batched_completion_step` (one ragged-batch
+  :func:`~repro.core.completion.batched_completion_steps` (one ragged-batch
   convolve per queue position across all machines).
 
 Exact-equivalence contract
 --------------------------
 The incremental path and the rebuild-from-scratch path are **bit-identical**
 (``atol=0``): both run the same scalar-mirroring chain step
-(:func:`~repro.core.completion.completion_pmf` followed by impulse
-aggregation) with the same strict left-to-right reduction discipline as the
-rest of the batched engine, and incremental maintenance only ever *caches*
-immutable intermediate PMFs instead of recomputing them.  Construct the
+(:func:`~repro.core.completion.completion_step`) with the same strict
+left-to-right reduction discipline as the rest of the batched engine, and
+incremental maintenance only ever *caches* immutable intermediate PMFs
+instead of recomputing them.  Construct the
 state with ``cross_check=True`` (or run the simulator with
 ``SimulatorConfig(state_cross_check=True)``) and every availability query
 re-derives the chain from scratch through the lockstep kernel and raises
@@ -62,10 +62,10 @@ import numpy as np
 
 from ..core.batch import PMFBatch
 from ..core.completion import (
+    ChainStep,
     DroppingPolicy,
-    batched_completion_step,
-    chain_step,
-    completion_and_success,
+    batched_completion_steps,
+    completion_step,
 )
 from ..core.pmf import DiscretePMF
 from ..obs.telemetry import active as obs_active
@@ -86,6 +86,7 @@ class _MachineChain:
     __slots__ = (
         "tasks",
         "chain",
+        "steps",
         "meta",
         "offers",
         "dirty_from",
@@ -102,16 +103,20 @@ class _MachineChain:
         #: ``chain[k]`` is the availability PMF after ``tasks[k]``; entries
         #: past ``dirty_from`` are stale and recomputed lazily.
         self.chain: list[DiscretePMF] = []
+        #: Parallel to ``chain``: the step that produced ``chain[k]`` with
+        #: its by-products (``None`` for an executing head's anchor).
+        self.steps: list[ChainStep | None] = []
         #: Lazily filled pruning sidecar, parallel to ``chain``:
         #: ``meta[k]`` is ``(success_probability, bounded_skewness)`` of
         #: ``tasks[k]`` given the tasks ahead of it — the per-task inputs of
-        #: the pruner's no-drop dropping test.  Truncated wherever the chain
-        #: is, so entries are never stale; may be shorter than ``chain``
-        #: until the pruning path asks for it.
+        #: the pruner's no-drop dropping test, read off ``steps[k]``.
+        #: Truncated wherever the chain is, so entries are never stale; may
+        #: be shorter than ``chain`` until the pruning path asks for it.
         self.meta: list[tuple[float, float]] = []
-        #: Chain steps handed over by the mapper, ``(task, prev, result)``
-        #: with each entry's ``prev`` the previous entry's ``result``.
-        self.offers: list[tuple[Task, DiscretePMF, DiscretePMF]] = []
+        #: Chain steps handed over by the mapper or the pruner, ``(task,
+        #: prev, step)`` with each entry's ``prev`` the previous entry's
+        #: ``step.availability``.
+        self.offers: list[tuple[Task, DiscretePMF, ChainStep]] = []
         #: First chain index that needs recomputation (``len(tasks)`` = clean).
         self.dirty_from: int = 0
         #: Whether ``chain[0]`` was computed with ``tasks[0]`` executing.
@@ -217,9 +222,7 @@ class SystemState:
         ):
             # The whole chain was anchored on the departed head.
             del rec.tasks[0]
-            rec.chain.clear()
-            rec.meta.clear()
-            rec.dirty_from = 0
+            self._truncate(rec, 0)
             rec.version = machine.queue_version
         else:
             self._resync_from_machine(rec, machine)
@@ -234,38 +237,33 @@ class SystemState:
         )
         if rec.version == machine.queue_version - 1 and position is not None:
             del rec.tasks[position]
-            del rec.chain[position:]
-            del rec.meta[position:]
-            rec.dirty_from = min(rec.dirty_from, position)
+            self._truncate(rec, min(rec.dirty_from, position))
             rec.version = machine.queue_version
         else:
             self._resync_from_machine(rec, machine)
         self._touch(rec)
 
     def offer_step(
-        self,
-        machine_index: int,
-        task: Task,
-        prev: DiscretePMF,
-        result: DiscretePMF,
+        self, machine_index: int, task: Task, prev: DiscretePMF, step: ChainStep
     ) -> None:
         """Hand over a chain step computed outside the state.
 
-        ``result`` must be this state's own step — ``chain_step`` of the
+        ``step`` must be this state's own step — ``completion_step`` of the
         machine's PET entry for ``task`` behind ``prev`` under the state's
         policy and aggregation cap.  If ``task`` is then enqueued on the
         machine directly behind that very ``prev`` *object*, the next query
-        adopts ``result`` instead of recomputing it.  Identity, not
-        equality, is the key: the PMFs a query serves are the chain's own
-        immutable entries, so ``prev is chain[k - 1]`` proves the step has
-        the same inputs without comparing a single bin, and an offer that
-        does not match (task never enqueued, enqueued elsewhere, chain
-        re-anchored or rebuilt in between) is simply never looked at again.
+        adopts the step, by-products included, instead of recomputing it.
+        Identity, not equality, is the key: the PMFs a query serves are the
+        chain's own immutable entries, so ``prev is chain[k - 1]`` proves
+        the step has the same inputs without comparing a single bin, and an
+        offer that does not match (task never enqueued, enqueued elsewhere,
+        chain re-anchored or rebuilt in between) is simply never looked at
+        again.
         """
         offers = self._records[machine_index].offers
-        if offers and offers[-1][2] is not prev:
+        if offers and offers[-1][2].availability is not prev:
             offers.clear()
-        offers.append((task, prev, result))
+        offers.append((task, prev, step))
 
     # ------------------------------------------------------------------
     # Queries
@@ -347,13 +345,7 @@ class SystemState:
             prev = rec.chain[first - 1]
             suffix = kept[first:]
         for task in suffix:
-            prev = chain_step(
-                self.pet.get(task.task_type, machine.index),
-                prev,
-                task.deadline,
-                self.policy,
-                self.max_impulses,
-            )
+            prev = self._step(machine.index, task, prev).availability
         return prev
 
     def prune_prefix_meta(
@@ -364,11 +356,11 @@ class SystemState:
         ``result[k]`` is ``(success_probability, bounded_skewness)`` of the
         ``k``-th queued task given every task ahead of it kept — exactly the
         quantities :meth:`repro.pruning.pruner.Pruner.prune_machine_queue`
-        derives while walking the queue from the head.  The tuple is cached
-        alongside the availability chain and invalidated with the same
-        dirty-suffix discipline, so a queue untouched since the last mapping
-        event answers without a single convolution; the pruner only falls
-        back to re-convolving *behind* the first task it actually drops.
+        derives while walking the queue from the head.  Both are by-products
+        of the chain step that produced ``chain[k]`` (the skewness is read
+        off its pre-cap completion PMF on first request), so neither an
+        unchanged nor a changed queue costs the pruner a convolution; it
+        only convolves *behind* the first task it actually drops.
 
         For an executing head the pair is computed from the task's raw
         (uncollapsed) completion PMF — the pruner evaluates the executing
@@ -379,22 +371,15 @@ class SystemState:
         rec = self._sync(machine_index, now)
         if self.cross_check:
             self._verify(machine_index, now, rec)
-        machine = self.machines[machine_index]
-        tasks = rec.tasks
-        while len(rec.meta) < len(tasks):
-            k = len(rec.meta)
-            task = tasks[k]
-            if k == 0 and rec.head_executing:
-                raw = machine.executing_completion_pmf(
+        for step in rec.steps[len(rec.meta) :]:
+            if step is None:
+                raw = self.machines[machine_index].executing_completion_pmf(
                     self.pet, now, condition_on_now=self.condition_executing_on_now
                 )
-                prob = float(min(1.0, raw.cdf(task.deadline)))
+                prob = float(min(1.0, raw.cdf(rec.tasks[0].deadline)))
                 skew = raw.bounded_skewness()
             else:
-                prev = rec.chain[k - 1] if k else DiscretePMF.point(now)
-                pet_entry = self.pet.get(task.task_type, machine.index)
-                pct, prob = completion_and_success(pet_entry, prev, task.deadline, self.policy)
-                skew = pct.bounded_skewness()
+                prob, skew = step.success_probability, step.completion.bounded_skewness()
             rec.meta.append((prob, skew))
         return tuple(rec.meta)
 
@@ -405,7 +390,7 @@ class SystemState:
         """Recompute every machine's chain from scratch, in lockstep.
 
         All machines' chains advance one queue position per round through
-        :func:`~repro.core.completion.batched_completion_step` (machines
+        :func:`~repro.core.completion.batched_completion_steps` (machines
         whose queues are exhausted drop out of the round).  The result
         replaces the incremental caches and is bit-identical to them — this
         is the reference path the cross-check mode compares against and the
@@ -413,11 +398,12 @@ class SystemState:
         """
         now = int(now)
         chains = self._rebuild_chains(range(len(self.machines)), now)
-        for machine_index, chain in zip(range(len(self.machines)), chains):
+        for machine_index, (chain, steps) in enumerate(chains):
             machine = self.machines[machine_index]
             rec = self._records[machine_index]
             rec.tasks = machine.queued_tasks()
             rec.chain = chain
+            rec.steps = steps
             rec.meta = []
             rec.offers.clear()
             rec.dirty_from = len(rec.tasks)
@@ -428,35 +414,30 @@ class SystemState:
 
     def _rebuild_chains(
         self, machine_indices: Iterable[int], now: int
-    ) -> list[list[DiscretePMF]]:
-        """From-scratch chains for several machines via lockstep propagation."""
+    ) -> list[tuple[list[DiscretePMF], list[ChainStep | None]]]:
+        """From-scratch ``(chain, steps)`` for several machines via lockstep propagation."""
         indices = list(machine_indices)
-        chains: list[list[DiscretePMF]] = [[] for _ in indices]
+        rebuilt: list[tuple[list[DiscretePMF], list[ChainStep | None]]] = []
         tasks_of: list[list[Task]] = []
         prevs: list[DiscretePMF] = []
-        positions: list[int] = []
-        for row, machine_index in enumerate(indices):
+        for machine_index in indices:
             machine = self.machines[machine_index]
             tasks = machine.queued_tasks()
             tasks_of.append(tasks)
             if tasks and tasks[0] is machine.executing:
-                prev = self._executing_anchor(machine, now)
-                chains[row].append(prev)
-                positions.append(1)
+                prevs.append(self._executing_anchor(machine, now))
+                rebuilt.append(([prevs[-1]], [None]))
             else:
-                prev = DiscretePMF.point(now)
-                positions.append(0)
-            prevs.append(prev)
+                prevs.append(DiscretePMF.point(now))
+                rebuilt.append(([], []))
         while True:
             rows = [
-                row
-                for row in range(len(indices))
-                if positions[row] < len(tasks_of[row])
+                row for row in range(len(indices)) if len(rebuilt[row][0]) < len(tasks_of[row])
             ]
             if not rows:
                 break
-            step_tasks = [tasks_of[row][positions[row]] for row in rows]
-            stepped = batched_completion_step(
+            step_tasks = [tasks_of[row][len(rebuilt[row][0])] for row in rows]
+            stepped = batched_completion_steps(
                 [
                     self.pet.get(task.task_type, indices[row])
                     for row, task in zip(rows, step_tasks)
@@ -466,11 +447,11 @@ class SystemState:
                 self.policy,
                 max_impulses=self.max_impulses,
             )
-            for row, pmf in zip(rows, stepped):
-                prevs[row] = pmf
-                chains[row].append(pmf)
-                positions[row] += 1
-        return chains
+            for row, step in zip(rows, stepped):
+                prevs[row] = step.availability
+                rebuilt[row][0].append(step.availability)
+                rebuilt[row][1].append(step)
+        return rebuilt
 
     # ------------------------------------------------------------------
     # Internal machinery
@@ -480,13 +461,29 @@ class SystemState:
         self._version += 1
         self._batch_cache = None
 
+    @staticmethod
+    def _truncate(rec: _MachineChain, position: int) -> None:
+        """Forget the chain (and what rides along with it) from ``position`` on."""
+        del rec.chain[position:]
+        del rec.steps[position:]
+        del rec.meta[position:]
+        rec.dirty_from = position
+
     def _resync_from_machine(self, rec: _MachineChain, machine: Machine) -> None:
         """Defensive full resync after an un-notified queue mutation."""
         rec.tasks = machine.queued_tasks()
-        rec.chain = []
-        rec.meta = []
-        rec.dirty_from = 0
+        self._truncate(rec, 0)
         rec.version = machine.queue_version
+
+    def _step(self, machine_index: int, task: Task, prev: DiscretePMF) -> ChainStep:
+        """This state's chain step for ``task`` queued behind ``prev``."""
+        return completion_step(
+            self.pet.get(task.task_type, machine_index),
+            prev,
+            task.deadline,
+            self.policy,
+            self.max_impulses,
+        )
 
     def _executing_anchor(self, machine: Machine, now: int) -> DiscretePMF:
         """Chain base for an executing head (the shared anchor helper)."""
@@ -557,8 +554,7 @@ class SystemState:
         """
         tasks = rec.tasks
         start = rec.dirty_from
-        del rec.chain[start:]
-        del rec.meta[start:]
+        self._truncate(rec, start)
         if start == 0:
             head_executing = (
                 machine.executing is not None and tasks[0] is machine.executing
@@ -566,6 +562,7 @@ class SystemState:
             if head_executing:
                 prev = self._executing_anchor(machine, now)
                 rec.chain.append(prev)
+                rec.steps.append(None)
                 start = 1
             else:
                 prev = DiscretePMF.point(now)
@@ -575,27 +572,22 @@ class SystemState:
             prev = rec.chain[start - 1]
         computed = adopted = 0
         for task in tasks[start:]:
-            offered = next(
+            step = next(
                 (
-                    result
-                    for offered_task, offered_prev, result in rec.offers
+                    offered
+                    for offered_task, offered_prev, offered in rec.offers
                     if offered_task is task and offered_prev is prev
                 ),
                 None,
             )
-            if offered is not None:
-                prev = offered
+            if step is not None:
                 adopted += 1
             else:
-                prev = chain_step(
-                    self.pet.get(task.task_type, machine.index),
-                    prev,
-                    task.deadline,
-                    self.policy,
-                    self.max_impulses,
-                )
+                step = self._step(machine.index, task, prev)
                 computed += 1
+            prev = step.availability
             rec.chain.append(prev)
+            rec.steps.append(step)
         rec.offers.clear()
         rec.dirty_from = len(tasks)
         return computed, adopted
@@ -611,7 +603,7 @@ class SystemState:
         """
         if rec.verified_at == (rec.revision, now):
             return
-        reference = self._rebuild_chains([machine_index], now)[0]
+        reference = self._rebuild_chains([machine_index], now)[0][0]
         if len(reference) != len(rec.chain):
             raise SystemStateError(
                 f"machine {machine_index}: incremental chain has "

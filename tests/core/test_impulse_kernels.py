@@ -1,0 +1,350 @@
+"""The impulse-native kernels against the forms they replaced, at atol=0.
+
+Two kernels sit under every mapping event, and both were re-cut to do their
+work once, on impulses:
+
+* **scoring** — ``packed_success_probability`` sums Eq. 1 over each
+  machine's *own* impulses (a packed ``(m, K)`` operand), as a grid or as a
+  pair list.  Before, every pair walked the union of all co-batched
+  machines' non-zero start columns.  That body lives on here as the
+  reference (``union_grid``): the packed grid, the pair list in any order
+  and the scalar ``fast_success_probability`` must all equal it bit for bit
+  — on every scoring call recorded from two real trials and on generated
+  operands with ragged impulse counts.
+* **the chain step** — ``completion_step`` computes Eqs. 2-5, the impulse
+  cap, the task's success probability and its pre-cap completion PMF from
+  one convolution.  Before, ``completion_pmf(...).aggregate(cap)`` produced
+  the availability and a *second* convolution (``completion_and_success``)
+  the probability and the skewness; both are rebuilt here from the PMF
+  primitives (``old_*``) and must agree with the step bit for bit.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.batch import (
+    CDFTable,
+    PMFBatch,
+    batched_success_probability,
+    pack_batch,
+    pack_impulses,
+    packed_success_probability,
+    sequential_sum,
+)
+from repro.core.completion import (
+    DroppingPolicy,
+    batched_completion_steps,
+    chain_step,
+    completion_and_success,
+    completion_pmf,
+    completion_step,
+)
+from repro.core.pmf import DiscretePMF
+from repro.heuristics.base import ScoreTable
+from repro.heuristics.registry import make_heuristic
+from repro.heuristics.scoring import fast_success_probability
+from repro.pet.builders import build_transcoding_pet
+from repro.simulator.engine import HCSimulator
+from repro.workload.traces import load_trace
+
+REFERENCE_TRACE = (
+    Path(__file__).resolve().parent.parent.parent
+    / "examples"
+    / "transcoding_660.trace.json"
+)
+
+
+# ----------------------------------------------------------------------
+# Scoring
+# ----------------------------------------------------------------------
+def union_grid(availabilities, execution, type_indices, deadlines, machine_indices):
+    """``batched_success_probability`` as it was: the union of start columns."""
+    availability = PMFBatch.from_pmfs(availabilities)
+    n_tasks, n_machines = type_indices.size, machine_indices.size
+    result = np.zeros((n_tasks, n_machines), dtype=np.float64)
+    columns = np.flatnonzero(availability.probs.any(axis=0))
+    if n_tasks == 0 or columns.size == 0:
+        return result
+    start_times = availability.offset + columns
+    start_probs = availability.probs[:, columns]
+    exec_offsets = execution.offsets[type_indices[:, None], machine_indices[None, :]]
+    exec_lengths = execution.lengths[type_indices[:, None], machine_indices[None, :]]
+    budgets = (
+        deadlines[:, None, None] - start_times[None, None, :] - exec_offsets[:, :, None]
+    )
+    clipped = np.minimum(budgets, (exec_lengths - 1)[:, :, None])
+    usable = (start_times[None, None, :] < deadlines[:, None, None]) & (clipped >= 0)
+    gathered = execution.cdfs[
+        type_indices[:, None, None], machine_indices[None, :, None], np.maximum(clipped, 0)
+    ]
+    contributions = np.where(usable, gathered, 0.0) * start_probs[None, :, :]
+    return np.minimum(1.0, sequential_sum(contributions, axis=-1))
+
+
+def assert_every_form_agrees(availabilities, grid_pmfs, execution, types, deadlines, machines, rng):
+    """Packed grid == union grid == permuted pair list == scalar, per pair."""
+    want = union_grid(availabilities, execution, types, deadlines, machines)
+    packed = pack_impulses(availabilities)
+    assert np.array_equal(
+        packed_success_probability(*packed, execution, types, deadlines, machines), want
+    )
+    assert np.array_equal(
+        batched_success_probability(
+            PMFBatch.from_pmfs(availabilities), execution, types, deadlines, machines
+        ),
+        want,
+    )
+    rows, slots = np.nonzero(np.ones(want.shape, dtype=bool))
+    order = rng.permutation(rows.size)[: max(1, rows.size * 2 // 3)]
+    listed = packed_success_probability(
+        *packed, execution, types, deadlines, machines, pairs=(rows[order], slots[order])
+    )
+    assert np.array_equal(listed, want[rows[order], slots[order]])
+    for row, slot in zip(rows[order].tolist(), slots[order].tolist()):
+        scalar = fast_success_probability(
+            grid_pmfs(int(types[row]), int(machines[slot])),
+            availabilities[slot],
+            int(deadlines[row]),
+        )
+        assert scalar == want[row, slot]
+
+
+@pytest.fixture(scope="module")
+def recorded_scoring(oversub_inputs):
+    """Operands of every ``ScoreTable._score`` call of two real trials.
+
+    A 200-task prefix of the reference trace (idle machines, short chains)
+    and the 600-task load-3.0 scale trace (capped chains next to
+    un-aggregated executing anchors, nearly every fill a pair list).
+    """
+    reference_pet = build_transcoding_pet(rng=2019)
+    trace = load_trace(REFERENCE_TRACE)
+    runs = [
+        (reference_pet, type(trace)(trace.tasks[:200], trace.config), 2021),
+        (*oversub_inputs, 2019),
+    ]
+    calls: list[tuple] = []
+    score = ScoreTable._score
+
+    def recording_score(self, columns, availabilities, pairs=None):
+        calls.append(
+            (self._pet, list(availabilities), self.types, self.deadlines, columns.copy(), pairs)
+        )
+        return score(self, columns, availabilities, pairs)
+
+    ScoreTable._score = recording_score
+    try:
+        for pet, run_trace, seed in runs:
+            heuristic = make_heuristic("PAMF", num_task_types=pet.num_task_types)
+            HCSimulator(pet, heuristic, rng=seed).run(run_trace)
+    finally:
+        ScoreTable._score = score
+    return calls
+
+
+def test_recorded_scoring_calls_agree_in_every_form(recorded_scoring):
+    rng = np.random.default_rng(0)
+    assert len(recorded_scoring) >= 1000
+    assert sum(1 for *_, pairs in recorded_scoring if pairs is not None) >= 500
+    widths = [max(a.nonzero_count() for a in availabilities) for _, availabilities, *_ in recorded_scoring]
+    assert min(widths) == 1 and max(widths) > 100
+    for pet, availabilities, types, deadlines, columns, pairs in recorded_scoring:
+        assert_every_form_agrees(
+            availabilities, pet.get, pet.cdf_table(), types, deadlines, columns, rng
+        )
+        if pairs is not None:  # the call as the fill made it
+            got = packed_success_probability(
+                *pack_impulses(availabilities), pet.cdf_table(), types, deadlines, columns, pairs
+            )
+            want = union_grid(availabilities, pet.cdf_table(), types, deadlines, columns)
+            assert np.array_equal(got, want[pairs])
+
+
+@st.composite
+def availability_strategy(draw):
+    """An availability of one of the shapes a mapping event packs together."""
+    kind = draw(st.sampled_from(["idle", "capped", "anchor", "zero"]))
+    start = draw(st.integers(0, 60))
+    if kind == "idle":
+        return DiscretePMF.point(start)
+    if kind == "zero":
+        return DiscretePMF._raw(np.zeros(draw(st.integers(1, 5))), start)
+    count = draw(st.integers(2, 32) if kind == "capped" else st.integers(101, 140))
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    width = count + int(rng.integers(0, 2 * count))
+    probs = np.zeros(width)
+    probs[rng.choice(width, size=count, replace=False)] = rng.random(count) + 0.01
+    probs *= draw(st.sampled_from([1.0, 0.6])) / probs.sum()
+    return DiscretePMF._raw(probs, start)
+
+
+@st.composite
+def ragged_scoring_case(draw):
+    n_machines = draw(st.integers(1, 5))
+    n_types = draw(st.integers(1, 3))
+    availabilities = [draw(availability_strategy()) for _ in range(n_machines)]
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    grid = []
+    for _ in range(n_types):
+        row = []
+        for _ in range(n_machines):
+            width = int(rng.integers(1, 40))
+            probs = rng.random(width) * (rng.random(width) < 0.7)
+            probs[int(rng.integers(0, width))] += 0.1
+            row.append(DiscretePMF(probs / probs.sum(), offset=int(rng.integers(1, 30))))
+        grid.append(row)
+    n_tasks = draw(st.integers(1, 6))
+    types = np.array(draw(st.lists(st.integers(0, n_types - 1), min_size=n_tasks, max_size=n_tasks)))
+    # Before every start, inside the support, and far beyond every CDF.
+    deadlines = np.array(
+        draw(st.lists(st.sampled_from([0, 15, 40, 90, 200, 10_000]), min_size=n_tasks, max_size=n_tasks))
+    )
+    return availabilities, grid, types, deadlines, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=ragged_scoring_case())
+def test_ragged_operands_agree_in_every_form(case):
+    availabilities, grid, types, deadlines, rng = case
+    machines = rng.permutation(len(availabilities))  # operand row j is PET column machines[j]
+    assert_every_form_agrees(
+        availabilities,
+        lambda task_type, machine: grid[task_type][machine],
+        CDFTable.from_grid(grid),
+        types,
+        deadlines,
+        machines,
+        rng,
+    )
+
+
+def test_packing_a_batch_equals_packing_its_pmfs():
+    pmfs = [
+        DiscretePMF.from_impulses({3: 0.25, 9: 0.5, 10: 0.25}),
+        DiscretePMF.point(7),
+        DiscretePMF._raw(np.zeros(4), 5),
+        DiscretePMF.from_impulses({0: 0.5, 30: 0.5}),
+    ]
+    times, probs = pack_impulses(pmfs)
+    batch_times, batch_probs = pack_batch(PMFBatch.from_pmfs(pmfs))
+    assert times.shape == (4, 3)
+    assert np.array_equal(probs, batch_probs)
+    assert np.array_equal(times[probs > 0], batch_times[probs > 0])
+    assert pmfs[0].impulses() is pmfs[0].impulses()  # cached on the immutable PMF
+
+
+# ----------------------------------------------------------------------
+# The chain step
+# ----------------------------------------------------------------------
+def old_completion_and_success(pet, prev, deadline, policy):
+    """Eqs. 2-5 as they were composed from the PMF primitives."""
+    if policy is DroppingPolicy.NONE:
+        ran = pet.convolve(prev)
+        return ran.compact(), float(min(1.0, ran.cdf(deadline)))
+    started = prev.truncate_before(deadline)
+    ran = DiscretePMF.zero() if started.is_zero() else pet.convolve(started)
+    prob = float(min(1.0, ran.cdf(deadline)))
+    if policy is DroppingPolicy.EVICT:
+        ran = ran.collapse_tail_to(deadline)
+    dropped = prev.truncate_from(deadline)
+    return (ran if dropped.is_zero() else ran.add(dropped)).compact(), prob
+
+
+def old_chain_step(pet, prev, deadline, policy, max_impulses):
+    out, _ = old_completion_and_success(pet, prev, deadline, policy)
+    return out if max_impulses is None else out.aggregate(max_impulses)
+
+
+def same_pmf(a: DiscretePMF, b: DiscretePMF) -> bool:
+    return a.offset == b.offset and np.array_equal(a.probs, b.probs)
+
+
+def assert_step_equals_the_old_forms(pet, prev, deadline):
+    for policy in DroppingPolicy:
+        want_pct, want_prob = old_completion_and_success(pet, prev, deadline, policy)
+        for cap in (None, 1, 32):
+            step = completion_step(pet, prev, deadline, policy, cap)
+            assert same_pmf(step.availability, old_chain_step(pet, prev, deadline, policy, cap))
+            assert same_pmf(step.completion, want_pct)
+            assert step.success_probability == want_prob
+            assert step.completion.bounded_skewness() == want_pct.bounded_skewness()
+            assert same_pmf(chain_step(pet, prev, deadline, policy, cap), step.availability)
+        assert same_pmf(completion_pmf(pet, prev, deadline, policy), want_pct)
+        got_pct, got_prob = completion_and_success(pet, prev, deadline, policy)
+        assert same_pmf(got_pct, want_pct) and got_prob == want_prob
+
+
+def random_operand(rng, *, dense: bool, mass: float = 1.0, offset=None) -> DiscretePMF:
+    size = int(rng.integers(1, 150))
+    count = int(rng.integers(max(1, size // 2), size + 1)) if dense else int(rng.integers(1, min(size, 9) + 1))
+    probs = np.zeros(size)
+    probs[rng.choice(size, size=count, replace=False)] = rng.random(count) + 1e-3
+    probs *= mass / probs.sum()
+    return DiscretePMF._raw(probs, int(rng.integers(-20, 200)) if offset is None else offset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dense_prev=st.booleans(),
+    dense_pet=st.booleans(),
+    prev_mass=st.sampled_from([1.0, 0.4, 3e-9, 5e-10, 0.0]),
+    where=st.sampled_from(["before", "inside", "inside", "after"]),
+)
+def test_step_equals_the_old_two_convolution_forms(seed, dense_prev, dense_pet, prev_mass, where):
+    rng = np.random.default_rng(seed)
+    pet = random_operand(rng, dense=dense_pet, mass=float(rng.choice([1.0, 1.0, 0.3])))
+    prev = random_operand(rng, dense=dense_prev)
+    if prev_mass != 1.0:
+        prev = DiscretePMF._raw(prev.probs * prev_mass, prev.offset)
+    end = prev.max_time + pet.max_time
+    deadline = {
+        "before": prev.offset - int(rng.integers(0, 10)),  # cut <= 0: the task never starts
+        "inside": int(rng.integers(prev.offset, end + 1)),
+        "after": end + int(rng.integers(1, 10)),  # cut >= size: nothing dropped, nothing collapsed
+    }[where]
+    assert_step_equals_the_old_forms(pet, prev, deadline)
+
+
+def test_step_edge_cases_equal_the_old_forms():
+    pet = DiscretePMF.from_impulses({2: 0.5, 3: 0.25, 6: 0.25})
+    prev = DiscretePMF.from_impulses({10: 0.5, 12: 0.25, 20: 0.25})
+    for deadline in (9, 10, 11, 13, 14, 16, 18, 20, 21, 26, 27, 40):
+        assert_step_equals_the_old_forms(pet, prev, deadline)
+    # The collapsed tail is below the mass tolerance: it is dropped, not kept.
+    thin_tail = DiscretePMF._raw(np.array([0.5, 0.5 - 2e-10, 0.0, 0.0, 2e-10]), 1)
+    assert_step_equals_the_old_forms(thin_tail, DiscretePMF.point(10), 13)
+    # Zero-mass operands keep the scalar algebra's conventions, offsets included.
+    for zero in (DiscretePMF.zero(), DiscretePMF._raw(np.zeros(3), 7)):
+        assert_step_equals_the_old_forms(pet, zero, 15)
+        assert_step_equals_the_old_forms(zero, prev, 15)
+    # A started branch whose product underflows the tolerance (Eq. 5 only).
+    assert_step_equals_the_old_forms(
+        DiscretePMF._raw(pet.probs * 0.1, pet.offset),
+        DiscretePMF._raw(np.array([2e-9, 0.0, 0.9]), 10),
+        11,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(list(DroppingPolicy)))
+def test_lockstep_steps_carry_the_same_by_products(seed, policy):
+    rng = np.random.default_rng(seed)
+    pets = [random_operand(rng, dense=True, offset=int(rng.integers(1, 20))) for _ in range(4)]
+    prevs = [random_operand(rng, dense=bool(rng.integers(0, 2))) for _ in range(4)]
+    deadlines = [int(rng.integers(p.offset - 5, p.max_time + 40)) for p in prevs]
+    for cap in (None, 8):
+        stepped = batched_completion_steps(pets, prevs, deadlines, policy, max_impulses=cap)
+        for got, pet, prev, deadline in zip(stepped, pets, prevs, deadlines):
+            want = completion_step(pet, prev, deadline, policy, cap)
+            assert same_pmf(got.availability, want.availability)
+            assert same_pmf(got.completion, want.completion)
+            assert got.success_probability == want.success_probability

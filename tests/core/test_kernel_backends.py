@@ -31,14 +31,18 @@ from repro.core.batch import (
     batched_convolve_ragged,
     batched_shift,
     batched_success_probability,
+    pack_batch,
+    pack_impulses,
     sequential_sum,
 )
 from repro.core.completion import DroppingPolicy, batched_completion_step
+from repro.core import _numba_kernels
 from repro.core.kernels import (
     ARRAY_API_NAMESPACE_ENV,
     KERNEL_BACKEND_ENV,
     ArrayApiBackend,
     KernelBackendUnavailable,
+    NumbaBackend,
     NumpyBackend,
     active_backend,
     available_backends,
@@ -232,9 +236,17 @@ class TestBackendDifferential:
         avail_pmfs, grid, types, deadlines = case
         batch = PMFBatch.from_pmfs(avail_pmfs)
         table = CDFTable.from_grid(grid)
-        out = backend.success_probability(batch, table, types, deadlines)
+        packed = pack_impulses(avail_pmfs)
+        out = backend.success_probability(*packed, table, types, deadlines)
         ref = batched_success_probability(batch, table, types, deadlines)
         _assert_backend_close(backend, out, ref)
+        # The pair-list form, in an arbitrary order, is the same numbers.
+        rows, slots = np.nonzero(np.ones(out.shape, dtype=bool))
+        order = np.random.default_rng(out.size).permutation(rows.size)
+        listed = backend.success_probability(
+            *packed, table, types, deadlines, pairs=(rows[order], slots[order])
+        )
+        _assert_backend_close(backend, listed, ref[rows[order], slots[order]])
         if backend.rtol == 0.0:  # scalar atol=0 leg of the contract
             for i, (task_type, deadline) in enumerate(zip(types, deadlines)):
                 for j, avail in enumerate(avail_pmfs):
@@ -278,7 +290,7 @@ class TestBackendDifferential:
         table = CDFTable.from_pmf(DiscretePMF.point(2))
         with pytest.raises(ValueError, match="one row per entry"):
             backend.success_probability(
-                batch,
+                *pack_batch(batch),
                 table,
                 np.array([0]),
                 np.array([10]),
@@ -289,8 +301,54 @@ class TestBackendDifferential:
         backend = get_backend(name)
         batch = PMFBatch(np.zeros((2, 3)), 0)
         table = CDFTable.from_grid([[DiscretePMF.point(2), DiscretePMF.point(3)]])
-        out = backend.success_probability(batch, table, np.array([0]), np.array([9]))
+        out = backend.success_probability(
+            *pack_batch(batch), table, np.array([0]), np.array([9])
+        )
         assert np.array_equal(out, np.zeros((1, 2)))
+
+
+# ----------------------------------------------------------------------
+# The numba backend's loop bodies, as plain Python where numba is absent
+# ----------------------------------------------------------------------
+
+
+def plain_numba_backend() -> NumbaBackend:
+    """``NumbaBackend`` over whatever ``_numba_kernels`` holds here.
+
+    Without numba those are the loop bodies uncompiled, so tier-1 checks
+    the very code the jit would compile (and the backend's operand glue).
+    """
+    backend = object.__new__(NumbaBackend)
+    backend._jit = _numba_kernels
+    return backend
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=scoring_case_strategy())
+def test_numba_scoring_body_matches_reference(case):
+    backend = plain_numba_backend()
+    avail_pmfs, grid, types, deadlines = case
+    table = CDFTable.from_grid(grid)
+    packed = pack_impulses(avail_pmfs)
+    reference = NumpyBackend().success_probability(*packed, table, types, deadlines)
+    out = backend.success_probability(*packed, table, types, deadlines)
+    assert np.array_equal(out, reference)
+    rows, slots = np.nonzero(np.ones(out.shape, dtype=bool))
+    listed = backend.success_probability(
+        *packed, table, types, deadlines, pairs=(rows[::-1], slots[::-1])
+    )
+    assert np.array_equal(listed, reference[rows[::-1], slots[::-1]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=batch_strategy(max_rows=3), data=st.data())
+def test_numba_ragged_body_matches_reference(batch, data):
+    backend = plain_numba_backend()
+    kernels = [data.draw(pmf_strategy()) for _ in range(batch.n_pmfs)]
+    out = backend.convolve_ragged(batch, kernels)
+    ref = batched_convolve_ragged(batch, kernels)
+    assert out.offset == ref.offset
+    assert np.array_equal(out.probs, ref.probs)
 
 
 # ----------------------------------------------------------------------

@@ -363,3 +363,23 @@ class TestSamplingAndComparison:
 
     def test_mass_tolerance_exported(self):
         assert 0 < MASS_TOLERANCE < 1e-6
+
+
+def test_skewness_is_the_two_pass_formula_bit_for_bit():
+    """Centred times are built once now; the moments must not move a bit."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        size = int(rng.integers(1, 300))
+        probs = rng.random(size) * (rng.random(size) < rng.random())
+        if not probs.any():
+            probs[0] = 1.0
+        pmf = DiscretePMF._raw(probs * (rng.random() / probs.sum()), int(rng.integers(-50, 5000)))
+        total, mu = pmf.total_mass(), pmf.mean()
+        want = 0.0
+        if total > MASS_TOLERANCE:
+            var = float(np.dot((pmf.times - mu) ** 2, pmf.probs) / total)
+            if var > MASS_TOLERANCE:
+                want = float(np.dot((pmf.times - mu) ** 3, pmf.probs) / total) / var**1.5
+        assert pmf.skewness() == want
+        assert pmf.bounded_skewness() == float(np.clip(want, -1.0, 1.0))
+        assert type(pmf.bounded_skewness()) is float

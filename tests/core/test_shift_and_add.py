@@ -1,8 +1,8 @@
 """The vectorised PMF kernels against the loops they replaced, at atol=0.
 
-``shift_and_add`` (behind ``DiscretePMF.convolve_with`` and
-``batched_convolve``) and the ``bincount`` tail of ``DiscretePMF.aggregate``
-replaced a Python impulse loop and an ``np.add.at`` scatter.  The old code
+``shift_and_add`` (behind the chain step, ``DiscretePMF.convolve`` /
+``convolve_with`` and ``batched_convolve``) and the ``bincount`` tail of
+``DiscretePMF.aggregate`` replaced a Python impulse loop and an ``np.add.at`` scatter.  The old code
 lives on here as the reference: operands recorded from a real trial, plus
 the edge cases, must come out bit for bit the same.
 """
@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import pmf as pmf_module
 from repro.core.batch import PMFBatch, batched_convolve
 from repro.core.pmf import DiscretePMF, shift_and_add
 from repro.heuristics.registry import make_heuristic
@@ -62,40 +63,46 @@ def same_pmf(a: DiscretePMF, b: DiscretePMF) -> bool:
 
 @pytest.fixture(scope="module")
 def recorded():
-    """Operands of every ``convolve_with`` / ``aggregate`` call of a real trial."""
-    convolutions: list[tuple[DiscretePMF, DiscretePMF]] = []
+    """Operands of every shift-and-add and every re-binning of a real trial.
+
+    Recorded at the shared primitives themselves — ``pmf.shift_and_add``,
+    which ``convolve_probs`` calls for the chain step and for
+    ``DiscretePMF.convolve`` alike, and ``DiscretePMF._rebin``, the body of
+    ``aggregate`` and of the chain step's impulse cap.
+    """
+    convolutions: list[tuple[np.ndarray, np.ndarray]] = []
     aggregations: list[tuple[DiscretePMF, int]] = []
-    convolve_with, aggregate = DiscretePMF.convolve_with, DiscretePMF.aggregate
+    shift_and_add, rebin = pmf_module.shift_and_add, DiscretePMF._rebin
 
-    def recording_convolve_with(self, kernel):
-        convolutions.append((self, kernel))
-        return convolve_with(self, kernel)
+    def recording_shift_and_add(dense, kernel):
+        convolutions.append((dense, kernel))
+        return shift_and_add(dense, kernel)
 
-    def recording_aggregate(self, max_impulses):
+    def recording_rebin(self, max_impulses):
         aggregations.append((self, max_impulses))
-        return aggregate(self, max_impulses)
+        return rebin(self, max_impulses)
 
     pet = build_transcoding_pet(rng=2019)
     trace = load_trace(REFERENCE_TRACE)
-    prefix = type(trace)(trace.tasks[:200], trace.config)
-    DiscretePMF.convolve_with = recording_convolve_with
-    DiscretePMF.aggregate = recording_aggregate
+    # 300 tasks: no convolution is run twice any more, so 200 give under 300.
+    prefix = type(trace)(trace.tasks[:300], trace.config)
+    pmf_module.shift_and_add = recording_shift_and_add
+    DiscretePMF._rebin = recording_rebin
     try:
         simulate(pet, make_heuristic("PAMF", num_task_types=pet.num_task_types), prefix, rng=2021)
     finally:
-        DiscretePMF.convolve_with = convolve_with
-        DiscretePMF.aggregate = aggregate
+        pmf_module.shift_and_add = shift_and_add
+        DiscretePMF._rebin = rebin
     return convolutions, aggregations
 
 
 def test_recorded_convolutions_match_the_loop(recorded):
     convolutions, _ = recorded
     assert len(convolutions) >= 300
-    assert any(kernel.nonzero_count() > 100 for _, kernel in convolutions)
+    assert any(np.count_nonzero(kernel) > 100 for _, kernel in convolutions)
     for dense, kernel in convolutions:
-        got = dense.convolve_with(kernel)
-        assert got.offset == dense.offset + kernel.offset
-        assert np.array_equal(got.probs, loop_convolve(dense.probs, kernel.probs))
+        assert dense.shape[0] == 1
+        assert np.array_equal(shift_and_add(dense, kernel)[0], loop_convolve(dense[0], kernel))
 
 
 def test_recorded_aggregations_match_add_at(recorded):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.completion import DroppingPolicy
@@ -13,7 +14,7 @@ from repro.heuristics.baselines import (
     MinCompletionSoonestDeadline,
 )
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, MappingDecision, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext, batch_in_arrival_order
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -119,13 +120,9 @@ class TestPhase2Selection:
 class TestMocCulling:
     def test_culls_below_threshold(self, tiny_pet):
         heuristic = MaxOntimeCompletions(culling_threshold=0.30)
-        pairs = [
-            make_pair(make_task(1), robustness=0.10),
-            make_pair(make_task(2), robustness=0.50),
-        ]
-        kept, culled = heuristic.filter_candidates(pairs, None, MappingDecision())
-        assert [p.task.task_id for p in kept] == [2]
-        assert culled == {1}
+        culled = heuristic.filter_candidates(np.array([0.10, 0.50, 0.30]), np.array([0, 1, 2]))
+        assert culled.tolist() == [True, False, False]
+        assert not heuristic.records_deferrals  # a culled task is not a pruner deferral
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

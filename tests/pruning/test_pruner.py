@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.completion import DroppingPolicy
@@ -83,6 +84,29 @@ class TestDeferring:
         # Type 1 suffered: threshold drops to 0.6, so 0.7 is now acceptable.
         assert pruner.should_defer(0.7, task_type=0)
         assert not pruner.should_defer(0.7, task_type=1)
+
+
+    @pytest.mark.parametrize("fair", [False, True])
+    def test_the_mask_is_the_scalar_test_elementwise(self, fair):
+        """``defer_mask`` (what the mapper calls) == ``should_defer`` per task."""
+        rng = np.random.default_rng(4)
+        fairness = SufferageTracker(6, fairness_factor=0.07) if fair else None
+        pruner = Pruner(PruningThresholds(dropping=0.3, deferring=0.8), fairness=fairness)
+        for _ in range(30):
+            if fair:
+                for task_type in rng.integers(0, 6, size=5).tolist():
+                    (fairness.record_failure if rng.random() < 0.7 else fairness.record_success)(
+                        task_type
+                    )
+            types = rng.integers(0, 6, size=40)
+            # Values around every reachable threshold, and thresholds themselves.
+            robustness = np.round(rng.random(40), 2)
+            robustness[:6] = [pruner.deferring_threshold(t) for t in range(6)]
+            mask = pruner.defer_mask(robustness, types)
+            assert mask.dtype == bool
+            assert mask.tolist() == [
+                pruner.should_defer(float(r), int(t)) for r, t in zip(robustness, types)
+            ]
 
 
 class TestQueueDropping:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.heuristics.baselines import MinCompletionMinCompletion
 from repro.heuristics.pam import PruningAwareMapper
 from repro.simulator.engine import HCSimulator, SimulatorConfig, simulate
+from repro.simulator.mapping import MappingDecision
 from repro.simulator.task import DropReason, TaskStatus
+from repro.workload.spec import TaskSpec
 
 
 class TestBasicRuns:
@@ -69,6 +72,52 @@ class TestDeterminism:
             t.exec_start for t in a.tasks
         ] != [t.exec_start for t in b.tasks]
         assert differs
+
+
+class TestBatchOrder:
+    """Every mapping event sees the batch queue in (arrival, task id) order."""
+
+    @pytest.mark.parametrize("batch_window", [0, 40])
+    def test_streamed_arrivals_in_any_id_order(self, small_gamma_pet, batch_window):
+        seen: list[tuple] = []
+
+        class Deferring:
+            """Assigns nothing, so tasks pile up and leave only by deadline."""
+
+            name = "defer-all"
+
+            def reset(self) -> None:
+                pass
+
+            def map_tasks(self, context):
+                seen.append(tuple((t.arrival, t.task_id) for t in context.batch))
+                return MappingDecision()
+
+        rng = np.random.default_rng(8)
+        arrivals = np.sort(rng.integers(0, 60, size=80)).tolist()
+        # Ids unrelated to arrival order, several tasks per instant.
+        ids = rng.permutation(80).tolist()
+        sim = HCSimulator(
+            small_gamma_pet, Deferring(), config=SimulatorConfig(batch_window=batch_window)
+        )
+        sim.begin_stream()
+        for arrival, task_id in zip(arrivals, ids):
+            sim.inject_task(
+                TaskSpec(
+                    arrival=arrival,
+                    task_id=task_id,
+                    task_type=task_id % 4,
+                    deadline=arrival + int(rng.integers(5, 90)),
+                )
+            )
+            if rng.random() < 0.3:
+                sim.advance_until(arrival)
+        sim.finish_stream()
+        assert any(len(batch) > 10 for batch in seen)
+        assert any(
+            later[1] < earlier[1] for batch in seen for earlier, later in zip(batch, batch[1:])
+        )  # ids really do run backwards within an instant
+        assert all(batch == tuple(sorted(batch)) for batch in seen)
 
 
 class TestSystemModel:

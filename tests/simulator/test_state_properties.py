@@ -7,7 +7,8 @@ reads a random *subset* of machines (often none, for many steps in a row),
 with chain steps handed over through ``offer_step`` — honest ones, which may
 be adopted, and stale ones (wrong predecessor object, wrong task object, a
 task removed again before anyone looked), which must be ignored.  Stale
-offers carry a poisoned result, so adopting one cannot go unnoticed.
+offers carry a poisoned result and poisoned by-products (what
+``prune_prefix_meta`` reads), so adopting one cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.completion import DroppingPolicy, chain_step
+from repro.core.completion import ChainStep, DroppingPolicy, completion_step
 from repro.core.pmf import DiscretePMF
 from repro.simulator.machine import Machine
 from repro.simulator.state import SystemState
@@ -65,8 +66,8 @@ class World:
             )
         )
 
-    def step_for(self, j: int, task: Task, prev: DiscretePMF) -> DiscretePMF:
-        return chain_step(
+    def step_for(self, j: int, task: Task, prev: DiscretePMF) -> ChainStep:
+        return completion_step(
             self.pet.get(task.task_type, j),
             prev,
             task.deadline,
@@ -80,7 +81,13 @@ class World:
         kind = self.rng.choice(["none", "honest", "copied-prev", "other-task", "removed"])
         if not self.offers:
             kind = "none"
-        poison = DiscretePMF.point(self.now + 10_000)
+        # Poisoned availability *and* by-products: an adopted stale offer
+        # shows in the chain, and in ``prune_prefix_meta`` (probability 2).
+        poison = ChainStep(
+            DiscretePMF.point(self.now + 10_000),
+            2.0,
+            DiscretePMF.from_impulses({self.now + 9_000: 0.9, self.now + 10_000: 0.1}),
+        )
         if kind in ("honest", "removed"):
             prev = state.availability(j, self.now)
             after_task = self.step_for(j, task, prev)
@@ -98,7 +105,7 @@ class World:
             # A second step chained on the first, then the first task goes
             # away unread: the follower now sits behind a different PMF.
             follower = self.new_task()
-            state.offer_step(j, follower, after_task, poison)
+            state.offer_step(j, follower, after_task.availability, poison)
             machine.enqueue(follower, self.now)
             state.notify_enqueue(j, follower)
             machine.remove_pending(task)

@@ -1,15 +1,19 @@
-"""Work counts on the reference trace: same decisions, less chain work.
+"""Work counts on the reference trace: same decisions, less work to reach them.
 
 ``test_decision_digests.py`` pins that demand-driven availability takes the
 same decisions; this module pins that it does *less* to reach them, using
-the ``state.*`` counters ``SystemState`` publishes:
+the ``state.*`` / ``score_table.*`` counters the program publishes:
 
 * no chain step — one (PET entry, predecessor PMF object, deadline) triple
-  — is ever executed twice, by the live state and the mapper's virtual
-  queue taken together.  (By object, not by value: a chain rebuilt from a
-  new base may legitimately repeat values — an evicted head leaves the
-  machine at exactly the time its chain predicted, a task dropped at its
-  deadline had passed its predecessor's PMF through unchanged.);
+  — is ever executed twice, by the live state, the mapper's virtual queue
+  and the pruner's post-drop walk taken together.  (By object, not by
+  value: a chain rebuilt from a new base may legitimately repeat values —
+  an evicted head leaves the machine at exactly the time its chain
+  predicted, a task dropped at its deadline had passed its predecessor's
+  PMF through unchanged.)  In particular the pruner's dropping test reads
+  the success probability and the completion PMF the chain step left
+  behind: it convolves only behind a task it actually drops, and what it
+  computes there the state adopts;
 * a machine without a free slot is never advanced by a mapping event that
   does not prune it;
 * a mapper without a pruner resolves exactly the machines it scores.
@@ -17,9 +21,10 @@ the ``state.*`` counters ``SystemState`` publishes:
 The same for phase-1 scoring on the oversubscribed regime (the bench's
 ``trial-oversub`` inputs): a (task, machine, availability object) triple
 the previous mapping event's ``ScoreTable`` holds never reaches the scoring
-kernel again — except in a fill too small to be worth a second kernel call,
-which is scored whole — and the pairs handed to the kernel stay under a
-fifth of the from-scratch count.
+kernel again, every fill and every rescore is at most *one* kernel call,
+the pairs handed to the kernel stay under a fifth of the from-scratch
+count, and a ``CandidatePair`` object exists only for a task that was still
+a candidate when phase 2 chose.
 """
 
 from __future__ import annotations
@@ -28,15 +33,21 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.kernels import NumpyBackend
 from repro.heuristics import base as heuristics_base
-from repro.heuristics.base import ScoreTable
+from repro.heuristics.base import CandidatePair, ScoreTable
 from repro.heuristics.registry import make_heuristic
 from repro.obs import Telemetry, use_telemetry
 from repro.pet.builders import build_transcoding_pet
+from repro.pruning import pruner as pruner_module
 from repro.simulator import mapping as mapping_module
 from repro.simulator import state as state_module
 from repro.simulator.engine import HCSimulator
+from repro.simulator.machine import Machine
+from repro.simulator.mapping import MappingContext
 from repro.simulator.state import SystemState
+from repro.simulator.task import Task
+from repro.workload.spec import TaskSpec
 from repro.workload.traces import load_trace
 
 REFERENCE_TRACE = (
@@ -77,20 +88,42 @@ class Watched:
         return self.inner.map_tasks(context)
 
 
+STEP_SITES = {"state": state_module, "virtual": mapping_module, "pruner": pruner_module}
+
+
+def record_steps(steps: list[tuple]):
+    """Patch ``completion_step`` at every site that runs chain steps; returns the undo."""
+    completion_step = state_module.completion_step
+
+    def make_recorder(where: str):
+        def recording_step(pet, prev, deadline, policy, max_impulses=None):
+            # Operands are kept, so their ``id`` cannot be recycled.
+            steps.append((where, pet, prev, int(deadline)))
+            return completion_step(pet, prev, deadline, policy, max_impulses)
+
+        return recording_step
+
+    for where, module in STEP_SITES.items():
+        assert module.completion_step is completion_step
+        module.completion_step = make_recorder(where)
+
+    def undo() -> None:
+        for module in STEP_SITES.values():
+            module.completion_step = completion_step
+
+    return undo
+
+
+def assert_no_step_ran_twice(steps: list[tuple]) -> None:
+    by_identity = {(id(pet), id(prev), deadline) for _, pet, prev, deadline in steps}
+    assert len(by_identity) == len(steps)
+
+
 @pytest.fixture(scope="module", params=["MM", "PAMF"])
 def watched_run(request):
     steps: list[tuple] = []
     full_machine_advances: list[int] = []
-    chain_step = state_module.chain_step
     advance = SystemState._advance
-
-    def make_recorder(where: str):
-        def recording_chain_step(pet, prev, deadline, policy, max_impulses=None):
-            # Operands are kept, so their ``id`` cannot be recycled.
-            steps.append((where, pet, prev, int(deadline)))
-            return chain_step(pet, prev, deadline, policy, max_impulses)
-
-        return recording_chain_step
 
     def recording_advance(self, rec, machine, now):
         if not machine.has_free_slot and not heuristic.pruning:
@@ -100,23 +133,20 @@ def watched_run(request):
     pet = build_transcoding_pet(rng=2019)
     heuristic = Watched(make_heuristic(request.param, num_task_types=pet.num_task_types))
     telemetry = Telemetry()
-    state_module.chain_step = make_recorder("state")
-    mapping_module.chain_step = make_recorder("virtual")
+    undo = record_steps(steps)
     SystemState._advance = recording_advance
     try:
         with use_telemetry(telemetry):
             result = HCSimulator(pet, heuristic, rng=2021).run(load_trace(REFERENCE_TRACE))
     finally:
-        state_module.chain_step = chain_step
-        mapping_module.chain_step = chain_step
+        undo()
         SystemState._advance = advance
     return request.param, heuristic, telemetry.counters, steps, full_machine_advances, result
 
 
 def test_no_chain_step_is_executed_twice(watched_run):
     _, _, counters, steps, _, _ = watched_run
-    by_identity = {(id(pet), id(prev), deadline) for _, pet, prev, deadline in steps}
-    assert len(by_identity) == len(steps)
+    assert_no_step_ran_twice(steps)
     in_state = sum(1 for where, *_ in steps if where == "state")
     assert counters["state.chain_steps"] == in_state
 
@@ -124,12 +154,13 @@ def test_no_chain_step_is_executed_twice(watched_run):
 def test_virtual_steps_are_adopted_not_recomputed(watched_run):
     _, _, counters, steps, _, result = watched_run
     virtual = sum(1 for where, *_ in steps if where == "virtual")
+    pruner = sum(1 for where, *_ in steps if where == "pruner")
     adopted = counters["state.chain_steps_adopted"]
     assert virtual == result.counters.assignments
     # The rest were never needed again: the task started at once on an idle
     # machine (its chain is then based on the executing anchor), or filled
     # the queue and was not read before the head left.
-    assert 0 < adopted <= virtual
+    assert 0 < adopted <= virtual + pruner
 
 
 def test_full_machines_are_not_advanced_unless_pruned(watched_run):
@@ -152,26 +183,43 @@ def test_only_scored_machines_are_resolved(watched_run):
 # ----------------------------------------------------------------------
 # Phase-1 scoring across mapping events (oversubscribed regime)
 # ----------------------------------------------------------------------
+class CountingBackend(NumpyBackend):
+    """The reference backend, counting calls of the scoring op."""
+
+    def __init__(self) -> None:
+        self.scoring_calls = 0
+
+    def success_probability(self, *args, **kwargs):
+        self.scoring_calls += 1
+        return super().success_probability(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
-def oversub_fills(oversub_inputs):
+def oversub_run(oversub_inputs):
     """PAMF on the bench's ``trial-oversub`` inputs (seed 2019), every fill watched.
 
     Per initial fill: how many triples the previous table held were handed
     to the kernel again, and how many pairs the fill carried over.  (Both
     tables are alive while they are compared, so ``id`` is a sound key.)
+    Also every chain step (as in ``watched_run``), every scoring-op call and
+    every ``CandidatePair`` built.
     """
     fills: list[tuple[int, int]] = []
     scored: list[tuple] = []
+    steps: list[tuple] = []
+    built: list[int] = []
     init, score = ScoreTable.__init__, ScoreTable._score
 
-    def recording_score(self, rows, columns, availabilities):
-        tasks = self.tasks if rows is None else [self.tasks[row] for row in rows.tolist()]
+    def recording_score(self, columns, availabilities, pairs=None):
+        if pairs is None:
+            listed = [(row, slot) for row in range(self.n) for slot in range(columns.size)]
+        else:
+            listed = zip(pairs[0].tolist(), pairs[1].tolist())
         scored.extend(
-            (task.task_id, j, id(a))
-            for task in tasks
-            for j, a in zip(columns.tolist(), availabilities)
+            (self.tasks[row].task_id, int(columns[slot]), id(availabilities[slot]))
+            for row, slot in listed
         )
-        return score(self, rows, columns, availabilities)
+        return score(self, columns, availabilities, pairs)
 
     def recording_init(self, context, virtual, tasks, previous=None):
         held = set()
@@ -186,32 +234,97 @@ def oversub_fills(oversub_inputs):
         init(self, context, virtual, tasks, previous=previous)
         fills.append((len(held.intersection(scored)), self.pairs_reused))
 
+    class CountedPair(CandidatePair):
+        def __init__(self, *args, **kwargs) -> None:
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
     pet, trace = oversub_inputs
     heuristic = make_heuristic("PAMF", num_task_types=pet.num_task_types)
     telemetry = Telemetry()
+    backend = CountingBackend()
+    undo = record_steps(steps)
     ScoreTable.__init__, ScoreTable._score = recording_init, recording_score
+    heuristics_base.CandidatePair = CountedPair
     try:
         with use_telemetry(telemetry):
-            HCSimulator(pet, heuristic, rng=2019).run(trace)
+            simulator = HCSimulator(pet, heuristic, rng=2019)
+            simulator._kernel_backend = backend
+            result = simulator.run(trace)
     finally:
+        undo()
         ScoreTable.__init__, ScoreTable._score = init, score
-    return fills, telemetry.counters
+        heuristics_base.CandidatePair = CandidatePair
+    return fills, telemetry.counters, steps, len(built), backend.scoring_calls, result
 
 
-def test_no_held_score_reaches_the_kernel_again(oversub_fills):
-    fills, _ = oversub_fills
-    rescored_whole = [again for again, reused in fills if again]
-    # Only a fill too small to carry repeats anything: it reuses nothing and
-    # what it repeats is less than the size rule's bound.
-    assert all(reused == 0 for again, reused in fills if again)
-    assert all(again < heuristics_base._MIN_CARRIED_PAIRS for again in rescored_whole)
-    assert sum(reused for _, reused in fills) > 5 * sum(rescored_whole)
+def test_no_held_score_reaches_the_kernel_again(oversub_run):
+    fills, *_ = oversub_run
+    assert all(again == 0 for again, _ in fills)
+    assert sum(reused for _, reused in fills) > 100_000
 
 
-def test_oversubscribed_trial_scores_a_fraction_of_the_grid(oversub_fills):
-    fills, counters = oversub_fills
+def test_oversubscribed_trial_scores_a_fraction_of_the_grid(oversub_run):
+    fills, counters, *_ = oversub_run
     assert counters["score_table.fills"] == len(fills) == 808
-    # 209,962 when every fill started from scratch; exact for a seed.
-    assert counters["score_table.pairs_scored"] <= 45_000
+    # 209,962 when every fill started from scratch, 30,998 while fills under
+    # 32 carried pairs were still scored whole; exact for a seed.
+    assert counters["score_table.pairs_scored"] <= 30_998
     assert counters["score_table.pairs_reused"] == sum(reused for _, reused in fills)
     assert counters["score_table.pairs_reused"] > 3 * counters["score_table.pairs_scored"]
+
+
+def test_a_fill_or_rescore_is_at_most_one_kernel_call(oversub_run):
+    _, counters, _, _, scoring_calls, _ = oversub_run
+    # 1,176 calls while a carried fill with new rows *and* changed columns
+    # took two rectangles; a fill that carries everything takes none.
+    assert 0 < scoring_calls <= counters["score_table.fills"] + counters["score_table.rescores"]
+    assert scoring_calls <= 844
+
+
+def test_the_pruner_convolves_only_behind_a_drop(oversub_run):
+    _, counters, steps, _, _, result = oversub_run
+    assert_no_step_ran_twice(steps)
+    by_site = {where: sum(1 for site, *_ in steps if site == where) for where in STEP_SITES}
+    assert by_site["state"] == counters["state.chain_steps"]
+    assert by_site["virtual"] == result.counters.assignments
+    # 955 second convolutions of steps the chain already held, before.
+    assert 0 < by_site["pruner"] <= 6 * result.counters.proactive_drops
+
+
+def test_candidate_pairs_are_built_for_phase_two_only(oversub_run):
+    _, _, _, pairs_built, _, result = oversub_run
+    # One object per deferral (26,928) and more, before.
+    assert result.counters.deferrals == 26_928
+    assert result.counters.assignments <= pairs_built < 1_000
+
+
+def test_an_adopted_step_keeps_its_by_products(small_gamma_pet):
+    """``extend_availability`` -> ``offer_step`` -> ``_advance`` -> ``prune_prefix_meta``."""
+    machine = Machine(0, small_gamma_pet.machine_names[0], queue_capacity=4)
+    state = SystemState([machine], small_gamma_pet, max_impulses=8)
+    context = MappingContext(
+        now=5, batch=(), machines=(machine,), pet=small_gamma_pet, max_impulses=8, state=state
+    )
+    steps: list[tuple] = []
+    undo = record_steps(steps)
+    try:
+        first, second = (
+            Task(TaskSpec(arrival=5, task_id=task_id, task_type=task_id, deadline=deadline))
+            for task_id, deadline in ((1, 60), (2, 90))
+        )
+        machine.enqueue(first, 5)
+        state.notify_enqueue(0, first)
+        after = context.extend_availability(0, second, state.availability(0, 5))
+        machine.enqueue(second, 5)
+        state.notify_enqueue(0, second)
+        meta = state.prune_prefix_meta(0, 5)
+    finally:
+        undo()
+    # The state's own step for the first task, the mapper's for the second,
+    # and no third: the second was adopted with what came with it.
+    assert [where for where, *_ in steps] == ["state", "virtual"]
+    offered = state._records[0].steps[1]
+    assert state.chain(0, 5)[1] is offered.availability is after
+    assert meta[1] == (offered.success_probability, offered.completion.bounded_skewness())
+
