@@ -7,8 +7,12 @@ map (``offline_decision_map``) and the run's ``SimulationCounters``.  The
 ``scale-oversub/`` rows pin the oversubscribed regime the same way: a
 600-task load-3.0 scale trace on the SPEC PET under the three
 robustness-based heuristics (where every event re-evaluates the deferred
-batch).  A performance change that claims "same decisions, less work" is
-checked against this committed artefact in tier-1
+batch).  The ``scale-event/`` and ``scale-batched/`` rows pin PAMF on the
+inputs of the perf ledger's other two trial workloads (``bench/trial.py``:
+1,000 tasks at load 1.15 mapped per event, 2,400 tasks in 120-unit rounds;
+PET, trace and engine seeds as the bench uses them).  A performance change
+that claims "same decisions, less work" is checked against this committed
+artefact in tier-1
 (``tests/simulator/test_decision_digests.py``), not only against sibling
 code paths inside the tree.
 
@@ -28,6 +32,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -44,10 +49,8 @@ DIGEST_PATH = REPO_ROOT / "tests" / "simulator" / "decision_digests.json"
 BATCH_WINDOWS = (0, 120)
 PET_SEED = 2019
 ENGINE_SEED = 2021
-SCALE_OVERSUB = "scale-oversub"
-SCALE_OVERSUB_CONFIG = ScaleTraceConfig(num_tasks=600, load_factor=3.0)
-SCALE_OVERSUB_SEED = 2019
-SCALE_OVERSUB_HEURISTICS = ("PAMF", "PAM", "MOC")
+#: Trace (and, for the bench workloads, engine) seed of the scale rows.
+SCALE_SEED = 2019
 
 
 def digest_key(heuristic: str, batch_window: int, workload: str = "") -> str:
@@ -61,19 +64,26 @@ def reference_inputs():
     return build_transcoding_pet(rng=PET_SEED), load_trace(REFERENCE_TRACE)
 
 
-def scale_oversub_inputs():
-    """PET and trace of the ``scale-oversub/`` rows."""
-    pet = build_spec_pet(rng=PET_SEED)
-    return pet, generate_scale_trace(SCALE_OVERSUB_CONFIG, rng=SCALE_OVERSUB_SEED, pet=pet)
+def scale_inputs(num_tasks: int, load_factor: float):
+    """The SPEC PET and a scale trace on it (``bench/trial.py``'s builder)."""
+
+    def build():
+        pet = build_spec_pet(rng=PET_SEED)
+        config = ScaleTraceConfig(num_tasks=num_tasks, load_factor=load_factor)
+        return pet, generate_scale_trace(config, rng=SCALE_SEED, pet=pet)
+
+    return build
 
 
-def decision_digest(pet, trace, heuristic: str, batch_window: int) -> str:
+def decision_digest(
+    pet, trace, heuristic: str, batch_window: int, engine_seed: int = ENGINE_SEED
+) -> str:
     """BLAKE2 of one seeded run's per-task outcomes and counters."""
     sim = HCSimulator(
         pet,
         make_heuristic(heuristic, num_task_types=pet.num_task_types),
         config=SimulatorConfig(batch_window=batch_window),
-        rng=ENGINE_SEED,
+        rng=engine_seed,
     )
     result = sim.run(trace)
     payload = repr(
@@ -85,22 +95,39 @@ def decision_digest(pet, trace, heuristic: str, batch_window: int) -> str:
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
 
 
-#: Key prefix -> (inputs builder, heuristics pinned on those inputs).
+class Workload(NamedTuple):
+    """One key prefix: its inputs and the runs pinned on them."""
+
+    inputs: Callable
+    heuristics: tuple[str, ...]
+    windows: tuple[int, ...] = BATCH_WINDOWS
+    engine_seed: int = ENGINE_SEED
+
+
 WORKLOADS = {
-    "": (reference_inputs, HEURISTIC_NAMES),
-    SCALE_OVERSUB: (scale_oversub_inputs, SCALE_OVERSUB_HEURISTICS),
+    "": Workload(reference_inputs, HEURISTIC_NAMES),
+    "scale-oversub": Workload(scale_inputs(600, 3.0), ("PAMF", "PAM", "MOC")),
+    "scale-event": Workload(scale_inputs(1000, 1.15), ("PAMF",), (0,), SCALE_SEED),
+    "scale-batched": Workload(scale_inputs(2400, 1.15), ("PAMF",), (120,), SCALE_SEED),
 }
+
+
+def workload_keys(workload: str) -> list[tuple[str, str, int]]:
+    """``(key, heuristic, window)`` of every run pinned on one workload."""
+    spec = WORKLOADS[workload]
+    return [
+        (digest_key(heuristic, window, workload), heuristic, window)
+        for heuristic in spec.heuristics
+        for window in spec.windows
+    ]
 
 
 def compute_digests() -> dict[str, str]:
     digests = {}
-    for workload, (build_inputs, heuristics) in WORKLOADS.items():
-        pet, trace = build_inputs()
-        for heuristic in heuristics:
-            for window in BATCH_WINDOWS:
-                digests[digest_key(heuristic, window, workload)] = decision_digest(
-                    pet, trace, heuristic, window
-                )
+    for workload, spec in WORKLOADS.items():
+        pet, trace = spec.inputs()
+        for key, heuristic, window in workload_keys(workload):
+            digests[key] = decision_digest(pet, trace, heuristic, window, spec.engine_seed)
     return digests
 
 

@@ -70,7 +70,7 @@ Examples
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -301,11 +301,25 @@ class CDFTable:
     lengths:
         ``(n_task_types, n_machines)`` int64; valid prefix length of each
         CDF row.
+
+    The scoring kernel reads the same data flat: :attr:`flat` is ``cdfs``
+    raveled and row ``t * n_machines + m`` of :attr:`entries` is entry
+    ``(t, m)``'s ``(offset, base, last)`` — its first bin's time, the index
+    of its first CDF value in ``flat`` and its last valid index.
     """
 
     cdfs: np.ndarray
     offsets: np.ndarray
     lengths: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n_types, n_machines, width = self.cdfs.shape
+        bases = np.arange(n_types * n_machines, dtype=np.int64) * width
+        entries = np.stack([self.offsets.ravel(), bases, self.lengths.ravel() - 1], axis=1)
+        object.__setattr__(self, "flat", self.cdfs.ravel())
+        object.__setattr__(self, "entries", entries.astype(np.int64))
 
     @classmethod
     def from_grid(cls, grid: Sequence[Sequence[DiscretePMF]]) -> "CDFTable":
@@ -617,11 +631,12 @@ def packed_success_probability(
     )
     if pairs is not None:  # (n_pairs, K); the grid broadcasts (n_slots, K) as it is
         start_times, start_probs = start_times[slots], start_probs[slots]
+    entry = execution.entries[types * execution.n_machines + machines]
     # Integer "time budget left for execution" of every (pair, impulse).
-    budgets = (deadline - execution.offsets[types, machines])[..., None] - start_times
-    clipped = np.minimum(budgets, (execution.lengths[types, machines] - 1)[..., None])
+    budgets = (deadline - entry[..., 0])[..., None] - start_times
+    clipped = np.minimum(budgets, entry[..., 2:3])
     usable = (start_times < deadline[..., None]) & (clipped >= 0)
-    gathered = execution.cdfs[types[..., None], machines[..., None], np.maximum(clipped, 0)]
+    gathered = execution.flat.take(entry[..., 1:2] + np.maximum(clipped, 0))
     contributions = np.where(usable, gathered, 0.0) * start_probs
     return np.minimum(1.0, sequential_sum(contributions, axis=-1))
 

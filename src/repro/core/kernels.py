@@ -395,18 +395,15 @@ class ArrayApiBackend:
         # Small per-pair gathers stay on the host (NumPy): the standard has
         # no multi-axis advanced indexing, and these are one value per
         # result, not the hot (…, K) reduction below.
-        base = self._to_xp(deadline - execution.offsets[types, machines])[..., None]
-        last = self._to_xp(execution.lengths[types, machines] - 1)[..., None]
-        flat_base = self._to_xp(
-            (types * execution.cdfs.shape[1] + machines) * execution.cdfs.shape[2]
-        )[..., None]
+        entry = execution.entries[types * execution.n_machines + machines]
+        base = self._to_xp(deadline - entry[..., 0])[..., None]
         times = self._to_xp(start_times[slots])
-        clipped = xp.minimum(base - times, last)
+        clipped = xp.minimum(base - times, self._to_xp(entry[..., 2:3]))
         usable = (times < self._to_xp(deadline)[..., None]) & (clipped >= zero)
-        gather = flat_base + xp.maximum(clipped, zero)
+        gather = self._to_xp(entry[..., 1:2]) + xp.maximum(clipped, zero)
         # take() is restricted to 1-D indices in the standard: gather from
-        # the flattened CDF table and restore the result shape.
-        flat_cdfs = xp.reshape(self._to_xp(execution.cdfs), (-1,))
+        # the flat CDF table and restore the result shape.
+        flat_cdfs = self._to_xp(execution.flat)
         gathered = xp.reshape(xp.take(flat_cdfs, xp.reshape(gather, (-1,))), gather.shape)
         contributions = xp.where(
             usable, gathered, xp.zeros((), dtype=xp.float64)

@@ -420,9 +420,14 @@ class DiscretePMF:
     def bounded_skewness(self) -> float:
         """The paper's bounded skewness ``s`` with -1 <= s <= 1 (Eq. 6).
 
-        Values beyond +/-1 are "highly skewed" and clipped.
+        Values beyond +/-1 are "highly skewed" and clipped.  Cached on first
+        use, like :meth:`mean`.
         """
-        return min(1.0, max(-1.0, self.skewness()))
+        cached = self.__dict__.get("_bounded_skewness_cache")
+        if cached is None:
+            cached = min(1.0, max(-1.0, self.skewness()))
+            self.__dict__["_bounded_skewness_cache"] = cached
+        return cached
 
     def expected_value(self) -> float:
         """Alias of :meth:`mean`, matching E(C_ij) in the MMU urgency metric."""

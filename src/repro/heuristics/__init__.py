@@ -4,7 +4,6 @@ from .base import (
     CandidatePair,
     MappingHeuristic,
     TwoPhaseBatchHeuristic,
-    VirtualMachine,
     VirtualSystemState,
 )
 from .baselines import (
@@ -22,7 +21,6 @@ __all__ = [
     "MappingHeuristic",
     "TwoPhaseBatchHeuristic",
     "CandidatePair",
-    "VirtualMachine",
     "VirtualSystemState",
     "MinCompletionMinCompletion",
     "MinCompletionSoonestDeadline",

@@ -22,34 +22,31 @@ availability PMF the first time it is read (a machine nobody scores costs
 no chain work) and only diverges as phase 2 commits provisional
 assignments; the chain step of each commit is handed back to the live
 state so applying the decision does not compute it again.  Phase-1 scores
-are held in a :class:`ScoreTable` (robustness and expected-completion
-matrices over task x machine, filled by the batched PMF engine of
-:mod:`repro.core.batch`, rescored one dirty column at a time and carried
-across mapping events — see the class).  The deferring stage reads the
-score arrays directly; a :class:`CandidatePair` object is built only for a
-task that is still a candidate when phase 2 chooses.
+are held in one :class:`ScoreTable` per run (robustness and
+expected-completion matrices over task slot x machine, filled by the
+batched PMF engine of :mod:`repro.core.batch`; each mapping event scores
+only the rows and columns that changed — see the class).  The deferring
+stage reads the score arrays directly; a :class:`CandidatePair` object is
+built only for a task that is still a candidate when phase 2 chooses.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import partial
 from time import perf_counter_ns
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from ..core.batch import pack_impulses
 from ..core.kernels import active_backend
 from ..core.pmf import DiscretePMF
 from ..obs.telemetry import active as obs_active
 from ..simulator.mapping import MappingContext, MappingDecision
-from ..simulator.task import Task
+from ..simulator.task import Task, TaskStatus
 
 __all__ = [
     "CandidatePair",
-    "VirtualMachine",
     "VirtualSystemState",
     "ScoreTable",
     "MappingHeuristic",
@@ -71,57 +68,19 @@ class CandidatePair:
     mean_execution: float
 
 
-class VirtualMachine:
-    """Virtual-queue state of one machine during a mapping event.
-
-    ``availability`` is either given or resolved by ``resolve`` on first
-    read; assigning it (a phase-2 commit) replaces whichever it was.
-    """
-
-    __slots__ = ("index", "free_slots", "_availability", "_resolve")
-
-    def __init__(
-        self,
-        index: int,
-        free_slots: int,
-        availability: DiscretePMF | None = None,
-        *,
-        resolve: Callable[[], DiscretePMF] | None = None,
-    ) -> None:
-        if availability is None and resolve is None:
-            raise ValueError("a virtual machine needs an availability or a resolver")
-        self.index = index
-        self.free_slots = free_slots
-        self._availability = availability
-        self._resolve = resolve
-
-    @property
-    def availability(self) -> DiscretePMF:
-        if self._availability is None:
-            self._availability = self._resolve()
-        return self._availability
-
-    @availability.setter
-    def availability(self, value: DiscretePMF) -> None:
-        self._availability = value
-
-    @property
-    def has_free_slot(self) -> bool:
-        return self.free_slots > 0
-
-
 class VirtualSystemState:
     """Copy-on-write fork of the live system state for one mapping event.
 
-    The virtual state *forks* the engine's incrementally-maintained
-    :class:`~repro.simulator.state.SystemState` on demand: a virtual
-    machine's availability resolves to a reference to the live PMF (PMFs
-    are immutable, so no copying happens) the first time something reads it
-    — :class:`ScoreTable` reads only machines with a free slot and
-    :meth:`assign` the chosen one — so a full machine, or an event that
-    returns before scoring anything, costs no chain work.  It only diverges
-    when phase 2 commits an assignment: :meth:`assign` replaces that
-    machine's reference with an extended chain, leaving the live state
+    Two plain lists, indexed by machine: the free slots and the availability
+    PMF each virtual queue ends in.  An availability is resolved the first
+    time something reads it — through ``context.machine_availability``, a
+    reference to the live (immutable) chain entry of
+    :class:`~repro.simulator.state.SystemState` (no copying happens) —
+    :class:`ScoreTable` reads only machines with a free slot and
+    :meth:`assign` the chosen one, so a full machine, or an event that
+    returns before scoring anything, costs no chain work.  The fork only
+    diverges when phase 2 commits an assignment: :meth:`assign` replaces
+    that machine's entry with an extended chain, leaving the live state
     untouched.  Machines carrying pruner drops resolve through
     :meth:`~repro.simulator.mapping.MappingContext.availability_excluding`,
     which reuses the live chain prefix ahead of the first drop.  This is the
@@ -136,135 +95,282 @@ class VirtualSystemState:
         availability_override: dict[int, DiscretePMF] | None = None,
     ) -> None:
         self._context = context
-        dropped = set(dropped_task_ids)
-        override = availability_override or {}
-        self.machines: list[VirtualMachine] = []
-        for machine in context.machines:
-            index = machine.index
-            lost = (
-                sum(1 for t in machine.queued_tasks() if t.task_id in dropped)
-                if dropped
-                else 0
-            )
-            free = machine.free_slots + lost
-            if index in override:
-                vm = VirtualMachine(index, free, override[index])
-            elif not lost:
-                vm = VirtualMachine(
-                    index, free, resolve=partial(context.machine_availability, index)
-                )
-            else:
-                vm = VirtualMachine(
-                    index,
-                    free,
-                    resolve=partial(context.availability_excluding, index, dropped),
-                )
-            self.machines.append(vm)
+        self._dropped = set(dropped_task_ids)
+        #: Free queue slots of each virtual machine.
+        self.free_slots = [machine.free_slots for machine in context.machines]
+        self._availability: list[DiscretePMF | None] = [None] * len(self.free_slots)
+        #: Machines that lost queued tasks to the pruner.
+        self._lost: set[int] = set()
+        if self._dropped:
+            for index, machine in enumerate(context.machines):
+                lost = sum(1 for t in machine.queued_tasks() if t.task_id in self._dropped)
+                if lost:
+                    self.free_slots[index] += lost
+                    self._lost.add(index)
+        for index, availability in (availability_override or {}).items():
+            self._availability[index] = availability
+        self.total_free_slots = sum(self.free_slots)
 
-    # ------------------------------------------------------------------
-    @property
-    def total_free_slots(self) -> int:
-        return sum(m.free_slots for m in self.machines)
+    def availability(self, machine_index: int) -> DiscretePMF:
+        """The availability PMF machine ``machine_index``'s virtual queue ends in."""
+        availability = self._availability[machine_index]
+        if availability is None:
+            if machine_index in self._lost:
+                availability = self._context.availability_excluding(machine_index, self._dropped)
+            else:
+                availability = self._context.machine_availability(machine_index)
+            self._availability[machine_index] = availability
+        return availability
 
     def assign(self, task: Task, machine_index: int) -> None:
         """Commit a provisional mapping to the virtual queue."""
-        vm = self.machines[machine_index]
-        if not vm.has_free_slot:
+        if self.free_slots[machine_index] <= 0:
             raise RuntimeError(f"virtual machine {machine_index} has no free slot")
-        vm.availability = self._context.extend_availability(
-            machine_index, task, vm.availability
+        self._availability[machine_index] = self._context.extend_availability(
+            machine_index, task, self.availability(machine_index)
         )
-        vm.free_slots -= 1
+        self.free_slots[machine_index] -= 1
+        self.total_free_slots -= 1
+
+
+#: Per-slot arrays of :class:`ScoreTable`, moved together by ``_reslot``.
+_ROW_ARRAYS = (
+    "task_ids",
+    "types",
+    "deadlines",
+    "mean_execution",
+    "robustness",
+    "completion",
+    "live",
+    "active",
+)
 
 
 class ScoreTable:
-    """Batched phase-1 scores for every (batch task, machine) pair.
+    """Phase-1 scores of every (batch task, machine) pair, kept for a whole run.
 
-    ``robustness[i, j]`` is the probability that task ``i`` meets its
-    deadline if mapped to machine ``j``'s current virtual queue (Eq. 1 on the
-    availability x execution convolution, computed without materialising the
-    convolution); ``completion[i, j]`` is the expected completion time.
+    ``robustness[i, j]`` is the probability that the task in slot ``i``
+    meets its deadline if mapped to machine ``j``'s current virtual queue
+    (Eq. 1 on the availability x execution convolution, computed without
+    materialising it); ``completion[i, j]`` is the expected completion time.
+    A score is a function of the task, the machine's PET column and the
+    (immutable) availability PMF only — never of ``now`` — so the table
+    outlives the mapping event and each :meth:`fill` pays only for what
+    changed since the previous one.
 
-    Both matrices are filled by one call into the batched PMF engine
-    (:mod:`repro.core.batch`): the virtual availabilities are packed to
-    their own impulses and :func:`packed_success_probability` scores the
-    whole grid against the PET matrix's cached
-    :class:`~repro.core.batch.CDFTable` — bit-identical to the scalar
-    :func:`~repro.heuristics.scoring.fast_success_probability` per pair.
-    Refreshes are *dirty-column driven*: after phase 2 commits an assignment
-    the affected machine is merely marked dirty (:meth:`mark_dirty`) and the
-    one-column rescore runs lazily at the next :meth:`best_rows` call —
-    several dirty columns flush through one batched kernel call, and a
-    column dirtied after the final commit of an event is never rescored at
-    all.  The values are bit-identical however the grid is cut into calls.
+    **Rows** live in arrival-ordered *slots*: a fill appends the batch's
+    arrivals, tombstones (``live[i] = False``) the slot of every task that
+    is no longer pending, and compacts the arrays once dead slots outnumber
+    live ones.  The live slots must be the batch's prefix, task object for
+    task object; when they are not (a task re-sorted into the batch, a
+    context built by hand) the rows start over.  ``active`` is this event's
+    subset of ``live``: phase 2 clears the slot of each committed or
+    deferred task.
 
-    The fill is *incremental across mapping events*: given the ``previous``
-    event's table it copies ``robustness[row, j]`` for every task that was a
-    row there into every open column whose availability **is** the object
-    that column was last scored against, and hands the kernel only the rest
-    (all rows of changed columns, new rows of unchanged ones) as one pair
-    list.  A score is a function of the task, the machine's PET column and
-    the (immutable) availability PMF only — never of ``now`` — so object
-    identity is a sufficient key, and the previous table's strong
-    references keep every keyed object alive.  ``completion`` is recomputed
-    every time (two cached means per pair).
+    **Columns** each keep the availability object they were scored against
+    together with its ``mean()`` and its impulses, packed into one row of
+    ``(m, K)`` operands.  A fill compares each open column's availability
+    with that object *by identity* — the live chain entry of a machine
+    nothing happened to, the ``chain[-1]`` the pruner hands through, the
+    phase-2 step the engine adopted — and hands the kernel, in one call
+    whose pair list comes from one boolean mask, only new rows x kept
+    columns plus live rows x changed columns.  (An equal-valued new object —
+    an idle machine's ``point(now)`` — is simply scored again; nothing is
+    compared by value.)  A full machine's column is closed: ``-1`` / ``inf``,
+    and its object forgotten.  After a phase-2 commit the machine is only
+    marked dirty (:meth:`mark_dirty`); dirty columns are rescored together
+    at the next :meth:`best_rows`, and one dirtied by the last commit of an
+    event is never rescored at all.  Values are bit-identical however the
+    pairs are cut into calls (:func:`~repro.core.batch.packed_success_probability`).
+
+    A different PET, kernel backend or machine count starts the table over.
     """
 
-    def __init__(
-        self,
-        context: MappingContext,
-        virtual: VirtualSystemState,
-        tasks: list[Task],
-        previous: "ScoreTable | None" = None,
-    ) -> None:
-        self._pet = context.pet
-        self._cdf_table = context.pet.cdf_table()
-        self._kernels = active_backend()
-        self._virtual = virtual
+    def __init__(self) -> None:
+        #: What the scores were computed with; anything else starts over.
+        self._cdf_table = None
+        self._kernels = None
+        self.m = 0
+        self._virtual: VirtualSystemState | None = None
         self._dirty: set[int] = set()
-        self.tasks = list(tasks)
-        self.n = len(self.tasks)
-        self.m = len(context.machines)
-        specs = [t.spec for t in self.tasks]
-        self._ids = [spec.task_id for spec in specs]
-        self.task_ids = np.array(self._ids, dtype=np.int64)
-        self.deadlines = np.array([spec.deadline for spec in specs], dtype=np.int64)
-        self.types = np.array([spec.task_type for spec in specs], dtype=np.int64)
-        self.active = np.ones(self.n, dtype=bool)
-        self._index_of = dict(zip(self._ids, range(self.n)))
-        self.mean_execution = self._pet.mean_execution_times()[self.types, :]
-        self.robustness = np.full((self.n, self.m), -1.0, dtype=np.float64)
-        self.completion = np.full((self.n, self.m), np.inf, dtype=np.float64)
-        self.machine_open = np.zeros(self.m, dtype=bool)
-        #: Per column, the availability object ``robustness[:, j]`` holds the
-        #: scores of (``None``: closed or never scored).
-        self._scored_against: list[DiscretePMF | None] = [None] * self.m
-        #: (task, machine) pairs handed to the kernel / copied from ``previous``.
+        #: (task, machine) pairs handed to the kernel / carried over since
+        #: the latest fill began.
         self.pairs_scored = 0
         self.pairs_reused = 0
+
+    def _restart(self, pet, cdf_table, kernels, m: int) -> None:
+        """Forget every row and column."""
+        self._cdf_table, self._kernels, self.m = cdf_table, kernels, m
+        self._pet_means = pet.mean_execution_times()[:, :m]
+        self.machine_open = np.zeros(m, dtype=bool)
+        #: Per column, the availability object its scores were computed
+        #: against (``None``: closed or never scored), its mean, and its
+        #: impulses as row ``j`` of the packed kernel operand.
+        self._scored_against: list[DiscretePMF | None] = [None] * m
+        self._means = np.zeros(m, dtype=np.float64)
+        self._widths = np.zeros(m, dtype=np.int64)
+        self._start_times = np.zeros((m, 1), dtype=np.int64)
+        self._start_probs = np.zeros((m, 1), dtype=np.float64)
+        #: Slots in use: rows ``[0, n)`` of ``tasks`` and the per-slot arrays.
+        self.n = 0
+        self.tasks: list[Task] = []
+        self.task_ids = np.zeros(0, dtype=np.int64)
+        self.types = np.zeros(0, dtype=np.int64)
+        self.deadlines = np.zeros(0, dtype=np.int64)
+        self.mean_execution = np.zeros((0, m), dtype=np.float64)
+        self.robustness = np.zeros((0, m), dtype=np.float64)
+        self.completion = np.zeros((0, m), dtype=np.float64)
+        self.live = np.zeros(0, dtype=bool)
+        self.active = np.zeros(0, dtype=bool)
+
+    def _reslot(self, keep: np.ndarray, capacity: int) -> None:
+        """Move the rows of slots ``keep`` (ascending) to the front of ``capacity`` slots."""
+        for name in _ROW_ARRAYS:
+            old = getattr(self, name)
+            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
+            new[: keep.size] = old[keep]
+            setattr(self, name, new)
+        self.tasks = [self.tasks[slot] for slot in keep.tolist()]
+        self.n = keep.size
+
+    # ------------------------------------------------------------------
+    def fill(self, context: MappingContext, virtual: VirtualSystemState) -> None:
+        """Bring the table up to date with a mapping event's batch and fork."""
         obs = obs_active()
         if obs.enabled:
             start_ns = perf_counter_ns()
-        self.refresh_machines(
-            (vm.index for vm in virtual.machines), virtual, previous=previous
-        )
+        pet = context.pet
+        cdf_table, kernels, m = pet.cdf_table(), active_backend(), len(context.machines)
+        if cdf_table is not self._cdf_table or kernels is not self._kernels or m != self.m:
+            self._restart(pet, cdf_table, kernels, m)
+        self._virtual = virtual
+        self._dirty.clear()
+        self.pairs_scored = self.pairs_reused = 0
+        new_from = self._align_rows(context.batch)
+        self.active[: self.n] = self.live[: self.n]
+        self._refresh(range(self.m), new_from)
         if obs.enabled:
             obs.add_span(
                 "score_table.fill",
                 start_ns,
                 perf_counter_ns() - start_ns,
-                tasks=self.n,
+                tasks=len(context.batch),
                 machines=self.m,
             )
             obs.count("score_table.fills")
             obs.count("score_table.pairs_scored", self.pairs_scored)
             obs.count("score_table.pairs_reused", self.pairs_reused)
 
+    def _align_rows(self, batch: tuple[Task, ...]) -> int:
+        """Tombstone departed rows and append the batch's arrivals; the first new slot."""
+        tasks, live = self.tasks, self.live
+        kept = 0
+        for slot in np.flatnonzero(live[: self.n]).tolist():
+            task = tasks[slot]
+            if task.status is not TaskStatus.PENDING:
+                live[slot] = False
+            elif kept < len(batch) and batch[kept] is task:
+                kept += 1
+            else:  # the survivors are not the batch's prefix: start the rows over
+                kept = self.n = 0
+                break
+        arrivals = batch[kept:]
+        if 2 * kept < self.n or self.n + len(arrivals) > live.size:
+            # Dead slots outnumber live ones, or the arrivals do not fit.
+            capacity = live.size if len(batch) <= live.size else 2 * len(batch)
+            self._reslot(np.flatnonzero(live[: self.n]), capacity)
+        start = self.n
+        if arrivals:
+            self.n = start + len(arrivals)
+            del self.tasks[start:]
+            self.tasks.extend(arrivals)
+            specs = [task.spec for task in arrivals]
+            new = slice(start, self.n)
+            self.task_ids[new] = [spec.task_id for spec in specs]
+            self.types[new] = [spec.task_type for spec in specs]
+            self.deadlines[new] = [spec.deadline for spec in specs]
+            self.mean_execution[new] = self._pet_means[self.types[new]]
+            self.robustness[new] = -1.0
+            self.completion[new] = np.inf
+            self.live[new] = True
+        return start
+
+    def _refresh(self, columns: Iterable[int], new_from: int) -> None:
+        """Bring ``columns`` up to date with the fork: close, keep or rescore each.
+
+        A kept column owes scores to the rows from ``new_from`` on, a
+        changed one to every live row; all of them go to one kernel call.
+        """
+        virtual, n = self._virtual, self.n
+        changed: list[int] = []
+        kept: list[int] = []
+        for j in columns:
+            if virtual.free_slots[j] > 0:
+                availability = virtual.availability(j)
+                if availability is self._scored_against[j]:
+                    kept.append(j)
+                else:
+                    self._set_column(j, availability)
+                    changed.append(j)
+            elif self.machine_open[j]:
+                self.machine_open[j] = False
+                self._scored_against[j] = None
+                self.robustness[:n, j] = -1.0
+                self.completion[:n, j] = np.inf
+        owed = np.zeros((n, self.m), dtype=bool)
+        if changed:
+            owed[:, changed] = self.live[:n, None]
+        if kept:
+            owed[new_from:, kept] = True
+            self.pairs_reused += int(np.count_nonzero(self.live[:new_from])) * len(kept)
+        rows, columns = np.nonzero(owed)
+        if rows.size:
+            self._score(rows, columns)
+
+    def _set_column(self, j: int, availability: DiscretePMF) -> None:
+        """Key column ``j`` on ``availability``: its mean and packed impulses."""
+        times, probs = availability.impulses()
+        width = times.size
+        if width > self._start_times.shape[1]:
+            self._start_times = np.pad(self._start_times, ((0, 0), (0, width)))
+            self._start_probs = np.pad(self._start_probs, ((0, 0), (0, width)))
+        self._start_times[j, :width] = times
+        self._start_probs[j, :width] = probs
+        # Padding carries probability 0.0: an exact +0.0 in the kernel's sum.
+        self._start_probs[j, width:] = 0.0
+        self._widths[j] = width
+        self._means[j] = availability.mean()
+        self._scored_against[j] = availability
+        self.machine_open[j] = True
+
+    def _score(self, rows: np.ndarray, columns: np.ndarray) -> None:
+        """One kernel call over the listed (slot, machine) pairs, and their completions."""
+        width = int(self._widths[columns].max())
+        n = self.n
+        self.robustness[rows, columns] = self._kernels.success_probability(
+            self._start_times[:, :width],
+            self._start_probs[:, :width],
+            self._cdf_table,
+            self.types[:n],
+            self.deadlines[:n],
+            None,
+            (rows, columns),
+        )
+        # Pair-list form of the op: one availability mean per listed pair.
+        completion = self._kernels.expected_completion(
+            self._means[columns], self.mean_execution[rows, columns]
+        )[0]
+        # A zero-mass availability has no expected start time; such machines
+        # can never complete anything (robustness is already exactly 0).
+        completion[np.isnan(completion)] = np.inf
+        self.completion[rows, columns] = completion
+        self.pairs_scored += rows.size
+
     # ------------------------------------------------------------------
     def mark_dirty(self, machine_index: int) -> None:
         """Mark one machine's column stale after a phase-2 commit.
 
-        The rescore is deferred until the next :meth:`best_pairs` call; a
+        The rescore is deferred until the next :meth:`best_rows` call; a
         column that is never read again (e.g. dirtied by the last commit of
         a mapping event) is never recomputed.
         """
@@ -280,7 +386,7 @@ class ScoreTable:
         if obs.enabled:
             start_ns = perf_counter_ns()
             scored_before = self.pairs_scored
-        self.refresh_machines(dirty, self._virtual)
+        self._refresh(dirty, self.n)
         if obs.enabled:
             obs.add_span(
                 "score_table.rescore",
@@ -292,153 +398,30 @@ class ScoreTable:
             obs.count("score_table.dirty_columns", len(dirty))
             obs.count("score_table.pairs_scored", self.pairs_scored - scored_before)
 
-    def refresh_machines(
-        self,
-        machine_indices: Iterable[int],
-        virtual: VirtualSystemState,
-        previous: "ScoreTable | None" = None,
-    ) -> None:
-        """Recompute the score columns of several machines.
-
-        One kernel call over the grid or, when ``previous`` (another event's
-        table) holds part of it, over the rest: see :meth:`_carry_from`.
-        """
-        open_indices: list[int] = []
-        for machine_index in machine_indices:
-            self._dirty.discard(machine_index)
-            if virtual.machines[machine_index].has_free_slot:
-                self.machine_open[machine_index] = True
-                open_indices.append(machine_index)
-            else:
-                self.machine_open[machine_index] = False
-                self.robustness[:, machine_index] = -1.0
-                self.completion[:, machine_index] = np.inf
-                self._scored_against[machine_index] = None
-        if not open_indices or self.n == 0:
-            return
-        availabilities = [virtual.machines[j].availability for j in open_indices]
-        columns = np.array(open_indices, dtype=np.int64)
-        expected_start = np.array([a.mean() for a in availabilities], dtype=np.float64)
-        completion = self._kernels.expected_completion(
-            expected_start, self.mean_execution[:, columns]
-        )
-        # A zero-mass availability has no expected start time; such machines
-        # can never complete anything (robustness is already exactly 0).
-        completion[:, np.isnan(expected_start)] = np.inf
-        self.completion[:, columns] = completion
-
-        pairs = None if previous is None else self._carry_from(previous, columns, availabilities)
-        if pairs is None or pairs[0].size:
-            self._score(columns, availabilities, pairs)
-        for machine_index, availability in zip(open_indices, availabilities):
-            self._scored_against[machine_index] = availability
-
-    def _score(
-        self,
-        columns: np.ndarray,
-        availabilities: list[DiscretePMF],
-        pairs: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        """One kernel call: all tasks x ``columns``, or ``pairs`` (rows, positions in columns)."""
-        scores = self._kernels.success_probability(
-            *pack_impulses(availabilities),
-            self._cdf_table,
-            self.types,
-            self.deadlines,
-            columns,
-            pairs,
-        )
-        if pairs is None:
-            self.robustness[:, columns] = scores
-        else:
-            self.robustness[pairs[0], columns[pairs[1]]] = scores
-        self.pairs_scored += scores.size
-
-    def _carry_from(
-        self,
-        previous: "ScoreTable",
-        columns: np.ndarray,
-        availabilities: list[DiscretePMF],
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Fill ``columns`` from ``previous`` where it can; the pairs still to score.
-
-        A pair is carried when its task was a row of ``previous`` and the
-        column's availability *is* the object ``previous`` last scored that
-        column against: the live chain entry of a machine nothing happened
-        to, the ``chain[-1]`` the pruner hands through for a machine it
-        drops nothing from, or the phase-2 step the engine adopted.  (An
-        equal-valued new object — an idle machine's ``point(now)`` — is
-        simply scored again; nothing is ever compared by value.)  The rest
-        — new rows of unchanged columns, all rows of changed ones — comes
-        back as one pair list; ``None`` when nothing could be carried.
-        """
-        if (
-            previous._cdf_table is not self._cdf_table
-            or previous._kernels is not self._kernels
-            or previous.m != self.m
-        ):
-            return None
-        scored_against = previous._scored_against
-        same = [scored_against[j] is a for j, a in zip(columns.tolist(), availabilities)]
-        if not any(same):
-            return None
-        rows: list[int] = []
-        previous_rows: list[int] = []
-        previous_index = previous._index_of
-        previous_tasks = previous.tasks
-        tasks = self.tasks
-        for row, task_id in enumerate(self._ids):
-            previous_row = previous_index.get(task_id)
-            if previous_row is not None and previous_tasks[previous_row] is tasks[row]:
-                rows.append(row)
-                previous_rows.append(previous_row)
-        if not rows:
-            return None
-        held = np.array(rows)[:, None]
-        same = np.array(same)
-        same_columns = columns[same]
-        self.robustness[held, same_columns] = previous.robustness[
-            np.array(previous_rows)[:, None], same_columns
-        ]
-        self.pairs_reused += len(rows) * same_columns.size
-        owed = np.ones((self.n, columns.size), dtype=bool)
-        owed[held, np.flatnonzero(same)] = False
-        return np.nonzero(owed)
-
-    def refresh_machine(self, machine_index: int, virtual: VirtualSystemState) -> None:
-        """Recompute one machine's scores against all tasks."""
-        self.refresh_machines((machine_index,), virtual)
-
-    def deactivate(self, task_ids) -> None:
-        for task_id in task_ids:
-            index = self._index_of.get(task_id)
-            if index is not None:
-                self.active[index] = False
-
     @property
     def any_active(self) -> bool:
-        return bool(self.active.any())
+        return bool(self.active[: self.n].any())
 
     # ------------------------------------------------------------------
     def best_rows(self, *, robustness_based: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 1 on arrays: the candidate task rows and each one's best machine.
+        """Phase 1 on arrays: the candidate slots and each one's best machine.
 
-        One argmax/argmin over the batched score matrices picks every active
-        task's machine at once; rows whose best machine is closed or can
-        never complete anything are left out.  Any columns dirtied by
-        phase-2 commits since the previous call are rescored first (one
-        batched kernel call for all of them).
+        One argmax/argmin over the active rows of the score matrices picks
+        every active task's machine at once; rows whose best machine is
+        closed or can never complete anything are left out.  Any columns
+        dirtied by phase-2 commits since the previous call are rescored
+        first (one batched kernel call for all of them).
         """
         self._flush_dirty()
-        if not self.any_active or not self.machine_open.any():
+        active_idx = np.flatnonzero(self.active[: self.n])
+        if not active_idx.size or not self.machine_open.any():
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        active_idx = np.nonzero(self.active)[0]
-        completion = self.completion[active_idx, :]
+        completion = self.completion[active_idx]
         if robustness_based:
-            primary, secondary = self.robustness[active_idx, :], completion
+            primary, secondary = self.robustness[active_idx], completion
             best_primary = primary.max(axis=1)
         else:
-            primary, secondary = completion, self.mean_execution[active_idx, :]
+            primary, secondary = completion, self.mean_execution[active_idx]
             best_primary = primary.min(axis=1)
         tie = primary == best_primary[:, None]
         best_machine = np.where(tie, secondary, np.inf).argmin(axis=1)
@@ -448,7 +431,7 @@ class ScoreTable:
         return active_idx[valid], best_machine[valid]
 
     def pairs(self, rows: np.ndarray, machines: np.ndarray) -> list[CandidatePair]:
-        """The (task row, machine) candidates as objects for phase 2."""
+        """The (slot, machine) candidates as objects for phase 2."""
         return [
             CandidatePair(
                 task=self.tasks[row],
@@ -459,10 +442,6 @@ class ScoreTable:
             )
             for row, machine_index in zip(rows.tolist(), machines.tolist())
         ]
-
-    def best_pairs(self, *, robustness_based: bool) -> list[CandidatePair]:
-        """Phase 1: the best machine for every active task, as objects."""
-        return self.pairs(*self.best_rows(robustness_based=robustness_based))
 
 
 class MappingHeuristic(abc.ABC):
@@ -490,13 +469,12 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
     #: expected completion time for phase-2 tie-breaking.
     robustness_based: bool = False
 
-    #: The latest mapping event's score table; the next fill carries over
-    #: every score whose task and availability object are unchanged.
-    _previous_table: ScoreTable | None = None
+    #: The run's phase-1 table; ``None`` until the first fill.
+    _table: ScoreTable | None = None
 
     def reset(self) -> None:
         super().reset()
-        self._previous_table = None
+        self._table = None
 
     # ------------------------------------------------------------------
     # Hooks
@@ -541,16 +519,19 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
         decision = MappingDecision()
         self.on_event_start(context)
         dropped_ids, availability_override = self.pre_mapping(context, decision)
+        if not context.batch:
+            return decision
         virtual = VirtualSystemState(
             context,
             dropped_task_ids=dropped_ids,
             availability_override=availability_override,
         )
-        tasks = list(context.batch)
-        if not tasks or virtual.total_free_slots == 0:
+        if virtual.total_free_slots == 0:
             return decision
-        table = ScoreTable(context, virtual, tasks, previous=self._previous_table)
-        self._previous_table = table
+        if self._table is None:
+            self._table = ScoreTable()
+        table = self._table
+        table.fill(context, virtual)
 
         while table.any_active and virtual.total_free_slots > 0:
             rows, machines = table.best_rows(robustness_based=self.robustness_based)
@@ -565,9 +546,11 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
                 rows, machines = rows[kept], machines[kept]
                 if not rows.size:
                     continue
-            chosen = self.phase2_select(table.pairs(rows, machines), context)
+            pairs = table.pairs(rows, machines)
+            chosen = self.phase2_select(pairs, context)
             decision.assign(chosen.task, chosen.machine_index)
             virtual.assign(chosen.task, chosen.machine_index)
-            table.deactivate([chosen.task.task_id])
+            position = next(i for i, pair in enumerate(pairs) if pair.task is chosen.task)
+            table.active[rows[position]] = False
             table.mark_dirty(chosen.machine_index)
         return decision

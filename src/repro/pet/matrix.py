@@ -134,7 +134,7 @@ class PETMatrix:
         CDFTable
             ``(num_task_types, num_machines, max_cdf_len)`` table built once
             and cached — :class:`~repro.heuristics.base.ScoreTable` hands it
-            to :func:`repro.core.batch.batched_success_probability` at every
+            to :func:`repro.core.batch.packed_success_probability` at every
             mapping event.
         """
         if self._cdf_cache is None:

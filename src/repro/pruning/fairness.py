@@ -63,9 +63,7 @@ class SufferageTracker:
     def _update(self, task_type: int, delta: float) -> None:
         if not 0 <= task_type < self.num_task_types:
             raise IndexError(f"task type {task_type} out of range")
-        self._sufferage[task_type] = float(
-            np.clip(self._sufferage[task_type] + delta, 0.0, 1.0)
-        )
+        self._sufferage[task_type] = min(1.0, max(0.0, self._sufferage[task_type] + delta))
 
     # ------------------------------------------------------------------
     def relaxed_threshold(self, base_threshold: float, task_type: int) -> float:

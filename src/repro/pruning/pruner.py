@@ -37,8 +37,12 @@ class QueuePruneReport:
 
     machine_index: int
     drops: list[QueueDrop] = field(default_factory=list)
-    #: (task_id, success_probability, threshold) for every examined task.
-    examined: list[tuple[int, float, float]] = field(default_factory=list)
+    #: (task_id, success_probability, threshold) for every examined task;
+    #: the threshold is ``None`` for a task kept because its probability
+    #: exceeds every threshold Eq. 7 could give it
+    #: (:meth:`PruningThresholds.dropping_threshold_ceiling`), whose
+    #: skewness was therefore never computed.
+    examined: list[tuple[int, float, float | None]] = field(default_factory=list)
     #: Availability PMF of the machine after removing the dropped tasks.
     availability: DiscretePMF | None = None
 
@@ -106,6 +110,34 @@ class Pruner:
     # ------------------------------------------------------------------
     # Dropping stage
     # ------------------------------------------------------------------
+    def _examine(
+        self,
+        report: QueuePruneReport,
+        task,
+        queue_position: int,
+        probability: float,
+        completion: DiscretePMF,
+    ) -> bool:
+        """The dropping test of one queued task, recorded in ``report``; True to drop.
+
+        Eq. 7's skewness is computed only for a task whose probability does
+        not clear the highest threshold any skewness could give it.
+        """
+        thresholds = self.thresholds
+        sufferage = self._sufferage_of(task.task_type)
+        threshold = None
+        if probability <= thresholds.dropping_threshold_ceiling(
+            queue_position, sufferage=sufferage
+        ):
+            threshold = thresholds.dropping_threshold_for(
+                completion, queue_position, sufferage=sufferage
+            )
+        report.examined.append((task.task_id, probability, threshold))
+        if threshold is None or not thresholds.should_drop(probability, threshold):
+            return False
+        report.drops.append(QueueDrop(task.task_id, report.machine_index))
+        return True
+
     def prune_machine_queue(
         self, machine: Machine, context: MappingContext
     ) -> QueuePruneReport:
@@ -149,28 +181,17 @@ class Pruner:
             report.availability = DiscretePMF.point(context.now)
             return report
         state = context.state
-        metas = state.prune_prefix_meta(machine.index, context.now)
-        chain = state.chain(machine.index, context.now)
-        if len(metas) != len(tasks) or len(chain) != len(tasks):
+        entries = state.prune_prefix_meta(machine.index, context.now)
+        if len(entries) != len(tasks):
             # The state's mirror disagrees with the queue (it never should);
             # fall back to the self-contained walk rather than misprune.
             return self._prune_machine_queue_rebuilding(machine, context)
 
-        first_drop: int | None = None
-        for position, task in enumerate(tasks):
-            prob, skew = metas[position]
-            threshold = self.thresholds.dropping_threshold_for_skewness(
-                skew,
-                queue_position=position,
-                sufferage=self._sufferage_of(task.task_type),
-            )
-            report.examined.append((task.task_id, prob, threshold))
-            if self.thresholds.should_drop(prob, threshold):
-                report.drops.append(QueueDrop(task.task_id, machine.index))
-                first_drop = position
+        for position, (task, (prob, completion, _)) in enumerate(zip(tasks, entries)):
+            if self._examine(report, task, position, prob, completion):
                 break
-        if first_drop is None:
-            report.availability = chain[-1]
+        else:
+            report.availability = entries[-1][2]
             return report
 
         # A task was dropped: everything behind it sees an improved chain,
@@ -178,16 +199,13 @@ class Pruner:
         # self-contained path.  The availability ahead of the suffix is the
         # untouched chain prefix (or an immediately free machine when the
         # head — executing or not — was dropped).
-        if first_drop == 0:
-            prev = DiscretePMF.point(context.now)
-        else:
-            prev = chain[first_drop - 1]
+        prev = DiscretePMF.point(context.now) if position == 0 else entries[position - 1][2]
         self._walk_suffix(
             report,
             machine,
             context,
             tasks,
-            start_position=first_drop + 1,
+            start_position=position + 1,
             prev=prev,
             offer=state.offer_step,
         )
@@ -222,14 +240,7 @@ class Pruner:
                 context.policy,
                 context.max_impulses,
             )
-            threshold = self.thresholds.dropping_threshold_for(
-                step.completion,
-                queue_position=position,
-                sufferage=self._sufferage_of(task.task_type),
-            )
-            report.examined.append((task.task_id, step.success_probability, threshold))
-            if self.thresholds.should_drop(step.success_probability, threshold):
-                report.drops.append(QueueDrop(task.task_id, machine.index))
+            if self._examine(report, task, position, step.success_probability, step.completion):
                 continue  # the chain skips the dropped task
             if offer is not None:
                 offer(machine.index, task, prev, step)
@@ -258,14 +269,7 @@ class Pruner:
             # walk at the queue head).  Its success probability is the chance
             # it finishes by its deadline given it is still running.
             prob = float(min(1.0, prev.cdf(executing.deadline)))
-            threshold = self.thresholds.dropping_threshold_for(
-                prev,
-                queue_position=0,
-                sufferage=self._sufferage_of(executing.task_type),
-            )
-            report.examined.append((executing.task_id, prob, threshold))
-            if self.thresholds.should_drop(prob, threshold):
-                report.drops.append(QueueDrop(executing.task_id, machine.index))
+            if self._examine(report, executing, 0, prob, prev):
                 prev = DiscretePMF.point(context.now)
             else:
                 prev = prev.collapse_tail_to(max(executing.deadline, context.now + 1))

@@ -119,16 +119,26 @@ class PruningThresholds:
         *,
         sufferage: float = 0.0,
     ) -> float:
-        """:meth:`dropping_threshold_for` from a precomputed bounded skewness.
-
-        The state-backed pruning walk caches the skewness alongside each
-        chain entry so it never has to look at the completion PMF again.
-        """
+        """:meth:`dropping_threshold_for` from a bounded skewness in hand."""
         base = max(0.0, self.dropping - max(0.0, sufferage))
         if not self.dynamic_per_task:
             return float(min(1.0, base))
         phi = skewness_position_adjustment(skewness, queue_position, rho=self.rho)
         return float(min(1.0, max(0.0, base + phi)))
+
+    def dropping_threshold_ceiling(
+        self, queue_position: int = 0, *, sufferage: float = 0.0
+    ) -> float:
+        """The largest dropping threshold any bounded skewness can give: ``T(s = -1)``.
+
+        Eq. 7's threshold is non-increasing in ``s`` in floating point too:
+        the negation is exact, and ``x * rho`` (``rho >= 0``), ``x / (kappa +
+        1)``, ``base + x`` and the clamp are each monotone under
+        round-to-nearest.  So a task whose success probability exceeds this
+        ceiling is kept at every ``s`` in ``[-1, 1]`` — the pruner decides it
+        without computing a skewness.
+        """
+        return self.dropping_threshold_for_skewness(-1.0, queue_position, sufferage=sufferage)
 
     def deferring_threshold_for(self, *, sufferage: float = 0.0) -> float:
         """Effective deferring threshold, relaxed by the PAMF sufferage value."""

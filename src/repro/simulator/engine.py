@@ -30,7 +30,7 @@ simulators.  Two scheduling modes share that heap:
 * **batched scheduling rounds** (``batch_window=W > 0``) — mapping events
   fire at most once per ``W`` time units; all tasks arriving within the
   window accumulate in the batch queue and are mapped together against a
-  single :class:`~repro.heuristics.scoring.ScoreTable` fill, amortising
+  single :class:`~repro.heuristics.base.ScoreTable` fill, amortising
   the batched kernel calls across the round (Firmament's
   ``simulator.cc::ReplaySimulation`` batch mode).  A ``ROUND`` marker in
   the heap bounds round latency when no task event lands at the round
@@ -72,6 +72,7 @@ consumers), and a task's terminal callback never precedes its assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from time import perf_counter_ns
 from typing import Protocol, Sequence
 
@@ -211,6 +212,8 @@ class SimulatorConfig:
 _WATERMARK = int(EventKind.WATERMARK)
 _ARRIVAL = int(EventKind.ARRIVAL)
 _FINISH = int(EventKind.FINISH)
+#: A deadline no task has.
+_NEVER = float("inf")
 
 
 class HCSimulator:
@@ -273,6 +276,9 @@ class HCSimulator:
         self._batch: dict[int, Task] = {}
         self._batch_tail = (-1, -1)
         self._batch_in_order = True
+        #: No task in the batch or a machine's pending queue has a deadline
+        #: before this (a lower bound: departures may leave it stale).
+        self._earliest_deadline = _NEVER
         self._counters = SimulationCounters()
         self._misses_since_event = 0
         self._terminal_since_event: list[TerminalEvent] = []
@@ -404,7 +410,8 @@ class HCSimulator:
             _, kind, _, task_id = events.pop()
             if kind == _ARRIVAL:
                 self._popped_arrivals += 1
-                batch[task_id] = tasks[task_id]
+                task = batch[task_id] = tasks[task_id]
+                self._earliest_deadline = min(self._earliest_deadline, task.deadline)
                 if (now, task_id) > self._batch_tail:
                     self._batch_tail = (now, task_id)
                 else:
@@ -454,6 +461,7 @@ class HCSimulator:
         self._batch = {}
         self._batch_tail = (-1, -1)
         self._batch_in_order = True
+        self._earliest_deadline = _NEVER
         self.events = EventManager()
         self._counters = SimulationCounters()
         self._misses_since_event = 0
@@ -537,6 +545,8 @@ class HCSimulator:
 
     def _drop_missed_tasks(self, now: int) -> None:
         """Remove tasks whose deadlines passed while waiting (Section III)."""
+        if now < self._earliest_deadline:
+            return
         for task_id in [tid for tid, t in self._batch.items() if t.deadline <= now]:
             task = self._batch.pop(task_id)
             task.mark_dropped(now, DropReason.DEADLINE_MISS_UNMAPPED)
@@ -551,6 +561,8 @@ class HCSimulator:
                 self._counters.deadline_miss_drops += 1
                 self._misses_since_event += 1
                 self._record_terminal(task)
+        waiting = chain(self._batch.values(), *(machine.pending for machine in self.machines))
+        self._earliest_deadline = min((t.deadline for t in waiting), default=_NEVER)
 
     def _run_mapping_event(self, now: int) -> None:
         if not self._batch_in_order:

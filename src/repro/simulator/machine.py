@@ -16,8 +16,8 @@ standalone callers that want several machines' availability PMFs in batched
 form (the shape the scoring kernels of :mod:`repro.core.batch` consume —
 e.g. analysis tools or custom heuristics), :func:`batched_availability`
 stacks them onto one aligned :class:`~repro.core.batch.PMFBatch` grid.  Note
-the in-tree two-phase heuristics batch their *virtual* (post-drop,
-post-commit) availabilities instead — see ``ScoreTable.refresh_machines``.
+the in-tree two-phase heuristics score their *virtual* (post-drop,
+post-commit) availabilities instead — see ``ScoreTable.fill``.
 """
 
 from __future__ import annotations

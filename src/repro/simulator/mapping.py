@@ -230,7 +230,7 @@ class MappingDecision:
 
     def validate(self, context: MappingContext) -> None:
         """Sanity-check the decision against the context it was made for."""
-        batch_ids = {t.task_id for t in context.batch}
+        batch_ids = {t.task_id for t in context.batch} if self.assignments else set()
         seen: set[int] = set()
         for assignment in self.assignments:
             if assignment.task_id not in batch_ids:

@@ -107,12 +107,12 @@ class _MachineChain:
         #: its by-products (``None`` for an executing head's anchor).
         self.steps: list[ChainStep | None] = []
         #: Lazily filled pruning sidecar, parallel to ``chain``:
-        #: ``meta[k]`` is ``(success_probability, bounded_skewness)`` of
+        #: ``meta[k]`` is ``(success_probability, completion, chain[k])`` of
         #: ``tasks[k]`` given the tasks ahead of it — the per-task inputs of
         #: the pruner's no-drop dropping test, read off ``steps[k]``.
         #: Truncated wherever the chain is, so entries are never stale; may
         #: be shorter than ``chain`` until the pruning path asks for it.
-        self.meta: list[tuple[float, float]] = []
+        self.meta: list[tuple[float, DiscretePMF, DiscretePMF]] = []
         #: Chain steps handed over by the mapper or the pruner, ``(task,
         #: prev, step)`` with each entry's ``prev`` the previous entry's
         #: ``step.availability``.
@@ -350,37 +350,38 @@ class SystemState:
 
     def prune_prefix_meta(
         self, machine_index: int, now: int
-    ) -> tuple[tuple[float, float], ...]:
+    ) -> tuple[tuple[float, DiscretePMF, DiscretePMF], ...]:
         """Per-task pruning inputs down the machine's *current* (no-drop) queue.
 
-        ``result[k]`` is ``(success_probability, bounded_skewness)`` of the
-        ``k``-th queued task given every task ahead of it kept — exactly the
-        quantities :meth:`repro.pruning.pruner.Pruner.prune_machine_queue`
-        derives while walking the queue from the head.  Both are by-products
-        of the chain step that produced ``chain[k]`` (the skewness is read
-        off its pre-cap completion PMF on first request), so neither an
-        unchanged nor a changed queue costs the pruner a convolution; it
-        only convolves *behind* the first task it actually drops.
+        ``result[k]`` is ``(success_probability, completion, availability)``
+        of the ``k``-th queued task given every task ahead of it kept: the
+        probability and the completion PMF (whose bounded skewness Eq. 7
+        reads) that :meth:`repro.pruning.pruner.Pruner.prune_machine_queue`
+        tests, and ``chain[k]``, the availability behind the task.  All three
+        come from the chain step that produced ``chain[k]``, so neither an
+        unchanged nor a changed queue costs the pruner a convolution (it
+        only convolves *behind* the first task it actually drops), and the
+        walk syncs the machine once.
 
-        For an executing head the pair is computed from the task's raw
-        (uncollapsed) completion PMF — the pruner evaluates the executing
-        task on the chance it finishes by its deadline given it already
-        started, not on the evict-collapsed chain anchor.
+        For an executing head the probability and the completion PMF are
+        the task's raw (uncollapsed) completion PMF — the pruner evaluates
+        the executing task on the chance it finishes by its deadline given
+        it already started, not on the evict-collapsed chain anchor.
         """
         now = int(now)
         rec = self._sync(machine_index, now)
         if self.cross_check:
             self._verify(machine_index, now, rec)
-        for step in rec.steps[len(rec.meta) :]:
+        for k in range(len(rec.meta), len(rec.steps)):
+            step = rec.steps[k]
             if step is None:
-                raw = self.machines[machine_index].executing_completion_pmf(
+                completion = self.machines[machine_index].executing_completion_pmf(
                     self.pet, now, condition_on_now=self.condition_executing_on_now
                 )
-                prob = float(min(1.0, raw.cdf(rec.tasks[0].deadline)))
-                skew = raw.bounded_skewness()
+                prob = float(min(1.0, completion.cdf(rec.tasks[0].deadline)))
             else:
-                prob, skew = step.success_probability, step.completion.bounded_skewness()
-            rec.meta.append((prob, skew))
+                prob, completion = step.success_probability, step.completion
+            rec.meta.append((prob, completion, rec.chain[k]))
         return tuple(rec.meta)
 
     # ------------------------------------------------------------------

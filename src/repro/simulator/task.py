@@ -44,7 +44,7 @@ class DropReason(enum.Enum):
     PRUNED = "pruned"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """Mutable simulator view of one task."""
 

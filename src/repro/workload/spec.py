@@ -12,7 +12,7 @@ from dataclasses import dataclass
 __all__ = ["TaskSpec"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TaskSpec:
     """One arriving task, as generated offline by the workload model."""
 

@@ -117,11 +117,15 @@ def assert_every_form_agrees(availabilities, grid_pmfs, execution, types, deadli
 
 @pytest.fixture(scope="module")
 def recorded_scoring(oversub_inputs):
-    """Operands of every ``ScoreTable._score`` call of two real trials.
+    """Every ``ScoreTable._score`` call of two real trials, with what it stored.
 
     A 200-task prefix of the reference trace (idle machines, short chains)
     and the 600-task load-3.0 scale trace (capped chains next to
-    un-aggregated executing anchors, nearly every fill a pair list).
+    un-aggregated executing anchors, nearly every fill a few new pairs).
+    Per call: the distinct columns it scored (their availability objects
+    and PET columns), every slot's type and deadline, the pair list as
+    ``(slots, positions among those columns)`` and the scores the table
+    kept for it.
     """
     reference_pet = build_transcoding_pet(rng=2019)
     trace = load_trace(REFERENCE_TRACE)
@@ -130,17 +134,28 @@ def recorded_scoring(oversub_inputs):
         (*oversub_inputs, 2019),
     ]
     calls: list[tuple] = []
+    running: list = []  # the PET of the trial in progress
     score = ScoreTable._score
 
-    def recording_score(self, columns, availabilities, pairs=None):
+    def recording_score(self, rows, columns):
+        score(self, rows, columns)
+        machines, positions = np.unique(columns, return_inverse=True)
         calls.append(
-            (self._pet, list(availabilities), self.types, self.deadlines, columns.copy(), pairs)
+            (
+                running[-1],
+                [self._scored_against[j] for j in machines.tolist()],
+                self.types[: self.n].copy(),
+                self.deadlines[: self.n].copy(),
+                machines,
+                (rows, positions),
+                self.robustness[rows, columns],
+            )
         )
-        return score(self, columns, availabilities, pairs)
 
     ScoreTable._score = recording_score
     try:
         for pet, run_trace, seed in runs:
+            running.append(pet)
             heuristic = make_heuristic("PAMF", num_task_types=pet.num_task_types)
             HCSimulator(pet, heuristic, rng=seed).run(run_trace)
     finally:
@@ -151,19 +166,17 @@ def recorded_scoring(oversub_inputs):
 def test_recorded_scoring_calls_agree_in_every_form(recorded_scoring):
     rng = np.random.default_rng(0)
     assert len(recorded_scoring) >= 1000
-    assert sum(1 for *_, pairs in recorded_scoring if pairs is not None) >= 500
     widths = [max(a.nonzero_count() for a in availabilities) for _, availabilities, *_ in recorded_scoring]
     assert min(widths) == 1 and max(widths) > 100
-    for pet, availabilities, types, deadlines, columns, pairs in recorded_scoring:
+    for pet, availabilities, types, deadlines, machines, pairs, stored in recorded_scoring:
         assert_every_form_agrees(
-            availabilities, pet.get, pet.cdf_table(), types, deadlines, columns, rng
+            availabilities, pet.get, pet.cdf_table(), types, deadlines, machines, rng
         )
-        if pairs is not None:  # the call as the fill made it
-            got = packed_success_probability(
-                *pack_impulses(availabilities), pet.cdf_table(), types, deadlines, columns, pairs
-            )
-            want = union_grid(availabilities, pet.cdf_table(), types, deadlines, columns)
-            assert np.array_equal(got, want[pairs])
+        # What the table kept from its own call — a packed operand with
+        # one row per machine, stale impulses past each row's width carrying
+        # probability 0 — is the union grid at the listed pairs.
+        want = union_grid(availabilities, pet.cdf_table(), types, deadlines, machines)
+        assert np.array_equal(stored, want[pairs])
 
 
 @st.composite

@@ -27,6 +27,17 @@ def make_context(tiny_pet, machines, batch=(), now=0):
     )
 
 
+def filled(context, virtual=None) -> ScoreTable:
+    """A run's table after its first fill."""
+    table = ScoreTable()
+    table.fill(context, virtual or VirtualSystemState(context))
+    return table
+
+
+def best_pairs(table: ScoreTable, *, robustness_based: bool):
+    return table.pairs(*table.best_rows(robustness_based=robustness_based))
+
+
 class TestVirtualSystemState:
     def test_free_slots_reflect_real_queues(self, tiny_pet):
         m0 = Machine(0, "fast-a", queue_capacity=3)
@@ -34,19 +45,19 @@ class TestVirtualSystemState:
         m0.enqueue(make_task(10), now=0)
         context = make_context(tiny_pet, [m0, m1])
         virtual = VirtualSystemState(context)
-        assert virtual.machines[0].free_slots == 2
-        assert virtual.machines[1].free_slots == 3
+        assert virtual.free_slots == [2, 3]
         assert virtual.total_free_slots == 5
 
     def test_assign_consumes_slot_and_extends_availability(self, tiny_pet):
         m0 = Machine(0, "fast-a", queue_capacity=2)
         context = make_context(tiny_pet, [m0])
         virtual = VirtualSystemState(context)
-        before = virtual.machines[0].availability.mean()
+        before = virtual.availability(0).mean()
         task = make_task(1, task_type=0, deadline=400)
         virtual.assign(task, 0)
-        after = virtual.machines[0].availability.mean()
-        assert virtual.machines[0].free_slots == 1
+        after = virtual.availability(0).mean()
+        assert virtual.free_slots[0] == 1
+        assert virtual.total_free_slots == 1
         assert after > before
 
     def test_assign_to_full_machine_raises(self, tiny_pet):
@@ -64,8 +75,8 @@ class TestVirtualSystemState:
         context = make_context(tiny_pet, [m0])
         with_task = VirtualSystemState(context)
         without_task = VirtualSystemState(context, dropped_task_ids={10})
-        assert without_task.machines[0].free_slots == with_task.machines[0].free_slots + 1
-        assert without_task.machines[0].availability.mean() < with_task.machines[0].availability.mean()
+        assert without_task.free_slots[0] == with_task.free_slots[0] + 1
+        assert without_task.availability(0).mean() < with_task.availability(0).mean()
 
     def test_availability_override_used(self, tiny_pet):
         from repro.core.pmf import DiscretePMF
@@ -75,7 +86,7 @@ class TestVirtualSystemState:
         context = make_context(tiny_pet, [m0])
         override = {0: DiscretePMF.point(77)}
         virtual = VirtualSystemState(context, availability_override=override)
-        assert virtual.machines[0].availability.probability_at(77) == pytest.approx(1.0)
+        assert virtual.availability(0).probability_at(77) == pytest.approx(1.0)
 
 
 class TestScoreTable:
@@ -86,11 +97,12 @@ class TestScoreTable:
         batch = [make_task(1, task_type=0, deadline=40), make_task(2, task_type=1, deadline=35)]
         context = make_context(tiny_pet, [m0, m1], batch=batch)
         virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
+        table = filled(context, virtual)
+        assert table.tasks == list(context.batch)
         for i, task in enumerate(table.tasks):
             for j in range(2):
                 exec_pmf = tiny_pet.get(task.task_type, j)
-                availability = virtual.machines[j].availability
+                availability = virtual.availability(j)
                 assert table.robustness[i, j] == pytest.approx(
                     fast_success_probability(exec_pmf, availability, task.deadline)
                 )
@@ -103,32 +115,26 @@ class TestScoreTable:
         fast-b — the inconsistent-affinity matching the PET encodes."""
         machines = [Machine(0, "fast-a", queue_capacity=3), Machine(1, "fast-b", queue_capacity=3)]
         batch = [make_task(1, task_type=0, deadline=9), make_task(2, task_type=1, deadline=9)]
-        context = make_context(tiny_pet, machines, batch=batch)
-        virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
-        pairs = {p.task.task_id: p for p in table.best_pairs(robustness_based=True)}
+        table = filled(make_context(tiny_pet, machines, batch=batch))
+        pairs = {p.task.task_id: p for p in best_pairs(table, robustness_based=True)}
         assert pairs[1].machine_index == 0
         assert pairs[2].machine_index == 1
 
     def test_best_pairs_completion_based_prefers_fastest_machine(self, tiny_pet):
         machines = [Machine(0, "fast-a", queue_capacity=3), Machine(1, "fast-b", queue_capacity=3)]
         batch = [make_task(1, task_type=0, deadline=900)]
-        context = make_context(tiny_pet, machines, batch=batch)
-        virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
-        pairs = table.best_pairs(robustness_based=False)
+        table = filled(make_context(tiny_pet, machines, batch=batch))
+        pairs = best_pairs(table, robustness_based=False)
         assert pairs[0].machine_index == 0  # alpha is fastest on fast-a
 
     def test_deactivated_tasks_excluded(self, tiny_pet):
         machines = [Machine(0, "fast-a", queue_capacity=3)]
         batch = [make_task(1, deadline=100), make_task(2, deadline=100)]
-        context = make_context(tiny_pet, machines, batch=batch)
-        virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
-        table.deactivate([1])
-        remaining = {p.task.task_id for p in table.best_pairs(robustness_based=True)}
+        table = filled(make_context(tiny_pet, machines, batch=batch))
+        table.active[0] = False  # task 1's slot
+        remaining = {p.task.task_id for p in best_pairs(table, robustness_based=True)}
         assert remaining == {2}
-        table.deactivate([2])
+        table.active[1] = False
         assert not table.any_active
 
     def test_full_machines_are_closed(self, tiny_pet):
@@ -136,10 +142,8 @@ class TestScoreTable:
         m0.enqueue(make_task(10), now=0)
         m1 = Machine(1, "fast-b", queue_capacity=1)
         batch = [make_task(1, task_type=0, deadline=100)]
-        context = make_context(tiny_pet, [m0, m1], batch=batch)
-        virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
-        pairs = table.best_pairs(robustness_based=True)
+        table = filled(make_context(tiny_pet, [m0, m1], batch=batch))
+        pairs = best_pairs(table, robustness_based=True)
         # Only fast-b has a free slot, even though fast-a would be better.
         assert pairs[0].machine_index == 1
 
@@ -148,9 +152,11 @@ class TestScoreTable:
         batch = [make_task(1, task_type=0, deadline=100), make_task(2, task_type=0, deadline=100)]
         context = make_context(tiny_pet, machines, batch=batch)
         virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
+        table = filled(context, virtual)
         before = table.completion[1, 0]
         virtual.assign(table.tasks[0], 0)
-        table.refresh_machine(0, virtual)
+        table.active[0] = False
+        table.mark_dirty(0)
+        table.best_rows(robustness_based=True)  # rescores the dirty column
         after = table.completion[1, 0]
         assert after > before

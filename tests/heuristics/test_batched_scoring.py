@@ -1,11 +1,11 @@
 """ScoreTable's batched mapping-event scoring vs the scalar reference.
 
 The equivalence gate for the heuristics layer: a mapping event scored
-through the batched engine (`ScoreTable` -> `batched_success_probability`)
+through the batched engine (`ScoreTable` -> `packed_success_probability`)
 must reproduce the scalar per-pair functions
 (:func:`fast_success_probability` / :func:`expected_completion`) **bit for
-bit** (``atol=0``), both on the initial full-grid pass and after phase-2
-commits trigger single-column refreshes.
+bit** (``atol=0``), both on the first fill and after phase-2 commits
+trigger single-column rescores.
 """
 
 from __future__ import annotations
@@ -49,20 +49,25 @@ def make_event(pet, *, now: int = 0, queue_plan=(), batch_plan=()) -> MappingCon
 
 def scalar_reference(pet, virtual, tasks):
     """The pre-batching double loop, pair by pair through the scalar API."""
-    n, m = len(tasks), len(virtual.machines)
+    n, m = len(tasks), len(virtual.free_slots)
     robustness = np.full((n, m), -1.0)
     completion = np.full((n, m), np.inf)
     for i, task in enumerate(tasks):
-        for vm in virtual.machines:
-            if not vm.has_free_slot:
+        for j, free in enumerate(virtual.free_slots):
+            if free <= 0:
                 continue
-            exec_pmf = pet.get(task.task_type, vm.index)
-            robustness[i, vm.index] = fast_success_probability(
-                exec_pmf, vm.availability, task.deadline
-            )
-            if not vm.availability.is_zero():
-                completion[i, vm.index] = expected_completion(exec_pmf, vm.availability)
+            exec_pmf = pet.get(task.task_type, j)
+            availability = virtual.availability(j)
+            robustness[i, j] = fast_success_probability(exec_pmf, availability, task.deadline)
+            if not availability.is_zero():
+                completion[i, j] = expected_completion(exec_pmf, availability)
     return robustness, completion
+
+
+def filled(context, virtual) -> ScoreTable:
+    table = ScoreTable()
+    table.fill(context, virtual)
+    return table
 
 
 def paper_scale_event(pet, *, n_tasks: int = 40, seed: int = 17) -> MappingContext:
@@ -85,33 +90,34 @@ class TestScoreTableEquivalence:
     def test_initial_grid_bit_identical_to_scalar_loop(self, small_gamma_pet):
         context = paper_scale_event(small_gamma_pet)
         virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
+        table = filled(context, virtual)
         robustness, completion = scalar_reference(
             small_gamma_pet, virtual, table.tasks
         )
-        assert np.array_equal(table.robustness, robustness)
-        assert np.array_equal(table.completion, completion)
+        assert np.array_equal(table.robustness[: table.n], robustness)
+        assert np.array_equal(table.completion[: table.n], completion)
 
     def test_refresh_after_commits_stays_bit_identical(self, small_gamma_pet):
         context = paper_scale_event(small_gamma_pet, seed=23)
         virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
-        # Commit a few provisional assignments, refreshing one column each
-        # time, exactly as the two-phase loop does.
+        table = filled(context, virtual)
+        # Commit a few provisional assignments, marking one column dirty
+        # each time, exactly as the two-phase loop does.
         for step in range(3):
-            pairs = table.best_pairs(robustness_based=True)
-            if not pairs:
+            rows, machines = table.best_rows(robustness_based=True)
+            if not rows.size:
                 break
-            chosen = pairs[step % len(pairs)]
-            virtual.assign(chosen.task, chosen.machine_index)
-            table.deactivate([chosen.task.task_id])
-            table.refresh_machine(chosen.machine_index, virtual)
+            slot, machine = int(rows[step % rows.size]), int(machines[step % rows.size])
+            virtual.assign(table.tasks[slot], machine)
+            table.active[slot] = False
+            table.mark_dirty(machine)
+            table.best_rows(robustness_based=True)  # rescores the dirty column
             robustness, completion = scalar_reference(
                 small_gamma_pet, virtual, table.tasks
             )
             open_cols = table.machine_open
-            assert np.array_equal(table.robustness[:, open_cols], robustness[:, open_cols])
-            assert np.array_equal(table.completion[:, open_cols], completion[:, open_cols])
+            assert np.array_equal(table.robustness[: table.n, open_cols], robustness[:, open_cols])
+            assert np.array_equal(table.completion[: table.n, open_cols], completion[:, open_cols])
 
     def test_full_machines_closed_columns(self, tiny_pet):
         context = make_event(
@@ -119,19 +125,17 @@ class TestScoreTableEquivalence:
             queue_plan=[[(90, 0, 300)] * 4, []],  # machine 0 completely full
             batch_plan=[(1, 0, 100), (2, 1, 120)],
         )
-        virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, list(context.batch))
+        table = filled(context, VirtualSystemState(context))
         assert not table.machine_open[0]
-        assert np.all(table.robustness[:, 0] == -1.0)
-        assert np.all(np.isinf(table.completion[:, 0]))
+        assert np.all(table.robustness[: table.n, 0] == -1.0)
+        assert np.all(np.isinf(table.completion[: table.n, 0]))
         assert table.machine_open[1]
 
     def test_empty_batch_is_noop(self, tiny_pet):
         context = make_event(tiny_pet)
-        virtual = VirtualSystemState(context)
-        table = ScoreTable(context, virtual, [])
+        table = filled(context, VirtualSystemState(context))
         assert table.n == 0
-        assert not table.best_pairs(robustness_based=True)
+        assert not table.best_rows(robustness_based=True)[0].size
 
 
 class TestBatchedAvailabilityHelper:

@@ -1,20 +1,26 @@
-"""Phase-1 scores carried across mapping events equal a from-scratch fill.
+"""The run's phase-1 table equals a from-scratch fill at every fill.
 
-``ScoreTable`` copies, from the previous mapping event's table, every score
-whose task and availability *object* are unchanged, and hands the kernel
-only the rest.  The oracle here is the table itself without a previous one:
-at every mapping event a second ``ScoreTable`` is filled from scratch on the
-same virtual state and must agree on ``robustness``, ``completion`` and
-``machine_open`` at ``atol=0`` — on whole seeded trials (the oversubscribed
-scale trace, where nearly everything is carried, and the reference trace)
-and on random histories built from the moves that decide whether a column
-may be carried: a machine nothing happened to (same object), a pruner
-override, an equal-valued or same-offset *new* object, an idle machine
-(``point(now)`` is a fresh object every event), a machine that fills up
-mid-event and later shows the old object again.
+A heuristic keeps one ``ScoreTable`` for a whole run: rows in
+arrival-ordered slots (tombstoned when their task stops pending, compacted
+when dead slots outnumber live ones, started over when the survivors are
+not the batch's prefix), columns keyed on the availability *object* they
+were scored against.  The oracle is a fresh table's first fill on the same
+event: its rows must equal the persistent table's live slots — task ids in
+order, ``robustness`` and ``completion`` at ``atol=0`` — and its
+``machine_open`` the table's.  Checked at every fill of whole seeded trials
+(the oversubscribed scale trace, where nearly everything is carried, and
+the reference trace) and of random histories built from the moves that
+decide what may be kept: a machine nothing happened to (same object), an
+earlier object coming back, an idle machine (``point(now)`` is a fresh
+object every event), a machine that fills up and reopens, phase-2 commits
+with and without the engine adopting them, departures from anywhere in the
+batch, a task still pending but gone from the batch, a task reissued as a
+new object under the same id, a departed id arriving again, and a PET or
+kernel-backend swap.  Every kernel call must score live slots only.
 
-Mutation-checked: keying on ``offset`` equality instead of identity, or not
-forgetting the object of a column closed by a full queue, fails this module.
+Mutation-checked: carrying ``completion`` for a changed column, matching
+rows by id instead of by object, and scoring a tombstoned slot each fail
+this module.
 """
 
 from __future__ import annotations
@@ -27,16 +33,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.completion import DroppingPolicy
+from repro.core.kernels import NumpyBackend, use_backend
 from repro.core.pmf import DiscretePMF
 from repro.heuristics import base
-from repro.heuristics.base import ScoreTable, VirtualMachine, VirtualSystemState
+from repro.heuristics.base import ScoreTable, VirtualSystemState
 from repro.heuristics.registry import HEURISTIC_NAMES, make_heuristic
 from repro.pet.builders import build_pet_from_means, build_transcoding_pet
 from repro.serve.service import offline_decision_map
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext
-from repro.simulator.task import Task
+from repro.simulator.task import DropReason, Task
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.spec import TaskSpec
 from repro.workload.traces import load_trace
@@ -47,30 +54,46 @@ REFERENCE_TRACE = (
     / "transcoding_660.trace.json"
 )
 
+FILL = ScoreTable.fill
 
-def assert_equals_fresh_fill(table: ScoreTable, context, virtual) -> None:
-    fresh = ScoreTable(context, virtual, table.tasks)
+
+def assert_live_slots_equal_a_fresh_fill(table: ScoreTable, context, virtual) -> None:
+    fresh = ScoreTable()
+    FILL(fresh, context, virtual)
+    live = np.flatnonzero(table.live[: table.n])
+    assert np.array_equal(table.task_ids[live], fresh.task_ids[: fresh.n])
+    assert all(table.tasks[slot] is task for slot, task in zip(live.tolist(), fresh.tasks))
     assert np.array_equal(table.machine_open, fresh.machine_open)
-    assert np.array_equal(table.robustness, fresh.robustness)
-    assert np.array_equal(table.completion, fresh.completion)
+    assert np.array_equal(table.robustness[live], fresh.robustness[: fresh.n])
+    assert np.array_equal(table.completion[live], fresh.completion[: fresh.n])
+
+
+class CheckedScoreTable(ScoreTable):
+    """A table that scores live slots only and checks every fill against a fresh one."""
+
+    fills = 0
+    pairs_carried = 0
+    compactions = 0
+
+    def fill(self, context, virtual) -> None:
+        FILL(self, context, virtual)
+        assert_live_slots_equal_a_fresh_fill(self, context, virtual)
+        CheckedScoreTable.fills += 1
+        CheckedScoreTable.pairs_carried += self.pairs_reused
+
+    def _score(self, rows, columns) -> None:
+        assert self.live[rows].all(), "a tombstoned slot reached the kernel"
+        super()._score(rows, columns)
+
+    def _reslot(self, keep, capacity) -> None:
+        if keep.size < self.n:
+            self.compactions += 1
+        super()._reslot(keep, capacity)
 
 
 # ----------------------------------------------------------------------
 # Whole trials
 # ----------------------------------------------------------------------
-class CheckedScoreTable(ScoreTable):
-    """A ``ScoreTable`` that checks its own fill against a from-scratch one."""
-
-    fills = 0
-    pairs_carried = 0
-
-    def __init__(self, context, virtual, tasks, previous=None) -> None:
-        super().__init__(context, virtual, tasks, previous=previous)
-        assert_equals_fresh_fill(self, context, virtual)
-        CheckedScoreTable.fills += 1
-        CheckedScoreTable.pairs_carried += self.pairs_reused
-
-
 @pytest.fixture(scope="module")
 def trial_inputs(oversub_inputs):
     return {
@@ -107,22 +130,35 @@ def test_every_fill_of_a_trial_equals_a_fresh_fill(
 N_MACHINES = 5
 N_TYPES = 3
 EVENTS = 14
+MACHINE_NAMES = [f"m{j}" for j in range(N_MACHINES)]
 
 HISTORY_PET = build_pet_from_means(
     [[20.0, 35.0, 50.0, 28.0, 42.0], [45.0, 25.0, 60.0, 33.0, 30.0], [30.0, 40.0, 22.0, 55.0, 38.0]],
     task_types=["t0", "t1", "t2"],
-    machine_names=[f"m{j}" for j in range(N_MACHINES)],
+    machine_names=MACHINE_NAMES,
     rng=3,
+    n_samples=60,
+)
+OTHER_PET = build_pet_from_means(
+    [
+        [26.0, 31.0, 44.0, 36.0, 40.0],
+        [38.0, 29.0, 52.0, 30.0, 35.0],
+        [33.0, 45.0, 27.0, 48.0, 31.0],
+    ],
+    task_types=["t0", "t1", "t2"],
+    machine_names=MACHINE_NAMES,
+    rng=4,
     n_samples=60,
 )
 
 
 class History:
-    """A seeded stream of mapping events over hand-made virtual queues.
+    """A seeded stream of mapping events driving one table, as a run does.
 
     Every machine keeps the availability objects it has shown so far, so
     "nothing happened" (the very same object) and "the queue went back to
-    an earlier state" (an older object) are both one draw away.
+    an earlier state" (an older object) are both one draw away.  ``moves``
+    counts what the stream did, for the coverage test below.
     """
 
     def __init__(self, seed: int) -> None:
@@ -130,15 +166,21 @@ class History:
         self.now = 0
         self.next_id = 0
         self.batch: list[Task] = []
+        self.departed: list[Task] = []
         self.shown: list[list[DiscretePMF]] = [
             [DiscretePMF.point(0)] for _ in range(N_MACHINES)
         ]
         self.current = [pool[0] for pool in self.shown]
         self.machines = tuple(
-            Machine(j, HISTORY_PET.machine_names[j], queue_capacity=4)
-            for j in range(N_MACHINES)
+            Machine(j, MACHINE_NAMES[j], queue_capacity=4) for j in range(N_MACHINES)
         )
-        self.previous: ScoreTable | None = None
+        self.pet = HISTORY_PET
+        self.backend = NumpyBackend()
+        self.table = CheckedScoreTable()
+        self.moves: dict[str, int] = {}
+
+    def count(self, move: str) -> None:
+        self.moves[move] = self.moves.get(move, 0) + 1
 
     def random_pmf(self, offset: int) -> DiscretePMF:
         width = int(self.rng.integers(1, 6))
@@ -146,6 +188,19 @@ class History:
         probs /= probs.sum()
         return DiscretePMF.from_impulses(
             {offset + 3 * k: float(p) for k, p in enumerate(probs)}
+        )
+
+    def new_task(self, task_id: int | None = None) -> Task:
+        if task_id is None:
+            self.next_id += 1
+            task_id = self.next_id
+        return Task(
+            TaskSpec(
+                arrival=self.now,
+                task_id=task_id,
+                task_type=int(self.rng.integers(0, N_TYPES)),
+                deadline=self.now + int(self.rng.integers(10, 160)),
+            )
         )
 
     def next_availability(self, j: int) -> DiscretePMF:
@@ -161,60 +216,94 @@ class History:
             return self.random_pmf(current.offset)
         return self.random_pmf(self.now + int(self.rng.integers(0, 40)))
 
-    def arrivals_and_departures(self) -> None:
-        self.batch = [t for t in self.batch if self.rng.random() < 0.9]
-        for _ in range(int(self.rng.integers(0, 9))):
-            self.next_id += 1
-            self.batch.append(
-                Task(
-                    TaskSpec(
-                        arrival=self.now,
-                        task_id=self.next_id,
-                        task_type=int(self.rng.integers(0, N_TYPES)),
-                        deadline=self.now + int(self.rng.integers(10, 160)),
-                    )
+    def batch_moves(self) -> None:
+        rng = self.rng
+        for task in list(self.batch):
+            if rng.random() < 0.15:  # mapped or missed, from anywhere in the batch
+                self.batch.remove(task)
+                task.mark_dropped(self.now, DropReason.DEADLINE_MISS_UNMAPPED)
+                self.departed.append(task)
+                self.count("departure")
+        if self.batch and rng.random() < 0.05:
+            # Gone from the batch but still pending: the rows start over.
+            self.batch.pop(int(rng.integers(len(self.batch))))
+            self.count("pending-departure")
+        if self.batch and rng.random() < 0.1:
+            # The same id as a new object, other type and deadline, in place.
+            k = int(rng.integers(len(self.batch)))
+            old = self.batch[k].spec
+            self.batch[k] = Task(
+                TaskSpec(
+                    arrival=old.arrival,
+                    task_id=old.task_id,
+                    task_type=(old.task_type + 1) % N_TYPES,
+                    deadline=old.deadline + 7,
                 )
             )
+            self.count("reissue")
+        if self.departed and rng.random() < 0.2:
+            # A departed id arriving again, as a new object.
+            gone = self.departed.pop(int(rng.integers(len(self.departed))))
+            self.batch.append(self.new_task(gone.task_id))
+            self.count("re-arrival")
+        for _ in range(int(rng.integers(0, 6))):
+            self.batch.append(self.new_task())
 
     def event(self) -> None:
-        self.now += int(self.rng.integers(1, 12))
-        self.arrivals_and_departures()
-        virtual_machines = []
+        rng = self.rng
+        self.now += int(rng.integers(1, 12))
+        self.batch_moves()
+        if rng.random() < 0.1:
+            self.pet = OTHER_PET if self.pet is HISTORY_PET else HISTORY_PET
+            self.count("pet-swap")
+        if rng.random() < 0.1:
+            self.backend = NumpyBackend()
+            self.count("backend-swap")
+        availability = {}
         for j in range(N_MACHINES):
-            availability = self.next_availability(j)
-            self.current[j] = availability
-            self.shown[j].append(availability)
-            free_slots = int(self.rng.integers(0, 5))  # 0: full queue, closed column
-            virtual_machines.append(VirtualMachine(j, free_slots, availability))
+            availability[j] = self.next_availability(j)
+            self.current[j] = availability[j]
+            self.shown[j].append(availability[j])
         context = MappingContext(
             now=self.now,
             batch=tuple(self.batch),
             machines=self.machines,
-            pet=HISTORY_PET,
+            pet=self.pet,
             policy=DroppingPolicy.EVICT,
         )
-        virtual = VirtualSystemState(context)
-        virtual.machines = virtual_machines
-        table = ScoreTable(context, virtual, list(self.batch), previous=self.previous)
-        assert_equals_fresh_fill(table, context, virtual)
-
-        # Phase-2 commits: the column moves on, or closes on a full queue
-        # (and the tail may be dropped again before the next event).
-        for _ in range(int(self.rng.integers(0, 3))):
-            open_machines = [vm for vm in virtual_machines if vm.has_free_slot]
-            if not open_machines:
-                break
-            vm = open_machines[int(self.rng.integers(0, len(open_machines)))]
-            vm.availability = self.random_pmf(vm.availability.offset + 5)
-            vm.free_slots -= 1
-            if self.rng.random() < 0.5:
-                self.current[vm.index] = vm.availability
-                self.shown[vm.index].append(vm.availability)
-            table.mark_dirty(vm.index)
-            if self.rng.random() < 0.7:
-                table.best_pairs(robustness_based=True)  # flushes the dirty column
-                assert_equals_fresh_fill(table, context, virtual)
-        self.previous = table
+        virtual = VirtualSystemState(context, availability_override=availability)
+        virtual.free_slots = [int(rng.integers(0, 5)) for _ in range(N_MACHINES)]  # 0: closed
+        virtual.total_free_slots = sum(virtual.free_slots)
+        table = self.table
+        with use_backend(self.backend):
+            compactions = table.compactions
+            table.fill(context, virtual)
+            if table.compactions > compactions:
+                self.count("compaction")
+            # Phase-2 commits: the column moves on, or closes on a full
+            # queue; the engine may or may not adopt the committed step.
+            committed = []
+            for _ in range(int(rng.integers(0, 3))):
+                slots = np.flatnonzero(table.active[: table.n])
+                open_machines = [j for j in range(N_MACHINES) if virtual.free_slots[j] > 0]
+                if not slots.size or not open_machines:
+                    break
+                slot = int(slots[int(rng.integers(slots.size))])
+                j = open_machines[int(rng.integers(len(open_machines)))]
+                virtual.assign(table.tasks[slot], j)
+                table.active[slot] = False
+                table.mark_dirty(j)
+                committed.append(table.tasks[slot])
+                if rng.random() < 0.5:
+                    self.current[j] = virtual.availability(j)
+                    self.shown[j].append(self.current[j])
+                if rng.random() < 0.7:
+                    table.best_rows(robustness_based=True)  # rescores the dirty column
+                    assert_live_slots_equal_a_fresh_fill(table, context, virtual)
+        for task in committed:
+            if rng.random() < 0.7:  # applied; otherwise the decision was not
+                self.batch.remove(task)
+                task.mark_mapped(0, self.now)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,26 +314,37 @@ def test_random_histories_equal_a_fresh_fill(seed):
         history.event()
 
 
-def test_histories_both_carry_and_decline():
-    """The property above sees fills that carry and fills with nothing to carry."""
+def test_histories_cover_every_move():
+    """The property above sees every move, and fills that carry and that decline."""
+    moves: dict[str, int] = {}
     carried = declined = 0
     for seed in range(20):
         history = History(seed)
         for _ in range(EVENTS):
-            before = history.previous
             history.event()
-            table = history.previous
-            if table.pairs_reused:
+            if history.table.pairs_reused:
                 carried += 1
-            elif before is not None and table.n and before.n:
+            elif history.table.n:
                 declined += 1
-    assert carried > 150 and declined > 30
+        for move, count in history.moves.items():
+            moves[move] = moves.get(move, 0) + count
+    assert carried > 100 and declined > 50
+    for move in (
+        "departure",
+        "pending-departure",
+        "reissue",
+        "re-arrival",
+        "compaction",
+        "pet-swap",
+        "backend-swap",
+    ):
+        assert moves.get(move, 0) >= 3, (move, moves)
 
 
 def test_a_task_is_matched_by_object_not_only_by_id():
     """Same ids, same availability objects, other deadlines: nothing to carry."""
 
-    def event(deadline: int, previous=None):
+    def event(table, deadline: int):
         tasks = [
             Task(TaskSpec(arrival=0, task_id=i, task_type=i % N_TYPES, deadline=deadline + i))
             for i in range(8)
@@ -253,29 +353,32 @@ def test_a_task_is_matched_by_object_not_only_by_id():
             now=0, batch=tuple(tasks), machines=machines, pet=HISTORY_PET
         )
         virtual = VirtualSystemState(context, availability_override=availability)
-        return ScoreTable(context, virtual, tasks, previous=previous), context, virtual
+        table.fill(context, virtual)
+        return context, virtual
 
     machines = tuple(
         Machine(j, HISTORY_PET.machine_names[j], queue_capacity=4) for j in range(N_MACHINES)
     )
     availability = {j: DiscretePMF.point(2 * j) for j in range(N_MACHINES)}
-    first, _, _ = event(60)
-    second, context, virtual = event(35, previous=first)
-    assert second.pairs_reused == 0
-    assert_equals_fresh_fill(second, context, virtual)
-    assert not np.array_equal(first.robustness, second.robustness)
+    table = ScoreTable()
+    event(table, 60)
+    first = table.robustness[: table.n].copy()
+    context, virtual = event(table, 35)
+    assert table.pairs_reused == 0
+    assert_live_slots_equal_a_fresh_fill(table, context, virtual)
+    assert not np.array_equal(first, table.robustness[: table.n])
 
 
 # ----------------------------------------------------------------------
 # One heuristic instance, several runs
 # ----------------------------------------------------------------------
-def test_reset_drops_the_previous_table(small_gamma_pet, small_trace):
+def test_reset_drops_the_table(small_gamma_pet, small_trace):
     for name in HEURISTIC_NAMES:
         heuristic = make_heuristic(name, num_task_types=small_gamma_pet.num_task_types)
         HCSimulator(small_gamma_pet, heuristic, rng=5).run(small_trace)
-        assert heuristic._previous_table is not None, name
+        assert heuristic._table is not None, name
         heuristic.reset()
-        assert heuristic._previous_table is None, name
+        assert heuristic._table is None, name
 
 
 @pytest.mark.parametrize("name", ["PAMF", "PAM", "MOC", "MM"])

@@ -168,12 +168,14 @@ def test_score_reuse_adds_no_disabled_hook_site(small_gamma_pet):
         availability_override={j: DiscretePMF.point(3 * j) for j in range(pet.num_machines)},
     )
     registry = _CountingNull()
+    table = ScoreTable()
     with use_telemetry(registry):
-        first = ScoreTable(context, virtual, list(context.batch))
+        table.fill(context, virtual)
+        first = (table.pairs_scored, table.pairs_reused)
         after_first = registry.reads
-        second = ScoreTable(context, virtual, list(context.batch), previous=first)
-    assert (first.pairs_reused, second.pairs_scored) == (0, 0)
-    assert second.pairs_reused == first.pairs_scored == 12 * pet.num_machines
+        table.fill(context, virtual)
+    assert first == (12 * pet.num_machines, 0)
+    assert (table.pairs_scored, table.pairs_reused) == (0, 12 * pet.num_machines)
     assert after_first == 2 and registry.reads == 4
 
 

@@ -7,7 +7,10 @@ replaced — not merely that two paths inside the current tree agree.  Six
 heuristics x both engine modes on the 660-task transcoding trace, plus the
 ``scale-oversub/`` rows (generated at the commit before phase-1 scores were
 carried across mapping events): the three robustness-based heuristics x
-both modes on a 600-task load-3.0 scale trace.
+both modes on a 600-task load-3.0 scale trace; and the ``scale-event/`` and
+``scale-batched/`` rows (generated at the commit before the phase-1 table
+outlived its mapping event): PAMF on the perf ledger's ``trial-event`` and
+``trial-batched`` inputs.
 """
 
 from __future__ import annotations
@@ -30,18 +33,16 @@ COMMITTED = json.loads(digests.DIGEST_PATH.read_text())
 
 @pytest.fixture(scope="module")
 def inputs():
-    return {workload: build() for workload, (build, _) in digests.WORKLOADS.items()}
+    return {workload: spec.inputs() for workload, spec in digests.WORKLOADS.items()}
 
 
 def test_fixture_covers_every_heuristic_and_mode():
     from repro.heuristics.registry import HEURISTIC_NAMES
 
-    assert digests.WORKLOADS[""][1] == HEURISTIC_NAMES
+    assert digests.WORKLOADS[""].heuristics == HEURISTIC_NAMES
+    assert digests.WORKLOADS[""].windows == digests.BATCH_WINDOWS
     assert set(COMMITTED) == {
-        digests.digest_key(heuristic, window, workload)
-        for workload, (_, heuristics) in digests.WORKLOADS.items()
-        for heuristic in heuristics
-        for window in digests.BATCH_WINDOWS
+        key for workload in digests.WORKLOADS for key, *_ in digests.workload_keys(workload)
     }
 
 
@@ -50,4 +51,8 @@ def test_decisions_match_committed_digest(key, inputs):
     run, window = key.split("/window=")
     workload, _, heuristic = run.rpartition("/")
     pet, trace = inputs[workload]
-    assert digests.decision_digest(pet, trace, heuristic, int(window)) == COMMITTED[key]
+    engine_seed = digests.WORKLOADS[workload].engine_seed
+    assert (
+        digests.decision_digest(pet, trace, heuristic, int(window), engine_seed)
+        == COMMITTED[key]
+    )

@@ -148,9 +148,11 @@ class World:
                 ref = want[-1] if want else DiscretePMF.point(self.now)
                 assert same_chain([got], [ref])
             elif how == "meta":
-                assert self.state.prune_prefix_meta(j, self.now) == fresh.prune_prefix_meta(
-                    j, self.now
-                )
+                got = self.state.prune_prefix_meta(j, self.now)
+                ref = fresh.prune_prefix_meta(j, self.now)
+                assert [p for p, _, _ in got] == [p for p, _, _ in ref]
+                assert same_chain([c for _, c, _ in got], [c for _, c, _ in ref])
+                assert same_chain([a for _, _, a in got], want)
             elif how == "excluding":
                 queued = self.machines[j].queued_tasks()
                 dropped = {t.task_id for t in queued if self.rng.random() < 0.4}

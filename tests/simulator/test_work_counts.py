@@ -19,21 +19,26 @@ the ``state.*`` / ``score_table.*`` counters the program publishes:
 * a mapper without a pruner resolves exactly the machines it scores.
 
 The same for phase-1 scoring on the oversubscribed regime (the bench's
-``trial-oversub`` inputs): a (task, machine, availability object) triple
-the previous mapping event's ``ScoreTable`` holds never reaches the scoring
-kernel again, every fill and every rescore is at most *one* kernel call,
-the pairs handed to the kernel stay under a fifth of the from-scratch
-count, and a ``CandidatePair`` object exists only for a task that was still
-a candidate when phase 2 chose.
+``trial-oversub`` inputs, seed 2019), with the exact counts for that seed:
+a (task, machine, availability object) triple the run's ``ScoreTable``
+already holds never reaches the scoring kernel again; every fill and every
+rescore is at most *one* kernel call (826 calls, 30,374 pairs); the state
+computes 1,573 chain steps and adopts 276; Eq. 6 is evaluated for at most
+60 queued tasks (1,180 before the pruner kept tasks above the highest
+threshold Eq. 7 can give without one); an engaged pruning walk syncs each
+machine it reads once; and a ``CandidatePair`` object exists only for a
+task that was still a candidate when phase 2 chose.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.core.kernels import NumpyBackend
+from repro.core.pmf import DiscretePMF
 from repro.heuristics import base as heuristics_base
 from repro.heuristics.base import CandidatePair, ScoreTable
 from repro.heuristics.registry import make_heuristic
@@ -198,41 +203,49 @@ class CountingBackend(NumpyBackend):
 def oversub_run(oversub_inputs):
     """PAMF on the bench's ``trial-oversub`` inputs (seed 2019), every fill watched.
 
-    Per initial fill: how many triples the previous table held were handed
-    to the kernel again, and how many pairs the fill carried over.  (Both
-    tables are alive while they are compared, so ``id`` is a sound key.)
-    Also every chain step (as in ``watched_run``), every scoring-op call and
-    every ``CandidatePair`` built.
+    Per fill: how many (task, machine, availability object) triples the
+    table held when the fill began were handed to the kernel again, and how
+    many pairs the fill carried over.  (The held objects are kept alive
+    until the comparison, so ``id`` is a sound key.)  Also every chain
+    step (as in ``watched_run``), every scoring-op call, every Eq. 6
+    skewness, the machines each engaged pruning walk synced and every
+    ``CandidatePair`` built.
     """
     fills: list[tuple[int, int]] = []
     scored: list[tuple] = []
     steps: list[tuple] = []
     built: list[int] = []
-    init, score = ScoreTable.__init__, ScoreTable._score
+    skewnesses: list[int] = []
+    walks: list[list[int]] = []
+    fill, score = ScoreTable.fill, ScoreTable._score
+    skewness, sync = DiscretePMF.skewness, SystemState._sync
 
-    def recording_score(self, columns, availabilities, pairs=None):
-        if pairs is None:
-            listed = [(row, slot) for row in range(self.n) for slot in range(columns.size)]
-        else:
-            listed = zip(pairs[0].tolist(), pairs[1].tolist())
+    def recording_score(self, rows, columns):
         scored.extend(
-            (self.tasks[row].task_id, int(columns[slot]), id(availabilities[slot]))
-            for row, slot in listed
+            (id(self.tasks[row]), column, id(self._scored_against[column]))
+            for row, column in zip(rows.tolist(), columns.tolist())
         )
-        return score(self, columns, availabilities, pairs)
+        return score(self, rows, columns)
 
-    def recording_init(self, context, virtual, tasks, previous=None):
-        held = set()
-        if previous is not None:
-            held = {
-                (task.task_id, j, id(a))
-                for task in previous.tasks
-                for j, a in enumerate(previous._scored_against)
-                if a is not None
-            }
+    def recording_fill(self, context, virtual):
+        held_objects = []
+        if self._cdf_table is not None:
+            live = [self.tasks[slot] for slot in range(self.n) if self.live[slot]]
+            columns = [(j, a) for j, a in enumerate(self._scored_against) if a is not None]
+            held_objects = [(task, j, a) for task in live for j, a in columns]
+        held = {(id(task), j, id(a)) for task, j, a in held_objects}
         del scored[:]
-        init(self, context, virtual, tasks, previous=previous)
+        fill(self, context, virtual)
         fills.append((len(held.intersection(scored)), self.pairs_reused))
+
+    def counting_skewness(self):
+        skewnesses.append(1)
+        return skewness(self)
+
+    def recording_sync(self, machine_index, now):
+        if walks and walks[-1] is not None:
+            walks[-1].append(machine_index)
+        return sync(self, machine_index, now)
 
     class CountedPair(CandidatePair):
         def __init__(self, *args, **kwargs) -> None:
@@ -241,10 +254,21 @@ def oversub_run(oversub_inputs):
 
     pet, trace = oversub_inputs
     heuristic = make_heuristic("PAMF", num_task_types=pet.num_task_types)
+    select = heuristic.pruner.select_queue_drops
+
+    def watched_select(context):
+        walks.append([])
+        try:
+            return select(context)
+        finally:
+            walks.append(None)
+
+    heuristic.pruner.select_queue_drops = watched_select
     telemetry = Telemetry()
     backend = CountingBackend()
     undo = record_steps(steps)
-    ScoreTable.__init__, ScoreTable._score = recording_init, recording_score
+    ScoreTable.fill, ScoreTable._score = recording_fill, recording_score
+    DiscretePMF.skewness, SystemState._sync = counting_skewness, recording_sync
     heuristics_base.CandidatePair = CountedPair
     try:
         with use_telemetry(telemetry):
@@ -253,50 +277,72 @@ def oversub_run(oversub_inputs):
             result = simulator.run(trace)
     finally:
         undo()
-        ScoreTable.__init__, ScoreTable._score = init, score
+        ScoreTable.fill, ScoreTable._score = fill, score
+        DiscretePMF.skewness, SystemState._sync = skewness, sync
         heuristics_base.CandidatePair = CandidatePair
-    return fills, telemetry.counters, steps, len(built), backend.scoring_calls, result
+    return {
+        "fills": fills,
+        "counters": telemetry.counters,
+        "steps": steps,
+        "pairs_built": len(built),
+        "scoring_calls": backend.scoring_calls,
+        "skewnesses": len(skewnesses),
+        "walks": [walk for walk in walks if walk is not None],
+        "result": result,
+    }
 
 
 def test_no_held_score_reaches_the_kernel_again(oversub_run):
-    fills, *_ = oversub_run
+    fills = oversub_run["fills"]
     assert all(again == 0 for again, _ in fills)
     assert sum(reused for _, reused in fills) > 100_000
 
 
 def test_oversubscribed_trial_scores_a_fraction_of_the_grid(oversub_run):
-    fills, counters, *_ = oversub_run
+    fills, counters = oversub_run["fills"], oversub_run["counters"]
     assert counters["score_table.fills"] == len(fills) == 808
     # 209,962 when every fill started from scratch, 30,998 while fills under
     # 32 carried pairs were still scored whole; exact for a seed.
-    assert counters["score_table.pairs_scored"] <= 30_998
-    assert counters["score_table.pairs_reused"] == sum(reused for _, reused in fills)
-    assert counters["score_table.pairs_reused"] > 3 * counters["score_table.pairs_scored"]
+    assert counters["score_table.pairs_scored"] == 30_374
+    assert counters["score_table.pairs_reused"] == sum(reused for _, reused in fills) == 179_588
 
 
 def test_a_fill_or_rescore_is_at_most_one_kernel_call(oversub_run):
-    _, counters, _, _, scoring_calls, _ = oversub_run
+    counters = oversub_run["counters"]
     # 1,176 calls while a carried fill with new rows *and* changed columns
     # took two rectangles; a fill that carries everything takes none.
-    assert 0 < scoring_calls <= counters["score_table.fills"] + counters["score_table.rescores"]
-    assert scoring_calls <= 844
+    assert oversub_run["scoring_calls"] == 826
+    assert 826 <= counters["score_table.fills"] + counters["score_table.rescores"]
 
 
 def test_the_pruner_convolves_only_behind_a_drop(oversub_run):
-    _, counters, steps, _, _, result = oversub_run
+    counters, steps, result = oversub_run["counters"], oversub_run["steps"], oversub_run["result"]
     assert_no_step_ran_twice(steps)
     by_site = {where: sum(1 for site, *_ in steps if site == where) for where in STEP_SITES}
-    assert by_site["state"] == counters["state.chain_steps"]
+    assert by_site["state"] == counters["state.chain_steps"] == 1_573
+    assert counters["state.chain_steps_adopted"] == 276
     assert by_site["virtual"] == result.counters.assignments
     # 955 second convolutions of steps the chain already held, before.
     assert 0 < by_site["pruner"] <= 6 * result.counters.proactive_drops
 
 
+def test_eq7_skewness_only_where_it_decides(oversub_run):
+    # 1,180 when every examined task's threshold was computed.
+    assert 0 < oversub_run["skewnesses"] <= 60
+
+
+def test_an_engaged_pruning_walk_syncs_each_machine_once(oversub_run):
+    walks = oversub_run["walks"]
+    assert len(walks) > 100
+    for walk in walks:
+        assert walk and max(Counter(walk).values()) == 1
+
+
 def test_candidate_pairs_are_built_for_phase_two_only(oversub_run):
-    _, _, _, pairs_built, _, result = oversub_run
+    result = oversub_run["result"]
     # One object per deferral (26,928) and more, before.
     assert result.counters.deferrals == 26_928
-    assert result.counters.assignments <= pairs_built < 1_000
+    assert result.counters.assignments <= oversub_run["pairs_built"] < 1_000
 
 
 def test_an_adopted_step_keeps_its_by_products(small_gamma_pet):
@@ -326,5 +372,5 @@ def test_an_adopted_step_keeps_its_by_products(small_gamma_pet):
     assert [where for where, *_ in steps] == ["state", "virtual"]
     offered = state._records[0].steps[1]
     assert state.chain(0, 5)[1] is offered.availability is after
-    assert meta[1] == (offered.success_probability, offered.completion.bounded_skewness())
+    assert meta[1] == (offered.success_probability, offered.completion, offered.availability)
 
