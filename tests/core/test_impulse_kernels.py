@@ -319,11 +319,13 @@ def test_step_equals_the_old_two_convolution_forms(seed, dense_prev, dense_pet, 
     if prev_mass != 1.0:
         prev = DiscretePMF._raw(prev.probs * prev_mass, prev.offset)
     end = prev.max_time + pet.max_time
+    # Only the chosen case draws: a PET with negative times can end the
+    # chain before ``prev`` starts, leaving "inside" just ``prev.offset``.
     deadline = {
-        "before": prev.offset - int(rng.integers(0, 10)),  # cut <= 0: the task never starts
-        "inside": int(rng.integers(prev.offset, end + 1)),
-        "after": end + int(rng.integers(1, 10)),  # cut >= size: nothing dropped, nothing collapsed
-    }[where]
+        "before": lambda: prev.offset - int(rng.integers(0, 10)),  # cut <= 0: never starts
+        "inside": lambda: int(rng.integers(prev.offset, max(prev.offset, end) + 1)),
+        "after": lambda: end + int(rng.integers(1, 10)),  # cut >= size: nothing dropped or collapsed
+    }[where]()
     assert_step_equals_the_old_forms(pet, prev, deadline)
 
 
