@@ -284,11 +284,8 @@ class ShardedSchedulerService:
                 process.start()
                 shard.process = process
             for shard in shards:
-                await self._wait_for_worker(shard)
+                shard.reader, shard.writer = await self._connect_worker(shard)
             for shard in shards:
-                shard.reader, shard.writer = await asyncio.open_unix_connection(
-                    str(shard.socket_path)
-                )
                 shard.relay = asyncio.create_task(
                     self._relay(shard), name=f"repro-shard-relay-{shard.index}"
                 )
@@ -314,19 +311,30 @@ class ShardedSchedulerService:
             bound = self._server.sockets[0].getsockname()
             self._endpoint = ("tcp", bound[0], bound[1])
 
-    async def _wait_for_worker(self, shard: _Shard) -> None:
-        """Block until the worker's socket exists (or the process died)."""
+    async def _connect_worker(
+        self, shard: _Shard
+    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        """Connect to the worker once it listens (or fail if the process died).
+
+        The socket file appears at ``bind``, before the worker calls
+        ``listen``: a connect in between is refused, so it is retried.
+        """
         deadline = time.monotonic() + self.worker_start_timeout
         assert shard.process is not None
-        while not shard.socket_path.exists():
+        while True:
+            if shard.socket_path.exists():
+                try:
+                    return await asyncio.open_unix_connection(str(shard.socket_path))
+                except ConnectionRefusedError:
+                    pass
             if not shard.process.is_alive():
                 raise RuntimeError(
                     f"shard worker {shard.index} exited with code "
-                    f"{shard.process.exitcode} before binding its socket"
+                    f"{shard.process.exitcode} before listening on its socket"
                 )
             if time.monotonic() > deadline:
                 raise RuntimeError(
-                    f"shard worker {shard.index} did not bind {shard.socket_path} "
+                    f"shard worker {shard.index} did not listen on {shard.socket_path} "
                     f"within {self.worker_start_timeout:.0f}s"
                 )
             await asyncio.sleep(0.01)
