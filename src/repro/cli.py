@@ -93,7 +93,7 @@ from . import (
     make_heuristic,
     simulate,
 )
-from .core.kernels import KERNEL_BACKEND_NAMES, parse_kernel_tag
+from .core.kernels import KERNEL_BACKEND_NAMES
 from .heuristics.registry import HEURISTIC_NAMES
 from .simulator.engine import SimulatorConfig
 from .utils.tables import format_table
@@ -264,16 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-version",
         default=None,
         help="kernel version to KEEP (default: the current "
-        "repro.core.batch.KERNEL_VERSION).  Matches the version part of "
-        "each artefact's engine tag, so a bare version keeps every "
-        "backend's entries at that version; pass a composite tag like "
-        "'3+numba' (or add --kernel-backend) to keep one backend only",
-    )
-    cache_gc.add_argument(
-        "--kernel-backend",
-        choices=KERNEL_BACKEND_NAMES,
-        default=None,
-        help="additionally restrict the kept artefacts to this kernel backend",
+        "repro.core.batch.KERNEL_VERSION); every artefact with another "
+        "engine tag is removed",
     )
     cache_gc.add_argument(
         "--dry-run", action="store_true", help="report what would be removed, remove nothing"
@@ -927,28 +919,20 @@ def _command_cache(args: argparse.Namespace) -> int:
         print(f"corrupt            : {stats['corrupt']}")
         kernels = stats["kernel_versions"]
         if kernels:
-            # Grouped by the full engine tag; the version *part* decides
-            # current vs stale, so "3" and "3+numba" are both current at
-            # kernel version 3 — just produced by different backends.
-            rows = []
-            for tag, count in kernels.items():
-                version, backend = parse_kernel_tag(tag)
-                status = "current" if version == str(KERNEL_VERSION) else "stale"
-                rows.append([tag, backend, count, status])
-            print(format_table(["kernel tag", "backend", "entries", ""], rows))
+            rows = [
+                [tag, count, "current" if tag == str(KERNEL_VERSION) else "stale"]
+                for tag, count in kernels.items()
+            ]
+            print(format_table(["kernel tag", "entries", ""], rows))
         return 0
     if args.cache_command == "gc":
         keep = args.kernel_version if args.kernel_version is not None else KERNEL_VERSION
-        removed, removed_bytes = cache.gc(
-            keep_kernel_version=keep,
-            keep_backend=args.kernel_backend,
-            dry_run=args.dry_run,
-        )
+        removed, removed_bytes = cache.gc(keep_kernel_version=keep, dry_run=args.dry_run)
         verb = "would remove" if args.dry_run else "removed"
-        kept = f"kernel version {keep!r}"
-        if args.kernel_backend is not None:
-            kept += f" on backend {args.kernel_backend!r}"
-        print(f"{verb} {removed} artefact(s) ({removed_bytes} bytes) not matching {kept}")
+        print(
+            f"{verb} {removed} artefact(s) ({removed_bytes} bytes) "
+            f"not matching kernel version {keep!r}"
+        )
         return 0
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")  # pragma: no cover
 

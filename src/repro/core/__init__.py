@@ -30,7 +30,6 @@ from .completion import (
 )
 from .kernels import (
     KERNEL_BACKEND_NAMES,
-    ArrayApiBackend,
     KernelBackend,
     KernelBackendUnavailable,
     NumbaBackend,
@@ -38,8 +37,6 @@ from .kernels import (
     active_backend,
     available_backends,
     get_backend,
-    kernel_cache_tag,
-    parse_kernel_tag,
     resolve_backend,
     use_backend,
 )
@@ -67,14 +64,11 @@ __all__ = [
     "KernelBackendUnavailable",
     "NumpyBackend",
     "NumbaBackend",
-    "ArrayApiBackend",
     "active_backend",
     "available_backends",
     "get_backend",
     "resolve_backend",
     "use_backend",
-    "kernel_cache_tag",
-    "parse_kernel_tag",
     "DroppingPolicy",
     "completion_pmf",
     "batched_completion_step",

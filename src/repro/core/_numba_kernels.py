@@ -1,29 +1,23 @@
-"""Jitted inner loops behind :class:`repro.core.kernels.NumbaBackend`.
+"""Jitted inner loop behind :class:`repro.core.kernels.NumbaBackend`.
 
 Numba is an *optional* accelerator dependency: the default install never
-imports this module's compiled functions, and the import guard below keeps
+imports this module's compiled function, and the import guard below keeps
 ``import repro`` working (and the ``numba`` backend cleanly reporting itself
 unavailable) on a NumPy-only interpreter.
 
 Bit-exactness
 -------------
-Both kernels reproduce the NumPy reference accumulation order exactly:
+:func:`success_probability_pairs` accumulates each pair's impulses strictly
+left to right (the ``np.cumsum`` order of
+:func:`repro.core.batch.sequential_sum`) and skips exact-zero masses, which
+are bit-level no-ops on the non-negative accumulator.  It contains no
+floating-point reduction LLVM may legally reorder (``fastmath`` stays off),
+so the compiled results are bit-identical (``atol=0``) to
+:class:`~repro.core.kernels.NumpyBackend` — the differential suite in
+``tests/core/test_kernel_backends.py`` pins exactly that.
 
-* :func:`ragged_convolve` walks each row's kernel columns in ascending time
-  order and skips exact-zero coefficients — in the NumPy path those columns
-  contribute ``+= 0.0`` terms, which are bit-level no-ops on the
-  non-negative accumulators, so skipping them changes nothing;
-* :func:`success_probability_pairs` accumulates each pair's impulses
-  strictly left to right (the ``np.cumsum`` order of
-  :func:`repro.core.batch.sequential_sum`).
-
-Neither kernel contains a floating-point reduction LLVM may legally reorder
-(``fastmath`` stays off), so the compiled results are bit-identical
-(``atol=0``) to :class:`~repro.core.kernels.NumpyBackend` — the differential
-suite in ``tests/core/test_kernel_backends.py`` pins exactly that.
-
-The loop bodies are plain Python functions, jitted only where numba is
-installed, so tier-1 runs them as they stand against the NumPy reference
+The loop body is a plain Python function, jitted only where numba is
+installed, so tier-1 runs it as it stands against the NumPy reference
 (``tests/core/test_kernel_backends.py``) on an interpreter without numba.
 Compilation is lazy: the first call through the backend pays the jit cost
 (a few seconds), subsequent calls run the cached machine code.
@@ -37,23 +31,6 @@ except ImportError:
     numba = None
 
 NUMBA_AVAILABLE = numba is not None
-
-
-def ragged_convolve(probs, coeffs, out):
-    """Accumulate ``n`` independent shift-and-add convolutions.
-
-    ``probs`` is the ``(n, width)`` dense operand, ``coeffs`` the
-    ``(n, k_width)`` per-row kernel coefficients on their shared grid,
-    ``out`` the zero-initialised ``(n, width + k_width - 1)`` result.
-    """
-    n, width = probs.shape
-    k_width = coeffs.shape[1]
-    for i in range(n):
-        for index in range(k_width):
-            coeff = coeffs[i, index]
-            if coeff != 0.0:
-                for t in range(width):
-                    out[i, index + t] += coeff * probs[i, t]
 
 
 def success_probability_pairs(
@@ -105,5 +82,4 @@ def success_probability_pairs(
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - compiled code, never traced
-    ragged_convolve = numba.njit(cache=True, nogil=True)(ragged_convolve)
     success_probability_pairs = numba.njit(cache=True, nogil=True)(success_probability_pairs)

@@ -85,7 +85,6 @@ __all__ = [
     "batched_shift",
     "batched_convolve",
     "batched_convolve_ragged",
-    "ragged_kernel_coeffs",
     "pack_impulses",
     "pack_batch",
     "packed_success_probability",
@@ -490,18 +489,6 @@ def batched_convolve_ragged(
     >>> [p.mean() for p in out.to_pmfs()]
     [12.5, 6.0]
     """
-    coeffs, k_lo = ragged_kernel_coeffs(batch, kernels)
-    width = batch.support
-    out = np.zeros((batch.n_pmfs, width + coeffs.shape[1] - 1), dtype=np.float64)
-    for index in np.flatnonzero(coeffs.any(axis=0)).tolist():
-        out[:, index : index + width] += coeffs[:, index : index + 1] * batch.probs
-    return PMFBatch(out, batch.offset + k_lo)
-
-
-def ragged_kernel_coeffs(
-    batch: PMFBatch, kernels: Sequence[DiscretePMF]
-) -> tuple[np.ndarray, int]:
-    """Per-row kernel coefficients of a ragged convolve on their shared grid, and its offset."""
     kernels = list(kernels)
     if len(kernels) != batch.n_pmfs:
         raise ValueError(
@@ -514,7 +501,11 @@ def ragged_kernel_coeffs(
     for i, kernel in enumerate(kernels):
         start = kernel.offset - k_lo
         coeffs[i, start : start + kernel.probs.size] = kernel.probs
-    return coeffs, k_lo
+    width = batch.support
+    out = np.zeros((batch.n_pmfs, width + coeffs.shape[1] - 1), dtype=np.float64)
+    for index in np.flatnonzero(coeffs.any(axis=0)).tolist():
+        out[:, index : index + width] += coeffs[:, index : index + 1] * batch.probs
+    return PMFBatch(out, batch.offset + k_lo)
 
 
 def pack_impulses(pmfs: Sequence[DiscretePMF]) -> tuple[np.ndarray, np.ndarray]:

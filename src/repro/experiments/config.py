@@ -92,9 +92,8 @@ class ExperimentConfig:
     batch_window: int = 0
     #: Kernel backend forwarded to the simulator (``None`` = process-wide
     #: selection: ``REPRO_KERNEL_BACKEND`` or the ``numpy`` reference).
-    #: Excluded from the cache-key *config* payload — the backend identity
-    #: is folded into the engine tag instead (see
-    #: :func:`repro.core.kernels.kernel_cache_tag`).
+    #: Excluded from sweep cache keys: both backends are bit-identical, so
+    #: a ``numba`` run shares the cache entries of its ``numpy`` twin.
     kernel_backend: str | None = None
 
     def __post_init__(self) -> None:

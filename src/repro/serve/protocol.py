@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from ..workload.spec import TaskSpec
+from ..workload.spec import TaskSpec, integral_field
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .service import Decision
@@ -145,9 +144,11 @@ def spec_to_payload(spec: TaskSpec) -> dict[str, int]:
 def spec_from_payload(payload: Mapping) -> TaskSpec:
     """Validate and rebuild a submitted task.
 
-    Mirrors the strict recorded-trace loader: every field must be present,
-    numeric, finite, and integral, and :class:`TaskSpec` enforces the
-    arrival/deadline ordering — errors name the offending field.
+    Validates exactly as the recorded-trace loader does
+    (:func:`~repro.workload.spec.integral_field`): every field must be
+    present and an exact integer in the signed 64-bit range, and
+    :class:`TaskSpec` enforces the arrival/deadline ordering — errors name
+    the offending field.
     """
     if not isinstance(payload, Mapping):
         raise ValueError("task payload must be an object")
@@ -157,12 +158,7 @@ def spec_from_payload(payload: Mapping) -> TaskSpec:
             raw = payload[name]
         except (KeyError, TypeError):
             raise ValueError(f"task payload is missing field {name!r}") from None
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ValueError(f"task field {name!r} must be a number, got {raw!r}")
-        number = float(raw)
-        if not math.isfinite(number) or number != int(number):
-            raise ValueError(f"task field {name!r} must be an integer, got {raw!r}")
-        values[name] = int(number)
+        values[name] = integral_field(raw, f"task field {name!r}")
     try:
         return TaskSpec(
             arrival=values["arrival"],

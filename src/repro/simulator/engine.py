@@ -183,9 +183,7 @@ class SimulatorConfig:
     #: :data:`repro.core.kernels.KERNEL_BACKEND_NAMES`).  ``None`` (default)
     #: keeps the process-wide selection — the ``REPRO_KERNEL_BACKEND``
     #: environment variable or the ``numpy`` reference.  The backend only
-    #: changes *how* the kernels run: the ``numpy`` and ``numba`` paths are
-    #: bit-identical, the ``array-api`` path is pinned within its documented
-    #: tolerance (see ``docs/architecture.md``).
+    #: changes *how* the kernels run: both backends are bit-identical.
     kernel_backend: str | None = None
 
     def __post_init__(self) -> None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from ..core.kernels import parse_kernel_tag
 from .spec import CACHE_SCHEMA_VERSION, SweepPoint, point_payload
 from .trial import TrialMetrics
 
@@ -44,12 +43,11 @@ class CacheEntry:
     """On-disk metadata of one cached artefact (for ``repro cache``).
 
     ``kernel_version`` is the artefact's recorded engine tag: the bare
-    kernel version (a plain integer for every pre-PR-8 artefact and for the
-    ``numpy`` reference backend) or the composite ``"<version>+<backend>"``
-    string of an accelerator backend — see
-    :func:`repro.core.kernels.kernel_cache_tag`.  It is ``None`` for
-    artefacts too corrupt to parse; those can never become hits and are
-    garbage-collectable regardless of the kernel version being kept.
+    :data:`~repro.core.batch.KERNEL_VERSION` it was computed under (older
+    artefacts may carry a retired ``"<version>+<backend>"`` string, which
+    no current key produces).  It is ``None`` for artefacts too corrupt to
+    parse; those can never become hits and are garbage-collectable
+    regardless of the kernel version being kept.
     """
 
     path: Path
@@ -62,20 +60,6 @@ class CacheEntry:
     @property
     def readable(self) -> bool:
         return self.kernel_version is not None
-
-    @property
-    def kernel_release(self) -> str | None:
-        """Version part of the engine tag (``"3"`` for both ``3`` and ``"3+numba"``)."""
-        if self.kernel_version is None:
-            return None
-        return parse_kernel_tag(self.kernel_version)[0]
-
-    @property
-    def kernel_backend(self) -> str | None:
-        """Backend part of the engine tag (bare tags denote ``"numpy"``)."""
-        if self.kernel_version is None:
-            return None
-        return parse_kernel_tag(self.kernel_version)[1]
 
 
 @dataclass
@@ -170,64 +154,37 @@ class ResultCache:
             )
 
     def disk_stats(self) -> dict[str, object]:
-        """Aggregate entry count, bytes, and per-kernel-tag breakdown.
-
-        ``kernel_versions`` groups by the full engine tag (composite tags
-        such as ``"3+numba"`` are distinct buckets from the bare reference
-        ``"3"``); ``backends`` rolls the same entries up by backend part,
-        with pre-PR-8 bare integer tags counted under ``"numpy"``.
-        """
+        """Aggregate entry count, bytes, and per-engine-tag breakdown."""
         entries = bytes_total = corrupt = 0
         kernels: dict[str, int] = {}
-        backends: dict[str, int] = {}
         for entry in self.entries():
             entries += 1
             bytes_total += entry.size_bytes
             if entry.readable:
-                kernels[str(entry.kernel_version)] = (
-                    kernels.get(str(entry.kernel_version), 0) + 1
-                )
-                backends[entry.kernel_backend] = (
-                    backends.get(entry.kernel_backend, 0) + 1
-                )
+                tag = str(entry.kernel_version)
+                kernels[tag] = kernels.get(tag, 0) + 1
             else:
                 corrupt += 1
         return {
             "entries": entries,
             "bytes": bytes_total,
             "kernel_versions": dict(sorted(kernels.items())),
-            "backends": dict(sorted(backends.items())),
             "corrupt": corrupt,
         }
 
     def gc(
-        self,
-        *,
-        keep_kernel_version: str | int,
-        keep_backend: str | None = None,
-        dry_run: bool = False,
+        self, *, keep_kernel_version: str | int, dry_run: bool = False
     ) -> tuple[int, int]:
-        """Drop artefacts from stale kernel versions (and corrupt files).
+        """Drop artefacts whose engine tag is not ``keep_kernel_version`` (and corrupt files).
 
-        Returns ``(removed_entries, removed_bytes)``.  ``keep_kernel_version``
-        matches on the *version part* of each artefact's engine tag, so the
-        backward-compatible bare form (``keep_kernel_version=3``, the
-        pre-PR-8 interface) keeps version-3 artefacts from **every**
-        backend — other-backend entries are stale-by-version like any other
-        tag mismatch, never treated as corrupt.  Passing a composite tag
-        (``"3+numba"``) or an explicit ``keep_backend`` additionally
-        restricts the survivors to that backend.
+        Returns ``(removed_entries, removed_bytes)``.  Tags compare as
+        strings, so a retired ``"<version>+<backend>"`` tag is stale like
+        any other mismatch, never treated as corrupt.
         """
-        keep_version, _, tag_backend = str(keep_kernel_version).partition("+")
-        if keep_backend is None and tag_backend:
-            keep_backend = tag_backend
+        keep = str(keep_kernel_version)
         removed = removed_bytes = 0
         for entry in self.entries():
-            if (
-                entry.readable
-                and entry.kernel_release == keep_version
-                and (keep_backend is None or entry.kernel_backend == keep_backend)
-            ):
+            if entry.readable and str(entry.kernel_version) == keep:
                 continue
             removed += 1
             removed_bytes += entry.size_bytes

@@ -30,7 +30,6 @@ import numpy as np
 from pathlib import Path
 
 from ..core.batch import KERNEL_VERSION
-from ..core.kernels import kernel_cache_tag
 from ..heuristics.registry import HEURISTIC_NAMES, make_heuristic
 from ..pet.builders import build_spec_pet, build_transcoding_pet
 from ..pruning.oversubscription import OversubscriptionDetector
@@ -315,14 +314,13 @@ def point_payload(point: SweepPoint) -> dict[str, object]:
 
     The ``trace`` key only appears for trace-backed points so that every
     pre-existing synthetic-workload cache key is unchanged.  The same
-    back-compat discipline governs the two PR-8 config fields:
+    back-compat discipline governs two config fields:
 
-    * ``kernel_backend`` never appears inside ``config`` — the backend is
-      folded into the ``engine`` tag instead
-      (:func:`repro.core.kernels.kernel_cache_tag`), where the ``numpy``
-      reference keeps the historical bare integer so pre-existing cache
-      entries stay addressable while other backends get composite
-      ``"<version>+<backend>"`` tags that can never collide with it;
+    * ``kernel_backend`` never appears — every kernel backend is
+      bit-identical, so the ``engine`` tag is the bare
+      :data:`~repro.core.batch.KERNEL_VERSION` and a ``numba`` run shares
+      the entries of its ``numpy`` twin (as the sweep execution ``backend``
+      does);
     * ``batch_window`` appears only when non-zero, so per-event
       (``window=0``) keys are unchanged and batched-round results never
       collide with them.
@@ -333,9 +331,7 @@ def point_payload(point: SweepPoint) -> dict[str, object]:
         config_payload.pop("batch_window", None)
     payload: dict[str, object] = {
         "schema": CACHE_SCHEMA_VERSION,
-        "engine": kernel_cache_tag(
-            point.config.kernel_backend, version=KERNEL_VERSION
-        ),
+        "engine": KERNEL_VERSION,
         "pet": asdict(point.pet),
         "heuristic": asdict(point.heuristic),
         "workload": asdict(point.workload) if point.workload is not None else None,

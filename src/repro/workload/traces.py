@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Mapping
 
 from .generator import WorkloadConfig, WorkloadTrace
-from .spec import TaskSpec
+from .spec import TaskSpec, integral_field
 
 __all__ = [
     "trace_to_dict",
@@ -69,18 +68,7 @@ def _task_int(item: Mapping, field: str, index: int) -> int:
         value = item[field]
     except (KeyError, TypeError):
         raise ValueError(f"task {index}: missing field {field!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(
-            f"task {index}: field {field!r} must be a number, got {value!r}"
-        )
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"task {index}: field {field!r} is not finite ({value!r})")
-    if value != int(value):
-        raise ValueError(
-            f"task {index}: field {field!r} must be an integer time unit, got {value!r}"
-        )
-    return int(value)
+    return integral_field(value, f"task {index}: field {field!r}")
 
 
 def trace_from_dict(payload: Mapping) -> WorkloadTrace:
@@ -99,20 +87,20 @@ def trace_from_dict(payload: Mapping) -> WorkloadTrace:
     if payload.get("format") != _FORMAT:
         raise ValueError("payload is not a serialised workload trace")
     try:
-        version = int(payload.get("version", -1))
-    except (TypeError, ValueError):
+        version = integral_field(payload.get("version", -1), "version")
+    except ValueError:
         version = None
     if version != _VERSION:
         raise ValueError(f"unsupported trace version {payload.get('version')!r}")
     try:
         config_payload = payload["config"]
         config = WorkloadConfig(
-            num_tasks=int(config_payload["num_tasks"]),
-            time_span=int(config_payload["time_span"]),
+            num_tasks=integral_field(config_payload["num_tasks"], "num_tasks"),
+            time_span=integral_field(config_payload["time_span"], "time_span"),
             beta=float(config_payload["beta"]),
             variance_fraction=float(config_payload["variance_fraction"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid trace config: {exc}") from exc
     tasks_payload = payload.get("tasks")
     if not isinstance(tasks_payload, (list, tuple)):
@@ -149,7 +137,7 @@ def trace_from_dict(payload: Mapping) -> WorkloadTrace:
             )
         )
 
-    num_task_types = int(payload.get("num_task_types", 0))
+    num_task_types = integral_field(payload.get("num_task_types", 0), "num_task_types")
     if specs:
         highest = max(spec.task_type for spec in specs)
         if num_task_types <= highest:

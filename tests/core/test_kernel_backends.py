@@ -1,14 +1,12 @@
-"""Differential suite for the pluggable kernel backends (PR 8 tentpole).
+"""Differential suite for the kernel backends.
 
 Every installed backend is driven through random ``PMFBatch`` inputs and
-compared against two references:
-
-* the **scalar** path (:class:`DiscretePMF` ops /
-  :mod:`repro.heuristics.scoring`) — the NumPy backend must match it at
-  ``atol=0``, extending the original batched-kernel contract;
-* the **NumPy backend** — accelerator backends must match it within their
-  own pinned ``rtol``/``atol`` attributes (the documented tolerance policy;
-  the jitted numba path pins ``0.0`` and is therefore bit-identical too).
+compared at ``atol=0`` against two references: the **scalar** path
+(:class:`DiscretePMF` ops / :mod:`repro.heuristics.scoring`) and the
+:mod:`repro.core.batch` functions the NumPy backend delegates to.  The
+batch ops no backend dispatches (shift, convolve, sequential sum) meet the
+scalar path on the same random inputs.  The numba backend's loop body runs
+here as plain Python where numba is absent.
 
 A full seeded 660-task reference-trace trial per installed backend closes
 the loop at the whole-simulation level.
@@ -24,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import (
-    KERNEL_VERSION,
     CDFTable,
     PMFBatch,
     batched_convolve,
@@ -38,9 +35,9 @@ from repro.core.batch import (
 from repro.core.completion import DroppingPolicy, batched_completion_step
 from repro.core import _numba_kernels
 from repro.core.kernels import (
-    ARRAY_API_NAMESPACE_ENV,
     KERNEL_BACKEND_ENV,
-    ArrayApiBackend,
+    InstrumentedBackend,
+    KernelBackend,
     KernelBackendUnavailable,
     NumbaBackend,
     NumpyBackend,
@@ -48,8 +45,6 @@ from repro.core.kernels import (
     available_backends,
     backend_available,
     get_backend,
-    kernel_cache_tag,
-    parse_kernel_tag,
     resolve_backend,
     resolved_backend_name,
     set_active_backend,
@@ -58,6 +53,7 @@ from repro.core.kernels import (
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.registry import make_heuristic
 from repro.heuristics.scoring import expected_completion, fast_success_probability
+from repro.obs import Telemetry
 from repro.pet.builders import build_transcoding_pet
 from repro.simulator.engine import HCSimulator, SimulatorConfig, simulate
 from repro.workload.traces import load_trace
@@ -69,18 +65,6 @@ REFERENCE_TRACE = (
 )
 
 INSTALLED = available_backends()
-
-
-def _assert_backend_close(backend, actual, reference) -> None:
-    """Apply the backend's pinned tolerance (bit-identity when it pins 0)."""
-    actual = np.asarray(actual)
-    reference = np.asarray(reference)
-    if backend.rtol == 0.0 and backend.atol == 0.0:
-        assert np.array_equal(actual, reference), backend.name
-    else:
-        np.testing.assert_allclose(
-            actual, reference, rtol=backend.rtol, atol=backend.atol
-        )
 
 
 # ----------------------------------------------------------------------
@@ -160,43 +144,6 @@ def _assert_same_pmf(got: DiscretePMF, want: DiscretePMF) -> None:
 class TestBackendDifferential:
     @settings(max_examples=25, deadline=None)
     @given(batch=batch_strategy(), data=st.data())
-    def test_shift_matches_reference(self, name, batch, data):
-        backend = get_backend(name)
-        scalar_delta = data.draw(st.integers(-10, 10))
-        out = backend.shift(batch, scalar_delta)
-        ref = batched_shift(batch, scalar_delta)
-        assert out.offset == ref.offset
-        _assert_backend_close(backend, out.probs, ref.probs)
-
-        deltas = np.array(
-            data.draw(
-                st.lists(
-                    st.integers(-10, 10),
-                    min_size=batch.n_pmfs,
-                    max_size=batch.n_pmfs,
-                )
-            ),
-            dtype=np.int64,
-        )
-        out = backend.shift(batch, deltas)
-        ref = batched_shift(batch, deltas)
-        assert out.offset == ref.offset
-        _assert_backend_close(backend, out.probs, ref.probs)
-
-    @settings(max_examples=25, deadline=None)
-    @given(batch=batch_strategy(), kernel=pmf_strategy(min_time=0, max_time=20))
-    def test_convolve_matches_reference_and_scalar(self, name, batch, kernel):
-        backend = get_backend(name)
-        out = backend.convolve(batch, kernel)
-        ref = batched_convolve(batch, kernel)
-        assert out.offset == ref.offset
-        _assert_backend_close(backend, out.probs, ref.probs)
-        if backend.rtol == 0.0:  # scalar atol=0 leg of the contract
-            for i in range(batch.n_pmfs):
-                _assert_same_pmf(out.row(i), batch.row(i).convolve_with(kernel))
-
-    @settings(max_examples=25, deadline=None)
-    @given(batch=batch_strategy(), data=st.data())
     def test_convolve_ragged_matches_reference_and_scalar(self, name, batch, data):
         backend = get_backend(name)
         kernels = [
@@ -206,28 +153,9 @@ class TestBackendDifferential:
         out = backend.convolve_ragged(batch, kernels)
         ref = batched_convolve_ragged(batch, kernels)
         assert out.offset == ref.offset
-        _assert_backend_close(backend, out.probs, ref.probs)
-        if backend.rtol == 0.0:
-            for i in range(batch.n_pmfs):
-                _assert_same_pmf(out.row(i), batch.row(i).convolve_with(kernels[i]))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        values=st.lists(
-            st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=0, max_size=8),
-            min_size=1,
-            max_size=5,
-        ).filter(lambda rows: len({len(r) for r in rows}) == 1)
-    )
-    def test_sequential_sum_matches_reference(self, name, values):
-        backend = get_backend(name)
-        arr = np.array(values, dtype=np.float64)
-        for axis in (-1, 0, 1):
-            _assert_backend_close(
-                backend,
-                backend.sequential_sum(arr, axis=axis),
-                sequential_sum(arr, axis=axis),
-            )
+        assert np.array_equal(out.probs, ref.probs)
+        for i in range(batch.n_pmfs):
+            _assert_same_pmf(out.row(i), batch.row(i).convolve_with(kernels[i]))
 
     @settings(max_examples=25, deadline=None)
     @given(case=scoring_case_strategy())
@@ -239,21 +167,18 @@ class TestBackendDifferential:
         packed = pack_impulses(avail_pmfs)
         out = backend.success_probability(*packed, table, types, deadlines)
         ref = batched_success_probability(batch, table, types, deadlines)
-        _assert_backend_close(backend, out, ref)
+        assert np.array_equal(out, ref)
         # The pair-list form, in an arbitrary order, is the same numbers.
         rows, slots = np.nonzero(np.ones(out.shape, dtype=bool))
         order = np.random.default_rng(out.size).permutation(rows.size)
         listed = backend.success_probability(
             *packed, table, types, deadlines, pairs=(rows[order], slots[order])
         )
-        _assert_backend_close(backend, listed, ref[rows[order], slots[order]])
-        if backend.rtol == 0.0:  # scalar atol=0 leg of the contract
-            for i, (task_type, deadline) in enumerate(zip(types, deadlines)):
-                for j, avail in enumerate(avail_pmfs):
-                    scalar = fast_success_probability(
-                        grid[task_type][j], avail, int(deadline)
-                    )
-                    assert out[i, j] == scalar
+        assert np.array_equal(listed, ref[rows[order], slots[order]])
+        for i, (task_type, deadline) in enumerate(zip(types, deadlines)):
+            for j, avail in enumerate(avail_pmfs):
+                scalar = fast_success_probability(grid[task_type][j], avail, int(deadline))
+                assert out[i, j] == scalar
 
     @settings(max_examples=25, deadline=None)
     @given(case=scoring_case_strategy())
@@ -271,12 +196,8 @@ class TestBackendDifferential:
                 scalar = expected_completion(grid[task_type][j], avail)
                 if np.isnan(scalar):
                     assert np.isnan(out[i, j])
-                elif backend.rtol == 0.0:
-                    assert out[i, j] == scalar
                 else:
-                    np.testing.assert_allclose(
-                        out[i, j], scalar, rtol=backend.rtol, atol=backend.atol
-                    )
+                    assert out[i, j] == scalar
 
     def test_ragged_rejects_row_mismatch(self, name):
         backend = get_backend(name)
@@ -308,15 +229,64 @@ class TestBackendDifferential:
 
 
 # ----------------------------------------------------------------------
-# The numba backend's loop bodies, as plain Python where numba is absent
+# The core.batch ops no backend dispatches, on random batches vs scalar
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=batch_strategy(), data=st.data())
+def test_shift_matches_scalar(batch, data):
+    delta = data.draw(st.integers(-10, 10))
+    out = batched_shift(batch, delta)
+    for i in range(batch.n_pmfs):
+        _assert_same_pmf(out.row(i), batch.row(i).shift(delta))
+
+    deltas = data.draw(
+        st.lists(st.integers(-10, 10), min_size=batch.n_pmfs, max_size=batch.n_pmfs)
+    )
+    out = batched_shift(batch, np.array(deltas, dtype=np.int64))
+    for i, delta in enumerate(deltas):
+        _assert_same_pmf(out.row(i), batch.row(i).shift(delta))
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=batch_strategy(), kernel=pmf_strategy(min_time=0, max_time=20))
+def test_convolve_matches_scalar(batch, kernel):
+    out = batched_convolve(batch, kernel)
+    for i in range(batch.n_pmfs):
+        _assert_same_pmf(out.row(i), batch.row(i).convolve_with(kernel))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    values=st.lists(
+        st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=0, max_size=8),
+        min_size=1,
+        max_size=5,
+    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+)
+def test_sequential_sum_matches_python_accumulation(values):
+    arr = np.array(values, dtype=np.float64)
+    for axis in (-1, 0, 1):
+        expected = []
+        for line in np.moveaxis(arr, axis, -1):
+            acc = 0.0
+            for value in line:
+                acc = acc + value
+            expected.append(acc)
+        assert np.array_equal(sequential_sum(arr, axis=axis), np.array(expected))
+
+
+# ----------------------------------------------------------------------
+# The numba backend's loop body, as plain Python where numba is absent
 # ----------------------------------------------------------------------
 
 
 def plain_numba_backend() -> NumbaBackend:
     """``NumbaBackend`` over whatever ``_numba_kernels`` holds here.
 
-    Without numba those are the loop bodies uncompiled, so tier-1 checks
-    the very code the jit would compile (and the backend's operand glue).
+    Without numba that is the loop body uncompiled, so tier-1 checks the
+    very code the jit would compile (and the backend's operand glue).
     """
     backend = object.__new__(NumbaBackend)
     backend._jit = _numba_kernels
@@ -343,6 +313,7 @@ def test_numba_scoring_body_matches_reference(case):
 @settings(max_examples=25, deadline=None)
 @given(batch=batch_strategy(max_rows=3), data=st.data())
 def test_numba_ragged_body_matches_reference(batch, data):
+    """numba inherits numpy's ragged convolve, so it is the same bits."""
     backend = plain_numba_backend()
     kernels = [data.draw(pmf_strategy()) for _ in range(batch.n_pmfs)]
     out = backend.convolve_ragged(batch, kernels)
@@ -386,7 +357,6 @@ def reference_result(reference_trace):
 @pytest.mark.parametrize("name", INSTALLED)
 def test_reference_trace_trial_matches(name, reference_trace, reference_result):
     """660-task seeded trial: every installed backend vs the default run."""
-    backend = get_backend(name)
     pet = build_transcoding_pet(rng=2019)
     heuristic = make_heuristic("PAMF", num_task_types=pet.num_task_types)
     result = simulate(
@@ -396,17 +366,7 @@ def test_reference_trace_trial_matches(name, reference_trace, reference_result):
         config=SimulatorConfig(kernel_backend=name),
         rng=2021,
     )
-    if backend.rtol == 0.0 and backend.atol == 0.0:
-        assert _trial_signature(result) == _trial_signature(reference_result)
-    else:
-        # Tolerance backends may legally flip knife-edge ties; require the
-        # same decision stream shape and a matching headline metric.
-        assert [t.status.value for t in result.tasks] == [
-            t.status.value for t in reference_result.tasks
-        ]
-        assert result.robustness_percent() == pytest.approx(
-            reference_result.robustness_percent(), abs=0.5
-        )
+    assert _trial_signature(result) == _trial_signature(reference_result)
 
 
 def test_default_backend_unscoped_run_unchanged(reference_trace, reference_result):
@@ -467,6 +427,35 @@ def test_completion_step_dispatches_through_active_backend():
         assert np.array_equal(got.probs, want.probs)
 
 
+@pytest.mark.parametrize(
+    "op", ["convolve_ragged", "success_probability", "expected_completion"]
+)
+def test_instrumented_backend_forwards_and_times_each_op(op):
+    batch = PMFBatch.from_pmfs(
+        [DiscretePMF.point(1), DiscretePMF.from_impulses({2: 0.5, 4: 0.5})]
+    )
+    table = CDFTable.from_grid([[DiscretePMF.point(2), DiscretePMF.point(3)]])
+    args = {
+        "convolve_ragged": (
+            batch,
+            [DiscretePMF.point(2), DiscretePMF.from_impulses({0: 0.5, 3: 0.5})],
+        ),
+        "success_probability": (
+            *pack_batch(batch), table, np.array([0]), np.array([6])
+        ),
+        "expected_completion": (batch.means(), np.array([[2.0, 3.0]])),
+    }[op]
+    spy, telemetry = _SpyBackend(), Telemetry()
+    out = getattr(InstrumentedBackend(spy, telemetry), op)(*args)
+    want = getattr(NumpyBackend(), op)(*args)
+    if isinstance(want, PMFBatch):
+        assert out.offset == want.offset
+        out, want = out.probs, want.probs
+    assert np.array_equal(out, want)
+    assert spy.calls == {op: 1}
+    assert [span[0] for span in telemetry.spans] == [f"kernel.numpy.{op}"]
+
+
 def test_engine_scopes_backend_around_event_loop(reference_trace):
     spy = _SpyBackend()
     pet = build_transcoding_pet(rng=2019)
@@ -482,7 +471,7 @@ def test_engine_scopes_backend_around_event_loop(reference_trace):
 
 
 # ----------------------------------------------------------------------
-# Registry, selection order, tags
+# Registry and selection order
 # ----------------------------------------------------------------------
 
 
@@ -501,13 +490,25 @@ class TestSelection:
     def test_selection_order(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
         assert resolved_backend_name(None) == "numpy"
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "array-api")
-        assert resolved_backend_name(None) == "array-api"
+        # Resolving a name never constructs the backend, so this holds
+        # on an interpreter without numba too.
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numba")
+        assert resolved_backend_name(None) == "numba"
         # Explicit selection wins over the environment.
         assert resolved_backend_name("numpy") == "numpy"
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "warp-drive")
         with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
             resolved_backend_name(None)
+
+    def test_protocol_is_the_three_dispatched_ops(self):
+        ops = {
+            name
+            for name, value in vars(KernelBackend).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert ops == {"convolve_ragged", "success_probability", "expected_completion"}
+        assert isinstance(get_backend("numpy"), KernelBackend)
+        assert isinstance(InstrumentedBackend(NumpyBackend(), None), KernelBackend)
 
     def test_resolve_backend_passes_instances_through(self):
         instance = NumpyBackend()
@@ -517,9 +518,10 @@ class TestSelection:
     def test_use_backend_scopes_and_restores(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
         previous = set_active_backend("numpy")
-        with use_backend("array-api") as scoped:
-            assert active_backend() is scoped
-            assert scoped.name == "array-api"
+        spy = _SpyBackend()
+        with use_backend(spy) as scoped:
+            assert scoped is spy
+            assert active_backend() is spy
         assert active_backend() is previous
         # None is a no-op scope.
         with use_backend(None) as scoped:
@@ -529,7 +531,7 @@ class TestSelection:
     def test_use_backend_restores_on_exception(self):
         previous = set_active_backend("numpy")
         with pytest.raises(RuntimeError, match="boom"):
-            with use_backend("array-api"):
+            with use_backend(_SpyBackend()):
                 raise RuntimeError("boom")
         assert active_backend() is previous
 
@@ -551,52 +553,3 @@ class TestSelection:
     def test_simulator_config_validates_backend_name(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             SimulatorConfig(kernel_backend="warp-drive")
-
-    def test_array_api_backend_reports_namespace(self):
-        backend = ArrayApiBackend()
-        assert backend.name == "array-api"
-        assert isinstance(backend.namespace_name, str)
-        explicit = ArrayApiBackend(namespace=np)
-        assert explicit.namespace_name == "numpy"
-
-    def test_array_api_shift_rejects_bad_delta_shape(self):
-        backend = ArrayApiBackend()
-        batch = PMFBatch.from_pmfs([DiscretePMF.point(1), DiscretePMF.point(2)])
-        with pytest.raises(ValueError, match="scalar delta or shape"):
-            backend.shift(batch, np.array([1, 2, 3]))
-
-    def test_array_api_boundary_conversion(self):
-        """Non-ndarray namespace outputs convert back through __array__."""
-        backend = ArrayApiBackend()
-        out = backend._to_numpy([1.0, 2.0])
-        assert isinstance(out, np.ndarray)
-        assert out.dtype == np.float64
-
-    def test_array_api_namespace_env(self, monkeypatch):
-        monkeypatch.setenv(ARRAY_API_NAMESPACE_ENV, "numpy")
-        assert ArrayApiBackend().namespace_name == "numpy"
-        monkeypatch.setenv(ARRAY_API_NAMESPACE_ENV, "not_a_real_namespace")
-        with pytest.raises(KernelBackendUnavailable, match="not importable"):
-            ArrayApiBackend()
-
-
-class TestCacheTags:
-    def test_numpy_tag_is_the_bare_version(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert kernel_cache_tag() == KERNEL_VERSION
-        assert kernel_cache_tag("numpy") == KERNEL_VERSION
-        assert kernel_cache_tag("numpy", version=7) == 7
-
-    def test_other_backends_get_composite_tags(self):
-        assert kernel_cache_tag("array-api") == f"{KERNEL_VERSION}+array-api"
-        assert kernel_cache_tag("numba", version=9) == "9+numba"
-
-    def test_env_var_selects_the_tag_backend(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "array-api")
-        assert kernel_cache_tag() == f"{KERNEL_VERSION}+array-api"
-
-    def test_parse_kernel_tag(self):
-        assert parse_kernel_tag(3) == ("3", "numpy")
-        assert parse_kernel_tag("3") == ("3", "numpy")
-        assert parse_kernel_tag("3+numba") == ("3", "numba")
-        assert parse_kernel_tag("v-next+array-api") == ("v-next", "array-api")

@@ -21,10 +21,13 @@ from repro.pet.builders import build_transcoding_pet
 from repro.serve import (
     SchedulerCore,
     SchedulerService,
+    ShardedSchedulerService,
+    build_shard_specs,
     decision_map,
     decode_line,
     encode_line,
     offline_decision_map,
+    open_endpoint,
     parse_endpoint,
     replay_trace,
     slice_trace,
@@ -442,8 +445,58 @@ class TestWireProtocol:
             {"task_id": 1, "task_type": 0, "arrival": float("inf"), "deadline": 50},
             {"task_id": 1, "task_type": 0, "arrival": 60, "deadline": 50},  # deadline<arrival
             "not an object",
+            {"task_id": 10**400, "task_type": 0, "arrival": 4, "deadline": 50},
+            {"task_id": 10**30 - 1, "task_type": 0, "arrival": 4, "deadline": 50},
+            {"task_id": 1, "task_type": 0, "arrival": 4, "deadline": 1e300},
         ],
     )
     def test_malformed_payload_rejected(self, payload):
         with pytest.raises(ValueError):
             spec_from_payload(payload)
+
+    def test_integer_above_2_53_round_trips_exactly(self):
+        spec = TaskSpec(arrival=5, task_id=2**53 + 1, task_type=2, deadline=99)
+        line = encode_line(spec_to_payload(spec))
+        assert spec_from_payload(decode_line(line)).task_id == 2**53 + 1
+
+
+class TestOversizedIntegers:
+    @pytest.mark.parametrize("topology", ["single", "sharded"])
+    def test_oversized_task_id_is_a_plain_rejection(
+        self, tmp_path, small_gamma_pet, topology
+    ):
+        """A 401-digit task_id is answered with a non-fatal error; the
+        service stays up and takes the next submit, whose 2**53+1 id comes
+        back to the digit."""
+
+        def submit(task_id):
+            task = {"task_id": task_id, "task_type": 0, "arrival": 1, "deadline": 100}
+            return encode_line({"op": "submit", "task": task})
+
+        async def drive():
+            if topology == "single":
+                core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
+                service = SchedulerService(core, tmp_path / "serve.sock")
+            else:
+                specs = build_shard_specs(small_gamma_pet, "PAMF", workers=2, seed=5)
+                service = ShardedSchedulerService(specs, tmp_path / "front.sock")
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                writer.write(submit(10**400))
+                await writer.drain()
+                error = decode_line(await reader.readline())
+                writer.write(submit(2**53 + 1))
+                await writer.drain()
+                while (accepted := decode_line(await reader.readline()))["event"] != "accepted":
+                    pass
+                writer.close()
+            finally:
+                await service.stop(drain=False)
+            return service, error, accepted
+
+        service, error, accepted = asyncio.run(drive())
+        assert error["event"] == "error" and "fatal" not in error
+        assert "task_id" in error["message"]
+        assert accepted["accepted"] is True and accepted["task_id"] == 2**53 + 1
+        assert service.failure is None

@@ -10,9 +10,27 @@ import pytest
 from repro.core.batch import KERNEL_VERSION
 from repro.core.kernels import KERNEL_BACKEND_ENV
 from repro.experiments.config import ExperimentConfig
-from repro.sweep import HeuristicSpec, PETSpec, ResultCache, SweepPoint, TrialMetrics
+from repro.sweep import (
+    HeuristicSpec,
+    PETSpec,
+    ResultCache,
+    SweepPoint,
+    TraceSpec,
+    TrialMetrics,
+)
 from repro.sweep.spec import point_payload
 from repro.workload.generator import WorkloadConfig
+
+#: ``cache_key()`` of the ``point`` fixture and of ``trace_point()``, as
+#: computed before the kernel backend left the key: every numpy artefact
+#: written since then must stay addressable.
+SYNTHETIC_POINT_KEY = "e08bf9e2479f9e2cc931b7598cb55ca66428f55279480e9715fe1ce8e0dd6e64"
+TRACE_POINT_KEY = "82a1907c38582f8800c3eab09f9c70c8db0d8bef9eb038fbaa26ae41dfe3248f"
+
+#: Backend parts of the composite ``"<version>+<backend>"`` engine tags
+#: earlier releases wrote; the second is the retired portable backend built
+#: on an array-namespace standard.
+LEGACY_BACKENDS = ("numba", "-".join(("array", "api")))
 
 
 @pytest.fixture
@@ -23,6 +41,17 @@ def point() -> SweepPoint:
         heuristic=HeuristicSpec(name="MM"),
         workload=WorkloadConfig(num_tasks=40, time_span=300, beta=1.5),
         config=ExperimentConfig(trials=2, seed=5),
+    )
+
+
+def trace_point() -> SweepPoint:
+    return SweepPoint(
+        label="trace",
+        pet=PETSpec(kind="transcoding", seed=7),
+        heuristic=HeuristicSpec(name="PAMF"),
+        workload=None,
+        trace=TraceSpec(builder="transcoding-660", seed=7, num_tasks=33),
+        config=ExperimentConfig(trials=1, seed=7),
     )
 
 
@@ -120,45 +149,31 @@ class TestCacheKeyBackendAndWindowFields:
         other = replace(point, config=replace(point.config, batch_window=16))
         assert other.cache_key() != windowed.cache_key()
 
-    def test_kernel_backend_is_folded_into_the_engine_tag(
-        self, point, monkeypatch
-    ):
+    def test_numpy_keys_are_pinned(self, point, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        payload = point_payload(point)
+        assert point.cache_key() == SYNTHETIC_POINT_KEY
+        assert trace_point().cache_key() == TRACE_POINT_KEY
+
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    def test_kernel_backend_never_enters_the_key(self, point, backend, monkeypatch):
+        """Both backends are bit-identical, so a numba run shares the
+        entries of its numpy twin — whether pinned or from the environment."""
+        pinned = replace(point, config=replace(point.config, kernel_backend=backend))
+        payload = point_payload(pinned)
         assert "kernel_backend" not in payload["config"]
-        assert payload["engine"] == KERNEL_VERSION  # bare pre-PR-8 tag
+        assert payload["engine"] == KERNEL_VERSION
+        assert pinned.cache_key() == SYNTHETIC_POINT_KEY
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, backend)
+        assert point.cache_key() == SYNTHETIC_POINT_KEY
 
-        accel = replace(point, config=replace(point.config, kernel_backend="array-api"))
-        accel_payload = point_payload(accel)
-        assert "kernel_backend" not in accel_payload["config"]
-        assert accel_payload["engine"] == f"{KERNEL_VERSION}+array-api"
-        assert accel.cache_key() != point.cache_key()
-
-    def test_explicit_numpy_matches_default(self, point, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        explicit = replace(point, config=replace(point.config, kernel_backend="numpy"))
-        assert explicit.cache_key() == point.cache_key()
-
-    def test_env_var_selects_backend_for_unpinned_points(self, point, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        default_key = point.cache_key()
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "array-api")
-        assert point_payload(point)["engine"] == f"{KERNEL_VERSION}+array-api"
-        assert point.cache_key() != default_key
-        # A point pinned to a backend ignores the environment.
-        pinned = replace(point, config=replace(point.config, kernel_backend="numpy"))
-        assert pinned.cache_key() == default_key
-
-    def test_backend_entries_never_collide_across_backends(self, tmp_path, point):
+    def test_numba_run_reads_the_numpy_entry(self, tmp_path, point):
         cache = ResultCache(tmp_path)
+        cache.store(point, make_trials(2))
         numba_point = replace(
             point, config=replace(point.config, kernel_backend="numba")
         )
-        cache.store(point, make_trials(2))
-        cache.store(numba_point, make_trials(2))
-        assert cache.path_for(point) != cache.path_for(numba_point)
-        assert cache.load(point) is not None
-        assert cache.load(numba_point) is not None
+        assert cache.path_for(numba_point) == cache.path_for(point)
+        assert cache.load(numba_point) == make_trials(2)
 
 
 class TestTrialMetricsPayload:
@@ -210,62 +225,51 @@ class TestCacheMaintenance:
         assert cache.disk_stats()["entries"] == 0
 
     @pytest.fixture
-    def mixed_backend_cache(self, tmp_path, point, monkeypatch):
-        """One artefact per backend tag at the current kernel version."""
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+    def legacy_backend_cache(self, tmp_path, point):
+        """A current artefact beside two retired composite-tag ones."""
         cache = ResultCache(tmp_path)
-        paths = {"numpy": cache.store(point, make_trials(2))}
-        for backend in ("numba", "array-api"):
-            tagged = replace(
-                point,
-                label=backend,
-                config=replace(point.config, kernel_backend=backend),
-            )
-            paths[backend] = cache.store(tagged, make_trials(2))
+        paths = {str(KERNEL_VERSION): cache.store(point, make_trials(2))}
+        payload = json.loads(paths[str(KERNEL_VERSION)].read_text())
+        for index, backend in enumerate(LEGACY_BACKENDS):
+            tag = f"{KERNEL_VERSION}+{backend}"
+            payload["point"]["engine"] = tag
+            legacy = tmp_path / "ff" / f"{index:064x}.json"
+            legacy.parent.mkdir(exist_ok=True)
+            legacy.write_text(json.dumps(payload))
+            paths[tag] = legacy
         return cache, paths
 
-    def test_disk_stats_groups_by_tag_and_backend(self, mixed_backend_cache):
-        cache, _ = mixed_backend_cache
+    def test_disk_stats_lists_legacy_tags(self, legacy_backend_cache):
+        cache, paths = legacy_backend_cache
         stats = cache.disk_stats()
-        assert stats["kernel_versions"] == {
-            str(KERNEL_VERSION): 1,
-            f"{KERNEL_VERSION}+array-api": 1,
-            f"{KERNEL_VERSION}+numba": 1,
-        }
-        assert stats["backends"] == {"array-api": 1, "numba": 1, "numpy": 1}
+        assert stats["kernel_versions"] == {tag: 1 for tag in paths}
+        assert stats["corrupt"] == 0
 
-    def test_gc_bare_version_keeps_every_backend(self, mixed_backend_cache):
-        """Pre-PR-8 interface: other-backend entries at the kept version are
-        current, not corrupt — a bare-version gc must not remove them."""
-        cache, paths = mixed_backend_cache
-        removed, _ = cache.gc(keep_kernel_version=KERNEL_VERSION)
-        assert removed == 0
-        assert all(p.exists() for p in paths.values())
-
-    def test_gc_composite_tag_restricts_to_one_backend(self, mixed_backend_cache):
-        cache, paths = mixed_backend_cache
-        removed, _ = cache.gc(keep_kernel_version=f"{KERNEL_VERSION}+numba")
-        assert removed == 2
-        assert paths["numba"].exists()
-        assert not paths["numpy"].exists()
-        assert not paths["array-api"].exists()
-
-    def test_gc_keep_backend_filter(self, mixed_backend_cache):
-        cache, paths = mixed_backend_cache
-        removed, _ = cache.gc(
-            keep_kernel_version=KERNEL_VERSION, keep_backend="numpy", dry_run=True
-        )
+    def test_gc_removes_legacy_tags_as_stale(self, legacy_backend_cache):
+        cache, paths = legacy_backend_cache
+        removed, _ = cache.gc(keep_kernel_version=KERNEL_VERSION, dry_run=True)
         assert removed == 2
         assert all(p.exists() for p in paths.values())  # dry run touches nothing
-        removed, _ = cache.gc(
-            keep_kernel_version=KERNEL_VERSION, keep_backend="numpy"
-        )
+        removed, _ = cache.gc(keep_kernel_version=KERNEL_VERSION)
         assert removed == 2
-        assert paths["numpy"].exists()
-        assert not paths["numba"].exists()
+        assert [tag for tag, p in paths.items() if p.exists()] == [str(KERNEL_VERSION)]
 
-    def test_gc_stale_version_drops_other_backends_too(self, mixed_backend_cache):
-        cache, paths = mixed_backend_cache
+    def test_gc_stale_version_drops_legacy_tags_too(self, legacy_backend_cache):
+        cache, paths = legacy_backend_cache
         removed, _ = cache.gc(keep_kernel_version="v-next")
         assert removed == 3
         assert not any(p.exists() for p in paths.values())
+
+    def test_gc_keeps_what_a_numba_run_wrote(self, tmp_path, point):
+        """A numba run writes the bare version tag: current, never stale."""
+        cache = ResultCache(tmp_path)
+        numba_point = replace(
+            point,
+            config=replace(point.config, seed=point.config.seed + 1, kernel_backend="numba"),
+        )
+        paths = [cache.store(point, make_trials(2)), cache.store(numba_point, make_trials(2))]
+        assert paths[0] != paths[1]
+        assert cache.disk_stats()["kernel_versions"] == {str(KERNEL_VERSION): 2}
+        removed, _ = cache.gc(keep_kernel_version=KERNEL_VERSION)
+        assert removed == 0
+        assert all(p.exists() for p in paths)

@@ -112,11 +112,8 @@ class TestCacheKey:
         assert base.cache_key() not in keys
         assert len(set(keys)) == len(keys), "every variant must hash distinctly"
 
-    def test_every_experiment_config_field_is_covered(self, monkeypatch):
+    def test_every_experiment_config_field_is_covered(self):
         """Guard against adding an ExperimentConfig knob the hash ignores."""
-        from repro.core.kernels import KERNEL_BACKEND_ENV
-
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
         base = make_point()
         bumps = {
             "trials": 3,
@@ -127,14 +124,17 @@ class TestCacheKey:
             "max_impulses": 64,
             "task_scale": 2.0,
             "batch_window": 8,
-            # Hashes through the engine tag ("<version>+<backend>"), not the
-            # config payload — see point_payload's back-compat rules.
-            "kernel_backend": "array-api",
         }
-        assert {f.name for f in fields(ExperimentConfig)} == set(bumps)
+        # Every kernel backend is bit-identical, so the backend is the one
+        # knob deliberately left out of the key.
+        unhashed = {"kernel_backend": "numba"}
+        assert {f.name for f in fields(ExperimentConfig)} == set(bumps) | set(unhashed)
         for name, value in bumps.items():
             changed = make_point(config=replace(base.config, **{name: value}))
             assert changed.cache_key() != base.cache_key(), name
+        for name, value in unhashed.items():
+            same = make_point(config=replace(base.config, **{name: value}))
+            assert same.cache_key() == base.cache_key(), name
 
 
 class TestSweepSpec:

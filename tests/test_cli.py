@@ -58,11 +58,11 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["simulate"]).kernel_backend is None
         for argv in (
-            ["simulate", "--kernel-backend", "array-api"],
+            ["simulate", "--kernel-backend", "numpy"],
             ["figure", "9", "--kernel-backend", "numba"],
             ["sweep", "4", "--kernel-backend", "numpy"],
             ["trace", "replay", "t.json", "--kernel-backend", "numba"],
-            ["serve", "run", "--socket", "/tmp/s.sock", "--kernel-backend", "array-api"],
+            ["serve", "run", "--socket", "/tmp/s.sock", "--kernel-backend", "numpy"],
         ):
             args = parser.parse_args(argv)
             assert args.kernel_backend == argv[-1]
@@ -128,13 +128,12 @@ class TestSimulateCommand:
                 "--seed",
                 "3",
                 "--kernel-backend",
-                "array-api",
+                "numpy",
             ]
         )
         captured = capsys.readouterr().out
         assert exit_code == 0
-        assert "kernel backend" in captured
-        assert "array-api" in captured
+        assert "kernel backend     : numpy" in captured
 
     def test_pruning_heuristic_runs(self, capsys):
         exit_code = main(
@@ -467,7 +466,7 @@ class TestWorkerAndQueueCommands:
 
 class TestCacheCommands:
     @staticmethod
-    def _store_artefact(cache_dir, seed=5, kernel_backend=None):
+    def _store_artefact(cache_dir, seed=5):
         from repro.experiments.config import ExperimentConfig
         from repro.sweep import HeuristicSpec, PETSpec, ResultCache, SweepPoint, TrialMetrics
         from repro.workload.generator import WorkloadConfig
@@ -477,9 +476,7 @@ class TestCacheCommands:
             pet=PETSpec(kind="spec", seed=seed),
             heuristic=HeuristicSpec(name="MM"),
             workload=WorkloadConfig(num_tasks=40, time_span=300, beta=1.5),
-            config=ExperimentConfig(
-                trials=1, seed=seed, kernel_backend=kernel_backend
-            ),
+            config=ExperimentConfig(trials=1, seed=seed),
         )
         trials = [
             TrialMetrics(
@@ -532,46 +529,43 @@ class TestCacheCommands:
         assert "removed 1 artefact(s)" in capsys.readouterr().out
         assert not path.exists()
 
-    def test_cache_stats_groups_by_backend_tag(self, tmp_path, capsys, monkeypatch):
-        from repro.core.batch import KERNEL_VERSION
-        from repro.core.kernels import KERNEL_BACKEND_ENV
+    def test_cache_stats_and_gc_on_legacy_backend_tags(self, tmp_path, capsys):
+        """Composite ``"<version>+<backend>"`` tags from earlier releases are
+        listed under their own tag as stale, and gc removes them."""
+        import json
 
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        self._store_artefact(tmp_path)
-        self._store_artefact(tmp_path, kernel_backend="numba")
+        from repro.core.batch import KERNEL_VERSION
+
+        current = self._store_artefact(tmp_path)
+        payload = json.loads(current.read_text())
+        # The second is the retired portable backend's tag.
+        legacy_tags = [f"{KERNEL_VERSION}+{name}" for name in ("numba", "-".join(("array", "api")))]
+        legacy_paths = []
+        for index, tag in enumerate(legacy_tags):
+            payload["point"]["engine"] = tag
+            path = tmp_path / "ff" / f"{index:064x}.json"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps(payload))
+            legacy_paths.append(path)
+
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "entries            : 2" in out
-        assert "backend" in out
-        assert f"{KERNEL_VERSION}+numba" in out
-        assert "numpy" in out
-        # Both tags share the current version, so neither row is stale.
-        assert "stale" not in out
+        assert "entries            : 3" in out
+        assert "corrupt            : 0" in out
+        for tag in legacy_tags:
+            [row] = [line for line in out.splitlines() if tag in line]
+            assert "stale" in row
 
-    def test_cache_gc_backend_filter(self, tmp_path, capsys, monkeypatch):
-        from repro.core.kernels import KERNEL_BACKEND_ENV
-
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        numpy_path = self._store_artefact(tmp_path)
-        numba_path = self._store_artefact(tmp_path, kernel_backend="numba")
-        # Default gc keeps every backend at the current version.
         assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
-        assert "removed 0 artefact(s)" in capsys.readouterr().out
-        assert numpy_path.exists() and numba_path.exists()
-        # Restricting to one backend drops the other.
-        assert (
-            main(
-                [
-                    "cache", "gc", "--cache-dir", str(tmp_path),
-                    "--kernel-backend", "numpy",
-                ]
+        assert "removed 2 artefact(s)" in capsys.readouterr().out
+        assert current.exists()
+        assert not any(path.exists() for path in legacy_paths)
+
+    def test_cache_gc_has_no_backend_filter(self, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["cache", "gc", "--cache-dir", str(tmp_path), "--kernel-backend", "numpy"]
             )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "removed 1 artefact(s)" in out
-        assert "on backend 'numpy'" in out
-        assert numpy_path.exists() and not numba_path.exists()
 
 
 class TestServeCommands:

@@ -173,6 +173,14 @@ class TestRejection:
         with pytest.raises(ValueError, match="unsupported trace version"):
             trace_from_dict(payload)
 
+    @pytest.mark.parametrize("version", [float("inf"), 10**400], ids=["inf", "401-digit"])
+    def test_overflowing_version_rejected_cleanly(self, version):
+        """...nor OverflowError."""
+        payload = _base_payload()
+        payload["version"] = version
+        with pytest.raises(ValueError, match="unsupported trace version"):
+            trace_from_dict(payload)
+
     @pytest.mark.parametrize("field", ["task_id", "task_type", "arrival", "deadline"])
     def test_missing_task_field_names_index(self, field):
         payload = _base_payload()
@@ -199,6 +207,33 @@ class TestRejection:
         payload = _base_payload()
         payload["tasks"][1]["deadline"] = 25.5
         with pytest.raises(ValueError, match=r"task 1: .*integer"):
+            trace_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "bad", [10**400, 10**30 - 1, 1e300], ids=["401-digit", "30-digit", "1e300"]
+    )
+    def test_out_of_range_integer_names_index(self, bad):
+        """Beyond 64 bits a field is refused, never rounded or overflowed."""
+        payload = _base_payload()
+        payload["tasks"][1]["task_id"] = bad
+        with pytest.raises(ValueError, match=r"task 1: field 'task_id' is outside"):
+            trace_from_dict(payload)
+
+    def test_integer_above_2_53_round_trips_exactly(self):
+        payload = _base_payload()
+        payload["tasks"][1]["task_id"] = 2**53 + 1
+        rebuilt = trace_from_dict(json.loads(json.dumps(payload)))
+        assert [t.task_id for t in rebuilt] == [0, 2**53 + 1, 2]
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [("num_tasks", float("inf")), ("time_span", 10**400), ("beta", 10**400)],
+        ids=["num_tasks", "time_span", "beta"],
+    )
+    def test_overflowing_config_is_invalid(self, field, bad):
+        payload = _base_payload()
+        payload["config"][field] = bad
+        with pytest.raises(ValueError, match="invalid trace config"):
             trace_from_dict(payload)
 
     def test_deadline_not_after_arrival_names_index(self):
