@@ -25,11 +25,7 @@ from repro.heuristics.registry import make_heuristic
 from repro.heuristics.scoring import fast_success_probability
 from repro.pet.builders import build_spec_pet
 from repro.simulator.engine import simulate
-from repro.simulator.machine import Machine
-from repro.simulator.state import SystemState
-from repro.simulator.task import Task
 from repro.workload.generator import WorkloadConfig, generate_workload
-from repro.workload.spec import TaskSpec
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +174,9 @@ def test_bench_kernel_backend_matrix(benchmark, spec_pet):
 
     * the ScoreTable fill — ``success_probability`` over the full 12-type x
       8-machine SPEC PET against 200 queued tasks, and
-    * the ragged availability convolve — 200 PET rows each convolved with
-      its own sparse (aggregated) availability kernel, the
-      ``batched_completion_step`` workload.
+    * the ragged convolve — 200 PET rows each convolved with its own
+      sparse (aggregated) availability kernel (``convolve_ragged``, which
+      no longer has a caller in ``src/``; the perf ledger still times it).
 
     One merged ``kernel_backends`` row per backend lands in
     ``BENCH_micro.json``; the rows are recorded, not gated.
@@ -260,115 +256,6 @@ def test_bench_kernel_backend_matrix(benchmark, spec_pet):
     assert grid.shape == (n_tasks, n_machines)
     benchmark.extra_info["backends"] = rows
     record_bench("kernel_backends", {"backends": rows})
-
-
-def test_bench_incremental_system_state(benchmark, spec_pet):
-    """Incremental ``SystemState`` vs the rebuild path over mapping events.
-
-    Paper scale: 8 machines with full six-slot queues (executing task plus
-    five pending).  Each simulated mapping event finishes one machine's
-    executing task (the next pending task starts) and enqueues a fresh task
-    on another machine, then reads the live ``(n_machines, support)``
-    availability batch — the exact access pattern of a mapping event.  The
-    incremental path must serve bit-identical batches to forcing a
-    from-scratch ``rebuild()`` before every query, and beat it by at least
-    2x (it only re-convolves the one or two chains that changed instead of
-    all eight).
-    """
-    n_events = 30
-    n_machines = spec_pet.num_machines
-    queue_depth = 6
-    rng = np.random.default_rng(33)
-    actuals = rng.integers(30, 90, size=4 * n_events + n_machines * queue_depth)
-    types = rng.integers(0, spec_pet.num_task_types, size=actuals.size)
-
-    def make_task(task_id: int, deadline: int, task_type: int) -> Task:
-        return Task(
-            TaskSpec(arrival=0, task_id=task_id, task_type=task_type, deadline=deadline)
-        )
-
-    def run_events(*, rebuild_each_event: bool):
-        machines = [
-            Machine(j, name, queue_capacity=queue_depth)
-            for j, name in enumerate(spec_pet.machine_names)
-        ]
-        next_id = iter(range(10**6))
-        draw = iter(zip(actuals.tolist(), types.tolist()))
-        for machine in machines:
-            actual = 0
-            for slot in range(queue_depth):
-                actual, task_type = next(draw)
-                task = make_task(next(next_id), 400 + 60 * slot, task_type)
-                machine.enqueue(task, now=0)
-            machine.start_next(now=0, actual_execution_time=int(actual))
-        state = SystemState(machines, spec_pet)
-        batches = []
-        for event in range(n_events):
-            now = event + 1
-            finisher = machines[event % n_machines]
-            if finisher.executing is not None:
-                done = finisher.executing
-                finisher.finish_executing(done, now)
-                state.notify_finish(finisher.index, done)
-            if finisher.is_idle and finisher.pending:
-                actual, _ = next(draw)
-                finisher.start_next(now, int(actual))
-                state.notify_start(finisher.index)
-            target = machines[(event + 3) % n_machines]
-            if target.has_free_slot:
-                actual, task_type = next(draw)
-                task = make_task(next(next_id), now + 500, task_type)
-                target.enqueue(task, now)
-                state.notify_enqueue(target.index, task)
-            if rebuild_each_event:
-                state.rebuild(now)
-            batches.append(state.availability_batch(now))
-        return batches
-
-    # Bit-identity gate: the incremental chains and the forced per-event
-    # rebuild must serve exactly the same availability batches.
-    incremental_batches = run_events(rebuild_each_event=False)
-    rebuild_batches = run_events(rebuild_each_event=True)
-    for inc, reb in zip(incremental_batches, rebuild_batches):
-        for j in range(n_machines):
-            a, b = inc.row(j).compact(), reb.row(j).compact()
-            assert a.offset == b.offset and np.array_equal(a.probs, b.probs)
-
-    def best_of(fn, repeats):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    speedup, rebuild_seconds, incremental_seconds = 0.0, float("inf"), float("inf")
-    for _ in range(3):
-        round_rebuild = best_of(lambda: run_events(rebuild_each_event=True), 3)
-        round_incremental = best_of(lambda: run_events(rebuild_each_event=False), 3)
-        if round_rebuild / round_incremental > speedup:
-            speedup = round_rebuild / round_incremental
-            rebuild_seconds, incremental_seconds = round_rebuild, round_incremental
-        if speedup >= 2.0:
-            break
-    benchmark.pedantic(
-        lambda: run_events(rebuild_each_event=False), rounds=3, iterations=1
-    )
-    benchmark.extra_info["rebuild_ms"] = round(rebuild_seconds * 1e3, 3)
-    benchmark.extra_info["incremental_ms"] = round(incremental_seconds * 1e3, 3)
-    benchmark.extra_info["speedup_vs_rebuild"] = round(speedup, 2)
-    record_bench(
-        "incremental_system_state",
-        {
-            "rebuild_ms": round(rebuild_seconds * 1e3, 3),
-            "incremental_ms": round(incremental_seconds * 1e3, 3),
-            "speedup_vs_rebuild": round(speedup, 2),
-            "gate": 2.0,
-        },
-    )
-    assert speedup >= 2.0, (
-        f"incremental SystemState only {speedup:.2f}x faster than the rebuild path"
-    )
 
 
 def test_bench_obs_overhead(benchmark, spec_pet):

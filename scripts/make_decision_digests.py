@@ -10,7 +10,10 @@ robustness-based heuristics (where every event re-evaluates the deferred
 batch).  The ``scale-event/`` and ``scale-batched/`` rows pin PAMF on the
 inputs of the perf ledger's other two trial workloads (``bench/trial.py``:
 1,000 tasks at load 1.15 mapped per event, 2,400 tasks in 120-unit rounds;
-PET, trace and engine seeds as the bench uses them).  A performance change
+PET, trace and engine seeds as the bench uses them).  The ``pending/`` rows
+pin PAM and PAMF on the 660-task trace with
+``evict_executing_at_deadline=False`` — the PENDING dropping regime, whose
+chains and pruner walk differ from the default EVICT ones.  A performance change
 that claims "same decisions, less work" is checked against this committed
 artefact in tier-1
 (``tests/simulator/test_decision_digests.py``), not only against sibling
@@ -76,13 +79,18 @@ def scale_inputs(num_tasks: int, load_factor: float):
 
 
 def decision_digest(
-    pet, trace, heuristic: str, batch_window: int, engine_seed: int = ENGINE_SEED
+    pet,
+    trace,
+    heuristic: str,
+    batch_window: int,
+    engine_seed: int = ENGINE_SEED,
+    config: tuple[tuple[str, object], ...] = (),
 ) -> str:
     """BLAKE2 of one seeded run's per-task outcomes and counters."""
     sim = HCSimulator(
         pet,
         make_heuristic(heuristic, num_task_types=pet.num_task_types),
-        config=SimulatorConfig(batch_window=batch_window),
+        config=SimulatorConfig(batch_window=batch_window, **dict(config)),
         rng=engine_seed,
     )
     result = sim.run(trace)
@@ -102,6 +110,8 @@ class Workload(NamedTuple):
     heuristics: tuple[str, ...]
     windows: tuple[int, ...] = BATCH_WINDOWS
     engine_seed: int = ENGINE_SEED
+    #: ``SimulatorConfig`` fields other than ``batch_window``, as pairs.
+    config: tuple[tuple[str, object], ...] = ()
 
 
 WORKLOADS = {
@@ -109,6 +119,9 @@ WORKLOADS = {
     "scale-oversub": Workload(scale_inputs(600, 3.0), ("PAMF", "PAM", "MOC")),
     "scale-event": Workload(scale_inputs(1000, 1.15), ("PAMF",), (0,), SCALE_SEED),
     "scale-batched": Workload(scale_inputs(2400, 1.15), ("PAMF",), (120,), SCALE_SEED),
+    "pending": Workload(
+        reference_inputs, ("PAM", "PAMF"), config=(("evict_executing_at_deadline", False),)
+    ),
 }
 
 
@@ -127,7 +140,9 @@ def compute_digests() -> dict[str, str]:
     for workload, spec in WORKLOADS.items():
         pet, trace = spec.inputs()
         for key, heuristic, window in workload_keys(workload):
-            digests[key] = decision_digest(pet, trace, heuristic, window, spec.engine_seed)
+            digests[key] = decision_digest(
+                pet, trace, heuristic, window, spec.engine_seed, spec.config
+            )
     return digests
 
 

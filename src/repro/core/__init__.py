@@ -20,7 +20,6 @@ from .batch import (
 )
 from .completion import (
     DroppingPolicy,
-    batched_completion_step,
     completion_pmf,
     pct_evict_drop,
     pct_no_drop,
@@ -71,7 +70,6 @@ __all__ = [
     "use_backend",
     "DroppingPolicy",
     "completion_pmf",
-    "batched_completion_step",
     "pct_no_drop",
     "pct_pending_drop",
     "pct_evict_drop",

@@ -448,10 +448,8 @@ def batched_convolve_ragged(
     This is the ragged counterpart of :func:`batched_convolve`: ``n``
     independent convolutions (different kernels, different offsets, different
     supports) advance together through one shared shift-and-add loop over
-    the *union* of the kernels' non-zero impulse columns.  It is the kernel
-    behind :func:`repro.core.completion.batched_completion_step`, which
-    propagates several machines' completion-time chains one queue position
-    at a time.
+    the *union* of the kernels' non-zero impulse columns — e.g. several
+    machines' completion-time chains advanced one queue position at a time.
 
     Parameters
     ----------

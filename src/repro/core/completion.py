@@ -27,8 +27,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .batch import PMFBatch
-from .kernels import active_backend
 from .pmf import MASS_TOLERANCE, DiscretePMF, convolve_probs
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "ChainStep",
     "completion_step",
     "chain_step",
-    "batched_completion_steps",
-    "batched_completion_step",
     "queue_completion_pmfs",
     "start_pmf_for_idle_machine",
 ]
@@ -100,11 +96,10 @@ def completion_step(
 
     Every chain walk in the codebase — the incremental
     :class:`~repro.simulator.state.SystemState`, the mapper's virtual queue,
-    the pruner's post-drop walk, ``Machine.queue_snapshot`` — advances
+    the pruner's post-drop walk, :func:`queue_completion_pmfs` — advances
     through this function, so they are bit-identical by construction, and
     whoever needs the task's success probability or its pre-cap completion
-    PMF takes them from the step instead of convolving again.  The lockstep
-    counterpart is :func:`batched_completion_steps`.
+    PMF takes them from the step instead of convolving again.
     """
     deadline = int(deadline)
     cut = _cut(prev, deadline, policy)
@@ -150,8 +145,7 @@ def _finish_step(
 
     One ``cumsum`` serves the success probability and the total mass, both
     branches are written into one vector, one non-zero scan serves
-    compaction and the impulse cap.  Zero padding in ``ran`` (the lockstep
-    kernel's shared grid) only ever adds exact zeros.
+    compaction and the impulse cap.
     """
     cumulative = np.cumsum(ran)
     at = deadline - offset
@@ -242,82 +236,6 @@ def chain_step(
 ) -> DiscretePMF:
     """The availability :func:`completion_step` leaves behind."""
     return completion_step(pet, prev, deadline, policy, max_impulses).availability
-
-
-def batched_completion_steps(
-    pets: Sequence[DiscretePMF],
-    prevs: Sequence[DiscretePMF],
-    deadlines: Sequence[int],
-    policy: DroppingPolicy = DroppingPolicy.EVICT,
-    *,
-    max_impulses: int | None = None,
-) -> list[ChainStep]:
-    """Advance several *independent* completion chains one step, in lockstep.
-
-    Row ``i`` is ``completion_step(pets[i], prevs[i], deadlines[i], policy,
-    max_impulses)`` — one queue position of machine ``i``'s chain — and
-    **bit-identical** (``atol=0``) to it.  The convolution runs through the
-    ragged batch kernel :func:`repro.core.batch.batched_convolve_ragged`
-    for every row whose scalar step would shift-and-add with the
-    (aggregated, hence sparse) predecessor PMF as the kernel: the batched
-    branch mirrors that impulse order exactly and the shared grid's padding
-    only contributes exact-zero terms.  The remaining rows take the scalar
-    step, and everything behind the convolution is the scalar step's own
-    code.  ``repro.simulator.state.SystemState`` relies on this to make its
-    incremental and rebuild-from-scratch paths interchangeable.
-    """
-    pets = list(pets)
-    prevs = list(prevs)
-    deadlines = [int(d) for d in deadlines]
-    if not (len(pets) == len(prevs) == len(deadlines)):
-        raise ValueError("pets, prevs and deadlines must have the same length")
-    # Batch the rows whose scalar convolve would do a shift-and-add with the
-    # predecessor as the kernel; everything else (zero-mass operands, dense
-    # ``np.convolve`` rows, sparse-PET rows) takes the scalar step wholesale
-    # so the branch choice — and therefore the bit pattern — is the same.
-    batch_rows: list[int] = []
-    started: list[DiscretePMF] = []
-    for i, (pet, prev, deadline) in enumerate(zip(pets, prevs, deadlines)):
-        start = prev if policy is DroppingPolicy.NONE else prev.truncate_before(deadline)
-        if (
-            not (pet.is_zero() or start.is_zero())
-            and start.nonzero_count() < pet.nonzero_count()
-            and start.nonzero_count() * pet.probs.size < pet.probs.size * start.probs.size
-        ):
-            batch_rows.append(i)
-            started.append(start)
-    results: dict[int, ChainStep] = {}
-    if batch_rows:
-        convolved = active_backend().convolve_ragged(
-            PMFBatch.from_pmfs([pets[i] for i in batch_rows]), started
-        )
-        for row, i in enumerate(batch_rows):
-            results[i] = _finish_step(
-                convolved.probs[row].copy(),
-                convolved.offset,
-                prevs[i],
-                _cut(prevs[i], deadlines[i], policy),
-                deadlines[i],
-                policy,
-                max_impulses,
-            )
-    return [
-        results.get(i) or completion_step(pets[i], prevs[i], deadlines[i], policy, max_impulses)
-        for i in range(len(pets))
-    ]
-
-
-def batched_completion_step(
-    pets: Sequence[DiscretePMF],
-    prevs: Sequence[DiscretePMF],
-    deadlines: Sequence[int],
-    policy: DroppingPolicy = DroppingPolicy.EVICT,
-    *,
-    max_impulses: int | None = None,
-) -> list[DiscretePMF]:
-    """The availabilities of :func:`batched_completion_steps`."""
-    steps = batched_completion_steps(pets, prevs, deadlines, policy, max_impulses=max_impulses)
-    return [step.availability for step in steps]
 
 
 def queue_completion_pmfs(

@@ -3,7 +3,8 @@
 :mod:`repro.core.batch` defines the kernels every trial runs.  Three of them
 are dispatched through a backend: the success-probability and
 expected-completion scoring reductions behind every ``ScoreTable`` fill, and
-the ragged per-row convolve behind lockstep chain propagation.  This module
+the ragged per-row convolve (no caller in ``src/``; the perf ledger times
+it).  This module
 puts a :class:`KernelBackend` protocol in front of those three so they can
 run on a second execution substrate:
 

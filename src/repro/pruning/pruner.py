@@ -148,26 +148,18 @@ class Pruner:
         the dropped one (Section IV) — exactly the cascading benefit the
         paper's model quantifies.
 
-        When the context carries the engine's live
-        :class:`~repro.simulator.state.SystemState` (and its chain settings
-        match the context's), the walk consumes the state's cached chain
-        prefix and per-task pruning metadata instead of re-convolving from
-        the queue head: an unchanged queue is examined without any
-        convolution, and only the suffix *behind the first actual drop* is
-        re-convolved.  Both paths are bit-identical
+        Under EVICT the walk consumes the context's live
+        :class:`~repro.simulator.state.SystemState` chain prefix and
+        per-task pruning metadata instead of re-convolving from the queue
+        head: an unchanged queue is examined without any convolution, and
+        only the suffix *behind the first actual drop* is re-convolved.
+        Under the other policies the walk re-convolves from the head
+        (:meth:`_prune_machine_queue_rebuilding`): it anchors a kept
+        executing head with the EVICT tail collapse, which the state's
+        non-EVICT chains do not.  Both walks are bit-identical under EVICT
         (``tests/pruning/test_state_backed_walk.py`` pins atol=0 equality).
         """
-        state = context.state
-        if (
-            state is not None
-            and context.policy is DroppingPolicy.EVICT
-            and state.pet is context.pet
-            and state.policy is context.policy
-            and state.max_impulses == context.max_impulses
-            and state.condition_executing_on_now == context.condition_executing_on_now
-            and machine.index < len(state.machines)
-            and state.machines[machine.index] is machine
-        ):
+        if context.policy is DroppingPolicy.EVICT:
             return self._prune_machine_queue_state(machine, context)
         return self._prune_machine_queue_rebuilding(machine, context)
 
@@ -182,11 +174,6 @@ class Pruner:
             return report
         state = context.state
         entries = state.prune_prefix_meta(machine.index, context.now)
-        if len(entries) != len(tasks):
-            # The state's mirror disagrees with the queue (it never should);
-            # fall back to the self-contained walk rather than misprune.
-            return self._prune_machine_queue_rebuilding(machine, context)
-
         for position, (task, (prob, completion, _)) in enumerate(zip(tasks, entries)):
             if self._examine(report, task, position, prob, completion):
                 break

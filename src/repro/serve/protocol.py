@@ -4,7 +4,9 @@ One request or event per line, UTF-8 JSON with a mandatory discriminator:
 requests carry ``op`` (``submit``, ``flush``, ``stats``, ``close``), events
 carry ``event`` (``accepted``, ``decision``, ``flushed``, ``stats``,
 ``closed``, ``error``).  The format is line-oriented so any language — or
-``socat`` in a terminal — can drive the service.
+``socat`` in a terminal — can drive the service.  A request line longer
+than :data:`MAX_LINE_BYTES` is answered with :data:`OVERLONG_LINE_ERROR`
+and the connection is closed.
 
 ``accepted`` events carry an explicit ``accepted`` boolean: ``true`` when
 the submission entered the admission queue, ``false`` (with a ``reason``,
@@ -40,6 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .service import Decision
 
 __all__ = [
+    "MAX_LINE_BYTES",
+    "OVERLONG_LINE_ERROR",
     "decode_line",
     "encode_line",
     "format_endpoint",
@@ -49,6 +53,16 @@ __all__ = [
     "spec_to_payload",
     "decision_to_payload",
 ]
+
+#: Longest request line a service reads (asyncio's default stream limit,
+#: passed explicitly to both front-ends' servers).
+MAX_LINE_BYTES = 2**16
+
+#: The event answering a longer line, just before the connection closes.
+OVERLONG_LINE_ERROR = {
+    "event": "error",
+    "message": f"request line longer than {MAX_LINE_BYTES} bytes; closing the connection",
+}
 
 #: Fields every submitted task must carry (the recorded-trace field set).
 _TASK_FIELDS = ("task_id", "task_type", "arrival", "deadline")

@@ -51,6 +51,8 @@ from ..simulator.engine import SimulatorConfig
 from ..workload.spec import TaskSpec
 from .metrics import ServiceMetrics, merge_snapshots
 from .protocol import (
+    MAX_LINE_BYTES,
+    OVERLONG_LINE_ERROR,
     decode_line,
     encode_line,
     format_endpoint,
@@ -302,11 +304,14 @@ class ShardedSchedulerService:
             if self.socket_path.exists():
                 self.socket_path.unlink()
             self._server = await asyncio.start_unix_server(
-                self._handle_client, path=str(self.socket_path)
+                self._handle_client, path=str(self.socket_path), limit=MAX_LINE_BYTES
             )
         else:
             self._server = await asyncio.start_server(
-                self._handle_client, host=self._endpoint[1], port=self._endpoint[2]
+                self._handle_client,
+                host=self._endpoint[1],
+                port=self._endpoint[2],
+                limit=MAX_LINE_BYTES,
             )
             bound = self._server.sockets[0].getsockname()
             self._endpoint = ("tcp", bound[0], bound[1])
@@ -423,7 +428,12 @@ class ShardedSchedulerService:
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Past the stream limit: answer, then hang up.
+                    await self._send(writer, OVERLONG_LINE_ERROR)
+                    break
                 if not line:
                     break
                 if not line.strip():

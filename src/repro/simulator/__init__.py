@@ -9,7 +9,7 @@ from .cost import (
     total_cost,
 )
 from .engine import HCSimulator, SimulatorConfig, simulate
-from .machine import Machine, MachineQueueSnapshot
+from .machine import Machine
 from .mapping import (
     Assignment,
     MappingContext,
@@ -18,7 +18,7 @@ from .mapping import (
     TerminalEvent,
 )
 from .metrics import SimulationCounters, SimulationResult
-from .state import SystemState, SystemStateError
+from .state import SystemState
 from .task import DropReason, Task, TaskStatus
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "SimulatorConfig",
     "simulate",
     "Machine",
-    "MachineQueueSnapshot",
     "MappingContext",
     "MappingDecision",
     "Assignment",
@@ -35,7 +34,6 @@ __all__ = [
     "SimulationCounters",
     "SimulationResult",
     "SystemState",
-    "SystemStateError",
     "Task",
     "TaskStatus",
     "DropReason",

@@ -165,12 +165,6 @@ class SimulatorConfig:
     #: every mapping event.  The paper anchors it at the start time instead
     #: (default False), which also allows queue-chain caching.
     condition_executing_on_now: bool = False
-    #: Verify the incremental :class:`~repro.simulator.state.SystemState`
-    #: against a from-scratch lockstep rebuild at every availability query
-    #: (raises on any bit-level divergence).  Test/diagnostic mode; the
-    #: equivalence suite runs seeded full trials with this enabled and
-    #: asserts the results are bit-identical to the default path.
-    state_cross_check: bool = False
     #: Batched-scheduling-round window in time units.  ``0`` (default) maps
     #: at every event timestamp — the paper's per-event protocol,
     #: bit-identical to the pre-rework loop.  ``W > 0`` fires mapping
@@ -453,7 +447,6 @@ class HCSimulator:
             policy=self.config.dropping_policy,
             max_impulses=self.config.max_impulses,
             condition_executing_on_now=self.config.condition_executing_on_now,
-            cross_check=self.config.state_cross_check,
         )
         self.tasks = {}
         self._batch = {}

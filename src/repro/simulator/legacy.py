@@ -192,7 +192,6 @@ class LegacyHCSimulator:
             policy=self.config.dropping_policy,
             max_impulses=self.config.max_impulses,
             condition_executing_on_now=self.config.condition_executing_on_now,
-            cross_check=self.config.state_cross_check,
         )
         self.tasks = {}
         self._batch = {}

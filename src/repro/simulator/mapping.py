@@ -1,9 +1,10 @@
 """Interface between the simulation engine and mapping heuristics.
 
-At every *mapping event* the engine builds a :class:`MappingContext` — an
-immutable view of the system state (batch queue, machine queues, PET matrix,
-deadline misses observed since the last event) — and hands it to the active
-heuristic.  The heuristic returns a :class:`MappingDecision` listing the
+At every *mapping event* the engine builds a :class:`MappingContext` — a
+read-only view of the system state (batch queue, machine queues, PET matrix,
+deadline misses observed since the last event, and the live
+:class:`~repro.simulator.state.SystemState` every availability read goes
+through) — and hands it to the active heuristic.  The heuristic returns a :class:`MappingDecision` listing the
 tasks it wants to assign, defer, or proactively drop; the engine validates
 and applies the decision.  Keeping the heuristics side-effect free makes them
 unit-testable without running a full simulation.
@@ -15,10 +16,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..core.batch import PMFBatch
-from ..core.completion import DroppingPolicy, chain_step, completion_step
+from ..core.completion import DroppingPolicy, completion_step
 from ..core.pmf import DiscretePMF
 from ..pet.matrix import PETMatrix
-from .machine import Machine, batched_availability
+from .machine import Machine
 from .state import SystemState
 from .task import Task
 
@@ -80,36 +81,40 @@ class MappingContext:
     #: Condition the executing task's PCT on it not having finished yet.
     #: Off by default: the paper anchors the PCT at the observed start time.
     condition_executing_on_now: bool = False
-    #: Live availability state owned by the engine.  When present, the
-    #: availability accessors below are *views* over its incrementally
-    #: maintained chains; when absent (contexts built by hand in tests or
-    #: analysis code) they fall back to per-machine snapshot recomputation.
-    #: Both paths are bit-identical.
+    #: Live availability state, the one walker of every machine's chain.
+    #: The engine passes its own; a context built without one (by hand, in
+    #: tests or analysis code) builds a fresh state on its own settings.
+    #: The availability accessors below are views over its chains.
     state: SystemState | None = None
-    _availability_cache: dict[int, DiscretePMF] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        settings = {
+            "policy": self.policy,
+            "max_impulses": self.max_impulses,
+            "condition_executing_on_now": self.condition_executing_on_now,
+        }
+        if self.state is None:
+            self.state = SystemState(self.machines, self.pet, **settings)
+            return
+        state = self.state
+        mismatched = [name for name, value in settings.items() if getattr(state, name) != value]
+        if state.pet is not self.pet:
+            mismatched.append("pet")
+        if state.machines != list(self.machines):  # ``Machine`` equality is identity
+            mismatched.append("machines")
+        if mismatched:
+            raise ValueError(f"state settings disagree with the context: {mismatched}")
 
     # ------------------------------------------------------------------
     def machine_availability(self, machine_index: int) -> DiscretePMF:
         """Availability PMF of a machine's *current* queue (live view)."""
-        if self.state is not None:
-            return self.state.availability(machine_index, self.now)
-        if machine_index not in self._availability_cache:
-            machine = self.machines[machine_index]
-            self._availability_cache[machine_index] = machine.availability_pmf(
-                self.pet,
-                self.now,
-                policy=self.policy,
-                max_impulses=self.max_impulses,
-                condition_on_now=self.condition_executing_on_now,
-            )
-        return self._availability_cache[machine_index]
+        return self.state.availability(machine_index, self.now)
 
     def availability_batch(self) -> PMFBatch:
         """All machines' availability PMFs on one aligned batch grid.
 
-        Served straight from the live :class:`SystemState` batch when the
-        engine provides one (no recomputation, no restacking unless a queue
-        changed); otherwise stacked on the fly from per-machine snapshots.
+        Served straight from the live :class:`SystemState` batch (no
+        recomputation, no restacking unless a queue changed).
 
         Returns
         -------
@@ -119,53 +124,28 @@ class MappingContext:
             :meth:`machine_availability` serves — the input shape the
             batched scoring kernels of :mod:`repro.core.batch` consume.
         """
-        if self.state is not None:
-            return self.state.availability_batch(self.now)
-        return batched_availability(
-            self.machines,
-            self.pet,
-            self.now,
-            policy=self.policy,
-            max_impulses=self.max_impulses,
-            condition_on_now=self.condition_executing_on_now,
-        )
+        return self.state.availability_batch(self.now)
 
     def availability_excluding(
         self, machine_index: int, dropped_task_ids: Iterable[int]
     ) -> DiscretePMF:
         """Availability of a machine's queue with some tasks dropped.
 
-        The pruning path uses this to see post-drop availability.  With a
-        live state the chain prefix ahead of the first dropped task is
-        reused and only the suffix is re-convolved; the fallback rebuilds
-        the reduced chain from scratch.  Bit-identical either way.
+        The pruning path uses this to see post-drop availability: the chain
+        prefix ahead of the first dropped task is reused and only the
+        suffix is re-convolved.
         """
-        dropped = set(dropped_task_ids)
-        if self.state is not None:
-            return self.state.availability_excluding(machine_index, dropped, self.now)
-        machine = self.machines[machine_index]
-        kept = [t for t in machine.queued_tasks() if t.task_id not in dropped]
-        prev = DiscretePMF.point(self.now)
-        if machine.executing is not None and kept and kept[0] is machine.executing:
-            prev = machine.executing_anchor_pmf(
-                self.pet,
-                self.now,
-                policy=self.policy,
-                condition_on_now=self.condition_executing_on_now,
-            )
-            kept = kept[1:]
-        for task in kept:
-            pet_entry = self.pet.get(task.task_type, machine.index)
-            prev = chain_step(pet_entry, prev, task.deadline, self.policy, self.max_impulses)
-        return prev
+        return self.state.availability_excluding(
+            machine_index, set(dropped_task_ids), self.now
+        )
 
     def extend_availability(
         self, machine_index: int, task: Task, prev: DiscretePMF
     ) -> DiscretePMF:
         """Availability of a machine once ``task`` is queued behind ``prev``.
 
-        One chain step on the context's settings.  When the live state runs
-        the same settings the step is also handed to it, by-products and all
+        One chain step on the context's settings, which are the state's.
+        The step is also handed to the state, by-products and all
         (:meth:`SystemState.offer_step`): if the engine then enqueues
         ``task`` there, behind that ``prev``, the state adopts the step
         instead of computing it a second time.
@@ -177,14 +157,7 @@ class MappingContext:
             self.policy,
             self.max_impulses,
         )
-        state = self.state
-        if (
-            state is not None
-            and state.pet is self.pet
-            and state.policy is self.policy
-            and state.max_impulses == self.max_impulses
-        ):
-            state.offer_step(machine_index, task, prev, step)
+        self.state.offer_step(machine_index, task, prev, step)
         return step.availability
 
     def execution_pmf(self, task: Task, machine_index: int) -> DiscretePMF:

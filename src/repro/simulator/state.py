@@ -1,11 +1,9 @@
 """Persistent incremental availability state of the whole system.
 
-Before this layer existed, every mapping event rebuilt machine availability
-from scratch: any queue mutation invalidated the machine's snapshot cache
-and the next event re-convolved the *entire* completion-time chain of that
-queue (Section IV, Eqs. 2-5), even when the mutation only appended one task
-at the tail.  :class:`SystemState` turns availability into a
-simulation-lifetime, incrementally-maintained structure:
+:class:`SystemState` is the one walker of the completion-time chain down
+each machine queue (Section IV, Eqs. 2-5) in ``src/``; the engine, the
+mapping context and the pruner all read availability through it.  The
+chains live for the whole simulation:
 
 * every machine's completion-time chain (``chain[k]`` = availability after
   the ``k``-th queued task) is kept alive across mapping events,
@@ -14,34 +12,24 @@ simulation-lifetime, incrementally-maintained structure:
   invalidate only the dirty *suffix* of the affected machine's chain — an
   enqueue costs at most one convolution step, a drop at position ``p``
   costs ``len(queue) - p`` steps, and untouched machines cost nothing,
-* the dirty suffix is recomputed *on demand*, by the first query that reads
-  the machine (:meth:`availability`, :meth:`chain`, ...) — a machine nobody
-  reads between two mutations is never advanced in between,
+* the dirty suffix is recomputed lazily by ``_advance``, on the first query
+  that reads the machine (:meth:`availability`, :meth:`chain`, ...) — a
+  machine nobody reads between two mutations is never advanced in between,
 * a chain step the mapper already computed while building its virtual queue
   can be handed over (:meth:`offer_step`) and is adopted instead of being
   recomputed when the task lands behind that very predecessor PMF,
 * all machines' availability PMFs are served as one live, padded
   ``(n_machines, support)`` :class:`~repro.core.batch.PMFBatch`
   (:meth:`availability_batch`) — the exact input shape the batched scoring
-  kernels consume,
-* :meth:`rebuild` recomputes everything from scratch, propagating the
-  independent per-machine chains *in lockstep* through
-  :func:`~repro.core.completion.batched_completion_steps` (one ragged-batch
-  convolve per queue position across all machines).
+  kernels consume.
 
-Exact-equivalence contract
---------------------------
-The incremental path and the rebuild-from-scratch path are **bit-identical**
-(``atol=0``): both run the same scalar-mirroring chain step
-(:func:`~repro.core.completion.completion_step`) with the same strict
-left-to-right reduction discipline as the rest of the batched engine, and
-incremental maintenance only ever *caches* immutable intermediate PMFs
-instead of recomputing them.  Construct the
-state with ``cross_check=True`` (or run the simulator with
-``SimulatorConfig(state_cross_check=True)``) and every availability query
-re-derives the chain from scratch through the lockstep kernel and raises
-:class:`SystemStateError` on any bit-level divergence —
-``tests/simulator/test_state.py`` runs seeded full trials in this mode.
+Every step is :func:`~repro.core.completion.completion_step` and every
+executing head is anchored by
+:meth:`~repro.simulator.machine.Machine.executing_anchor_pmf`, so a chain
+maintained across any sequence of mutations is bit-identical (``atol=0``)
+to one walked from scratch down the current queue with
+:func:`~repro.core.completion.queue_completion_pmfs` — the reference the
+test suite compares against at every mapping event of seeded full trials.
 
 Time anchoring
 --------------
@@ -58,26 +46,15 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..core.batch import PMFBatch
-from ..core.completion import (
-    ChainStep,
-    DroppingPolicy,
-    batched_completion_steps,
-    completion_step,
-)
+from ..core.completion import ChainStep, DroppingPolicy, completion_step
 from ..core.pmf import DiscretePMF
 from ..obs.telemetry import active as obs_active
 from ..pet.matrix import PETMatrix
 from .machine import Machine
 from .task import Task
 
-__all__ = ["SystemState", "SystemStateError"]
-
-
-class SystemStateError(RuntimeError):
-    """Raised when cross-check mode detects incremental/rebuild divergence."""
+__all__ = ["SystemState"]
 
 
 class _MachineChain:
@@ -93,8 +70,6 @@ class _MachineChain:
         "head_executing",
         "anchor_now",
         "version",
-        "revision",
-        "verified_at",
     )
 
     def __init__(self) -> None:
@@ -127,12 +102,6 @@ class _MachineChain:
         #: ``machine.queue_version`` at the last (re)sync — the defensive
         #: change detector for mutations that arrived without a notification.
         self.version: int = 0
-        #: Bumped whenever the cached chain content may have changed; with
-        #: the query time it keys cross-check verification, so an untouched
-        #: machine re-verifies only when queried at a new ``now`` (the case
-        #: a missed re-anchor would corrupt).
-        self.revision: int = 0
-        self.verified_at: tuple[int, int] | None = None
 
 
 class SystemState:
@@ -153,12 +122,7 @@ class SystemState:
     condition_executing_on_now:
         Mirror of :attr:`SimulatorConfig.condition_executing_on_now`; when
         True every non-empty chain is time-dependent and is re-anchored at
-        each mapping event (matching the pre-existing per-event costs).
-    cross_check:
-        When True, every availability query re-derives the machine's chain
-        from scratch through the lockstep rebuild kernel and raises
-        :class:`SystemStateError` on any bit-level mismatch with the
-        incrementally maintained chain.
+        each mapping event.
     """
 
     def __init__(
@@ -169,14 +133,12 @@ class SystemState:
         policy: DroppingPolicy = DroppingPolicy.EVICT,
         max_impulses: int | None = 32,
         condition_executing_on_now: bool = False,
-        cross_check: bool = False,
     ) -> None:
         self.machines = list(machines)
         self.pet = pet
         self.policy = policy
         self.max_impulses = max_impulses
         self.condition_executing_on_now = bool(condition_executing_on_now)
-        self.cross_check = bool(cross_check)
         self._records = [_MachineChain() for _ in self.machines]
         self._version = 0
         self._batch_cache: tuple[tuple[int, int], PMFBatch] | None = None
@@ -198,7 +160,7 @@ class SystemState:
             rec.version = machine.queue_version
         else:
             self._resync_from_machine(rec, machine)
-        self._touch(rec)
+        self._touch()
 
     def notify_start(self, machine_index: int) -> None:
         """The head task began executing (anchoring changed, membership not)."""
@@ -209,7 +171,7 @@ class SystemState:
             rec.version = machine.queue_version
         else:
             self._resync_from_machine(rec, machine)
-        self._touch(rec)
+        self._touch()
 
     def notify_finish(self, machine_index: int, task: Task) -> None:
         """The executing head task left the machine (completion or eviction)."""
@@ -226,7 +188,7 @@ class SystemState:
             rec.version = machine.queue_version
         else:
             self._resync_from_machine(rec, machine)
-        self._touch(rec)
+        self._touch()
 
     def notify_remove(self, machine_index: int, task: Task) -> None:
         """A pending task was removed (deadline miss or proactive drop)."""
@@ -241,7 +203,7 @@ class SystemState:
             rec.version = machine.queue_version
         else:
             self._resync_from_machine(rec, machine)
-        self._touch(rec)
+        self._touch()
 
     def offer_step(
         self, machine_index: int, task: Task, prev: DiscretePMF, step: ChainStep
@@ -271,14 +233,10 @@ class SystemState:
     def availability(self, machine_index: int, now: int) -> DiscretePMF:
         """Availability PMF of one machine's current queue at time ``now``.
 
-        Bit-identical to
-        :meth:`repro.simulator.machine.Machine.availability_pmf` with the
-        state's policy/aggregation settings — the chain runs the same scalar
-        steps; it is merely cached across events instead of rebuilt.
+        The last entry of :meth:`chain`, or ``point(now)`` for an empty
+        queue.
         """
         rec = self._sync(machine_index, int(now))
-        if self.cross_check:
-            self._verify(machine_index, int(now), rec)
         if self._obs.enabled:
             self._obs.count("state.availability_resolved")
         if not rec.tasks:
@@ -287,10 +245,7 @@ class SystemState:
 
     def chain(self, machine_index: int, now: int) -> tuple[DiscretePMF, ...]:
         """The machine's full completion-time chain (one PMF per queued task)."""
-        rec = self._sync(machine_index, int(now))
-        if self.cross_check:
-            self._verify(machine_index, int(now), rec)
-        return tuple(rec.chain)
+        return tuple(self._sync(machine_index, int(now)).chain)
 
     def availability_batch(self, now: int) -> PMFBatch:
         """All machines' availability PMFs on one aligned, padded batch grid.
@@ -370,8 +325,6 @@ class SystemState:
         """
         now = int(now)
         rec = self._sync(machine_index, now)
-        if self.cross_check:
-            self._verify(machine_index, now, rec)
         for k in range(len(rec.meta), len(rec.steps)):
             step = rec.steps[k]
             if step is None:
@@ -385,80 +338,9 @@ class SystemState:
         return tuple(rec.meta)
 
     # ------------------------------------------------------------------
-    # Rebuild path (cross-check reference and cold start)
-    # ------------------------------------------------------------------
-    def rebuild(self, now: int) -> None:
-        """Recompute every machine's chain from scratch, in lockstep.
-
-        All machines' chains advance one queue position per round through
-        :func:`~repro.core.completion.batched_completion_steps` (machines
-        whose queues are exhausted drop out of the round).  The result
-        replaces the incremental caches and is bit-identical to them — this
-        is the reference path the cross-check mode compares against and the
-        baseline the incremental benchmark gate measures.
-        """
-        now = int(now)
-        chains = self._rebuild_chains(range(len(self.machines)), now)
-        for machine_index, (chain, steps) in enumerate(chains):
-            machine = self.machines[machine_index]
-            rec = self._records[machine_index]
-            rec.tasks = machine.queued_tasks()
-            rec.chain = chain
-            rec.steps = steps
-            rec.meta = []
-            rec.offers.clear()
-            rec.dirty_from = len(rec.tasks)
-            rec.head_executing = bool(rec.tasks) and rec.tasks[0] is machine.executing
-            rec.anchor_now = now
-            rec.version = machine.queue_version
-            self._touch(rec)
-
-    def _rebuild_chains(
-        self, machine_indices: Iterable[int], now: int
-    ) -> list[tuple[list[DiscretePMF], list[ChainStep | None]]]:
-        """From-scratch ``(chain, steps)`` for several machines via lockstep propagation."""
-        indices = list(machine_indices)
-        rebuilt: list[tuple[list[DiscretePMF], list[ChainStep | None]]] = []
-        tasks_of: list[list[Task]] = []
-        prevs: list[DiscretePMF] = []
-        for machine_index in indices:
-            machine = self.machines[machine_index]
-            tasks = machine.queued_tasks()
-            tasks_of.append(tasks)
-            if tasks and tasks[0] is machine.executing:
-                prevs.append(self._executing_anchor(machine, now))
-                rebuilt.append(([prevs[-1]], [None]))
-            else:
-                prevs.append(DiscretePMF.point(now))
-                rebuilt.append(([], []))
-        while True:
-            rows = [
-                row for row in range(len(indices)) if len(rebuilt[row][0]) < len(tasks_of[row])
-            ]
-            if not rows:
-                break
-            step_tasks = [tasks_of[row][len(rebuilt[row][0])] for row in rows]
-            stepped = batched_completion_steps(
-                [
-                    self.pet.get(task.task_type, indices[row])
-                    for row, task in zip(rows, step_tasks)
-                ],
-                [prevs[row] for row in rows],
-                [task.deadline for task in step_tasks],
-                self.policy,
-                max_impulses=self.max_impulses,
-            )
-            for row, step in zip(rows, stepped):
-                prevs[row] = step.availability
-                rebuilt[row][0].append(step.availability)
-                rebuilt[row][1].append(step)
-        return rebuilt
-
-    # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------
-    def _touch(self, rec: _MachineChain) -> None:
-        rec.revision += 1
+    def _touch(self) -> None:
         self._version += 1
         self._batch_cache = None
 
@@ -486,21 +368,12 @@ class SystemState:
             self.max_impulses,
         )
 
-    def _executing_anchor(self, machine: Machine, now: int) -> DiscretePMF:
-        """Chain base for an executing head (the shared anchor helper)."""
-        return machine.executing_anchor_pmf(
-            self.pet,
-            now,
-            policy=self.policy,
-            condition_on_now=self.condition_executing_on_now,
-        )
-
     def _sync(self, machine_index: int, now: int) -> _MachineChain:
         machine = self.machines[machine_index]
         rec = self._records[machine_index]
         if rec.version != machine.queue_version:
             self._resync_from_machine(rec, machine)
-            self._touch(rec)
+            self._touch()
         tasks = rec.tasks
         if not tasks:
             rec.dirty_from = 0
@@ -542,7 +415,7 @@ class SystemState:
             )
             obs.count("state.chain_steps", computed)
             obs.count("state.chain_steps_adopted", adopted)
-        self._touch(rec)
+        self._touch()
         return rec
 
     def _advance(
@@ -561,7 +434,12 @@ class SystemState:
                 machine.executing is not None and tasks[0] is machine.executing
             )
             if head_executing:
-                prev = self._executing_anchor(machine, now)
+                prev = machine.executing_anchor_pmf(
+                    self.pet,
+                    now,
+                    policy=self.policy,
+                    condition_on_now=self.condition_executing_on_now,
+                )
                 rec.chain.append(prev)
                 rec.steps.append(None)
                 start = 1
@@ -592,32 +470,3 @@ class SystemState:
         rec.offers.clear()
         rec.dirty_from = len(tasks)
         return computed, adopted
-
-    def _verify(self, machine_index: int, now: int, rec: _MachineChain) -> None:
-        """Cross-check the incremental chain against a from-scratch rebuild.
-
-        Keyed on ``(revision, now)``: a chain is re-verified whenever its
-        cached content changed *or* it is queried at a new time — the
-        latter is exactly the window in which a missed re-anchor in
-        ``_sync`` would serve a stale chain, so it must not be memoised
-        away.
-        """
-        if rec.verified_at == (rec.revision, now):
-            return
-        reference = self._rebuild_chains([machine_index], now)[0][0]
-        if len(reference) != len(rec.chain):
-            raise SystemStateError(
-                f"machine {machine_index}: incremental chain has "
-                f"{len(rec.chain)} entries, rebuild has {len(reference)}"
-            )
-        for position, (incremental, rebuilt) in enumerate(
-            zip(rec.chain, reference)
-        ):
-            if incremental.offset != rebuilt.offset or not np.array_equal(
-                incremental.probs, rebuilt.probs
-            ):
-                raise SystemStateError(
-                    f"machine {machine_index}: incremental chain diverges "
-                    f"from rebuild at queue position {position} (time {now})"
-                )
-        rec.verified_at = (rec.revision, now)

@@ -2,7 +2,9 @@
 
 The full SPEC-style PET (12 types x 8 machines, 500 samples per entry) is
 overkill for unit tests; these fixtures build miniature but structurally
-identical systems so the whole suite stays fast.
+identical systems so the whole suite stays fast.  ``scratch_chain`` is the
+suite's one from-scratch availability walk, the reference every
+``SystemState`` chain is compared against.
 """
 
 from __future__ import annotations
@@ -10,11 +12,38 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.completion import DroppingPolicy, queue_completion_pmfs
 from repro.core.pmf import DiscretePMF
 from repro.pet.builders import build_pet_from_means, build_spec_pet
 from repro.pet.matrix import PETMatrix
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.scale import ScaleTraceConfig, generate_scale_trace
+
+
+def walk_from_scratch(
+    machine, pet, now, *, policy=DroppingPolicy.EVICT, max_impulses=32,
+    condition_executing_on_now=False,
+) -> tuple[DiscretePMF, ...]:  # fmt: skip
+    """A machine's completion-time chain walked down its current queue, on
+    ``SystemState``'s settings: ``state.chain`` must equal it at atol=0."""
+    tasks, start, head = machine.queued_tasks(), DiscretePMF.point(now), []
+    if machine.executing is not None:
+        start = machine.executing_anchor_pmf(
+            pet, now, policy=policy, condition_on_now=condition_executing_on_now
+        )
+        tasks, head = tasks[1:], [start]
+    pets = [pet.get(task.task_type, machine.index) for task in tasks]
+    deadlines = [task.deadline for task in tasks]
+    chain = queue_completion_pmfs(
+        pets, deadlines, start=start, policy=policy, max_impulses=max_impulses
+    )
+    return tuple(head + chain)
+
+
+@pytest.fixture(scope="session")
+def scratch_chain():
+    """:func:`walk_from_scratch`, for tests that take it as a fixture."""
+    return walk_from_scratch
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from repro.core.batch import (
     batched_success_probability,
     sequential_sum,
 )
-from repro.core.completion import DroppingPolicy, batched_completion_step, completion_pmf
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.scoring import expected_completion, fast_success_probability
 
@@ -200,42 +199,6 @@ class TestBatchedConvolveRagged:
                 PMFBatch.from_pmfs([mixed_pmfs[i]]), [kernels[i]]
             )
             assert_same_pmf_bits(full.row(i).compact(), alone.row(0).compact())
-
-
-class TestBatchedCompletionStep:
-    @pytest.mark.parametrize("policy", list(DroppingPolicy))
-    @pytest.mark.parametrize("max_impulses", [None, 16])
-    def test_bit_identical_to_scalar_chain_step(self, rng, policy, max_impulses):
-        """One lockstep chain advance equals the scalar step per row, bits
-        and offsets included — the contract ``SystemState.rebuild`` relies
-        on."""
-        pets = [
-            DiscretePMF.from_samples(rng.gamma(2.0, 30.0, size=200)) for _ in range(6)
-        ]
-        prevs = [
-            DiscretePMF.point(40),
-            DiscretePMF.from_samples(rng.gamma(2.0, 50.0, size=300)).aggregate(32),
-            DiscretePMF.from_impulses({55: 0.25, 80: 0.5, 130: 0.125}),
-            DiscretePMF.zero(),
-            DiscretePMF.from_samples(rng.gamma(3.0, 20.0, size=300)),  # dense prev
-            DiscretePMF.point(500),  # entirely past the deadline
-        ]
-        deadlines = [120, 160, 90, 100, 140, 130]
-        stepped = batched_completion_step(
-            pets, prevs, deadlines, policy, max_impulses=max_impulses
-        )
-        for got, pet, prev, deadline in zip(stepped, pets, prevs, deadlines):
-            want = completion_pmf(pet, prev, deadline, policy)
-            if max_impulses is not None:
-                want = want.aggregate(max_impulses)
-            assert got.offset == want.offset
-            assert np.array_equal(got.probs, want.probs)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            batched_completion_step(
-                [DiscretePMF.point(1)], [DiscretePMF.point(0)], [5, 6]
-            )
 
 
 class TestBatchedSuccessProbability:

@@ -39,7 +39,6 @@ from repro.core.batch import (
 )
 from repro.core.completion import (
     DroppingPolicy,
-    batched_completion_steps,
     chain_step,
     completion_and_success,
     completion_pmf,
@@ -295,13 +294,13 @@ def assert_step_equals_the_old_forms(pet, prev, deadline):
         assert same_pmf(got_pct, want_pct) and got_prob == want_prob
 
 
-def random_operand(rng, *, dense: bool, mass: float = 1.0, offset=None) -> DiscretePMF:
+def random_operand(rng, *, dense: bool, mass: float = 1.0) -> DiscretePMF:
     size = int(rng.integers(1, 150))
     count = int(rng.integers(max(1, size // 2), size + 1)) if dense else int(rng.integers(1, min(size, 9) + 1))
     probs = np.zeros(size)
     probs[rng.choice(size, size=count, replace=False)] = rng.random(count) + 1e-3
     probs *= mass / probs.sum()
-    return DiscretePMF._raw(probs, int(rng.integers(-20, 200)) if offset is None else offset)
+    return DiscretePMF._raw(probs, int(rng.integers(-20, 200)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,19 +346,3 @@ def test_step_edge_cases_equal_the_old_forms():
         DiscretePMF._raw(np.array([2e-9, 0.0, 0.9]), 10),
         11,
     )
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(list(DroppingPolicy)))
-def test_lockstep_steps_carry_the_same_by_products(seed, policy):
-    rng = np.random.default_rng(seed)
-    pets = [random_operand(rng, dense=True, offset=int(rng.integers(1, 20))) for _ in range(4)]
-    prevs = [random_operand(rng, dense=bool(rng.integers(0, 2))) for _ in range(4)]
-    deadlines = [int(rng.integers(p.offset - 5, p.max_time + 40)) for p in prevs]
-    for cap in (None, 8):
-        stepped = batched_completion_steps(pets, prevs, deadlines, policy, max_impulses=cap)
-        for got, pet, prev, deadline in zip(stepped, pets, prevs, deadlines):
-            want = completion_step(pet, prev, deadline, policy, cap)
-            assert same_pmf(got.availability, want.availability)
-            assert same_pmf(got.completion, want.completion)
-            assert got.success_probability == want.success_probability

@@ -32,7 +32,6 @@ from repro.core.batch import (
     pack_impulses,
     sequential_sum,
 )
-from repro.core.completion import DroppingPolicy, batched_completion_step
 from repro.core import _numba_kernels
 from repro.core.kernels import (
     KERNEL_BACKEND_ENV,
@@ -404,27 +403,6 @@ class _SpyBackend(NumpyBackend):
     def expected_completion(self, *args, **kwargs):
         self._count("expected_completion")
         return super().expected_completion(*args, **kwargs)
-
-
-def test_completion_step_dispatches_through_active_backend():
-    spy = _SpyBackend()
-    pets = [
-        DiscretePMF.from_impulses({3: 0.5, 4: 0.25, 5: 0.25}),
-        DiscretePMF.from_impulses({2: 0.4, 4: 0.3, 6: 0.3}),
-    ]
-    # Sparse predecessors (nonzeros < dense width) so the lockstep step
-    # takes its ragged-convolve branch rather than the scalar fallback.
-    prevs = [
-        DiscretePMF.from_impulses({1: 0.4, 6: 0.3}),
-        DiscretePMF.from_impulses({2: 0.5, 9: 0.2}),
-    ]
-    with use_backend(spy):
-        out = batched_completion_step(pets, prevs, [50, 50], DroppingPolicy.EVICT)
-    assert spy.calls.get("convolve_ragged", 0) >= 1
-    ref = batched_completion_step(pets, prevs, [50, 50], DroppingPolicy.EVICT)
-    for got, want in zip(out, ref):
-        assert got.offset == want.offset
-        assert np.array_equal(got.probs, want.probs)
 
 
 @pytest.mark.parametrize(

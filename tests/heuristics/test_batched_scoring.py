@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.completion import DroppingPolicy
+from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable, VirtualSystemState
 from repro.heuristics.scoring import expected_completion, fast_success_probability
-from repro.simulator.machine import Machine, batched_availability
+from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext, batch_in_arrival_order
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
@@ -139,18 +140,14 @@ class TestScoreTableEquivalence:
 
 
 class TestBatchedAvailabilityHelper:
-    def test_rows_match_scalar_availability(self, small_gamma_pet):
+    def test_rows_match_scalar_availability(self, small_gamma_pet, scratch_chain):
         context = paper_scale_event(small_gamma_pet, seed=31)
-        batch = batched_availability(
-            context.machines, small_gamma_pet, context.now, policy=context.policy
-        )
+        batch = context.availability_batch()
         assert batch.n_pmfs == small_gamma_pet.num_machines
         for j, machine in enumerate(context.machines):
-            scalar = machine.availability_pmf(
-                small_gamma_pet, context.now, policy=context.policy
-            )
-            row = batch.row(j).compact()
-            assert row.allclose(scalar, atol=0)
+            chain = scratch_chain(machine, small_gamma_pet, context.now, policy=context.policy)
+            want = chain[-1] if chain else DiscretePMF.point(context.now)
+            assert batch.row(j).compact().allclose(want, atol=0)
 
     def test_context_availability_batch_uses_cache(self, small_gamma_pet):
         context = paper_scale_event(small_gamma_pet, seed=37)

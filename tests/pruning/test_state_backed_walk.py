@@ -24,6 +24,7 @@ from repro.core.completion import DroppingPolicy
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.pam import PruningAwareMapper
 from repro.pruning.pruner import Pruner
+from repro.pet.matrix import PETMatrix
 from repro.pruning.thresholds import PruningThresholds
 from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.machine import Machine
@@ -192,21 +193,30 @@ class TestUnitEquivalence:
         assert third[:2] == first
         assert len(third) == 3
 
-    def test_mismatched_settings_fall_back_to_rebuilding_walk(self, tiny_pet):
+    @pytest.mark.parametrize(
+        "mismatch",
+        [
+            {"max_impulses": 16},  # the state's is 32
+            {"policy": DroppingPolicy.PENDING},
+            {"condition_executing_on_now": True},
+            {"machines": (Machine(0, "fast-a", queue_capacity=6),)},
+            "pet",
+        ],
+    )
+    def test_mismatched_state_raises(self, tiny_pet, mismatch):
         machine, state = self.build(tiny_pet, [make_task(1, deadline=300)])
-        pruner = CrossCheckingPruner(PruningThresholds())
-        context = MappingContext(
+        settings = dict(
             now=0,
             batch=batch_in_arrival_order(()),
             machines=(machine,),
             pet=tiny_pet,
             policy=DroppingPolicy.EVICT,
-            max_impulses=16,  # differs from the state's 32
-            state=state,
         )
-        report = pruner.prune_machine_queue(machine, context)
-        assert pruner.state_backed_calls == 0
-        assert report.availability is not None
+        MappingContext(state=state, **settings)  # matching settings are fine
+        if mismatch == "pet":  # an equal PET that is not the state's object
+            mismatch = {"pet": PETMatrix(tiny_pet.task_types, tiny_pet.machine_names, tiny_pet.pmfs)}
+        with pytest.raises(ValueError, match="disagree"):
+            MappingContext(state=state, **{**settings, **mismatch})
 
 
 class TestTrialScaleEquivalence:

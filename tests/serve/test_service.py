@@ -34,6 +34,7 @@ from repro.serve import (
     spec_from_payload,
     spec_to_payload,
 )
+from repro.serve.protocol import MAX_LINE_BYTES
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.workload.spec import TaskSpec
 from repro.workload.traces import load_trace
@@ -458,6 +459,54 @@ class TestWireProtocol:
         spec = TaskSpec(arrival=5, task_id=2**53 + 1, task_type=2, deadline=99)
         line = encode_line(spec_to_payload(spec))
         assert spec_from_payload(decode_line(line)).task_id == 2**53 + 1
+
+
+class TestOverlongLine:
+    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize("topology", ["single", "sharded"])
+    def test_overlong_line_is_answered_and_closed(
+        self, tmp_path, small_gamma_pet, topology, terminated
+    ):
+        """A request line past the stream limit — newline-terminated or not
+        — gets an error event naming the limit and EOF; another client is
+        still served, and asyncio logs no unhandled exception."""
+
+        async def drive():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            if topology == "single":
+                core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
+                service = SchedulerService(core, tmp_path / "serve.sock")
+            else:
+                specs = build_shard_specs(small_gamma_pet, "PAMF", workers=2, seed=5)
+                service = ShardedSchedulerService(specs, tmp_path / "front.sock")
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                line = b'{"op":"stats","pad":"' + b"x" * 70_000 + b'"}'
+                writer.write(line + b"\n" if terminated else line)
+                await writer.drain()
+                error = decode_line(await reader.readline())
+                eof = await reader.readline()
+                writer.close()
+                reader, writer = await open_endpoint(service.endpoint)
+                writer.write(encode_line({"op": "stats"}))
+                await writer.drain()
+                stats = decode_line(await reader.readline())
+                writer.close()
+            finally:
+                await service.stop(drain=False)
+            return service, error, eof, stats, unhandled
+
+        service, error, eof, stats, unhandled = asyncio.run(drive())
+        assert error["event"] == "error" and "fatal" not in error
+        assert str(MAX_LINE_BYTES) in error["message"]
+        assert eof == b""
+        assert stats["event"] == "stats"
+        assert unhandled == []
+        assert service.failure is None
 
 
 class TestOversizedIntegers:

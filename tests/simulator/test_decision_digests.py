@@ -10,7 +10,9 @@ carried across mapping events): the three robustness-based heuristics x
 both modes on a 600-task load-3.0 scale trace; and the ``scale-event/`` and
 ``scale-batched/`` rows (generated at the commit before the phase-1 table
 outlived its mapping event): PAMF on the perf ledger's ``trial-event`` and
-``trial-batched`` inputs.
+``trial-batched`` inputs; and the ``pending/`` rows (generated at the commit
+before the from-scratch availability walkers left ``src/``): PAM and PAMF x
+both modes on the 660-task trace under the PENDING dropping regime.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ def test_decisions_match_committed_digest(key, inputs):
     run, window = key.split("/window=")
     workload, _, heuristic = run.rpartition("/")
     pet, trace = inputs[workload]
-    engine_seed = digests.WORKLOADS[workload].engine_seed
+    spec = digests.WORKLOADS[workload]
     assert (
-        digests.decision_digest(pet, trace, heuristic, int(window), engine_seed)
+        digests.decision_digest(pet, trace, heuristic, int(window), spec.engine_seed, spec.config)
         == COMMITTED[key]
     )

@@ -1,4 +1,4 @@
-"""Tests for machines, bounded FCFS queues and their probabilistic snapshots."""
+"""Tests for machines, bounded FCFS queues and the chains ``SystemState`` walks on them."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.completion import DroppingPolicy
 from repro.simulator.machine import Machine
+from repro.simulator.state import SystemState
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -102,35 +103,37 @@ class TestQueueMechanics:
             Machine(0, "x", price_per_time=-1)
 
 
-class TestProbabilisticSnapshots:
-    def test_idle_machine_availability_is_now(self, machine, tiny_pet):
-        availability = machine.availability_pmf(tiny_pet, now=42)
-        assert availability.probability_at(42) == pytest.approx(1.0)
+def availability(machine, pet, now, policy=DroppingPolicy.EVICT):
+    """The machine's availability as a state with no history walks it."""
+    return SystemState([machine], pet, policy=policy).availability(0, now)
 
-    def test_snapshot_tracks_queue_depth(self, machine, tiny_pet):
+
+class TestProbabilisticState:
+    def test_idle_machine_availability_is_now(self, machine, tiny_pet):
+        assert availability(machine, tiny_pet, 42).probability_at(42) == pytest.approx(1.0)
+
+    def test_chain_tracks_queue_depth(self, machine, tiny_pet):
         for i, deadline in enumerate((200, 220, 240)):
             machine.enqueue(make_task(i, task_type=0, deadline=deadline), now=0)
-        snapshot = machine.queue_snapshot(tiny_pet, now=0, policy=DroppingPolicy.NONE)
-        assert len(snapshot.tasks) == 3
-        assert len(snapshot.completion_pmfs) == 3
-        means = [p.mean() for p in snapshot.completion_pmfs]
+        chain = SystemState([machine], tiny_pet, policy=DroppingPolicy.NONE).chain(0, 0)
+        assert len(chain) == 3
+        means = [p.mean() for p in chain]
         assert means[0] < means[1] < means[2]
 
     def test_availability_reflects_executing_task_start(self, machine, tiny_pet):
         task = make_task(0, task_type=0, deadline=300)
         machine.enqueue(task, now=0)
         machine.start_next(now=50, actual_execution_time=5)
-        availability = machine.availability_pmf(tiny_pet, now=60, policy=DroppingPolicy.NONE)
+        availability_at_60 = availability(machine, tiny_pet, 60, DroppingPolicy.NONE)
         # anchored at the start time 50 plus the PET support of type 0 on machine 0
-        assert availability.support()[0] >= 54
-        assert availability.mean() == pytest.approx(50 + tiny_pet.get(0, 0).mean())
+        assert availability_at_60.support()[0] >= 54
+        assert availability_at_60.mean() == pytest.approx(50 + tiny_pet.get(0, 0).mean())
 
     def test_evict_policy_bounds_availability_by_deadline(self, machine, tiny_pet):
         task = make_task(0, task_type=2, deadline=10)  # gamma: long execution, tight deadline
         machine.enqueue(task, now=0)
         machine.start_next(now=0, actual_execution_time=20)
-        availability = machine.availability_pmf(tiny_pet, now=1, policy=DroppingPolicy.EVICT)
-        assert availability.support()[1] <= 10
+        assert availability(machine, tiny_pet, 1).support()[1] <= 10
 
     def test_conditioned_pmf_excludes_past(self, machine, tiny_pet):
         task = make_task(0, task_type=0, deadline=300)
@@ -148,13 +151,3 @@ class TestProbabilisticSnapshots:
         # the machine is assumed to free up at the next tick.
         conditioned = machine.executing_completion_pmf(tiny_pet, now=200, condition_on_now=True)
         assert conditioned.probability_at(201) == pytest.approx(1.0)
-
-    def test_snapshot_cache_reused_until_queue_changes(self, machine, tiny_pet):
-        machine.enqueue(make_task(0, deadline=500), now=0)
-        first = machine.queue_snapshot(tiny_pet, now=0)
-        second = machine.queue_snapshot(tiny_pet, now=10)
-        assert second is first  # cached: queue unchanged, anchoring not time-dependent
-        machine.enqueue(make_task(1, deadline=500), now=10)
-        third = machine.queue_snapshot(tiny_pet, now=10)
-        assert third is not first
-        assert len(third.tasks) == 2

@@ -1,15 +1,13 @@
 """Tests for the persistent incremental ``SystemState`` availability engine.
 
-Three layers of guarantees:
+Two layers of guarantees, both against the suite's from-scratch walk
+(``scratch_chain`` in ``tests/conftest.py``):
 
 * unit: incremental chain maintenance after every kind of queue mutation is
-  bit-identical to a from-scratch rebuild (and to the pre-existing
-  per-machine snapshot path);
-* kernel: the lockstep rebuild path (ragged-batch convolve) matches the
-  scalar chain step bit for bit;
-* trial: seeded fig4-scale simulations with the incremental state produce
-  bit-identical ``SimulationResult`` metrics to runs forced through the
-  ``rebuild()`` cross-check mode.
+  bit-identical to the chain walked from scratch down the current queue;
+* trial: at every mapping event of seeded fig4-scale simulations, every
+  machine's state chain equals the scratch walk, and checking it changes
+  no decision.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from repro.heuristics.registry import make_heuristic
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext, batch_in_arrival_order
-from repro.simulator.state import SystemState, SystemStateError
+from repro.simulator.state import SystemState
 from repro.simulator.task import Task
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.spec import TaskSpec
@@ -41,9 +39,27 @@ def pmf_equal(a: DiscretePMF, b: DiscretePMF) -> bool:
     return a.offset == b.offset and np.array_equal(a.probs, b.probs)
 
 
-def reference_availability(machine: Machine, pet, now: int, **kwargs) -> DiscretePMF:
-    """The pre-existing per-machine snapshot path (fresh machine clone)."""
-    return machine.availability_pmf(pet, now, **kwargs)
+def same_chain(got, want) -> bool:
+    return len(got) == len(want) and all(pmf_equal(a, b) for a, b in zip(got, want))
+
+
+def scratch_of(scratch_chain, state: SystemState, j: int, now: int) -> tuple:
+    """The scratch walk of the state's machine ``j`` on the state's settings."""
+    return scratch_chain(
+        state.machines[j],
+        state.pet,
+        now,
+        policy=state.policy,
+        max_impulses=state.max_impulses,
+        condition_executing_on_now=state.condition_executing_on_now,
+    )
+
+
+def assert_matches_scratch(scratch_chain, state: SystemState, j: int, now: int) -> None:
+    """Chain and availability of machine ``j`` equal the scratch walk, atol=0."""
+    want = scratch_of(scratch_chain, state, j, now)
+    assert same_chain(state.chain(j, now), want)
+    assert pmf_equal(state.availability(j, now), want[-1] if want else DiscretePMF.point(now))
 
 
 @pytest.fixture
@@ -62,20 +78,18 @@ class TestIncrementalMaintenance:
         assert batch.n_pmfs == 2
         assert batch.row(0).probability_at(7) == pytest.approx(1.0)
 
-    def test_enqueue_extends_chain_incrementally(self, tiny_pet, machines):
-        state = SystemState(machines, tiny_pet, cross_check=True)
+    def test_enqueue_extends_chain_incrementally(self, tiny_pet, machines, scratch_chain):
+        state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         for i, deadline in enumerate((200, 240, 280)):
             task = make_task(i, deadline=deadline)
             m0.enqueue(task, now=0)
             state.notify_enqueue(0, task)
-            got = state.availability(0, 0)
-            want = reference_availability(m0, tiny_pet, 0)
-            assert pmf_equal(got, want)
+            assert_matches_scratch(scratch_chain, state, 0, 0)
         assert len(state.chain(0, 0)) == 3
 
-    def test_start_reanchors_head(self, tiny_pet, machines):
-        state = SystemState(machines, tiny_pet, cross_check=True)
+    def test_start_reanchors_head(self, tiny_pet, machines, scratch_chain):
+        state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         task = make_task(0, deadline=300)
         m0.enqueue(task, now=0)
@@ -83,12 +97,10 @@ class TestIncrementalMaintenance:
         state.availability(0, 0)
         m0.start_next(now=5, actual_execution_time=6)
         state.notify_start(0)
-        got = state.availability(0, 5)
-        want = reference_availability(m0, tiny_pet, 5)
-        assert pmf_equal(got, want)
+        assert_matches_scratch(scratch_chain, state, 0, 5)
 
-    def test_finish_drops_head_and_rebases(self, tiny_pet, machines):
-        state = SystemState(machines, tiny_pet, cross_check=True)
+    def test_finish_drops_head_and_rebases(self, tiny_pet, machines, scratch_chain):
+        state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         head, rest = make_task(0, deadline=300), make_task(1, deadline=400)
         for task in (head, rest):
@@ -99,13 +111,11 @@ class TestIncrementalMaintenance:
         state.availability(0, 0)
         m0.finish_executing(head, now=4)
         state.notify_finish(0, head)
-        got = state.availability(0, 4)
-        want = reference_availability(m0, tiny_pet, 4)
-        assert pmf_equal(got, want)
+        assert_matches_scratch(scratch_chain, state, 0, 4)
         assert len(state.chain(0, 4)) == 1
 
-    def test_remove_recomputes_suffix_only(self, tiny_pet, machines):
-        state = SystemState(machines, tiny_pet, cross_check=True)
+    def test_remove_recomputes_suffix_only(self, tiny_pet, machines, scratch_chain):
+        state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         tasks = [make_task(i, deadline=200 + 40 * i) for i in range(4)]
         for task in tasks:
@@ -114,28 +124,24 @@ class TestIncrementalMaintenance:
         prefix = state.chain(0, 0)[:2]
         m0.remove_pending(tasks[2])
         state.notify_remove(0, tasks[2])
-        got = state.availability(0, 0)
-        want = reference_availability(m0, tiny_pet, 0)
-        assert pmf_equal(got, want)
+        assert_matches_scratch(scratch_chain, state, 0, 0)
         # The untouched prefix entries are reused, not recomputed.
         assert state.chain(0, 0)[0] is prefix[0]
         assert state.chain(0, 0)[1] is prefix[1]
 
-    def test_unnotified_mutation_resyncs_defensively(self, tiny_pet, machines):
+    def test_unnotified_mutation_resyncs_defensively(self, tiny_pet, machines, scratch_chain):
         state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         task = make_task(0, deadline=200)
         m0.enqueue(task, now=0)  # no notification on purpose
-        got = state.availability(0, 0)
-        want = reference_availability(m0, tiny_pet, 0)
-        assert pmf_equal(got, want)
+        assert_matches_scratch(scratch_chain, state, 0, 0)
 
-    def test_overdue_executing_head_reanchors_with_now(self, tiny_pet, machines):
+    def test_overdue_executing_head_reanchors_with_now(self, tiny_pet, machines, scratch_chain):
         """An executing task queried past its deadline: the EVICT collapse
         point ``max(deadline, now + 1)`` tracks the query time, so the
-        chain must be re-anchored instead of served stale (cross-check mode
-        would otherwise diverge from the rebuild path)."""
-        state = SystemState(machines, tiny_pet, cross_check=True)
+        chain must be re-anchored instead of served stale (it would
+        otherwise diverge from the scratch walk)."""
+        state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         task = make_task(0, task_type=2, deadline=10)  # gamma: long execution
         m0.enqueue(task, now=0)
@@ -143,24 +149,24 @@ class TestIncrementalMaintenance:
         m0.start_next(now=0, actual_execution_time=50)  # overruns the deadline
         state.notify_start(0)
         before = state.availability(0, 5)
+        assert_matches_scratch(scratch_chain, state, 0, 5)
         after = state.availability(0, 12)
-        assert pmf_equal(before, reference_availability(m0, tiny_pet, 5))
-        assert pmf_equal(after, reference_availability(m0, tiny_pet, 12))
+        assert_matches_scratch(scratch_chain, state, 0, 12)
         assert before.support()[1] == 10  # collapsed at the deadline
         assert after.support()[1] == 13  # collapse moved to max(10, 12 + 1)
 
-    def test_idle_pending_chain_reanchors_with_now(self, tiny_pet, machines):
-        state = SystemState(machines, tiny_pet, cross_check=True)
+    def test_idle_pending_chain_reanchors_with_now(self, tiny_pet, machines, scratch_chain):
+        state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         task = make_task(0, deadline=300)
         m0.enqueue(task, now=0)
         state.notify_enqueue(0, task)
         at_zero = state.availability(0, 0)
         at_ten = state.availability(0, 10)
-        assert pmf_equal(at_ten, reference_availability(m0, tiny_pet, 10))
+        assert_matches_scratch(scratch_chain, state, 0, 10)
         assert at_ten.mean() > at_zero.mean()
 
-    def test_availability_excluding_reuses_prefix(self, tiny_pet, machines):
+    def test_availability_excluding_reuses_prefix(self, tiny_pet, machines, scratch_chain):
         state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         tasks = [make_task(i, deadline=200 + 40 * i) for i in range(4)]
@@ -168,17 +174,10 @@ class TestIncrementalMaintenance:
             m0.enqueue(task, now=0)
             state.notify_enqueue(0, task)
         got = state.availability_excluding(0, {tasks[2].task_id}, 0)
-        context = MappingContext(
-            now=0,
-            batch=(),
-            machines=tuple(machines),
-            pet=tiny_pet,
-            policy=DroppingPolicy.EVICT,
-        )
-        want = context.availability_excluding(0, {tasks[2].task_id})
-        assert pmf_equal(got, want)
+        m0.remove_pending(tasks[2])
+        assert pmf_equal(got, scratch_chain(m0, tiny_pet, 0)[-1])
 
-    def test_batch_rows_match_scalar_availability(self, tiny_pet, machines):
+    def test_batch_rows_match_scalar_availability(self, tiny_pet, machines, scratch_chain):
         state = SystemState(machines, tiny_pet)
         for i, machine in enumerate(machines):
             task = make_task(i, task_type=i, deadline=250)
@@ -186,35 +185,21 @@ class TestIncrementalMaintenance:
             state.notify_enqueue(machine.index, task)
         batch = state.availability_batch(0)
         for j, machine in enumerate(machines):
-            assert pmf_equal(batch.row(j), reference_availability(machine, tiny_pet, 0))
+            assert pmf_equal(batch.row(j), scratch_chain(machine, tiny_pet, 0)[-1])
 
-    def test_rebuild_matches_incremental(self, tiny_pet, machines):
+    def test_fresh_state_matches_scratch_walk(self, tiny_pet, machines, scratch_chain):
+        """A state with history, a state with none and the scratch walk agree."""
         state = SystemState(machines, tiny_pet)
         m0 = machines[0]
         for i in range(3):
             task = make_task(i, deadline=200 + 30 * i)
             m0.enqueue(task, now=0)
             state.notify_enqueue(0, task)
-        incremental = [p.compact() for p in state.chain(0, 0)]
-        state.rebuild(0)
-        rebuilt = [p.compact() for p in state.chain(0, 0)]
-        assert len(incremental) == len(rebuilt)
-        for a, b in zip(incremental, rebuilt):
-            assert pmf_equal(a, b)
-
-    def test_cross_check_detects_corruption(self, tiny_pet, machines):
-        state = SystemState(machines, tiny_pet, cross_check=True)
-        m0 = machines[0]
-        task = make_task(0, deadline=200)
-        m0.enqueue(task, now=0)
-        state.notify_enqueue(0, task)
-        state.availability(0, 0)
-        # Corrupt the cached chain behind the state's back.
-        rec = state._records[0]
-        rec.chain[-1] = rec.chain[-1].shift(3)
-        rec.revision += 1
-        with pytest.raises(SystemStateError):
             state.availability(0, 0)
+        fresh = SystemState(machines, tiny_pet)
+        want = scratch_chain(m0, tiny_pet, 0)
+        assert same_chain(state.chain(0, 0), want)
+        assert same_chain(fresh.chain(0, 0), want)
 
 
 class TestMappingContextViews:
@@ -234,7 +219,7 @@ class TestMappingContextViews:
         assert context.machine_availability(0) is state.availability(0, 0)
         assert context.availability_batch() is state.availability_batch(0)
 
-    def test_fallback_matches_state_path(self, tiny_pet, machines):
+    def test_stateless_context_builds_its_own_state(self, tiny_pet, machines):
         state = SystemState(machines, tiny_pet)
         task = make_task(0, deadline=250)
         machines[0].enqueue(task, now=0)
@@ -247,10 +232,37 @@ class TestMappingContextViews:
             policy=DroppingPolicy.EVICT,
         )
         with_state = MappingContext(state=state, **common)
+        without_state = MappingContext(max_impulses=16, **common)
+        built = without_state.state
+        assert built is not state and built.machines == machines and built.pet is tiny_pet
+        assert built.max_impulses == 16
         without_state = MappingContext(**common)
         for j in range(len(machines)):
             assert pmf_equal(
                 with_state.machine_availability(j), without_state.machine_availability(j)
+            )
+
+
+    @pytest.mark.parametrize("policy", list(DroppingPolicy))
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_stateless_context_walks_on_its_own_settings(
+        self, tiny_pet, machines, scratch_chain, policy, conditioned
+    ):
+        m0 = machines[0]
+        for i in range(3):
+            m0.enqueue(make_task(i, task_type=i, deadline=8 + 6 * i), now=0)
+        m0.start_next(now=0, actual_execution_time=20)
+        settings = dict(
+            policy=policy, max_impulses=2, condition_executing_on_now=conditioned
+        )
+        context = MappingContext(
+            now=4, batch=(), machines=tuple(machines), pet=tiny_pet, **settings
+        )
+        for j, machine in enumerate(machines):
+            want = scratch_chain(machine, tiny_pet, 4, **settings)
+            assert same_chain(context.state.chain(j, 4), want)
+            assert pmf_equal(
+                context.machine_availability(j), want[-1] if want else DiscretePMF.point(4)
             )
 
 
@@ -266,54 +278,83 @@ def _signature(result):
     )
 
 
+class ScratchCheckingHeuristic:
+    """Wraps a heuristic; at every mapping event, before it maps, asserts
+    every machine's state chain equals the scratch walk."""
+
+    def __init__(self, inner, scratch_chain) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.scratch_chain = scratch_chain
+        self.checked_events = 0
+
+    def reset(self) -> None:
+        self.inner.reset()
+
+    def map_tasks(self, context):
+        for j in range(len(context.machines)):
+            want = scratch_of(self.scratch_chain, context.state, j, context.now)
+            assert same_chain(context.state.chain(j, context.now), want)
+        self.checked_events += 1
+        return self.inner.map_tasks(context)
+
+
+def run_checked(pet, trace, heuristic_name, config, rng, scratch_chain):
+    """The trial plain and with every event checked; both results, and the count."""
+    results = []
+    for wrap in (False, True):
+        heuristic = make_heuristic(heuristic_name, num_task_types=pet.num_task_types)
+        if wrap:
+            heuristic = ScratchCheckingHeuristic(heuristic, scratch_chain)
+        results.append(HCSimulator(pet, heuristic, config=config, rng=rng).run(trace))
+    return results, heuristic.checked_events
+
+
 @pytest.mark.parametrize("batch_window", [0, 25])
 @pytest.mark.parametrize("heuristic_name", ["MM", "PAM", "PAMF"])
-def test_full_trial_incremental_vs_rebuild_cross_check(
-    spec_pet_small, heuristic_name, batch_window
+def test_full_trial_state_matches_scratch_walk(
+    spec_pet_small, heuristic_name, batch_window, scratch_chain
 ):
-    """Seeded fig4-scale trials: incremental state vs forced rebuild cross-check.
+    """Seeded fig4-scale trials: the state equals the scratch walk at every event.
 
-    The cross-check run re-derives every queried chain from scratch through
-    the lockstep rebuild kernel and raises on any bit-level divergence; on
-    top of that the trial-level metrics must be bit-identical to the plain
-    incremental run.  Runs in both engine modes: per-event (``window=0``)
-    and batched scheduling rounds.
+    Checking reads every machine's chain at every mapping event, which a
+    plain run does not; the decisions and metrics must be bit-identical to
+    the plain run all the same.  Runs in both engine modes: per-event
+    (``window=0``) and batched scheduling rounds.
     """
     trace = generate_workload(
         WorkloadConfig(num_tasks=250, time_span=1000, beta=1.2), spec_pet_small, rng=5
     )
-
-    def run(config):
-        heuristic = make_heuristic(
-            heuristic_name, num_task_types=spec_pet_small.num_task_types
-        )
-        sim = HCSimulator(spec_pet_small, heuristic, config=config, rng=17)
-        return sim.run(trace)
-
-    incremental = run(SimulatorConfig(batch_window=batch_window))
-    crosschecked = run(
-        SimulatorConfig(state_cross_check=True, batch_window=batch_window)
+    (plain, checked), events = run_checked(
+        spec_pet_small,
+        trace,
+        heuristic_name,
+        SimulatorConfig(batch_window=batch_window),
+        17,
+        scratch_chain,
     )
-    assert _signature(incremental) == _signature(crosschecked)
-    assert incremental.robustness_percent(warmup=20, cooldown=20) == crosschecked.robustness_percent(
+    assert events == checked.counters.mapping_events > 0
+    assert _signature(plain) == _signature(checked)
+    assert plain.robustness_percent(warmup=20, cooldown=20) == checked.robustness_percent(
         warmup=20, cooldown=20
     )
 
 
-def test_full_trial_pending_policy_cross_check(spec_pet_small):
-    """The PENDING dropping regime flows through the same equivalence gate."""
+def test_full_trial_pending_policy_matches_scratch_walk(spec_pet_small, scratch_chain):
+    """The PENDING dropping regime flows through the same check."""
     trace = generate_workload(
         WorkloadConfig(num_tasks=150, time_span=800, beta=1.5), spec_pet_small, rng=9
     )
-
-    def run(cross_check):
-        heuristic = make_heuristic("PAM", num_task_types=spec_pet_small.num_task_types)
-        config = SimulatorConfig(
-            evict_executing_at_deadline=False, state_cross_check=cross_check
-        )
-        return HCSimulator(spec_pet_small, heuristic, config=config, rng=3).run(trace)
-
-    assert _signature(run(False)) == _signature(run(True))
+    (plain, checked), events = run_checked(
+        spec_pet_small,
+        trace,
+        "PAM",
+        SimulatorConfig(evict_executing_at_deadline=False),
+        3,
+        scratch_chain,
+    )
+    assert events == checked.counters.mapping_events > 0
+    assert _signature(plain) == _signature(checked)
 
 
 @pytest.fixture(scope="module")
