@@ -67,9 +67,9 @@ Examples::
     python -m repro.cli trace inspect examples/transcoding_660.trace.json
     python -m repro.cli trace replay examples/transcoding_660.trace.json \
         --heuristics PAMF MM --jobs 4 --cache-dir results/cache
-    python -m repro.cli serve run --socket /tmp/repro-serve.sock
+    python -m repro.cli serve run --listen /tmp/repro-serve.sock
     python -m repro.cli serve run --listen tcp:127.0.0.1:7077 --workers 4
-    python -m repro.cli serve submit --socket /tmp/repro-serve.sock \
+    python -m repro.cli serve submit --connect /tmp/repro-serve.sock \
         --trace examples/transcoding_660.trace.json --tasks 50 --rate 10
     python -m repro.cli serve submit --connect tcp:127.0.0.1:7077 --task 1 0 5 400
     python -m repro.cli serve bench --trace examples/transcoding_660.trace.json \
@@ -351,13 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run = serve_sub.add_parser(
         "run", help="host the admission service on a Unix socket or TCP port until interrupted"
     )
-    serve_listen = serve_run.add_mutually_exclusive_group(required=True)
-    serve_listen.add_argument(
-        "--socket", help="Unix socket path to serve on (created, removed on exit)"
-    )
-    serve_listen.add_argument(
+    serve_run.add_argument(
         "--listen",
-        help="endpoint to serve on: unix:PATH or tcp:HOST:PORT (port 0 picks one)",
+        required=True,
+        help="endpoint to serve on: a Unix socket PATH (or unix:PATH; created, "
+        "removed on exit) or tcp:HOST:PORT (port 0 picks one)",
     )
     serve_run.add_argument(
         "--pet",
@@ -404,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a recorded trace (or one task) into a running service "
         "and print the streamed decisions",
     )
-    serve_target = serve_submit.add_mutually_exclusive_group(required=True)
-    serve_target.add_argument("--socket", help="Unix socket of a running 'serve run'")
-    serve_target.add_argument(
-        "--connect", help="endpoint of a running 'serve run': unix:PATH or tcp:HOST:PORT"
+    serve_submit.add_argument(
+        "--connect",
+        required=True,
+        help="endpoint of a running 'serve run': PATH, unix:PATH or tcp:HOST:PORT",
     )
     source = serve_submit.add_mutually_exclusive_group(required=True)
     source.add_argument("--trace", help="recorded trace file to replay")
@@ -946,42 +944,24 @@ def _command_serve_run(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from .serve import (
-        SchedulerCore,
-        SchedulerService,
-        ShardedSchedulerService,
-        build_shard_specs,
-    )
+    from .serve import build_service
 
     pet = _serve_pet(args)
-    listen = args.listen if args.listen is not None else args.socket
     sim_config = SimulatorConfig(
         batch_window=args.batch_window, kernel_backend=args.kernel_backend
     )
 
     async def host() -> tuple[dict, BaseException | None]:
-        if args.workers > 1:
-            # Sharded: the front-end's per-shard in-flight cap is the
-            # binding backpressure limit; worker inboxes sit above it.
-            front_cap = args.inbox_limit if args.inbox_limit is not None else 256
-            shard_specs = build_shard_specs(
-                pet,
-                args.heuristic,
-                workers=args.workers,
-                seed=args.seed + 2,
-                sim_config=sim_config,
-                inbox_limit=max(4 * front_cap, 1024),
-            )
-            service: SchedulerService | ShardedSchedulerService = ShardedSchedulerService(
-                shard_specs, listen, max_inflight=front_cap, drain_grace=args.drain_grace
-            )
-            snapshot = service.metrics.snapshot
-        else:
-            heuristic = make_heuristic(args.heuristic, num_task_types=pet.num_task_types)
-            core = SchedulerCore(pet, heuristic, config=sim_config, rng=args.seed + 2)
-            kwargs = {} if args.inbox_limit is None else {"inbox_limit": args.inbox_limit}
-            service = SchedulerService(core, listen, drain_grace=args.drain_grace, **kwargs)
-            snapshot = core.metrics.snapshot
+        service = build_service(
+            pet,
+            args.heuristic,
+            args.listen,
+            workers=args.workers,
+            seed=args.seed + 2,
+            sim_config=sim_config,
+            inbox_limit=args.inbox_limit,
+            drain_grace=args.drain_grace,
+        )
         await service.start()
         mode = f" (batched rounds, window {args.batch_window})" if args.batch_window else ""
         if args.kernel_backend is not None:
@@ -1009,7 +989,7 @@ def _command_serve_run(args: argparse.Namespace) -> int:
             await asyncio.gather(stopper, stopped, return_exceptions=True)
             for signum in (signal.SIGINT, signal.SIGTERM):
                 loop.remove_signal_handler(signum)
-        return snapshot(), service.failure
+        return service.metrics.snapshot(), service.failure
 
     snapshot, failure = asyncio.run(host())
     print(json.dumps(snapshot, indent=2))
@@ -1037,10 +1017,9 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
 
         specs = slice_trace(load_trace(args.trace), args.tasks)
     time_unit = args.time_unit if args.time_unit is not None else DEFAULT_TIME_UNIT_SECONDS
-    endpoint = args.connect if args.connect is not None else args.socket
     outcome = asyncio.run(
         replay_trace(
-            endpoint,
+            args.connect,
             specs,
             rate=args.rate,
             time_unit_seconds=time_unit,
@@ -1073,13 +1052,8 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
 
     pet = _serve_pet(args)
     trace = slice_trace(load_trace(args.trace), args.tasks)
-
-    def heuristic_factory():
-        return make_heuristic(args.heuristic, num_task_types=pet.num_task_types)
-
     report = run_bench(
         pet,
-        heuristic_factory,
         trace,
         heuristic_name=args.heuristic,
         pet_kind=args.pet,

@@ -3,15 +3,19 @@
 The paper's decision engine only ever ran in batch replay; this package
 promotes it to a long-running admission service:
 
+* :mod:`repro.serve.hub` — the JSON-lines connection hub both service
+  topologies stand on: endpoint bind (Unix socket or TCP), the per-client
+  read loop, the client set with send/broadcast, the fatal-failure report
+  and the shared shutdown steps;
 * :mod:`repro.serve.service` — :class:`SchedulerCore` (synchronous
   externally-clocked admission engine with an in-process ``submit()`` API)
-  and :class:`SchedulerService` (asyncio admission loop serving JSON-lines
-  over a Unix socket or TCP, streaming per-task decisions to every
-  connected client, with a bounded inbox that rejects submissions under
-  overload);
+  and :class:`SchedulerService` (the single-process topology: one asyncio
+  admission loop streaming per-task decisions to every connected client,
+  with a bounded inbox that rejects submissions under overload);
 * :mod:`repro.serve.workers` — :class:`ShardedSchedulerService`, a
   front-end that shards submissions by task type across N engine-worker
-  processes and merges their decisions into one globally-sequenced stream;
+  processes and merges their decisions into one globally-sequenced stream,
+  and :func:`build_service`, the one place either topology is built;
 * :mod:`repro.serve.metrics` — :class:`ServiceMetrics` counters plus a
   fixed-size log-bucketed admission-latency histogram (built on
   :class:`repro.obs.LogBucketHistogram`, bounded memory at any uptime),
@@ -65,6 +69,7 @@ from .service import (
 from .workers import (
     ShardSpec,
     ShardedSchedulerService,
+    build_service,
     build_shard_specs,
     partition_trace,
     shard_for,
@@ -82,6 +87,7 @@ __all__ = [
     "ServiceMetrics",
     "ShardSpec",
     "ShardedSchedulerService",
+    "build_service",
     "build_shard_specs",
     "decision_map",
     "decision_to_payload",

@@ -1,7 +1,7 @@
 """Load generation against the scheduler service, and the serve bench.
 
 The load generator replays a recorded workload trace against a running
-:class:`~repro.serve.service.SchedulerService` at a wall-clock arrival-rate
+scheduler service (either topology) at a wall-clock arrival-rate
 multiplier: task ``i`` is submitted when ``arrival_i * time_unit / rate``
 wall seconds have elapsed.  Virtual time travels *with* the submissions, so
 the decision stream is bit-identical at every rate — the multiplier only
@@ -9,15 +9,16 @@ controls how hard the admission loop is driven, which is exactly what the
 throughput/latency curve measures.
 
 ``run_bench`` sweeps several multipliers (a fresh service per rate, same
-seed), checks the decision stream against an offline
-:meth:`HCSimulator.run` replay of the same trace, and writes the
-machine-readable ``BENCH_serve.json`` perf artefact.  The bench drives any
-service topology: Unix socket or TCP (``transport=``), one admission core
-or N sharded worker processes (``workers=``), and a deliberately tiny
-bounded inbox (``inbox_limit=``) to measure the overload rejection curve —
-submissions turned away with ``accepted=false`` are counted per rate, and
-the equivalence check then compares each shard's stream against an offline
-replay of exactly the tasks that were *accepted* into that shard.
+seed, built by :func:`~repro.serve.workers.build_service`), checks the
+decision stream against an offline :meth:`HCSimulator.run` replay of the
+same trace, and writes the machine-readable ``BENCH_serve.json`` perf
+artefact.  The bench drives any service topology: Unix socket or TCP
+(``transport=``), one admission core or N sharded worker processes
+(``workers=``), and a deliberately tiny bounded inbox (``inbox_limit=``) to
+measure the overload rejection curve — submissions turned away with
+``accepted=false`` are counted per rate, and the equivalence check then
+compares each shard's stream (one core is shard 0 of one) against an
+offline replay of exactly the tasks that were *accepted* into that shard.
 """
 
 from __future__ import annotations
@@ -30,18 +31,14 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Callable, Mapping, Sequence
 
+from ..heuristics import make_heuristic
 from ..pet.matrix import PETMatrix
 from ..simulator.engine import HCSimulator, SimulatorConfig
 from ..workload.generator import WorkloadTrace
 from .metrics import LatencyHistogram
 from .protocol import decode_line, encode_line, open_endpoint, spec_to_payload
-from .service import SchedulerCore, SchedulerService, decision_map, offline_decision_map
-from .workers import (
-    ShardedSchedulerService,
-    build_shard_specs,
-    partition_trace,
-    shard_seed,
-)
+from .service import decision_map, offline_decision_map
+from .workers import build_service, partition_trace, shard_seed
 
 __all__ = [
     "BenchReport",
@@ -303,31 +300,26 @@ def _rate_report(multiplier: float, outcome: ReplayOutcome) -> RateReport:
 
 def _offline_shard_maps(
     pet: PETMatrix,
-    heuristic_factory: Callable[[], object],
+    heuristic_name: str,
     trace: WorkloadTrace,
     *,
     seed: int,
     workers: int,
     sim_config: SimulatorConfig | None,
     rejected: frozenset[int] = frozenset(),
-) -> dict[int | None, dict]:
+) -> dict[int, dict]:
     """Expected decision maps for the *accepted* subset of a trace.
 
-    With one worker the key is ``None`` (the whole stream); with N workers
-    the keys are shard indices and each map is the offline replay of exactly
-    that shard's accepted task subsequence, seeded with :func:`shard_seed` —
-    the per-shard replay-equivalence contract.
+    Keyed by shard index: each map is the offline replay of exactly that
+    shard's accepted task subsequence, seeded with :func:`shard_seed` — the
+    per-shard replay-equivalence contract.  One worker is shard 0 of one,
+    seeded ``shard_seed(seed, 0) == seed``: the whole trace.
     """
-    if workers == 1:
-        specs = [spec for spec in trace if spec.task_id not in rejected]
-        sim = HCSimulator(pet, heuristic_factory(), config=sim_config, rng=seed)
-        return {None: offline_decision_map(sim.run(specs))}
-    maps: dict[int | None, dict] = {}
+    maps: dict[int, dict] = {}
     for shard, shard_tasks in enumerate(partition_trace(trace, workers)):
         specs = [spec for spec in shard_tasks if spec.task_id not in rejected]
-        sim = HCSimulator(
-            pet, heuristic_factory(), config=sim_config, rng=shard_seed(seed, shard)
-        )
+        heuristic = make_heuristic(heuristic_name, num_task_types=pet.num_task_types)
+        sim = HCSimulator(pet, heuristic, config=sim_config, rng=shard_seed(seed, shard))
         maps[shard] = offline_decision_map(sim.run(specs)) if specs else {}
     return maps
 
@@ -335,26 +327,25 @@ def _offline_shard_maps(
 def _check_outcome_offline(
     outcome: ReplayOutcome, expected: Mapping, *, multiplier: float
 ) -> None:
-    """Raise ``RuntimeError`` if any (shard) stream diverged from offline."""
+    """Raise ``RuntimeError`` if any shard's stream diverged from offline.
+
+    A single-process service's events carry no ``shard`` field: all of
+    them are shard 0's.
+    """
     for shard, offline_map in expected.items():
-        if shard is None:
-            streamed = decision_map(outcome.decisions)
-            label = "the offline replay"
-        else:
-            streamed = decision_map(
-                [e for e in outcome.decisions if e.get("shard") == shard]
-            )
-            label = f"shard {shard}'s offline replay"
+        streamed = decision_map(
+            [e for e in outcome.decisions if e.get("shard", 0) == shard]
+        )
         if streamed != offline_map:
             diff = _first_difference(streamed, offline_map)
             raise RuntimeError(
-                f"decision stream at {multiplier:g}x diverged from {label}: {diff}"
+                f"decision stream at {multiplier:g}x diverged from shard "
+                f"{shard}'s offline replay: {diff}"
             )
 
 
 def run_bench(
     pet: PETMatrix,
-    heuristic_factory: Callable[[], object],
     trace: WorkloadTrace,
     *,
     heuristic_name: str,
@@ -392,11 +383,11 @@ def run_bench(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     say = progress if progress is not None else (lambda message: None)
-    baseline: dict[int | None, dict] | None = None
+    baseline: dict[int, dict] | None = None
     if check_offline:
         baseline = _offline_shard_maps(
             pet,
-            heuristic_factory,
+            heuristic_name,
             trace,
             seed=seed,
             workers=workers,
@@ -412,13 +403,12 @@ def run_bench(
         outcome = asyncio.run(
             _bench_one_rate(
                 pet,
-                heuristic_factory,
                 trace,
+                heuristic_name=heuristic_name,
                 seed=seed,
                 rate=float(multiplier),
                 time_unit_seconds=time_unit_seconds,
                 sim_config=sim_config,
-                heuristic_name=heuristic_name,
                 transport=transport,
                 workers=workers,
                 inbox_limit=inbox_limit,
@@ -434,7 +424,7 @@ def run_bench(
                 )
                 expected = _offline_shard_maps(
                     pet,
-                    heuristic_factory,
+                    heuristic_name,
                     trace,
                     seed=seed,
                     workers=workers,
@@ -461,14 +451,13 @@ def run_bench(
 
 async def _bench_one_rate(
     pet: PETMatrix,
-    heuristic_factory: Callable[[], object],
     trace: WorkloadTrace,
     *,
+    heuristic_name: str,
     seed: int,
     rate: float,
     time_unit_seconds: float,
     sim_config: SimulatorConfig | None,
-    heuristic_name: str | None = None,
     transport: str = "unix",
     workers: int = 1,
     inbox_limit: int | None = None,
@@ -479,28 +468,15 @@ async def _bench_one_rate(
             listen: str | Path = "tcp:127.0.0.1:0"
         else:
             listen = Path(scratch) / "serve.sock"
-        if workers > 1:
-            if heuristic_name is None:
-                raise ValueError("a sharded bench needs heuristic_name (registry name)")
-            # The front-end's in-flight cap is the binding limit; size the
-            # worker inboxes above it so worker-side rejections (which would
-            # complicate correlation) cannot trigger first.
-            front_cap = 256 if inbox_limit is None else inbox_limit
-            shard_specs = build_shard_specs(
-                pet,
-                heuristic_name,
-                workers=workers,
-                seed=seed,
-                sim_config=sim_config,
-                inbox_limit=max(4 * front_cap, 1024),
-            )
-            service: SchedulerService | ShardedSchedulerService = (
-                ShardedSchedulerService(shard_specs, listen, max_inflight=front_cap)
-            )
-        else:
-            core = SchedulerCore(pet, heuristic_factory(), config=sim_config, rng=seed)
-            kwargs = {} if inbox_limit is None else {"inbox_limit": inbox_limit}
-            service = SchedulerService(core, listen, **kwargs)
+        service = build_service(
+            pet,
+            heuristic_name,
+            listen,
+            workers=workers,
+            seed=seed,
+            sim_config=sim_config,
+            inbox_limit=inbox_limit,
+        )
         await service.start()
         try:
             return await replay_trace(

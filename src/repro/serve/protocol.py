@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Longest request line a service reads (asyncio's default stream limit,
-#: passed explicitly to both front-ends' servers).
+#: passed explicitly to the connection hub's server).
 MAX_LINE_BYTES = 2**16
 
 #: The event answering a longer line, just before the connection closes.

@@ -13,8 +13,9 @@ Two layers, deliberately separable:
     to an offline :meth:`HCSimulator.run` of the same trace.
 
 :class:`SchedulerService`
-    The asyncio layer: a JSON-lines server (Unix socket or TCP, same wire
-    protocol) whose single admission loop serialises all client submissions
+    The asyncio layer: the single-process topology of the JSON-lines
+    :class:`~repro.serve.hub.ConnectionHub` (Unix socket or TCP, same wire
+    protocol), whose one admission loop serialises all client submissions
     into the core and streams decision events back to every connected
     client.  The inbox between the client handlers and the admission loop
     is *bounded*: when it is full, further submissions are answered with an
@@ -39,9 +40,7 @@ engine frontier nor the decision stream.
 from __future__ import annotations
 
 import asyncio
-import sys
 import time
-import traceback
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,17 +56,9 @@ from ..simulator.mapping import MappingDecision
 from ..simulator.metrics import SimulationResult
 from ..simulator.task import Task, TaskStatus
 from ..workload.spec import TaskSpec
+from .hub import ConnectionHub
 from .metrics import ServiceMetrics
-from .protocol import (
-    MAX_LINE_BYTES,
-    OVERLONG_LINE_ERROR,
-    decision_to_payload,
-    decode_line,
-    encode_line,
-    format_endpoint,
-    parse_endpoint,
-    spec_from_payload,
-)
+from .protocol import decision_to_payload, spec_from_payload
 
 __all__ = [
     "Decision",
@@ -360,10 +351,11 @@ def offline_decision_map(
 # ----------------------------------------------------------------------
 # The asyncio socket service.
 # ----------------------------------------------------------------------
-class SchedulerService:
+class SchedulerService(ConnectionHub):
     """JSON-lines admission service over a Unix socket or TCP.
 
-    One admission loop owns the core: submissions from every connection are
+    The :class:`~repro.serve.hub.ConnectionHub` handles the connections;
+    one admission loop owns the core: submissions from every connection are
     funnelled through a *bounded* :class:`asyncio.Queue`, processed in
     arrival order, and the resulting decision events are broadcast to every
     connected client.  When the inbox is full a further ``submit`` is
@@ -373,10 +365,7 @@ class SchedulerService:
     natural flow control to their connection).  ``stop()`` drains in-flight
     submissions first (bounded by ``drain_grace`` seconds), then closes the
     socket and removes its path — no orphaned asyncio task survives it.
-
-    ``listen`` accepts a filesystem path / ``unix:PATH`` (Unix socket) or
-    ``tcp:HOST:PORT`` (TCP; port ``0`` binds an ephemeral port, read the
-    bound address back from :attr:`endpoint` after :meth:`start`).
+    ``listen`` is any endpoint the hub accepts.
     """
 
     def __init__(
@@ -387,140 +376,59 @@ class SchedulerService:
         drain_grace: float = 5.0,
         inbox_limit: int = 1024,
     ) -> None:
-        self.core = core
-        self._endpoint = parse_endpoint(listen)
-        #: Socket path for Unix-socket services; ``None`` over TCP.
-        self.socket_path = Path(self._endpoint[1]) if self._endpoint[0] == "unix" else None
-        self.drain_grace = float(drain_grace)
+        super().__init__(listen, drain_grace=drain_grace)
         if inbox_limit < 1:
             raise ValueError("inbox_limit must be at least 1")
+        self.core = core
+        #: The core's counters, which are the service's own.
+        self.metrics = core.metrics
         self.inbox_limit = int(inbox_limit)
-        #: The exception that killed the admission loop, if any — a loud
-        #: record of an ungraceful shutdown.
-        self.failure: BaseException | None = None
-        self._server: asyncio.AbstractServer | None = None
         self._inbox: asyncio.Queue | None = None
         self._admission: asyncio.Task | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._stopped = asyncio.Event()
-        self._stopping = False
 
-    @property
-    def endpoint(self) -> str:
-        """The client-facing endpoint string (actual bound port over TCP)."""
-        return format_endpoint(self._endpoint)
-
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        if self._server is not None:
-            raise RuntimeError("the service is already started")
+    async def _start_topology(self) -> None:
         self._inbox = asyncio.Queue(maxsize=self.inbox_limit)
-        if self._endpoint[0] == "unix":
-            assert self.socket_path is not None
-            self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-            if self.socket_path.exists():
-                self.socket_path.unlink()
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=str(self.socket_path), limit=MAX_LINE_BYTES
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client,
-                host=self._endpoint[1],
-                port=self._endpoint[2],
-                limit=MAX_LINE_BYTES,
-            )
-            bound = self._server.sockets[0].getsockname()
-            self._endpoint = ("tcp", bound[0], bound[1])
         self._admission = asyncio.create_task(
             self._admission_loop(), name="repro-serve-admission"
         )
 
-    async def wait_stopped(self) -> None:
-        """Block until the service has fully shut down."""
-        await self._stopped.wait()
-
-    async def stop(self, *, drain: bool = True) -> None:
-        """Graceful shutdown; idempotent and safe to call from any task."""
-        if self._stopping:
-            await self._stopped.wait()
+    async def _stop_topology(self, drain: bool) -> None:
+        """Drain the inbox (grace-bounded) when asked, then end the loop."""
+        if self._admission is None or self._admission.done():
             return
-        self._stopping = True
-        # One loop tick first: a connection sitting in the accept backlog gets
-        # its handler created now, so the teardown below closes it too instead
-        # of stranding the client without an EOF.
-        await asyncio.sleep(0)
-        if self._server is not None:
-            self._server.close()
-        if drain and self._inbox is not None and self._admission is not None:
-            if not self._admission.done():
-                with suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(self._inbox.join(), self.drain_grace)
-        if self._admission is not None and not self._admission.done():
-            self._admission.cancel()
-            with suppress(asyncio.CancelledError):
-                await self._admission
-        if self._server is not None:
-            with suppress(OSError):
-                await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._writers):
-            await self._discard_writer(writer)
-        if self.socket_path is not None:
-            with suppress(OSError):
-                if self.socket_path.exists():
-                    self.socket_path.unlink()
-        self._stopped.set()
+        if drain:
+            assert self._inbox is not None
+            with suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._inbox.join(), self.drain_grace)
+        self._admission.cancel()
+        with suppress(asyncio.CancelledError):
+            await self._admission
 
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Past the stream limit: answer, then hang up.
-                    await self._send(writer, OVERLONG_LINE_ERROR)
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = decode_line(line)
-                except ValueError as exc:
-                    await self._send(writer, {"event": "error", "message": str(exc)})
-                    continue
-                assert self._inbox is not None
-                if request.get("op") == "submit":
-                    # Backpressure: a full inbox answers an explicit
-                    # rejection instead of queueing without bound.  The
-                    # rejected task never reaches the engine.
-                    try:
-                        self._inbox.put_nowait((request, time.perf_counter(), writer))
-                    except asyncio.QueueFull:
-                        self.core.metrics.rejected_overload += 1
-                        rejection: dict = {
-                            "event": "accepted",
-                            "accepted": False,
-                            "reason": "overloaded",
-                        }
-                        task_payload = request.get("task")
-                        if isinstance(task_payload, Mapping) and "task_id" in task_payload:
-                            rejection["task_id"] = task_payload["task_id"]
-                        await self._send(writer, rejection)
-                else:
-                    # Control ops (flush/stats/close) are rare and must not
-                    # be dropped; let them wait for a slot, which simply
-                    # stalls this connection's reader.
-                    await self._inbox.put((request, time.perf_counter(), writer))
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await self._discard_writer(writer)
+    async def _dispatch(self, request: dict, writer: asyncio.StreamWriter) -> None:
+        assert self._inbox is not None
+        if request.get("op") == "submit":
+            # Backpressure: a full inbox answers an explicit rejection
+            # instead of queueing without bound.  The rejected task never
+            # reaches the engine.
+            try:
+                self._inbox.put_nowait((request, time.perf_counter(), writer))
+            except asyncio.QueueFull:
+                self.metrics.rejected_overload += 1
+                rejection: dict = {
+                    "event": "accepted",
+                    "accepted": False,
+                    "reason": "overloaded",
+                }
+                task_payload = request.get("task")
+                if isinstance(task_payload, Mapping) and "task_id" in task_payload:
+                    rejection["task_id"] = task_payload["task_id"]
+                await self._send(writer, rejection)
+        else:
+            # Control ops (flush/stats/close) are rare and must not be
+            # dropped; let them wait for a slot, which simply stalls this
+            # connection's reader.
+            await self._inbox.put((request, time.perf_counter(), writer))
 
     async def _admission_loop(self) -> None:
         assert self._inbox is not None
@@ -530,35 +438,17 @@ class SchedulerService:
                 closing = await self._process(request, received, writer)
             except Exception as exc:
                 # An unexpected failure must not kill the loop silently and
-                # leave every client hanging: answer the requesting writer,
-                # record the failure loudly, and shut the service down so
-                # clients see EOF instead of an eternal stall.
-                self.failure = exc
-                print(
-                    "repro.serve: admission loop failed on "
-                    f"{request.get('op')!r}: {exc!r}\n{traceback.format_exc()}",
-                    file=sys.stderr,
-                    flush=True,
-                )
+                # leave every client hanging.  Decisions the engine made
+                # before it still go out first.
                 with suppress(Exception):
                     await self._broadcast_decisions(self.core.take_pending())
-                with suppress(Exception):
-                    await self._send(
-                        writer,
-                        {
-                            "event": "error",
-                            "fatal": True,
-                            "message": f"internal error: {type(exc).__name__}: {exc}",
-                        },
-                    )
-                asyncio.create_task(self.stop(drain=False))
+                await self._fail(exc, f"admission loop on {request.get('op')!r}", writer)
                 return
             finally:
                 self._inbox.task_done()
             if closing:
-                # The core is finalised; shut the whole service down (from a
-                # fresh task — stop() cancels this loop).
-                asyncio.create_task(self.stop(drain=False))
+                # The core is finalised; shut the whole service down.
+                self._schedule_stop()
                 return
 
     async def _process(
@@ -636,23 +526,3 @@ class SchedulerService:
     async def _broadcast_decisions(self, decisions: Sequence[Decision]) -> None:
         for decision in decisions:
             await self._broadcast(decision_to_payload(decision))
-
-    async def _broadcast(self, payload: Mapping) -> None:
-        for writer in list(self._writers):
-            await self._send(writer, payload)
-
-    async def _send(self, writer: asyncio.StreamWriter, payload: Mapping) -> None:
-        if writer not in self._writers:
-            return
-        try:
-            writer.write(encode_line(payload))
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            await self._discard_writer(writer)
-
-    async def _discard_writer(self, writer: asyncio.StreamWriter) -> None:
-        if writer in self._writers:
-            self._writers.discard(writer)
-            with suppress(Exception):
-                writer.close()
-                await writer.wait_closed()

@@ -4,10 +4,12 @@ The single-process :class:`~repro.serve.service.SchedulerService` serialises
 every submission through one :class:`SchedulerCore`; past a few thousand
 decisions per second the Python admission loop is the ceiling.  This module
 scales the service *out*: a :class:`ShardedSchedulerService` front-end owns
-the one client-facing socket (Unix or TCP) and routes each submission — by a
-stable hash of its ``task_type`` — to one of N **worker processes**, each
-hosting its own :class:`SchedulerCore` behind a private Unix socket in a
-scratch directory.  Decision events flow back through the front-end, which
+the one client-facing socket (Unix or TCP; the connection handling is the
+same :class:`~repro.serve.hub.ConnectionHub` the single service stands on)
+and routes each submission — by a stable hash of its ``task_type`` — to one
+of N **worker processes**, each hosting the single-process service over its
+own :class:`SchedulerCore` behind a private Unix socket in a scratch
+directory.  Decision events flow back through one relay per worker, which
 re-sequences them into one globally-ordered stream (``seq``) while
 preserving each worker's own order (``shard``/``shard_seq``).
 
@@ -18,13 +20,19 @@ shard's decision stream is bit-identical to an offline
 :func:`shard_seed`) — the per-shard replay-equivalence contract pinned in
 ``tests/serve/test_sharded.py``.  The merged stream is the union of the
 per-shard streams; cross-shard interleaving is wall-clock order at the
-front-end and deliberately *not* part of the contract.
+front-end and deliberately *not* part of the contract.  Task ids stay unique
+across shards, as in one core: the front-end remembers which shard holds
+each id it forwarded and refuses another copy without forwarding it.
 
 Backpressure is layered: the front-end caps in-flight submissions per shard
 (``max_inflight``) and answers ``{"event": "accepted", "accepted": false,
 "reason": "overloaded"}`` beyond it, while each worker keeps its own
 bounded inbox (sized above the front-end cap, so the front-end's limit is
 the one that binds and rejection responses stay correlated).
+
+:func:`build_service` is the one place either topology is built, from a PET,
+a heuristic name and a worker count: one worker is the single-process
+service over the core shard 0 would run.
 
 Worker processes are spawned via :mod:`multiprocessing` (fork where
 available, spawn otherwise — :class:`ShardSpec` is picklable either way)
@@ -37,7 +45,6 @@ import asyncio
 import hashlib
 import multiprocessing
 import shutil
-import sys
 import tempfile
 import time
 from collections import deque
@@ -49,27 +56,23 @@ from typing import Iterable, Mapping, Sequence
 from ..pet.matrix import PETMatrix
 from ..simulator.engine import SimulatorConfig
 from ..workload.spec import TaskSpec
+from .hub import ConnectionHub
 from .metrics import ServiceMetrics, merge_snapshots
-from .protocol import (
-    MAX_LINE_BYTES,
-    OVERLONG_LINE_ERROR,
-    decode_line,
-    encode_line,
-    format_endpoint,
-    parse_endpoint,
-    spec_from_payload,
-    spec_to_payload,
-)
+from .protocol import decode_line, encode_line, spec_from_payload, spec_to_payload
 from .service import SchedulerCore, SchedulerService
 
 __all__ = [
     "ShardSpec",
     "ShardedSchedulerService",
+    "build_service",
     "build_shard_specs",
     "partition_trace",
     "shard_for",
     "shard_seed",
 ]
+
+#: Seconds a spawned worker gets to start listening on its socket.
+WORKER_START_TIMEOUT_S = 30.0
 
 
 def shard_for(task_type: int, num_shards: int) -> int:
@@ -148,6 +151,45 @@ def build_shard_specs(
     )
 
 
+def build_service(
+    pet: PETMatrix,
+    heuristic: str,
+    listen: str | Path,
+    *,
+    workers: int = 1,
+    seed: int,
+    sim_config: SimulatorConfig | None = None,
+    inbox_limit: int | None = None,
+    drain_grace: float = 5.0,
+) -> SchedulerService | ShardedSchedulerService:
+    """Either serve topology, sized and seeded the same way for every caller.
+
+    One worker is the single-process :class:`SchedulerService` over the core
+    shard 0 would run (``shard_seed(seed, 0) == seed``), with ``inbox_limit``
+    bounding its admission inbox.  More workers are a
+    :class:`ShardedSchedulerService` whose front-end caps each shard at
+    ``inbox_limit`` in-flight submissions (256 by default) and sizes every
+    worker's own inbox above that cap, so the front-end's limit is the one
+    that binds and rejections stay correlated with their submissions.
+    """
+    if workers == 1:
+        core = ShardSpec(pet, heuristic, seed, sim_config).build_core()
+        kwargs = {} if inbox_limit is None else {"inbox_limit": inbox_limit}
+        return SchedulerService(core, listen, drain_grace=drain_grace, **kwargs)
+    cap = 256 if inbox_limit is None else inbox_limit
+    shard_specs = build_shard_specs(
+        pet,
+        heuristic,
+        workers=workers,
+        seed=seed,
+        sim_config=sim_config,
+        inbox_limit=max(4 * cap, 1024),
+    )
+    return ShardedSchedulerService(
+        shard_specs, listen, max_inflight=cap, drain_grace=drain_grace
+    )
+
+
 # ----------------------------------------------------------------------
 # Worker-process entry points (module level: picklable under spawn).
 # ----------------------------------------------------------------------
@@ -182,7 +224,6 @@ class _FanIn:
     writer: asyncio.StreamWriter | None
     remaining: int
     collected: list = field(default_factory=list)
-    failed: bool = False
 
 
 class _Shard:
@@ -211,7 +252,7 @@ def _mp_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("spawn")
 
 
-class ShardedSchedulerService:
+class ShardedSchedulerService(ConnectionHub):
     """One client-facing socket fronting N sharded engine workers.
 
     Speaks the same JSON-lines wire protocol as the single-process
@@ -228,93 +269,53 @@ class ShardedSchedulerService:
         *,
         max_inflight: int = 256,
         drain_grace: float = 5.0,
-        worker_start_timeout: float = 30.0,
     ) -> None:
         if not shard_specs:
             raise ValueError("at least one shard spec is required")
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
+        super().__init__(listen, drain_grace=drain_grace)
         self._specs = tuple(shard_specs)
-        self._endpoint = parse_endpoint(listen)
-        self.socket_path = Path(self._endpoint[1]) if self._endpoint[0] == "unix" else None
         self.max_inflight = int(max_inflight)
-        self.drain_grace = float(drain_grace)
-        self.worker_start_timeout = float(worker_start_timeout)
         #: Front-end routing counters (workers keep their own engine-side
         #: metrics; ``stats`` merges both views).
         self.metrics = ServiceMetrics()
-        self.failure: BaseException | None = None
         self._shards: list[_Shard] = []
+        #: task_id -> the shard it was forwarded to, for every id no worker
+        #: rejected: an id is injected at most once across all shards.
+        self._holders: dict[int, _Shard] = {}
         self._scratch: Path | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
         self._seq = 0
-        self._stopped = asyncio.Event()
-        self._stopping = False
         #: Serialises control fan-out so every shard sees control ops in
         #: the same order its FIFO recorded them (concurrent clients would
         #: otherwise interleave forwards and desynchronise the matching).
         self._control_lock = asyncio.Lock()
 
-    @property
-    def num_shards(self) -> int:
-        return len(self._specs)
-
-    @property
-    def endpoint(self) -> str:
-        """The client-facing endpoint string (actual bound port over TCP)."""
-        return format_endpoint(self._endpoint)
-
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        if self._server is not None or self._shards:
-            raise RuntimeError("the service is already started")
+    async def _start_topology(self) -> None:
+        # A failure anywhere below stops the service, whose teardown reaps
+        # whatever had started.
         self._scratch = Path(tempfile.mkdtemp(prefix="repro-shards-"))
         ctx = _mp_context()
-        shards = [
+        self._shards = [
             _Shard(index, spec, self._scratch / f"shard-{index}.sock")
             for index, spec in enumerate(self._specs)
         ]
-        try:
-            for shard in shards:
-                process = ctx.Process(
-                    target=_shard_main,
-                    args=(shard.spec, str(shard.socket_path)),
-                    name=f"repro-shard-{shard.index}",
-                    daemon=True,
-                )
-                process.start()
-                shard.process = process
-            for shard in shards:
-                shard.reader, shard.writer = await self._connect_worker(shard)
-            for shard in shards:
-                shard.relay = asyncio.create_task(
-                    self._relay(shard), name=f"repro-shard-relay-{shard.index}"
-                )
-        except BaseException:
-            self._shards = shards
-            await self._teardown_workers()
-            self._cleanup_scratch()
-            self._shards = []
-            raise
-        self._shards = shards
-        if self._endpoint[0] == "unix":
-            assert self.socket_path is not None
-            self.socket_path.parent.mkdir(parents=True, exist_ok=True)
-            if self.socket_path.exists():
-                self.socket_path.unlink()
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=str(self.socket_path), limit=MAX_LINE_BYTES
+        for shard in self._shards:
+            process = ctx.Process(
+                target=_shard_main,
+                args=(shard.spec, str(shard.socket_path)),
+                name=f"repro-shard-{shard.index}",
+                daemon=True,
             )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client,
-                host=self._endpoint[1],
-                port=self._endpoint[2],
-                limit=MAX_LINE_BYTES,
+            process.start()
+            shard.process = process
+        for shard in self._shards:
+            shard.reader, shard.writer = await self._connect_worker(shard)
+        for shard in self._shards:
+            shard.relay = asyncio.create_task(
+                self._relay(shard), name=f"repro-shard-relay-{shard.index}"
             )
-            bound = self._server.sockets[0].getsockname()
-            self._endpoint = ("tcp", bound[0], bound[1])
 
     async def _connect_worker(
         self, shard: _Shard
@@ -324,7 +325,7 @@ class ShardedSchedulerService:
         The socket file appears at ``bind``, before the worker calls
         ``listen``: a connect in between is refused, so it is retried.
         """
-        deadline = time.monotonic() + self.worker_start_timeout
+        deadline = time.monotonic() + WORKER_START_TIMEOUT_S
         assert shard.process is not None
         while True:
             if shard.socket_path.exists():
@@ -340,41 +341,18 @@ class ShardedSchedulerService:
             if time.monotonic() > deadline:
                 raise RuntimeError(
                     f"shard worker {shard.index} did not listen on {shard.socket_path} "
-                    f"within {self.worker_start_timeout:.0f}s"
+                    f"within {WORKER_START_TIMEOUT_S:.0f}s"
                 )
             await asyncio.sleep(0.01)
 
-    async def wait_stopped(self) -> None:
-        """Block until the service has fully shut down."""
-        await self._stopped.wait()
-
     # ------------------------------------------------------------------
-    async def stop(self, *, drain: bool = True) -> None:
-        """Graceful shutdown; idempotent and safe to call from any task."""
-        if self._stopping:
-            await self._stopped.wait()
-            return
-        self._stopping = True
-        await asyncio.sleep(0)
-        if self._server is not None:
-            self._server.close()
-            with suppress(OSError):
-                await self._server.wait_closed()
-            self._server = None
+    async def _stop_topology(self, drain: bool) -> None:
         if drain:
             # Ask every still-open shard to finalise, bounded by the grace
             # period; workers exit on their own after answering `close`.
             with suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self._drain_shards(), self.drain_grace)
         await self._teardown_workers()
-        for writer in list(self._writers):
-            await self._discard_writer(writer)
-        if self.socket_path is not None:
-            with suppress(OSError):
-                if self.socket_path.exists():
-                    self.socket_path.unlink()
-        self._cleanup_scratch()
-        self._stopped.set()
 
     async def _drain_shards(self) -> None:
         pending = [s for s in self._shards if s.closed_payload is None and s.writer]
@@ -413,8 +391,6 @@ class ShardedSchedulerService:
             if process.is_alive():  # pragma: no cover - last resort
                 process.kill()
             process.join(timeout=0.5)
-
-    def _cleanup_scratch(self) -> None:
         if self._scratch is not None:
             shutil.rmtree(self._scratch, ignore_errors=True)
             self._scratch = None
@@ -422,54 +398,7 @@ class ShardedSchedulerService:
     # ------------------------------------------------------------------
     # Client side.
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Past the stream limit: answer, then hang up.
-                    await self._send(writer, OVERLONG_LINE_ERROR)
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = decode_line(line)
-                except ValueError as exc:
-                    await self._send(writer, {"event": "error", "message": str(exc)})
-                    continue
-                try:
-                    await self._route(request, writer)
-                except Exception as exc:
-                    self.failure = exc
-                    print(
-                        f"repro.serve: sharded front-end failed on "
-                        f"{request.get('op')!r}: {exc!r}",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-                    with suppress(Exception):
-                        await self._send(
-                            writer,
-                            {
-                                "event": "error",
-                                "fatal": True,
-                                "message": f"internal error: {type(exc).__name__}: {exc}",
-                            },
-                        )
-                    asyncio.create_task(self.stop(drain=False))
-                    return
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await self._discard_writer(writer)
-
-    async def _route(self, request: Mapping, writer: asyncio.StreamWriter) -> None:
+    async def _dispatch(self, request: dict, writer: asyncio.StreamWriter) -> None:
         op = request.get("op")
         if op == "submit":
             await self._route_submit(request, writer)
@@ -506,17 +435,25 @@ class ShardedSchedulerService:
                 },
             )
             return
-        if spec.task_id in shard.submit_waiters:
+        holder = self._holders.get(spec.task_id)
+        if holder is not None:
+            # Taken, whichever shard this copy's task type routes to.
             self.metrics.rejected += 1
+            state = (
+                "is already in flight"
+                if spec.task_id in holder.submit_waiters
+                else "was already injected"
+            )
             await self._send(
                 writer,
                 {
                     "event": "error",
                     "task_id": spec.task_id,
-                    "message": f"task {spec.task_id} is already in flight",
+                    "message": f"task {spec.task_id} {state}",
                 },
             )
             return
+        self._holders[spec.task_id] = shard
         shard.submit_waiters[spec.task_id] = writer
         self.metrics.submitted += 1
         await self._forward(shard, {"op": "submit", "task": spec_to_payload(spec)})
@@ -532,6 +469,7 @@ class ShardedSchedulerService:
     # ------------------------------------------------------------------
     async def _relay(self, shard: _Shard) -> None:
         assert shard.reader is not None
+        where = f"shard worker {shard.index}"
         try:
             while True:
                 line = await shard.reader.readline()
@@ -542,25 +480,28 @@ class ShardedSchedulerService:
                 if kind == "decision":
                     await self._relay_decision(shard, event)
                 elif kind == "accepted" or (kind == "error" and "task_id" in event):
-                    client = shard.submit_waiters.pop(int(event["task_id"]), None)
+                    task_id = int(event["task_id"])
+                    client = shard.submit_waiters.pop(task_id, None)
                     if kind == "accepted":
                         event.setdefault("accepted", True)
+                    if not event.get("accepted"):
+                        # The worker turned the task away, so it was never
+                        # injected: the id is free again.
+                        self._holders.pop(task_id, None)
                     event["shard"] = shard.index
                     if client is not None:
                         await self._send(client, event)
                 elif kind in ("flushed", "stats", "closed"):
                     if kind == "closed":
                         shard.closed_payload = event
-                    await self._resolve_control(shard, kind, event)
+                    await self._resolve_control(shard, event)
                 elif kind == "error":
                     # Uncorrelated error: a control response (head of the
                     # FIFO) or a fatal worker failure.
                     if shard.control:
-                        await self._resolve_control(shard, "error", event)
+                        await self._resolve_control(shard, event)
                     else:
-                        await self._shard_failed(
-                            shard, RuntimeError(str(event.get("message")))
-                        )
+                        await self._fail(RuntimeError(str(event.get("message"))), where)
                         return
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
@@ -568,10 +509,7 @@ class ShardedSchedulerService:
         # normal exit, not a failure — only an EOF from a still-open shard
         # is a died-underneath-us event.
         if not self._stopping and shard.closed_payload is None:
-            await self._shard_failed(
-                shard,
-                RuntimeError(f"shard worker {shard.index} closed its connection"),
-            )
+            await self._fail(RuntimeError(f"{where} closed its connection"), where)
 
     async def _relay_decision(self, shard: _Shard, event: dict) -> None:
         payload = dict(event)
@@ -582,58 +520,48 @@ class ShardedSchedulerService:
         self.metrics.decisions += 1
         await self._broadcast(payload)
 
-    async def _resolve_control(self, shard: _Shard, kind: str, event: dict) -> None:
+    async def _resolve_control(self, shard: _Shard, event: dict) -> None:
         if not shard.control:  # pragma: no cover - defensive
             return
         fan_in = shard.control.popleft()
         fan_in.collected.append((shard.index, event))
-        if kind == "error":
-            fan_in.failed = True
         fan_in.remaining -= 1
         if fan_in.remaining > 0:
             return
+        ordered = sorted(fan_in.collected)
         if fan_in.op == "close":
-            await self._finish_close(fan_in)
+            if fan_in.writer is not None:
+                await self._broadcast(self._merged_closed(ordered))
+            self._schedule_stop()
             return
         if fan_in.writer is None:
             return
-        if fan_in.failed:
-            first_error = next(
-                (e for _, e in fan_in.collected if e.get("event") == "error"), None
-            )
-            await self._send(
-                fan_in.writer,
-                first_error or {"event": "error", "message": f"{fan_in.op} failed"},
-            )
+        errors = [e for _, e in fan_in.collected if e.get("event") == "error"]
+        if errors:
+            await self._send(fan_in.writer, errors[0])
             return
         if fan_in.op == "flush":
             await self._send(fan_in.writer, {"event": "flushed"})
         elif fan_in.op == "stats":
-            await self._send(fan_in.writer, self._merged_stats(fan_in))
+            await self._send(
+                fan_in.writer,
+                {
+                    "event": "stats",
+                    "metrics": self._merged_metrics(ordered),
+                    "shards": [
+                        {"shard": index, "metrics": event.get("metrics", {})}
+                        for index, event in ordered
+                    ],
+                },
+            )
 
-    def _merged_stats(self, fan_in: _FanIn) -> dict:
-        ordered = sorted(fan_in.collected)
-        shard_metrics = [event.get("metrics", {}) for _, event in ordered]
-        merged = merge_snapshots(shard_metrics)
+    def _merged_metrics(self, ordered: list) -> dict:
+        """The shards' metric snapshots merged, plus the front-end's rejections."""
+        merged = merge_snapshots([event.get("metrics", {}) for _, event in ordered])
         front = self.metrics.snapshot()
         for key in ("rejected", "rejected_overload"):
             merged[key] = int(merged.get(key, 0)) + int(front[key])
-        return {
-            "event": "stats",
-            "metrics": merged,
-            "shards": [
-                {"shard": index, "metrics": event.get("metrics", {})}
-                for index, event in ordered
-            ],
-        }
-
-    async def _finish_close(self, fan_in: _FanIn) -> None:
-        ordered = sorted(fan_in.collected)
-        payload = self._merged_closed(ordered)
-        if fan_in.writer is not None:
-            await self._broadcast(payload)
-        if not self._stopping:
-            asyncio.create_task(self.stop(drain=False))
+        return merged
 
     def _merged_closed(self, ordered: list) -> dict:
         """Merge per-shard ``closed`` payloads into one service summary.
@@ -648,7 +576,6 @@ class ShardedSchedulerService:
         weighted_robustness = 0.0
         total_cost = 0.0
         end_time = 0.0
-        snapshots = []
         for _, event in ordered:
             for key, value in event.get("status_counts", {}).items():
                 status_counts[key] = status_counts.get(key, 0) + int(value)
@@ -660,12 +587,6 @@ class ShardedSchedulerService:
             )
             total_cost += float(summary.get("total_cost", 0.0))
             end_time = max(end_time, float(summary.get("end_time", 0.0)))
-            snapshots.append(event.get("metrics", {}))
-        merged_metrics = merge_snapshots(snapshots)
-        for key in ("rejected", "rejected_overload"):
-            merged_metrics[key] = int(merged_metrics.get(key, 0)) + int(
-                self.metrics.snapshot()[key]
-            )
         return {
             "event": "closed",
             "summary": {
@@ -677,39 +598,9 @@ class ShardedSchedulerService:
                 "end_time": end_time,
             },
             "status_counts": status_counts,
-            "metrics": merged_metrics,
+            "metrics": self._merged_metrics(ordered),
             "shards": [
                 {"shard": index, **{k: v for k, v in event.items() if k != "event"}}
                 for index, event in ordered
             ],
         }
-
-    async def _shard_failed(self, shard: _Shard, exc: BaseException) -> None:
-        self.failure = exc
-        print(f"repro.serve: {exc}", file=sys.stderr, flush=True)
-        await self._broadcast(
-            {"event": "error", "fatal": True, "message": str(exc)}
-        )
-        if not self._stopping:
-            asyncio.create_task(self.stop(drain=False))
-
-    # ------------------------------------------------------------------
-    async def _broadcast(self, payload: Mapping) -> None:
-        for writer in list(self._writers):
-            await self._send(writer, payload)
-
-    async def _send(self, writer: asyncio.StreamWriter, payload: Mapping) -> None:
-        if writer not in self._writers:
-            return
-        try:
-            writer.write(encode_line(payload))
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
-            await self._discard_writer(writer)
-
-    async def _discard_writer(self, writer: asyncio.StreamWriter) -> None:
-        if writer in self._writers:
-            self._writers.discard(writer)
-            with suppress(Exception):
-                writer.close()
-                await writer.wait_closed()

@@ -12,17 +12,9 @@ import math
 
 import pytest
 
-from repro.heuristics import make_heuristic
 from repro.serve import decision_map, run_bench, slice_trace
 from repro.serve.loadgen import replay_trace
 from repro.workload.generator import WorkloadTrace
-
-
-def _factory(pet):
-    def make():
-        return make_heuristic("PAMF", num_task_types=pet.num_task_types)
-
-    return make
 
 
 class TestSliceTrace:
@@ -67,7 +59,6 @@ class TestRunBench:
         out = tmp_path / "BENCH_serve.json"
         report = run_bench(
             small_gamma_pet,
-            _factory(small_gamma_pet),
             light_trace,
             heuristic_name="PAMF",
             pet_kind="small",
@@ -120,8 +111,8 @@ class TestRunBench:
             asyncio.run(
                 _bench_one_rate(
                     small_gamma_pet,
-                    _factory(small_gamma_pet),
                     light_trace,
+                    heuristic_name="PAMF",
                     seed=5,
                     rate=rate,
                     time_unit_seconds=0.001,
@@ -146,7 +137,6 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(
                 small_gamma_pet,
-                _factory(small_gamma_pet),
                 light_trace,
                 heuristic_name="PAMF",
                 pet_kind="small",
@@ -157,7 +147,6 @@ class TestRunBench:
     def test_skipping_offline_check_leaves_flag_unset(self, small_gamma_pet, light_trace):
         report = run_bench(
             small_gamma_pet,
-            _factory(small_gamma_pet),
             light_trace,
             heuristic_name="PAMF",
             pet_kind="small",
@@ -166,3 +155,26 @@ class TestRunBench:
             check_offline=False,
         )
         assert report.equivalent_to_offline is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overload_rejects_yet_accepted_subset_matches_offline(
+        self, small_gamma_pet, small_trace, workers
+    ):
+        """A four-slot inbox (in-flight cap when sharded) at 5000x turns
+        submissions away with accepted=false, and the stream of the accepted
+        subset still equals its offline replay (per shard when sharded)."""
+        report = run_bench(
+            small_gamma_pet,
+            small_trace,
+            heuristic_name="PAMF",
+            pet_kind="small",
+            seed=5,
+            rates=(5000.0,),
+            workers=workers,
+            inbox_limit=4,
+        )
+        [rate] = report.rates
+        assert rate.rejected > 0
+        assert rate.tasks == len(small_trace)
+        assert report.equivalent_to_offline is True
+        assert math.isfinite(rate.p99_ms)

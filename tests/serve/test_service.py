@@ -22,6 +22,7 @@ from repro.serve import (
     SchedulerCore,
     SchedulerService,
     ShardedSchedulerService,
+    build_service,
     build_shard_specs,
     decision_map,
     decode_line,
@@ -30,6 +31,7 @@ from repro.serve import (
     open_endpoint,
     parse_endpoint,
     replay_trace,
+    shard_for,
     slice_trace,
     spec_from_payload,
     spec_to_payload,
@@ -213,6 +215,49 @@ class TestAdmissionGuards:
         assert held == []  # the time-10 batch is still open
         flushed = core.flush()
         assert any(d.action == "assigned" and d.task_id == 0 for d in flushed)
+
+
+class TestDuplicateTaskId:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_second_copy_is_refused_on_any_shard(self, tmp_path, small_gamma_pet, workers):
+        """Task 7 twice, typed for shards 0 and 1 of two: on either topology
+        the second copy gets the single service's non-fatal error and the
+        run counts one task."""
+        assert (shard_for(0, 2), shard_for(2, 2)) == (0, 1)
+
+        def submit(task_type):
+            task = {"task_id": 7, "task_type": task_type, "arrival": 1, "deadline": 100}
+            return encode_line({"op": "submit", "task": task})
+
+        async def drive():
+            service = build_service(
+                small_gamma_pet, "PAMF", tmp_path / "serve.sock", workers=workers, seed=5
+            )
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                writer.write(submit(0))
+                await writer.drain()
+                while (event := decode_line(await reader.readline()))["event"] != "accepted":
+                    pass
+                writer.write(submit(2))
+                writer.write(encode_line({"op": "close"}))
+                await writer.drain()
+                events = [event]
+                while line := await reader.readline():
+                    events.append(decode_line(line))
+                writer.close()
+            finally:
+                await service.stop(drain=False)
+            return service, events
+
+        service, events = asyncio.run(drive())
+        assert [e for e in events if e["event"] == "error"] == [
+            {"event": "error", "task_id": 7, "message": "task 7 was already injected"}
+        ]
+        [closed] = [e for e in events if e["event"] == "closed"]
+        assert closed["summary"]["tasks"] == 1
+        assert service.failure is None
 
 
 class TestRejectionStateIsolation:

@@ -12,7 +12,9 @@ stream is the union of the per-shard streams with one globally monotone
 from __future__ import annotations
 
 import asyncio
+import os
 import pickle
+import signal
 
 import pytest
 
@@ -20,13 +22,18 @@ from repro.heuristics import make_heuristic
 from repro.serve import (
     ShardSpec,
     ShardedSchedulerService,
+    build_service,
     build_shard_specs,
     decision_map,
+    decode_line,
+    encode_line,
     offline_decision_map,
+    open_endpoint,
     partition_trace,
     replay_trace,
     shard_for,
     shard_seed,
+    spec_to_payload,
 )
 from repro.simulator.engine import HCSimulator
 
@@ -181,3 +188,54 @@ class TestFrontEndBackpressure:
         assert accepted + outcome.rejected == len(small_trace)
         # Decisions only concern accepted tasks.
         assert len(decision_map(outcome.decisions)) == accepted
+
+
+class TestDyingShard:
+    def test_sigkilled_worker_is_loud_and_fatal(self, tmp_path, small_gamma_pet, small_trace):
+        """SIGKILL one of two workers mid-stream: every client gets a fatal
+        error and EOF, the failure is recorded, the service stops within
+        10 s, the front socket is unlinked and no worker survives."""
+        front = tmp_path / "front.sock"
+
+        async def events_until_eof(reader):
+            events = []
+            while line := await reader.readline():
+                events.append(decode_line(line))
+            return events
+
+        async def drive():
+            service = build_service(small_gamma_pet, "PAMF", front, workers=2, seed=5)
+            await service.start()
+            try:
+                clients = [await open_endpoint(service.endpoint) for _ in range(2)]
+                # A stats round trip registers each client with the front-end.
+                for reader, writer in clients:
+                    writer.write(encode_line({"op": "stats"}))
+                    await writer.drain()
+                    assert decode_line(await reader.readline())["event"] == "stats"
+                reader, writer = clients[0]
+                for spec in small_trace:
+                    writer.write(encode_line({"op": "submit", "task": spec_to_payload(spec)}))
+                await writer.drain()
+                while decode_line(await reader.readline())["event"] != "decision":
+                    pass
+                os.kill(service._shards[1].process.pid, signal.SIGKILL)
+                streams = [
+                    await asyncio.wait_for(events_until_eof(r), timeout=10.0)
+                    for r, _ in clients
+                ]
+                await asyncio.wait_for(service.wait_stopped(), timeout=10.0)
+                for _, w in clients:
+                    w.close()
+            finally:
+                await service.stop(drain=False)
+            return service, streams
+
+        service, streams = asyncio.run(drive())
+        for events in streams:
+            assert any(
+                event["event"] == "error" and event.get("fatal") is True for event in events
+            ), events[-3:]
+        assert service.failure is not None
+        assert not front.exists()
+        assert not any(shard.process.is_alive() for shard in service._shards)

@@ -3,7 +3,9 @@
 Mirrors the executor's KeyboardInterrupt contract: stopping the service —
 by API, by a client ``close``, or by an interrupt mid-bench — must drain
 in-flight submissions (when asked), close and unlink the socket, and leave
-no orphaned asyncio task behind.
+no orphaned asyncio task behind.  The connection hub owns these steps for
+both topologies, so the socket, idempotence and ``close`` contracts run on
+each; a sharded service must also leave no worker process alive.
 """
 
 from __future__ import annotations
@@ -16,15 +18,39 @@ from repro.heuristics import make_heuristic
 from repro.serve import (
     SchedulerCore,
     SchedulerService,
+    build_service,
     decode_line,
     encode_line,
     spec_to_payload,
 )
 import repro.serve.loadgen as loadgen
 
+#: Worker counts of the two topologies ``build_service`` builds.
+TOPOLOGIES = {"single": 1, "sharded": 2}
+
 
 def _core(pet, seed=5):
     return SchedulerCore(pet, make_heuristic("PAMF", num_task_types=pet.num_task_types), rng=seed)
+
+
+def _service(pet, listen, topology):
+    return build_service(pet, "PAMF", listen, workers=TOPOLOGIES[topology], seed=5)
+
+
+def _workers_alive(service) -> list[bool]:
+    """Liveness of a sharded service's worker processes (none for one core)."""
+    return [
+        shard.process.is_alive()
+        for shard in getattr(service, "_shards", ())
+        if shard.process is not None
+    ]
+
+
+async def _events_until_eof(reader: asyncio.StreamReader) -> list[dict]:
+    events = []
+    while line := await reader.readline():
+        events.append(decode_line(line))
+    return events
 
 
 async def _settled_tasks(deadline: float = 2.0) -> list[asyncio.Task]:
@@ -76,11 +102,12 @@ class TestGracefulStop:
         # stop must not wait for all of it.
         assert core.metrics.submitted <= len(small_trace)
 
-    def test_socket_closed_and_unlinked_after_stop(self, tmp_path, small_gamma_pet):
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_socket_closed_and_unlinked_after_stop(self, tmp_path, small_gamma_pet, topology):
         socket_path = tmp_path / "serve.sock"
 
         async def drive():
-            service = SchedulerService(_core(small_gamma_pet), socket_path)
+            service = _service(small_gamma_pet, socket_path, topology)
             await service.start()
             assert socket_path.exists()
             reader, writer = await asyncio.open_unix_connection(str(socket_path))
@@ -100,8 +127,10 @@ class TestGracefulStop:
             except (ConnectionError, BrokenPipeError):
                 pass
             assert await _settled_tasks() == []
+            return service
 
-        asyncio.run(drive())
+        service = asyncio.run(drive())
+        assert not any(_workers_alive(service))
         with pytest.raises((ConnectionRefusedError, FileNotFoundError)):
             import socket as socket_module
 
@@ -111,22 +140,48 @@ class TestGracefulStop:
             finally:
                 client.close()
 
-    def test_stop_is_idempotent(self, tmp_path, small_gamma_pet):
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_failed_bind_leaves_nothing_running(self, small_gamma_pet, topology):
+        """A start whose bind fails stops what the topology brought up."""
+
         async def drive():
-            service = SchedulerService(_core(small_gamma_pet), tmp_path / "serve.sock")
+            taken = await asyncio.start_server(lambda reader, writer: None, "127.0.0.1", 0)
+            port = taken.sockets[0].getsockname()[1]
+            service = _service(small_gamma_pet, f"tcp:127.0.0.1:{port}", topology)
+            try:
+                with pytest.raises(OSError):
+                    await service.start()
+            finally:
+                taken.close()
+                await taken.wait_closed()
+            assert await _settled_tasks() == []
+            return service
+
+        service = asyncio.run(drive())
+        assert service.failure is None
+        assert not any(_workers_alive(service))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_stop_is_idempotent(self, tmp_path, small_gamma_pet, topology):
+        async def drive():
+            service = _service(small_gamma_pet, tmp_path / "serve.sock", topology)
             await service.start()
             await service.stop(drain=True)
             await service.stop(drain=True)  # second stop returns immediately
             assert await _settled_tasks() == []
+            return service
 
-        asyncio.run(drive())
+        service = asyncio.run(drive())
+        assert not any(_workers_alive(service))
 
-    def test_client_close_op_stops_the_service(self, tmp_path, small_gamma_pet, light_trace):
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_client_close_op_stops_the_service(
+        self, tmp_path, small_gamma_pet, light_trace, topology
+    ):
         """A wire `close` finalises the run and shuts the whole service down."""
 
         async def drive():
-            core = _core(small_gamma_pet)
-            service = SchedulerService(core, tmp_path / "serve.sock")
+            service = _service(small_gamma_pet, tmp_path / "serve.sock", topology)
             await service.start()
             reader, writer = await asyncio.open_unix_connection(str(service.socket_path))
             for spec in light_trace:
@@ -134,14 +189,17 @@ class TestGracefulStop:
             writer.write(encode_line({"op": "close"}))
             await writer.drain()
             await asyncio.wait_for(service.wait_stopped(), timeout=10.0)
+            events = await asyncio.wait_for(_events_until_eof(reader), timeout=10.0)
             writer.close()
             assert not service.socket_path.exists()
             assert await _settled_tasks() == []
-            return core
+            return service, events
 
-        core = asyncio.run(drive())
-        assert core.closed
-        assert core.metrics.submitted == len(light_trace)
+        service, events = asyncio.run(drive())
+        [closed] = [event for event in events if event["event"] == "closed"]
+        assert closed["summary"]["tasks"] == len(light_trace)
+        assert service.metrics.submitted == len(light_trace)
+        assert not any(_workers_alive(service))
 
 
 class TestInterruptMidBench:
@@ -151,12 +209,11 @@ class TestInterruptMidBench:
         """SIGINT mid-replay (KeyboardInterrupt in the loadgen client) still
         tears the per-rate service down: socket unlinked, loop drained."""
         created = []
-        original_service = loadgen.SchedulerService
+        original_build = loadgen.build_service
 
-        class SpyService(original_service):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
+        def spy_build(*args, **kwargs):
+            created.append(original_build(*args, **kwargs))
+            return created[-1]
 
         async def interrupting_replay(socket_path, trace, **kwargs):
             reader, writer = await asyncio.open_unix_connection(str(socket_path))
@@ -166,16 +223,12 @@ class TestInterruptMidBench:
             await writer.drain()
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(loadgen, "SchedulerService", SpyService)
+        monkeypatch.setattr(loadgen, "build_service", spy_build)
         monkeypatch.setattr(loadgen, "replay_trace", interrupting_replay)
-
-        def factory():
-            return make_heuristic("PAMF", num_task_types=small_gamma_pet.num_task_types)
 
         with pytest.raises(KeyboardInterrupt):
             loadgen.run_bench(
                 small_gamma_pet,
-                factory,
                 light_trace,
                 heuristic_name="PAMF",
                 pet_kind="small",

@@ -62,7 +62,7 @@ class TestParser:
             ["figure", "9", "--kernel-backend", "numba"],
             ["sweep", "4", "--kernel-backend", "numpy"],
             ["trace", "replay", "t.json", "--kernel-backend", "numba"],
-            ["serve", "run", "--socket", "/tmp/s.sock", "--kernel-backend", "numpy"],
+            ["serve", "run", "--listen", "/tmp/s.sock", "--kernel-backend", "numpy"],
         ):
             args = parser.parse_args(argv)
             assert args.kernel_backend == argv[-1]
@@ -574,14 +574,14 @@ class TestServeCommands:
             build_parser().parse_args(["serve", "run"])
 
     def test_run_defaults(self):
-        args = build_parser().parse_args(["serve", "run", "--socket", "/tmp/s.sock"])
+        args = build_parser().parse_args(["serve", "run", "--listen", "/tmp/s.sock"])
         assert args.serve_command == "run"
         assert args.pet == "transcoding"
         assert args.heuristic == "PAMF"
         assert args.drain_grace == 5.0
         assert args.workers == 1
         assert args.inbox_limit is None
-        assert args.listen is None
+        assert args.listen == "/tmp/s.sock"
 
     def test_run_accepts_tcp_listen_with_workers(self):
         args = build_parser().parse_args(
@@ -591,39 +591,34 @@ class TestServeCommands:
             ]
         )
         assert args.listen == "tcp:127.0.0.1:0"
-        assert args.socket is None
         assert args.workers == 4
         assert args.inbox_limit == 64
 
-    def test_run_socket_and_listen_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "run", "--socket", "/tmp/s.sock", "--listen", "tcp::0"]
-            )
+    def test_one_endpoint_flag_per_command(self):
+        """A bare path is an endpoint: ``--listen``/``--connect`` take it, and
+        the old ``--socket`` alias is gone from both commands."""
+        for argv in (
+            ["serve", "run", "--socket", "/tmp/s.sock"],
+            ["serve", "submit", "--socket", "/tmp/s.sock", "--trace", "t.json"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
-    def test_submit_requires_exactly_one_target(self):
+    def test_submit_requires_connect(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "submit", "--trace", "t.json"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                [
-                    "serve", "submit", "--socket", "/tmp/s.sock",
-                    "--connect", "tcp:127.0.0.1:7077", "--trace", "t.json",
-                ]
-            )
         args = build_parser().parse_args(
             ["serve", "submit", "--connect", "tcp:127.0.0.1:7077", "--trace", "t.json"]
         )
         assert args.connect == "tcp:127.0.0.1:7077"
-        assert args.socket is None
 
     def test_submit_requires_exactly_one_source(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "submit", "--socket", "/tmp/s.sock"])
+            build_parser().parse_args(["serve", "submit", "--connect", "/tmp/s.sock"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 [
-                    "serve", "submit", "--socket", "/tmp/s.sock",
+                    "serve", "submit", "--connect", "/tmp/s.sock",
                     "--trace", "t.json", "--task", "1", "0", "0", "50",
                 ]
             )

@@ -96,7 +96,7 @@ def test_serve_run_child_serves_a_submission_without_scipy(tmp_path):
     child = _python(
         "import sys\n"
         "from repro.cli import main\n"
-        f"code = main(['serve', 'run', '--socket', {str(sock)!r}, '--heuristic', 'PAMF', '--seed', '5'])\n"
+        f"code = main(['serve', 'run', '--listen', {str(sock)!r}, '--heuristic', 'PAMF', '--seed', '5'])\n"
         "print('loaded:', loaded('scipy', 'repro.sweep', 'repro.experiments'))\n"
         "sys.exit(code)\n"
     )
@@ -108,7 +108,7 @@ def test_serve_run_child_serves_a_submission_without_scipy(tmp_path):
             time.sleep(0.01)
         # One accepted submission, then ``--close`` drains the service and
         # the child's ``main`` returns.
-        assert main(["serve", "submit", "--socket", str(sock), "--task", "0", "0", "5", "400", "--close"]) == 0
+        assert main(["serve", "submit", "--connect", str(sock), "--task", "0", "0", "5", "400", "--close"]) == 0
         out, err = child.communicate(timeout=60)
     finally:
         if child.poll() is None:
