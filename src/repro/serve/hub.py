@@ -184,14 +184,21 @@ class ConnectionHub:
             await self._discard_writer(writer)
 
     async def _broadcast(self, payload: Mapping) -> None:
+        await self._broadcast_bytes(encode_line(payload))
+
+    async def _broadcast_bytes(self, data: bytes) -> None:
+        """Send encoded wire lines to every client: one write and drain each."""
         for writer in list(self._writers):
-            await self._send(writer, payload)
+            await self._write(writer, data)
 
     async def _send(self, writer: asyncio.StreamWriter, payload: Mapping) -> None:
+        await self._write(writer, encode_line(payload))
+
+    async def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
         if writer not in self._writers:
             return
         try:
-            writer.write(encode_line(payload))
+            writer.write(data)
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             await self._discard_writer(writer)

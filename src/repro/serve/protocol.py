@@ -8,13 +8,21 @@ carry ``event`` (``accepted``, ``decision``, ``flushed``, ``stats``,
 than :data:`MAX_LINE_BYTES` is answered with :data:`OVERLONG_LINE_ERROR`
 and the connection is closed.
 
-``accepted`` events carry an explicit ``accepted`` boolean: ``true`` when
-the submission entered the admission queue, ``false`` (with a ``reason``,
-currently ``"overloaded"``) when backpressure rejected it at the door —
-a rejected submission never touches the engine and never produces
-decisions.  Decision events from a sharded service additionally carry
-``shard`` (which worker decided) and ``shard_seq`` (that worker's own
-stream sequence) beside the globally re-sequenced ``seq``.
+``accepted`` events carry an explicit ``accepted`` boolean: ``true`` once
+the service has validated the submission — its ``task_id`` is unused and its
+arrival is not behind the engine's processed virtual-time frontier — and
+sent *before* the engine advances on its behalf, so the ack never waits
+for the scheduling that arrival releases.  An accepted task is injected:
+a failure after the ack is internal and fatal (an ``error`` event with
+``"fatal": true``, then EOF), never a per-task ``error`` for that id.
+``false`` (with a ``reason``, currently ``"overloaded"``) means
+backpressure rejected it at the door — a rejected submission never
+touches the engine and never produces decisions.  On a sharded service
+the front-end's per-shard in-flight cap counts the submissions their
+worker has not yet validated.  Decision events from a sharded service
+additionally carry ``shard`` (which worker decided) and ``shard_seq``
+(that worker's own stream sequence) beside the globally re-sequenced
+``seq``.
 
 The same wire format runs over two transports, selected by an *endpoint*
 string: a filesystem path or ``unix:PATH`` serves a local Unix socket;

@@ -34,7 +34,11 @@ and finalises the run.
 Rejections (duplicate id, late arrival, malformed payload, overload) leave
 the live system untouched: a submission is validated *before* the virtual
 clock advances on its behalf, so a rejected submit changes neither the
-engine frontier nor the decision stream.
+engine frontier nor the decision stream.  That check is
+:meth:`SchedulerCore.admit`, and it alone decides acceptance: the service
+answers ``accepted`` as soon as it passes, before the engine advances, and
+only then runs the scheduling the arrival releases.  A failure past that
+point is internal and fatal to the service, never a per-task ``error``.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from ..simulator.task import Task, TaskStatus
 from ..workload.spec import TaskSpec
 from .hub import ConnectionHub
 from .metrics import ServiceMetrics
-from .protocol import decision_to_payload, spec_from_payload
+from .protocol import decision_to_payload, encode_line, spec_from_payload
 
 __all__ = [
     "Decision",
@@ -139,22 +143,11 @@ class SchedulerCore:
             rejected submit changes neither the engine frontier nor the
             decision stream.
         """
-        if self._closed:
-            raise RuntimeError("the scheduler service is closed")
         received = self._clock() if received is None else received
         obs = obs_active()
         if obs.enabled:
             start_ns = time.perf_counter_ns()
-        # Validate *before* the virtual clock moves: a rejected submission
-        # (duplicate id, late arrival) must not advance the frontier or fire
-        # mapping events on its way out — rejections leave the live system
-        # untouched.
-        try:
-            self._sim.validate_inject(spec)
-        except ValueError:
-            self.metrics.rejected += 1
-            obs.count("serve.rejected")
-            raise
+        self.admit(spec)
         if self._watermark is not None and spec.arrival > self._watermark:
             # A later instant: every pending event before it is now safe to
             # process — no future submission may precede this arrival.
@@ -175,6 +168,29 @@ class SchedulerCore:
             )
             obs.count("serve.submitted")
         return decisions
+
+    def admit(self, spec: TaskSpec) -> None:
+        """The admission check alone: would :meth:`submit` take ``spec`` now?
+
+        Raises the errors :meth:`submit` raises for a rejected submission —
+        ``RuntimeError`` once closed, ``ValueError`` for a duplicate id or a
+        late arrival, counted in :attr:`metrics` — and touches nothing else.
+        A submission that passes is one :meth:`submit` injects: the virtual
+        clock then advances only through events strictly before its arrival,
+        which no later check depends on.
+        """
+        if self._closed:
+            raise RuntimeError("the scheduler service is closed")
+        # Validate *before* the virtual clock moves: a rejected submission
+        # (duplicate id, late arrival) must not advance the frontier or fire
+        # mapping events on its way out — rejections leave the live system
+        # untouched.
+        try:
+            self._sim.validate_inject(spec)
+        except ValueError:
+            self.metrics.rejected += 1
+            obs_active().count("serve.rejected")
+            raise
 
     def flush(self) -> list[Decision]:
         """Force-process the held watermark instant (end-of-burst)."""
@@ -463,22 +479,20 @@ class SchedulerService(ConnectionHub):
                 await self._send(writer, {"event": "error", "message": str(exc)})
                 return False
             try:
-                decisions = self.core.submit(spec, received=received)
+                self.core.admit(spec)
             except (ValueError, RuntimeError) as exc:
-                # Broadcast anything the engine produced before the failure
-                # first: a decision stranded in the core's pending buffer
-                # would otherwise surface late, attributed to the next
-                # unrelated request.
-                await self._broadcast_decisions(self.core.take_pending())
                 await self._send(
                     writer,
                     {"event": "error", "task_id": spec.task_id, "message": str(exc)},
                 )
                 return False
+            # Admission decides acceptance, so the ack goes out before the
+            # scheduling this arrival releases.  Once admitted, ``submit``
+            # can only fail internally — a fatal failure of the service.
             await self._send(
                 writer, {"event": "accepted", "accepted": True, "task_id": spec.task_id}
             )
-            await self._broadcast_decisions(decisions)
+            await self._broadcast_decisions(self.core.submit(spec, received=received))
             return False
         if op == "flush":
             try:
@@ -524,5 +538,8 @@ class SchedulerService(ConnectionHub):
 
     # ------------------------------------------------------------------
     async def _broadcast_decisions(self, decisions: Sequence[Decision]) -> None:
-        for decision in decisions:
-            await self._broadcast(decision_to_payload(decision))
+        """One buffer per client: each payload encoded once, one write and drain."""
+        if decisions:
+            await self._broadcast_bytes(
+                b"".join(encode_line(decision_to_payload(d)) for d in decisions)
+            )

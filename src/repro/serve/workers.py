@@ -25,7 +25,9 @@ across shards, as in one core: the front-end remembers which shard holds
 each id it forwarded and refuses another copy without forwarding it.
 
 Backpressure is layered: the front-end caps in-flight submissions per shard
-(``max_inflight``) and answers ``{"event": "accepted", "accepted": false,
+(``max_inflight``) — those forwarded that the worker has not yet validated,
+since a worker answers ``accepted`` before the scheduling the arrival
+releases — and answers ``{"event": "accepted", "accepted": false,
 "reason": "overloaded"}`` beyond it, while each worker keeps its own
 bounded inbox (sized above the front-end cap, so the front-end's limit is
 the one that binds and rejection responses stay correlated).
@@ -238,7 +240,8 @@ class _Shard:
         self.writer: asyncio.StreamWriter | None = None
         self.relay: asyncio.Task | None = None
         self.send_lock = asyncio.Lock()
-        #: task_id -> requesting client writer, for in-flight submits.
+        #: task_id -> requesting client writer, for submits forwarded but
+        #: not yet validated by the worker.
         self.submit_waiters: dict[int, asyncio.StreamWriter] = {}
         #: FIFO of control requests forwarded to this shard.
         self.control: deque[_FanIn] = deque()

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,8 +32,10 @@ from repro.serve import (
     offline_decision_map,
     open_endpoint,
     parse_endpoint,
+    partition_trace,
     replay_trace,
     shard_for,
+    shard_seed,
     slice_trace,
     spec_from_payload,
     spec_to_payload,
@@ -350,9 +354,10 @@ class TestAdmissionLoopResilience:
     def test_error_path_still_broadcasts_pending_decisions(
         self, tmp_path, small_gamma_pet
     ):
-        """Decisions produced before a mid-submit failure must reach the
-        clients *before* the error event — never stranded in the core's
-        pending buffer to surface attributed to the next request."""
+        """A failure inside ``submit`` comes after admission, so it is fatal:
+        the client sees ``accepted``, then the decision the engine made
+        before failing — never stranded in the core's pending buffer — then
+        the fatal error, then EOF."""
 
         async def drive():
             core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
@@ -368,16 +373,159 @@ class TestAdmissionLoopResilience:
             spec = TaskSpec(arrival=1, task_id=0, task_type=0, deadline=100)
             writer.write(encode_line({"op": "submit", "task": spec_to_payload(spec)}))
             await writer.drain()
-            first = decode_line(await reader.readline())
-            second = decode_line(await reader.readline())
-            await service.stop(drain=False)
+            events = []
+            while line := await asyncio.wait_for(reader.readline(), timeout=10.0):
+                events.append(decode_line(line))
+            await asyncio.wait_for(service.wait_stopped(), timeout=10.0)
             writer.close()
-            return first, second
+            await writer.wait_closed()
+            return service, events
 
-        first, second = asyncio.run(drive())
-        assert first["event"] == "decision" and first["task_id"] == 0
-        assert second["event"] == "error" and second["task_id"] == 0
-        assert "fell over" in second["message"]
+        service, events = asyncio.run(drive())
+        accepted, decision, error = events
+        assert accepted == {"event": "accepted", "accepted": True, "task_id": 0}
+        assert decision["event"] == "decision" and decision["task_id"] == 0
+        assert error["event"] == "error" and error["fatal"] is True
+        assert "task_id" not in error
+        assert "fell over" in error["message"]
+        assert isinstance(service.failure, RuntimeError)
+
+
+class _GatedHeuristic:
+    """A heuristic whose every mapping event first waits for ``gate``."""
+
+    def __init__(self, inner, gate: threading.Event) -> None:
+        self._inner = inner
+        self._gate = gate
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def map_tasks(self, context):
+        self._gate.wait(timeout=GATE_TIMEOUT_S)
+        return self._inner.map_tasks(context)
+
+
+#: How long the client waits for an ack before calling the service stuck.
+ACK_TIMEOUT_S = 5.0
+#: Upper bound on a gated mapping event, so a stuck service still ends.
+GATE_TIMEOUT_S = 30.0
+
+
+class TestAckBeforeScheduling:
+    def test_accepted_does_not_wait_for_the_mapping_event_it_releases(
+        self, tmp_path, small_gamma_pet
+    ):
+        """Task 1 arrives after task 0, so its submission runs the mapping
+        event of task 0's instant.  That mapping event blocks until the
+        client has read task 1's ``accepted``: an ack that waited for the
+        scheduling would never come (the read times out instead)."""
+        gate = threading.Event()
+        hosted: dict = {}
+        started = threading.Event()
+
+        async def host():
+            core = SchedulerCore(
+                small_gamma_pet, _GatedHeuristic(_heuristic(small_gamma_pet), gate), rng=5
+            )
+            service = SchedulerService(core, tmp_path / "serve.sock")
+            await service.start()
+            hosted.update(service=service, loop=asyncio.get_running_loop())
+            started.set()
+            await service.wait_stopped()
+
+        thread = threading.Thread(target=asyncio.run, args=(host(),), daemon=True)
+        thread.start()
+        assert started.wait(timeout=10.0)
+        service = hosted["service"]
+        tasks = [
+            TaskSpec(arrival=1, task_id=0, task_type=0, deadline=100),
+            TaskSpec(arrival=5, task_id=1, task_type=1, deadline=100),
+        ]
+        events = []
+        try:
+            with socket.socket(socket.AF_UNIX) as client, client.makefile("rb") as reader:
+                client.settimeout(ACK_TIMEOUT_S)
+                client.connect(str(service.socket_path))
+                for spec in tasks:
+                    client.sendall(
+                        encode_line({"op": "submit", "task": spec_to_payload(spec)})
+                    )
+                while not events or events[-1] != {
+                    "event": "accepted",
+                    "accepted": True,
+                    "task_id": 1,
+                }:
+                    events.append(decode_line(reader.readline()))
+                gate.set()
+                client.sendall(encode_line({"op": "close"}))
+                while line := reader.readline():
+                    events.append(decode_line(line))
+        finally:
+            gate.set()
+            if thread.is_alive():
+                asyncio.run_coroutine_threadsafe(
+                    service.stop(drain=False), hosted["loop"]
+                ).result(timeout=GATE_TIMEOUT_S)
+            thread.join(timeout=GATE_TIMEOUT_S)
+        assert service.failure is None
+        kinds = [(e["event"], e.get("task_id")) for e in events]
+        assert kinds[:2] == [("accepted", 0), ("accepted", 1)]
+        [closed] = [e for e in events if e["event"] == "closed"]
+        assert closed["summary"]["tasks"] == 2
+        assert {e["task_id"] for e in events if e["event"] == "decision"} == {0, 1}
+
+
+class TestWireContract:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ack_precedes_decisions_and_no_error_follows_it(
+        self, tmp_path, small_gamma_pet, small_trace, workers
+    ):
+        """A replayed trace on either topology: each task's ``accepted``
+        precedes its decisions, no per-task ``error`` follows an
+        ``accepted`` for that id, and the decisions equal the offline run
+        (per shard when sharded)."""
+
+        async def drive():
+            service = build_service(
+                small_gamma_pet, "PAMF", tmp_path / "serve.sock", workers=workers, seed=5
+            )
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                for spec in small_trace:
+                    writer.write(encode_line({"op": "submit", "task": spec_to_payload(spec)}))
+                writer.write(encode_line({"op": "close"}))
+                await writer.drain()
+                events = []
+                while line := await asyncio.wait_for(reader.readline(), timeout=30.0):
+                    events.append(decode_line(line))
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await service.stop(drain=False)
+            return service, events
+
+        service, events = asyncio.run(drive())
+        assert service.failure is None
+        accepted_at: dict[int, int] = {}
+        for index, event in enumerate(events):
+            kind, task_id = event["event"], event.get("task_id")
+            if kind == "accepted":
+                assert event["accepted"] is True
+                accepted_at.setdefault(task_id, index)
+            elif kind == "decision":
+                assert accepted_at.get(task_id, index) < index, event
+            else:
+                assert kind == "closed", event
+        assert sorted(accepted_at) == sorted(spec.task_id for spec in small_trace)
+        expected: dict = {}
+        for shard, shard_tasks in enumerate(partition_trace(small_trace, workers)):
+            offline = HCSimulator(
+                small_gamma_pet, _heuristic(small_gamma_pet), rng=shard_seed(5, shard)
+            ).run(shard_tasks)
+            expected.update(offline_decision_map(offline))
+        assert decision_map(events) == expected
 
 
 class TestBackpressure:

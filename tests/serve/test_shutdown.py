@@ -11,6 +11,7 @@ each; a sharded service must also leave no worker process alive.
 from __future__ import annotations
 
 import asyncio
+from contextlib import suppress
 
 import pytest
 
@@ -217,11 +218,18 @@ class TestInterruptMidBench:
 
         async def interrupting_replay(socket_path, trace, **kwargs):
             reader, writer = await asyncio.open_unix_connection(str(socket_path))
-            writer.write(
-                encode_line({"op": "submit", "task": spec_to_payload(trace[0])})
-            )
-            await writer.drain()
-            raise KeyboardInterrupt
+            try:
+                writer.write(
+                    encode_line({"op": "submit", "task": spec_to_payload(trace[0])})
+                )
+                await writer.drain()
+                raise KeyboardInterrupt
+            finally:
+                # An interrupted client still closes its connection: nothing
+                # it opened may outlive the loop.
+                writer.close()
+                with suppress(ConnectionError):
+                    await writer.wait_closed()
 
         monkeypatch.setattr(loadgen, "build_service", spy_build)
         monkeypatch.setattr(loadgen, "replay_trace", interrupting_replay)
