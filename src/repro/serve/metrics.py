@@ -63,6 +63,9 @@ class ServiceMetrics:
     dropped: int = 0
     decisions: int = 0
     mapping_events: int = 0
+    #: Submission runs the socket service admitted: each is one reply write
+    #: per client before its scheduling and one decision broadcast after it.
+    runs: int = 0
     #: Wall seconds from a task's submission to its *first* decision
     #: (assignment or terminal event), the service's admission latency.
     admission: LatencyHistogram = field(default_factory=LatencyHistogram)
@@ -86,6 +89,7 @@ class ServiceMetrics:
             "dropped": self.dropped,
             "decisions": self.decisions,
             "mapping_events": self.mapping_events,
+            "runs": self.runs,
             "admission_latency": latency,
         }
 
@@ -100,6 +104,7 @@ _COUNTER_KEYS = (
     "dropped",
     "decisions",
     "mapping_events",
+    "runs",
 )
 
 

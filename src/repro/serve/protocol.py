@@ -24,6 +24,17 @@ additionally carry ``shard`` (which worker decided) and ``shard_seq``
 (that worker's own stream sequence) beside the globally re-sequenced
 ``seq``.
 
+Submissions already queued when the service turns to them are admitted
+as one *run*: every member is answered — one write per client, its
+``accepted``/``error`` replies in request order — before the run's
+scheduling, and every decision the run released follows in one write
+after it.  A queued submission joins a run only when one-at-a-time
+admission would surely accept it too: it is admissible now, its id is
+new to the run, and it arrives no earlier than any member.  Any other
+submission heads the next run, so replies, their order per connection,
+rejection counts and decisions are those of admitting one submission at
+a time.
+
 The same wire format runs over two transports, selected by an *endpoint*
 string: a filesystem path or ``unix:PATH`` serves a local Unix socket;
 ``tcp:HOST:PORT`` serves TCP (``PORT`` ``0`` binds an ephemeral port).

@@ -39,6 +39,9 @@ engine frontier nor the decision stream.  That check is
 answers ``accepted`` as soon as it passes, before the engine advances, and
 only then runs the scheduling the arrival releases.  A failure past that
 point is internal and fatal to the service, never a per-task ``error``.
+Submissions that queued up meanwhile are admitted as one *run*: one reply
+write per client before the run's scheduling, one decision broadcast after
+it (see :meth:`SchedulerService._submit_run`).
 """
 
 from __future__ import annotations
@@ -191,6 +194,16 @@ class SchedulerCore:
             self.metrics.rejected += 1
             obs_active().count("serve.rejected")
             raise
+
+    def admissible(self, spec: TaskSpec) -> bool:
+        """Whether :meth:`admit` would pass ``spec`` now; nothing is counted."""
+        if self._closed:
+            return False
+        try:
+            self._sim.validate_inject(spec)
+        except ValueError:
+            return False
+        return True
 
     def flush(self) -> list[Decision]:
         """Force-process the held watermark instant (end-of-burst)."""
@@ -373,10 +386,11 @@ class SchedulerService(ConnectionHub):
     The :class:`~repro.serve.hub.ConnectionHub` handles the connections;
     one admission loop owns the core: submissions from every connection are
     funnelled through a *bounded* :class:`asyncio.Queue`, processed in
-    arrival order, and the resulting decision events are broadcast to every
-    connected client.  When the inbox is full a further ``submit`` is
-    answered with ``{"event": "accepted", "accepted": false, "reason":
-    "overloaded"}`` and never enqueued — backpressure keeps the service's
+    arrival order — those already queued together, as one run — and the
+    resulting decision events are broadcast to every connected client.
+    When the inbox is full a further ``submit`` is answered with
+    ``{"event": "accepted", "accepted": false, "reason": "overloaded"}``
+    and never enqueued — backpressure keeps the service's
     memory bounded under overload (control ops still queue, applying
     natural flow control to their connection).  ``stop()`` drains in-flight
     submissions first (bounded by ``drain_grace`` seconds), then closes the
@@ -448,52 +462,115 @@ class SchedulerService(ConnectionHub):
 
     async def _admission_loop(self) -> None:
         assert self._inbox is not None
+        head = None
         while True:
-            request, received, writer = await self._inbox.get()
+            if head is None:
+                head = await self._inbox.get()
+            request, _, writer = head
+            op = request.get("op")
+            # Every item taken off the inbox is marked done once handled,
+            # so a draining ``stop`` waits for exactly what was queued.
+            taken: list = []
             try:
-                closing = await self._process(request, received, writer)
+                if op == "submit":
+                    head = await self._submit_run(head, taken)
+                    closing = False
+                else:
+                    taken.append(head)
+                    head = None
+                    closing = await self._process(request, writer)
             except Exception as exc:
                 # An unexpected failure must not kill the loop silently and
                 # leave every client hanging.  Decisions the engine made
-                # before it still go out first.
+                # before it still go out first.  A run may span clients, so
+                # its failure is reported to all of them.
                 with suppress(Exception):
                     await self._broadcast_decisions(self.core.take_pending())
-                await self._fail(exc, f"admission loop on {request.get('op')!r}", writer)
+                await self._fail(
+                    exc, f"admission loop on {op!r}", None if op == "submit" else writer
+                )
                 return
             finally:
-                self._inbox.task_done()
+                for _ in taken:
+                    self._inbox.task_done()
             if closing:
                 # The core is finalised; shut the whole service down.
                 self._schedule_stop()
                 return
 
-    async def _process(
-        self, request: Mapping, received: float, writer: asyncio.StreamWriter
-    ) -> bool:
-        op = request.get("op")
-        if op == "submit":
-            try:
-                spec = spec_from_payload(request.get("task"))
-            except ValueError as exc:
-                self.core.metrics.rejected += 1
-                await self._send(writer, {"event": "error", "message": str(exc)})
-                return False
+    async def _submit_run(self, first: tuple, taken: list) -> tuple | None:
+        """Admit ``first`` and the submissions queued behind it as one run.
+
+        The run answers every member before any scheduling, with one write
+        per client carrying its replies in request order; then it submits
+        the admitted specs in order and broadcasts every decision they
+        released at once.  Returns the queued item that ended the run — a
+        control op, or a submission that heads the next run — or ``None``
+        when the inbox ran dry.
+        """
+        assert self._inbox is not None
+        self.metrics.runs += 1
+        replies: dict[asyncio.StreamWriter, list[bytes]] = {}
+        admitted: dict[int, tuple[TaskSpec, float]] = {}
+        item: tuple | None = first
+        while item is not None and item[0].get("op") == "submit":
+            taken.append(item)
+            reply = self._answer(item, admitted)
+            if reply is None:
+                taken.pop()
+                break
+            replies.setdefault(item[2], []).append(encode_line(reply))
+            item = None if self._inbox.empty() else self._inbox.get_nowait()
+        for writer, lines in replies.items():
+            await self._write(writer, b"".join(lines))
+        released: list[Decision] = []
+        try:
+            for spec, received in admitted.values():
+                released += self.core.submit(spec, received=received)
+        finally:
+            # Decisions made before a failure still go out ahead of its report.
+            await self._broadcast_decisions(released + self.core.take_pending())
+        return item
+
+    def _answer(
+        self, item: tuple, admitted: dict[int, tuple[TaskSpec, float]]
+    ) -> dict | None:
+        """The reply to one submission of a run, or ``None`` if it ends the run.
+
+        A malformed payload is answered in place.  Until the run admits a
+        member, :meth:`SchedulerCore.admit` decides, as for a lone
+        submission.  After that a submission joins only when ``admit`` is
+        sure to pass it once the earlier members are scheduled: it is
+        admissible now, its id is new to the run, and it arrives no earlier
+        than the run's latest arrival — scheduling the run processes only
+        events before that arrival, and ids only accumulate.  Any other
+        submission heads the next run, where ``admit`` answers it exactly
+        as it would have one at a time.
+        """
+        request, received, _ = item
+        try:
+            spec = spec_from_payload(request.get("task"))
+        except ValueError as exc:
+            self.metrics.rejected += 1
+            return {"event": "error", "message": str(exc)}
+        if admitted:
+            last, _ = next(reversed(admitted.values()))
+            if (
+                spec.task_id in admitted
+                or spec.arrival < last.arrival
+                or not self.core.admissible(spec)
+            ):
+                return None
+        else:
             try:
                 self.core.admit(spec)
             except (ValueError, RuntimeError) as exc:
-                await self._send(
-                    writer,
-                    {"event": "error", "task_id": spec.task_id, "message": str(exc)},
-                )
-                return False
-            # Admission decides acceptance, so the ack goes out before the
-            # scheduling this arrival releases.  Once admitted, ``submit``
-            # can only fail internally — a fatal failure of the service.
-            await self._send(
-                writer, {"event": "accepted", "accepted": True, "task_id": spec.task_id}
-            )
-            await self._broadcast_decisions(self.core.submit(spec, received=received))
-            return False
+                return {"event": "error", "task_id": spec.task_id, "message": str(exc)}
+        admitted[spec.task_id] = (spec, received)
+        return {"event": "accepted", "accepted": True, "task_id": spec.task_id}
+
+    async def _process(self, request: Mapping, writer: asyncio.StreamWriter) -> bool:
+        op = request.get("op")
         if op == "flush":
             try:
                 decisions = self.core.flush()

@@ -50,6 +50,7 @@ def test_snapshot_counter_keys_unchanged_and_hist_added():
         "dropped",
         "decisions",
         "mapping_events",
+        "runs",
         "admission_latency",
     }
     latency = snap["admission_latency"]

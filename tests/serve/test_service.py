@@ -14,6 +14,9 @@ import asyncio
 import itertools
 import socket
 import threading
+import time
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -412,6 +415,47 @@ ACK_TIMEOUT_S = 5.0
 GATE_TIMEOUT_S = 30.0
 
 
+@contextmanager
+def _hosted_in_thread(core: SchedulerCore, socket_path: Path, gate: threading.Event):
+    """A :class:`SchedulerService` on its own loop thread, stopped on exit.
+
+    Yields the service and its loop.  ``core``'s heuristic may block that
+    loop on ``gate`` while the test thread reads the socket; exiting opens
+    the gate first, so a failed test still ends.
+    """
+    hosted: dict = {}
+    started = threading.Event()
+
+    async def host():
+        service = SchedulerService(core, socket_path)
+        await service.start()
+        hosted.update(service=service, loop=asyncio.get_running_loop())
+        started.set()
+        await service.wait_stopped()
+
+    thread = threading.Thread(target=asyncio.run, args=(host(),), daemon=True)
+    thread.start()
+    assert started.wait(timeout=10.0)
+    try:
+        yield hosted["service"], hosted["loop"]
+    finally:
+        gate.set()
+        if thread.is_alive():
+            asyncio.run_coroutine_threadsafe(
+                hosted["service"].stop(drain=False), hosted["loop"]
+            ).result(timeout=GATE_TIMEOUT_S)
+        thread.join(timeout=GATE_TIMEOUT_S)
+        assert not thread.is_alive()
+
+
+async def _next_event(reader) -> dict:
+    return decode_line(await asyncio.wait_for(reader.readline(), timeout=30.0))
+
+
+def _read_until_eof(reader) -> list[dict]:
+    return [decode_line(line) for line in iter(reader.readline, b"")]
+
+
 class TestAckBeforeScheduling:
     def test_accepted_does_not_wait_for_the_mapping_event_it_releases(
         self, tmp_path, small_gamma_pet
@@ -421,59 +465,322 @@ class TestAckBeforeScheduling:
         client has read task 1's ``accepted``: an ack that waited for the
         scheduling would never come (the read times out instead)."""
         gate = threading.Event()
-        hosted: dict = {}
-        started = threading.Event()
-
-        async def host():
-            core = SchedulerCore(
-                small_gamma_pet, _GatedHeuristic(_heuristic(small_gamma_pet), gate), rng=5
-            )
-            service = SchedulerService(core, tmp_path / "serve.sock")
-            await service.start()
-            hosted.update(service=service, loop=asyncio.get_running_loop())
-            started.set()
-            await service.wait_stopped()
-
-        thread = threading.Thread(target=asyncio.run, args=(host(),), daemon=True)
-        thread.start()
-        assert started.wait(timeout=10.0)
-        service = hosted["service"]
+        core = SchedulerCore(
+            small_gamma_pet, _GatedHeuristic(_heuristic(small_gamma_pet), gate), rng=5
+        )
         tasks = [
             TaskSpec(arrival=1, task_id=0, task_type=0, deadline=100),
             TaskSpec(arrival=5, task_id=1, task_type=1, deadline=100),
         ]
         events = []
-        try:
-            with socket.socket(socket.AF_UNIX) as client, client.makefile("rb") as reader:
-                client.settimeout(ACK_TIMEOUT_S)
-                client.connect(str(service.socket_path))
-                for spec in tasks:
-                    client.sendall(
-                        encode_line({"op": "submit", "task": spec_to_payload(spec)})
-                    )
-                while not events or events[-1] != {
-                    "event": "accepted",
-                    "accepted": True,
-                    "task_id": 1,
-                }:
-                    events.append(decode_line(reader.readline()))
-                gate.set()
-                client.sendall(encode_line({"op": "close"}))
-                while line := reader.readline():
-                    events.append(decode_line(line))
-        finally:
+        with (
+            _hosted_in_thread(core, tmp_path / "serve.sock", gate) as (service, _),
+            socket.socket(socket.AF_UNIX) as client,
+            client.makefile("rb") as reader,
+        ):
+            client.settimeout(ACK_TIMEOUT_S)
+            client.connect(str(service.socket_path))
+            for spec in tasks:
+                client.sendall(encode_line({"op": "submit", "task": spec_to_payload(spec)}))
+            while not events or events[-1] != {
+                "event": "accepted",
+                "accepted": True,
+                "task_id": 1,
+            }:
+                events.append(decode_line(reader.readline()))
             gate.set()
-            if thread.is_alive():
-                asyncio.run_coroutine_threadsafe(
-                    service.stop(drain=False), hosted["loop"]
-                ).result(timeout=GATE_TIMEOUT_S)
-            thread.join(timeout=GATE_TIMEOUT_S)
+            client.sendall(encode_line({"op": "close"}))
+            events += _read_until_eof(reader)
         assert service.failure is None
         kinds = [(e["event"], e.get("task_id")) for e in events]
         assert kinds[:2] == [("accepted", 0), ("accepted", 1)]
         [closed] = [e for e in events if e["event"] == "closed"]
         assert closed["summary"]["tasks"] == 2
         assert {e["task_id"] for e in events if e["event"] == "decision"} == {0, 1}
+
+
+class TestRuns:
+    def test_queued_burst_is_acked_before_its_first_mapping_event(
+        self, tmp_path, small_gamma_pet
+    ):
+        """Five submissions sit in the inbox before the admission loop takes
+        the first.  Task 1's arrival runs the mapping event of task 0's
+        instant, which blocks until the client has read *all five*
+        ``accepted``: they are one run, answered in one write before its
+        scheduling.  Admitted one at a time, the acks of tasks 2..4 would
+        wait behind that mapping event and the read would time out."""
+        gate = threading.Event()
+        core = SchedulerCore(
+            small_gamma_pet, _GatedHeuristic(_heuristic(small_gamma_pet), gate), rng=5
+        )
+        tasks = [
+            TaskSpec(arrival=1 + 4 * i, task_id=i, task_type=i % 4, deadline=400)
+            for i in range(5)
+        ]
+        events = []
+        with (
+            _hosted_in_thread(core, tmp_path / "serve.sock", gate) as (service, loop),
+            socket.socket(socket.AF_UNIX) as client,
+            client.makefile("rb") as reader,
+        ):
+            client.settimeout(ACK_TIMEOUT_S)
+            client.connect(str(service.socket_path))
+            deadline = time.monotonic() + ACK_TIMEOUT_S
+            while not service._writers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            [writer] = service._writers
+
+            def enqueue():
+                # One loop callback: the admission loop wakes only after all
+                # five are queued, however the socket would have split them.
+                for spec in tasks:
+                    request = {"op": "submit", "task": spec_to_payload(spec)}
+                    service._inbox.put_nowait((request, time.perf_counter(), writer))
+
+            loop.call_soon_threadsafe(enqueue)
+            while len(events) < len(tasks):
+                events.append(decode_line(reader.readline()))
+            gate.set()
+            client.sendall(encode_line({"op": "close"}))
+            events += _read_until_eof(reader)
+        assert service.failure is None
+        # The five acks come first, so each precedes its task's decisions.
+        assert events[: len(tasks)] == [
+            {"event": "accepted", "accepted": True, "task_id": spec.task_id}
+            for spec in tasks
+        ]
+        decided = [e["task_id"] for e in events if e["event"] == "decision"]
+        assert set(decided) == {spec.task_id for spec in tasks}
+        [closed] = [e for e in events if e["event"] == "closed"]
+        assert closed["summary"]["tasks"] == len(tasks)
+        assert closed["metrics"]["runs"] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_window_one_client_gets_a_run_per_submission(
+        self, tmp_path, small_gamma_pet, small_trace, workers
+    ):
+        """A client that sends its next submission only after the previous
+        ``accepted`` never queues behind a run: every run is one submission,
+        and the sharded ``closed`` sums the workers' counts."""
+        trace = small_trace[:24]
+
+        async def drive():
+            service = build_service(
+                small_gamma_pet, "PAMF", tmp_path / "serve.sock", workers=workers, seed=5
+            )
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                for spec in trace:
+                    writer.write(encode_line({"op": "submit", "task": spec_to_payload(spec)}))
+                    await writer.drain()
+                    while (await _next_event(reader))["event"] != "accepted":
+                        pass
+                writer.write(encode_line({"op": "close"}))
+                await writer.drain()
+                while (event := await _next_event(reader))["event"] != "closed":
+                    pass
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await service.stop(drain=False)
+            return service, event
+
+        service, closed = asyncio.run(drive())
+        assert service.failure is None
+        assert closed["metrics"]["submitted"] == len(trace)
+        assert closed["metrics"]["runs"] == len(trace)
+
+    def test_failure_mid_run_sends_acks_then_released_decisions_then_fatal_error(
+        self, tmp_path, small_gamma_pet
+    ):
+        """The second ``submit`` of a three-submission run raises.  The
+        client has all three ``accepted`` already, then gets the decisions
+        the first ``submit`` released, then the fatal error, then EOF."""
+        earlier = TaskSpec(arrival=1, task_id=100, task_type=0, deadline=400)
+        run = [
+            TaskSpec(arrival=5 + i, task_id=i, task_type=i, deadline=400) for i in range(3)
+        ]
+        twin = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
+        twin.submit(earlier)
+        expected = [(d.task_id, d.action, d.time, d.machine) for d in twin.submit(run[0])]
+        assert expected, "the run's first arrival should release task 100's mapping"
+
+        async def drive():
+            core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
+            core.submit(earlier)
+            real_submit, calls = core.submit, []
+
+            def failing_second(spec, *, received=None):
+                calls.append(spec.task_id)
+                if len(calls) == 2:
+                    raise RuntimeError("engine fell over mid-run")
+                return real_submit(spec, received=received)
+
+            core.submit = failing_second
+            service = SchedulerService(core, tmp_path / "serve.sock")
+            await service.start()
+            reader, writer = await asyncio.open_unix_connection(str(service.socket_path))
+            while not service._writers:
+                await asyncio.sleep(0.01)
+            [hub_writer] = service._writers
+            for spec in run:
+                request = {"op": "submit", "task": spec_to_payload(spec)}
+                service._inbox.put_nowait((request, time.perf_counter(), hub_writer))
+            events = []
+            while line := await asyncio.wait_for(reader.readline(), timeout=10.0):
+                events.append(decode_line(line))
+            await asyncio.wait_for(service.wait_stopped(), timeout=10.0)
+            writer.close()
+            await writer.wait_closed()
+            return service, calls, events
+
+        service, calls, events = asyncio.run(drive())
+        assert calls == [0, 1]
+        acks, released, (error,) = events[:3], events[3:-1], events[-1:]
+        assert acks == [
+            {"event": "accepted", "accepted": True, "task_id": spec.task_id} for spec in run
+        ]
+        assert [
+            (e["task_id"], e["action"], e["time"], e.get("machine")) for e in released
+        ] == expected
+        assert error["event"] == "error" and error["fatal"] is True
+        assert "fell over mid-run" in error["message"]
+        assert isinstance(service.failure, RuntimeError)
+        assert service.metrics.runs == 1
+
+
+def _submit_line(payload) -> bytes:
+    return encode_line({"op": "submit", "task": payload})
+
+
+def _task(task_id, task_type, arrival, deadline=600) -> dict:
+    return {"task_id": task_id, "task_type": task_type, "arrival": arrival, "deadline": deadline}
+
+
+#: Submitted and acknowledged before the burst, so a later copy of task 0
+#: duplicates an id the engine has already injected.
+_PREFIX = [_task(0, 0, 10), _task(1, 2, 10), _task(2, 1, 20), _task(3, 3, 20)]
+#: One burst.  Types 0 and 1 route to shard 0 of two, types 2 and 3 to shard 1.
+_BURST = [
+    _task(10, 0, 40),
+    _task(11, 1, 40),  # the same instant as task 10
+    _task(10, 0, 50),  # a duplicate of an id earlier in the run
+    _task(0, 0, 60),  # a duplicate of an id injected before the burst
+    {"task_id": 12, "task_type": 0, "arrival": 60},  # malformed: no deadline
+    _task(14, 1, 70),
+    _task(13, 0, 69),  # earlier than task 14, yet after the frontier it leaves
+    _task(15, 1, 5),  # late: behind the processed frontier
+    _task(16, 2, 80),
+    _task(17, 3, 80),
+    _task(1, 2, 85),  # admissible by arrival, but its id was injected before
+    _task(18, 0, 90),
+]
+
+
+def _sequential_reference(pet, workers: int):
+    """What ``SchedulerCore.submit`` one request at a time answers and decides,
+    with each task on the shard its type routes to."""
+    cores = [
+        SchedulerCore(pet, _heuristic(pet), rng=shard_seed(5, shard))
+        for shard in range(workers)
+    ]
+    replies, decisions, accepted, malformed = [], [], [], 0
+    for payload in _PREFIX + _BURST:
+        try:
+            spec = spec_from_payload(payload)
+        except ValueError as exc:
+            malformed += 1
+            replies.append(("error", None, str(exc)))
+            continue
+        try:
+            decisions += cores[shard_for(spec.task_type, workers)].submit(spec)
+        except ValueError as exc:
+            replies.append(("error", spec.task_id, str(exc)))
+        else:
+            replies.append(("accepted", spec.task_id, None))
+            accepted.append(spec)
+    for core in cores:
+        decisions += core.close()
+    submitted = sum(core.metrics.submitted for core in cores)
+    rejected = malformed + sum(core.metrics.rejected for core in cores)
+    return replies, decision_map(decisions), accepted, submitted, rejected
+
+
+class TestRunExactness:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_burst_answers_and_decides_as_sequential_admission(
+        self, tmp_path, small_gamma_pet, workers
+    ):
+        """Every reply (kind and message), the submitted/rejected counts and
+        the decision map of a burst served in runs equal one-at-a-time
+        ``SchedulerCore.submit``; the decisions also equal an offline run of
+        the accepted subset."""
+        replies, expected, accepted, submitted, rejected = _sequential_reference(
+            small_gamma_pet, workers
+        )
+        by_id = {spec.task_id for spec in accepted}
+        assert {13, 14} <= by_id and 15 not in by_id, "the burst lost its edge cases"
+
+        async def drive():
+            service = build_service(
+                small_gamma_pet, "PAMF", tmp_path / "serve.sock", workers=workers, seed=5
+            )
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                writer.write(b"".join(_submit_line(task) for task in _PREFIX))
+                await writer.drain()
+                events, acks = [], 0
+                while acks < len(_PREFIX):
+                    events.append(await _next_event(reader))
+                    acks += events[-1]["event"] == "accepted"
+                writer.write(
+                    b"".join(_submit_line(task) for task in _BURST)
+                    + encode_line({"op": "close"})
+                )
+                await writer.drain()
+                while line := await asyncio.wait_for(reader.readline(), timeout=30.0):
+                    events.append(decode_line(line))
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await service.stop(drain=False)
+            return service, events
+
+        service, events = asyncio.run(drive())
+        assert service.failure is None
+        served = [
+            (e["event"], e.get("task_id"), e.get("message"))
+            for e in events
+            if e["event"] in ("accepted", "error")
+        ]
+        if workers == 1:
+            assert served == replies
+        else:
+            # The front-end answers duplicate ids itself, naming a first copy
+            # its worker has not acknowledged yet "in flight"; and shards
+            # answer independently, so only the multiset of replies is fixed.
+            served = [
+                (kind, task_id, message and message.replace(
+                    "is already in flight", "was already injected"
+                ))
+                for kind, task_id, message in served
+            ]
+            assert Counter(served) == Counter(replies)
+        [closed] = [e for e in events if e["event"] == "closed"]
+        assert (closed["metrics"]["submitted"], closed["metrics"]["rejected"]) == (
+            submitted,
+            rejected,
+        )
+        assert decision_map(events) == expected
+        offline: dict = {}
+        for shard, shard_tasks in enumerate(partition_trace(accepted, workers)):
+            result = HCSimulator(
+                small_gamma_pet, _heuristic(small_gamma_pet), rng=shard_seed(5, shard)
+            ).run(sorted(shard_tasks, key=lambda spec: spec.arrival))
+            offline.update(offline_decision_map(result))
+        assert decision_map(events) == offline
 
 
 class TestWireContract:
