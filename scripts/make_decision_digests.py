@@ -24,8 +24,12 @@ Usage::
     PYTHONPATH=src python scripts/make_decision_digests.py [--check]
 
 Rewrite the file only when a change is *meant* to alter decisions (and bump
-``repro.core.batch.KERNEL_VERSION`` with it).  ``--check`` verifies the
-committed file without writing (exit status 1 on mismatch).
+``repro.core.batch.KERNEL_VERSION`` with it).  Bump ``KERNEL_VERSION`` also
+whenever a change can move *values* — scores, availabilities, success
+probabilities — even when every digest holds: the digests pin decisions,
+while the sweep cache stores results computed from those values.
+``--check`` verifies the committed file without writing (exit status 1 on
+mismatch).
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ __all__ = [
 #: *values* they produce — consumers that persist derived results across
 #: processes (e.g. the ``repro.sweep`` result cache) fold the tag into their
 #: content addresses so stale artefacts are never looked up again.
-KERNEL_VERSION = 3
+KERNEL_VERSION = 4
 
 
 def sequential_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:

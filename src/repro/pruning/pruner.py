@@ -158,6 +158,12 @@ class Pruner:
         executing head with the EVICT tail collapse, which the state's
         non-EVICT chains do not.  Both walks are bit-identical under EVICT
         (``tests/pruning/test_state_backed_walk.py`` pins atol=0 equality).
+
+        Both follow the state's anchoring rule: a task stepped from a free
+        machine's ``point(now)`` — an idle machine's pending head, or the
+        first kept task behind a dropped head — with ``deadline > now`` is
+        stepped without the impulse cap, because it starts at ``now`` and is
+        then anchored on its exact completion PMF.
         """
         if context.policy is DroppingPolicy.EVICT:
             return self._prune_machine_queue_state(machine, context)
@@ -186,7 +192,7 @@ class Pruner:
         # self-contained path.  The availability ahead of the suffix is the
         # untouched chain prefix (or an immediately free machine when the
         # head — executing or not — was dropped).
-        prev = DiscretePMF.point(context.now) if position == 0 else entries[position - 1][2]
+        prev = None if position == 0 else entries[position - 1][2]
         self._walk_suffix(
             report,
             machine,
@@ -206,26 +212,33 @@ class Pruner:
         tasks: list,
         *,
         start_position: int,
-        prev: DiscretePMF,
+        prev: DiscretePMF | None,
         offer=None,
     ) -> None:
         """The head-first dropping walk over ``tasks[start_position:]``.
 
-        ``prev`` is the availability PMF of the kept tasks ahead; the chain
-        is advanced one :func:`completion_step` per task (which also yields
-        its success probability and the completion PMF Eq. 7 reads) with
-        dropped tasks skipped — shared by the self-contained walk and the
-        post-first-drop suffix of the state-backed walk.  The latter passes
-        the live state's ``offer_step``: once the engine applies the drops,
-        the state adopts the kept tasks' steps instead of recomputing them.
+        ``prev`` is the availability PMF of the kept tasks ahead, ``None``
+        for a machine free at ``context.now``; the chain is advanced one
+        :func:`completion_step` per task (which also yields its success
+        probability and the completion PMF Eq. 7 reads) with dropped tasks
+        skipped — shared by the self-contained walk and the post-first-drop
+        suffix of the state-backed walk.  A step from the free machine's
+        ``point(now)`` of a task with ``deadline > now`` is uncapped, as the
+        live state takes it: that task heads the queue and starts at ``now``
+        on its exact completion PMF.  The state-backed walk passes the live
+        state's ``offer_step``: once the engine applies the drops, the state
+        adopts the kept tasks' steps instead of recomputing them.
         """
+        base = DiscretePMF.point(context.now)
+        if prev is None:
+            prev = base
         for position, task in enumerate(tasks[start_position:], start=start_position):
             step = completion_step(
                 context.pet.get(task.task_type, machine.index),
                 prev,
                 task.deadline,
                 context.policy,
-                context.max_impulses,
+                None if prev is base and task.deadline > context.now else context.max_impulses,
             )
             if self._examine(report, task, position, step.success_probability, step.completion):
                 continue  # the chain skips the dropped task
@@ -244,10 +257,12 @@ class Pruner:
             report.availability = DiscretePMF.point(context.now)
             return report
 
-        # Availability ahead of the first pending task.
+        # Availability ahead of the first pending task (``None``: free now).
+        prev = None
+        start_position = 0
         if machine.executing is not None:
             executing = machine.executing
-            prev = machine.executing_completion_pmf(
+            raw = machine.executing_completion_pmf(
                 context.pet,
                 context.now,
                 condition_on_now=context.condition_executing_on_now,
@@ -255,15 +270,10 @@ class Pruner:
             # The executing task can itself be dropped (Section V-A starts the
             # walk at the queue head).  Its success probability is the chance
             # it finishes by its deadline given it is still running.
-            prob = float(min(1.0, prev.cdf(executing.deadline)))
-            if self._examine(report, executing, 0, prob, prev):
-                prev = DiscretePMF.point(context.now)
-            else:
-                prev = prev.collapse_tail_to(max(executing.deadline, context.now + 1))
+            prob = float(min(1.0, raw.cdf(executing.deadline)))
+            if not self._examine(report, executing, 0, prob, raw):
+                prev = raw.collapse_tail_to(max(executing.deadline, context.now + 1))
             start_position = 1
-        else:
-            prev = DiscretePMF.point(context.now)
-            start_position = 0
 
         self._walk_suffix(
             report,

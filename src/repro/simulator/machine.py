@@ -169,6 +169,12 @@ class Machine:
         here, and the test suite's from-scratch reference walk does too, so
         the two agree bit for bit (the queued steps behind it go through
         :func:`~repro.core.completion.completion_step`).
+
+        For a task started at ``now`` with ``deadline > now`` (and
+        ``condition_on_now=False``) this has the values of the uncapped
+        :func:`~repro.core.completion.completion_step` of its PET entry from
+        ``point(now)``: the state walks an idle machine's pending head that
+        way, and keeps that chain when the head then starts at that instant.
         """
         if self.executing is None:
             raise RuntimeError(f"machine {self.name} has no executing task to anchor")

@@ -24,8 +24,8 @@ chains live for the whole simulation:
   kernels consume.
 
 Every step is :func:`~repro.core.completion.completion_step` and every
-executing head is anchored by
-:meth:`~repro.simulator.machine.Machine.executing_anchor_pmf`, so a chain
+executing head is anchored on its exact completion PMF
+(:meth:`~repro.simulator.machine.Machine.executing_anchor_pmf`), so a chain
 maintained across any sequence of mutations is bit-identical (``atol=0``)
 to one walked from scratch down the current queue with
 :func:`~repro.core.completion.queue_completion_pmfs` — the reference the
@@ -39,6 +39,16 @@ depend on the current time, so it survives across mapping events untouched.
 Chains whose base is the current time — an idle machine's ``point(now)``,
 or any chain under ``condition_executing_on_now=True`` — are transparently
 re-anchored when queried at a different ``now``.
+
+An idle machine's pending head starts at ``now`` (the engine starts heads
+right after the mapping event), so its step from ``point(now)`` is taken
+without the impulse cap: for a head with ``deadline > now`` that step's
+availability has the values of the executing anchor the task gets when it
+starts at that instant.  :meth:`SystemState.notify_start` therefore keeps a
+chain walked at the very start instant — no step is recomputed, only the
+head's pruning inputs switch to its raw completion PMF.  A start at a later
+instant, a head whose deadline has passed, or
+``condition_executing_on_now=True`` re-walks the chain from the anchor.
 """
 
 from __future__ import annotations
@@ -163,11 +173,28 @@ class SystemState:
         self._touch()
 
     def notify_start(self, machine_index: int) -> None:
-        """The head task began executing (anchoring changed, membership not)."""
+        """The head task began executing (anchoring changed, membership not).
+
+        A chain walked at this very start instant already stands on the
+        head's anchor (see *Time anchoring* above) and is kept; otherwise
+        it is re-walked from the anchor on the next query.
+        """
         machine = self.machines[machine_index]
         rec = self._records[machine_index]
         if rec.version == machine.queue_version - 1:
-            rec.dirty_from = 0
+            head = machine.executing
+            if (
+                rec.dirty_from > 0
+                and not rec.head_executing
+                and not self.condition_executing_on_now
+                and rec.anchor_now == head.exec_start < head.deadline
+            ):
+                # An executing head's pruning inputs are its raw PMF.
+                rec.steps[0] = None
+                del rec.meta[:]
+                rec.head_executing = True
+            else:
+                rec.dirty_from = 0
             rec.version = machine.queue_version
         else:
             self._resync_from_machine(rec, machine)
@@ -290,17 +317,16 @@ class SystemState:
         first = next(
             k for k, task in enumerate(tasks) if task.task_id in dropped
         )
-        machine = self.machines[machine_index]
+        base = DiscretePMF.point(now)
         if first == 0:
             # Head (possibly the executing task) dropped: the reduced chain
             # starts from an immediately-free machine, matching the pruner.
-            prev = DiscretePMF.point(now)
-            suffix = kept
+            prev, suffix = base, kept
         else:
-            prev = rec.chain[first - 1]
-            suffix = kept[first:]
+            prev, suffix = rec.chain[first - 1], kept[first:]
         for task in suffix:
-            prev = self._step(machine.index, task, prev).availability
+            starts_now = prev is base and task.deadline > now
+            prev = self._step(machine_index, task, prev, capped=not starts_now).availability
         return prev
 
     def prune_prefix_meta(
@@ -358,14 +384,21 @@ class SystemState:
         self._truncate(rec, 0)
         rec.version = machine.queue_version
 
-    def _step(self, machine_index: int, task: Task, prev: DiscretePMF) -> ChainStep:
-        """This state's chain step for ``task`` queued behind ``prev``."""
+    def _step(
+        self, machine_index: int, task: Task, prev: DiscretePMF, *, capped: bool = True
+    ) -> ChainStep:
+        """This state's chain step for ``task`` queued behind ``prev``.
+
+        ``capped=False`` for the step of a head that starts at ``now`` (from
+        ``point(now)``, ``deadline > now``): it is then anchored on its
+        exact completion PMF.
+        """
         return completion_step(
             self.pet.get(task.task_type, machine_index),
             prev,
             task.deadline,
             self.policy,
-            self.max_impulses,
+            self.max_impulses if capped else None,
         )
 
     def _sync(self, machine_index: int, now: int) -> _MachineChain:
@@ -429,6 +462,7 @@ class SystemState:
         tasks = rec.tasks
         start = rec.dirty_from
         self._truncate(rec, start)
+        base = None
         if start == 0:
             head_executing = (
                 machine.executing is not None and tasks[0] is machine.executing
@@ -444,7 +478,7 @@ class SystemState:
                 rec.steps.append(None)
                 start = 1
             else:
-                prev = DiscretePMF.point(now)
+                prev = base = DiscretePMF.point(now)
             rec.head_executing = head_executing
             rec.anchor_now = now
         else:
@@ -462,7 +496,8 @@ class SystemState:
             if step is not None:
                 adopted += 1
             else:
-                step = self._step(machine.index, task, prev)
+                starts_now = prev is base and task.deadline > now
+                step = self._step(machine.index, task, prev, capped=not starts_now)
                 computed += 1
             prev = step.availability
             rec.chain.append(prev)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.completion import DroppingPolicy, queue_completion_pmfs
+from repro.core.completion import DroppingPolicy, chain_step, queue_completion_pmfs
 from repro.core.pmf import DiscretePMF
 from repro.pet.builders import build_pet_from_means, build_spec_pet
 from repro.pet.matrix import PETMatrix
@@ -25,11 +25,20 @@ def walk_from_scratch(
     condition_executing_on_now=False,
 ) -> tuple[DiscretePMF, ...]:  # fmt: skip
     """A machine's completion-time chain walked down its current queue, on
-    ``SystemState``'s settings: ``state.chain`` must equal it at atol=0."""
+    ``SystemState``'s settings: ``state.chain`` must equal it at atol=0.
+
+    An executing head is anchored on ``executing_anchor_pmf``; an idle
+    machine's pending head with ``deadline > now`` starts at ``now``, so its
+    step from ``point(now)`` is taken without the impulse cap."""
     tasks, start, head = machine.queued_tasks(), DiscretePMF.point(now), []
     if machine.executing is not None:
         start = machine.executing_anchor_pmf(
             pet, now, policy=policy, condition_on_now=condition_executing_on_now
+        )
+        tasks, head = tasks[1:], [start]
+    elif tasks and tasks[0].deadline > now:
+        start = chain_step(
+            pet.get(tasks[0].task_type, machine.index), start, tasks[0].deadline, policy
         )
         tasks, head = tasks[1:], [start]
     pets = [pet.get(task.task_type, machine.index) for task in tasks]

@@ -84,8 +84,10 @@ def recorded():
 
     pet = build_transcoding_pet(rng=2019)
     trace = load_trace(REFERENCE_TRACE)
-    # 300 tasks: no convolution is run twice any more, so 200 give under 300.
-    prefix = type(trace)(trace.tasks[:300], trace.config)
+    # 350 tasks: no convolution is run twice any more, so 200 give under 300,
+    # and a head that starts when the chain was walked is not re-walked, so
+    # 300 give 287 (420 before).
+    prefix = type(trace)(trace.tasks[:350], trace.config)
     pmf_module.shift_and_add = recording_shift_and_add
     DiscretePMF._rebin = recording_rebin
     try:

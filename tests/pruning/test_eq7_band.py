@@ -74,7 +74,9 @@ def eager_walk(pruner, machine, context):
     tasks = machine.queued_tasks()
     drops: list[int] = []
     examined: list[tuple[int, float, float]] = []
-    prev = DiscretePMF.point(context.now)
+    # A step from the free machine's ``point(now)`` (``deadline > now``) is
+    # uncapped: that task starts at ``now`` on its exact completion PMF.
+    prev = base = DiscretePMF.point(context.now)
     start = 0
     if tasks and machine.executing is not None:
         head = machine.executing
@@ -95,7 +97,7 @@ def eager_walk(pruner, machine, context):
             prev,
             task.deadline,
             context.policy,
-            context.max_impulses,
+            None if prev is base and task.deadline > context.now else context.max_impulses,
         )
         threshold = thresholds.dropping_threshold_for(
             step.completion, position, sufferage=sufferage(task)

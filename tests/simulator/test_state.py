@@ -18,6 +18,7 @@ import pytest
 from repro.core.completion import DroppingPolicy
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.registry import make_heuristic
+from repro.obs import Telemetry, use_telemetry
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext, batch_in_arrival_order
@@ -200,6 +201,73 @@ class TestIncrementalMaintenance:
         want = scratch_chain(m0, tiny_pet, 0)
         assert same_chain(state.chain(0, 0), want)
         assert same_chain(fresh.chain(0, 0), want)
+
+
+class TestStartAtWalkInstant:
+    """A pending head that starts at the instant its idle machine's chain was
+    walked keeps the chain: its step from ``point(now)`` was taken uncapped,
+    so it already is the executing anchor.  Any other start re-walks."""
+
+    def walked(self, tiny_pet, machines, *, now, head_deadline, **settings):
+        """Gamma head (3 impulses, over the cap of 2) and one task behind it,
+        walked at ``now`` under telemetry; the state, its chain, the counters."""
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            state = SystemState(machines, tiny_pet, max_impulses=2, **settings)
+        m0 = machines[0]
+        for task in (
+            make_task(0, task_type=2, deadline=head_deadline),
+            make_task(1, task_type=0, deadline=400),
+        ):
+            m0.enqueue(task, now=0)
+            state.notify_enqueue(0, task)
+        chain = state.chain(0, now)
+        return state, chain, telemetry.counters
+
+    def test_start_keeps_the_chain_walked_at_its_instant(self, tiny_pet, machines, scratch_chain):
+        state, before, counters = self.walked(tiny_pet, machines, now=7, head_deadline=300)
+        steps = counters["state.chain_steps"]
+        m0 = machines[0]
+        m0.start_next(now=7, actual_execution_time=20)
+        state.notify_start(0)
+        after = state.chain(0, 7)
+        assert counters["state.chain_steps"] == steps
+        assert after[0] is before[0] and after[1] is before[1]
+        assert pmf_equal(after[0], m0.executing_anchor_pmf(tiny_pet, 7))
+        assert_matches_scratch(scratch_chain, state, 0, 7)
+        # The executing head's pruning inputs are its raw completion PMF.
+        raw = m0.executing_completion_pmf(tiny_pet, 7)
+        prob, completion, availability = state.prune_prefix_meta(0, 7)[0]
+        assert prob == min(1.0, raw.cdf(300)) and pmf_equal(completion, raw)
+        assert availability is after[0]
+        assert_matches_scratch(scratch_chain, state, 0, 11)
+
+    @pytest.mark.parametrize(
+        "start, head_deadline, conditioned",
+        [
+            (9, 300, False),  # a later start instant
+            (7, 5, False),  # the head's deadline has passed
+            (7, 300, True),  # condition_executing_on_now
+        ],
+        ids=["later-start", "deadline-passed", "conditioned"],
+    )
+    def test_any_other_start_rewalks(
+        self, tiny_pet, machines, scratch_chain, start, head_deadline, conditioned
+    ):
+        state, before, counters = self.walked(
+            tiny_pet,
+            machines,
+            now=7,
+            head_deadline=head_deadline,
+            condition_executing_on_now=conditioned,
+        )
+        steps = counters["state.chain_steps"]
+        machines[0].start_next(now=start, actual_execution_time=20)
+        state.notify_start(0)
+        after = state.chain(0, start)
+        assert counters["state.chain_steps"] == steps + 1
+        assert after[0] is not before[0]
+        assert_matches_scratch(scratch_chain, state, 0, start)
 
 
 class TestMappingContextViews:

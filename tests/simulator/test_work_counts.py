@@ -22,8 +22,8 @@ The same for phase-1 scoring on the oversubscribed regime (the bench's
 ``trial-oversub`` inputs, seed 2019), with the exact counts for that seed:
 a (task, machine, availability object) triple the run's ``ScoreTable``
 already holds never reaches the scoring kernel again; every fill and every
-rescore is at most *one* kernel call (826 calls, 30,374 pairs); the state
-computes 1,573 chain steps and adopts 276; Eq. 6 is evaluated for at most
+rescore is at most *one* kernel call (826 calls, 22,129 pairs); the state
+computes 930 chain steps and adopts 298; Eq. 6 is evaluated for at most
 60 queued tasks (1,180 before the pruner kept tasks above the highest
 threshold Eq. 7 can give without one); an engaged pruning walk syncs each
 machine it reads once; and a ``CandidatePair`` object exists only for a
@@ -302,9 +302,11 @@ def test_oversubscribed_trial_scores_a_fraction_of_the_grid(oversub_run):
     fills, counters = oversub_run["fills"], oversub_run["counters"]
     assert counters["score_table.fills"] == len(fills) == 808
     # 209,962 when every fill started from scratch, 30,998 while fills under
-    # 32 carried pairs were still scored whole; exact for a seed.
-    assert counters["score_table.pairs_scored"] == 30_374
-    assert counters["score_table.pairs_reused"] == sum(reused for _, reused in fills) == 179_588
+    # 32 carried pairs were still scored whole, 30,374 (179,588 reused) while
+    # a head starting at once re-walked its machine's chain and so replaced
+    # the availability objects the table is keyed by; exact for a seed.
+    assert counters["score_table.pairs_scored"] == 22_129
+    assert counters["score_table.pairs_reused"] == sum(reused for _, reused in fills) == 187_833
 
 
 def test_a_fill_or_rescore_is_at_most_one_kernel_call(oversub_run):
@@ -319,8 +321,10 @@ def test_the_pruner_convolves_only_behind_a_drop(oversub_run):
     counters, steps, result = oversub_run["counters"], oversub_run["steps"], oversub_run["result"]
     assert_no_step_ran_twice(steps)
     by_site = {where: sum(1 for site, *_ in steps if site == where) for where in STEP_SITES}
-    assert by_site["state"] == counters["state.chain_steps"] == 1_573
-    assert counters["state.chain_steps_adopted"] == 276
+    # 1,573 computed and 276 adopted while a head that starts at the instant
+    # its chain was walked had the whole chain re-walked from its anchor.
+    assert by_site["state"] == counters["state.chain_steps"] == 930
+    assert counters["state.chain_steps_adopted"] == 298
     assert by_site["virtual"] == result.counters.assignments
     # 955 second convolutions of steps the chain already held, before.
     assert 0 < by_site["pruner"] <= 6 * result.counters.proactive_drops
