@@ -81,7 +81,7 @@ from .workload import (
 __version__ = "0.3.0"
 
 #: Resolved on first access (PEP 562), like the two subpackages themselves: a process that
-#: only simulates or serves never imports the process pool, the SQLite queue or the figures.
+#: only simulates or serves never imports the process pool, the result cache or the figures.
 _LAZY_EXPORTS = {
     "sweep": (
         "HeuristicSpec",

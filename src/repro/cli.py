@@ -1,6 +1,6 @@
 """Command-line interface for the reproduction.
 
-Eight subcommands cover the common workflows:
+Six subcommands cover the common workflows:
 
 ``simulate``
     Run one workload trial with a chosen heuristic and print the headline
@@ -13,10 +13,9 @@ Eight subcommands cover the common workflows:
 ``sweep``
     Regenerate one or more figures through the :mod:`repro.sweep`
     orchestration subsystem: trials fan out over ``--jobs`` worker
-    processes (or, with ``--backend queue``, over detached ``repro
-    worker`` processes sharing ``--queue-dir``), per-point progress
-    streams to stderr, and completed points are cached under
-    ``--cache-dir`` so interrupted or repeated sweeps resume instantly.
+    processes, per-point progress streams to stderr, and completed points
+    are cached under ``--cache-dir`` so interrupted or repeated sweeps
+    resume instantly.
 
 ``trace``
     Work with recorded workload traces: ``record`` synthesises a trace to
@@ -24,17 +23,6 @@ Eight subcommands cover the common workflows:
     through the sweep/cache pipeline with chosen heuristics (every
     heuristic replays the identical arrivals — the paper's paired
     protocol).
-
-``worker``
-    Run one detached sweep worker: claim trials from the durable queue at
-    ``--queue-dir``, execute, repeat.  Start any number, on any hosts
-    sharing the queue directory; results are bit-identical regardless of
-    which worker runs which trial.
-
-``queue``
-    Observe and maintain a work queue: ``status`` (counts per state plus
-    worker heartbeats), ``requeue`` (recover expired leases, optionally
-    revive dead-lettered trials), ``drain`` (delete rows).
 
 ``cache``
     Observe and maintain a result cache: ``stats`` (entries, bytes, kernel
@@ -59,9 +47,6 @@ Examples::
     python -m repro.cli figure 9 --trials 3 --output-dir results/
     python -m repro.cli sweep 4 7 --jobs 4 --cache-dir results/cache
     python -m repro.cli sweep 9 --trace examples/transcoding_660.trace.json
-    python -m repro.cli sweep 4 --backend queue --queue-dir results/queue --jobs 2
-    python -m repro.cli worker --queue-dir results/queue
-    python -m repro.cli queue status --queue-dir results/queue
     python -m repro.cli cache stats --cache-dir results/cache
     python -m repro.cli trace record --builder transcoding-660 --out my.trace.json
     python -m repro.cli trace inspect examples/transcoding_660.trace.json
@@ -116,11 +101,6 @@ _FIGURES: dict[int, list[str]] = {
     8: ["level", "heuristic", "total cost", "robustness %", "cost / percent on-time"],
     9: ["level", "heuristic", "robustness %", "ci95"],
 }
-
-#: ``repro.sweep.BACKEND_NAMES`` spelled out (pinned equal in ``tests/test_cli.py``):
-#: the handlers that use ``repro.sweep``/``repro.experiments`` import them, not this module.
-_SWEEP_BACKEND_NAMES = ("serial", "process", "queue")
-
 
 def _positive_int(value: str) -> int:
     jobs = int(value)
@@ -193,62 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--quiet", action="store_true", help="suppress per-point progress on stderr"
     )
-
-    worker = subparsers.add_parser(
-        "worker", help="run one detached sweep worker against a shared work queue"
-    )
-    worker.add_argument("--queue-dir", required=True, help="work-queue directory")
-    worker.add_argument(
-        "--poll-interval",
-        type=_positive_float,
-        default=0.5,
-        help="seconds to sleep when the queue has nothing claimable",
-    )
-    worker.add_argument(
-        "--lease-seconds",
-        type=_positive_float,
-        default=60.0,
-        help="claim lease length; renewed automatically while a trial runs",
-    )
-    worker.add_argument(
-        "--max-tasks", type=_positive_int, default=None, help="exit after this many trials"
-    )
-    worker.add_argument(
-        "--exit-when-empty",
-        action="store_true",
-        help="exit once no trial is pending or leased (instead of polling forever)",
-    )
-    worker.add_argument(
-        "--idle-timeout",
-        type=_positive_float,
-        default=None,
-        help="exit after this many seconds without a successful claim",
-    )
-    worker.add_argument(
-        "--quiet", action="store_true", help="suppress per-trial log lines on stderr"
-    )
-
-    queue = subparsers.add_parser(
-        "queue", help="observe or maintain a shared work queue"
-    )
-    queue_sub = queue.add_subparsers(dest="queue_command", required=True)
-    queue_status = queue_sub.add_parser(
-        "status", help="counts per state plus worker heartbeats"
-    )
-    queue_requeue = queue_sub.add_parser(
-        "requeue", help="recover expired leases back to pending"
-    )
-    queue_requeue.add_argument(
-        "--dead",
-        action="store_true",
-        help="also revive dead-lettered trials with a fresh attempt budget",
-    )
-    queue_drain = queue_sub.add_parser("drain", help="delete queue rows")
-    queue_drain.add_argument(
-        "--done-only", action="store_true", help="only delete completed rows"
-    )
-    for sub in (queue_status, queue_requeue, queue_drain):
-        sub.add_argument("--queue-dir", required=True, help="work-queue directory")
 
     cache = subparsers.add_parser(
         "cache", help="observe or maintain a content-addressed result cache"
@@ -337,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_backend_argument(replay)
     replay.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     replay.add_argument("--cache-dir", default=None, help="content-addressed result cache root")
-    _add_backend_arguments(replay)
     replay.add_argument(
         "--quiet", action="store_true", help="suppress per-point progress on stderr"
     )
@@ -513,7 +436,6 @@ def _add_figure_run_arguments(parser: argparse.ArgumentParser) -> None:
     _add_obs_arguments(parser)
     parser.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
     parser.add_argument("--cache-dir", default=None, help="content-addressed result cache root")
-    _add_backend_arguments(parser)
     parser.add_argument(
         "--trace",
         default=None,
@@ -554,7 +476,7 @@ def _obs_session(args: argparse.Namespace):
     ``--obs-snapshot`` was given.  Exports run in a ``finally`` so an
     interrupted command (Ctrl-C on ``serve run``) still writes what it
     recorded.  Only in-process work is captured: trials executed by
-    process-pool/queue workers and sharded serve engines run in child
+    process-pool workers and sharded serve engines run in child
     processes and contribute no spans to this registry.
     """
     trace_path = getattr(args, "obs_trace", None)
@@ -586,29 +508,6 @@ def _add_kernel_backend_argument(parser: argparse.ArgumentParser) -> None:
         help="PMF kernel backend the engine dispatches through (default: "
         "$REPRO_KERNEL_BACKEND, else numpy; numba needs the optional numba "
         "package)",
-    )
-
-
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """Execution-backend selection shared by figure/sweep/replay commands."""
-    parser.add_argument(
-        "--backend",
-        choices=_SWEEP_BACKEND_NAMES,
-        default="process",
-        help="where trials execute: in-process, a local process pool, or a "
-        "durable work queue drained by detached 'repro worker' processes",
-    )
-    parser.add_argument(
-        "--queue-dir",
-        default=None,
-        help="work-queue directory (required for --backend queue)",
-    )
-    parser.add_argument(
-        "--queue-workers",
-        type=_non_negative_int,
-        default=None,
-        help="workers to spawn for --backend queue (default: --jobs; "
-        "0 = rely on detached workers you started yourself)",
     )
 
 
@@ -685,17 +584,8 @@ def _run_figure(
             raise SystemExit(f"trace file not found: {args.trace}") from exc
         except ValueError as exc:
             raise SystemExit(str(exc)) from exc
-    if args.backend == "queue" and args.queue_dir is None:
-        raise SystemExit("--backend queue requires --queue-dir")
     result = getattr(experiments, f"run_fig{number}")(
-        config,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        progress=progress,
-        backend=args.backend,
-        queue_dir=args.queue_dir,
-        queue_workers=args.queue_workers,
-        **extra,
+        config, jobs=args.jobs, cache_dir=args.cache_dir, progress=progress, **extra
     )
     print(result.to_text())
     if args.output_dir is not None:
@@ -826,18 +716,8 @@ def _command_trace_replay(args: argparse.Namespace) -> int:
         config=config,
         machine_prices=tuple(default_prices_for(pet.machine_names)),
     )
-    if args.backend == "queue" and args.queue_dir is None:
-        raise SystemExit("--backend queue requires --queue-dir")
     progress = None if args.quiet else StreamReporter()
-    outcome = run_sweep(
-        spec,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        progress=progress,
-        backend=args.backend,
-        queue_dir=args.queue_dir,
-        queue_workers=args.queue_workers,
-    )
+    outcome = run_sweep(spec, jobs=args.jobs, cache_dir=args.cache_dir, progress=progress)
     rows = []
     for series in outcome.series():
         summary = series.robustness()
@@ -850,59 +730,6 @@ def _command_trace_replay(args: argparse.Namespace) -> int:
             f"{outcome.executed_trials} trials executed"
         )
     return 0
-
-
-def _command_worker(args: argparse.Namespace) -> int:
-    from .sweep import run_worker
-
-    def log(message: str) -> None:
-        print(message, file=sys.stderr, flush=True)
-
-    executed = run_worker(
-        args.queue_dir,
-        poll_interval=args.poll_interval,
-        lease_seconds=args.lease_seconds,
-        max_tasks=args.max_tasks,
-        exit_when_empty=args.exit_when_empty,
-        idle_timeout=args.idle_timeout,
-        log=None if args.quiet else log,
-    )
-    print(f"executed {executed} trial(s)")
-    return 0
-
-
-def _command_queue(args: argparse.Namespace) -> int:
-    from .sweep import WorkQueue, format_heartbeat
-
-    queue = WorkQueue(args.queue_dir)
-    if args.queue_command == "status":
-        status = queue.status()
-        rows = [
-            ["pending", status.pending],
-            ["leased", status.leased],
-            ["done", status.done],
-            ["dead", status.dead],
-            ["total", status.total],
-        ]
-        print(format_table(["state", "trials"], rows))
-        print(format_heartbeat(status))
-        dead_rows = [t for t in queue.tasks() if t.status == "dead"]
-        for row in dead_rows[:5]:
-            detail = (row.error or "no error recorded").strip().splitlines()[-1]
-            print(f"dead: {row.label!r} trial {row.trial_index} — {detail}")
-        if len(dead_rows) > 5:
-            print(f"... and {len(dead_rows) - 5} more dead trial(s)")
-        return 0
-    if args.queue_command == "requeue":
-        moved = queue.requeue(include_dead=args.dead)
-        print(f"requeued {moved} trial(s)")
-        return 0
-    if args.queue_command == "drain":
-        removed = queue.drain(done_only=args.done_only)
-        which = "completed" if args.done_only else "queued"
-        print(f"drained {removed} {which} row(s)")
-        return 0
-    raise AssertionError(f"unhandled queue command {args.queue_command!r}")  # pragma: no cover
 
 
 def _command_cache(args: argparse.Namespace) -> int:
@@ -1124,10 +951,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_sweep(args)
     if args.command == "trace":
         return _command_trace(args)
-    if args.command == "worker":
-        return _command_worker(args)
-    if args.command == "queue":
-        return _command_queue(args)
     if args.command == "cache":
         return _command_cache(args)
     if args.command == "serve":

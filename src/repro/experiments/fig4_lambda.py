@@ -75,9 +75,6 @@ def run_fig4(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: ProgressCallback | None = None,
-    backend: str | None = None,
-    queue_dir: str | Path | None = None,
-    queue_workers: int | None = None,
 ) -> Fig4Result:
     """Regenerate Figure 4's two curves (via the sweep subsystem)."""
     config = config or ExperimentConfig()
@@ -109,9 +106,6 @@ def run_fig4(
         jobs=jobs,
         cache_dir=cache_dir,
         progress=progress,
-        backend=backend,
-        queue_dir=queue_dir,
-        queue_workers=queue_workers,
     )
     result = Fig4Result(level=level)
     result.series.update(outcome.series_map(keys))

@@ -71,9 +71,6 @@ def run_fig5(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: ProgressCallback | None = None,
-    backend: str | None = None,
-    queue_dir: str | Path | None = None,
-    queue_workers: int | None = None,
 ) -> Fig5Result:
     """Regenerate Figure 5 (defer-threshold sweep per dropping threshold).
 
@@ -107,9 +104,6 @@ def run_fig5(
         jobs=jobs,
         cache_dir=cache_dir,
         progress=progress,
-        backend=backend,
-        queue_dir=queue_dir,
-        queue_workers=queue_workers,
     )
     result = Fig5Result(level=level)
     result.series.update(outcome.series_map(keys))

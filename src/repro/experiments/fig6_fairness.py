@@ -76,9 +76,6 @@ def run_fig6(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: ProgressCallback | None = None,
-    backend: str | None = None,
-    queue_dir: str | Path | None = None,
-    queue_workers: int | None = None,
 ) -> Fig6Result:
     """Regenerate Figure 6 (fairness/robustness trade-off of PAMF)."""
     config = config or ExperimentConfig()
@@ -106,9 +103,6 @@ def run_fig6(
         jobs=jobs,
         cache_dir=cache_dir,
         progress=progress,
-        backend=backend,
-        queue_dir=queue_dir,
-        queue_workers=queue_workers,
     )
     result = Fig6Result()
     result.series.update(outcome.series_map(keys))

@@ -70,9 +70,6 @@ def run_fig7(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: ProgressCallback | None = None,
-    backend: str | None = None,
-    queue_dir: str | Path | None = None,
-    queue_workers: int | None = None,
 ) -> Fig7Result:
     """Regenerate Figure 7 (robustness of all heuristics at both levels)."""
     config = config or ExperimentConfig()
@@ -89,15 +86,7 @@ def run_fig7(
         workloads={level: workload_for_level(level, config) for level in levels},
         config=config,
     )
-    outcome = run_sweep(
-        spec,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        backend=backend,
-        queue_dir=queue_dir,
-        queue_workers=queue_workers,
-    )
+    outcome = run_sweep(spec, jobs=jobs, cache_dir=cache_dir, progress=progress)
     result = Fig7Result()
     keys = [(level, name) for level in levels for name in heuristics]
     result.series.update(outcome.series_map(keys))

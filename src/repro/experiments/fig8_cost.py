@@ -83,9 +83,6 @@ def run_fig8(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: ProgressCallback | None = None,
-    backend: str | None = None,
-    queue_dir: str | Path | None = None,
-    queue_workers: int | None = None,
 ) -> Fig8Result:
     """Regenerate Figure 8 (cost benefit of pruning)."""
     config = config or ExperimentConfig()
@@ -105,15 +102,7 @@ def run_fig8(
         config=config,
         machine_prices=prices,
     )
-    outcome = run_sweep(
-        spec,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        backend=backend,
-        queue_dir=queue_dir,
-        queue_workers=queue_workers,
-    )
+    outcome = run_sweep(spec, jobs=jobs, cache_dir=cache_dir, progress=progress)
     result = Fig8Result()
     keys = [(level, name) for level in levels for name in heuristics]
     result.series.update(outcome.series_map(keys))

@@ -103,9 +103,6 @@ def run_fig9(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: ProgressCallback | None = None,
-    backend: str | None = None,
-    queue_dir: str | Path | None = None,
-    queue_workers: int | None = None,
     trace: str | Path | TraceSpec | None = None,
 ) -> Fig9Result:
     """Regenerate Figure 9 (video-transcoding workload comparison).
@@ -149,15 +146,7 @@ def run_fig9(
             config=config,
             machine_prices=prices,
         )
-    outcome = run_sweep(
-        spec,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        backend=backend,
-        queue_dir=queue_dir,
-        queue_workers=queue_workers,
-    )
+    outcome = run_sweep(spec, jobs=jobs, cache_dir=cache_dir, progress=progress)
     result = Fig9Result()
     keys = [(level, name) for level in levels for name in heuristics]
     result.series.update(outcome.series_map(keys))

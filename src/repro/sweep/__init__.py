@@ -6,8 +6,8 @@ The subsystem splits experiment execution into three declarative layers:
   (heuristic x workload x simulator-config) grid as plain data with
   deterministic per-point seed derivation;
 * :mod:`repro.sweep.executor` — :class:`ParallelExecutor`/:func:`run_sweep`
-  fan trials out over a process pool (``jobs=1`` falls back to the serial
-  loop, bit-identical to the historical ``run_series``);
+  fan trials out over a process pool (one worker runs them in-process,
+  bit-identical to the historical ``run_series``);
 * :mod:`repro.sweep.cache` — :class:`ResultCache` persists per-point results
   as content-addressed JSON artefacts so repeated or interrupted sweeps
   resume without re-simulating.
@@ -29,17 +29,7 @@ Quickstart::
         print(series.label, series.mean_robustness())
 """
 
-from .backends import (
-    BACKEND_NAMES,
-    Backend,
-    ProcessBackend,
-    QueueBackend,
-    QueueTaskError,
-    SerialBackend,
-    TrialResult,
-    TrialTask,
-    make_backend,
-)
+from .backends import Backend, LocalBackend, TrialResult, TrialTask
 from .cache import CacheEntry, CacheStats, ResultCache
 from .executor import (
     ParallelExecutor,
@@ -50,16 +40,7 @@ from .executor import (
     run_sweep,
     trace_for,
 )
-from .progress import PointReport, StreamReporter, format_heartbeat
-from .queue import (
-    ClaimedTask,
-    QueueStatus,
-    QueueTask,
-    WorkerLease,
-    WorkQueue,
-    task_key_for,
-    worker_id,
-)
+from .progress import PointReport, StreamReporter
 from .spec import (
     CACHE_SCHEMA_VERSION,
     HeuristicSpec,
@@ -72,26 +53,18 @@ from .spec import (
     spawn_trial_seeds,
 )
 from .trial import TrialMetrics, execute_trial
-from .worker import run_worker
 
 __all__ = [
-    "BACKEND_NAMES",
     "Backend",
     "CACHE_SCHEMA_VERSION",
     "CacheEntry",
     "CacheStats",
-    "ClaimedTask",
     "HeuristicSpec",
+    "LocalBackend",
     "PETSpec",
     "ParallelExecutor",
     "PointReport",
-    "ProcessBackend",
-    "QueueBackend",
-    "QueueStatus",
-    "QueueTask",
-    "QueueTaskError",
     "ResultCache",
-    "SerialBackend",
     "StreamReporter",
     "SweepOutcome",
     "SweepPoint",
@@ -100,20 +73,13 @@ __all__ = [
     "TrialMetrics",
     "TrialResult",
     "TrialTask",
-    "WorkQueue",
-    "WorkerLease",
     "cache_key",
     "execute_point",
     "execute_trial",
     "execute_trials",
-    "format_heartbeat",
-    "make_backend",
     "pet_for",
     "point_payload",
     "run_sweep",
-    "run_worker",
     "spawn_trial_seeds",
-    "task_key_for",
     "trace_for",
-    "worker_id",
 ]

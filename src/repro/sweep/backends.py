@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the sweep executor.
+"""Where the sweep executor's trials run.
 
 A backend owns *where* trials run; the executor owns everything else
 (cache lookups, per-point assembly, progress, cache stores).  The contract
@@ -10,65 +10,28 @@ is a submit/drain lifecycle over single trials::
     backend.cancel()  # on interrupt: undrained already-finished results
     backend.close()
 
-Three implementations ship:
-
-``SerialBackend``
-    The historical ``jobs=1`` in-process loop — trials execute lazily
-    during the drain, in submit (point-major) order.
-
-``ProcessBackend``
-    The historical ``jobs>1`` path — trials fan out over a
-    ``concurrent.futures.ProcessPoolExecutor`` at single-trial granularity.
-
-``QueueBackend``
-    Trials are enqueued into a durable SQLite work queue
-    (:mod:`repro.sweep.queue`) and executed by any number of detached
-    ``repro worker`` processes — spawned by the backend itself and/or
-    started independently, including on other hosts sharing the queue
-    directory.  The backend polls for completed rows, recovers expired
-    leases, surfaces worker heartbeats, and fails fast when a trial lands
-    in the dead-letter state.
-
-Every backend produces bit-identical :class:`TrialMetrics` for a given
-trial because all three funnel into the same deterministic entry point
+:class:`LocalBackend` is the one implementation: trials run in this
+process, in submit order, when one worker suffices, and fan out over a
+``concurrent.futures.ProcessPoolExecutor`` otherwise.  Every trial funnels
+into the same deterministic entry point
 (:func:`repro.sweep.executor._execute_point_trial`, seeded by spawn
-position) — backend choice is a pure performance/topology knob and is
-deliberately excluded from sweep cache keys.
+position), so the worker count is a pure performance knob, bit-identical
+for every ``jobs`` setting and deliberately excluded from sweep cache keys.
+The :class:`Backend` protocol stays so tests can substitute a fake.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
 
-from .queue import QueueStatus, WorkQueue
 from .trial import TrialMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .spec import SweepPoint
 
-__all__ = [
-    "BACKEND_NAMES",
-    "Backend",
-    "HeartbeatCallback",
-    "ProcessBackend",
-    "QueueBackend",
-    "QueueTaskError",
-    "SerialBackend",
-    "TrialResult",
-    "TrialTask",
-    "make_backend",
-]
-
-#: Backend names accepted by :func:`make_backend`, ``SweepSpec.backend`` and
-#: the CLI ``--backend`` flag.
-BACKEND_NAMES: tuple[str, ...] = ("serial", "process", "queue")
+__all__ = ["Backend", "LocalBackend", "TrialResult", "TrialTask"]
 
 
 @dataclass(frozen=True)
@@ -87,9 +50,6 @@ class TrialResult:
     point_index: int
     trial_index: int
     metrics: TrialMetrics
-
-
-HeartbeatCallback = Callable[[QueueStatus], None]
 
 
 class Backend(Protocol):
@@ -112,10 +72,6 @@ class Backend(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class QueueTaskError(RuntimeError):
-    """A queued trial exhausted its attempts (dead-letter state)."""
-
-
 def _run_trial(task: TrialTask) -> TrialResult:
     from .executor import _execute_point_trial  # runtime-only: avoids a cycle
 
@@ -126,301 +82,73 @@ def _run_trial(task: TrialTask) -> TrialResult:
     )
 
 
-class SerialBackend:
-    """In-process execution in submit order (the historical ``jobs=1`` loop)."""
+class LocalBackend:
+    """Trials on this host: in-process for one worker, else a process pool.
 
-    def __init__(self) -> None:
-        self._tasks: list[TrialTask] = []
+    The pool gets ``min(jobs, trials submitted)`` workers, since under the
+    ``fork`` start method it launches all of them up front; when that is
+    one, trials run in-process in submit order with no pool at all.
+    """
 
-    def submit_trials(self, tasks: Sequence[TrialTask]) -> None:
-        self._tasks = list(tasks)
-
-    def drain_results(self) -> Iterator[TrialResult]:
-        while self._tasks:
-            task = self._tasks.pop(0)
-            yield _run_trial(task)
-
-    def cancel(self) -> list[TrialResult]:
-        self._tasks.clear()
-        return []
-
-    def close(self) -> None:
-        self._tasks.clear()
-
-
-class ProcessBackend:
-    """Trial fan-out over a local process pool (the historical ``jobs>1``)."""
-
-    def __init__(self, jobs: int) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = jobs
+        #: Worker count of the current submission (1 = in-process).
+        self.workers = 1
+        self._tasks: list[TrialTask] = []
         self._pool: ProcessPoolExecutor | None = None
-        self._futures: dict[Future, TrialTask] = {}
-        self._not_done: set[Future] = set()
+        self._pending: set[Future] = set()
 
     def submit_trials(self, tasks: Sequence[TrialTask]) -> None:
-        self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        self._futures = {self._pool.submit(_run_trial, task): task for task in tasks}
-        self._not_done = set(self._futures)
+        self.workers = max(1, min(self.jobs, len(tasks)))
+        if self.workers == 1:
+            self._tasks = list(tasks)
+            return
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pending = {self._pool.submit(_run_trial, task) for task in tasks}
 
     def drain_results(self) -> Iterator[TrialResult]:
-        while self._not_done:
-            done, self._not_done = wait(self._not_done, return_when=FIRST_COMPLETED)
+        while self._tasks:
+            yield _run_trial(self._tasks.pop(0))
+        while self._pending:
+            done, _ = wait(self._pending, return_when=FIRST_COMPLETED)
             for future in done:
+                # A future leaves the pending set only once yielded, so an
+                # interrupt mid-batch still finds the rest for cancel().
+                self._pending.discard(future)
                 yield future.result()
 
     def cancel(self) -> list[TrialResult]:
-        """Cancel queued trials; harvest the ones that already finished.
+        """Harvest the trials that already finished, then stop the rest.
 
-        Running trials are abandoned (their processes are killed on close),
-        but anything the pool completed before the interrupt is handed back
-        so the executor can flush finished points to the cache.
+        Finished results are handed back so the executor can flush the
+        points they complete to the cache; the workers still running
+        abandoned trials are killed by :meth:`close`.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
         harvested = [
             future.result()
-            for future in self._not_done
+            for future in self._pending
             if future.done() and not future.cancelled() and future.exception() is None
         ]
-        self._not_done = set()
+        self.close()
         return harvested
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        """Release the pool; no worker is alive when this returns.
 
-
-class QueueBackend:
-    """Durable-queue execution by detached workers (local or remote).
-
-    ``workers`` > 0 spawns that many ``repro worker --exit-when-empty``
-    processes in their own sessions, logging under
-    ``<queue_dir>/logs/``; ``workers=0`` enqueues and waits for externally
-    started workers (the two-terminal / multi-host mode).  Either way the
-    drain loop recovers expired leases, so trials held by crashed workers
-    are re-run by survivors; a row that exhausts its attempt budget raises
-    :class:`QueueTaskError` naming the trial and its recorded error.
-
-    Rows are content-addressed (point cache key + trial index), so a queue
-    directory reused across runs serves already-``done`` trials instantly —
-    the durable sibling of the JSON result cache.
-    """
-
-    def __init__(
-        self,
-        queue_dir: str | Path,
-        *,
-        workers: int = 0,
-        lease_seconds: float | None = None,
-        poll_interval: float = 0.2,
-        heartbeat: HeartbeatCallback | None = None,
-        heartbeat_interval: float = 5.0,
-    ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
-        kwargs = {} if lease_seconds is None else {"lease_seconds": lease_seconds}
-        self.queue = WorkQueue(queue_dir, **kwargs)
-        self.workers = workers
-        self.poll_interval = poll_interval
-        self.heartbeat = heartbeat
-        self.heartbeat_interval = heartbeat_interval
-        self._tasks_by_key: dict[str, list[TrialTask]] = {}
-        self._remaining: set[str] = set()
-        self._spawned: list[subprocess.Popen] = []
-
-    # ------------------------------------------------------------------
-    def submit_trials(self, tasks: Sequence[TrialTask]) -> None:
-        # Several sweep points can share one content address (labels are
-        # excluded from cache keys), so a physical queue row may serve more
-        # than one submitted task — every one of them must get the result.
-        # Points the queue has timed before are prioritised
-        # shortest-expected-trial-first; unknown points keep priority 0 and
-        # therefore run first, FIFO (exploring beats exploiting a stale hint).
-        hints = self.queue.timing_hints()
-        self._tasks_by_key = {}
-        for task in tasks:
-            key = self.queue.enqueue(
-                task.point,
-                task.trial_index,
-                priority=hints.get(task.point.cache_key(), 0.0),
-            )
-            self._tasks_by_key.setdefault(key, []).append(task)
-        self._remaining = set(self._tasks_by_key)
-        for index in range(self.workers):
-            self._spawn_worker(index)
-
-    def _spawn_worker(self, index: int) -> None:
-        log_dir = self.queue.queue_dir / "logs"
-        log_dir.mkdir(exist_ok=True)
-        log_path = log_dir / f"worker-{index}.log"
-        command = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "worker",
-            "--queue-dir",
-            str(self.queue.queue_dir),
-            "--lease-seconds",
-            str(self.queue.lease_seconds),
-            "--exit-when-empty",
-        ]
-        # The worker must import the same ``repro`` we are running (the
-        # parent may have it on sys.path rather than installed), so prepend
-        # our package root to the child's PYTHONPATH.
-        package_root = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            package_root + os.pathsep + existing if existing else package_root
-        )
-        with open(log_path, "ab") as log:
-            self._spawned.append(
-                subprocess.Popen(
-                    command,
-                    stdout=log,
-                    stderr=subprocess.STDOUT,
-                    env=env,
-                    start_new_session=True,  # detached: survives our signals
-                )
-            )
-
-    # ------------------------------------------------------------------
-    def drain_results(self) -> Iterator[TrialResult]:
-        last_heartbeat = 0.0
-        while self._remaining:
-            for result in self._harvest(self._remaining):
-                yield result
-            if not self._remaining:
-                break
-            self.queue.recover_expired()
-            status = self.queue.status()
-            if status.dead:
-                # Rare state, so the per-row fetch only happens once the
-                # cheap aggregate says a dead row exists at all.
-                self._raise_on_dead(self._remaining)
-            self._check_spawned_workers(self._remaining)
-            now = time.monotonic()
-            if (
-                self.heartbeat is not None
-                and now - last_heartbeat >= self.heartbeat_interval
-            ):
-                self.heartbeat(status)
-                last_heartbeat = now
-            time.sleep(self.poll_interval)
-
-    def _harvest(self, remaining: set[str]) -> list[TrialResult]:
-        """Pop every newly ``done`` row among the keys still outstanding."""
-        results = []
-        for key, metrics in self.queue.results(sorted(remaining)).items():
-            remaining.discard(key)
-            for task in self._tasks_by_key[key]:
-                results.append(
-                    TrialResult(
-                        point_index=task.point_index,
-                        trial_index=task.trial_index,
-                        metrics=metrics,
-                    )
-                )
-        return results
-
-    def _raise_on_dead(self, remaining: set[str]) -> None:
-        dead = [
-            row
-            for row in self.queue.tasks(sorted(remaining))
-            if row.status == "dead"
-        ]
-        if dead:
-            first = dead[0]
-            detail = (first.error or "no error recorded").strip().splitlines()[-1]
-            raise QueueTaskError(
-                f"{len(dead)} queued trial(s) exhausted their attempts; first: "
-                f"{first.label!r} trial {first.trial_index} "
-                f"({first.attempts}/{first.max_attempts} attempts) — {detail}"
-            )
-
-    def _check_spawned_workers(self, remaining: set[str]) -> None:
-        """Fail fast if every worker we spawned died with work outstanding.
-
-        Only applies when this backend spawned workers and none are left
-        alive — with ``workers=0`` the contract is to wait indefinitely for
-        detached workers to show up.  The trigger is a *pending* outstanding
-        row specifically: ``done`` rows are simply not harvested yet (the
-        workers exit once the queue settles, which can race our poll), and
-        ``leased`` rows either belong to an external worker or to a crashed
-        spawned one — in which case lease expiry turns them pending and we
-        fail on the next poll.
+        ``shutdown(cancel_futures=True)`` neither stops running workers nor
+        cancels the trials already in the pool's call queue, so with work
+        outstanding the workers are killed first.  The pool's manager
+        thread then sees them die, fails what is left, and exits, which
+        ``shutdown(wait=True)`` joins.
         """
-        if not self._spawned or any(p.poll() is None for p in self._spawned):
+        self._tasks.clear()
+        pool, self._pool = self._pool, None
+        if pool is None:
             return
-        rows = self.queue.tasks(sorted(remaining))
-        stranded = [row for row in rows if row.status == "pending"]
-        if stranded:
-            codes = [p.returncode for p in self._spawned]
-            log_dir = self.queue.queue_dir / "logs"
-            raise RuntimeError(
-                f"all {len(self._spawned)} spawned workers exited (codes {codes}) "
-                f"with {len(stranded)} trial(s) stranded pending; see {log_dir}/"
-            )
-
-    # ------------------------------------------------------------------
-    def cancel(self) -> list[TrialResult]:
-        """Harvest finished rows; leave the queue itself intact.
-
-        Outstanding rows stay pending/leased on purpose: the queue is
-        durable, so a re-run (or detached workers that keep going) resumes
-        exactly where the interrupted sweep stopped.
-        """
-        return self._harvest(self._remaining)
-
-    def close(self) -> None:
-        for process in self._spawned:
-            if process.poll() is None:
-                process.terminate()
-        deadline = time.monotonic() + 5.0
-        for process in self._spawned:
-            if process.poll() is None:
-                try:
-                    process.wait(timeout=max(0.1, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-                    process.kill()
-        self._spawned.clear()
-
-
-def make_backend(
-    name: str | None,
-    *,
-    jobs: int = 1,
-    queue_dir: str | Path | None = None,
-    queue_workers: int | None = None,
-    lease_seconds: float | None = None,
-    heartbeat: HeartbeatCallback | None = None,
-) -> Backend:
-    """Resolve a backend name (plus knobs) into a backend instance.
-
-    ``process`` with ``jobs=1`` resolves to :class:`SerialBackend`: a
-    one-worker pool computes identical results but pays IPC and spawn
-    overhead for nothing, and collapsing it keeps the historical ``jobs=1``
-    fast path intact under the default ``backend="process"``.
-
-    ``queue_workers=None`` spawns ``jobs`` workers; pass ``0`` explicitly
-    to rely on detached workers you started yourself.
-    """
-    name = "process" if name is None else name
-    if name not in BACKEND_NAMES:
-        raise ValueError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
-    if name == "queue":
-        if queue_dir is None:
-            raise ValueError("the queue backend requires a queue directory")
-        workers = jobs if queue_workers is None else queue_workers
-        return QueueBackend(
-            queue_dir,
-            workers=workers,
-            lease_seconds=lease_seconds,
-            heartbeat=heartbeat,
-        )
-    if name == "serial" or jobs == 1:
-        return SerialBackend()
-    return ProcessBackend(jobs)
+        if any(not future.done() for future in self._pending):
+            for process in list((pool._processes or {}).values()):
+                process.kill()
+        self._pending = set()
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -25,6 +25,11 @@ from .trial import TrialMetrics
 
 __all__ = ["CacheEntry", "CacheStats", "ResultCache"]
 
+#: What reading a malformed artefact can raise: unreadable or non-JSON files,
+#: a top level that is not an object (``[]``, ``"x"``), missing or mistyped
+#: fields, and numbers no field can hold (``int(1e999)``).
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
+
 
 @dataclass
 class CacheStats:
@@ -91,7 +96,7 @@ class ResultCache:
             trials = [TrialMetrics.from_payload(t) for t in payload["trials"]]
             if len(trials) != point.config.trials:
                 raise ValueError("trial count mismatch")
-        except (OSError, ValueError, KeyError, TypeError):
+        except _MALFORMED:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
@@ -141,8 +146,8 @@ class ResultCache:
                 payload = json.loads(path.read_text())
                 label = payload.get("label")
                 kernel = payload["point"]["engine"]
-                trials = len(payload["trials"])
-            except (OSError, ValueError, KeyError, TypeError):
+                trials = len([TrialMetrics.from_payload(t) for t in payload["trials"]])
+            except _MALFORMED:
                 kernel = None
             yield CacheEntry(
                 path=path,

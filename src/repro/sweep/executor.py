@@ -1,13 +1,12 @@
-"""Backend-driven execution of sweep specifications.
+"""Execution of sweep specifications.
 
 The executor is a thin frontend: it resolves cache hits, hands the
-remaining trials to a pluggable :class:`~repro.sweep.backends.Backend`
-(serial in-process, local process pool, or a durable work queue drained by
-detached workers — see :mod:`repro.sweep.backends`), reassembles per-point
-results in trial order, and persists/streams them.  All backends funnel
-into the same trial primitive (:func:`repro.sweep.trial.execute_trial`)
-with seeds recomputed from spawn position, so results are bit-identical for
-every backend and ``jobs`` setting.
+remaining trials to the local runner
+(:class:`~repro.sweep.backends.LocalBackend`: in-process for one worker, a
+process pool otherwise), reassembles per-point results in trial order, and
+persists/streams them.  Every trial funnels into the same trial primitive
+(:func:`repro.sweep.trial.execute_trial`) with seeds recomputed from spawn
+position, so results are bit-identical for every ``jobs`` setting.
 
 Per-point results are looked up in / persisted to the optional
 content-addressed :class:`~repro.sweep.cache.ResultCache`, and one
@@ -27,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from ..obs.telemetry import active as obs_active
 from ..simulator.engine import SimulatorConfig
-from .backends import Backend, TrialResult, TrialTask, make_backend
+from .backends import Backend, LocalBackend, TrialResult, TrialTask
 from .cache import ResultCache
 from .progress import PointReport, ProgressCallback
 from .spec import (
@@ -217,13 +216,9 @@ class SweepOutcome:
 class ParallelExecutor:
     """Drives a :class:`SweepSpec` to completion with caching and progress.
 
-    ``backend`` selects where trials execute: a name from
-    :data:`~repro.sweep.backends.BACKEND_NAMES` (``"serial"``,
-    ``"process"``, ``"queue"``), a ready-made backend instance, or ``None``
-    to defer to the spec's ``backend`` field (default ``"process"``, which
-    keeps the historical behaviour: in-process for ``jobs=1``, a local
-    process pool otherwise).  ``queue_dir``/``queue_workers`` configure the
-    queue backend; see :class:`~repro.sweep.backends.QueueBackend`.
+    Trials run on a :class:`~repro.sweep.backends.LocalBackend` with
+    ``jobs`` workers; ``backend`` substitutes a ready-made
+    :class:`~repro.sweep.backends.Backend` instance instead.
     """
 
     def __init__(
@@ -232,9 +227,7 @@ class ParallelExecutor:
         jobs: int = 1,
         cache: ResultCache | None = None,
         progress: ProgressCallback | None = None,
-        backend: str | Backend | None = None,
-        queue_dir: str | Path | None = None,
-        queue_workers: int | None = None,
+        backend: Backend | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -242,8 +235,6 @@ class ParallelExecutor:
         self.cache = cache
         self.progress = progress
         self.backend = backend
-        self.queue_dir = queue_dir
-        self.queue_workers = queue_workers
 
     # ------------------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepOutcome:
@@ -269,22 +260,10 @@ class ParallelExecutor:
                 pending.append(index)
 
         if pending:
-            self._run_pending(outcome, pending, spec)
+            self._run_pending(outcome, pending)
 
         outcome.seconds = time.perf_counter() - started
         return outcome
-
-    def _backend_for(self, spec: SweepSpec) -> Backend:
-        if self.backend is not None and not isinstance(self.backend, str):
-            return self.backend
-        name = self.backend if self.backend is not None else spec.backend
-        return make_backend(
-            name,
-            jobs=self.jobs,
-            queue_dir=self.queue_dir,
-            queue_workers=self.queue_workers,
-            heartbeat=getattr(self.progress, "heartbeat", None),
-        )
 
     # ------------------------------------------------------------------
     def _finish_point(
@@ -296,7 +275,7 @@ class ParallelExecutor:
         if obs.enabled:
             # The point already ran; reconstruct its span retrospectively
             # from the measured wall seconds so sweeps appear on the trace
-            # timeline whichever backend executed the trials.
+            # timeline whether its trials ran in-process or in a pool.
             duration_ns = int(seconds * 1e9)
             obs.add_span(
                 "sweep.point",
@@ -327,9 +306,7 @@ class ParallelExecutor:
         if self.progress is not None:
             self.progress(report)
 
-    def _run_pending(
-        self, outcome: SweepOutcome, pending: list[int], spec: SweepSpec
-    ) -> None:
+    def _run_pending(self, outcome: SweepOutcome, pending: list[int]) -> None:
         points = outcome.points
         tasks = [
             TrialTask(point_index=index, point=points[index], trial_index=trial)
@@ -343,8 +320,6 @@ class ParallelExecutor:
         remaining = {index: points[index].config.trials for index in pending}
 
         def record(result: TrialResult) -> None:
-            if slots[result.point_index][result.trial_index] is not None:
-                return  # duplicate delivery (e.g. a zombie worker) — ignore
             slots[result.point_index][result.trial_index] = result.metrics
             remaining[result.point_index] -= 1
             if remaining[result.point_index] == 0:
@@ -356,7 +331,7 @@ class ParallelExecutor:
                     time.perf_counter() - started_at[result.point_index],
                 )
 
-        backend = self._backend_for(spec)
+        backend = self.backend if self.backend is not None else LocalBackend(self.jobs)
         try:
             backend.submit_trials(tasks)
             for result in backend.drain_results():
@@ -383,26 +358,13 @@ def run_sweep(
     cache_dir: str | Path | None = None,
     cache: ResultCache | None = None,
     progress: ProgressCallback | None = None,
-    backend: str | Backend | None = None,
-    queue_dir: str | Path | None = None,
-    queue_workers: int | None = None,
 ) -> SweepOutcome:
     """One-call convenience wrapper around :class:`ParallelExecutor`.
 
     ``cache_dir`` builds a :class:`ResultCache` rooted there; passing an
     explicit ``cache`` instance takes precedence (e.g. to share counters
-    across several sweeps).  ``backend``/``queue_dir``/``queue_workers``
-    select and configure the execution backend (default: the spec's, which
-    is ``"process"`` unless overridden — in-process for ``jobs=1``).
+    across several sweeps).
     """
     if cache is None and cache_dir is not None:
         cache = ResultCache(Path(cache_dir))
-    executor = ParallelExecutor(
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        backend=backend,
-        queue_dir=queue_dir,
-        queue_workers=queue_workers,
-    )
-    return executor.run(spec)
+    return ParallelExecutor(jobs=jobs, cache=cache, progress=progress).run(spec)

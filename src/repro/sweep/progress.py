@@ -4,28 +4,17 @@ The executor emits one :class:`PointReport` per completed sweep point (cache
 hits included, flagged as such).  A *reporter* is any callable accepting the
 report; :class:`StreamReporter` renders human-readable lines, and the default
 ``None`` keeps programmatic runs silent.
-
-A reporter may additionally expose a ``heartbeat(status)`` method; the queue
-backend calls it periodically with a
-:class:`~repro.sweep.queue.QueueStatus` snapshot, so a sweep waiting on
-detached workers renders who is working remotely and how far along the
-queue is.  Reporters without the method (including plain callables like
-``list.append``) simply never see heartbeats.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Callable, Optional
+from typing import IO, Callable, Optional
 
 from .trial import TrialMetrics
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .queue import QueueStatus
-
-__all__ = ["PointReport", "ProgressCallback", "StreamReporter", "format_heartbeat"]
+__all__ = ["PointReport", "ProgressCallback", "StreamReporter"]
 
 
 @dataclass(frozen=True)
@@ -85,48 +74,3 @@ class StreamReporter:
             f"({report.trials} trials, {source})\n"
         )
         self._stream.flush()
-
-    def heartbeat(self, status: "QueueStatus") -> None:
-        """Render one remote-worker heartbeat line from queue state."""
-        self._stream.write(format_heartbeat(status) + "\n")
-        self._stream.flush()
-
-
-def format_heartbeat(status: "QueueStatus", *, now: float | None = None) -> str:
-    """One line summarising queue progress and the workers holding leases.
-
-    ``now`` (defaults to the current wall clock, the basis of lease
-    deadlines) turns each lease expiry into a human-readable time-left.
-    Degenerate queues render honestly rather than reassuringly: an expired
-    lease is labelled as such instead of showing ``0s left`` for a worker
-    that is probably gone, a queue whose only remaining rows are
-    dead-lettered says so (with the recovery command), and a lease row
-    missing its owner (interrupted writes, manual surgery) never crashes
-    the status line.
-    """
-    now = time.time() if now is None else now
-    line = (
-        f"[queue] {status.pending} pending, {status.leased} leased, "
-        f"{status.done} done, {status.dead} dead"
-    )
-    if status.workers:
-        leases = []
-        live = 0
-        for lease in status.workers:
-            owner = lease.owner if lease.owner else "<unknown owner>"
-            left = lease.lease_expires_at - now
-            if left > 0:
-                live += 1
-                holding = f"{left:.0f}s left"
-            else:
-                holding = "lease expired"
-            leases.append(f"{owner} ({lease.tasks} leased, {holding})")
-        line += " | workers: " + ", ".join(leases)
-        if live == 0:
-            line += " — no live workers"
-    if status.unfinished == 0 and status.dead:
-        line += (
-            f" — stalled: {status.dead} dead-lettered row(s) are all that is left"
-            " ('repro queue requeue --dead' revives them)"
-        )
-    return line

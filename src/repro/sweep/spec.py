@@ -319,7 +319,7 @@ def point_payload(point: SweepPoint) -> dict[str, object]:
     * ``kernel_backend`` never appears — every kernel backend is
       bit-identical, so the ``engine`` tag is the bare
       :data:`~repro.core.batch.KERNEL_VERSION` and a ``numba`` run shares
-      the entries of its ``numpy`` twin (as the sweep execution ``backend``
+      the entries of its ``numpy`` twin (as every ``jobs`` setting
       does);
     * ``batch_window`` appears only when non-zero, so per-event
       (``window=0``) keys are unchanged and batched-round results never
@@ -361,29 +361,12 @@ def cache_key(point: SweepPoint) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """An ordered collection of sweep points (one experiment grid).
-
-    ``backend`` names the default execution backend for this sweep (one of
-    :data:`repro.sweep.backends.BACKEND_NAMES`); callers of
-    :func:`~repro.sweep.executor.run_sweep` can override it.  It is a pure
-    execution preference — where trials run, never what they compute — so
-    it is deliberately *not* part of any point's content address: switching
-    backends keeps every cached result valid.  The default ``"process"``
-    preserves the historical behaviour (in-process for ``jobs=1``, a local
-    process pool otherwise).
-    """
+    """An ordered collection of sweep points (one experiment grid)."""
 
     points: tuple[SweepPoint, ...] = field(default_factory=tuple)
-    backend: str = "process"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        from .backends import BACKEND_NAMES  # runtime-only: avoids a cycle
-
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
-            )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -406,7 +389,6 @@ class SweepSpec:
         machine_prices: tuple[float, ...] | None = None,
         evict_executing_at_deadline: bool = True,
         label_format: str = "{workload},{heuristic}",
-        backend: str = "process",
     ) -> "SweepSpec":
         """Cross product of workloads x heuristics (workload-major order).
 
@@ -426,7 +408,7 @@ class SweepSpec:
             for wl_label, workload in workloads.items()
             for h_label, heuristic in heuristics.items()
         )
-        return cls(points=points, backend=backend)
+        return cls(points=points)
 
     @classmethod
     def from_traces(
@@ -439,7 +421,6 @@ class SweepSpec:
         machine_prices: tuple[float, ...] | None = None,
         evict_executing_at_deadline: bool = True,
         label_format: str = "{trace},{heuristic}",
-        backend: str = "process",
     ) -> "SweepSpec":
         """Cross product of recorded traces x heuristics (trace-major order).
 
@@ -461,4 +442,4 @@ class SweepSpec:
             for tr_label, trace in traces.items()
             for h_label, heuristic in heuristics.items()
         )
-        return cls(points=points, backend=backend)
+        return cls(points=points)

@@ -1,4 +1,4 @@
-"""End-to-end instrumentation: CLI flags, serve admission, sweep and queue."""
+"""End-to-end instrumentation: CLI flags, serve admission and sweep."""
 
 from __future__ import annotations
 
@@ -12,14 +12,7 @@ from repro.heuristics.registry import make_heuristic
 from repro.obs import Telemetry, use_telemetry
 from repro.pet.builders import build_pet_from_means
 from repro.serve import SchedulerCore
-from repro.sweep import (
-    HeuristicSpec,
-    PETSpec,
-    SweepPoint,
-    SweepSpec,
-    WorkQueue,
-    run_sweep,
-)
+from repro.sweep import HeuristicSpec, PETSpec, SweepPoint, SweepSpec, run_sweep
 from repro.workload.generator import WorkloadConfig
 from repro.workload.spec import TaskSpec
 
@@ -117,7 +110,7 @@ def test_sweep_records_cache_counters_and_trial_spans(tmp_path):
         workload=WorkloadConfig(num_tasks=30, time_span=300, beta=1.5),
         config=ExperimentConfig(trials=1, seed=5, warmup_tasks=0, cooldown_tasks=0),
     )
-    spec = SweepSpec(points=(point,), backend="serial")
+    spec = SweepSpec(points=(point,))
     tel = Telemetry()
     with use_telemetry(tel):
         run_sweep(spec, cache_dir=tmp_path / "cache")
@@ -131,46 +124,3 @@ def test_sweep_records_cache_counters_and_trial_spans(tmp_path):
         run_sweep(spec, cache_dir=tmp_path / "cache")
     assert warm.counters["sweep.cache_hits"] == 1
     assert "sweep.trials_executed" not in warm.counters
-
-
-# ----------------------------------------------------------------------
-# Work queue
-# ----------------------------------------------------------------------
-def test_queue_lifecycle_counters(tmp_path):
-    from repro.sweep.trial import TrialMetrics
-
-    point = SweepPoint(
-        label="obs-queue",
-        pet=PETSpec(kind="spec", seed=5),
-        heuristic=HeuristicSpec(name="MM"),
-        workload=WorkloadConfig(num_tasks=30, time_span=300, beta=1.5),
-        config=ExperimentConfig(trials=2, seed=5),
-    )
-    metrics = TrialMetrics(
-        robustness_percent=50.0,
-        fairness_variance=1.0,
-        total_cost=2.0,
-        cost_per_percent_on_time=0.04,
-        completed_on_time=10,
-        total_tasks=30,
-        per_type_completion_percent=(50.0, 60.0),
-    )
-    tel = Telemetry()
-    with use_telemetry(tel):
-        queue = WorkQueue(tmp_path / "queue", lease_seconds=10.0, max_attempts=3)
-        queue.enqueue_point(point)
-        first = queue.claim("w1", now=0.0)
-        assert queue.renew(first.task_key, "w1")
-        assert queue.complete(first.task_key, "w1", metrics, seconds=0.25)
-        second = queue.claim("w1", now=1.0)
-        assert queue.release(second.task_key, "w1")
-        second = queue.claim("w1", now=2.0)
-        assert queue.fail(second.task_key, "w1", "boom")
-        assert queue.recover_expired(now=100.0) == 0
-    assert tel.counters["queue.claims"] == 3
-    assert tel.counters["queue.lease_renewals"] == 1
-    assert tel.counters["queue.completions"] == 1
-    assert tel.counters["queue.releases"] == 1
-    assert tel.counters["queue.failures"] == 1
-    assert tel.timings["queue.trial"].count == 1
-    assert tel.timings["queue.trial"].max == pytest.approx(0.25, rel=0.16)

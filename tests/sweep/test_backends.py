@@ -1,35 +1,36 @@
-"""Tests for the pluggable execution backends.
+"""Tests for the local trial runner and the executor's backend seam.
 
-The load-bearing guarantee: every backend produces bit-identical
+The load-bearing guarantee: every ``jobs`` setting produces bit-identical
 ``TrialMetrics`` for the same :class:`SweepSpec`, because trials always run
-through the same seeded entry point regardless of where they execute.  On
-top of that, the executor's interrupt path must flush every point whose
-trials all finished to the result cache before the interrupt propagates.
+through the same seeded entry point whether they run in-process or in a
+pool.  On top of that, the executor's interrupt path must flush every point
+whose trials all finished to the result cache before the interrupt
+propagates, and must leave no pool worker running.
 """
 
 from __future__ import annotations
 
-import threading
+import dataclasses
+import multiprocessing
+import shutil
+import time
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig, workload_for_level
 from repro.sweep import (
-    BACKEND_NAMES,
     HeuristicSpec,
+    LocalBackend,
+    ParallelExecutor,
     PETSpec,
-    ProcessBackend,
     ResultCache,
-    SerialBackend,
     SweepPoint,
     SweepSpec,
     TrialResult,
-    format_heartbeat,
-    make_backend,
+    TrialTask,
     run_sweep,
-    run_worker,
 )
-from repro.sweep.queue import QueueStatus, WorkerLease
+from repro.sweep import executor as executor_module
 
 
 @pytest.fixture(scope="module")
@@ -62,89 +63,135 @@ def serial_outcome(spec):
     return run_sweep(spec, jobs=1)
 
 
-class TestBackendResolution:
-    def test_default_jobs_1_is_serial_in_process(self):
-        assert isinstance(make_backend(None, jobs=1), SerialBackend)
-        assert isinstance(make_backend("process", jobs=1), SerialBackend)
+def _record_in_process_calls(monkeypatch) -> list[str]:
+    """Patch the trial entry point to log calls made in *this* process."""
+    real = executor_module._execute_point_trial
+    calls: list[str] = []
 
-    def test_process_backend_for_multiple_jobs(self):
-        backend = make_backend("process", jobs=3)
-        assert isinstance(backend, ProcessBackend)
-        assert backend.jobs == 3
+    def recording(point, trial_index):
+        calls.append(point.label)
+        return real(point, trial_index)
 
-    def test_serial_name_forces_serial(self):
-        assert isinstance(make_backend("serial", jobs=4), SerialBackend)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("rpc", jobs=1)
-
-    def test_queue_backend_requires_queue_dir(self):
-        with pytest.raises(ValueError, match="queue directory"):
-            make_backend("queue", jobs=1)
-
-    def test_spec_backend_knob_is_validated_and_consulted(self, spec):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SweepSpec(points=spec.points, backend="rpc")
-        queue_spec = SweepSpec(points=spec.points, backend="queue")
-        with pytest.raises(ValueError, match="queue directory"):
-            run_sweep(queue_spec)
-
-    def test_backend_is_not_part_of_the_content_address(self, spec):
-        relabelled = SweepSpec(points=spec.points, backend="serial")
-        for a, b in zip(spec.points, relabelled.points):
-            assert a.cache_key() == b.cache_key()
+    monkeypatch.setattr(executor_module, "_execute_point_trial", recording)
+    return calls
 
 
-class TestBackendEquivalence:
-    def test_serial_backend_matches_jobs_1(self, spec, serial_outcome):
-        outcome = run_sweep(spec, backend="serial")
-        assert outcome.trials_per_point == serial_outcome.trials_per_point
+class TestLocalBackend:
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            LocalBackend(0)
 
-    def test_process_backend_matches_jobs_1(self, spec, serial_outcome):
-        outcome = run_sweep(spec, jobs=2, backend="process")
-        assert outcome.trials_per_point == serial_outcome.trials_per_point
-        assert outcome.executed_trials == spec.total_trials
+    def test_jobs_1_runs_in_process_in_submit_order(self, spec, monkeypatch):
+        calls = _record_in_process_calls(monkeypatch)
+        backend = LocalBackend(1)
+        tasks = [
+            TrialTask(point_index=i, point=point, trial_index=0)
+            for i, point in enumerate(spec.points)
+        ]
+        backend.submit_trials(tasks)
+        results = list(backend.drain_results())
+        backend.close()
+        assert calls == [point.label for point in spec.points]
+        assert [r.point_index for r in results] == [0, 1]
 
-    def test_queue_backend_matches_jobs_1(self, tmp_path, spec, serial_outcome):
-        """An in-thread worker drains the queue; results merge bit-identically.
+    def test_pool_is_sized_by_pending_trials(self, spec, monkeypatch):
+        """A warm rerun with one missing trial forks no pool, whatever ``jobs``."""
+        calls = _record_in_process_calls(monkeypatch)
+        one = LocalBackend(8)
+        one.submit_trials([TrialTask(point_index=0, point=spec.points[0], trial_index=0)])
+        assert one.workers == 1
+        [result] = one.drain_results()
+        one.close()
+        assert calls == [spec.points[0].label]
+        assert result.trial_index == 0
 
-        (Detached multi-process workers — including a SIGKILL'd one — are
-        covered in ``test_queue_recovery.py``.)
-        """
-        queue_dir = tmp_path / "queue"
-        worker = threading.Thread(
-            target=run_worker,
-            args=(queue_dir,),
-            kwargs=dict(poll_interval=0.02, max_tasks=spec.total_trials),
-        )
-        worker.start()
+        three = LocalBackend(8)
+        tasks = [
+            TrialTask(point_index=i, point=point, trial_index=t)
+            for i, point in enumerate(spec.points)
+            for t in range(point.config.trials)
+        ][:3]
+        three.submit_trials(tasks)
         try:
-            outcome = run_sweep(
-                spec, backend="queue", queue_dir=queue_dir, queue_workers=0
-            )
+            assert three.workers == 3
+            finished = {(r.point_index, r.trial_index) for r in three.drain_results()}
+            assert finished == {(t.point_index, t.trial_index) for t in tasks}
         finally:
-            worker.join(timeout=120)
+            three.close()
+        assert calls == [spec.points[0].label]  # the three ran in the pool
+
+    def test_empty_submission_yields_nothing(self):
+        backend = LocalBackend(4)
+        backend.submit_trials([])
+        assert backend.workers == 1
+        assert list(backend.drain_results()) == []
+        assert backend.cancel() == []
+        backend.close()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_close_is_idempotent(self, spec, jobs):
+        backend = LocalBackend(jobs)
+        backend.submit_trials(
+            [TrialTask(point_index=0, point=spec.points[0], trial_index=t) for t in range(2)]
+        )
+        assert len(list(backend.drain_results())) == 2
+        backend.close()
+        backend.close()
+        assert backend.cancel() == []
+
+    def test_warm_rerun_missing_one_trial_forks_no_pool(
+        self, tmp_path, spec, serial_outcome, monkeypatch
+    ):
+        """The executor sizes its runner by the trials the cache is missing."""
+        run_sweep(SweepSpec(points=spec.points[:1]), cache_dir=tmp_path)
+        one_trial = dataclasses.replace(
+            spec.points[1],
+            config=dataclasses.replace(spec.points[1].config, trials=1),
+        )
+        sized: list[int] = []
+
+        class RecordingBackend(LocalBackend):
+            def submit_trials(self, tasks):
+                super().submit_trials(tasks)
+                sized.append(self.workers)
+
+        monkeypatch.setattr(executor_module, "LocalBackend", RecordingBackend)
+        outcome = run_sweep(
+            SweepSpec(points=(spec.points[0], one_trial)), jobs=8, cache_dir=tmp_path
+        )
+        assert sized == [1]
+        assert outcome.executed_trials == 1
+        assert outcome.trials_per_point[0] == serial_outcome.trials_per_point[0]
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_pool_matches_jobs_1(self, spec, serial_outcome, jobs):
+        outcome = run_sweep(spec, jobs=jobs)
         assert outcome.trials_per_point == serial_outcome.trials_per_point
         assert outcome.executed_trials == spec.total_trials
 
-    def test_warm_queue_serves_results_without_workers(
+    def test_jobs_is_not_part_of_the_content_address(self, tmp_path, spec, serial_outcome):
+        run_sweep(spec, jobs=1, cache_dir=tmp_path)
+        rerun = run_sweep(spec, jobs=2, cache_dir=tmp_path)
+        assert rerun.executed_trials == 0
+        assert rerun.cache_hits == len(spec.points)
+        assert rerun.trials_per_point == serial_outcome.trials_per_point
+
+
+class TestMergedShardCaches:
+    def test_disjoint_shards_merged_by_copying_serve_every_point(
         self, tmp_path, spec, serial_outcome
     ):
-        """Queue rows are durable and content-addressed: a second sweep over
-        the same queue directory needs no workers at all."""
-        queue_dir = tmp_path / "queue"
-        worker = threading.Thread(
-            target=run_worker,
-            args=(queue_dir,),
-            kwargs=dict(poll_interval=0.02, max_tasks=spec.total_trials),
-        )
-        worker.start()
-        try:
-            run_sweep(spec, backend="queue", queue_dir=queue_dir, queue_workers=0)
-        finally:
-            worker.join(timeout=120)
-        rerun = run_sweep(spec, backend="queue", queue_dir=queue_dir, queue_workers=0)
+        """Split a reproduction across machines: each shard runs its own
+        points into its own cache; the copied-together directory serves the
+        whole spec without running a trial."""
+        for index, point in enumerate(spec.points):
+            run_sweep(SweepSpec(points=(point,)), jobs=2, cache_dir=tmp_path / f"shard-{index}")
+        merged = tmp_path / "merged"
+        for index in range(len(spec.points)):
+            shutil.copytree(tmp_path / f"shard-{index}", merged, dirs_exist_ok=True)
+        rerun = run_sweep(spec, cache_dir=merged)
+        assert rerun.executed_trials == 0
+        assert rerun.cache_hits == len(spec.points)
         assert rerun.trials_per_point == serial_outcome.trials_per_point
 
 
@@ -189,7 +236,7 @@ class TestGracefulInterrupt:
         backend = _InterruptingBackend(yield_before_interrupt=spec.total_trials)
         cache = ResultCache(tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(spec, cache=cache, backend=backend)
+            ParallelExecutor(cache=cache, backend=backend).run(spec)
         assert backend.cancelled and backend.closed
         assert cache.stats.stores == len(spec.points)
         for point in spec.points:
@@ -201,229 +248,112 @@ class TestGracefulInterrupt:
         backend = _InterruptingBackend(yield_before_interrupt=1)
         cache = ResultCache(tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(spec, cache=cache, backend=backend)
+            ParallelExecutor(cache=cache, backend=backend).run(spec)
         assert cache.stats.stores == len(spec.points)
 
     def test_interrupted_sweep_resumes_from_cache(self, tmp_path, spec, serial_outcome):
         backend = _InterruptingBackend(yield_before_interrupt=1)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(spec, cache_dir=tmp_path, backend=backend)
+            ParallelExecutor(cache=ResultCache(tmp_path), backend=backend).run(spec)
         resumed = run_sweep(spec, cache_dir=tmp_path)
         assert resumed.executed_trials == 0
         assert resumed.trials_per_point == serial_outcome.trials_per_point
 
-
-class TestHeartbeats:
-    def test_format_heartbeat_renders_workers(self):
-        status = QueueStatus(
-            pending=3,
-            leased=2,
-            done=5,
-            dead=1,
-            workers=(WorkerLease(owner="host:42", tasks=2, lease_expires_at=1060.0),),
-        )
-        line = format_heartbeat(status, now=1000.0)
-        assert line == (
-            "[queue] 3 pending, 2 leased, 5 done, 1 dead"
-            " | workers: host:42 (2 leased, 60s left)"
-        )
-
-    def test_format_heartbeat_without_workers(self):
-        assert format_heartbeat(QueueStatus(pending=1)) == (
-            "[queue] 1 pending, 0 leased, 0 done, 0 dead"
-        )
-
-    def test_format_heartbeat_expired_lease_says_so(self):
-        """An expired lease renders as expired, never as '0s left'."""
-        status = QueueStatus(
-            leased=1,
-            workers=(WorkerLease(owner="host:9", tasks=1, lease_expires_at=900.0),),
-        )
-        line = format_heartbeat(status, now=1000.0)
-        assert "host:9 (1 leased, lease expired)" in line
-        assert "no live workers" in line
-        assert "0s left" not in line
-
-    def test_format_heartbeat_mixed_live_and_expired(self):
-        status = QueueStatus(
-            leased=2,
-            workers=(
-                WorkerLease(owner="host:1", tasks=1, lease_expires_at=950.0),
-                WorkerLease(owner="host:2", tasks=1, lease_expires_at=1030.0),
-            ),
-        )
-        line = format_heartbeat(status, now=1000.0)
-        assert "host:1 (1 leased, lease expired)" in line
-        assert "host:2 (1 leased, 30s left)" in line
-        assert "no live workers" not in line
-
-    def test_format_heartbeat_dead_only_queue(self):
-        """A queue with nothing runnable left points at the recovery path."""
-        line = format_heartbeat(QueueStatus(done=2, dead=3), now=1000.0)
-        assert line.startswith("[queue] 0 pending, 0 leased, 2 done, 3 dead")
-        assert "stalled" in line
-        assert "repro queue requeue --dead" in line
-
-    def test_format_heartbeat_null_owner_never_crashes(self):
-        status = QueueStatus(
-            leased=1,
-            workers=(WorkerLease(owner=None, tasks=1, lease_expires_at=0.0),),
-        )
-        line = format_heartbeat(status, now=1000.0)
-        assert "<unknown owner> (1 leased, lease expired)" in line
-
-    def test_status_tolerates_null_lease_columns(self, tmp_path):
-        """A leased row with NULL owner/expiry (interrupted write) must not
-        crash observation; it shows up as an already-expired lease."""
-        import sqlite3
-        from contextlib import closing
-
-        from repro.sweep import WorkQueue
-
-        queue = WorkQueue(tmp_path / "queue")
-        with closing(sqlite3.connect(queue.db_path)) as conn:
-            conn.execute(
-                "INSERT INTO tasks (task_key, point_key, trial_index, label,"
-                " point_blob, status, max_attempts, enqueued_at, updated_at)"
-                " VALUES ('x:00000', 'x', 0, 'hurt', X'00', 'leased', 3, 1.0, 1.0)"
-            )
-            conn.commit()
-        status = queue.status()
-        assert status.leased == 1
-        [lease] = status.workers
-        assert lease.owner is None
-        assert lease.lease_expires_at == 0.0
-        line = format_heartbeat(status, now=1000.0)
-        assert "no live workers" in line
-
-    def test_stream_reporter_exposes_heartbeat(self, capsys):
-        import io
-
-        from repro.sweep import StreamReporter
-
-        stream = io.StringIO()
-        StreamReporter(stream).heartbeat(QueueStatus(pending=2))
-        assert "[queue] 2 pending" in stream.getvalue()
-
-    def test_queue_backend_emits_heartbeats_while_waiting(self, tmp_path, spec):
-        beats: list[QueueStatus] = []
-        worker = threading.Thread(
-            target=run_worker,
-            args=(tmp_path / "queue",),
-            kwargs=dict(poll_interval=0.02, max_tasks=spec.total_trials),
-        )
-        worker.start()
-        try:
-
-            class _Progress:
-                def __call__(self, report):
-                    pass
-
-                def heartbeat(self, status):
-                    beats.append(status)
-
-            run_sweep(
-                spec,
-                backend="queue",
-                queue_dir=tmp_path / "queue",
-                queue_workers=0,
-                progress=_Progress(),
-            )
-        finally:
-            worker.join(timeout=120)
-        assert beats, "no heartbeat was emitted while waiting on remote workers"
-        assert all(isinstance(b, QueueStatus) for b in beats)
-
-
-def test_backend_names_are_stable():
-    # The CLI, SweepSpec validation and docs all name these three.
-    assert BACKEND_NAMES == ("serial", "process", "queue")
-
-
-class TestDetachedWorkersEndToEnd:
-    def test_fig4_queue_sweep_with_two_detached_workers_matches_serial(self, tmp_path):
-        """The acceptance path: a figure-4 sweep through ``QueueBackend``
-        with two spawned ``repro worker`` processes merges bit-identically
-        (atol=0) to the ``jobs=1`` serial run, under identical cache keys.
-        """
-        from repro.experiments.fig4_lambda import run_fig4
-
-        config = ExperimentConfig(
-            trials=1, seed=29, warmup_tasks=5, cooldown_tasks=5, task_scale=0.1
-        )
-        lambdas = (0.5, 0.9)
-        serial_cache = tmp_path / "serial-cache"
-        queued_cache = tmp_path / "queued-cache"
-        serial = run_fig4(config, lambdas=lambdas, cache_dir=serial_cache)
-        queued = run_fig4(
-            config,
-            lambdas=lambdas,
-            cache_dir=queued_cache,
-            backend="queue",
-            queue_dir=tmp_path / "queue",
-            queue_workers=2,
-        )
-        assert set(queued.series) == set(serial.series)
-        for key, series in serial.series.items():
-            assert queued.series[key].trials == series.trials  # bit-identical
-        # Identical sweep cache keys: both runs produced the same artefacts.
-        serial_keys = sorted(p.name for p in serial_cache.glob("??/*.json"))
-        queued_keys = sorted(p.name for p in queued_cache.glob("??/*.json"))
-        assert serial_keys == queued_keys and serial_keys
-
-
-class TestSpawnedWorkerFailure:
-    def test_dead_spawned_workers_fail_fast_with_log_pointer(
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the slow trial is patched in before the pool forks",
+    )
+    def test_interrupt_kills_pool_workers_running_abandoned_trials(
         self, tmp_path, spec, monkeypatch
     ):
-        """If every worker the backend spawned dies without draining the
-        queue, the sweep fails fast naming the logs instead of hanging."""
-        import sys
+        """Ctrl-C on a ``jobs > 1`` sweep returns at once: the workers still
+        running abandoned trials are gone when the sweep unwinds, and the
+        points that finished before the interrupt are in the cache."""
+        real = executor_module._execute_point_trial
 
-        from repro.sweep.backends import QueueBackend
-        from repro.sweep.executor import TrialTask
+        def slow_for_one_point(point, trial_index):
+            if point.label == "slow":
+                time.sleep(60)
+            return real(point, trial_index)
 
-        monkeypatch.setattr(sys, "executable", "/bin/false")
-        backend = QueueBackend(tmp_path / "queue", workers=2, poll_interval=0.02)
-        backend.submit_trials(
-            [TrialTask(point_index=0, point=spec.points[0], trial_index=0)]
+        monkeypatch.setattr(executor_module, "_execute_point_trial", slow_for_one_point)
+        slow = dataclasses.replace(
+            spec.points[0], label="slow", heuristic=HeuristicSpec("MOC")
         )
-        try:
-            with pytest.raises(RuntimeError, match="stranded pending"):
-                for _ in backend.drain_results():  # pragma: no cover - must raise
-                    pass
-        finally:
-            backend.close()
+        slow_spec = SweepSpec(points=spec.points + (slow,))
+        fast_labels = {point.label for point in spec.points}
+        reported: set[str] = set()
+
+        def interrupt_once_fast_points_finish(report):
+            reported.add(report.label)
+            if reported >= fast_labels:
+                raise KeyboardInterrupt
+
+        children_before = set(multiprocessing.active_children())
+        cache = ResultCache(tmp_path)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            ParallelExecutor(
+                jobs=2, cache=cache, progress=interrupt_once_fast_points_finish
+            ).run(slow_spec)
+        assert time.monotonic() - started < 30.0
+        assert set(multiprocessing.active_children()) <= children_before
+        for point in spec.points:
+            assert cache.load(point) is not None
+        assert cache.load(slow) is None
 
 
-class TestDeadLetterSurfacing:
-    def test_drain_raises_queue_task_error_for_dead_rows(self, tmp_path, spec):
-        """A trial that exhausted its attempts fails the sweep loudly, naming
-        the point and the recorded error (instead of hanging forever)."""
-        from repro.sweep import QueueTaskError, WorkQueue
-        from repro.sweep.backends import QueueBackend, TrialTask
+    def test_interrupt_inside_an_in_process_trial(self, tmp_path, spec, monkeypatch):
+        """Ctrl-C while ``jobs=1`` runs a trial: the points finished before it
+        are cached, and the rerun executes only the interrupted point."""
+        real = executor_module._execute_point_trial
 
-        queue = WorkQueue(tmp_path / "queue", max_attempts=1)
-        point = spec.points[0]
-        queue.enqueue(point, 0)
-        claimed = queue.claim("w")
-        queue.fail(claimed.task_key, "w", "ValueError: poisoned trial")
+        def interrupted_on_pam(point, trial_index):
+            if point.label == "PAM":
+                raise KeyboardInterrupt
+            return real(point, trial_index)
 
-        backend = QueueBackend(tmp_path / "queue", workers=0, poll_interval=0.02)
-        backend.submit_trials([TrialTask(point_index=0, point=point, trial_index=0)])
-        with pytest.raises(QueueTaskError, match="poisoned trial"):
-            for _ in backend.drain_results():  # pragma: no cover - must raise
-                pass
-        backend.close()
+        monkeypatch.setattr(executor_module, "_execute_point_trial", interrupted_on_pam)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, cache_dir=tmp_path)
+        cache = ResultCache(tmp_path)
+        assert cache.load(spec.points[0]) is not None
+        assert cache.load(spec.points[1]) is None
+
+        monkeypatch.setattr(executor_module, "_execute_point_trial", real)
+        resumed = run_sweep(spec, cache_dir=tmp_path)
+        assert resumed.executed_trials == spec.points[1].config.trials
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trial_error_propagates_and_leaves_no_worker(
+        self, tmp_path, spec, monkeypatch, jobs
+    ):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the failing trial is patched in before the pool forks")
+        real = executor_module._execute_point_trial
+
+        def failing_for_one_point(point, trial_index):
+            if point.label == "bad":
+                raise ValueError("bad trial")
+            return real(point, trial_index)
+
+        monkeypatch.setattr(executor_module, "_execute_point_trial", failing_for_one_point)
+        bad = dataclasses.replace(spec.points[0], label="bad", heuristic=HeuristicSpec("MOC"))
+        children_before = set(multiprocessing.active_children())
+        cache = ResultCache(tmp_path)
+        with pytest.raises(ValueError, match="bad trial"):
+            run_sweep(SweepSpec(points=spec.points + (bad,)), jobs=jobs, cache=cache)
+        assert set(multiprocessing.active_children()) <= children_before
+        assert cache.load(bad) is None
+        if jobs == 1:  # in submit order, so every earlier point finished
+            assert all(cache.load(point) is not None for point in spec.points)
 
 
 class TestDuplicateContentAddresses:
-    def test_points_sharing_a_content_address_all_receive_results(
-        self, tmp_path, config
-    ):
+    def test_points_sharing_a_content_address_all_receive_results(self, config):
         """Labels are excluded from cache keys, so a grid can contain points
-        with identical content addresses; one physical queue row must then
-        feed every such point (not just the last one submitted)."""
+        with identical content addresses; a pool sweep must populate every
+        such point (not just the last one submitted)."""
         pet = PETSpec(kind="spec", seed=config.seed)
         workload = workload_for_level("34k", config)
         twins = SweepSpec(
@@ -440,18 +370,6 @@ class TestDuplicateContentAddresses:
         )
         assert twins.points[0].cache_key() == twins.points[1].cache_key()
         serial = run_sweep(twins, jobs=1)
-
-        worker = threading.Thread(
-            target=run_worker,
-            args=(tmp_path / "queue",),
-            kwargs=dict(poll_interval=0.02, max_tasks=config.trials),  # one row set
-        )
-        worker.start()
-        try:
-            outcome = run_sweep(
-                twins, backend="queue", queue_dir=tmp_path / "queue", queue_workers=0
-            )
-        finally:
-            worker.join(timeout=120)
+        outcome = run_sweep(twins, jobs=2)
         assert outcome.trials_per_point == serial.trials_per_point
         assert all(outcome.trials_per_point)  # both twins populated

@@ -57,6 +57,36 @@ def trace_point() -> SweepPoint:
     )
 
 
+#: Artefact bodies a cache must count as corrupt rather than crash on: raw
+#: text, or an edit of a well-formed artefact's payload.  An integer field
+#: of ``1e999`` (written back as ``Infinity``) loads as ``inf``, which no
+#: ``int`` can hold.
+MALFORMED = {
+    "torn": "{ torn mid-write",
+    "list": "[]",
+    "string": '"x"',
+    "null": "null",
+    "number": "42",
+    "int-overflow": lambda payload: payload["trials"][0].update(completed_on_time=1e999),
+    "trials-not-a-list": lambda payload: payload.update(trials=5),
+    "trial-not-an-object": lambda payload: payload.update(trials=[1, 2]),
+    "field-missing": lambda payload: payload["trials"][0].pop("total_cost"),
+    "field-not-a-number": lambda payload: payload["trials"][0].update(total_cost="abc"),
+    "per-type-not-a-list": lambda payload: payload["trials"][0].update(
+        per_type_completion_percent=None
+    ),
+}
+MALFORMED_BODIES = pytest.mark.parametrize("body", list(MALFORMED.values()), ids=list(MALFORMED))
+
+
+def malformed_text(body, cache: ResultCache, point: SweepPoint) -> str:
+    if isinstance(body, str):
+        return body
+    payload = json.loads(cache.store(point, make_trials(point.config.trials)).read_text())
+    body(payload)
+    return json.dumps(payload)
+
+
 def make_trials(n: int) -> list[TrialMetrics]:
     return [
         TrialMetrics(
@@ -98,11 +128,13 @@ class TestResultCache:
         cache.store(point, make_trials(1))  # wrong count vs config.trials == 2
         assert cache.load(point) is None
 
-    def test_corrupt_artifact_is_a_miss(self, tmp_path, point):
+    @MALFORMED_BODIES
+    def test_corrupt_artifact_is_a_miss(self, tmp_path, point, body):
         cache = ResultCache(tmp_path)
+        text = malformed_text(body, cache, point)
         path = cache.path_for(point)
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
         assert cache.load(point) is None
 
     def test_no_stray_tmp_files_after_store(self, tmp_path, point):
@@ -178,6 +210,29 @@ class TestCacheKeyBackendAndWindowFields:
         assert cache.load(numba_point) == make_trials(2)
 
 
+class TestSweepOverMalformedArtefacts:
+    @MALFORMED_BODIES
+    def test_sweep_resimulates_and_overwrites_the_point(self, tmp_path, point, body):
+        """A malformed artefact is a miss: the sweep re-runs that point and
+        stores a good artefact in its place."""
+        from repro.sweep import SweepSpec, run_sweep
+
+        point = replace(
+            point, config=ExperimentConfig(trials=2, seed=5, warmup_tasks=5, cooldown_tasks=5)
+        )
+        spec = SweepSpec(points=(point,))
+        cold = run_sweep(spec, cache_dir=tmp_path)
+        cache = ResultCache(tmp_path)
+        text = malformed_text(body, cache, point)
+        cache.path_for(point).write_text(text)
+
+        rerun = run_sweep(spec, cache_dir=tmp_path)
+        assert rerun.cache_misses == 1
+        assert rerun.executed_trials == point.config.trials
+        assert rerun.trials_per_point == cold.trials_per_point
+        assert ResultCache(tmp_path).load(point) == cold.trials_per_point[0]
+
+
 class TestTrialMetricsPayload:
     def test_roundtrip(self):
         trial = make_trials(1)[0]
@@ -190,24 +245,28 @@ class TestTrialMetricsPayload:
 
 
 class TestCacheMaintenance:
-    def test_entries_flag_corrupt_artefacts(self, tmp_path, point):
+    @MALFORMED_BODIES
+    def test_entries_flag_corrupt_artefacts(self, tmp_path, point, body):
         cache = ResultCache(tmp_path)
+        text = malformed_text(body, cache, point)
         good = cache.store(point, make_trials(2))
         bad = tmp_path / "ab" / "deadbeef.json"
         bad.parent.mkdir(parents=True)
-        bad.write_text("{ torn mid-write")
+        bad.write_text(text)
         entries = {e.key: e for e in cache.entries()}
         assert entries[good.stem].readable
         assert entries[good.stem].label == "demo"
         assert entries[good.stem].trials == 2
         assert not entries["deadbeef"].readable
 
-    def test_disk_stats_and_gc(self, tmp_path, point):
+    @MALFORMED_BODIES
+    def test_disk_stats_and_gc(self, tmp_path, point, body):
         cache = ResultCache(tmp_path)
+        text = malformed_text(body, cache, point)
         path = cache.store(point, make_trials(2))
         bad = tmp_path / "ab" / "deadbeef.json"
         bad.parent.mkdir(parents=True)
-        bad.write_text("{ torn mid-write")
+        bad.write_text(text)
 
         stats = cache.disk_stats()
         assert stats["entries"] == 2

@@ -11,6 +11,9 @@ The two guarantees the subsystem is built on:
 
 from __future__ import annotations
 
+import io
+import math
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig, workload_for_level
@@ -20,7 +23,9 @@ from repro.sweep import (
     HeuristicSpec,
     ParallelExecutor,
     PETSpec,
+    PointReport,
     ResultCache,
+    StreamReporter,
     SweepPoint,
     SweepSpec,
     pet_for,
@@ -129,6 +134,34 @@ class TestProgress:
         outcome = run_sweep(spec)
         assert len(outcome.reports) == len(spec.points)
         assert {r.key for r in outcome.reports} == {p.cache_key() for p in spec.points}
+
+    @pytest.mark.parametrize(
+        ("cached", "seconds", "source"), [(False, 12.34, " 12.3s"), (True, 0.0, "cache")]
+    )
+    def test_stream_reporter_writes_one_aligned_line(self, cached, seconds, source):
+        stream = io.StringIO()
+        StreamReporter(stream)(
+            PointReport(
+                index=0,
+                total=12,
+                label="34k,PAM",
+                key="k",
+                cached=cached,
+                trials=3,
+                mean_robustness=61.5,
+                seconds=seconds,
+            )
+        )
+        assert stream.getvalue() == (
+            f"[  1/12] {'34k,PAM':<32} robustness  61.50%  (3 trials, {source})\n"
+        )
+
+    def test_report_of_no_trials_has_nan_mean(self):
+        report = PointReport.from_trials(
+            [], index=0, total=1, label="x", key="k", cached=False, seconds=0.0
+        )
+        assert report.trials == 0
+        assert math.isnan(report.mean_robustness)
 
 
 class TestValidation:

@@ -227,6 +227,34 @@ class TestSweepCommand:
         assert captured.err == ""
 
 
+    @pytest.mark.parametrize("command", ["figure", "sweep"])
+    def test_jobs_2_prints_the_jobs_1_tables(self, command, capsys):
+        argv = [command, "9", "--trials", "2", "--task-scale", "0.3"]
+        if command == "sweep":
+            argv.append("--quiet")
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "4", "--queue-dir", "q"],
+            ["figure", "4", "--queue-workers", "2"],
+            ["trace", "replay", "t.json", "--queue-dir", "q"],
+            ["worker", "--queue-dir", "q"],
+            ["queue", "status", "--queue-dir", "q"],
+        ],
+        ids=["queue-dir", "queue-workers", "replay-queue-dir", "worker", "queue"],
+    )
+    def test_only_jobs_and_cache_dir_choose_how_trials_run(self, argv):
+        """Trials run in-process or in a pool, chosen by ``--jobs``; there is
+        no work-queue option or worker command to select."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+
 class TestTraceCommand:
     def test_record_inspect_replay_round_trip(self, tmp_path, capsys):
         trace_file = tmp_path / "recorded.trace.json"
@@ -279,6 +307,23 @@ class TestTraceCommand:
         assert main(argv) == 0
         captured = capsys.readouterr().out
         assert "0 trials executed" in captured
+
+    def test_replay_jobs_2_matches_jobs_1(self, capsys):
+        argv = [
+            "trace",
+            "replay",
+            "examples/transcoding_660.trace.json",
+            "--heuristics",
+            "PAMF",
+            "MM",
+            "--trials",
+            "2",
+            "--quiet",
+        ]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
     def test_record_synthetic_workload(self, tmp_path, capsys):
         trace_file = tmp_path / "synthetic.trace.json"
@@ -380,90 +425,6 @@ class TestTraceCommand:
             main(["trace", "inspect", str(trace_file)])
 
 
-class TestWorkerAndQueueCommands:
-    def test_parser_accepts_backend_arguments(self):
-        args = build_parser().parse_args(
-            ["sweep", "4", "--backend", "queue", "--queue-dir", "q/", "--queue-workers", "2"]
-        )
-        assert args.backend == "queue"
-        assert args.queue_dir == "q/"
-        assert args.queue_workers == 2
-
-    def test_backend_defaults_to_process(self):
-        args = build_parser().parse_args(["sweep", "4"])
-        assert args.backend == "process"
-        assert args.queue_dir is None
-        assert args.queue_workers is None
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "4", "--backend", "rpc"])
-
-    def test_backend_choices_are_the_sweep_registry(self):
-        # The parser spells the names out so it need not import repro.sweep.
-        from repro import cli, sweep
-
-        assert cli._SWEEP_BACKEND_NAMES == sweep.BACKEND_NAMES
-
-    def test_queue_backend_requires_queue_dir(self, tmp_path):
-        with pytest.raises(SystemExit, match="--queue-dir"):
-            main(["sweep", "4", "--backend", "queue", "--trials", "1"])
-        with pytest.raises(SystemExit, match="--queue-dir"):
-            main(
-                [
-                    "trace",
-                    "replay",
-                    "examples/transcoding_660.trace.json",
-                    "--backend",
-                    "queue",
-                ]
-            )
-
-    def test_worker_exits_when_queue_is_empty(self, tmp_path, capsys):
-        exit_code = main(
-            [
-                "worker",
-                "--queue-dir",
-                str(tmp_path / "queue"),
-                "--exit-when-empty",
-                "--quiet",
-            ]
-        )
-        assert exit_code == 0
-        assert "executed 0 trial(s)" in capsys.readouterr().out
-
-    def test_queue_status_requeue_drain_round_trip(self, tmp_path, capsys):
-        from repro.experiments.config import ExperimentConfig
-        from repro.sweep import HeuristicSpec, PETSpec, SweepPoint, WorkQueue
-        from repro.workload.generator import WorkloadConfig
-
-        queue_dir = tmp_path / "queue"
-        queue = WorkQueue(queue_dir)
-        config = ExperimentConfig(trials=2, seed=5)
-        point = SweepPoint(
-            label="demo",
-            pet=PETSpec(kind="spec", seed=5),
-            heuristic=HeuristicSpec(name="MM"),
-            workload=WorkloadConfig(num_tasks=40, time_span=300, beta=1.5),
-            config=config,
-        )
-        queue.enqueue_point(point)
-        queue.claim("cli-worker")
-
-        assert main(["queue", "status", "--queue-dir", str(queue_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "pending | 1" in out
-        assert "leased  | 1" in out
-        assert "cli-worker" in out
-
-        assert main(["queue", "requeue", "--queue-dir", str(queue_dir)]) == 0
-        assert "requeued 0 trial(s)" in capsys.readouterr().out
-
-        assert main(["queue", "drain", "--queue-dir", str(queue_dir)]) == 0
-        assert "drained 2" in capsys.readouterr().out
-        assert queue.status().total == 0
-
-
 class TestCacheCommands:
     @staticmethod
     def _store_artefact(cache_dir, seed=5):
@@ -560,6 +521,22 @@ class TestCacheCommands:
         assert "removed 2 artefact(s)" in capsys.readouterr().out
         assert current.exists()
         assert not any(path.exists() for path in legacy_paths)
+
+    @pytest.mark.parametrize("body", ["[]", '"x"', "null"])
+    def test_cache_stats_and_gc_count_malformed_artefacts_as_corrupt(
+        self, tmp_path, capsys, body
+    ):
+        good = self._store_artefact(tmp_path)
+        bad = tmp_path / "ab" / f"{0:064x}.json"
+        bad.parent.mkdir()
+        bad.write_text(body)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "entries            : 2" in out
+        assert "corrupt            : 1" in out
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 1 artefact(s)" in capsys.readouterr().out
+        assert good.exists() and not bad.exists()
 
     def test_cache_gc_has_no_backend_filter(self, tmp_path):
         with pytest.raises(SystemExit):
