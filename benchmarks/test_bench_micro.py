@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from _artefacts import record_bench
 
-from repro.core.batch import PMFBatch, batched_success_probability, pack_impulses
+from repro.core.batch import PMFBatch, batched_success_probability
 from repro.core.completion import DroppingPolicy, queue_completion_pmfs
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.registry import make_heuristic
@@ -163,99 +163,6 @@ def test_bench_batched_mapping_event_scoring(benchmark, spec_pet):
         },
     )
     assert speedup >= 3.0, f"batched scoring only {speedup:.2f}x faster than scalar"
-
-
-def test_bench_kernel_backend_matrix(benchmark, spec_pet):
-    """Per-backend timings of the two hottest kernels at paper scale.
-
-    Every *installed* kernel backend (absent optional backends are skipped,
-    so the NumPy-only core CI lane still runs this) is checked for
-    bit-identity against the NumPy reference and then timed on:
-
-    * the ScoreTable fill — ``success_probability`` over the full 12-type x
-      8-machine SPEC PET against 200 queued tasks, and
-    * the ragged convolve — 200 PET rows each convolved with its own
-      sparse (aggregated) availability kernel (``convolve_ragged``, which
-      no longer has a caller in ``src/``; the perf ledger still times it).
-
-    One merged ``kernel_backends`` row per backend lands in
-    ``BENCH_micro.json``; the rows are recorded, not gated.
-    """
-    from repro.core.kernels import available_backends, get_backend
-
-    rng = np.random.default_rng(21)
-    n_machines = spec_pet.num_machines
-    n_tasks = 200
-    availabilities = [
-        DiscretePMF.from_samples(rng.gamma(2.0, 60.0, size=400))
-        .shift(int(rng.integers(0, 50)))
-        .aggregate(32)
-        for _ in range(n_machines)
-    ]
-    types = rng.integers(0, spec_pet.num_task_types, size=n_tasks)
-    deadlines = rng.integers(100, 1200, size=n_tasks)
-    packed = pack_impulses(availabilities)
-    cdf_table = spec_pet.cdf_table()
-
-    pets = [spec_pet.get(int(types[i]), i % n_machines) for i in range(n_tasks)]
-    pet_batch = PMFBatch.from_pmfs(pets)
-    ragged_kernels = [
-        DiscretePMF.from_samples(rng.gamma(2.0, 60.0, size=400))
-        .shift(int(rng.integers(0, 50)))
-        .aggregate(32)
-        for _ in range(n_tasks)
-    ]
-
-    def best_of(fn, repeats):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    reference = get_backend("numpy")
-    ref_grid = reference.success_probability(*packed, cdf_table, types, deadlines)
-    ref_conv = reference.convolve_ragged(pet_batch, ragged_kernels)
-
-    rows: dict[str, dict[str, float]] = {}
-    for name in available_backends():
-        backend = get_backend(name)
-
-        def score():
-            return backend.success_probability(*packed, cdf_table, types, deadlines)
-
-        def ragged():
-            return backend.convolve_ragged(pet_batch, ragged_kernels)
-
-        # Bit-identity first; the first call also warms lazy jit
-        # compilation out of the timed region.
-        grid, conv = score(), ragged()
-        assert np.array_equal(grid, ref_grid), name
-        assert conv.offset == ref_conv.offset
-        assert np.array_equal(conv.probs, ref_conv.probs), name
-
-        rows[name] = {
-            "score_table_ms": round(best_of(score, 5) * 1e3, 3),
-            "ragged_convolve_ms": round(best_of(ragged, 5) * 1e3, 3),
-        }
-
-    for name, row in rows.items():
-        row["score_table_speedup_vs_numpy"] = round(
-            rows["numpy"]["score_table_ms"] / row["score_table_ms"], 2
-        )
-        row["ragged_convolve_speedup_vs_numpy"] = round(
-            rows["numpy"]["ragged_convolve_ms"] / row["ragged_convolve_ms"], 2
-        )
-
-    grid = benchmark.pedantic(
-        lambda: reference.success_probability(*packed, cdf_table, types, deadlines),
-        rounds=3,
-        iterations=1,
-    )
-    assert grid.shape == (n_tasks, n_machines)
-    benchmark.extra_info["backends"] = rows
-    record_bench("kernel_backends", {"backends": rows})
 
 
 def test_bench_obs_overhead(benchmark, spec_pet):

@@ -78,7 +78,6 @@ from . import (
     make_heuristic,
     simulate,
 )
-from .core.kernels import KERNEL_BACKEND_NAMES
 from .heuristics.registry import HEURISTIC_NAMES
 from .simulator.engine import SimulatorConfig
 from .utils.tables import format_table
@@ -152,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batched scheduling-round window in time units "
         "(0 = map at every event, the paper's protocol)",
     )
-    _add_kernel_backend_argument(sim)
     _add_obs_arguments(sim)
 
     fig = subparsers.add_parser("figure", help="regenerate one evaluation figure")
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="batched scheduling-round window in time units (0 = per-event)",
     )
-    _add_kernel_backend_argument(replay)
     replay.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     replay.add_argument("--cache-dir", default=None, help="content-addressed result cache root")
     replay.add_argument(
@@ -297,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="batched scheduling-round window in time units (0 = per-event)",
     )
-    _add_kernel_backend_argument(serve_run)
     _add_obs_arguments(serve_run)
     serve_run.add_argument(
         "--drain-grace",
@@ -432,7 +428,6 @@ def _add_figure_run_arguments(parser: argparse.ArgumentParser) -> None:
         help="batched scheduling-round window in time units (0 = per-event, "
         "the paper's protocol; folded into the result cache key)",
     )
-    _add_kernel_backend_argument(parser)
     _add_obs_arguments(parser)
     parser.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
     parser.add_argument("--cache-dir", default=None, help="content-addressed result cache root")
@@ -499,18 +494,6 @@ def _obs_session(args: argparse.Namespace):
             print(f"wrote obs snapshot: {path}", file=sys.stderr)
 
 
-def _add_kernel_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """Kernel-backend selection shared by every command that runs the engine."""
-    parser.add_argument(
-        "--kernel-backend",
-        choices=KERNEL_BACKEND_NAMES,
-        default=None,
-        help="PMF kernel backend the engine dispatches through (default: "
-        "$REPRO_KERNEL_BACKEND, else numpy; numba needs the optional numba "
-        "package)",
-    )
-
-
 def _command_simulate(args: argparse.Namespace) -> int:
     if args.workload == "spec":
         pet = build_spec_pet(rng=args.seed)
@@ -519,14 +502,10 @@ def _command_simulate(args: argparse.Namespace) -> int:
     workload = WorkloadConfig(num_tasks=args.tasks, time_span=args.span, beta=args.beta)
     trace = generate_workload(workload, pet, rng=args.seed + 1)
     heuristic = make_heuristic(args.heuristic, num_task_types=pet.num_task_types)
-    config = SimulatorConfig(
-        batch_window=args.batch_window, kernel_backend=args.kernel_backend
-    )
+    config = SimulatorConfig(batch_window=args.batch_window)
     result = simulate(pet, heuristic, trace, config=config, rng=args.seed + 2)
 
     print(f"heuristic          : {args.heuristic}")
-    if args.kernel_backend is not None:
-        print(f"kernel backend     : {args.kernel_backend}")
     if args.batch_window:
         print(
             "engine mode        : "
@@ -566,7 +545,6 @@ def _run_figure(
         seed=args.seed,
         task_scale=args.task_scale,
         batch_window=args.batch_window,
-        kernel_backend=args.kernel_backend,
     )
     extra: dict[str, object] = {}
     if getattr(args, "trace", None) is not None:
@@ -691,7 +669,6 @@ def _command_trace_replay(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         batch_window=args.batch_window,
-        kernel_backend=args.kernel_backend,
     )
     pet_spec = PETSpec(kind=args.pet, seed=config.seed)
     pet = pet_for(pet_spec)
@@ -774,9 +751,7 @@ def _command_serve_run(args: argparse.Namespace) -> int:
     from .serve import build_service
 
     pet = _serve_pet(args)
-    sim_config = SimulatorConfig(
-        batch_window=args.batch_window, kernel_backend=args.kernel_backend
-    )
+    sim_config = SimulatorConfig(batch_window=args.batch_window)
 
     async def host() -> tuple[dict, BaseException | None]:
         service = build_service(
@@ -791,8 +766,6 @@ def _command_serve_run(args: argparse.Namespace) -> int:
         )
         await service.start()
         mode = f" (batched rounds, window {args.batch_window})" if args.batch_window else ""
-        if args.kernel_backend is not None:
-            mode += f" [kernel backend {args.kernel_backend}]"
         if args.workers > 1:
             mode += f" [{args.workers} sharded workers]"
         print(

@@ -27,18 +27,6 @@ from .completion import (
     queue_completion_pmfs,
     start_pmf_for_idle_machine,
 )
-from .kernels import (
-    KERNEL_BACKEND_NAMES,
-    KernelBackend,
-    KernelBackendUnavailable,
-    NumbaBackend,
-    NumpyBackend,
-    active_backend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-    use_backend,
-)
 from .pmf import MASS_TOLERANCE, DiscretePMF
 from .robustness import (
     queue_success_probabilities,
@@ -58,16 +46,6 @@ __all__ = [
     "batched_convolve_ragged",
     "batched_success_probability",
     "batched_expected_completion",
-    "KERNEL_BACKEND_NAMES",
-    "KernelBackend",
-    "KernelBackendUnavailable",
-    "NumpyBackend",
-    "NumbaBackend",
-    "active_backend",
-    "available_backends",
-    "get_backend",
-    "resolve_backend",
-    "use_backend",
     "DroppingPolicy",
     "completion_pmf",
     "pct_no_drop",

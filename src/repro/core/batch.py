@@ -535,38 +535,6 @@ def pack_batch(batch: PMFBatch) -> tuple[np.ndarray, np.ndarray]:
     return batch.offset + order, np.take_along_axis(batch.probs, order, axis=1)
 
 
-def success_probability_operands(
-    n_slots: int,
-    type_indices: np.ndarray,
-    deadlines: np.ndarray,
-    machine_indices: np.ndarray | None,
-    pairs: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-result ``(types, deadlines, machines, slots)`` of one scoring call.
-
-    Every backend's validation and indexing: the four arrays broadcast to
-    the result shape — ``(n_tasks, n_slots)`` for the grid, ``(n_pairs,)``
-    for a pair list — and give each result its task's type and deadline,
-    its PET column and its row of the packed operand.
-    """
-    type_indices = np.asarray(type_indices, dtype=np.int64)
-    deadlines = np.asarray(deadlines, dtype=np.int64)
-    if machine_indices is None:
-        machine_indices = np.arange(n_slots, dtype=np.int64)
-    else:
-        machine_indices = np.asarray(machine_indices, dtype=np.int64)
-    if machine_indices.size != n_slots:
-        raise ValueError(
-            "availability must have one row per entry of machine_indices "
-            f"(got {n_slots} rows for {machine_indices.size} machines)"
-        )
-    if pairs is None:
-        slots = np.arange(n_slots, dtype=np.int64)[None, :]
-        return type_indices[:, None], deadlines[:, None], machine_indices[None, :], slots
-    rows, slots = pairs
-    return type_indices[rows], deadlines[rows], machine_indices[slots], slots
-
-
 def packed_success_probability(
     start_times: np.ndarray,
     start_probs: np.ndarray,
@@ -615,10 +583,26 @@ def packed_success_probability(
         reduction is a :func:`sequential_sum` over the machine's own
         impulses in ascending time, and padding adds exact zeros.
     """
-    types, deadline, machines, slots = success_probability_operands(
-        start_times.shape[0], type_indices, deadlines, machine_indices, pairs
-    )
-    if pairs is not None:  # (n_pairs, K); the grid broadcasts (n_slots, K) as it is
+    n_slots = start_times.shape[0]
+    type_indices = np.asarray(type_indices, dtype=np.int64)
+    deadlines = np.asarray(deadlines, dtype=np.int64)
+    if machine_indices is None:
+        machine_indices = np.arange(n_slots, dtype=np.int64)
+    else:
+        machine_indices = np.asarray(machine_indices, dtype=np.int64)
+    if machine_indices.size != n_slots:
+        raise ValueError(
+            "availability must have one row per entry of machine_indices "
+            f"(got {n_slots} rows for {machine_indices.size} machines)"
+        )
+    # Each result's task type and deadline and its PET column, broadcast to
+    # the result shape: (n_tasks, n_slots) for the grid, (n_pairs,) for a list.
+    if pairs is None:  # the grid broadcasts the (n_slots, K) operand as it is
+        types, deadline = type_indices[:, None], deadlines[:, None]
+        machines = machine_indices[None, :]
+    else:  # (n_pairs, K)
+        rows, slots = pairs
+        types, deadline, machines = type_indices[rows], deadlines[rows], machine_indices[slots]
         start_times, start_probs = start_times[slots], start_probs[slots]
     entry = execution.entries[types * execution.n_machines + machines]
     # Integer "time budget left for execution" of every (pair, impulse).

@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from ..core.kernels import KERNEL_BACKEND_NAMES
 from ..workload.generator import WorkloadConfig
 
 __all__ = [
@@ -90,10 +89,8 @@ class ExperimentConfig:
     #: paper's per-event mapping protocol.  Folded into sweep cache keys —
     #: batched-round results never collide with per-event entries.
     batch_window: int = 0
-    #: Kernel backend forwarded to the simulator (``None`` = process-wide
-    #: selection: ``REPRO_KERNEL_BACKEND`` or the ``numpy`` reference).
-    #: Excluded from sweep cache keys: both backends are bit-identical, so
-    #: a ``numba`` run shares the cache entries of its ``numpy`` twin.
+    #: Accepted for callers that still name the kernels: ``None`` or
+    #: ``"numpy"``, which are the same.  Never read, and never in a cache key.
     kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -105,11 +102,8 @@ class ExperimentConfig:
             raise ValueError("task_scale must be positive")
         if self.batch_window < 0:
             raise ValueError("batch_window must be non-negative")
-        if self.kernel_backend is not None and self.kernel_backend not in KERNEL_BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; expected one "
-                f"of {KERNEL_BACKEND_NAMES}"
-            )
+        if self.kernel_backend not in (None, "numpy"):
+            raise ValueError(f"kernel_backend must be None or 'numpy', not {self.kernel_backend!r}")
 
     @classmethod
     def for_scale(cls, scale: ExperimentScale) -> "ExperimentConfig":

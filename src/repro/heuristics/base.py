@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.kernels import active_backend
+from ..core.batch import packed_success_probability
 from ..core.pmf import DiscretePMF
 from ..obs.telemetry import active as obs_active
 from ..simulator.mapping import MappingContext, MappingDecision
@@ -183,24 +183,25 @@ class ScoreTable:
     event is never rescored at all.  Values are bit-identical however the
     pairs are cut into calls (:func:`~repro.core.batch.packed_success_probability`).
 
-    A different PET, kernel backend or machine count starts the table over.
+    A different PET or machine count starts the table over.
     """
 
     def __init__(self) -> None:
         #: What the scores were computed with; anything else starts over.
         self._cdf_table = None
-        self._kernels = None
         self.m = 0
         self._virtual: VirtualSystemState | None = None
         self._dirty: set[int] = set()
+        #: The enabled telemetry of the fill or rescore in progress, else None.
+        self._obs = None
         #: (task, machine) pairs handed to the kernel / carried over since
         #: the latest fill began.
         self.pairs_scored = 0
         self.pairs_reused = 0
 
-    def _restart(self, pet, cdf_table, kernels, m: int) -> None:
+    def _restart(self, pet, cdf_table, m: int) -> None:
         """Forget every row and column."""
-        self._cdf_table, self._kernels, self.m = cdf_table, kernels, m
+        self._cdf_table, self.m = cdf_table, m
         self._pet_means = pet.mean_execution_times()[:, :m]
         self.machine_open = np.zeros(m, dtype=bool)
         #: Per column, the availability object its scores were computed
@@ -239,10 +240,13 @@ class ScoreTable:
         obs = obs_active()
         if obs.enabled:
             start_ns = perf_counter_ns()
+            self._obs = obs
+        else:
+            self._obs = None
         pet = context.pet
-        cdf_table, kernels, m = pet.cdf_table(), active_backend(), len(context.machines)
-        if cdf_table is not self._cdf_table or kernels is not self._kernels or m != self.m:
-            self._restart(pet, cdf_table, kernels, m)
+        cdf_table, m = pet.cdf_table(), len(context.machines)
+        if cdf_table is not self._cdf_table or m != self.m:
+            self._restart(pet, cdf_table, m)
         self._virtual = virtual
         self._dirty.clear()
         self.pairs_scored = self.pairs_reused = 0
@@ -345,9 +349,12 @@ class ScoreTable:
 
     def _score(self, rows: np.ndarray, columns: np.ndarray) -> None:
         """One kernel call over the listed (slot, machine) pairs, and their completions."""
+        obs = self._obs
+        if obs is not None:
+            start_ns = perf_counter_ns()
         width = int(self._widths[columns].max())
         n = self.n
-        self.robustness[rows, columns] = self._kernels.success_probability(
+        self.robustness[rows, columns] = packed_success_probability(
             self._start_times[:, :width],
             self._start_probs[:, :width],
             self._cdf_table,
@@ -356,12 +363,12 @@ class ScoreTable:
             None,
             (rows, columns),
         )
-        # Pair-list form of the op: one availability mean per listed pair.
-        completion = self._kernels.expected_completion(
-            self._means[columns], self.mean_execution[rows, columns]
-        )[0]
-        # A zero-mass availability has no expected start time; such machines
-        # can never complete anything (robustness is already exactly 0).
+        if obs is not None:
+            obs.add_span("kernel.success_probability", start_ns, perf_counter_ns() - start_ns)
+        # Linearity of expectation: availability mean + execution mean.  A
+        # zero-mass availability has no expected start time (nan); such
+        # machines can never complete anything (robustness is already 0).
+        completion = self._means[columns] + self.mean_execution[rows, columns]
         completion[np.isnan(completion)] = np.inf
         self.completion[rows, columns] = completion
         self.pairs_scored += rows.size
@@ -386,6 +393,9 @@ class ScoreTable:
         if obs.enabled:
             start_ns = perf_counter_ns()
             scored_before = self.pairs_scored
+            self._obs = obs
+        else:
+            self._obs = None
         self._refresh(dirty, self.n)
         if obs.enabled:
             obs.add_span(

@@ -79,13 +79,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..core.completion import DroppingPolicy
-from ..core.kernels import (
-    KERNEL_BACKEND_NAMES,
-    InstrumentedBackend,
-    active_backend,
-    resolve_backend,
-    use_backend,
-)
 from ..obs.telemetry import NULL_TELEMETRY
 from ..obs.telemetry import active as obs_active
 from ..pet.matrix import PETMatrix
@@ -173,11 +166,8 @@ class SimulatorConfig:
     #: amortises kernel calls on large traces at the cost of bounded extra
     #: mapping latency (at most ``W`` time units per task).
     batch_window: int = 0
-    #: Kernel backend the engine's event loops dispatch through (one of
-    #: :data:`repro.core.kernels.KERNEL_BACKEND_NAMES`).  ``None`` (default)
-    #: keeps the process-wide selection — the ``REPRO_KERNEL_BACKEND``
-    #: environment variable or the ``numpy`` reference.  The backend only
-    #: changes *how* the kernels run: both backends are bit-identical.
+    #: Accepted for callers that still name the kernels: ``None`` or
+    #: ``"numpy"``, which are the same; the kernels are :mod:`repro.core.batch`.
     kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -187,11 +177,8 @@ class SimulatorConfig:
             raise ValueError("max_impulses must be at least one (or None)")
         if self.batch_window < 0:
             raise ValueError("batch_window must be non-negative")
-        if self.kernel_backend is not None and self.kernel_backend not in KERNEL_BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; expected one "
-                f"of {KERNEL_BACKEND_NAMES}"
-            )
+        if self.kernel_backend not in (None, "numpy"):
+            raise ValueError(f"kernel_backend must be None or 'numpy', not {self.kernel_backend!r}")
 
     @property
     def dropping_policy(self) -> DroppingPolicy:
@@ -232,21 +219,11 @@ class HCSimulator:
             raise ValueError("one price per machine is required")
         self.machine_prices = [float(p) for p in prices]
         self.rng = make_generator(rng)
-        #: Kernel backend scoped around the event loops; resolved eagerly so
-        #: a missing optional dependency fails at construction, not mid-run.
-        #: ``None`` (no explicit selection) leaves the process-wide backend
-        #: untouched — ``use_backend(None)`` is a no-op scope.
-        self._kernel_backend = (
-            resolve_backend(self.config.kernel_backend)
-            if self.config.kernel_backend is not None
-            else None
-        )
         #: Telemetry registry and derived loop plumbing; rebound from the
         #: process-active registry every time a run/stream begins (see
         #: ``_reset_state``), so one engine instance can serve traced and
         #: untraced runs back to back.
         self._obs = NULL_TELEMETRY
-        self._loop_backend = self._kernel_backend
         self._mapping_span_name = f"engine.mapping_event.{self.heuristic.name}"
         self._popped_arrivals = 0
         self._popped_finishes = 0
@@ -348,20 +325,18 @@ class HCSimulator:
         """
         events = self.events
         events.push(time, EventKind.WATERMARK)
-        with use_backend(self._loop_backend):
-            while True:
-                head = events.peek()
-                if head[1] == _WATERMARK:
-                    events.pop()
-                    return
-                self._step_once()
+        while True:
+            head = events.peek()
+            if head[1] == _WATERMARK:
+                events.pop()
+                return
+            self._step_once()
 
     def finish_stream(self) -> SimulationResult:
         """Drain all pending events, finalise, and return the metrics."""
-        with use_backend(self._loop_backend):
-            while self.events:
-                self._step_once()
-            self._finalise_unfinished_tasks()
+        while self.events:
+            self._step_once()
+        self._finalise_unfinished_tasks()
         if self._obs.enabled:
             self._publish_obs_counters()
         ordered = tuple(
@@ -461,25 +436,12 @@ class HCSimulator:
         self._processed_through = -1
         self._next_round_at = None
         self._round_event_at = None
-        # Bind the active telemetry registry for this run.  Disabled (the
-        # null registry): the loop dispatches through the bare configured
-        # backend and executes bit-identical code.  Enabled: kernel calls
-        # dispatch through an InstrumentedBackend wrapper so every call is
-        # timed into ``kernel.<backend>.<method>`` spans.
+        # Bind the active telemetry registry for this run.
         self._obs = obs_active()
         self._mapping_span_name = f"engine.mapping_event.{self.heuristic.name}"
         self._popped_arrivals = 0
         self._popped_finishes = 0
         self._popped_markers = 0
-        if self._obs.enabled:
-            self._loop_backend = InstrumentedBackend(
-                self._kernel_backend
-                if self._kernel_backend is not None
-                else active_backend(),
-                self._obs,
-            )
-        else:
-            self._loop_backend = self._kernel_backend
 
     def _publish_obs_counters(self) -> None:
         """Fold this stream's totals into the active telemetry registry.

@@ -72,7 +72,6 @@ def _sim_config_for(
         max_impulses=config.max_impulses,
         evict_executing_at_deadline=evict_executing_at_deadline,
         batch_window=config.batch_window,
-        kernel_backend=config.kernel_backend,
     )
 
 

@@ -316,11 +316,9 @@ def point_payload(point: SweepPoint) -> dict[str, object]:
     pre-existing synthetic-workload cache key is unchanged.  The same
     back-compat discipline governs two config fields:
 
-    * ``kernel_backend`` never appears — every kernel backend is
-      bit-identical, so the ``engine`` tag is the bare
-      :data:`~repro.core.batch.KERNEL_VERSION` and a ``numba`` run shares
-      the entries of its ``numpy`` twin (as every ``jobs`` setting
-      does);
+    * ``kernel_backend`` never appears — it can only name the NumPy
+      kernels, so the ``engine`` tag is the bare
+      :data:`~repro.core.batch.KERNEL_VERSION`;
     * ``batch_window`` appears only when non-zero, so per-event
       (``window=0``) keys are unchanged and batched-round results never
       collide with them.

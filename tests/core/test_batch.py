@@ -13,14 +13,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import (
+    CDFTable,
     PMFBatch,
     batched_convolve,
     batched_convolve_ragged,
     batched_expected_completion,
     batched_shift,
     batched_success_probability,
+    pack_batch,
+    pack_impulses,
+    packed_success_probability,
     sequential_sum,
 )
 from repro.core.pmf import DiscretePMF
@@ -186,8 +192,22 @@ class TestBatchedConvolveRagged:
 
     def test_kernel_count_must_match_rows(self, mixed_pmfs, kernels):
         batch = PMFBatch.from_pmfs(mixed_pmfs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one kernel per row"):
             batched_convolve_ragged(batch, kernels[:2])
+
+    def test_the_numpy_name_forwards_here(self):
+        """``repro.core.kernels.get_backend`` is a name for this function only."""
+        from repro.core.kernels import get_backend
+
+        assert get_backend("numpy").convolve_ragged is batched_convolve_ragged
+        assert get_backend("numpy") is get_backend("numpy")
+
+    @pytest.mark.parametrize("name", ["numba", "array-api", "cuda"])
+    def test_no_other_name_is_a_backend(self, name):
+        from repro.core.kernels import get_backend
+
+        with pytest.raises(ValueError, match=f"unknown kernel backend '{name}'; the only one is 'numpy'"):
+            get_backend(name)
 
     def test_grouping_invariance(self, mixed_pmfs, kernels):
         """A row's result does not depend on which other rows share the call."""
@@ -259,6 +279,16 @@ class TestBatchedSuccessProbability:
         )
         assert grid[0, 0] == 0.0
 
+    def test_all_zero_batch_packs_empty_and_scores_zero(self):
+        """Two zero-mass machines pack to ``(2, 0)`` operands and score 0."""
+        table = CDFTable.from_grid([[DiscretePMF.point(2), DiscretePMF.point(3)]])
+        start_times, start_probs = pack_batch(PMFBatch(np.zeros((2, 3)), 0))
+        assert start_times.shape == start_probs.shape == (2, 0)
+        out = packed_success_probability(
+            start_times, start_probs, table, np.array([0]), np.array([9])
+        )
+        assert np.array_equal(out, np.zeros((1, 2)))
+
     def test_empty_task_axis(self, small_gamma_pet):
         grid = batched_success_probability(
             PMFBatch.from_pmfs([DiscretePMF.point(3)]),
@@ -269,7 +299,7 @@ class TestBatchedSuccessProbability:
         assert grid.shape == (0, 1)
 
     def test_row_count_mismatch_raises(self, small_gamma_pet):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one row per entry"):
             batched_success_probability(
                 PMFBatch.from_pmfs([DiscretePMF.point(3)]),
                 small_gamma_pet.cdf_table(),
@@ -308,3 +338,144 @@ class TestBatchedExpectedCompletion:
             np.array([np.nan, 10.0]), np.array([[1.0, 2.0]])
         )
         assert math.isnan(grid[0, 0]) and grid[0, 1] == 12.0
+
+
+# ----------------------------------------------------------------------
+# Random inputs (Hypothesis) against the scalar path
+# ----------------------------------------------------------------------
+@st.composite
+def pmf_strategy(draw, min_time=-8, max_time=50, allow_zero_mass=True):
+    n = draw(st.integers(min_value=0 if allow_zero_mass else 1, max_value=5))
+    if n == 0:
+        return DiscretePMF.zero()
+    times = draw(st.lists(st.integers(min_time, max_time), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0, allow_nan=False), min_size=n, max_size=n))
+    mass = draw(st.floats(0.05, 1.0, allow_nan=False))
+    scale = mass / sum(weights)
+    return DiscretePMF.from_impulses({t: w * scale for t, w in zip(times, weights)})
+
+
+@st.composite
+def batch_strategy(draw, min_rows=1, max_rows=5, **pmf_kwargs):
+    return PMFBatch.from_pmfs(
+        draw(st.lists(pmf_strategy(**pmf_kwargs), min_size=min_rows, max_size=max_rows))
+    )
+
+
+@st.composite
+def scoring_case_strategy(draw):
+    """Random (availability, execution grid, tasks) scoring problem."""
+    n_machines = draw(st.integers(1, 4))
+    n_types = draw(st.integers(1, 3))
+    n_tasks = draw(st.integers(1, 6))
+    avail_pmfs = [draw(pmf_strategy(min_time=0, max_time=40)) for _ in range(n_machines)]
+    grid = [
+        [
+            draw(pmf_strategy(min_time=1, max_time=25, allow_zero_mass=False))
+            for _ in range(n_machines)
+        ]
+        for _ in range(n_types)
+    ]
+    types = draw(st.lists(st.integers(0, n_types - 1), min_size=n_tasks, max_size=n_tasks))
+    deadlines = draw(st.lists(st.integers(0, 80), min_size=n_tasks, max_size=n_tasks))
+    return avail_pmfs, grid, np.array(types), np.array(deadlines)
+
+
+def assert_same_compact_pmf(got: DiscretePMF, want: DiscretePMF) -> None:
+    """Bit-identical after compaction; zero-mass PMFs are equal regardless
+    of the offset each path canonicalises to."""
+    got, want = got.compact(), want.compact()
+    if not (got.is_zero() and want.is_zero()):
+        assert_same_pmf_bits(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=batch_strategy(), data=st.data())
+def test_random_convolve_ragged_matches_scalar(batch, data):
+    kernels = [data.draw(pmf_strategy(min_time=0, max_time=20)) for _ in range(batch.n_pmfs)]
+    out = batched_convolve_ragged(batch, kernels)
+    for i in range(batch.n_pmfs):
+        assert_same_compact_pmf(out.row(i), batch.row(i).convolve_with(kernels[i]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=scoring_case_strategy())
+def test_random_success_probability_matches_scalar(case):
+    avail_pmfs, grid, types, deadlines = case
+    table = CDFTable.from_grid(grid)
+    packed = pack_impulses(avail_pmfs)
+    out = packed_success_probability(*packed, table, types, deadlines)
+    ref = batched_success_probability(PMFBatch.from_pmfs(avail_pmfs), table, types, deadlines)
+    assert np.array_equal(out, ref)
+    # The pair-list form, in an arbitrary order, is the same numbers.
+    rows, slots = np.nonzero(np.ones(out.shape, dtype=bool))
+    order = np.random.default_rng(out.size).permutation(rows.size)
+    listed = packed_success_probability(
+        *packed, table, types, deadlines, pairs=(rows[order], slots[order])
+    )
+    assert np.array_equal(listed, ref[rows[order], slots[order]])
+    for i, (task_type, deadline) in enumerate(zip(types, deadlines)):
+        for j, avail in enumerate(avail_pmfs):
+            assert out[i, j] == fast_success_probability(grid[task_type][j], avail, int(deadline))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=scoring_case_strategy())
+def test_random_expected_completion_matches_scalar(case):
+    avail_pmfs, grid, types, _ = case
+    means = np.array([p.mean() for p in avail_pmfs], dtype=np.float64)
+    exec_means = np.array(
+        [[grid[t][j].mean() for j in range(len(avail_pmfs))] for t in types], dtype=np.float64
+    )
+    out = batched_expected_completion(means, exec_means)
+    for i, task_type in enumerate(types):
+        for j, avail in enumerate(avail_pmfs):
+            scalar = expected_completion(grid[task_type][j], avail)
+            if np.isnan(scalar):
+                assert np.isnan(out[i, j])
+            else:
+                assert out[i, j] == scalar
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=batch_strategy(), data=st.data())
+def test_random_shift_matches_scalar(batch, data):
+    delta = data.draw(st.integers(-10, 10))
+    out = batched_shift(batch, delta)
+    for i in range(batch.n_pmfs):
+        assert_same_compact_pmf(out.row(i), batch.row(i).shift(delta))
+
+    deltas = data.draw(
+        st.lists(st.integers(-10, 10), min_size=batch.n_pmfs, max_size=batch.n_pmfs)
+    )
+    out = batched_shift(batch, np.array(deltas, dtype=np.int64))
+    for i, delta in enumerate(deltas):
+        assert_same_compact_pmf(out.row(i), batch.row(i).shift(delta))
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=batch_strategy(), kernel=pmf_strategy(min_time=0, max_time=20))
+def test_random_convolve_matches_scalar(batch, kernel):
+    out = batched_convolve(batch, kernel)
+    for i in range(batch.n_pmfs):
+        assert_same_compact_pmf(out.row(i), batch.row(i).convolve_with(kernel))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    values=st.lists(
+        st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=0, max_size=8),
+        min_size=1,
+        max_size=5,
+    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+)
+def test_random_sequential_sum_matches_python_accumulation(values):
+    arr = np.array(values, dtype=np.float64)
+    for axis in (-1, 0, 1):
+        expected = []
+        for line in np.moveaxis(arr, axis, -1):
+            acc = 0.0
+            for value in line:
+                acc = acc + value
+            expected.append(acc)
+        assert np.array_equal(sequential_sum(arr, axis=axis), np.array(expected))

@@ -16,6 +16,7 @@ from repro.core.completion import DroppingPolicy
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable, VirtualSystemState
 from repro.heuristics.scoring import expected_completion, fast_success_probability
+from repro.obs import NULL_TELEMETRY, Telemetry, use_telemetry
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext, batch_in_arrival_order
 from repro.simulator.task import Task
@@ -137,6 +138,53 @@ class TestScoreTableEquivalence:
         table = filled(context, VirtualSystemState(context))
         assert table.n == 0
         assert not table.best_rows(robustness_based=True)[0].size
+
+
+def fill_and_commit(context, virtual, commits: int = 3) -> ScoreTable:
+    """A fill and up to ``commits`` phase-2 commits, each rescoring its column."""
+    table = filled(context, virtual)
+    for step in range(commits):
+        rows, machines = table.best_rows(robustness_based=True)
+        if not rows.size:
+            break
+        slot, machine = int(rows[step % rows.size]), int(machines[step % rows.size])
+        virtual.assign(table.tasks[slot], machine)
+        table.active[slot] = False
+        table.mark_dirty(machine)
+    table.best_rows(robustness_based=True)
+    return table
+
+
+class TestScoreTableTelemetry:
+    """Each kernel call is one ``kernel.success_probability`` span."""
+
+    def test_one_kernel_span_per_score_call(self, small_gamma_pet, monkeypatch):
+        calls = []
+        score = ScoreTable._score
+
+        def counting_score(self, rows, columns):
+            calls.append(rows.size)
+            return score(self, rows, columns)
+
+        monkeypatch.setattr(ScoreTable, "_score", counting_score)
+        context = paper_scale_event(small_gamma_pet, seed=29)
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            fill_and_commit(context, VirtualSystemState(context))
+        assert len(calls) >= 2  # the fill and at least one rescore
+        kernel_spans = [name for name, *_ in telemetry.spans if name.startswith("kernel.")]
+        assert kernel_spans == ["kernel.success_probability"] * len(calls)
+        assert telemetry.timings["kernel.success_probability"].count == len(calls)
+
+    def test_spans_never_change_a_score(self, small_gamma_pet):
+        context = paper_scale_event(small_gamma_pet, seed=29)
+        with use_telemetry(Telemetry()):
+            traced = fill_and_commit(context, VirtualSystemState(context))
+        with use_telemetry(NULL_TELEMETRY):
+            plain = fill_and_commit(context, VirtualSystemState(context))
+        assert plain._obs is None
+        assert np.array_equal(traced.robustness[: traced.n], plain.robustness[: plain.n])
+        assert np.array_equal(traced.completion[: traced.n], plain.completion[: plain.n])
 
 
 class TestBatchedAvailabilityHelper:

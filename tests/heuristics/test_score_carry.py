@@ -15,8 +15,8 @@ earlier object coming back, an idle machine (``point(now)`` is a fresh
 object every event), a machine that fills up and reopens, phase-2 commits
 with and without the engine adopting them, departures from anywhere in the
 batch, a task still pending but gone from the batch, a task reissued as a
-new object under the same id, a departed id arriving again, and a PET or
-kernel-backend swap.  Every kernel call must score live slots only.
+new object under the same id, a departed id arriving again, and a PET
+swap.  Every kernel call must score live slots only.
 
 Mutation-checked: carrying ``completion`` for a changed column, matching
 rows by id instead of by object, and scoring a tombstoned slot each fail
@@ -33,7 +33,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.completion import DroppingPolicy
-from repro.core.kernels import NumpyBackend, use_backend
 from repro.core.pmf import DiscretePMF
 from repro.heuristics import base
 from repro.heuristics.base import ScoreTable, VirtualSystemState
@@ -175,7 +174,6 @@ class History:
             Machine(j, MACHINE_NAMES[j], queue_capacity=4) for j in range(N_MACHINES)
         )
         self.pet = HISTORY_PET
-        self.backend = NumpyBackend()
         self.table = CheckedScoreTable()
         self.moves: dict[str, int] = {}
 
@@ -256,9 +254,6 @@ class History:
         if rng.random() < 0.1:
             self.pet = OTHER_PET if self.pet is HISTORY_PET else HISTORY_PET
             self.count("pet-swap")
-        if rng.random() < 0.1:
-            self.backend = NumpyBackend()
-            self.count("backend-swap")
         availability = {}
         for j in range(N_MACHINES):
             availability[j] = self.next_availability(j)
@@ -275,31 +270,30 @@ class History:
         virtual.free_slots = [int(rng.integers(0, 5)) for _ in range(N_MACHINES)]  # 0: closed
         virtual.total_free_slots = sum(virtual.free_slots)
         table = self.table
-        with use_backend(self.backend):
-            compactions = table.compactions
-            table.fill(context, virtual)
-            if table.compactions > compactions:
-                self.count("compaction")
-            # Phase-2 commits: the column moves on, or closes on a full
-            # queue; the engine may or may not adopt the committed step.
-            committed = []
-            for _ in range(int(rng.integers(0, 3))):
-                slots = np.flatnonzero(table.active[: table.n])
-                open_machines = [j for j in range(N_MACHINES) if virtual.free_slots[j] > 0]
-                if not slots.size or not open_machines:
-                    break
-                slot = int(slots[int(rng.integers(slots.size))])
-                j = open_machines[int(rng.integers(len(open_machines)))]
-                virtual.assign(table.tasks[slot], j)
-                table.active[slot] = False
-                table.mark_dirty(j)
-                committed.append(table.tasks[slot])
-                if rng.random() < 0.5:
-                    self.current[j] = virtual.availability(j)
-                    self.shown[j].append(self.current[j])
-                if rng.random() < 0.7:
-                    table.best_rows(robustness_based=True)  # rescores the dirty column
-                    assert_live_slots_equal_a_fresh_fill(table, context, virtual)
+        compactions = table.compactions
+        table.fill(context, virtual)
+        if table.compactions > compactions:
+            self.count("compaction")
+        # Phase-2 commits: the column moves on, or closes on a full
+        # queue; the engine may or may not adopt the committed step.
+        committed = []
+        for _ in range(int(rng.integers(0, 3))):
+            slots = np.flatnonzero(table.active[: table.n])
+            open_machines = [j for j in range(N_MACHINES) if virtual.free_slots[j] > 0]
+            if not slots.size or not open_machines:
+                break
+            slot = int(slots[int(rng.integers(slots.size))])
+            j = open_machines[int(rng.integers(len(open_machines)))]
+            virtual.assign(table.tasks[slot], j)
+            table.active[slot] = False
+            table.mark_dirty(j)
+            committed.append(table.tasks[slot])
+            if rng.random() < 0.5:
+                self.current[j] = virtual.availability(j)
+                self.shown[j].append(self.current[j])
+            if rng.random() < 0.7:
+                table.best_rows(robustness_based=True)  # rescores the dirty column
+                assert_live_slots_equal_a_fresh_fill(table, context, virtual)
         for task in committed:
             if rng.random() < 0.7:  # applied; otherwise the decision was not
                 self.batch.remove(task)
@@ -336,7 +330,6 @@ def test_histories_cover_every_move():
         "re-arrival",
         "compaction",
         "pet-swap",
-        "backend-swap",
     ):
         assert moves.get(move, 0) >= 3, (move, moves)
 

@@ -1,7 +1,7 @@
 """The never-perturbs contract: tracing cannot change a single decision.
 
 The seeded 660-task reference trial (``examples/transcoding_660.trace.json``
-with PAMF — the same pinned trial the serve and kernel-backend suites gate
+with PAMF — the same pinned trial the serve and decision-digest suites gate
 on) must produce a byte-identical decision sequence with full tracing
 enabled as with the default :class:`NullTelemetry`, and obs configuration
 must never reach sweep cache keys.
@@ -95,6 +95,16 @@ def test_tracing_actually_recorded_the_trial(traced_and_null):
     assert "score_table.fill" in names
     assert "state.advance" in names
     assert telemetry.counters["engine.events.arrival"] == 660
+
+
+def test_the_kernel_spans_are_the_scoring_calls(traced_and_null):
+    """One ``kernel.success_probability`` span per kernel call, at most one per fill or rescore."""
+    _, _, telemetry = traced_and_null
+    kernel = {name: h.count for name, h in telemetry.timings.items() if name.startswith("kernel.")}
+    assert list(kernel) == ["kernel.success_probability"]
+    calls = kernel["kernel.success_probability"]
+    counters = telemetry.counters
+    assert 0 < calls <= counters["score_table.fills"] + counters["score_table.rescores"]
 
 
 def test_score_reuse_is_counted_in_the_traced_trial(traced_and_null):

@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.heuristics import base as heuristics_base
 from repro.heuristics.baselines import MinCompletionMinCompletion
 from repro.heuristics.pam import PruningAwareMapper
+from repro.heuristics.registry import make_heuristic
+from repro.obs import Telemetry, use_telemetry
+from repro.pet.builders import build_transcoding_pet
 from repro.simulator.engine import HCSimulator, SimulatorConfig, simulate
 from repro.simulator.mapping import MappingDecision
 from repro.simulator.task import DropReason, TaskStatus
 from repro.workload.spec import TaskSpec
+from repro.workload.traces import load_trace
+
+REFERENCE_TRACE = (
+    Path(__file__).resolve().parent.parent.parent / "examples" / "transcoding_660.trace.json"
+)
 
 
 class TestBasicRuns:
@@ -208,3 +219,48 @@ class TestWithPruningHeuristic:
         result = simulate(small_gamma_pet, PruningAwareMapper(), small_trace, rng=6)
         pruned = [t for t in result.tasks if t.drop_reason is DropReason.PRUNED]
         assert len(pruned) == result.counters.proactive_drops
+
+
+def trial_signature(result) -> tuple:
+    return tuple(
+        (t.task_id, t.status.value, t.machine, t.mapped_at, t.exec_start, t.exec_end, t.dropped_at)
+        for t in result.tasks
+    )
+
+
+def reference_trial(config: SimulatorConfig | None = None):
+    """PAMF on the seeded 660-task reference trace."""
+    pet = build_transcoding_pet(rng=2019)
+    heuristic = make_heuristic("PAMF", num_task_types=pet.num_task_types)
+    return simulate(pet, heuristic, load_trace(REFERENCE_TRACE), config=config, rng=2021)
+
+
+class TestKernels:
+    """The engine scores through :mod:`repro.core.batch`; nothing selects other kernels."""
+
+    @pytest.fixture(scope="class")
+    def default_signature(self):
+        return trial_signature(reference_trial())
+
+    @pytest.mark.parametrize("kernel_backend", [None, "numpy"])
+    def test_kernel_backend_field_changes_no_decision(self, kernel_backend, default_signature):
+        result = reference_trial(SimulatorConfig(kernel_backend=kernel_backend))
+        assert trial_signature(result) == default_signature
+
+    def test_every_score_is_one_core_batch_call_and_one_span(
+        self, small_gamma_pet, small_trace, monkeypatch
+    ):
+        calls = []
+        kernel = heuristics_base.packed_success_probability
+
+        def counting_kernel(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(heuristics_base, "packed_success_probability", counting_kernel)
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            simulate(small_gamma_pet, PruningAwareMapper(), small_trace, rng=6)
+        assert calls
+        kernel_timings = {n: h.count for n, h in telemetry.timings.items() if n.startswith("kernel.")}
+        assert kernel_timings == {"kernel.success_probability": len(calls)}

@@ -28,6 +28,12 @@ computes 930 chain steps and adopts 298; Eq. 6 is evaluated for at most
 threshold Eq. 7 can give without one); an engaged pruning walk syncs each
 machine it reads once; and a ``CandidatePair`` object exists only for a
 task that was still a candidate when phase 2 chose.
+
+And the work counts of the bench's two load-1.15 trials (``trial-event``,
+per-event mapping; ``trial-batched``, 120-unit rounds; seed 2019), exactly:
+mapping events, fills, state queries, scoring calls, chain steps (at every
+site, and in the state), assignments and deferrals.  A change that moves
+one of them moves the work the bench measures.
 """
 
 from __future__ import annotations
@@ -37,21 +43,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.kernels import NumpyBackend
 from repro.core.pmf import DiscretePMF
 from repro.heuristics import base as heuristics_base
 from repro.heuristics.base import CandidatePair, ScoreTable
 from repro.heuristics.registry import make_heuristic
 from repro.obs import Telemetry, use_telemetry
-from repro.pet.builders import build_transcoding_pet
+from repro.pet.builders import build_spec_pet, build_transcoding_pet
 from repro.pruning import pruner as pruner_module
 from repro.simulator import mapping as mapping_module
 from repro.simulator import state as state_module
-from repro.simulator.engine import HCSimulator
+from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext
 from repro.simulator.state import SystemState
 from repro.simulator.task import Task
+from repro.workload.scale import ScaleTraceConfig, generate_scale_trace
 from repro.workload.spec import TaskSpec
 from repro.workload.traces import load_trace
 
@@ -188,15 +194,9 @@ def test_only_scored_machines_are_resolved(watched_run):
 # ----------------------------------------------------------------------
 # Phase-1 scoring across mapping events (oversubscribed regime)
 # ----------------------------------------------------------------------
-class CountingBackend(NumpyBackend):
-    """The reference backend, counting calls of the scoring op."""
-
-    def __init__(self) -> None:
-        self.scoring_calls = 0
-
-    def success_probability(self, *args, **kwargs):
-        self.scoring_calls += 1
-        return super().success_probability(*args, **kwargs)
+def scoring_calls(telemetry: Telemetry) -> int:
+    """Calls of the scoring kernel: one ``kernel.*`` span each (timed even past the span cap)."""
+    return sum(h.count for name, h in telemetry.timings.items() if name.startswith("kernel."))
 
 
 @pytest.fixture(scope="module")
@@ -265,16 +265,13 @@ def oversub_run(oversub_inputs):
 
     heuristic.pruner.select_queue_drops = watched_select
     telemetry = Telemetry()
-    backend = CountingBackend()
     undo = record_steps(steps)
     ScoreTable.fill, ScoreTable._score = recording_fill, recording_score
     DiscretePMF.skewness, SystemState._sync = counting_skewness, recording_sync
     heuristics_base.CandidatePair = CountedPair
     try:
         with use_telemetry(telemetry):
-            simulator = HCSimulator(pet, heuristic, rng=2019)
-            simulator._kernel_backend = backend
-            result = simulator.run(trace)
+            result = HCSimulator(pet, heuristic, rng=2019).run(trace)
     finally:
         undo()
         ScoreTable.fill, ScoreTable._score = fill, score
@@ -285,7 +282,7 @@ def oversub_run(oversub_inputs):
         "counters": telemetry.counters,
         "steps": steps,
         "pairs_built": len(built),
-        "scoring_calls": backend.scoring_calls,
+        "scoring_calls": scoring_calls(telemetry),
         "skewnesses": len(skewnesses),
         "walks": [walk for walk in walks if walk is not None],
         "result": result,
@@ -378,3 +375,95 @@ def test_an_adopted_step_keeps_its_by_products(small_gamma_pet):
     assert state.chain(0, 5)[1] is offered.availability is after
     assert meta[1] == (offered.success_probability, offered.completion, offered.availability)
 
+
+
+# ----------------------------------------------------------------------
+# The bench's load-1.15 trials: every work count, exactly
+# ----------------------------------------------------------------------
+#: ``(num_tasks, batch_window)`` of the bench's ``bench/trial.py`` shapes.
+TRIAL_SHAPES = {"trial-event": (1000, 0), "trial-batched": (2400, 120)}
+
+#: mapping events, fills, state queries, scoring calls, chain steps (all
+#: sites / in the state), assignments, deferrals -- at seed 2019.
+TRIAL_COUNTS = {
+    "trial-event": (1_855, 1_360, 10_880, 1_364, 2_156, 1_184, 972, 1_533),
+    "trial-batched": (237, 236, 1_747, 2_272, 2_379, 120, 2_258, 389),
+}
+
+STATE_QUERIES = ("availability", "availability_batch", "chain", "prune_prefix_meta")
+
+
+class CountedState:
+    """``context.state`` stand-in counting the mapper's and pruner's queries."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.queries = 0
+        for name in STATE_QUERIES:
+            setattr(self, name, self._counted(getattr(inner, name)))
+
+    def _counted(self, query):
+        def counted(*args, **kwargs):
+            self.queries += 1
+            return query(*args, **kwargs)
+
+        return counted
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+
+class CountedMapper:
+    """Delegating mapper counting mapping events and the state queries they make."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.mapping_events = 0
+        self.state: CountedState | None = None
+
+    def reset(self) -> None:
+        self.inner.reset()
+
+    def map_tasks(self, context):
+        if self.state is None or self.state.inner is not context.state:
+            self.state = CountedState(context.state)
+        context.state = self.state
+        self.mapping_events += 1
+        return self.inner.map_tasks(context)
+
+
+@pytest.fixture(scope="module", params=sorted(TRIAL_SHAPES))
+def trial_counts(request):
+    num_tasks, batch_window = TRIAL_SHAPES[request.param]
+    pet = build_spec_pet(rng=2019)
+    trace = generate_scale_trace(
+        ScaleTraceConfig(num_tasks=num_tasks, load_factor=1.15), rng=2019, pet=pet
+    )
+    mapper = CountedMapper(make_heuristic("PAMF", num_task_types=pet.num_task_types))
+    steps: list[tuple] = []
+    telemetry = Telemetry()
+    undo = record_steps(steps)
+    try:
+        with use_telemetry(telemetry):
+            result = HCSimulator(
+                pet, mapper, config=SimulatorConfig(batch_window=batch_window), rng=2019
+            ).run(trace)
+    finally:
+        undo()
+    counters = telemetry.counters
+    return request.param, (
+        mapper.mapping_events,
+        counters["score_table.fills"],
+        mapper.state.queries,
+        scoring_calls(telemetry),
+        len(steps),
+        counters["state.chain_steps"],
+        result.counters.assignments,
+        result.counters.deferrals,
+    )
+
+
+def test_trial_work_counts_are_pinned(trial_counts):
+    workload, counts = trial_counts
+    assert counts == TRIAL_COUNTS[workload]

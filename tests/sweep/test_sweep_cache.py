@@ -8,7 +8,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core.batch import KERNEL_VERSION
-from repro.core.kernels import KERNEL_BACKEND_ENV
 from repro.experiments.config import ExperimentConfig
 from repro.sweep import (
     HeuristicSpec,
@@ -183,31 +182,28 @@ class TestCacheKeyBackendAndWindowFields:
         other = replace(point, config=replace(point.config, batch_window=16))
         assert other.cache_key() != windowed.cache_key()
 
-    def test_numpy_keys_are_pinned(self, point, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
+    def test_numpy_keys_are_pinned(self, point):
         assert point.cache_key() == SYNTHETIC_POINT_KEY
         assert trace_point().cache_key() == TRACE_POINT_KEY
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_kernel_backend_never_enters_the_key(self, point, backend, monkeypatch):
-        """Both backends are bit-identical, so a numba run shares the
-        entries of its numpy twin — whether pinned or from the environment."""
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_kernel_backend_never_enters_the_key(self, point, backend):
+        """The field can only name the NumPy kernels, so it is not content."""
         pinned = replace(point, config=replace(point.config, kernel_backend=backend))
         payload = point_payload(pinned)
         assert "kernel_backend" not in payload["config"]
         assert payload["engine"] == KERNEL_VERSION
         assert pinned.cache_key() == SYNTHETIC_POINT_KEY
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, backend)
-        assert point.cache_key() == SYNTHETIC_POINT_KEY
+        trace = trace_point()
+        pinned = replace(trace, config=replace(trace.config, kernel_backend=backend))
+        assert pinned.cache_key() == TRACE_POINT_KEY
 
-    def test_numba_run_reads_the_numpy_entry(self, tmp_path, point):
+    def test_pinned_numpy_run_reads_the_default_entry(self, tmp_path, point):
         cache = ResultCache(tmp_path)
         cache.store(point, make_trials(2))
-        numba_point = replace(
-            point, config=replace(point.config, kernel_backend="numba")
-        )
-        assert cache.path_for(numba_point) == cache.path_for(point)
-        assert cache.load(numba_point) == make_trials(2)
+        pinned = replace(point, config=replace(point.config, kernel_backend="numpy"))
+        assert cache.path_for(pinned) == cache.path_for(point)
+        assert cache.load(pinned) == make_trials(2)
 
 
 class TestSweepOverMalformedArtefacts:
@@ -321,14 +317,14 @@ class TestCacheMaintenance:
         assert removed == 3
         assert not any(p.exists() for p in paths.values())
 
-    def test_gc_keeps_what_a_numba_run_wrote(self, tmp_path, point):
-        """A numba run writes the bare version tag: current, never stale."""
+    def test_gc_keeps_what_a_pinned_numpy_run_wrote(self, tmp_path, point):
+        """A run that names the NumPy kernels writes the bare version tag: current, never stale."""
         cache = ResultCache(tmp_path)
-        numba_point = replace(
+        pinned = replace(
             point,
-            config=replace(point.config, seed=point.config.seed + 1, kernel_backend="numba"),
+            config=replace(point.config, seed=point.config.seed + 1, kernel_backend="numpy"),
         )
-        paths = [cache.store(point, make_trials(2)), cache.store(numba_point, make_trials(2))]
+        paths = [cache.store(point, make_trials(2)), cache.store(pinned, make_trials(2))]
         assert paths[0] != paths[1]
         assert cache.disk_stats()["kernel_versions"] == {str(KERNEL_VERSION): 2}
         removed, _ = cache.gc(keep_kernel_version=KERNEL_VERSION)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -82,6 +83,15 @@ class TestDeterminism:
         parallel = run_sweep(spec, jobs=4)
         assert parallel.trials_per_point == serial_outcome.trials_per_point
         assert parallel.executed_trials == spec.total_trials
+
+    def test_naming_the_numpy_kernels_changes_no_trial(self, spec, serial_outcome):
+        pinned = SweepSpec(
+            points=tuple(
+                replace(point, config=replace(point.config, kernel_backend="numpy"))
+                for point in spec.points
+            )
+        )
+        assert run_sweep(pinned, jobs=1).trials_per_point == serial_outcome.trials_per_point
 
     def test_series_wrapping(self, spec, serial_outcome):
         series = serial_outcome.series()

@@ -125,9 +125,9 @@ class TestCacheKey:
             "task_scale": 2.0,
             "batch_window": 8,
         }
-        # Every kernel backend is bit-identical, so the backend is the one
-        # knob deliberately left out of the key.
-        unhashed = {"kernel_backend": "numba"}
+        # The kernel-backend field can only name the NumPy kernels, so it is
+        # the one knob deliberately left out of the key.
+        unhashed = {"kernel_backend": "numpy"}
         assert {f.name for f in fields(ExperimentConfig)} == set(bumps) | set(unhashed)
         for name, value in bumps.items():
             changed = make_point(config=replace(base.config, **{name: value}))

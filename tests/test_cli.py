@@ -7,6 +7,13 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.config import ExperimentConfig
+from repro.simulator.engine import SimulatorConfig
+
+#: Kernel backends earlier releases accepted (and tagged cache artefacts
+#: with); the second is the retired portable one built on an array-namespace
+#: standard.
+RETIRED_BACKENDS = ("numba", "-".join(("array", "api")))
 
 
 class TestParser:
@@ -54,22 +61,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_kernel_backend_accepted_everywhere(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["figure", "9"],
+            ["sweep", "4"],
+            ["trace", "replay", "t.json"],
+            ["serve", "run", "--listen", "/tmp/s.sock"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_kernel_backend_rejected_everywhere(self, argv):
+        """NumPy is the kernel: no command selects another."""
         parser = build_parser()
-        assert parser.parse_args(["simulate"]).kernel_backend is None
-        for argv in (
-            ["simulate", "--kernel-backend", "numpy"],
-            ["figure", "9", "--kernel-backend", "numba"],
-            ["sweep", "4", "--kernel-backend", "numpy"],
-            ["trace", "replay", "t.json", "--kernel-backend", "numba"],
-            ["serve", "run", "--listen", "/tmp/s.sock", "--kernel-backend", "numpy"],
-        ):
-            args = parser.parse_args(argv)
-            assert args.kernel_backend == argv[-1]
-
-    def test_unknown_kernel_backend_rejected(self):
+        assert "kernel_backend" not in vars(parser.parse_args(argv))
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--kernel-backend", "cuda"])
+            parser.parse_args([*argv, "--kernel-backend", "numpy"])
+
+    @pytest.mark.parametrize("config_class", [SimulatorConfig, ExperimentConfig])
+    def test_configs_accept_only_the_numpy_kernels(self, config_class):
+        assert config_class(kernel_backend=None).kernel_backend is None
+        assert config_class(kernel_backend="numpy").kernel_backend == "numpy"
+
+    @pytest.mark.parametrize("retired", RETIRED_BACKENDS)
+    @pytest.mark.parametrize("config_class", [SimulatorConfig, ExperimentConfig])
+    def test_configs_reject_retired_backends(self, config_class, retired):
+        with pytest.raises(ValueError, match=f"must be None or 'numpy', not '{retired}'"):
+            config_class(kernel_backend=retired)
 
     def test_batch_window_argument(self):
         parser = build_parser()
@@ -113,27 +132,17 @@ class TestSimulateCommand:
         assert "robustness" in captured
         assert "outcomes:" in captured
 
-    def test_simulate_with_kernel_backend(self, capsys):
-        exit_code = main(
-            [
-                "simulate",
-                "--heuristic",
-                "MM",
-                "--tasks",
-                "40",
-                "--span",
-                "400",
-                "--workload",
-                "transcoding",
-                "--seed",
-                "3",
-                "--kernel-backend",
-                "numpy",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert exit_code == 0
-        assert "kernel backend     : numpy" in captured
+    def test_simulate_ignores_the_retired_backend_variable(self, capsys, monkeypatch):
+        """``REPRO_KERNEL_BACKEND`` selected a backend once; now nothing reads it."""
+        argv = ["simulate", "--heuristic", "MM", "--tasks", "40", "--span", "400",
+                "--workload", "transcoding", "--seed", "3"]
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+        assert "kernel backend" not in plain
 
     def test_pruning_heuristic_runs(self, capsys):
         exit_code = main(
@@ -499,8 +508,7 @@ class TestCacheCommands:
 
         current = self._store_artefact(tmp_path)
         payload = json.loads(current.read_text())
-        # The second is the retired portable backend's tag.
-        legacy_tags = [f"{KERNEL_VERSION}+{name}" for name in ("numba", "-".join(("array", "api")))]
+        legacy_tags = [f"{KERNEL_VERSION}+{name}" for name in RETIRED_BACKENDS]
         legacy_paths = []
         for index, tag in enumerate(legacy_tags):
             payload["point"]["engine"] = tag
