@@ -132,8 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subparsers.add_parser("simulate", help="run one workload trial")
     sim.add_argument("--heuristic", default="PAM", choices=sorted(HEURISTIC_NAMES))
-    sim.add_argument("--tasks", type=int, default=500, help="number of arriving tasks")
-    sim.add_argument("--span", type=int, default=2500, help="arrival window in time units")
+    sim.add_argument("--tasks", type=_positive_int, default=500, help="number of arriving tasks")
+    sim.add_argument(
+        "--span", type=_positive_int, default=2500, help="arrival window in time units"
+    )
     sim.add_argument("--beta", type=float, default=1.5, help="deadline slack coefficient")
     sim.add_argument("--seed", type=int, default=2019)
     sim.add_argument(
@@ -213,10 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="synthesise a Section VI-B workload on this PET instead",
     )
-    record.add_argument("--tasks", type=int, default=None, help="number of arriving tasks")
+    record.add_argument(
+        "--tasks", type=_positive_int, default=None, help="number of arriving tasks"
+    )
     record.add_argument(
         "--span",
-        type=int,
+        type=_positive_int,
         default=None,
         help="arrival window in time units (synthetic workloads only; default 3000)",
     )
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="transcoding",
         help="PET matrix / system the trace's task types index into",
     )
-    replay.add_argument("--trials", type=int, default=2, help="execution-sampling trials")
+    replay.add_argument("--trials", type=_positive_int, default=2, help="execution-sampling trials")
     replay.add_argument("--seed", type=int, default=2019)
     replay.add_argument(
         "--batch-window",
@@ -417,9 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_figure_run_arguments(parser: argparse.ArgumentParser) -> None:
     """Options shared by ``figure`` and ``sweep`` (both run figure drivers)."""
-    parser.add_argument("--trials", type=int, default=2, help="workload trials per data point")
+    parser.add_argument(
+        "--trials", type=_positive_int, default=2, help="workload trials per data point"
+    )
     parser.add_argument("--seed", type=int, default=2019)
-    parser.add_argument("--task-scale", type=float, default=1.0, help="scale factor on task counts")
+    parser.add_argument(
+        "--task-scale", type=_positive_float, default=1.0, help="scale factor on task counts"
+    )
     parser.add_argument("--output-dir", default=None, help="write text/CSV/JSON artefacts here")
     parser.add_argument(
         "--batch-window",
@@ -641,8 +649,16 @@ def _command_trace_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_trace_file(path: str):
+    """:func:`load_trace`, with a missing file as a usage error."""
+    try:
+        return load_trace(path)
+    except FileNotFoundError:
+        raise SystemExit(f"trace file not found: {path}")
+
+
 def _command_trace_inspect(args: argparse.Namespace) -> int:
-    trace = load_trace(args.file)
+    trace = _load_trace_file(args.file)
     print(f"trace file         : {args.file}")
     for line in _trace_summary_lines(trace):
         print(line)
@@ -815,7 +831,7 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
     else:
         from .serve import slice_trace
 
-        specs = slice_trace(load_trace(args.trace), args.tasks)
+        specs = slice_trace(_load_trace_file(args.trace), args.tasks)
     time_unit = args.time_unit if args.time_unit is not None else DEFAULT_TIME_UNIT_SECONDS
     outcome = asyncio.run(
         replay_trace(
@@ -851,7 +867,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     from .serve.loadgen import DEFAULT_TIME_UNIT_SECONDS
 
     pet = _serve_pet(args)
-    trace = slice_trace(load_trace(args.trace), args.tasks)
+    trace = slice_trace(_load_trace_file(args.trace), args.tasks)
     report = run_bench(
         pet,
         trace,

@@ -11,10 +11,7 @@ from .batch import (
     KERNEL_VERSION,
     CDFTable,
     PMFBatch,
-    batched_convolve,
     batched_convolve_ragged,
-    batched_expected_completion,
-    batched_shift,
     batched_success_probability,
     sequential_sum,
 )
@@ -41,11 +38,8 @@ __all__ = [
     "PMFBatch",
     "CDFTable",
     "sequential_sum",
-    "batched_shift",
-    "batched_convolve",
     "batched_convolve_ragged",
     "batched_success_probability",
-    "batched_expected_completion",
     "DroppingPolicy",
     "completion_pmf",
     "pct_no_drop",

@@ -17,8 +17,8 @@ A :class:`PMFBatch` stores ``n`` PMFs as one padded 2-D array:
   rows whose support starts later are left-padded with zeros, rows whose
   support ends earlier are right-padded ("aligned offsets").
 
-The convolution kernels (:func:`batched_shift`, :func:`batched_convolve`,
-:func:`batched_convolve_ragged`) operate on this layout.  The scoring
+The ragged convolution kernel (:func:`batched_convolve_ragged`) operates on
+this layout.  The scoring
 kernel (:func:`packed_success_probability`) takes each machine's
 availability as its own impulses instead — :func:`pack_impulses`, one
 ``(n_machines, K)`` row per machine — and returns one value per candidate
@@ -39,9 +39,9 @@ this possible:
    zeros is a bit-level no-op, unlike NumPy's default pairwise ``sum``/BLAS
    ``dot`` whose grouping depends on array length;
 2. convolution is a shift-and-add over the kernel operand's non-zero
-   impulses in ascending time order — :func:`batched_convolve` and
-   :meth:`DiscretePMF.convolve_with` are the ``n``-row and one-row cases of
-   one implementation, :func:`repro.core.pmf.shift_and_add`.
+   impulses in ascending time order — :meth:`DiscretePMF.convolve_with`
+   (:func:`repro.core.pmf.shift_and_add`) and :func:`batched_convolve_ragged`
+   both accumulate each row's own kernel impulses in that order.
 
 ``tests/core/test_batch.py`` enforces the contract with zero-tolerance
 comparisons; treat any relaxation of those tests as an API break.
@@ -63,9 +63,6 @@ Examples
 [1.0, 1.0]
 >>> [round(m, 2) for m in batch.means().tolist()]
 [2.0, 3.5]
->>> shifted = batch.shift(10)
->>> (shifted.offset, shifted.row(0).mean() - batch.row(0).mean())
-(11, 10.0)
 """
 
 from __future__ import annotations
@@ -75,21 +72,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .pmf import MASS_TOLERANCE, DiscretePMF, shift_and_add
+from .pmf import MASS_TOLERANCE, DiscretePMF
 
 __all__ = [
     "KERNEL_VERSION",
     "PMFBatch",
     "CDFTable",
     "sequential_sum",
-    "batched_shift",
-    "batched_convolve",
     "batched_convolve_ragged",
     "pack_impulses",
     "pack_batch",
     "packed_success_probability",
     "batched_success_probability",
-    "batched_expected_completion",
 ]
 
 #: Version tag of the scoring/chain kernel semantics.  Bump this whenever a
@@ -215,11 +209,6 @@ class PMFBatch:
             probs[i, start : start + pmf.probs.size] = pmf.probs
         return cls(probs, lo)
 
-    @classmethod
-    def single(cls, pmf: DiscretePMF) -> "PMFBatch":
-        """A one-row batch (the scalar wrappers use this internally)."""
-        return cls.from_pmfs([pmf])
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -265,17 +254,6 @@ class PMFBatch:
         ok = total > MASS_TOLERANCE
         out[ok] = weighted[ok] / total[ok]
         return out
-
-    # ------------------------------------------------------------------
-    # Kernels (methods delegate to the module-level functions)
-    # ------------------------------------------------------------------
-    def shift(self, delta) -> "PMFBatch":
-        """Translate the batch in time; see :func:`batched_shift`."""
-        return batched_shift(self, delta)
-
-    def convolve(self, kernel: DiscretePMF) -> "PMFBatch":
-        """Convolve every row with ``kernel``; see :func:`batched_convolve`."""
-        return batched_convolve(self, kernel)
 
 
 @dataclass(frozen=True)
@@ -355,98 +333,12 @@ class CDFTable:
         return int(self.cdfs.shape[1])
 
 
-def batched_shift(batch: PMFBatch, delta) -> PMFBatch:
-    """Translate every PMF in a batch, by a shared or per-row amount.
-
-    Parameters
-    ----------
-    batch:
-        The PMFs to shift.
-    delta:
-        Either a single int (every row moves together — a pure ``offset``
-        change, no data movement) or an ``(n_pmfs,)`` integer array giving
-        each row its own translation; rows are then re-aligned onto a new
-        shared grid.
-
-    Returns
-    -------
-    PMFBatch
-        Shifted batch.  Exact: shifting only moves values, it never rounds.
-
-    Examples
-    --------
-    >>> batch = PMFBatch.from_pmfs([DiscretePMF.point(0), DiscretePMF.point(1)])
-    >>> batched_shift(batch, 5).offset
-    5
-    >>> staggered = batched_shift(batch, np.array([5, 9]))
-    >>> [p.support() for p in staggered.to_pmfs()]
-    [(5, 5), (10, 10)]
-    """
-    if np.isscalar(delta) or getattr(delta, "ndim", 1) == 0:
-        return PMFBatch(batch.probs, batch.offset + int(delta))
-    deltas = np.asarray(delta, dtype=np.int64)
-    if deltas.shape != (batch.n_pmfs,):
-        raise ValueError(
-            f"expected scalar delta or shape ({batch.n_pmfs},), got {deltas.shape}"
-        )
-    base = int(deltas.min())
-    spread = int(deltas.max()) - base
-    out = np.zeros((batch.n_pmfs, batch.support + spread), dtype=np.float64)
-    columns = np.arange(batch.support, dtype=np.int64)[None, :] + (deltas - base)[:, None]
-    np.put_along_axis(out, columns, batch.probs, axis=1)
-    return PMFBatch(out, batch.offset + base)
-
-
-def batched_convolve(batch: PMFBatch, kernel: DiscretePMF) -> PMFBatch:
-    """Convolve every PMF in a batch with one shared kernel.
-
-    This is the queue-composition operator of Eq. 2 applied to ``n`` PMFs at
-    once: a shift-and-add over the kernel's non-zero impulses in ascending
-    time order (:func:`repro.core.pmf.shift_and_add`).  It is bit-identical
-    to calling :meth:`DiscretePMF.convolve_with` — the one-row case of the
-    same function — on each row, and the batch grid's zero padding only ever
-    contributes exact-zero terms.
-
-    Parameters
-    ----------
-    batch:
-        ``(n_pmfs, support)`` batch of (typically dense) PMFs.
-    kernel:
-        The second operand, shared by every row; cheap when sparse (cost
-        scales with its non-zero impulse count).
-
-    Returns
-    -------
-    PMFBatch
-        ``(n_pmfs, support + kernel_support - 1)`` batch at offset
-        ``batch.offset + kernel.offset``.  A zero-mass kernel yields an
-        all-zero batch, matching the scalar convention.
-
-    Examples
-    --------
-    >>> batch = PMFBatch.from_pmfs([
-    ...     DiscretePMF.from_impulses({1: 0.25, 2: 0.50, 3: 0.25}),
-    ...     DiscretePMF.point(2),
-    ... ])
-    >>> out = batched_convolve(batch, DiscretePMF.from_impulses({10: 0.5, 11: 0.5}))
-    >>> out.offset
-    11
-    >>> [p.mean() for p in out.to_pmfs()]
-    [12.5, 12.5]
-    """
-    offset = batch.offset + kernel.offset
-    if not kernel.probs.any():
-        return PMFBatch(np.zeros((batch.n_pmfs, 1), dtype=np.float64), offset)
-    return PMFBatch(shift_and_add(batch.probs, kernel.probs), offset)
-
-
 def batched_convolve_ragged(
     batch: PMFBatch, kernels: Sequence[DiscretePMF]
 ) -> PMFBatch:
     """Convolve every row of a batch with its *own* kernel, in lockstep.
 
-    This is the ragged counterpart of :func:`batched_convolve`: ``n``
-    independent convolutions (different kernels, different offsets, different
+    ``n`` independent convolutions (different kernels, different offsets, different
     supports) advance together through one shared shift-and-add loop over
     the *union* of the kernels' non-zero impulse columns — e.g. several
     machines' completion-time chains advanced one queue position at a time.
@@ -630,7 +522,7 @@ def batched_success_probability(
     --------
     >>> exec_pmf = DiscretePMF.from_impulses({1: 0.25, 2: 0.50, 3: 0.25})
     >>> grid = batched_success_probability(
-    ...     PMFBatch.single(DiscretePMF.point(10)),
+    ...     PMFBatch.from_pmfs([DiscretePMF.point(10)]),
     ...     CDFTable.from_pmf(exec_pmf),
     ...     np.array([0, 0]),
     ...     np.array([13, 12]),
@@ -644,39 +536,3 @@ def batched_success_probability(
         *pack_batch(availability), execution, type_indices, deadlines, machine_indices
     )
 
-
-def batched_expected_completion(
-    availability_means: np.ndarray, execution_means: np.ndarray
-) -> np.ndarray:
-    """Expected completion time of every (task, machine) candidate pair.
-
-    Linearity of expectation: ``E[completion_ij] = E[availability_j] +
-    E[execution_ij]`` — no convolution needed, matching
-    :func:`repro.heuristics.scoring.expected_completion` pair by pair
-    (same operand order, hence bit-identical).
-
-    Parameters
-    ----------
-    availability_means:
-        ``(n_machines,)`` expected availability time per machine (``nan``
-        for a zero-mass availability; propagates into the result).
-    execution_means:
-        ``(n_tasks, n_machines)`` mean execution time per candidate pair
-        (rows of ``PETMatrix.mean_execution_times()`` selected per task).
-
-    Returns
-    -------
-    np.ndarray
-        ``(n_tasks, n_machines)`` expected completion times.
-
-    Examples
-    --------
-    >>> batched_expected_completion(
-    ...     np.array([10.0, 20.0]),
-    ...     np.array([[2.0, 3.0], [4.0, 5.0]]),
-    ... ).tolist()
-    [[12.0, 23.0], [14.0, 25.0]]
-    """
-    availability_means = np.asarray(availability_means, dtype=np.float64)
-    execution_means = np.asarray(execution_means, dtype=np.float64)
-    return availability_means[None, :] + execution_means

@@ -24,8 +24,8 @@ This class is deliberately a *thin scalar wrapper* over the same arithmetic
 the batched engine in :mod:`repro.core.batch` uses: reductions
 (:meth:`DiscretePMF.total_mass`, :meth:`DiscretePMF.mean`) accumulate
 strictly left to right (``np.cumsum``) and :meth:`DiscretePMF.convolve_with`
-is the one-row case of the :func:`shift_and_add` that also implements
-``batched_convolve``.  That shared op-for-op discipline is what lets the
+is the one-row case of :func:`shift_and_add`, which accumulates the kernel's
+impulses in ascending time order.  That shared op-for-op discipline is what lets the
 batched kernels guarantee bit-identical (``atol=0``) results whether PMFs
 are scored one at a time or as a padded ``(n_pmfs, support)`` block — see
 the exact-equivalence contract documented in :mod:`repro.core.batch`.
@@ -62,8 +62,7 @@ def shift_and_add(dense: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Convolve every row of ``dense`` with one ``kernel``, impulse by impulse.
 
     THE convolution of the PMF algebra: :meth:`DiscretePMF.convolve_with`
-    is its one-row case and :func:`repro.core.batch.batched_convolve` its
-    ``n``-row case.
+    and the sparse branch of :func:`convolve_probs` are its one-row case.
 
     Parameters
     ----------
@@ -458,8 +457,7 @@ class DiscretePMF:
         -------
         DiscretePMF
             Same probability vector at offset ``offset + delta`` (exact —
-            no probability is moved between bins).  The batched counterpart
-            is :func:`repro.core.batch.batched_shift`.
+            no probability is moved between bins).
         """
         return DiscretePMF._raw(self.probs, self.offset + int(delta))
 
@@ -502,10 +500,9 @@ class DiscretePMF:
 
         Notes
         -----
-        This is the one-row case of :func:`shift_and_add`, the
-        implementation behind :func:`repro.core.batch.batched_convolve`:
-        the kernel's impulses accumulate in ascending time order, so a
-        batch row and a lone PMF produce bit-identical results.  Prefer
+        This is the one-row case of :func:`shift_and_add`: the kernel's
+        impulses accumulate in ascending time order, so a row of an
+        ``(n, width)`` operand and a lone PMF produce bit-identical results.  Prefer
         :meth:`convolve` unless the caller needs that guarantee — it picks
         the cheaper operand order automatically.
         """

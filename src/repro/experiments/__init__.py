@@ -15,7 +15,7 @@ from .fig7_robustness import Fig7Result, run_fig7
 from .fig8_cost import Fig8Result, run_fig8
 from .fig9_transcoding import Fig9Result, run_fig9
 from .reporting import rows_to_csv, rows_to_json, save_figure_result
-from .runner import SeriesResult, TrialMetrics, run_series
+from .runner import SeriesResult, TrialMetrics
 
 __all__ = [
     "ExperimentConfig",
@@ -24,7 +24,6 @@ __all__ = [
     "TRANSCODING_LEVELS",
     "workload_for_level",
     "transcoding_workload_for_level",
-    "run_series",
     "SeriesResult",
     "TrialMetrics",
     "run_fig4",

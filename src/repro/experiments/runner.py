@@ -2,30 +2,23 @@
 
 Every data point in the paper is the mean (with 95 % confidence interval) of
 30 workload trials that share the arrival rate and pattern but use different
-arrival times.  :func:`run_series` reproduces that protocol: the PET matrix
-is built once per experiment (the paper keeps it "constant across all of our
-experiments"), each trial generates a fresh workload trace from an
-independent random stream and simulates it with a freshly built heuristic.
+arrival times.  :class:`SeriesResult` holds one data point's trials and
+their summaries; the trials themselves run through the sweep subsystem
+(:func:`repro.sweep.run_sweep`, or :func:`repro.sweep.execute_point` for
+one point in-process), where each trial generates a fresh workload trace
+from an independent random stream and simulates it with a freshly built
+heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
 import numpy as np
 
-from ..heuristics.base import MappingHeuristic
-from ..pet.matrix import PETMatrix
-from ..sweep.executor import execute_trials
 from ..sweep.trial import TrialMetrics
 from ..utils.stats import Summary, summarize
-from ..workload.generator import WorkloadConfig
-from .config import ExperimentConfig
 
-__all__ = ["TrialMetrics", "SeriesResult", "run_series"]
-
-HeuristicFactory = Callable[[], MappingHeuristic]
+__all__ = ["TrialMetrics", "SeriesResult"]
 
 
 @dataclass
@@ -69,38 +62,3 @@ class SeriesResult:
             "trials": len(self.trials),
         }
 
-
-def run_series(
-    *,
-    label: str,
-    pet: PETMatrix,
-    heuristic_factory: HeuristicFactory,
-    workload: WorkloadConfig,
-    config: ExperimentConfig,
-    machine_prices: Sequence[float] | None = None,
-    evict_executing_at_deadline: bool = True,
-) -> SeriesResult:
-    """Run ``config.trials`` workload trials for one experiment data point.
-
-    Trial *k* of any experiment is reproducible: the workload and execution
-    streams are derived from ``config.seed`` with ``SeedSequence.spawn`` so
-    different heuristics evaluated at the same data point see identical
-    arrival traces (paired comparison, as in the paper).
-
-    The trial loop itself lives in :func:`repro.sweep.executor.execute_trials`
-    (the sweep subsystem's serial path); this wrapper is kept for callers
-    that configure heuristics with an arbitrary factory closure rather than
-    a declarative :class:`repro.sweep.HeuristicSpec`.
-    """
-    series = SeriesResult(label=label)
-    series.trials.extend(
-        execute_trials(
-            pet=pet,
-            heuristic_factory=heuristic_factory,
-            workload=workload,
-            config=config,
-            machine_prices=machine_prices,
-            evict_executing_at_deadline=evict_executing_at_deadline,
-        )
-    )
-    return series

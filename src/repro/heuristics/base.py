@@ -81,10 +81,12 @@ class VirtualSystemState:
     returns before scoring anything, costs no chain work.  The fork only
     diverges when phase 2 commits an assignment: :meth:`assign` replaces
     that machine's entry with an extended chain, leaving the live state
-    untouched.  Machines carrying pruner drops resolve through
-    :meth:`~repro.simulator.mapping.MappingContext.availability_excluding`,
-    which reuses the live chain prefix ahead of the first drop.  This is the
-    "temporary (virtual) queue of machine-task mappings" of Section III.
+    untouched.  A machine that lost queued tasks to the pruner must come
+    with its post-drop availability in ``availability_override`` (what
+    :meth:`~repro.pruning.pruner.Pruner.select_queue_drops` returns for
+    every machine); without one the constructor raises ``ValueError``.
+    This is the "temporary (virtual) queue of machine-task mappings" of
+    Section III.
     """
 
     def __init__(
@@ -95,19 +97,19 @@ class VirtualSystemState:
         availability_override: dict[int, DiscretePMF] | None = None,
     ) -> None:
         self._context = context
-        self._dropped = set(dropped_task_ids)
+        override = availability_override or {}
         #: Free queue slots of each virtual machine.
         self.free_slots = [machine.free_slots for machine in context.machines]
         self._availability: list[DiscretePMF | None] = [None] * len(self.free_slots)
-        #: Machines that lost queued tasks to the pruner.
-        self._lost: set[int] = set()
-        if self._dropped:
+        if dropped_task_ids:
             for index, machine in enumerate(context.machines):
-                lost = sum(1 for t in machine.queued_tasks() if t.task_id in self._dropped)
-                if lost:
-                    self.free_slots[index] += lost
-                    self._lost.add(index)
-        for index, availability in (availability_override or {}).items():
+                lost = sum(1 for t in machine.queued_tasks() if t.task_id in dropped_task_ids)
+                if lost and index not in override:
+                    raise ValueError(
+                        f"machine {index} lost queued tasks but has no availability override"
+                    )
+                self.free_slots[index] += lost
+        for index, availability in override.items():
             self._availability[index] = availability
         self.total_free_slots = sum(self.free_slots)
 
@@ -115,10 +117,7 @@ class VirtualSystemState:
         """The availability PMF machine ``machine_index``'s virtual queue ends in."""
         availability = self._availability[machine_index]
         if availability is None:
-            if machine_index in self._lost:
-                availability = self._context.availability_excluding(machine_index, self._dropped)
-            else:
-                availability = self._context.machine_availability(machine_index)
+            availability = self._context.machine_availability(machine_index)
             self._availability[machine_index] = availability
         return availability
 

@@ -11,12 +11,12 @@ would dominate the simulation cost, so this module provides shortcuts:
 * :func:`expected_completion` uses linearity of expectation instead of
   convolving.
 
-Both are the *exact scalar counterparts* of the batched kernels in
-:mod:`repro.core.batch`: they perform the same elementwise operations over
-the same impulses in the same order as a one-task, one-machine invocation of
-:func:`~repro.core.batch.packed_success_probability` /
-:func:`~repro.core.batch.batched_expected_completion` (sequential
-``np.cumsum`` reduction included), so scoring one pair at a time or a whole
+Both are the *exact scalar counterparts* of the batched scoring in
+:class:`~repro.heuristics.base.ScoreTable`: they perform the same elementwise
+operations over the same impulses in the same order as a one-task,
+one-machine invocation of :func:`~repro.core.batch.packed_success_probability`
+(sequential ``np.cumsum`` reduction included) and as the table's sum of
+availability and execution means, so scoring one pair at a time or a whole
 ``(n_tasks, n_machines)`` grid at once produces bit-identical values — the
 equivalence is pinned at ``atol=0`` by ``tests/core/test_batch.py``.
 ``ScoreTable`` in :mod:`repro.heuristics.base` uses the batched form; the
@@ -103,10 +103,9 @@ def expected_completion(exec_pmf: DiscretePMF, availability: DiscretePMF) -> flo
 
     Notes
     -----
-    The batched counterpart is
-    :func:`repro.core.batch.batched_expected_completion`, which adds the
-    same two cached means per pair in the same order (hence bit-identical —
-    IEEE addition of identical operands is deterministic).
+    The batched counterpart is ``ScoreTable``'s completion grid, which adds
+    the same two cached means per pair in the same order (hence
+    bit-identical — IEEE addition of identical operands is deterministic).
     """
     return float(availability.mean() + exec_pmf.mean())
 

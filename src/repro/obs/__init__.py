@@ -13,7 +13,7 @@ recording by installing a :class:`Telemetry` (``--obs-trace`` /
 ``--obs-snapshot`` on the CLI, or :func:`set_active` / :class:`use_telemetry`
 programmatically), run anything — a simulation, a sweep, the scheduler
 service — and export with :func:`write_chrome_trace` /
-:func:`write_snapshot` / :func:`prometheus_text`.
+:func:`write_snapshot`.
 
 Telemetry never perturbs determinism: it observes decisions, it never
 feeds them, and obs configuration never enters sweep cache keys (pinned by
@@ -31,7 +31,6 @@ from .telemetry import (
 )
 from .export import (
     chrome_trace_events,
-    prometheus_text,
     snapshot,
     write_chrome_trace,
     write_snapshot,
@@ -46,7 +45,6 @@ __all__ = [
     "set_active",
     "use_telemetry",
     "chrome_trace_events",
-    "prometheus_text",
     "snapshot",
     "write_chrome_trace",
     "write_snapshot",

@@ -1,6 +1,6 @@
 """Export surfaces of a :class:`~repro.obs.telemetry.Telemetry` registry.
 
-Three formats, one registry:
+Two formats, one registry:
 
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` — the span
   timeline as Chrome trace-event JSON (the ``{"traceEvents": [...]}``
@@ -11,9 +11,6 @@ Three formats, one registry:
 * :func:`snapshot` / :func:`write_snapshot` — a flat JSON snapshot:
   counters, gauges, and per-name timing summaries (the same
   ``count/mean_s/p50_s/p95_s/p99_s/max_s`` schema the serve metrics use).
-* :func:`prometheus_text` — Prometheus text exposition (counters as
-  ``_total``, gauges verbatim, timing histograms as ``_seconds`` summaries)
-  for scrape-style integration without any new dependency.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ __all__ = [
     "write_chrome_trace",
     "snapshot",
     "write_snapshot",
-    "prometheus_text",
 ]
 
 #: Snapshot schema version (bump on breaking key changes).
@@ -115,36 +111,3 @@ def _json_safe(value):
         return None
     return value
 
-
-def _metric_name(name: str) -> str:
-    """Sanitise a dotted metric name into a Prometheus identifier."""
-    sanitised = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-    if not sanitised or not (sanitised[0].isalpha() or sanitised[0] == "_"):
-        sanitised = "_" + sanitised
-    return f"repro_{sanitised}"
-
-
-def prometheus_text(telemetry: Telemetry) -> str:
-    """Prometheus text-exposition rendering of the registry."""
-    lines: list[str] = []
-    for name in sorted(telemetry.counters):
-        metric = _metric_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {telemetry.counters[name]}")
-    for name in sorted(telemetry.gauges):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {telemetry.gauges[name]}")
-    for name in sorted(telemetry.timings):
-        hist = telemetry.timings[name]
-        metric = _metric_name(name) + "_seconds"
-        lines.append(f"# TYPE {metric} summary")
-        if hist.count:
-            for quantile in (50.0, 95.0, 99.0):
-                value = hist.percentile(quantile)
-                lines.append(
-                    f'{metric}{{quantile="{quantile / 100.0:g}"}} {value}'
-                )
-        lines.append(f"{metric}_sum {hist.total}")
-        lines.append(f"{metric}_count {hist.count}")
-    return "\n".join(lines) + "\n"

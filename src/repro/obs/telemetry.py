@@ -36,7 +36,7 @@ per run, not per call.
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .histogram import LogBucketHistogram
 
@@ -239,7 +239,3 @@ class use_telemetry:
     def __exit__(self, *exc_info) -> None:
         set_active(self._previous)
 
-
-def iter_spans(telemetry: Telemetry) -> Iterator[tuple[str, int, int, dict | None]]:
-    """Iterate recorded spans as ``(name, start_offset_ns, duration_ns, attrs)``."""
-    return iter(telemetry.spans)

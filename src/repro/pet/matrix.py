@@ -163,35 +163,3 @@ class PETMatrix:
         means = self.mean_execution_times()
         best_machine = means.argmin(axis=1)
         return len(set(best_machine.tolist())) > 1
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-serialisable representation (impulse dictionaries)."""
-        return {
-            "task_types": list(self.task_types),
-            "machine_names": list(self.machine_names),
-            "pmfs": [
-                [
-                    {str(t): p for t, p in pmf.to_impulses().items()}
-                    for pmf in row
-                ]
-                for row in self.pmfs
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "PETMatrix":
-        """Inverse of :meth:`to_dict`."""
-        rows = []
-        for row in payload["pmfs"]:
-            rows.append(
-                tuple(
-                    DiscretePMF.from_impulses({int(t): float(p) for t, p in cell.items()})
-                    for cell in row
-                )
-            )
-        return cls(
-            tuple(payload["task_types"]),
-            tuple(payload["machine_names"]),
-            tuple(rows),
-        )

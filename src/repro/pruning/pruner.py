@@ -262,11 +262,7 @@ class Pruner:
         start_position = 0
         if machine.executing is not None:
             executing = machine.executing
-            raw = machine.executing_completion_pmf(
-                context.pet,
-                context.now,
-                condition_on_now=context.condition_executing_on_now,
-            )
+            raw = machine.executing_completion_pmf(context.pet, context.now)
             # The executing task can itself be dropped (Section V-A starts the
             # walk at the queue head).  Its success probability is the chance
             # it finishes by its deadline given it is still running.

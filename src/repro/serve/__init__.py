@@ -19,9 +19,8 @@ promotes it to a long-running admission service:
 * :mod:`repro.serve.metrics` — :class:`ServiceMetrics` counters plus a
   fixed-size log-bucketed admission-latency histogram (built on
   :class:`repro.obs.LogBucketHistogram`, bounded memory at any uptime),
-  and :func:`merge_snapshots` for the sharded stats view — exact when
-  every shard ships its histogram payload, conservative on legacy
-  summary-only snapshots;
+  and :func:`merge_snapshots`, the sharded stats view's exact merge of
+  the shards' histogram payloads;
 * :mod:`repro.serve.loadgen` — trace replay at a wall-clock arrival-rate
   multiplier and the ``repro serve bench`` throughput/latency harness
   (any transport/topology, with the overload rejection curve);

@@ -11,9 +11,7 @@ to the exact max — see :class:`~repro.obs.histogram.LogBucketHistogram`).
 
 Because the buckets are fixed, per-shard snapshots **merge exactly**:
 :func:`merge_snapshots` sums bucket counts across shards and reads the
-percentiles off the merged histogram, instead of the conservative
-worst-shard upper bound it falls back to for histogram-less (legacy)
-snapshots.
+percentiles off the merged histogram.
 """
 
 from __future__ import annotations
@@ -117,86 +115,34 @@ def _zero_latency_summary() -> dict[str, float]:
 def merge_snapshots(snapshots: Sequence[Mapping]) -> dict[str, object]:
     """Aggregate per-shard metric snapshots into one service-wide view.
 
-    Counters sum exactly; a shard missing a counter key contributes zero.
-    An empty snapshot list (or one whose shards never produced metrics)
-    yields a well-formed zero snapshot instead of skewing any figure.
+    Counters sum exactly; a shard missing a counter key — or sending an
+    empty snapshot, as one that answered ``close`` with an error does —
+    contributes zero.  An empty snapshot list yields a well-formed zero
+    snapshot.
 
-    Admission latency merges **exactly** when every contributing shard
-    snapshot carries the histogram payload (``admission_latency.hist``
-    with an identical bucket layout — always true for same-version
-    shards): bucket counts sum and the merged percentiles are read off
-    the combined histogram.  Snapshots without the payload (legacy, or a
-    foreign layout) fall back to the conservative merge — count-weighted
-    mean, worst-shard percentiles/max as an upper bound on the truth.
-    Shards with zero recorded latencies are identities in either mode: a
-    fresh shard can no longer skew the merged percentiles.
+    Admission latency merges **exactly**: every :meth:`ServiceMetrics.snapshot`
+    carries its histogram payload (``admission_latency.hist``), so bucket
+    counts sum and the merged percentiles are read off the combined
+    histogram.  Shards with zero recorded latencies are identities: a fresh
+    shard cannot skew the merged percentiles.
     """
     merged: dict[str, object] = {key: 0 for key in _COUNTER_KEYS}
-    contributing: list[Mapping] = []
+    hist: LogBucketHistogram | None = None
     for snapshot in snapshots:
-        if not isinstance(snapshot, Mapping):
-            continue
         for key in _COUNTER_KEYS:
-            try:
-                merged[key] += int(snapshot.get(key, 0) or 0)
-            except (TypeError, ValueError):
-                continue
-        latency = snapshot.get("admission_latency")
-        if isinstance(latency, Mapping) and int(latency.get("count", 0) or 0) > 0:
-            contributing.append(latency)
+            merged[key] += int(snapshot.get(key, 0))
+        latency = snapshot.get("admission_latency", {})
+        if int(latency.get("count", 0)) > 0:
+            shard = LogBucketHistogram.from_payload(latency["hist"])
+            if hist is None:
+                hist = shard
+            else:
+                hist.merge(shard)
 
-    if not contributing:
+    if hist is None:
         merged["admission_latency"] = _zero_latency_summary()
-        return merged
-
-    merged_hist = _merge_latency_hists(contributing)
-    if merged_hist is not None:
-        latency_out: dict[str, object] = dict(merged_hist.summary())
-        latency_out["hist"] = merged_hist.to_payload()
+    else:
+        latency_out: dict[str, object] = dict(hist.summary())
+        latency_out["hist"] = hist.to_payload()
         merged["admission_latency"] = latency_out
-        return merged
-
-    # Conservative fallback: exact count and count-weighted mean, worst
-    # shard's percentiles and max (an upper bound on the merged truth).
-    total_count = 0
-    weighted_mean = 0.0
-    worst = {"p50_s": float("nan"), "p95_s": float("nan"),
-             "p99_s": float("nan"), "max_s": float("nan")}
-    for latency in contributing:
-        count = int(latency.get("count", 0) or 0)
-        total_count += count
-        mean = float(latency.get("mean_s", float("nan")))
-        if math.isfinite(mean):
-            weighted_mean += count * mean
-        for key in worst:
-            value = float(latency.get(key, float("nan")))
-            if math.isfinite(value) and not (value <= worst[key]):
-                worst[key] = value
-    merged["admission_latency"] = {
-        "count": total_count,
-        "mean_s": weighted_mean / total_count if total_count else float("nan"),
-        **worst,
-    }
-    return merged
-
-
-def _merge_latency_hists(
-    latencies: Sequence[Mapping],
-) -> LogBucketHistogram | None:
-    """Exactly-merged histogram, or ``None`` if any shard lacks a usable one."""
-    merged: LogBucketHistogram | None = None
-    for latency in latencies:
-        payload = latency.get("hist")
-        if not isinstance(payload, Mapping):
-            return None
-        try:
-            hist = LogBucketHistogram.from_payload(dict(payload))
-        except (KeyError, TypeError, ValueError):
-            return None
-        if merged is None:
-            merged = hist
-        elif merged.compatible_with(hist):
-            merged.merge(hist)
-        else:
-            return None
     return merged

@@ -42,9 +42,9 @@ The simulator owns a live :class:`~repro.simulator.state.SystemState`: the
 machines' availability chains persist across mapping events and every queue
 mutation below is paired with a notification that invalidates only the
 affected machine's chain suffix.  Mapping events read availability as views
-over that state (``MappingContext.machine_availability`` /
-``availability_batch``) and the heuristics' ``ScoreTable`` scores every
-(task, machine) candidate pair against it in a single batched kernel call.
+over that state (``MappingContext.machine_availability``) and the
+heuristics' ``ScoreTable`` scores every (task, machine) candidate pair
+against it in a single batched kernel call.
 See ``docs/architecture.md`` for the full event-loop lifecycle.
 
 Two driving modes share the same event loop:
@@ -154,10 +154,6 @@ class SimulatorConfig:
     #: Impulse-aggregation cap used when propagating completion-time PMFs
     #: (None = exact convolutions; 32 keeps mapping events fast).
     max_impulses: int | None = 32
-    #: Condition the executing task's completion PMF on the current time at
-    #: every mapping event.  The paper anchors it at the start time instead
-    #: (default False), which also allows queue-chain caching.
-    condition_executing_on_now: bool = False
     #: Batched-scheduling-round window in time units.  ``0`` (default) maps
     #: at every event timestamp — the paper's per-event protocol,
     #: bit-identical to the pre-rework loop.  ``W > 0`` fires mapping
@@ -421,7 +417,6 @@ class HCSimulator:
             self.pet,
             policy=self.config.dropping_policy,
             max_impulses=self.config.max_impulses,
-            condition_executing_on_now=self.config.condition_executing_on_now,
         )
         self.tasks = {}
         self._batch = {}
@@ -532,7 +527,6 @@ class HCSimulator:
             misses_since_last_event=self._misses_since_event,
             terminal_events=tuple(self._terminal_since_event),
             max_impulses=self.config.max_impulses,
-            condition_executing_on_now=self.config.condition_executing_on_now,
             state=self.state,
         )
         self._misses_since_event = 0

@@ -39,7 +39,7 @@ from .metrics import SimulationCounters, SimulationResult
 from .state import SystemState
 from .task import DropReason, Task, TaskStatus
 
-__all__ = ["LegacyHCSimulator", "legacy_simulate"]
+__all__ = ["LegacyHCSimulator"]
 
 _ARRIVAL = 0
 _FINISH = 1
@@ -191,7 +191,6 @@ class LegacyHCSimulator:
             self.pet,
             policy=self.config.dropping_policy,
             max_impulses=self.config.max_impulses,
-            condition_executing_on_now=self.config.condition_executing_on_now,
         )
         self.tasks = {}
         self._batch = {}
@@ -273,7 +272,6 @@ class LegacyHCSimulator:
             misses_since_last_event=self._misses_since_event,
             terminal_events=tuple(self._terminal_since_event),
             max_impulses=self.config.max_impulses,
-            condition_executing_on_now=self.config.condition_executing_on_now,
             state=self.state,
         )
         self._misses_since_event = 0
@@ -367,18 +365,3 @@ class LegacyHCSimulator:
                 self.observer.on_terminal(task)
         self._now = end_time
 
-
-def legacy_simulate(
-    pet: PETMatrix,
-    heuristic: MappingHeuristicProtocol,
-    trace: WorkloadTrace,
-    *,
-    config: SimulatorConfig | None = None,
-    machine_prices: Sequence[float] | None = None,
-    rng: np.random.Generator | int | None = None,
-) -> SimulationResult:
-    """One-call convenience wrapper: build an :class:`LegacyHCSimulator` and run it."""
-    sim = LegacyHCSimulator(
-        pet, heuristic, config=config, machine_prices=machine_prices, rng=rng
-    )
-    return sim.run(trace)

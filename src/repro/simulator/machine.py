@@ -126,31 +126,18 @@ class Machine:
     # ------------------------------------------------------------------
     # Probabilistic queue state (used by mapping heuristics)
     # ------------------------------------------------------------------
-    def executing_completion_pmf(
-        self, pet: PETMatrix, now: int, *, condition_on_now: bool = False
-    ) -> DiscretePMF:
+    def executing_completion_pmf(self, pet: PETMatrix, now: int) -> DiscretePMF:
         """Completion-time PMF of the executing task.
 
         The paper anchors the executing task's PCT at its observed start time
-        (its PET shifted by the start time, Section IV); that is the default.
-        With ``condition_on_now`` the PMF is additionally conditioned on the
-        task not having finished by ``now`` — slightly more informative but
-        it changes at every mapping event, which defeats chain caching.
-        If the conditional mass is empty (the task is running longer than any
-        historical sample) the machine is assumed to free up at the next
-        time unit.
+        (its PET shifted by the start time, Section IV), so it does not
+        depend on ``now`` once the task has started.
         """
         task = self.executing
         if task is None:
             return DiscretePMF.point(now)
         start = now if task.exec_start is None else task.exec_start
-        pmf = pet.get(task.task_type, self.index).shift(start)
-        if not condition_on_now:
-            return pmf
-        remaining = pmf.truncate_from(now + 1)
-        if remaining.is_zero():
-            return DiscretePMF.point(now + 1)
-        return remaining.normalise()
+        return pet.get(task.task_type, self.index).shift(start)
 
     def executing_anchor_pmf(
         self,
@@ -158,7 +145,6 @@ class Machine:
         now: int,
         *,
         policy: DroppingPolicy = DroppingPolicy.EVICT,
-        condition_on_now: bool = False,
     ) -> DiscretePMF:
         """THE chain base for an executing head task.
 
@@ -170,15 +156,14 @@ class Machine:
         the two agree bit for bit (the queued steps behind it go through
         :func:`~repro.core.completion.completion_step`).
 
-        For a task started at ``now`` with ``deadline > now`` (and
-        ``condition_on_now=False``) this has the values of the uncapped
+        For a task started at ``now`` with ``deadline > now`` this has the values of the uncapped
         :func:`~repro.core.completion.completion_step` of its PET entry from
         ``point(now)``: the state walks an idle machine's pending head that
         way, and keeps that chain when the head then starts at that instant.
         """
         if self.executing is None:
             raise RuntimeError(f"machine {self.name} has no executing task to anchor")
-        prev = self.executing_completion_pmf(pet, now, condition_on_now=condition_on_now)
+        prev = self.executing_completion_pmf(pet, now)
         if policy is DroppingPolicy.EVICT:
             prev = prev.collapse_tail_to(max(self.executing.deadline, now + 1))
         return prev

@@ -13,9 +13,8 @@ unit-testable without running a full simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ..core.batch import PMFBatch
 from ..core.completion import DroppingPolicy, completion_step
 from ..core.pmf import DiscretePMF
 from ..pet.matrix import PETMatrix
@@ -78,9 +77,6 @@ class MappingContext:
     terminal_events: tuple[TerminalEvent, ...] = ()
     #: Impulse-aggregation cap for completion-time chains (None = exact).
     max_impulses: int | None = 32
-    #: Condition the executing task's PCT on it not having finished yet.
-    #: Off by default: the paper anchors the PCT at the observed start time.
-    condition_executing_on_now: bool = False
     #: Live availability state, the one walker of every machine's chain.
     #: The engine passes its own; a context built without one (by hand, in
     #: tests or analysis code) builds a fresh state on its own settings.
@@ -88,11 +84,7 @@ class MappingContext:
     state: SystemState | None = None
 
     def __post_init__(self) -> None:
-        settings = {
-            "policy": self.policy,
-            "max_impulses": self.max_impulses,
-            "condition_executing_on_now": self.condition_executing_on_now,
-        }
+        settings = {"policy": self.policy, "max_impulses": self.max_impulses}
         if self.state is None:
             self.state = SystemState(self.machines, self.pet, **settings)
             return
@@ -109,35 +101,6 @@ class MappingContext:
     def machine_availability(self, machine_index: int) -> DiscretePMF:
         """Availability PMF of a machine's *current* queue (live view)."""
         return self.state.availability(machine_index, self.now)
-
-    def availability_batch(self) -> PMFBatch:
-        """All machines' availability PMFs on one aligned batch grid.
-
-        Served straight from the live :class:`SystemState` batch (no
-        recomputation, no restacking unless a queue changed).
-
-        Returns
-        -------
-        PMFBatch
-            ``(n_machines, support)`` batch (row ``j`` is machine ``j``),
-            with the same per-machine PMF values
-            :meth:`machine_availability` serves — the input shape the
-            batched scoring kernels of :mod:`repro.core.batch` consume.
-        """
-        return self.state.availability_batch(self.now)
-
-    def availability_excluding(
-        self, machine_index: int, dropped_task_ids: Iterable[int]
-    ) -> DiscretePMF:
-        """Availability of a machine's queue with some tasks dropped.
-
-        The pruning path uses this to see post-drop availability: the chain
-        prefix ahead of the first dropped task is reused and only the
-        suffix is re-convolved.
-        """
-        return self.state.availability_excluding(
-            machine_index, set(dropped_task_ids), self.now
-        )
 
     def extend_availability(
         self, machine_index: int, task: Task, prev: DiscretePMF

@@ -11,7 +11,6 @@ portion of the trial is evaluated.  Secondary metrics cover fairness
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -166,12 +165,3 @@ class SimulationResult:
             **{k: float(v) for k, v in self.counters.as_dict().items()},
         }
 
-
-def machines_summary(
-    names: Sequence[str], busy: Sequence[float], prices: Sequence[float]
-) -> list[dict[str, float | str]]:
-    """Per-machine utilisation/cost rows for reports."""
-    return [
-        {"machine": n, "busy_time": float(b), "price": float(p), "cost": float(b * p / 1000.0)}
-        for n, b, p in zip(names, busy, prices)
-    ]

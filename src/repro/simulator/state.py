@@ -18,10 +18,10 @@ chains live for the whole simulation:
 * a chain step the mapper already computed while building its virtual queue
   can be handed over (:meth:`offer_step`) and is adopted instead of being
   recomputed when the task lands behind that very predecessor PMF,
-* all machines' availability PMFs are served as one live, padded
+* all machines' availability PMFs can be served as one live, padded
   ``(n_machines, support)`` :class:`~repro.core.batch.PMFBatch`
-  (:meth:`availability_batch`) — the exact input shape the batched scoring
-  kernels consume.
+  (:meth:`availability_batch`); only the perf ledger under ``bench/``
+  reads it.
 
 Every step is :func:`~repro.core.completion.completion_step` and every
 executing head is anchored on its exact completion PMF
@@ -36,9 +36,9 @@ Time anchoring
 With the paper's default anchoring (the executing task's completion PMF is
 pinned at its observed start time) a non-empty machine's chain does not
 depend on the current time, so it survives across mapping events untouched.
-Chains whose base is the current time — an idle machine's ``point(now)``,
-or any chain under ``condition_executing_on_now=True`` — are transparently
-re-anchored when queried at a different ``now``.
+A chain whose base is the current time — an idle machine's ``point(now)`` —
+is transparently re-anchored when queried at a different ``now``; a chain
+whose head is executing never depends on ``now``.
 
 An idle machine's pending head starts at ``now`` (the engine starts heads
 right after the mapping event), so its step from ``point(now)`` is taken
@@ -47,8 +47,8 @@ availability has the values of the executing anchor the task gets when it
 starts at that instant.  :meth:`SystemState.notify_start` therefore keeps a
 chain walked at the very start instant — no step is recomputed, only the
 head's pruning inputs switch to its raw completion PMF.  A start at a later
-instant, a head whose deadline has passed, or
-``condition_executing_on_now=True`` re-walks the chain from the anchor.
+instant or a head whose deadline has passed re-walks the chain from the
+anchor.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class _MachineChain:
         #: Whether ``chain[0]`` was computed with ``tasks[0]`` executing.
         self.head_executing: bool = False
         #: The ``now`` the chain base was anchored at (only meaningful when
-        #: the base is time-dependent: idle head or conditioned executing PMF).
+        #: the base is time-dependent: an idle head's ``point(now)``).
         self.anchor_now: int | None = None
         #: ``machine.queue_version`` at the last (re)sync — the defensive
         #: change detector for mutations that arrived without a notification.
@@ -129,10 +129,6 @@ class SystemState:
         lifetime of the state, like the simulator config it derives from.
     max_impulses:
         Impulse-aggregation cap applied after every chain step.
-    condition_executing_on_now:
-        Mirror of :attr:`SimulatorConfig.condition_executing_on_now`; when
-        True every non-empty chain is time-dependent and is re-anchored at
-        each mapping event.
     """
 
     def __init__(
@@ -142,13 +138,11 @@ class SystemState:
         *,
         policy: DroppingPolicy = DroppingPolicy.EVICT,
         max_impulses: int | None = 32,
-        condition_executing_on_now: bool = False,
     ) -> None:
         self.machines = list(machines)
         self.pet = pet
         self.policy = policy
         self.max_impulses = max_impulses
-        self.condition_executing_on_now = bool(condition_executing_on_now)
         self._records = [_MachineChain() for _ in self.machines]
         self._version = 0
         self._batch_cache: tuple[tuple[int, int], PMFBatch] | None = None
@@ -186,7 +180,6 @@ class SystemState:
             if (
                 rec.dirty_from > 0
                 and not rec.head_executing
-                and not self.condition_executing_on_now
                 and rec.anchor_now == head.exec_start < head.deadline
             ):
                 # An executing head's pruning inputs are its raw PMF.
@@ -299,8 +292,9 @@ class SystemState:
     ) -> DiscretePMF:
         """Availability of a machine's queue with some tasks removed.
 
-        Used by the pruning path to evaluate post-drop availability: the
-        chain *prefix* ahead of the first dropped task is reused verbatim
+        Post-drop availability for the perf ledger under ``bench/`` (the
+        pruner computes its own in its walk): the chain *prefix* ahead of
+        the first dropped task is reused verbatim
         and only the suffix behind it is re-convolved — bit-identical to
         recomputing the reduced queue from scratch, at a fraction of the
         cost.
@@ -354,9 +348,7 @@ class SystemState:
         for k in range(len(rec.meta), len(rec.steps)):
             step = rec.steps[k]
             if step is None:
-                completion = self.machines[machine_index].executing_completion_pmf(
-                    self.pet, now, condition_on_now=self.condition_executing_on_now
-                )
+                completion = self.machines[machine_index].executing_completion_pmf(self.pet, now)
                 prob = float(min(1.0, completion.cdf(rec.tasks[0].deadline)))
             else:
                 prob, completion = step.success_probability, step.completion
@@ -412,11 +404,10 @@ class SystemState:
             rec.dirty_from = 0
             return rec
         head_executing = machine.executing is not None and tasks[0] is machine.executing
-        time_anchored = not head_executing or self.condition_executing_on_now
         if rec.dirty_from > 0:
             if head_executing != rec.head_executing:
                 rec.dirty_from = 0
-            elif time_anchored and rec.anchor_now != now:
+            elif not head_executing and rec.anchor_now != now:
                 rec.dirty_from = 0
             elif (
                 head_executing
@@ -468,12 +459,7 @@ class SystemState:
                 machine.executing is not None and tasks[0] is machine.executing
             )
             if head_executing:
-                prev = machine.executing_anchor_pmf(
-                    self.pet,
-                    now,
-                    policy=self.policy,
-                    condition_on_now=self.condition_executing_on_now,
-                )
+                prev = machine.executing_anchor_pmf(self.pet, now, policy=self.policy)
                 rec.chain.append(prev)
                 rec.steps.append(None)
                 start = 1

@@ -7,7 +7,7 @@ The subsystem splits experiment execution into three declarative layers:
   deterministic per-point seed derivation;
 * :mod:`repro.sweep.executor` — :class:`ParallelExecutor`/:func:`run_sweep`
   fan trials out over a process pool (one worker runs them in-process,
-  bit-identical to the historical ``run_series``);
+  bit-identical to the pool, as :func:`execute_point` does for one point);
 * :mod:`repro.sweep.cache` — :class:`ResultCache` persists per-point results
   as content-addressed JSON artefacts so repeated or interrupted sweeps
   resume without re-simulating.
@@ -35,7 +35,6 @@ from .executor import (
     ParallelExecutor,
     SweepOutcome,
     execute_point,
-    execute_trials,
     pet_for,
     run_sweep,
     trace_for,
@@ -76,7 +75,6 @@ __all__ = [
     "cache_key",
     "execute_point",
     "execute_trial",
-    "execute_trials",
     "pet_for",
     "point_payload",
     "run_sweep",

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 from ..obs.telemetry import active as obs_active
 from ..simulator.engine import SimulatorConfig
@@ -33,7 +33,6 @@ from .spec import (
     PETSpec,
     SweepPoint,
     SweepSpec,
-    spawn_trial_seeds,
     trace_for,
 )
 from .trial import TrialMetrics, execute_trial
@@ -41,21 +40,16 @@ from .trial import TrialMetrics, execute_trial
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..experiments.config import ExperimentConfig
     from ..experiments.runner import SeriesResult
-    from ..heuristics.base import MappingHeuristic
     from ..pet.matrix import PETMatrix
-    from ..workload.generator import WorkloadConfig, WorkloadTrace
 
 __all__ = [
     "SweepOutcome",
     "ParallelExecutor",
     "run_sweep",
-    "execute_trials",
     "execute_point",
     "pet_for",
     "trace_for",
 ]
-
-HeuristicFactory = Callable[[], "MappingHeuristic"]
 
 
 @lru_cache(maxsize=16)
@@ -75,64 +69,9 @@ def _sim_config_for(
     )
 
 
-def execute_trials(
-    *,
-    pet: "PETMatrix",
-    heuristic_factory: HeuristicFactory,
-    workload: "WorkloadConfig | None",
-    config: "ExperimentConfig",
-    machine_prices: Sequence[float] | None = None,
-    evict_executing_at_deadline: bool = True,
-    trace: "WorkloadTrace | None" = None,
-) -> list[TrialMetrics]:
-    """The serial trial loop shared with :func:`repro.experiments.runner.run_series`.
-
-    Trial *k* derives its workload/execution streams from ``config.seed``
-    via ``SeedSequence.spawn``, so different heuristics at the same data
-    point see identical arrival traces (paired comparison, as in the paper).
-    A recorded ``trace`` replays identically in every trial; only the
-    execution stream varies.
-    """
-    sim_config = _sim_config_for(
-        config, evict_executing_at_deadline=evict_executing_at_deadline
-    )
-    children = spawn_trial_seeds(config.seed, config.trials)
-    obs = obs_active()
-    trials: list[TrialMetrics] = []
-    for child in children:
-        if obs.enabled:
-            start_ns = time.perf_counter_ns()
-        metrics = execute_trial(
-            pet=pet,
-            heuristic=heuristic_factory(),
-            workload=workload,
-            trial_seed=child,
-            sim_config=sim_config,
-            machine_prices=machine_prices,
-            warmup=config.warmup_tasks,
-            cooldown=config.cooldown_tasks,
-            trace=trace,
-        )
-        if obs.enabled:
-            obs.add_span(
-                "sweep.trial", start_ns, time.perf_counter_ns() - start_ns
-            )
-        trials.append(metrics)
-    return trials
-
-
 def execute_point(point: SweepPoint) -> list[TrialMetrics]:
-    """Run every trial of one point in-process (the ``jobs=1`` path)."""
-    pet = pet_for(point.pet)
-    return execute_trials(
-        pet=pet,
-        heuristic_factory=lambda: point.heuristic.build(pet.num_task_types),
-        workload=point.workload,
-        config=point.config,
-        machine_prices=point.machine_prices,
-        evict_executing_at_deadline=point.evict_executing_at_deadline,
-        trace=trace_for(point.trace) if point.trace is not None else None,
-    )
+    """Run every trial of one point in-process, in trial order."""
+    return [_execute_point_trial(point, k) for k in range(point.config.trials)]
 
 
 def _execute_point_trial(point: SweepPoint, trial_index: int) -> TrialMetrics:

@@ -6,10 +6,11 @@ ships across process boundaries and aggregates into series.  It lives here
 backwards compatibility) so the sweep package never imports the experiments
 package at module level — the experiments drivers import *us*.
 
-:func:`execute_trial` reproduces one iteration of the historical
-``run_series`` loop byte for byte: the workload and execution streams are the
-two children of the trial's :class:`numpy.random.SeedSequence`, the heuristic
-is freshly built, and the metrics are trimmed with the configured
+:func:`execute_trial` runs one trial of a data point: the workload and
+execution streams are the two children of the trial's
+:class:`numpy.random.SeedSequence` (spawn position *k* of the point's seed,
+so every heuristic at one point sees the same arrivals), the heuristic is
+freshly built, and the metrics are trimmed with the configured
 warmup/cooldown windows.
 """
 

@@ -21,9 +21,8 @@ from repro.workload.scale import ScaleTraceConfig, generate_scale_trace
 
 
 def walk_from_scratch(
-    machine, pet, now, *, policy=DroppingPolicy.EVICT, max_impulses=32,
-    condition_executing_on_now=False,
-) -> tuple[DiscretePMF, ...]:  # fmt: skip
+    machine, pet, now, *, policy=DroppingPolicy.EVICT, max_impulses=32
+) -> tuple[DiscretePMF, ...]:
     """A machine's completion-time chain walked down its current queue, on
     ``SystemState``'s settings: ``state.chain`` must equal it at atol=0.
 
@@ -32,9 +31,7 @@ def walk_from_scratch(
     step from ``point(now)`` is taken without the impulse cap."""
     tasks, start, head = machine.queued_tasks(), DiscretePMF.point(now), []
     if machine.executing is not None:
-        start = machine.executing_anchor_pmf(
-            pet, now, policy=policy, condition_on_now=condition_executing_on_now
-        )
+        start = machine.executing_anchor_pmf(pet, now, policy=policy)
         tasks, head = tasks[1:], [start]
     elif tasks and tasks[0].deadline > now:
         start = chain_step(

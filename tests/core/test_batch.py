@@ -19,10 +19,7 @@ from hypothesis import strategies as st
 from repro.core.batch import (
     CDFTable,
     PMFBatch,
-    batched_convolve,
     batched_convolve_ragged,
-    batched_expected_completion,
-    batched_shift,
     batched_success_probability,
     pack_batch,
     pack_impulses,
@@ -30,7 +27,7 @@ from repro.core.batch import (
     sequential_sum,
 )
 from repro.core.pmf import DiscretePMF
-from repro.heuristics.scoring import expected_completion, fast_success_probability
+from repro.heuristics.scoring import fast_success_probability
 
 
 def dense_values(pmf: DiscretePMF, lo: int, hi: int) -> np.ndarray:
@@ -124,54 +121,13 @@ class TestBatchConstruction:
                 assert means[i] == scalar
 
 
-class TestBatchedShift:
-    def test_scalar_shift_bit_identical(self, mixed_pmfs):
-        batch = PMFBatch.from_pmfs(mixed_pmfs)
-        shifted = batched_shift(batch, -9)
-        for i, pmf in enumerate(mixed_pmfs):
-            assert_same_pmf_bits(shifted.row(i), pmf.shift(-9))
-
-    def test_per_row_shift_bit_identical(self, mixed_pmfs):
-        batch = PMFBatch.from_pmfs(mixed_pmfs)
-        deltas = np.array([3, -2, 0, 17, 5, -11, 4][: len(mixed_pmfs)])
-        shifted = batched_shift(batch, deltas)
-        for i, pmf in enumerate(mixed_pmfs):
-            assert_same_pmf_bits(shifted.row(i), pmf.shift(int(deltas[i])))
-
-    def test_bad_delta_shape_raises(self, mixed_pmfs):
-        batch = PMFBatch.from_pmfs(mixed_pmfs)
-        with pytest.raises(ValueError):
-            batched_shift(batch, np.array([1, 2]))
-
-
-class TestBatchedConvolve:
-    def test_bit_identical_to_scalar_convolve_with(self, mixed_pmfs, kernels):
-        batch = PMFBatch.from_pmfs(mixed_pmfs)
-        for kernel in kernels:
-            out = batched_convolve(batch, kernel)
-            for i, pmf in enumerate(mixed_pmfs):
-                assert_same_pmf_bits(out.row(i), pmf.convolve_with(kernel))
-
-    def test_matches_adaptive_convolve_when_kernel_is_sparse(self, mixed_pmfs):
-        kernel = DiscretePMF.from_impulses({2: 0.5, 9: 0.5})
-        batch = PMFBatch.from_pmfs(mixed_pmfs)
-        out = batched_convolve(batch, kernel)
-        for i, pmf in enumerate(mixed_pmfs):
-            if np.count_nonzero(kernel.probs) <= np.count_nonzero(pmf.probs):
-                assert_same_pmf_bits(out.row(i), pmf.convolve(kernel))
-
-    def test_convolve_with_matches_dense_convolution_values(self, rng):
-        # Semantics (not bits): shift-and-add equals the brute-force sum.
-        a = DiscretePMF.from_samples(rng.gamma(2.0, 10.0, size=100))
-        b = DiscretePMF.from_samples(rng.gamma(3.0, 5.0, size=100)).shift(-3)
-        fast = a.convolve_with(b)
-        brute = np.convolve(a.probs, b.probs)
-        assert np.allclose(dense_values(fast, fast.offset, fast.max_time), brute, atol=1e-15)
-
-    def test_zero_kernel_gives_zero_batch(self, mixed_pmfs):
-        batch = PMFBatch.from_pmfs(mixed_pmfs)
-        out = batched_convolve(batch, DiscretePMF.zero())
-        assert np.array_equal(out.probs, np.zeros_like(out.probs))
+def test_convolve_with_matches_dense_convolution_values(rng):
+    # Semantics (not bits): shift-and-add equals the brute-force sum.
+    a = DiscretePMF.from_samples(rng.gamma(2.0, 10.0, size=100))
+    b = DiscretePMF.from_samples(rng.gamma(3.0, 5.0, size=100)).shift(-3)
+    fast = a.convolve_with(b)
+    brute = np.convolve(a.probs, b.probs)
+    assert np.allclose(dense_values(fast, fast.offset, fast.max_time), brute, atol=1e-15)
 
 
 class TestBatchedConvolveRagged:
@@ -318,28 +274,6 @@ class TestBatchedSuccessProbability:
         assert np.all(grid <= 1.0) and np.all(grid >= 0.0)
 
 
-class TestBatchedExpectedCompletion:
-    def test_bit_identical_to_scalar(self, small_gamma_pet):
-        rng = np.random.default_rng(7)
-        availabilities = [
-            DiscretePMF.from_samples(rng.gamma(2.0, 20.0, size=150)).aggregate(16)
-            for _ in range(small_gamma_pet.num_machines)
-        ]
-        means = np.array([a.mean() for a in availabilities])
-        exec_means = small_gamma_pet.mean_execution_times()
-        grid = batched_expected_completion(means, exec_means)
-        for t in range(small_gamma_pet.num_task_types):
-            for j in range(small_gamma_pet.num_machines):
-                scalar = expected_completion(small_gamma_pet.get(t, j), availabilities[j])
-                assert grid[t, j] == scalar
-
-    def test_nan_availability_propagates(self):
-        grid = batched_expected_completion(
-            np.array([np.nan, 10.0]), np.array([[1.0, 2.0]])
-        )
-        assert math.isnan(grid[0, 0]) and grid[0, 1] == 12.0
-
-
 # ----------------------------------------------------------------------
 # Random inputs (Hypothesis) against the scalar path
 # ----------------------------------------------------------------------
@@ -417,48 +351,6 @@ def test_random_success_probability_matches_scalar(case):
     for i, (task_type, deadline) in enumerate(zip(types, deadlines)):
         for j, avail in enumerate(avail_pmfs):
             assert out[i, j] == fast_success_probability(grid[task_type][j], avail, int(deadline))
-
-
-@settings(max_examples=25, deadline=None)
-@given(case=scoring_case_strategy())
-def test_random_expected_completion_matches_scalar(case):
-    avail_pmfs, grid, types, _ = case
-    means = np.array([p.mean() for p in avail_pmfs], dtype=np.float64)
-    exec_means = np.array(
-        [[grid[t][j].mean() for j in range(len(avail_pmfs))] for t in types], dtype=np.float64
-    )
-    out = batched_expected_completion(means, exec_means)
-    for i, task_type in enumerate(types):
-        for j, avail in enumerate(avail_pmfs):
-            scalar = expected_completion(grid[task_type][j], avail)
-            if np.isnan(scalar):
-                assert np.isnan(out[i, j])
-            else:
-                assert out[i, j] == scalar
-
-
-@settings(max_examples=25, deadline=None)
-@given(batch=batch_strategy(), data=st.data())
-def test_random_shift_matches_scalar(batch, data):
-    delta = data.draw(st.integers(-10, 10))
-    out = batched_shift(batch, delta)
-    for i in range(batch.n_pmfs):
-        assert_same_compact_pmf(out.row(i), batch.row(i).shift(delta))
-
-    deltas = data.draw(
-        st.lists(st.integers(-10, 10), min_size=batch.n_pmfs, max_size=batch.n_pmfs)
-    )
-    out = batched_shift(batch, np.array(deltas, dtype=np.int64))
-    for i, delta in enumerate(deltas):
-        assert_same_compact_pmf(out.row(i), batch.row(i).shift(delta))
-
-
-@settings(max_examples=25, deadline=None)
-@given(batch=batch_strategy(), kernel=pmf_strategy(min_time=0, max_time=20))
-def test_random_convolve_matches_scalar(batch, kernel):
-    out = batched_convolve(batch, kernel)
-    for i in range(batch.n_pmfs):
-        assert_same_compact_pmf(out.row(i), batch.row(i).convolve_with(kernel))
 
 
 @settings(max_examples=25, deadline=None)

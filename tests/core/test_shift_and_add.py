@@ -1,7 +1,7 @@
 """The vectorised PMF kernels against the loops they replaced, at atol=0.
 
-``shift_and_add`` (behind the chain step, ``DiscretePMF.convolve`` /
-``convolve_with`` and ``batched_convolve``) and the ``bincount`` tail of
+``shift_and_add`` (behind the chain step and ``DiscretePMF.convolve`` /
+``convolve_with``) and the ``bincount`` tail of
 ``DiscretePMF.aggregate`` replaced a Python impulse loop and an ``np.add.at`` scatter.  The old code
 lives on here as the reference: operands recorded from a real trial, plus
 the edge cases, must come out bit for bit the same.
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import pmf as pmf_module
-from repro.core.batch import PMFBatch, batched_convolve
 from repro.core.pmf import DiscretePMF, shift_and_add
 from repro.heuristics.registry import make_heuristic
 from repro.pet.builders import build_transcoding_pet
@@ -171,8 +170,6 @@ def test_zero_mass_operands_keep_the_scalar_convention():
     pmf = DiscretePMF.from_impulses({3: 0.5, 4: 0.5})
     for got in (pmf.convolve_with(DiscretePMF.zero()), DiscretePMF.zero().convolve_with(pmf)):
         assert same_pmf(got, DiscretePMF._raw(np.array([0.0]), pmf.offset))
-    batch = batched_convolve(PMFBatch.from_pmfs([pmf, pmf]), DiscretePMF.zero())
-    assert batch.probs.shape == (2, 1) and not batch.probs.any()
 
 
 def test_leading_and_trailing_zero_bins_change_nothing():
@@ -191,11 +188,16 @@ def test_batched_rows_equal_the_one_row_case():
     rng = np.random.default_rng(12)
     pmfs = [random_pmf(rng, int(rng.integers(5, 120)), 5, offset=int(rng.integers(-9, 40))) for _ in range(17)]
     kernel = random_pmf(rng, 150, 110, offset=-3)
-    batch = PMFBatch.from_pmfs(pmfs)
-    out = batched_convolve(batch, kernel)
+    # The rows on one shared grid: an (n, width) operand, zero-padded.
+    lo = min(pmf.offset for pmf in pmfs)
+    dense = np.zeros((len(pmfs), max(pmf.max_time for pmf in pmfs) - lo + 1))
     for i, pmf in enumerate(pmfs):
-        assert same_pmf(out.row(i).compact(), pmf.convolve_with(kernel).compact())
-        assert np.array_equal(out.probs[i], loop_convolve(batch.probs[i], kernel.probs))
+        dense[i, pmf.offset - lo : pmf.offset - lo + pmf.probs.size] = pmf.probs
+    out = shift_and_add(dense, kernel.probs)
+    for i, pmf in enumerate(pmfs):
+        row = DiscretePMF._raw(out[i], lo + kernel.offset)
+        assert same_pmf(row.compact(), pmf.convolve_with(kernel).compact())
+        assert np.array_equal(out[i], loop_convolve(dense[i], kernel.probs))
 
 
 @pytest.mark.parametrize(

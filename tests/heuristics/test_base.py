@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.completion import DroppingPolicy
+from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable, VirtualSystemState
 from repro.heuristics.scoring import fast_success_probability
 from repro.simulator.machine import Machine
@@ -74,13 +75,30 @@ class TestVirtualSystemState:
         m0.enqueue(long_task, now=0)
         context = make_context(tiny_pet, [m0])
         with_task = VirtualSystemState(context)
-        without_task = VirtualSystemState(context, dropped_task_ids={10})
+        # Dropping the only queued task leaves the machine free now.
+        post_drop = {0: DiscretePMF.point(context.now)}
+        without_task = VirtualSystemState(
+            context, dropped_task_ids={10}, availability_override=post_drop
+        )
         assert without_task.free_slots[0] == with_task.free_slots[0] + 1
+        assert without_task.availability(0) is post_drop[0]
         assert without_task.availability(0).mean() < with_task.availability(0).mean()
 
-    def test_availability_override_used(self, tiny_pet):
-        from repro.core.pmf import DiscretePMF
+    def test_lost_tasks_without_override_raise(self, tiny_pet):
+        m0 = Machine(0, "fast-a", queue_capacity=4)
+        m1 = Machine(1, "fast-b", queue_capacity=4)
+        m0.enqueue(make_task(10, task_type=2, deadline=600), now=0)
+        m1.enqueue(make_task(11, task_type=2, deadline=600), now=0)
+        context = make_context(tiny_pet, [m0, m1])
+        # Machine 1 lost task 11, but only machine 0 has a post-drop availability.
+        with pytest.raises(ValueError, match="machine 1 lost queued tasks"):
+            VirtualSystemState(
+                context,
+                dropped_task_ids={10, 11},
+                availability_override={0: DiscretePMF.point(context.now)},
+            )
 
+    def test_availability_override_used(self, tiny_pet):
         m0 = Machine(0, "fast-a", queue_capacity=4)
         m0.enqueue(make_task(10), now=0)
         context = make_context(tiny_pet, [m0])

@@ -190,16 +190,17 @@ class TestScoreTableTelemetry:
 class TestBatchedAvailabilityHelper:
     def test_rows_match_scalar_availability(self, small_gamma_pet, scratch_chain):
         context = paper_scale_event(small_gamma_pet, seed=31)
-        batch = context.availability_batch()
+        batch = context.state.availability_batch(context.now)
         assert batch.n_pmfs == small_gamma_pet.num_machines
         for j, machine in enumerate(context.machines):
             chain = scratch_chain(machine, small_gamma_pet, context.now, policy=context.policy)
             want = chain[-1] if chain else DiscretePMF.point(context.now)
             assert batch.row(j).compact().allclose(want, atol=0)
 
-    def test_context_availability_batch_uses_cache(self, small_gamma_pet):
+    def test_state_availability_batch_uses_cache(self, small_gamma_pet):
         context = paper_scale_event(small_gamma_pet, seed=37)
-        batch = context.availability_batch()
+        batch = context.state.availability_batch(context.now)
+        assert context.state.availability_batch(context.now) is batch
         for j in range(small_gamma_pet.num_machines):
             assert batch.row(j).compact().allclose(
                 context.machine_availability(j).compact(), atol=0

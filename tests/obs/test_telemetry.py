@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.obs import (
     Telemetry,
     active,
     chrome_trace_events,
-    prometheus_text,
     set_active,
     snapshot,
     use_telemetry,
@@ -168,14 +166,3 @@ def test_write_snapshot_maps_nan_to_null(tmp_path):
     path = write_snapshot(tel, tmp_path / "snap.json")
     loaded = json.loads(path.read_text())
     assert loaded["gauges"]["weird"] is None
-
-
-def test_prometheus_text_rendering():
-    tel = _recorded_telemetry()
-    text = prometheus_text(tel)
-    assert "# TYPE repro_engine_events_arrival_total counter" in text
-    assert "repro_engine_events_arrival_total 10" in text
-    assert "repro_engine_end_time 42.0" in text
-    assert 'repro_engine_mapping_event_PAM_seconds{quantile="0.5"}' in text
-    assert "repro_engine_mapping_event_PAM_seconds_count 1" in text
-    assert not math.isnan(tel.timings["engine.mapping_event.PAM"].mean)

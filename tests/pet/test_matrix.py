@@ -100,19 +100,3 @@ class TestStatistics:
         slow = DiscretePMF.from_impulses({4: 1.0})
         pet = PETMatrix(("a", "b"), ("m0", "m1"), ((fast, slow), (fast, slow)))
         assert not pet.is_inconsistently_heterogeneous()
-
-
-class TestSerialisation:
-    def test_round_trip(self, tiny_pet):
-        rebuilt = PETMatrix.from_dict(tiny_pet.to_dict())
-        assert rebuilt.task_types == tiny_pet.task_types
-        assert rebuilt.machine_names == tiny_pet.machine_names
-        for t in range(tiny_pet.num_task_types):
-            for m in range(tiny_pet.num_machines):
-                assert rebuilt.get(t, m).allclose(tiny_pet.get(t, m))
-
-    def test_to_dict_is_json_friendly(self, tiny_pet):
-        import json
-
-        payload = json.dumps(tiny_pet.to_dict())
-        assert "alpha" in payload

@@ -80,9 +80,7 @@ def eager_walk(pruner, machine, context):
     start = 0
     if tasks and machine.executing is not None:
         head = machine.executing
-        raw = machine.executing_completion_pmf(
-            context.pet, context.now, condition_on_now=context.condition_executing_on_now
-        )
+        raw = machine.executing_completion_pmf(context.pet, context.now)
         prob = float(min(1.0, raw.cdf(head.deadline)))
         threshold = thresholds.dropping_threshold_for(raw, 0, sufferage=sufferage(head))
         examined.append((head.task_id, prob, threshold))

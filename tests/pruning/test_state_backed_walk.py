@@ -198,7 +198,6 @@ class TestUnitEquivalence:
         [
             {"max_impulses": 16},  # the state's is 32
             {"policy": DroppingPolicy.PENDING},
-            {"condition_executing_on_now": True},
             {"machines": (Machine(0, "fast-a", queue_capacity=6),)},
             "pet",
         ],

@@ -135,19 +135,36 @@ class TestProbabilisticState:
         machine.start_next(now=0, actual_execution_time=20)
         assert availability(machine, tiny_pet, 1).support()[1] <= 10
 
-    def test_conditioned_pmf_excludes_past(self, machine, tiny_pet):
-        task = make_task(0, task_type=0, deadline=300)
-        machine.enqueue(task, now=0)
-        machine.start_next(now=0, actual_execution_time=6)
-        conditioned = machine.executing_completion_pmf(tiny_pet, now=5, condition_on_now=True)
-        assert conditioned.support()[0] >= 6
-        assert conditioned.is_normalised()
-
-    def test_conditioned_pmf_when_overdue(self, machine, tiny_pet):
+    @pytest.mark.parametrize("now", [0, 5, 200], ids=["at-start", "mid-execution", "overdue"])
+    def test_executing_pmf_is_anchored_at_start_whatever_now(self, machine, tiny_pet, now):
+        # Section IV: the executing task's PCT is its PET shifted by its
+        # observed start time, however long it has been running.
         task = make_task(0, task_type=0, deadline=300)
         machine.enqueue(task, now=0)
         machine.start_next(now=0, actual_execution_time=50)
-        # Far beyond the PET support: the conditional distribution is empty,
-        # the machine is assumed to free up at the next tick.
-        conditioned = machine.executing_completion_pmf(tiny_pet, now=200, condition_on_now=True)
-        assert conditioned.probability_at(201) == pytest.approx(1.0)
+        pmf = machine.executing_completion_pmf(tiny_pet, now=now)
+        want = tiny_pet.get(0, 0).shift(0)
+        assert pmf.offset == want.offset
+        assert list(pmf.probs) == list(want.probs)
+
+    def test_idle_machine_executing_pmf_is_point_now(self, machine, tiny_pet):
+        assert machine.executing_completion_pmf(tiny_pet, now=42).probability_at(42) == 1.0
+
+    def test_anchor_pmf_requires_an_executing_task(self, machine, tiny_pet):
+        with pytest.raises(RuntimeError, match="no executing task"):
+            machine.executing_anchor_pmf(tiny_pet, now=0)
+
+    @pytest.mark.parametrize("policy", list(DroppingPolicy), ids=lambda p: p.value)
+    def test_anchor_pmf_collapses_the_tail_only_under_evict(self, machine, tiny_pet, policy):
+        task = make_task(0, task_type=2, deadline=10)  # gamma: long execution, tight deadline
+        machine.enqueue(task, now=0)
+        machine.start_next(now=0, actual_execution_time=20)
+        raw = machine.executing_completion_pmf(tiny_pet, now=4)
+        anchor = machine.executing_anchor_pmf(tiny_pet, now=4, policy=policy)
+        assert anchor.total_mass() == pytest.approx(1.0)
+        if policy is DroppingPolicy.EVICT:
+            assert anchor.support()[1] == 10
+            assert anchor.probability_at(10) == pytest.approx(1.0 - raw.cdf(9))
+        else:
+            assert anchor.offset == raw.offset
+            assert list(anchor.probs) == list(raw.probs)

@@ -52,7 +52,6 @@ def scratch_of(scratch_chain, state: SystemState, j: int, now: int) -> tuple:
         now,
         policy=state.policy,
         max_impulses=state.max_impulses,
-        condition_executing_on_now=state.condition_executing_on_now,
     )
 
 
@@ -156,6 +155,28 @@ class TestIncrementalMaintenance:
         assert before.support()[1] == 10  # collapsed at the deadline
         assert after.support()[1] == 13  # collapse moved to max(10, 12 + 1)
 
+    @pytest.mark.parametrize("policy", list(DroppingPolicy), ids=lambda p: p.value)
+    def test_executing_head_chain_does_not_depend_on_now(
+        self, tiny_pet, machines, scratch_chain, policy
+    ):
+        """Before its deadline, a chain whose head executes is served as
+        walked at any later query time: no step is recomputed."""
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            state = SystemState(machines, tiny_pet, policy=policy)
+        m0 = machines[0]
+        for task in (make_task(0, task_type=2, deadline=40), make_task(1, deadline=300)):
+            m0.enqueue(task, now=0)
+            state.notify_enqueue(0, task)
+        m0.start_next(now=0, actual_execution_time=15)
+        state.notify_start(0)
+        walked = state.chain(0, 1)
+        steps = telemetry.counters["state.chain_steps"]
+        for now in (5, 13, 39):
+            assert all(a is b for a, b in zip(state.chain(0, now), walked, strict=True))
+            assert_matches_scratch(scratch_chain, state, 0, now)
+        assert telemetry.counters["state.chain_steps"] == steps
+
     def test_idle_pending_chain_reanchors_with_now(self, tiny_pet, machines, scratch_chain):
         state = SystemState(machines, tiny_pet)
         m0 = machines[0]
@@ -208,12 +229,12 @@ class TestStartAtWalkInstant:
     walked keeps the chain: its step from ``point(now)`` was taken uncapped,
     so it already is the executing anchor.  Any other start re-walks."""
 
-    def walked(self, tiny_pet, machines, *, now, head_deadline, **settings):
+    def walked(self, tiny_pet, machines, *, now, head_deadline):
         """Gamma head (3 impulses, over the cap of 2) and one task behind it,
         walked at ``now`` under telemetry; the state, its chain, the counters."""
         telemetry = Telemetry()
         with use_telemetry(telemetry):
-            state = SystemState(machines, tiny_pet, max_impulses=2, **settings)
+            state = SystemState(machines, tiny_pet, max_impulses=2)
         m0 = machines[0]
         for task in (
             make_task(0, task_type=2, deadline=head_deadline),
@@ -243,23 +264,18 @@ class TestStartAtWalkInstant:
         assert_matches_scratch(scratch_chain, state, 0, 11)
 
     @pytest.mark.parametrize(
-        "start, head_deadline, conditioned",
+        "start, head_deadline",
         [
-            (9, 300, False),  # a later start instant
-            (7, 5, False),  # the head's deadline has passed
-            (7, 300, True),  # condition_executing_on_now
+            (9, 300),  # a later start instant
+            (7, 5),  # the head's deadline has passed
         ],
-        ids=["later-start", "deadline-passed", "conditioned"],
+        ids=["later-start", "deadline-passed"],
     )
     def test_any_other_start_rewalks(
-        self, tiny_pet, machines, scratch_chain, start, head_deadline, conditioned
+        self, tiny_pet, machines, scratch_chain, start, head_deadline
     ):
         state, before, counters = self.walked(
-            tiny_pet,
-            machines,
-            now=7,
-            head_deadline=head_deadline,
-            condition_executing_on_now=conditioned,
+            tiny_pet, machines, now=7, head_deadline=head_deadline
         )
         steps = counters["state.chain_steps"]
         machines[0].start_next(now=start, actual_execution_time=20)
@@ -285,7 +301,6 @@ class TestMappingContextViews:
             state=state,
         )
         assert context.machine_availability(0) is state.availability(0, 0)
-        assert context.availability_batch() is state.availability_batch(0)
 
     def test_stateless_context_builds_its_own_state(self, tiny_pet, machines):
         state = SystemState(machines, tiny_pet)
@@ -312,17 +327,14 @@ class TestMappingContextViews:
 
 
     @pytest.mark.parametrize("policy", list(DroppingPolicy))
-    @pytest.mark.parametrize("conditioned", [False, True])
     def test_stateless_context_walks_on_its_own_settings(
-        self, tiny_pet, machines, scratch_chain, policy, conditioned
+        self, tiny_pet, machines, scratch_chain, policy
     ):
         m0 = machines[0]
         for i in range(3):
             m0.enqueue(make_task(i, task_type=i, deadline=8 + 6 * i), now=0)
         m0.start_next(now=0, actual_execution_time=20)
-        settings = dict(
-            policy=policy, max_impulses=2, condition_executing_on_now=conditioned
-        )
+        settings = dict(policy=policy, max_impulses=2)
         context = MappingContext(
             now=4, batch=(), machines=tuple(machines), pet=tiny_pet, **settings
         )

@@ -42,14 +42,12 @@ class World:
     """Machines, the state under test, and a seeded stream of mutations."""
 
     def __init__(
-        self, pet, seed: int, policy: DroppingPolicy, conditioned: bool, offers: bool, scratch_chain
+        self, pet, seed: int, policy: DroppingPolicy, offers: bool, scratch_chain
     ):
         self.pet = pet
         self.scratch_chain = scratch_chain
         self.rng = np.random.default_rng(seed)
-        self.settings = dict(
-            policy=policy, max_impulses=8, condition_executing_on_now=conditioned
-        )
+        self.settings = dict(policy=policy, max_impulses=8)
         self.offers = offers
         self.machines = [
             Machine(j, name, queue_capacity=QUEUE_CAPACITY)
@@ -167,13 +165,12 @@ class World:
 @given(
     seed=st.integers(0, 2**32 - 1),
     policy=st.sampled_from(list(DroppingPolicy)),
-    conditioned=st.booleans(),
     offers=st.booleans(),
 )
 def test_sparse_reads_equal_scratch_walk(
-    small_gamma_pet, scratch_chain, seed, policy, conditioned, offers
+    small_gamma_pet, scratch_chain, seed, policy, offers
 ):
-    world = World(small_gamma_pet, seed, policy, conditioned, offers, scratch_chain)
+    world = World(small_gamma_pet, seed, policy, offers, scratch_chain)
     n = len(world.machines)
     for _ in range(STEPS):
         world.now += int(world.rng.integers(0, 9))
@@ -192,7 +189,7 @@ def test_honest_offers_are_adopted(small_gamma_pet, scratch_chain):
 
     telemetry = Telemetry()
     with use_telemetry(telemetry):
-        world = World(small_gamma_pet, 5, DroppingPolicy.EVICT, False, True, scratch_chain)
+        world = World(small_gamma_pet, 5, DroppingPolicy.EVICT, True, scratch_chain)
     for _ in range(STEPS):
         world.now += 3
         world.mutate()

@@ -4,7 +4,8 @@ The two guarantees the subsystem is built on:
 
 * **Determinism** — ``jobs=1`` and ``jobs=4`` sweeps of the same
   :class:`SweepSpec` produce identical :class:`TrialMetrics`, and the serial
-  path is byte-for-byte what the historical ``run_series`` computes.
+  path is byte-for-byte what :func:`execute_point` (one point in-process)
+  computes.
 * **Caching** — a second run of the same spec against the same cache
   executes zero simulations and returns identical results.
 """
@@ -18,8 +19,6 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.config import ExperimentConfig, workload_for_level
-from repro.experiments.runner import run_series
-from repro.heuristics.registry import make_heuristic
 from repro.sweep import (
     HeuristicSpec,
     ParallelExecutor,
@@ -29,7 +28,7 @@ from repro.sweep import (
     StreamReporter,
     SweepPoint,
     SweepSpec,
-    pet_for,
+    execute_point,
     run_sweep,
 )
 
@@ -65,19 +64,10 @@ def serial_outcome(spec):
 
 
 class TestDeterminism:
-    def test_serial_matches_run_series(self, spec, config, serial_outcome):
-        """The subsystem's serial path is the historical trial loop."""
+    def test_serial_matches_execute_point(self, spec, serial_outcome):
+        """The executor's serial path runs each point as ``execute_point`` does."""
         for point, trials in zip(spec.points, serial_outcome.trials_per_point):
-            legacy = run_series(
-                label=point.label,
-                pet=pet_for(point.pet),
-                heuristic_factory=lambda name=point.heuristic.name: make_heuristic(
-                    name, num_task_types=12
-                ),
-                workload=point.workload,
-                config=config,
-            )
-            assert legacy.trials == trials
+            assert execute_point(point) == trials
 
     def test_jobs_1_equals_jobs_4(self, spec, serial_outcome):
         parallel = run_sweep(spec, jobs=4)

@@ -106,6 +106,45 @@ class TestParser:
             parser.parse_args(["figure", "9", "--batch-window", "-1"])
 
 
+#: Counts and trace paths from outside the program, and the error each gets.
+BAD_INPUTS = [
+    (["simulate", "--tasks", "0"], "argument --tasks: must be at least 1"),
+    (["simulate", "--span", "0"], "argument --span: must be at least 1"),
+    (
+        ["trace", "record", "--workload", "spec", "--tasks", "-3"],
+        "argument --tasks: must be at least 1",
+    ),
+    (["figure", "7", "--trials", "0"], "argument --trials: must be at least 1"),
+    (["sweep", "7", "--trials", "0"], "argument --trials: must be at least 1"),
+    (
+        ["trace", "replay", "t.json", "--trials", "0"],
+        "argument --trials: must be at least 1",
+    ),
+    (["figure", "7", "--task-scale", "0"], "argument --task-scale: must be positive"),
+    (["trace", "inspect", "missing.json"], "trace file not found: missing.json"),
+    (
+        ["serve", "submit", "--connect", "unix:none.sock", "--trace", "missing.json"],
+        "trace file not found: missing.json",
+    ),
+    (["serve", "bench", "--trace", "missing.json"], "trace file not found: missing.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
+)
+def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    """Counts and trace paths come from outside: no traceback, one error line."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    code = exc.value.code
+    error = code if isinstance(code, str) else captured.err.strip().splitlines()[-1]
+    assert message in error and "\n" not in error
+    assert "Traceback" not in captured.out + captured.err
+
+
 class TestSimulateCommand:
     def test_runs_small_simulation(self, capsys):
         exit_code = main(
