@@ -131,7 +131,7 @@ def sequential_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
         shape = list(arr.shape)
         del shape[axis % arr.ndim]
         return np.zeros(shape, dtype=np.float64)
-    return np.take(np.cumsum(arr, axis=axis), -1, axis=axis)
+    return arr.cumsum(axis=axis).take(-1, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -279,10 +279,17 @@ class CDFTable:
         ``(n_task_types, n_machines)`` int64; valid prefix length of each
         CDF row.
 
-    The scoring kernel reads the same data flat: :attr:`flat` is ``cdfs``
-    raveled and row ``t * n_machines + m`` of :attr:`entries` is entry
-    ``(t, m)``'s ``(offset, base, last)`` — its first bin's time, the index
-    of its first CDF value in ``flat`` and its last valid index.
+    The scoring kernel reads the same data flat, one lookup per
+    (pair, impulse).  Eq. 1 counts a start ``s`` only when ``s < deadline``
+    and the budget ``b = deadline - offset - s`` is not negative, i.e. when
+    ``b >= lower = max(0, 1 - offset)``; then it reads ``cdfs[t, m,
+    min(b, last)]``.  Entry ``(t, m)`` therefore stores its CDF from
+    ``lower`` on behind one leading ``0.0`` in :attr:`flat`, and row ``t *
+    n_machines + m`` of :attr:`entries` is ``(shift, first, end)``: the
+    lookup of budget ``b`` is ``flat[clip(deadline - shift - s, first,
+    end)]``.  ``first`` is the index of the leading zero, which every
+    budget below ``lower`` clamps to, and ``end`` the index of
+    ``cdfs[t, m, last]``, which every budget past the CDF clamps to.
     """
 
     cdfs: np.ndarray
@@ -292,11 +299,23 @@ class CDFTable:
     entries: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n_types, n_machines, width = self.cdfs.shape
-        bases = np.arange(n_types * n_machines, dtype=np.int64) * width
-        entries = np.stack([self.offsets.ravel(), bases, self.lengths.ravel() - 1], axis=1)
-        object.__setattr__(self, "flat", self.cdfs.ravel())
-        object.__setattr__(self, "entries", entries.astype(np.int64))
+        n_types, n_machines, n_bins = self.cdfs.shape
+        offsets = self.offsets.ravel().astype(np.int64)
+        lasts = self.lengths.ravel().astype(np.int64) - 1
+        lowers = np.maximum(0, 1 - offsets)
+        # Budgets lower..max(last, lower), each read as cdf[min(b, last)].
+        spans = np.maximum(lasts, lowers) - lowers + 1
+        width = max(int(spans.max()), n_bins) + 1
+        flat = np.zeros((n_types * n_machines, width), dtype=np.float64)
+        for entry, cdf in enumerate(self.cdfs.reshape(n_types * n_machines, -1)):
+            budgets = np.arange(lowers[entry], lowers[entry] + spans[entry])
+            flat[entry, 1 : 1 + spans[entry]] = cdf[np.minimum(budgets, lasts[entry])]
+        if not lowers.any():  # every row is [0.0 | its cdfs row]: keep one copy
+            object.__setattr__(self, "cdfs", flat[:, 1:].reshape(self.cdfs.shape))
+        first = np.arange(n_types * n_machines, dtype=np.int64) * width
+        entries = np.stack([offsets + lowers - first - 1, first, first + spans], axis=1)
+        object.__setattr__(self, "flat", flat.ravel())
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_grid(cls, grid: Sequence[Sequence[DiscretePMF]]) -> "CDFTable":
@@ -497,12 +516,13 @@ def packed_success_probability(
         types, deadline, machines = type_indices[rows], deadlines[rows], machine_indices[slots]
         start_times, start_probs = start_times[slots], start_probs[slots]
     entry = execution.entries[types * execution.n_machines + machines]
-    # Integer "time budget left for execution" of every (pair, impulse).
-    budgets = (deadline - entry[..., 0])[..., None] - start_times
-    clipped = np.minimum(budgets, entry[..., 2:3])
-    usable = (start_times < deadline[..., None]) & (clipped >= 0)
-    gathered = execution.flat.take(entry[..., 1:2] + np.maximum(clipped, 0))
-    contributions = np.where(usable, gathered, 0.0) * start_probs
+    # Every (pair, impulse)'s CDF lookup (see :class:`CDFTable`): a start
+    # that cannot succeed reads the entry's leading 0.0, and 0.0 * p is the
+    # exact +0.0 the sum skips.
+    lookup = (deadline - entry[..., 0])[..., None] - start_times
+    np.maximum(lookup, entry[..., 1:2], out=lookup)
+    np.minimum(lookup, entry[..., 2:3], out=lookup)
+    contributions = execution.flat.take(lookup) * start_probs
     return np.minimum(1.0, sequential_sum(contributions, axis=-1))
 
 

@@ -147,7 +147,7 @@ def _finish_step(
     branches are written into one vector, one non-zero scan serves
     compaction and the impulse cap.
     """
-    cumulative = np.cumsum(ran)
+    cumulative = ran.cumsum()
     at = deadline - offset
     prob = 0.0 if at < 0 else min(1.0, float(cumulative[min(at, ran.size - 1)]))
     spike = None
@@ -158,7 +158,7 @@ def _finish_step(
         elif at <= 0:
             ran, offset, spike, at = ran[:0], deadline, total, 0
         elif at < ran.size:
-            tail = float(np.cumsum(ran[at:])[-1])
+            tail = float(ran[at:].cumsum()[-1])
             ran = ran[:at]
             if tail > MASS_TOLERANCE:
                 spike = tail
@@ -170,7 +170,7 @@ def _finish_step(
             dropped, dropped_at, mass = prev.probs, prev.offset, prev.total_mass()
         else:
             dropped, dropped_at = prev.probs[cut:], deadline
-            mass = float(np.cumsum(dropped)[-1])
+            mass = float(dropped.cumsum()[-1])
         if mass <= MASS_TOLERANCE:
             dropped = None
         elif hi == lo:

@@ -334,7 +334,7 @@ class DiscretePMF:
         """Cached cumulative sums of ``probs`` (``cumulative()[i] = P(X <= offset+i)``)."""
         cached = self.__dict__.get("_cumulative_cache")
         if cached is None:
-            cached = np.cumsum(self.probs)
+            cached = self.probs.cumsum()
             self.__dict__["_cumulative_cache"] = cached
         return cached
 
@@ -374,18 +374,20 @@ class DiscretePMF:
 
         Notes
         -----
-        Accumulated sequentially (``np.cumsum``) for bit-identity with
+        Accumulated sequentially (``cumsum``) for bit-identity with
         :meth:`repro.core.batch.PMFBatch.means`, which computes the same
-        value for a whole batch of padded rows at once.
+        value for a whole batch of padded rows at once.  Both sums run over
+        :meth:`impulses` only: the zero bins they skip add exact zeros.
         """
         cached = self.__dict__.get("_mean_cache")
         if cached is not None:
             return cached
-        total = self.total_mass()
+        times, probs = self.impulses()
+        total = float(probs.cumsum()[-1]) if probs.size else 0.0
         if total <= MASS_TOLERANCE:
             value = float("nan")
         else:
-            value = float(np.cumsum(self.times * self.probs)[-1] / total)
+            value = float((times * probs).cumsum()[-1] / total)
         self.__dict__["_mean_cache"] = value
         return value
 
@@ -612,7 +614,7 @@ class DiscretePMF:
             return DiscretePMF._raw(np.array([total]), t)
         if cut >= self.probs.size:
             return self
-        tail_mass = float(np.cumsum(self.probs[cut:])[-1])
+        tail_mass = float(self.probs[cut:].cumsum()[-1])
         if tail_mass <= MASS_TOLERANCE:
             return DiscretePMF._raw(self.probs[: cut], self.offset)
         probs = np.zeros(cut + 1, dtype=np.float64)

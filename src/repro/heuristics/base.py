@@ -26,8 +26,9 @@ are held in one :class:`ScoreTable` per run (robustness and
 expected-completion matrices over task slot x machine, filled by the
 batched PMF engine of :mod:`repro.core.batch`; each mapping event scores
 only the rows and columns that changed — see the class).  The deferring
-stage reads the score arrays directly; a :class:`CandidatePair` object is
-built only for a task that is still a candidate when phase 2 chooses.
+stage is a mask over each candidate's best score, and phase 2 one
+``np.lexsort`` of the heuristic's key arrays (``phase2_keys``); only MOC's
+permutation search builds :class:`CandidatePair` objects, for its top few.
 """
 
 from __future__ import annotations
@@ -56,16 +57,12 @@ __all__ = [
 
 @dataclass
 class CandidatePair:
-    """A provisional (task, machine) pairing produced by phase 1."""
+    """A provisional (task, machine) pairing, as MOC's permutation search reads it."""
 
     task: Task
     machine_index: int
-    #: Expected completion time of the task on the machine's virtual queue.
-    expected_completion: float
-    #: Probability of meeting the deadline on that virtual queue (robustness).
+    #: Probability of meeting the deadline on the machine's virtual queue.
     robustness: float
-    #: Mean execution time of the task's type on the machine (tie-breaker).
-    mean_execution: float
 
 
 class VirtualSystemState:
@@ -182,10 +179,15 @@ class ScoreTable:
     event is never rescored at all.  Values are bit-identical however the
     pairs are cut into calls (:func:`~repro.core.batch.packed_success_probability`).
 
+    A table that is not ``robustness_based`` (MM, MSD, MMU read only
+    completions) never calls the kernel: its robustness stays ``-1``.
+
     A different PET or machine count starts the table over.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, robustness_based: bool = True) -> None:
+        #: Whether phase 1 picks by robustness (and so needs it scored).
+        self.robustness_based = robustness_based
         #: What the scores were computed with; anything else starts over.
         self._cdf_table = None
         self.m = 0
@@ -332,44 +334,53 @@ class ScoreTable:
 
     def _set_column(self, j: int, availability: DiscretePMF) -> None:
         """Key column ``j`` on ``availability``: its mean and packed impulses."""
-        times, probs = availability.impulses()
-        width = times.size
-        if width > self._start_times.shape[1]:
-            self._start_times = np.pad(self._start_times, ((0, 0), (0, width)))
-            self._start_probs = np.pad(self._start_probs, ((0, 0), (0, width)))
-        self._start_times[j, :width] = times
-        self._start_probs[j, :width] = probs
-        # Padding carries probability 0.0: an exact +0.0 in the kernel's sum.
-        self._start_probs[j, width:] = 0.0
-        self._widths[j] = width
-        self._means[j] = availability.mean()
+        if self.robustness_based:
+            times, probs = availability.impulses()
+            width = times.size
+            if width > self._start_times.shape[1]:
+                self._start_times = np.pad(self._start_times, ((0, 0), (0, width)))
+                self._start_probs = np.pad(self._start_probs, ((0, 0), (0, width)))
+            self._start_times[j, :width] = times
+            self._start_probs[j, :width] = probs
+            # Padding carries probability 0.0: an exact +0.0 in the kernel's sum.
+            self._start_probs[j, width:] = 0.0
+            self._widths[j] = width
+        # A zero-mass availability has no expected start time: such a
+        # machine can never complete anything (its robustness is 0).
+        mean = availability.mean()
+        self._means[j] = np.inf if mean != mean else mean
         self._scored_against[j] = availability
         self.machine_open[j] = True
 
     def _score(self, rows: np.ndarray, columns: np.ndarray) -> None:
-        """One kernel call over the listed (slot, machine) pairs, and their completions."""
-        obs = self._obs
-        if obs is not None:
-            start_ns = perf_counter_ns()
-        width = int(self._widths[columns].max())
-        n = self.n
-        self.robustness[rows, columns] = packed_success_probability(
-            self._start_times[:, :width],
-            self._start_probs[:, :width],
-            self._cdf_table,
-            self.types[:n],
-            self.deadlines[:n],
-            None,
-            (rows, columns),
-        )
-        if obs is not None:
-            obs.add_span("kernel.success_probability", start_ns, perf_counter_ns() - start_ns)
-        # Linearity of expectation: availability mean + execution mean.  A
-        # zero-mass availability has no expected start time (nan); such
-        # machines can never complete anything (robustness is already 0).
-        completion = self._means[columns] + self.mean_execution[rows, columns]
-        completion[np.isnan(completion)] = np.inf
-        self.completion[rows, columns] = completion
+        """One kernel call over the listed (slot, machine) pairs, and their completions.
+
+        Pairs all in one column are scored as that column's grid over the
+        listed rows: its operand row broadcasts instead of being gathered
+        once per pair.
+        """
+        if self.robustness_based:
+            obs = self._obs
+            if obs is not None:
+                start_ns = perf_counter_ns()
+            width, j = self._widths[columns].max(), columns[0]
+            if (columns == j).all():
+                operand, tasks, machines, pairs = slice(j, j + 1), rows, columns[:1], None
+            else:
+                operand, tasks, machines, pairs = slice(None), slice(self.n), None, (rows, columns)
+            self.robustness[rows, columns] = packed_success_probability(
+                self._start_times[operand, :width],
+                self._start_probs[operand, :width],
+                self._cdf_table,
+                self.types[tasks],
+                self.deadlines[tasks],
+                machines,
+                pairs,
+            ).ravel()
+            if obs is not None:
+                obs.add_span("kernel.success_probability", start_ns, perf_counter_ns() - start_ns)
+        # Linearity of expectation: availability mean + execution mean.
+        self.completion[rows, columns] = self._means[columns] + self.mean_execution[rows, columns]
         self.pairs_scored += rows.size
 
     # ------------------------------------------------------------------
@@ -407,50 +418,37 @@ class ScoreTable:
             obs.count("score_table.dirty_columns", len(dirty))
             obs.count("score_table.pairs_scored", self.pairs_scored - scored_before)
 
-    @property
-    def any_active(self) -> bool:
-        return bool(self.active[: self.n].any())
-
     # ------------------------------------------------------------------
-    def best_rows(self, *, robustness_based: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 1 on arrays: the candidate slots and each one's best machine.
+    def best_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phase 1 on arrays: the candidate slots, each one's best machine and score.
 
         One argmax/argmin over the active rows of the score matrices picks
         every active task's machine at once; rows whose best machine is
         closed or can never complete anything are left out.  Any columns
         dirtied by phase-2 commits since the previous call are rescored
-        first (one batched kernel call for all of them).
+        first (one batched kernel call for all of them) — unless no row is
+        active.
         """
+        active = self.active[: self.n].nonzero()[0]
+        if not active.size:
+            return active, active, np.zeros(0)
         self._flush_dirty()
-        active_idx = np.flatnonzero(self.active[: self.n])
-        if not active_idx.size or not self.machine_open.any():
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        completion = self.completion[active_idx]
-        if robustness_based:
-            primary, secondary = self.robustness[active_idx], completion
-            best_primary = primary.max(axis=1)
+        # A closed column holds completion inf: never a valid best machine.
+        completion = self.completion[active]
+        if self.robustness_based:
+            robustness = self.robustness[active]
+            best = robustness.max(axis=1)
+            tied = np.where(robustness == best[:, None], completion, np.inf)
+            machines = tied.argmin(axis=1)
+            valid = np.isfinite(tied.min(axis=1))
         else:
-            primary, secondary = completion, self.mean_execution[active_idx]
-            best_primary = primary.min(axis=1)
-        tie = primary == best_primary[:, None]
-        best_machine = np.where(tie, secondary, np.inf).argmin(axis=1)
-        valid = self.machine_open[best_machine] & np.isfinite(
-            completion[np.arange(active_idx.size), best_machine]
-        )
-        return active_idx[valid], best_machine[valid]
-
-    def pairs(self, rows: np.ndarray, machines: np.ndarray) -> list[CandidatePair]:
-        """The (slot, machine) candidates as objects for phase 2."""
-        return [
-            CandidatePair(
-                task=self.tasks[row],
-                machine_index=machine_index,
-                expected_completion=float(self.completion[row, machine_index]),
-                robustness=float(self.robustness[row, machine_index]),
-                mean_execution=float(self.mean_execution[row, machine_index]),
-            )
-            for row, machine_index in zip(rows.tolist(), machines.tolist())
-        ]
+            best = completion.min(axis=1)
+            tied = np.where(completion == best[:, None], self.mean_execution[active], np.inf)
+            machines = tied.argmin(axis=1)
+            valid = np.isfinite(best)
+        if valid.all():
+            return active, machines, best
+        return active[valid], machines[valid], best[valid]
 
 
 class MappingHeuristic(abc.ABC):
@@ -517,9 +515,19 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
         """
         return None
 
-    @abc.abstractmethod
-    def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:
-        """Pick the provisional pair to commit this iteration."""
+    def phase2_keys(self, table: ScoreTable, rows, machines) -> tuple[np.ndarray, ...]:
+        """Phase-2 sort keys of the candidates ``(rows, machines)``, most significant first.
+
+        The pair to commit is the first in key order.  Default: the lowest
+        expected completion, ties to the shortest mean execution, then to
+        the lowest task id (MinMin; also PAM's rule).
+        """
+        completion = table.completion[rows, machines]
+        return completion, table.mean_execution[rows, machines], table.task_ids[rows]
+
+    def phase2_pick(self, table: ScoreTable, rows, machines) -> int:
+        """Position in ``rows`` of the pair to commit: the first in key order."""
+        return int(np.lexsort(self.phase2_keys(table, rows, machines)[::-1])[0])
 
     # ------------------------------------------------------------------
     # Main loop
@@ -538,15 +546,15 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
         if virtual.total_free_slots == 0:
             return decision
         if self._table is None:
-            self._table = ScoreTable()
+            self._table = ScoreTable(robustness_based=self.robustness_based)
         table = self._table
         table.fill(context, virtual)
 
-        while table.any_active and virtual.total_free_slots > 0:
-            rows, machines = table.best_rows(robustness_based=self.robustness_based)
+        while virtual.total_free_slots > 0:
+            rows, machines, best = table.best_rows()
             if not rows.size:
                 break
-            deferred = self.filter_candidates(table.robustness[rows, machines], table.types[rows])
+            deferred = self.filter_candidates(best, table.types[rows])
             if deferred is not None and deferred.any():
                 table.active[rows[deferred]] = False
                 if self.records_deferrals:
@@ -555,11 +563,11 @@ class TwoPhaseBatchHeuristic(MappingHeuristic):
                 rows, machines = rows[kept], machines[kept]
                 if not rows.size:
                     continue
-            pairs = table.pairs(rows, machines)
-            chosen = self.phase2_select(pairs, context)
-            decision.assign(chosen.task, chosen.machine_index)
-            virtual.assign(chosen.task, chosen.machine_index)
-            position = next(i for i, pair in enumerate(pairs) if pair.task is chosen.task)
-            table.active[rows[position]] = False
-            table.mark_dirty(chosen.machine_index)
+            position = self.phase2_pick(table, rows, machines)
+            row, machine = int(rows[position]), int(machines[position])
+            task = table.tasks[row]
+            decision.assign(task, machine)
+            virtual.assign(task, machine)
+            table.active[row] = False
+            table.mark_dirty(machine)
         return decision

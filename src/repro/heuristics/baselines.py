@@ -20,7 +20,6 @@ import itertools
 
 import numpy as np
 
-from ..simulator.mapping import MappingContext
 from .base import CandidatePair, TwoPhaseBatchHeuristic
 from .scoring import urgency
 
@@ -36,14 +35,12 @@ class MinCompletionMinCompletion(TwoPhaseBatchHeuristic):
     """MM: phase 1 minimum expected completion, phase 2 minimum completion.
 
     Ties in phase 2 are broken by the shortest mean execution time, matching
-    the paper's description of the widely used MinMin heuristic.
+    the paper's description of the widely used MinMin heuristic (the
+    default :meth:`~TwoPhaseBatchHeuristic.phase2_keys`).
     """
 
     name = "MM"
     robustness_based = False
-
-    def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:
-        return min(pairs, key=lambda p: (p.expected_completion, p.mean_execution, p.task.task_id))
 
 
 class MinCompletionSoonestDeadline(TwoPhaseBatchHeuristic):
@@ -52,11 +49,8 @@ class MinCompletionSoonestDeadline(TwoPhaseBatchHeuristic):
     name = "MSD"
     robustness_based = False
 
-    def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:
-        return min(
-            pairs,
-            key=lambda p: (p.task.deadline, p.expected_completion, p.task.task_id),
-        )
+    def phase2_keys(self, table, rows, machines):
+        return table.deadlines[rows], table.completion[rows, machines], table.task_ids[rows]
 
 
 class MinCompletionMaxUrgency(TwoPhaseBatchHeuristic):
@@ -65,21 +59,16 @@ class MinCompletionMaxUrgency(TwoPhaseBatchHeuristic):
     Urgency is ``1 / (deadline - E[completion])``; pairs whose expected
     completion already exceeds the deadline are treated as maximally urgent,
     which reproduces the behaviour the paper criticises (MMU keeps picking
-    tasks that are least likely to succeed).
+    tasks that are least likely to succeed).  Ties go to the lower expected
+    completion, then to the lower task id.
     """
 
     name = "MMU"
     robustness_based = False
 
-    def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:
-        return max(
-            pairs,
-            key=lambda p: (
-                urgency(p.task.deadline, p.expected_completion),
-                -p.expected_completion,
-                -p.task.task_id,
-            ),
-        )
+    def phase2_keys(self, table, rows, machines):
+        completion = table.completion[rows, machines]
+        return -urgency(table.deadlines[rows], completion), completion, table.task_ids[rows]
 
 
 class MaxOntimeCompletions(TwoPhaseBatchHeuristic):
@@ -109,26 +98,35 @@ class MaxOntimeCompletions(TwoPhaseBatchHeuristic):
     ) -> np.ndarray | None:
         return robustness < self.culling_threshold
 
-    def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:
-        top = sorted(pairs, key=lambda p: (-p.robustness, p.expected_completion, p.task.task_id))
-        top = top[: self.permutation_depth]
-        if len(top) == 1:
-            return top[0]
-        best_order: tuple[CandidatePair, ...] | None = None
+    def phase2_keys(self, table, rows, machines):
+        """The most robust pairs first, ties to the lower completion, then task id."""
+        return (
+            -table.robustness[rows, machines],
+            table.completion[rows, machines],
+            table.task_ids[rows],
+        )
+
+    def phase2_pick(self, table, rows, machines) -> int:
+        order = np.lexsort(self.phase2_keys(table, rows, machines)[::-1])
+        order = order[: self.permutation_depth].tolist()
+        top = [
+            CandidatePair(table.tasks[row], machine, float(table.robustness[row, machine]))
+            for row, machine in zip(rows[order].tolist(), machines[order].tolist())
+        ]
+        best_order: tuple[int, ...] = (0,)
         best_score = float("-inf")
-        for order in itertools.permutations(top):
+        for permutation in itertools.permutations(range(len(top))):
             # Approximate the interaction between the top pairs: a pair whose
             # machine was already taken earlier in the order contributes a
             # discounted robustness (it would be queued behind the earlier
             # assignment).
             used: dict[int, int] = {}
             score = 0.0
-            for pair in order:
+            for pair in (top[i] for i in permutation):
                 depth = used.get(pair.machine_index, 0)
                 score += pair.robustness / (depth + 1)
                 used[pair.machine_index] = depth + 1
             if score > best_score:
                 best_score = score
-                best_order = order
-        assert best_order is not None
-        return best_order[0]
+                best_order = permutation
+        return order[best_order[0]]

@@ -26,7 +26,7 @@ from ..pruning.oversubscription import OversubscriptionDetector
 from ..pruning.pruner import Pruner
 from ..pruning.thresholds import PruningThresholds
 from ..simulator.mapping import MappingContext, MappingDecision
-from .base import CandidatePair, TwoPhaseBatchHeuristic
+from .base import TwoPhaseBatchHeuristic
 
 __all__ = ["PruningAwareMapper"]
 
@@ -88,10 +88,3 @@ class PruningAwareMapper(TwoPhaseBatchHeuristic):
         if not self.enable_deferring:
             return None
         return self.pruner.defer_mask(robustness, task_types)
-
-    # ------------------------------------------------------------------
-    def phase2_select(self, pairs: list[CandidatePair], context: MappingContext) -> CandidatePair:
-        return min(
-            pairs,
-            key=lambda p: (p.expected_completion, p.mean_execution, p.task.task_id),
-        )

@@ -12,8 +12,8 @@ would dominate the simulation cost, so this module provides shortcuts:
   convolving.
 
 Both are the *exact scalar counterparts* of the batched scoring in
-:class:`~repro.heuristics.base.ScoreTable`: they perform the same elementwise
-operations over the same impulses in the same order as a one-task,
+:class:`~repro.heuristics.base.ScoreTable`: they compute the same elementwise
+values over the same impulses in the same order as a one-task,
 one-machine invocation of :func:`~repro.core.batch.packed_success_probability`
 (sequential ``np.cumsum`` reduction included) and as the table's sum of
 availability and execution means, so scoring one pair at a time or a whole
@@ -110,30 +110,30 @@ def expected_completion(exec_pmf: DiscretePMF, availability: DiscretePMF) -> flo
     return float(availability.mean() + exec_pmf.mean())
 
 
-def urgency(deadline: int, expected_completion_time: float) -> float:
+def urgency(deadline, expected_completion_time):
     """MMU urgency U = 1 / (deadline - E[completion]) (Section VI-C3).
 
     Parameters
     ----------
     deadline:
-        Absolute deadline of the task.
+        Absolute deadline of the task(s): a number or an array.
     expected_completion_time:
-        Expected completion time from :func:`expected_completion`.
+        Expected completion time(s) from :func:`expected_completion`.
 
     Returns
     -------
-    float
-        The urgency value; ``inf`` when the expected completion already
-        meets or exceeds the deadline.
+    float or np.ndarray
+        The urgency, elementwise; ``inf`` where the expected completion
+        already meets or exceeds the deadline.
 
     Notes
     -----
     Tasks whose expected completion already exceeds their deadline are the
     "least likely to succeed" tasks the paper criticises MMU for favouring;
     they are treated as maximally urgent (``inf``) so the reproduction keeps
-    that behaviour.
+    that behaviour.  One float64 subtraction and one division per element.
     """
-    gap = float(deadline) - float(expected_completion_time)
-    if gap <= 0:
-        return float("inf")
-    return 1.0 / gap
+    gap = np.subtract(deadline, expected_completion_time, dtype=np.float64)
+    out = np.full(np.shape(gap), np.inf)
+    np.divide(1.0, gap, out=out, where=~(gap <= 0))
+    return out[()]

@@ -31,6 +31,8 @@ class SufferageTracker:
         self.num_task_types = int(num_task_types)
         self.fairness_factor = float(fairness_factor)
         self._sufferage = np.zeros(self.num_task_types, dtype=np.float64)
+        #: Bumped by every change of the sufferage values (caches key on it).
+        self.version = 0
 
     # ------------------------------------------------------------------
     @property
@@ -64,6 +66,7 @@ class SufferageTracker:
         if not 0 <= task_type < self.num_task_types:
             raise IndexError(f"task type {task_type} out of range")
         self._sufferage[task_type] = min(1.0, max(0.0, self._sufferage[task_type] + delta))
+        self.version += 1
 
     # ------------------------------------------------------------------
     def relaxed_threshold(self, base_threshold: float, task_type: int) -> float:
@@ -72,6 +75,7 @@ class SufferageTracker:
 
     def reset(self) -> None:
         self._sufferage[:] = 0.0
+        self.version += 1
 
     # ------------------------------------------------------------------
     @staticmethod

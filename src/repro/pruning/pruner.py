@@ -64,6 +64,10 @@ class Pruner:
         #: When True, dropping is engaged at every mapping event regardless of
         #: the detector (used by ablation experiments).
         self.always_drop = bool(always_drop)
+        #: Per-type deferring thresholds, and the (sufferage version,
+        #: thresholds) they were computed for.
+        self._deferring: np.ndarray | None = None
+        self._deferring_key: tuple[int, PruningThresholds] | None = None
 
     # ------------------------------------------------------------------
     # Per-mapping-event bookkeeping
@@ -104,8 +108,12 @@ class Pruner:
         """:meth:`should_defer` of many batch tasks at once, op for op (the mapper's form)."""
         if self.fairness is None:
             return best_robustness < self.thresholds.deferring_threshold_for()
-        relaxed = self.thresholds.deferring - np.maximum(0.0, self.fairness.values)
-        return best_robustness < np.minimum(1.0, np.maximum(0.0, relaxed))[task_types]
+        key = self._deferring_key
+        if key is None or key[0] != self.fairness.version or key[1] is not self.thresholds:
+            relaxed = self.thresholds.deferring - np.maximum(0.0, self.fairness.values)
+            self._deferring = np.minimum(1.0, np.maximum(0.0, relaxed))
+            self._deferring_key = (self.fairness.version, self.thresholds)
+        return best_robustness < self._deferring[task_types]
 
     # ------------------------------------------------------------------
     # Dropping stage

@@ -211,13 +211,22 @@ def ragged_scoring_case(draw):
             width = int(rng.integers(1, 40))
             probs = rng.random(width) * (rng.random(width) < 0.7)
             probs[int(rng.integers(0, width))] += 0.1
-            row.append(DiscretePMF(probs / probs.sum(), offset=int(rng.integers(1, 30))))
+            # Offsets 0 and below: a start at the deadline reads no CDF.
+            offset = int(rng.choice([-2, 0, 1, int(rng.integers(1, 30))]))
+            row.append(DiscretePMF(probs / probs.sum(), offset=offset))
         grid.append(row)
     n_tasks = draw(st.integers(1, 6))
     types = np.array(draw(st.lists(st.integers(0, n_types - 1), min_size=n_tasks, max_size=n_tasks)))
-    # Before every start, inside the support, and far beyond every CDF.
+    # Budgets below 0 (before every start), at the offset-0/1 boundary,
+    # inside the support, and far beyond every CDF's last bin.
     deadlines = np.array(
-        draw(st.lists(st.sampled_from([0, 15, 40, 90, 200, 10_000]), min_size=n_tasks, max_size=n_tasks))
+        draw(
+            st.lists(
+                st.sampled_from([0, 1, 2, 15, 40, 90, 200, 10_000]),
+                min_size=n_tasks,
+                max_size=n_tasks,
+            )
+        )
     )
     return availabilities, grid, types, deadlines, rng
 
@@ -236,6 +245,37 @@ def test_ragged_operands_agree_in_every_form(case):
         machines,
         rng,
     )
+
+
+def test_cdf_table_layout_leading_zero_and_lower_bound():
+    """Each entry's CDF from ``max(0, 1 - offset)`` on, behind one leading 0.0."""
+    grid = [
+        [
+            DiscretePMF.from_impulses({-2: 1.0}),  # lower bound past the last bin
+            DiscretePMF.from_impulses({0: 0.25, 2: 0.75}),  # mass at a start == deadline
+            DiscretePMF.from_impulses({1: 0.5, 3: 0.5}),
+            DiscretePMF.from_impulses({5: 0.5, 6: 0.25, 9: 0.25}),
+        ]
+    ]
+    table = CDFTable.from_grid(grid)
+    for m, pmf in enumerate(grid[0]):
+        shift, first, end = table.entries[m].tolist()
+        cdf, last = pmf.cumulative(), pmf.probs.size - 1
+        lower = max(0, 1 - pmf.offset)
+        assert table.flat[first] == 0.0
+        for budget in range(-3, last + 5):
+            deadline = pmf.offset + budget  # a start at 0
+            lookup = table.flat[min(max(deadline - shift, first), end)]
+            assert lookup == (cdf[min(budget, last)] if budget >= lower else 0.0)
+    # An entry at offset 0 with mass at 0 still reads 0.0 for a start at
+    # the deadline (budget 0), and its first CDF value for budget 1.
+    shift, first, end = table.entries[1].tolist()
+    assert table.flat[first + 1] == grid[0][1].cumulative()[1]
+    # With no lower bound anywhere (every offset >= 1) the rows are the
+    # CDFs themselves behind their zero: ``cdfs`` is a view of ``flat``.
+    later = CDFTable.from_grid([grid[0][2:]])
+    assert np.shares_memory(later.cdfs, later.flat)
+    assert later.cdfs[0, 1, :4].tolist() == grid[0][3].cumulative().tolist()[:4]
 
 
 def test_packing_a_batch_equals_packing_its_pmfs():

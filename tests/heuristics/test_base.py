@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.completion import DroppingPolicy
@@ -28,15 +29,17 @@ def make_context(tiny_pet, machines, batch=(), now=0):
     )
 
 
-def filled(context, virtual=None) -> ScoreTable:
+def filled(context, virtual=None, *, robustness_based=True) -> ScoreTable:
     """A run's table after its first fill."""
-    table = ScoreTable()
+    table = ScoreTable(robustness_based=robustness_based)
     table.fill(context, virtual or VirtualSystemState(context))
     return table
 
 
-def best_pairs(table: ScoreTable, *, robustness_based: bool):
-    return table.pairs(*table.best_rows(robustness_based=robustness_based))
+def best_machines(table: ScoreTable) -> dict[int, int]:
+    """Task id -> best machine of every phase-2 candidate."""
+    rows, machines, _ = table.best_rows()
+    return {table.tasks[row].task_id: machine for row, machine in zip(rows, machines.tolist())}
 
 
 class TestVirtualSystemState:
@@ -128,32 +131,49 @@ class TestScoreTable:
                     availability.mean() + exec_pmf.mean()
                 )
 
-    def test_best_pairs_robustness_based_prefers_affinity(self, tiny_pet):
+    def test_best_rows_robustness_based_prefers_affinity(self, tiny_pet):
         """With idle machines, an alpha task must pick fast-a and a beta task
         fast-b — the inconsistent-affinity matching the PET encodes."""
         machines = [Machine(0, "fast-a", queue_capacity=3), Machine(1, "fast-b", queue_capacity=3)]
         batch = [make_task(1, task_type=0, deadline=9), make_task(2, task_type=1, deadline=9)]
         table = filled(make_context(tiny_pet, machines, batch=batch))
-        pairs = {p.task.task_id: p for p in best_pairs(table, robustness_based=True)}
-        assert pairs[1].machine_index == 0
-        assert pairs[2].machine_index == 1
+        assert best_machines(table) == {1: 0, 2: 1}
+        # Each row's best score is its robustness on its best machine.
+        rows, machines, best = table.best_rows()
+        assert np.array_equal(best, table.robustness[rows, machines])
 
-    def test_best_pairs_completion_based_prefers_fastest_machine(self, tiny_pet):
+    def test_best_rows_completion_based_prefers_fastest_machine(self, tiny_pet):
         machines = [Machine(0, "fast-a", queue_capacity=3), Machine(1, "fast-b", queue_capacity=3)]
         batch = [make_task(1, task_type=0, deadline=900)]
-        table = filled(make_context(tiny_pet, machines, batch=batch))
-        pairs = best_pairs(table, robustness_based=False)
-        assert pairs[0].machine_index == 0  # alpha is fastest on fast-a
+        table = filled(make_context(tiny_pet, machines, batch=batch), robustness_based=False)
+        assert best_machines(table) == {1: 0}  # alpha is fastest on fast-a
+        rows, machines, best = table.best_rows()
+        assert np.array_equal(best, table.completion[rows, machines])
+        # A completion-based table never scores robustness.
+        assert np.all(table.robustness[: table.n] == -1.0)
 
     def test_deactivated_tasks_excluded(self, tiny_pet):
         machines = [Machine(0, "fast-a", queue_capacity=3)]
         batch = [make_task(1, deadline=100), make_task(2, deadline=100)]
         table = filled(make_context(tiny_pet, machines, batch=batch))
         table.active[0] = False  # task 1's slot
-        remaining = {p.task.task_id for p in best_pairs(table, robustness_based=True)}
-        assert remaining == {2}
+        assert set(best_machines(table)) == {2}
         table.active[1] = False
-        assert not table.any_active
+        assert not table.best_rows()[0].size
+
+    def test_a_column_dirtied_with_no_active_row_is_not_rescored(self, tiny_pet):
+        machines = [Machine(0, "fast-a", queue_capacity=3)]
+        batch = [make_task(1, deadline=100), make_task(2, deadline=100)]
+        context = make_context(tiny_pet, machines, batch=batch)
+        virtual = VirtualSystemState(context)
+        table = filled(context, virtual)
+        scored = table.pairs_scored
+        for slot in range(2):  # the event's last commit
+            virtual.assign(table.tasks[slot], 0)
+            table.active[slot] = False
+            table.mark_dirty(0)
+            table.best_rows()
+        assert table.pairs_scored == scored + 2  # after the first commit only
 
     def test_full_machines_are_closed(self, tiny_pet):
         m0 = Machine(0, "fast-a", queue_capacity=1)
@@ -161,9 +181,8 @@ class TestScoreTable:
         m1 = Machine(1, "fast-b", queue_capacity=1)
         batch = [make_task(1, task_type=0, deadline=100)]
         table = filled(make_context(tiny_pet, [m0, m1], batch=batch))
-        pairs = best_pairs(table, robustness_based=True)
         # Only fast-b has a free slot, even though fast-a would be better.
-        assert pairs[0].machine_index == 1
+        assert best_machines(table) == {1: 1}
 
     def test_refresh_after_assignment_changes_scores(self, tiny_pet):
         machines = [Machine(0, "fast-a", queue_capacity=3)]
@@ -175,6 +194,6 @@ class TestScoreTable:
         virtual.assign(table.tasks[0], 0)
         table.active[0] = False
         table.mark_dirty(0)
-        table.best_rows(robustness_based=True)  # rescores the dirty column
+        table.best_rows()  # rescores the dirty column
         after = table.completion[1, 0]
         assert after > before

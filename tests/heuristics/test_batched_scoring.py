@@ -15,8 +15,10 @@ import numpy as np
 from repro.core.completion import DroppingPolicy
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable, VirtualSystemState
+from repro.heuristics.registry import make_heuristic
 from repro.heuristics.scoring import expected_completion, fast_success_probability
 from repro.obs import NULL_TELEMETRY, Telemetry, use_telemetry
+from repro.simulator.engine import HCSimulator
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext, batch_in_arrival_order
 from repro.simulator.task import Task
@@ -106,14 +108,14 @@ class TestScoreTableEquivalence:
         # Commit a few provisional assignments, marking one column dirty
         # each time, exactly as the two-phase loop does.
         for step in range(3):
-            rows, machines = table.best_rows(robustness_based=True)
+            rows, machines, _ = table.best_rows()
             if not rows.size:
                 break
             slot, machine = int(rows[step % rows.size]), int(machines[step % rows.size])
             virtual.assign(table.tasks[slot], machine)
             table.active[slot] = False
             table.mark_dirty(machine)
-            table.best_rows(robustness_based=True)  # rescores the dirty column
+            table.best_rows()  # rescores the dirty column
             robustness, completion = scalar_reference(
                 small_gamma_pet, virtual, table.tasks
             )
@@ -137,21 +139,21 @@ class TestScoreTableEquivalence:
         context = make_event(tiny_pet)
         table = filled(context, VirtualSystemState(context))
         assert table.n == 0
-        assert not table.best_rows(robustness_based=True)[0].size
+        assert not table.best_rows()[0].size
 
 
 def fill_and_commit(context, virtual, commits: int = 3) -> ScoreTable:
     """A fill and up to ``commits`` phase-2 commits, each rescoring its column."""
     table = filled(context, virtual)
     for step in range(commits):
-        rows, machines = table.best_rows(robustness_based=True)
+        rows, machines, _ = table.best_rows()
         if not rows.size:
             break
         slot, machine = int(rows[step % rows.size]), int(machines[step % rows.size])
         virtual.assign(table.tasks[slot], machine)
         table.active[slot] = False
         table.mark_dirty(machine)
-    table.best_rows(robustness_based=True)
+    table.best_rows()
     return table
 
 
@@ -175,6 +177,16 @@ class TestScoreTableTelemetry:
         kernel_spans = [name for name, *_ in telemetry.spans if name.startswith("kernel.")]
         assert kernel_spans == ["kernel.success_probability"] * len(calls)
         assert telemetry.timings["kernel.success_probability"].count == len(calls)
+
+    def test_a_completion_based_trial_never_calls_the_kernel(self, small_gamma_pet, small_trace):
+        """MM, MSD and MMU read completions only: no robustness is scored."""
+        for name in ("MM", "MSD", "MMU"):
+            telemetry = Telemetry()
+            with use_telemetry(telemetry):
+                result = HCSimulator(small_gamma_pet, make_heuristic(name), rng=5).run(small_trace)
+            assert result.counters.assignments > 0
+            assert telemetry.counters["score_table.pairs_scored"] > 0
+            assert "kernel.success_probability" not in telemetry.timings, name
 
     def test_spans_never_change_a_score(self, small_gamma_pet):
         context = paper_scale_event(small_gamma_pet, seed=29)

@@ -291,8 +291,10 @@ class History:
             if rng.random() < 0.5:
                 self.current[j] = virtual.availability(j)
                 self.shown[j].append(self.current[j])
-            if rng.random() < 0.7:
-                table.best_rows(robustness_based=True)  # rescores the dirty column
+            # best_rows rescores the dirty column while a row is still
+            # active; after the event's last candidate it is left alone.
+            if rng.random() < 0.7 and table.active[: table.n].any():
+                table.best_rows()
                 assert_live_slots_equal_a_fresh_fill(table, context, virtual)
         for task in committed:
             if rng.random() < 0.7:  # applied; otherwise the decision was not

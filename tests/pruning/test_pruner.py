@@ -85,6 +85,18 @@ class TestDeferring:
         assert pruner.should_defer(0.7, task_type=0)
         assert not pruner.should_defer(0.7, task_type=1)
 
+    def test_the_mask_follows_every_sufferage_change(self, tiny_pet):
+        """Two changes with no mapping event between them: the mask sees both."""
+        fairness = SufferageTracker(tiny_pet.num_task_types, fairness_factor=0.3)
+        pruner = Pruner(PruningThresholds(dropping=0.5, deferring=0.9), fairness=fairness)
+        robustness, types = np.array([0.7, 0.7, 0.5]), np.array([0, 1, 1])
+        assert pruner.defer_mask(robustness, types).tolist() == [True, True, True]
+        fairness.record_failure(1)  # type 1: 0.9 -> 0.6
+        assert pruner.defer_mask(robustness, types).tolist() == [True, False, True]
+        fairness.record_failure(1)  # type 1: 0.6 -> 0.3
+        assert pruner.defer_mask(robustness, types).tolist() == [True, False, False]
+        fairness.reset()
+        assert pruner.defer_mask(robustness, types).tolist() == [True, True, True]
 
     @pytest.mark.parametrize("fair", [False, True])
     def test_the_mask_is_the_scalar_test_elementwise(self, fair):
