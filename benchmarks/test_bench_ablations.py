@@ -1,4 +1,6 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices of the paper's pruning mappers
+(where they act in a mapping event: docs/architecture.md, "Lifecycle of one
+mapping event").
 
 Each ablation runs the same oversubscribed workload with one mechanism
 toggled, quantifying how much of PAM's advantage comes from deferring,

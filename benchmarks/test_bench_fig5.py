@@ -8,14 +8,13 @@ high enough deferring threshold the dropping threshold stops mattering.
 
 from __future__ import annotations
 
-from repro.experiments.fig5_thresholds import run_fig5
+from repro.experiments import run_fig5
 
 
 def test_fig5_threshold_sweep(benchmark, bench_config):
     result = benchmark.pedantic(
         lambda: run_fig5(
             bench_config,
-            level="34k",
             dropping_thresholds=(0.25, 0.50, 0.75),
             gap_step=0.10,
         ),
@@ -25,16 +24,22 @@ def test_fig5_threshold_sweep(benchmark, bench_config):
     print()
     print(result.to_text())
 
+    def robustness(dropping, deferring):
+        return result.series[(dropping, deferring)].mean_robustness()
+
+    def defer_values(dropping):
+        return sorted(defer for drop, defer in result.series if drop == dropping)
+
     # Main trend: for the 25% dropping threshold, the highest deferring
     # threshold should beat the lowest one.
-    defers = result.defer_values(0.25)
-    low_defer = result.robustness(0.25, defers[0])
-    high_defer = result.robustness(0.25, defers[-1])
+    defers = defer_values(0.25)
+    low_defer = robustness(0.25, defers[0])
+    high_defer = robustness(0.25, defers[-1])
     assert high_defer >= low_defer - 2.0
 
     # Convergence: at the highest deferring threshold the three dropping
     # thresholds end up within a modest band of one another.
-    finals = [result.robustness(drop, result.defer_values(drop)[-1]) for drop in (0.25, 0.50, 0.75)]
+    finals = [robustness(drop, defer_values(drop)[-1]) for drop in (0.25, 0.50, 0.75)]
     assert max(finals) - min(finals) <= 20.0
 
     benchmark.extra_info["robustness_drop25_lowest_defer"] = low_defer

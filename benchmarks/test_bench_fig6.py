@@ -9,7 +9,7 @@ diminishing returns.
 
 from __future__ import annotations
 
-from repro.experiments.fig6_fairness import run_fig6
+from repro.experiments import run_fig6
 
 FACTORS = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25)
 
@@ -23,16 +23,22 @@ def test_fig6_fairness_sweep(benchmark, bench_config):
     print()
     print(result.to_text())
 
+    def fairness_variance(level, factor):
+        return result.series[(level, factor)].fairness_variance().mean
+
+    def robustness(level, factor):
+        return result.series[(level, factor)].mean_robustness()
+
     for level in ("19k", "34k"):
-        no_fairness_variance = result.fairness_variance(level, 0.0)
-        fair_variance = min(result.fairness_variance(level, f) for f in FACTORS[1:])
+        no_fairness_variance = fairness_variance(level, 0.0)
+        fair_variance = min(fairness_variance(level, f) for f in FACTORS[1:])
         # Fairness should never make the per-type variance dramatically worse.
         assert fair_variance <= no_fairness_variance + 5.0
         # Robustness stays in a sane range across the sweep.
         for factor in FACTORS:
-            assert 0.0 <= result.robustness(level, factor) <= 100.0
+            assert 0.0 <= robustness(level, factor) <= 100.0
 
-    benchmark.extra_info["variance_34k_factor_0"] = result.fairness_variance("34k", 0.0)
-    benchmark.extra_info["variance_34k_factor_5"] = result.fairness_variance("34k", 0.05)
-    benchmark.extra_info["robustness_34k_factor_0"] = result.robustness("34k", 0.0)
-    benchmark.extra_info["robustness_34k_factor_5"] = result.robustness("34k", 0.05)
+    benchmark.extra_info["variance_34k_factor_0"] = fairness_variance("34k", 0.0)
+    benchmark.extra_info["variance_34k_factor_5"] = fairness_variance("34k", 0.05)
+    benchmark.extra_info["robustness_34k_factor_0"] = robustness("34k", 0.0)
+    benchmark.extra_info["robustness_34k_factor_5"] = robustness("34k", 0.05)

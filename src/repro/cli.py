@@ -1,21 +1,18 @@
 """Command-line interface for the reproduction.
 
-Six subcommands cover the common workflows:
+Five subcommands cover the common workflows:
 
 ``simulate``
     Run one workload trial with a chosen heuristic and print the headline
     metrics (robustness, cost, outcome breakdown).
 
 ``figure``
-    Regenerate one of the paper's evaluation figures (4-9) and print the
-    table of series; optionally write text/CSV/JSON artefacts.
-
-``sweep``
-    Regenerate one or more figures through the :mod:`repro.sweep`
-    orchestration subsystem: trials fan out over ``--jobs`` worker
-    processes, per-point progress streams to stderr, and completed points
-    are cached under ``--cache-dir`` so interrupted or repeated sweeps
-    resume instantly.
+    Regenerate one or more of the paper's evaluation figures (4-9) and
+    print each table of series; optionally write text/CSV/JSON artefacts.
+    Trials fan out over ``--jobs`` worker processes, per-point progress
+    streams to stderr (``--quiet`` drops it), and completed points are
+    cached under ``--cache-dir`` so interrupted or repeated runs resume
+    instantly.
 
 ``trace``
     Work with recorded workload traces: ``record`` synthesises a trace to
@@ -45,8 +42,8 @@ Examples::
     python -m repro.cli simulate --heuristic PAM --tasks 500 --span 2500
     python -m repro.cli figure 7 --trials 2
     python -m repro.cli figure 9 --trials 3 --output-dir results/
-    python -m repro.cli sweep 4 7 --jobs 4 --cache-dir results/cache
-    python -m repro.cli sweep 9 --trace examples/transcoding_660.trace.json
+    python -m repro.cli figure 4 7 --jobs 4 --cache-dir results/cache
+    python -m repro.cli figure 9 --trace examples/transcoding_660.trace.json
     python -m repro.cli cache stats --cache-dir results/cache
     python -m repro.cli trace record --builder transcoding-660 --out my.trace.json
     python -m repro.cli trace inspect examples/transcoding_660.trace.json
@@ -68,7 +65,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import (
     WorkloadConfig,
@@ -91,15 +88,6 @@ from .workload import (
 
 __all__ = ["main", "build_parser"]
 
-#: Figure number -> CSV headers (the driver is ``repro.experiments.run_fig<N>``).
-_FIGURES: dict[int, list[str]] = {
-    4: ["lambda", "default robustness %", "default ci95", "schmitt robustness %", "schmitt ci95"],
-    5: ["drop threshold %", "defer threshold %", "robustness %", "ci95"],
-    6: ["level", "fairness factor %", "variance of type completion %", "robustness %", "ci95"],
-    7: ["level", "heuristic", "robustness %", "ci95"],
-    8: ["level", "heuristic", "total cost", "robustness %", "cost / percent on-time"],
-    9: ["level", "heuristic", "robustness %", "ci95"],
-}
 
 def _positive_int(value: str) -> int:
     jobs = int(value)
@@ -155,22 +143,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_arguments(sim)
 
-    fig = subparsers.add_parser("figure", help="regenerate one evaluation figure")
-    fig.add_argument("number", type=int, choices=sorted(_FIGURES), help="figure number (4-9)")
-    _add_figure_run_arguments(fig)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="regenerate figures in parallel with result caching"
+    fig = subparsers.add_parser(
+        "figure", help="regenerate evaluation figures, in parallel with result caching"
     )
-    sweep.add_argument(
-        "numbers",
-        type=int,
-        nargs="+",
-        choices=sorted(_FIGURES),
-        help="figure numbers to sweep (4-9)",
+    fig.add_argument(
+        "numbers", type=int, nargs="+", choices=range(4, 10), help="figure numbers (4-9)"
     )
-    _add_figure_run_arguments(sweep)
-    sweep.add_argument(
+    fig.add_argument(
+        "--trials", type=_positive_int, default=2, help="workload trials per data point"
+    )
+    fig.add_argument("--seed", type=int, default=2019)
+    fig.add_argument(
+        "--task-scale", type=_positive_float, default=1.0, help="scale factor on task counts"
+    )
+    fig.add_argument("--output-dir", default=None, help="write text/CSV/JSON artefacts here")
+    fig.add_argument(
+        "--batch-window",
+        type=_non_negative_int,
+        default=0,
+        help="batched scheduling-round window in time units (0 = per-event, "
+        "the paper's protocol; folded into the result cache key)",
+    )
+    _add_obs_arguments(fig)
+    fig.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
+    fig.add_argument("--cache-dir", default=None, help="content-addressed result cache root")
+    fig.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help="replay this recorded trace file instead of synthesising workloads "
+        "(figure 9 only; e.g. examples/transcoding_660.trace.json)",
+    )
+    fig.add_argument(
         "--quiet", action="store_true", help="suppress per-point progress on stderr"
     )
 
@@ -419,35 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_figure_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """Options shared by ``figure`` and ``sweep`` (both run figure drivers)."""
-    parser.add_argument(
-        "--trials", type=_positive_int, default=2, help="workload trials per data point"
-    )
-    parser.add_argument("--seed", type=int, default=2019)
-    parser.add_argument(
-        "--task-scale", type=_positive_float, default=1.0, help="scale factor on task counts"
-    )
-    parser.add_argument("--output-dir", default=None, help="write text/CSV/JSON artefacts here")
-    parser.add_argument(
-        "--batch-window",
-        type=_non_negative_int,
-        default=0,
-        help="batched scheduling-round window in time units (0 = per-event, "
-        "the paper's protocol; folded into the result cache key)",
-    )
-    _add_obs_arguments(parser)
-    parser.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
-    parser.add_argument("--cache-dir", default=None, help="content-addressed result cache root")
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="replay this recorded trace file instead of synthesising workloads "
-        "(figure 9 only; e.g. examples/transcoding_660.trace.json)",
-    )
-
-
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     """Observability export options shared by the engine-running commands.
 
@@ -540,13 +515,25 @@ def _command_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_figure(
-    number: int,
-    args: argparse.Namespace,
-    *,
-    progress: Callable | None = None,
-) -> None:
+def _replay_points(trace: str, heuristics: Sequence[str], config, pet: str = "transcoding"):
+    """:func:`~repro.experiments.trace_replay_points`, with a bad trace as a usage error.
+
+    It checks the trace before any trial runs, so only genuine trace
+    problems turn into clean exits; errors out of a run propagate intact.
+    """
+    from .experiments import trace_replay_points
+
+    try:
+        return trace_replay_points(trace, heuristics, config, pet=pet)
+    except FileNotFoundError:
+        raise SystemExit(f"trace file not found: {trace}")
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
+def _command_figure(args: argparse.Namespace) -> int:
     from . import experiments
+    from .sweep import StreamReporter
 
     config = experiments.ExperimentConfig(
         trials=args.trials,
@@ -555,44 +542,25 @@ def _run_figure(
         batch_window=args.batch_window,
     )
     extra: dict[str, object] = {}
-    if getattr(args, "trace", None) is not None:
-        if number != 9:
+    if args.trace is not None:
+        others = [number for number in args.numbers if number != 9]
+        if others:
             raise SystemExit(
-                f"--trace only applies to figure 9 (the transcoding replay), not figure {number}"
+                f"--trace only applies to figure 9 (the transcoding replay), not figure {others[0]}"
             )
-        from .experiments.fig9_transcoding import coerce_fig9_trace
-
-        # Validate the trace up front so only genuine trace problems turn
-        # into clean exits; errors out of the run itself propagate intact.
-        try:
-            extra["trace"] = coerce_fig9_trace(args.trace, seed=config.seed)
-        except FileNotFoundError as exc:
-            raise SystemExit(f"trace file not found: {args.trace}") from exc
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
-    result = getattr(experiments, f"run_fig{number}")(
-        config, jobs=args.jobs, cache_dir=args.cache_dir, progress=progress, **extra
-    )
-    print(result.to_text())
-    if args.output_dir is not None:
-        paths = experiments.save_figure_result(
-            result, _FIGURES[number], args.output_dir, name=f"figure{number}"
-        )
-        for kind, path in paths.items():
-            print(f"wrote {kind}: {path}")
-
-
-def _command_figure(args: argparse.Namespace) -> int:
-    _run_figure(args.number, args)
-    return 0
-
-
-def _command_sweep(args: argparse.Namespace) -> int:
-    from .sweep import StreamReporter
-
+        # Check the trace (no heuristics, so no points) before any figure
+        # runs; run_fig9 then builds its points from the memoised trace.
+        _replay_points(args.trace, (), config)
+        extra["trace"] = args.trace
     progress = None if args.quiet else StreamReporter()
     for number in args.numbers:
-        _run_figure(number, args, progress=progress)
+        result = getattr(experiments, f"run_fig{number}")(
+            config, jobs=args.jobs, cache_dir=args.cache_dir, progress=progress, **extra
+        )
+        print(result.to_text())
+        if args.output_dir is not None:
+            for kind, path in result.save(args.output_dir).items():
+                print(f"wrote {kind}: {path}")
     return 0
 
 
@@ -667,55 +635,23 @@ def _command_trace_inspect(args: argparse.Namespace) -> int:
 
 def _command_trace_replay(args: argparse.Namespace) -> int:
     from .experiments import ExperimentConfig
-    from .experiments.fig9_transcoding import TRACE_LEVEL_LABEL
-    from .simulator.cost import default_prices_for
-    from .sweep import (
-        HeuristicSpec,
-        PETSpec,
-        StreamReporter,
-        SweepSpec,
-        TraceSpec,
-        pet_for,
-        run_sweep,
-        trace_for,
-    )
+    from .sweep import StreamReporter, SweepSpec, run_sweep, trace_for
 
-    heuristics = list(dict.fromkeys(args.heuristics))
     config = ExperimentConfig(
         trials=args.trials,
         seed=args.seed,
         batch_window=args.batch_window,
     )
-    pet_spec = PETSpec(kind=args.pet, seed=config.seed)
-    pet = pet_for(pet_spec)
-    trace_spec = TraceSpec(path=args.file)
-    try:
-        # Resolved through the same per-process memo the executor uses, so
-        # the run parses the file once, not once per layer.
-        trace = trace_for(trace_spec)
-    except FileNotFoundError:
-        raise SystemExit(f"trace file not found: {args.file}")
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if trace.num_task_types > pet.num_task_types:
-        raise SystemExit(
-            f"trace uses {trace.num_task_types} task types but the {args.pet!r} "
-            f"PET only has {pet.num_task_types}"
-        )
-    spec = SweepSpec.from_traces(
-        pet=pet_spec,
-        heuristics={name: HeuristicSpec(name=name) for name in heuristics},
-        traces={TRACE_LEVEL_LABEL: trace_spec},
-        config=config,
-        machine_prices=tuple(default_prices_for(pet.machine_names)),
-    )
+    pairs = _replay_points(args.file, args.heuristics, config, pet=args.pet)
+    spec = SweepSpec(points=tuple(point for _, point in pairs))
     progress = None if args.quiet else StreamReporter()
     outcome = run_sweep(spec, jobs=args.jobs, cache_dir=args.cache_dir, progress=progress)
     rows = []
     for series in outcome.series():
         summary = series.robustness()
         rows.append([series.label, summary.mean, summary.ci95])
-    print(f"replayed {args.file} ({len(trace)} tasks, {args.trials} trials each)")
+    tasks = len(trace_for(spec.points[0].trace))
+    print(f"replayed {args.file} ({tasks} tasks, {args.trials} trials each)")
     print(format_table(["series", "robustness %", "ci95"], rows))
     if args.cache_dir is not None:
         print(
@@ -935,9 +871,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "figure":
         with _obs_session(args):
             return _command_figure(args)
-    if args.command == "sweep":
-        with _obs_session(args):
-            return _command_sweep(args)
     if args.command == "trace":
         return _command_trace(args)
     if args.command == "cache":

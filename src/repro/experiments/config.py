@@ -7,8 +7,9 @@ collected here:
 * :class:`ExperimentScale` — named presets (``SMOKE`` for tests, ``QUICK``
   for the benchmark harness, ``PAPER`` for a full-scale run);
 * :data:`OVERSUBSCRIPTION_LEVELS` — the workload configurations standing in
-  for the paper's "19k" and "34k" arrival-rate labels (the *ratio* of offered
-  load to capacity is what is matched, see DESIGN.md);
+  for the paper's "19k" and "34k" arrival-rate labels (the paper's task
+  counts belong to its cluster; what carries over is the *ratio* of offered
+  load to capacity, given beside the mapping below);
 * :data:`TRANSCODING_LEVELS` — the four oversubscription levels of the
   video-transcoding experiment (Figure 9).
 """

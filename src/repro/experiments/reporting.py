@@ -1,8 +1,8 @@
 """Persisting experiment results.
 
-Every figure driver returns a result object with a ``rows()`` method; this
-module turns those rows into CSV/JSON artefacts so benchmark runs leave a
-machine-readable record next to the printed tables (the habit the paper's
+:meth:`~repro.experiments.figures.FigureResult.save` writes a figure's rows
+through these as CSV/JSON artefacts, so runs leave a machine-readable
+record next to the printed tables (the habit the paper's
 "30 trials, mean and 95% CI" methodology implies).
 """
 
@@ -11,19 +11,9 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Sequence
 
-__all__ = ["FigureResultProtocol", "rows_to_csv", "rows_to_json", "save_figure_result"]
-
-
-class FigureResultProtocol(Protocol):
-    """Structural type implemented by every ``FigNResult`` class."""
-
-    def rows(self) -> list[list[object]]:  # pragma: no cover - protocol
-        ...
-
-    def to_text(self) -> str:  # pragma: no cover - protocol
-        ...
+__all__ = ["rows_to_csv", "rows_to_json"]
 
 
 def rows_to_csv(headers: Sequence[str], rows: Sequence[Sequence[object]], path: str | Path) -> Path:
@@ -57,26 +47,3 @@ def rows_to_json(headers: Sequence[str], rows: Sequence[Sequence[object]], path:
     records = [dict(zip(headers, row)) for row in rows]
     path.write_text(json.dumps(records, indent=2, default=float))
     return path
-
-
-def save_figure_result(
-    result: FigureResultProtocol,
-    headers: Sequence[str],
-    output_dir: str | Path,
-    *,
-    name: str,
-) -> dict[str, Path]:
-    """Persist one figure result as text, CSV and JSON under ``output_dir``.
-
-    Returns the mapping of artefact kind to written path.
-    """
-    output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    rows = result.rows()
-    text_path = output_dir / f"{name}.txt"
-    text_path.write_text(result.to_text() + "\n")
-    return {
-        "text": text_path,
-        "csv": rows_to_csv(headers, rows, output_dir / f"{name}.csv"),
-        "json": rows_to_json(headers, rows, output_dir / f"{name}.json"),
-    }

@@ -48,17 +48,3 @@ class SeriesResult:
 
     def mean_robustness(self) -> float:
         return self.robustness().mean
-
-    def as_row(self) -> dict[str, float | str]:
-        robustness = self.robustness()
-        fairness = self.fairness_variance()
-        cost = self.cost_per_percent()
-        return {
-            "label": self.label,
-            "robustness_mean": robustness.mean,
-            "robustness_ci95": robustness.ci95,
-            "fairness_variance_mean": fairness.mean,
-            "cost_per_percent_mean": cost.mean,
-            "trials": len(self.trials),
-        }
-

@@ -10,11 +10,15 @@ are what matter here — the paper-shape assertions live in
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.experiments import (
     ExperimentConfig,
+    FigureResult,
     run_fig4,
     run_fig5,
     run_fig6,
@@ -23,6 +27,7 @@ from repro.experiments import (
     run_fig9,
 )
 
+REFERENCE_TRACE = Path(__file__).resolve().parents[2] / "examples" / "transcoding_660.trace.json"
 TINY = ExperimentConfig(trials=1, seed=5, warmup_tasks=10, cooldown_tasks=10, task_scale=0.3)
 
 
@@ -33,7 +38,7 @@ def fig7_result():
 
 class TestFig4:
     def test_structure_and_ranges(self):
-        result = run_fig4(TINY, level="34k", lambdas=(0.5, 0.9))
+        result = run_fig4(TINY, lambdas=(0.5, 0.9))
         assert set(result.series) == {
             (0.5, "default"),
             (0.5, "schmitt"),
@@ -42,64 +47,119 @@ class TestFig4:
         }
         for series in result.series.values():
             assert 0.0 <= series.mean_robustness() <= 100.0
-        assert result.best_lambda("schmitt") in (0.5, 0.9)
+        best = max((0.5, 0.9), key=lambda lam: result.series[(lam, "schmitt")].mean_robustness())
+        assert best in (0.5, 0.9)
         assert "Figure 4" in result.to_text()
-        assert len(result.rows()) == 2
+        assert len(result.rows) == 2
+        assert len(result.headers) == len(result.rows[0]) == 5
 
 
 class TestFig5:
     def test_structure(self):
-        result = run_fig5(TINY, level="34k", dropping_thresholds=(0.5,), gap_step=0.2)
-        defers = result.defer_values(0.5)
+        result = run_fig5(TINY, dropping_thresholds=(0.5,), gap_step=0.2)
+        defers = sorted(defer for drop, defer in result.series if drop == 0.5)
         assert defers[0] == pytest.approx(0.5)
         assert all(d <= 0.9 + 1e-9 for d in defers)
         assert "defer" in result.to_text().lower()
         for (_, _), series in result.series.items():
             assert 0.0 <= series.mean_robustness() <= 100.0
 
+    def test_gap_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="gap_step"):
+            run_fig5(TINY, gap_step=0.0)
+
 
 class TestFig6:
     def test_structure(self):
         result = run_fig6(TINY, levels=("34k",), fairness_factors=(0.0, 0.05))
-        assert result.factors("34k") == [0.0, 0.05]
-        assert result.fairness_variance("34k", 0.05) >= 0.0
-        assert 0.0 <= result.robustness("34k", 0.0) <= 100.0
+        assert sorted(factor for level, factor in result.series if level == "34k") == [0.0, 0.05]
+        assert result.series[("34k", 0.05)].fairness_variance().mean >= 0.0
+        assert 0.0 <= result.series[("34k", 0.0)].mean_robustness() <= 100.0
         assert "fairness" in result.to_text().lower()
 
 
 class TestFig7:
     def test_structure(self, fig7_result):
-        assert fig7_result.heuristics() == ["MM", "PAM"]
-        assert fig7_result.levels() == ["34k"]
-        ranking = fig7_result.ranking("34k")
-        assert set(ranking) == {"MM", "PAM"}
-        assert len(fig7_result.rows()) == 2
+        assert sorted({name for _, name in fig7_result.series}) == ["MM", "PAM"]
+        assert {level for level, _ in fig7_result.series} == {"34k"}
+        assert len(fig7_result.rows) == 2
 
     def test_pam_wins_even_at_tiny_scale(self, fig7_result):
-        assert fig7_result.robustness("34k", "PAM") >= fig7_result.robustness("34k", "MM")
+        pam, mm = (fig7_result.series[("34k", name)].mean_robustness() for name in ("PAM", "MM"))
+        assert pam >= mm
 
 
 class TestFig8:
     def test_structure(self):
         result = run_fig8(TINY, levels=("34k",), heuristics=("PAM", "MM"))
-        pam_cost = result.cost_per_percent("34k", "PAM")
-        mm_cost = result.cost_per_percent("34k", "MM")
+        pam_cost = result.series[("34k", "PAM")].cost_per_percent().mean
         assert pam_cost > 0
         assert np.isfinite(pam_cost)
-        saving = result.saving_vs("34k", "PAM", "MM")
-        assert saving == pytest.approx(1 - pam_cost / mm_cost)
         assert "cost" in result.to_text().lower()
+        assert f"{pam_cost:.3f}" in result.to_text()
 
 
 class TestFig9:
     def test_structure(self):
         result = run_fig9(TINY, levels=("17.5k",), heuristics=("PAMF", "MM"))
-        assert result.levels() == ["17.5k"]
-        advantage = result.advantage("17.5k")
-        assert advantage == pytest.approx(
-            result.robustness("17.5k", "PAMF") - result.robustness("17.5k", "MM")
-        )
+        assert set(result.series) == {("17.5k", "PAMF"), ("17.5k", "MM")}
         assert "transcoding" in result.to_text().lower()
+
+
+class TestFigureResult:
+    def test_save_writes_text_csv_and_json(self, tmp_path):
+        result = FigureResult(
+            number=7,
+            title="fake figure table",
+            headers=("level", "heuristic", "robustness"),
+            series={},
+            rows=[["34k", "PAM", 61.5], ["34k", "MM", 24.0]],
+        )
+        paths = result.save(tmp_path)
+        assert set(paths) == {"text", "csv", "json"}
+        assert paths["text"].read_text() == result.to_text() + "\n"
+        assert paths["text"].read_text().startswith("fake figure table\n")
+        assert paths["csv"].name == "figure7.csv"
+        assert json.loads(paths["json"].read_text())[1] == {
+            "level": "34k", "heuristic": "MM", "robustness": 24.0
+        }
+
+
+#: Per figure: the driver, inputs with a duplicated axis value, and the same
+#: inputs deduplicated by hand.
+DUPLICATED = {
+    "fig4": (run_fig4, dict(lambdas=(0.5, 0.5)), dict(lambdas=(0.5,))),
+    "fig5": (
+        run_fig5,
+        dict(dropping_thresholds=(0.75, 0.75), gap_step=0.2),
+        dict(dropping_thresholds=(0.75,), gap_step=0.2),
+    ),
+    "fig6": (
+        run_fig6,
+        dict(levels=("34k", "34k"), fairness_factors=(0.0, 0.0)),
+        dict(levels=("34k",), fairness_factors=(0.0,)),
+    ),
+    "fig7": (
+        run_fig7,
+        dict(levels=("34k", "34k"), heuristics=("PAM", "MM", "PAM")),
+        dict(levels=("34k",), heuristics=("PAM", "MM")),
+    ),
+    "fig8": (
+        run_fig8,
+        dict(levels=("34k", "34k"), heuristics=("MM", "MM")),
+        dict(levels=("34k",), heuristics=("MM",)),
+    ),
+    "fig9": (
+        run_fig9,
+        dict(levels=("17.5k", "17.5k"), heuristics=("MM", "PAMF", "MM")),
+        dict(levels=("17.5k",), heuristics=("MM", "PAMF")),
+    ),
+    "fig9-trace": (
+        run_fig9,
+        dict(trace=REFERENCE_TRACE, heuristics=("MM", "MM")),
+        dict(trace=REFERENCE_TRACE, heuristics=("MM",)),
+    ),
+}
 
 
 class TestDriversThroughSweep:
@@ -112,12 +172,20 @@ class TestDriversThroughSweep:
         for key, series in parallel.series.items():
             assert series.trials == fig7_result.series[key].trials
 
-    def test_fig7_duplicate_inputs_collapse(self, fig7_result):
-        """Duplicate grid inputs dedupe instead of misaligning keys/series."""
-        duplicated = run_fig7(TINY, levels=("34k", "34k"), heuristics=("PAM", "MM", "PAM"))
-        assert duplicated.series.keys() == fig7_result.series.keys()
-        for key, series in duplicated.series.items():
-            assert series.trials == fig7_result.series[key].trials
+    @pytest.mark.parametrize("figure", sorted(DUPLICATED))
+    def test_duplicate_inputs_collapse(self, figure):
+        """A duplicated axis value runs once: one progress report per
+        distinct point, and the figure of the deduplicated inputs."""
+        run, duplicated, distinct = DUPLICATED[figure]
+        reports = []
+        result = run(TINY, progress=reports.append, **duplicated)
+        expected = run(TINY, **distinct)
+        assert len(reports) == len(result.series) == len(expected.series)
+        assert len({report.key for report in reports}) == len(reports)
+        assert list(result.series) == list(expected.series)
+        assert result.rows == expected.rows
+        for key, series in result.series.items():
+            assert series.trials == expected.series[key].trials
 
     def test_fig9_cache_warm_rerun(self, tmp_path):
         reports = []

@@ -7,22 +7,16 @@ import json
 
 import pytest
 
-from repro.experiments.reporting import rows_to_csv, rows_to_json, save_figure_result
+from repro.experiments.reporting import rows_to_csv, rows_to_json
 
 
-class FakeResult:
-    """Minimal stand-in implementing the figure-result protocol."""
-
-    def rows(self):
-        return [["34k", "PAM", 61.5], ["34k", "MM", 24.0]]
-
-    def to_text(self):
-        return "fake figure table"
+#: A two-row figure table.
+ROWS = [["34k", "PAM", 61.5], ["34k", "MM", 24.0]]
 
 
 class TestRowsToCsv:
     def test_writes_header_and_rows(self, tmp_path):
-        path = rows_to_csv(["level", "heuristic", "robustness"], FakeResult().rows(), tmp_path / "out.csv")
+        path = rows_to_csv(["level", "heuristic", "robustness"], ROWS, tmp_path / "out.csv")
         with path.open() as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["level", "heuristic", "robustness"]
@@ -44,7 +38,7 @@ class TestRowsToCsv:
 
 class TestRowsToJson:
     def test_records_keyed_by_header(self, tmp_path):
-        path = rows_to_json(["level", "heuristic", "robustness"], FakeResult().rows(), tmp_path / "out.json")
+        path = rows_to_json(["level", "heuristic", "robustness"], ROWS, tmp_path / "out.json")
         records = json.loads(path.read_text())
         assert records[0]["heuristic"] == "PAM"
         assert records[1]["robustness"] == 24.0
@@ -53,13 +47,3 @@ class TestRowsToJson:
         with pytest.raises(ValueError):
             rows_to_json(["a"], [[1, 2]], tmp_path / "out.json")
 
-
-class TestSaveFigureResult:
-    def test_writes_all_artefacts(self, tmp_path):
-        paths = save_figure_result(
-            FakeResult(), ["level", "heuristic", "robustness"], tmp_path, name="figure7"
-        )
-        assert set(paths) == {"text", "csv", "json"}
-        assert paths["text"].read_text().startswith("fake figure table")
-        assert paths["csv"].name == "figure7.csv"
-        assert json.loads(paths["json"].read_text())

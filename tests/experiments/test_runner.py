@@ -96,9 +96,8 @@ class TestExecutePoint:
         robustness = series.robustness()
         assert robustness.n == 2
         assert series.mean_robustness() == pytest.approx(robustness.mean)
-        row = series.as_row()
-        assert row["label"] == "demo"
-        assert row["trials"] == 2
+        assert series.label == "demo"
+        assert len(series.trials) == 2
 
     def test_cost_per_percent_ignores_infinite_trials(self):
         series = SeriesResult(label="x")

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.fig9_transcoding import TRACE_LEVEL_LABEL, run_fig9
+from repro.experiments.figures import TRACE_LEVEL_LABEL, run_fig9
 from repro.sweep import (
     HeuristicSpec,
     PETSpec,
@@ -212,9 +212,9 @@ class TestFig9FromReferenceTrace:
         config = ExperimentConfig(trials=1, warmup_tasks=20, cooldown_tasks=20)
         cache_dir = tmp_path / "cache"
         first = run_fig9(config, trace=REFERENCE_TRACE, cache_dir=cache_dir)
-        assert first.levels() == [TRACE_LEVEL_LABEL]
+        assert {level for level, _ in first.series} == {TRACE_LEVEL_LABEL}
         for heuristic in ("PAMF", "MM"):
-            robustness = first.robustness(TRACE_LEVEL_LABEL, heuristic)
+            robustness = first.series[(TRACE_LEVEL_LABEL, heuristic)].mean_robustness()
             assert 0.0 <= robustness <= 100.0
 
         # The rerun must never simulate: poison both execution paths.
@@ -229,12 +229,8 @@ class TestFig9FromReferenceTrace:
             executor_module.ParallelExecutor, "_run_pending", boom
         )
         second = run_fig9(config, trace=REFERENCE_TRACE, cache_dir=cache_dir)
-        assert second.robustness(TRACE_LEVEL_LABEL, "PAMF") == first.robustness(
-            TRACE_LEVEL_LABEL, "PAMF"
-        )
-        assert second.robustness(TRACE_LEVEL_LABEL, "MM") == first.robustness(
-            TRACE_LEVEL_LABEL, "MM"
-        )
+        for key, series in first.series.items():
+            assert second.series[key].mean_robustness() == series.mean_robustness()
 
     def test_incompatible_trace_rejected_before_simulating(self, tmp_path):
         """A trace with more task types than the transcoding PET fails fast."""

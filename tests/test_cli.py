@@ -26,18 +26,18 @@ class TestParser:
     def test_figure_arguments(self):
         args = build_parser().parse_args(["figure", "7", "--trials", "3"])
         assert args.command == "figure"
-        assert args.number == 7
+        assert args.numbers == [7]
         assert args.trials == 3
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "3"])
 
-    def test_sweep_arguments(self):
+    def test_figure_takes_several_numbers(self):
         args = build_parser().parse_args(
-            ["sweep", "4", "7", "--jobs", "4", "--cache-dir", "cache/"]
+            ["figure", "4", "7", "--jobs", "4", "--cache-dir", "cache/"]
         )
-        assert args.command == "sweep"
+        assert args.command == "figure"
         assert args.numbers == [4, 7]
         assert args.jobs == 4
         assert args.cache_dir == "cache/"
@@ -49,9 +49,14 @@ class TestParser:
         assert args.jobs == 2
         assert args.cache_dir == "cache/"
 
-    def test_sweep_rejects_unknown_figure(self):
+    def test_figure_rejects_an_unknown_number_among_several(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "3"])
+            build_parser().parse_args(["figure", "4", "3"])
+
+    def test_figure_is_the_only_figure_command(self):
+        """``sweep`` was ``figure`` with several numbers; it is gone."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "4"])
 
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(SystemExit):
@@ -66,11 +71,11 @@ class TestParser:
         [
             ["simulate"],
             ["figure", "9"],
-            ["sweep", "4"],
+            ["figure", "4", "7"],
             ["trace", "replay", "t.json"],
             ["serve", "run", "--listen", "/tmp/s.sock"],
         ],
-        ids=lambda argv: "-".join(argv[:2]),
+        ids=lambda argv: "-".join(argv[:3]),
     )
     def test_kernel_backend_rejected_everywhere(self, argv):
         """NumPy is the kernel: no command selects another."""
@@ -94,7 +99,7 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["figure", "9"]).batch_window == 0
         assert (
-            parser.parse_args(["sweep", "4", "--batch-window", "8"]).batch_window == 8
+            parser.parse_args(["figure", "4", "7", "--batch-window", "8"]).batch_window == 8
         )
         assert (
             parser.parse_args(
@@ -115,7 +120,7 @@ BAD_INPUTS = [
         "argument --tasks: must be at least 1",
     ),
     (["figure", "7", "--trials", "0"], "argument --trials: must be at least 1"),
-    (["sweep", "7", "--trials", "0"], "argument --trials: must be at least 1"),
+    (["figure", "4", "7", "--trials", "0"], "argument --trials: must be at least 1"),
     (
         ["trace", "replay", "t.json", "--trials", "0"],
         "argument --trials: must be at least 1",
@@ -229,11 +234,9 @@ class TestFigureCommand:
         assert (tmp_path / "figure9.csv").exists()
         assert (tmp_path / "figure9.txt").exists()
 
-
-class TestSweepCommand:
-    def test_sweep_streams_progress_and_hits_cache(self, tmp_path, capsys):
+    def test_figure_streams_progress_and_hits_cache(self, tmp_path, capsys):
         argv = [
-            "sweep",
+            "figure",
             "9",
             "--trials",
             "1",
@@ -253,11 +256,11 @@ class TestSweepCommand:
         assert "Figure 9" in captured.out
         assert "cache" in captured.err
 
-    def test_sweep_quiet_suppresses_progress(self, tmp_path, capsys):
+    def test_figure_quiet_suppresses_progress(self, tmp_path, capsys):
         assert (
             main(
                 [
-                    "sweep",
+                    "figure",
                     "9",
                     "--trials",
                     "1",
@@ -274,11 +277,10 @@ class TestSweepCommand:
         assert "Figure 9" in captured.out
         assert captured.err == ""
 
-
-    @pytest.mark.parametrize("command", ["figure", "sweep"])
-    def test_jobs_2_prints_the_jobs_1_tables(self, command, capsys):
-        argv = [command, "9", "--trials", "2", "--task-scale", "0.3"]
-        if command == "sweep":
+    @pytest.mark.parametrize("quiet", [False, True], ids=["progress", "quiet"])
+    def test_jobs_2_prints_the_jobs_1_tables(self, quiet, capsys):
+        argv = ["figure", "9", "--trials", "2", "--task-scale", "0.3"]
+        if quiet:
             argv.append("--quiet")
         assert main(argv + ["--jobs", "1"]) == 0
         serial = capsys.readouterr().out
@@ -288,7 +290,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sweep", "4", "--queue-dir", "q"],
+            ["figure", "4", "7", "--queue-dir", "q"],
             ["figure", "4", "--queue-workers", "2"],
             ["trace", "replay", "t.json", "--queue-dir", "q"],
             ["worker", "--queue-dir", "q"],
@@ -391,7 +393,7 @@ class TestTraceCommand:
         assert trace_file.exists()
         assert "synthetic" in capsys.readouterr().out
 
-    def test_sweep9_accepts_trace_file(self, tmp_path, capsys):
+    def test_figure9_accepts_trace_file(self, tmp_path, capsys):
         trace_file = tmp_path / "small.trace.json"
         main(
             [
@@ -409,7 +411,7 @@ class TestTraceCommand:
         assert (
             main(
                 [
-                    "sweep",
+                    "figure",
                     "9",
                     "--trials",
                     "1",
@@ -429,13 +431,41 @@ class TestTraceCommand:
         with pytest.raises(SystemExit, match="only applies to figure 9"):
             main(["figure", "4", "--trace", "whatever.json", "--trials", "1"])
 
+    def test_trace_rejected_before_any_figure_runs(self, tmp_path, capsys):
+        """A figure the trace does not apply to fails the whole command up
+        front, even after figure 9 in the list: nothing runs or prints."""
+        cache_dir = tmp_path / "cache"
+        argv = ["figure", "9", "4", "--trace", "examples/transcoding_660.trace.json",
+                "--trials", "1", "--cache-dir", str(cache_dir)]
+        with pytest.raises(SystemExit, match="only applies to figure 9.*not figure 4"):
+            main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
     def test_replay_missing_file_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="trace file not found"):
             main(["trace", "replay", str(tmp_path / "nope.json"), "--trials", "1"])
 
-    def test_sweep9_missing_trace_file_fails_cleanly(self, tmp_path):
+    def test_figure9_missing_trace_file_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="trace file not found"):
-            main(["sweep", "9", "--trace", str(tmp_path / "nope.json"), "--trials", "1"])
+            main(["figure", "9", "--trace", str(tmp_path / "nope.json"), "--trials", "1"])
+
+    @pytest.mark.parametrize("command", ["trace replay", "figure 9 --trace"])
+    def test_trace_with_more_task_types_than_the_pet_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        """One check, shared by both replay paths, before any trial runs."""
+        trace_file = tmp_path / "spec.trace.json"
+        main(["trace", "record", "--workload", "spec", "--tasks", "30", "--out", str(trace_file)])
+        capsys.readouterr()
+        cache_dir = tmp_path / "cache"
+        argv = [*command.split(), str(trace_file), "--trials", "1", "--cache-dir", str(cache_dir)]
+        with pytest.raises(SystemExit, match="task types but the 'transcoding' PET only has 4") as exc:
+            main(argv)
+        assert "repro trace record --builder transcoding-660" in str(exc.value)
+        assert capsys.readouterr().out == ""
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
 
     def test_record_builder_rejects_span_and_beta(self, tmp_path):
         with pytest.raises(SystemExit, match="only apply to synthetic"):
