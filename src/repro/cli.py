@@ -27,15 +27,13 @@ Five subcommands cover the common workflows:
 
 ``serve``
     The online scheduler service: ``run`` hosts the admission loop on a
-    Unix socket or TCP port until interrupted (``--workers N`` shards
-    submissions across N engine-worker processes behind one socket, and
-    ``--inbox-limit`` bounds the admission queue so overload is answered
-    with explicit ``accepted=false`` rejections), ``submit`` replays a
-    recorded trace (or a single task) into a running service and prints
-    the streamed decisions, and ``bench`` drives a fresh service at
-    several arrival-rate multipliers, checks the decision stream against
-    an offline replay (per shard when sharded), and writes the
-    ``BENCH_serve.json`` artefact.
+    Unix socket or TCP port until interrupted (``--inbox-limit`` bounds
+    the admission queue so overload is answered with explicit
+    ``accepted=false`` rejections), ``submit`` replays a recorded trace
+    (or a single task) into a running service and prints the streamed
+    decisions, and ``bench`` drives a fresh service at several
+    arrival-rate multipliers, checks the decision stream against an
+    offline replay, and writes the ``BENCH_serve.json`` artefact.
 
 Examples::
 
@@ -50,14 +48,13 @@ Examples::
     python -m repro.cli trace replay examples/transcoding_660.trace.json \
         --heuristics PAMF MM --jobs 4 --cache-dir results/cache
     python -m repro.cli serve run --listen /tmp/repro-serve.sock
-    python -m repro.cli serve run --listen tcp:127.0.0.1:7077 --workers 4
+    python -m repro.cli serve run --listen tcp:127.0.0.1:7077
     python -m repro.cli serve submit --connect /tmp/repro-serve.sock \
         --trace examples/transcoding_660.trace.json --tasks 50 --rate 10
     python -m repro.cli serve submit --connect tcp:127.0.0.1:7077 --task 1 0 5 400
     python -m repro.cli serve bench --trace examples/transcoding_660.trace.json \
         --rates 10 100 1000 --out BENCH_serve.json
-    python -m repro.cli serve bench --transport tcp --workers 2 \
-        --out BENCH_serve_shard2.json
+    python -m repro.cli serve bench --transport tcp --out BENCH_serve_tcp.json
 """
 
 from __future__ import annotations
@@ -310,18 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to let in-flight submissions drain on shutdown",
     )
     serve_run.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="engine-worker processes behind the front-end, sharded by task "
-        "type (1 = single-process service)",
-    )
-    serve_run.add_argument(
         "--inbox-limit",
         type=_positive_int,
-        default=None,
-        help="bounded admission inbox (per-shard in-flight cap when sharded); "
-        "submissions beyond it are answered accepted=false",
+        default=1024,
+        help="bounded admission inbox; submissions beyond it are answered accepted=false",
     )
 
     serve_submit = serve_sub.add_parser(
@@ -407,15 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="client-facing transport the bench drives",
     )
     serve_bench.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="engine-worker processes behind the front-end (1 = single-process)",
-    )
-    serve_bench.add_argument(
         "--inbox-limit",
         type=_positive_int,
-        default=None,
+        default=1024,
         help="shrink the admission inbox to provoke measurable backpressure "
         "(rejections are counted per rate)",
     )
@@ -454,8 +437,8 @@ def _obs_session(args: argparse.Namespace):
     ``--obs-snapshot`` was given.  Exports run in a ``finally`` so an
     interrupted command (Ctrl-C on ``serve run``) still writes what it
     recorded.  Only in-process work is captured: trials executed by
-    process-pool workers and sharded serve engines run in child
-    processes and contribute no spans to this registry.
+    process-pool workers run in child processes and contribute no spans
+    to this registry.
     """
     trace_path = getattr(args, "obs_trace", None)
     snapshot_path = getattr(args, "obs_snapshot", None)
@@ -700,26 +683,20 @@ def _command_serve_run(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from .serve import build_service
+    from .serve.service import SchedulerService, build_core
 
     pet = _serve_pet(args)
     sim_config = SimulatorConfig(batch_window=args.batch_window)
 
     async def host() -> tuple[dict, BaseException | None]:
-        service = build_service(
-            pet,
-            args.heuristic,
+        service = SchedulerService(
+            build_core(pet, args.heuristic, seed=args.seed + 2, sim_config=sim_config),
             args.listen,
-            workers=args.workers,
-            seed=args.seed + 2,
-            sim_config=sim_config,
-            inbox_limit=args.inbox_limit,
             drain_grace=args.drain_grace,
+            inbox_limit=args.inbox_limit,
         )
         await service.start()
         mode = f" (batched rounds, window {args.batch_window})" if args.batch_window else ""
-        if args.workers > 1:
-            mode += f" [{args.workers} sharded workers]"
         print(
             f"serving {args.heuristic}{mode} on {service.endpoint} — Ctrl-C to stop",
             file=sys.stderr,
@@ -755,7 +732,7 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from .serve import replay_trace
+    from .serve import replay_trace, slice_trace
     from .serve.loadgen import DEFAULT_TIME_UNIT_SECONDS
     from .workload.spec import TaskSpec
 
@@ -765,20 +742,23 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
             TaskSpec(arrival=arrival, task_id=task_id, task_type=task_type, deadline=deadline)
         ]
     else:
-        from .serve import slice_trace
-
         specs = slice_trace(_load_trace_file(args.trace), args.tasks)
     time_unit = args.time_unit if args.time_unit is not None else DEFAULT_TIME_UNIT_SECONDS
-    outcome = asyncio.run(
-        replay_trace(
-            args.connect,
-            specs,
-            rate=args.rate,
-            time_unit_seconds=time_unit,
-            close=args.close,
-            progress=lambda message: print(message, file=sys.stderr, flush=True),
+    try:
+        outcome = asyncio.run(
+            replay_trace(
+                args.connect,
+                specs,
+                rate=args.rate,
+                time_unit_seconds=time_unit,
+                close=args.close,
+                progress=lambda message: print(message, file=sys.stderr, flush=True),
+            )
         )
-    )
+    except RuntimeError as exc:
+        # The service answered an error (a rejected task, or its own failure).
+        print(f"serve submit: {exc}", file=sys.stderr)
+        return 1
     for event in outcome.decisions:
         print(json.dumps(event, separators=(",", ":")))
     rejected_note = (
@@ -816,7 +796,6 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
         ),
         check_offline=not args.no_check,
         transport=args.transport,
-        workers=args.workers,
         inbox_limit=args.inbox_limit,
         out_path=args.out,
         progress=lambda message: print(message, file=sys.stderr, flush=True),

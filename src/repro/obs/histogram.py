@@ -17,12 +17,6 @@ holding that rank, clamped to the exact recorded maximum** — a deterministic
 upper bound on the true quantile, tight to one bucket's relative width
 (``10**(1/buckets_per_decade) - 1``, ~15.5% at the default 16 buckets per
 decade).  ``mean``/``min``/``max``/``count`` are exact.
-
-Because the buckets are fixed, two histograms with the same configuration
-**merge exactly**: summing their bucket counts (and the exact scalars)
-yields bit-for-bit the histogram that would have recorded both sample
-streams, which is what lets sharded services merge percentile figures
-without conservative worst-shard bounds.
 """
 
 from __future__ import annotations
@@ -147,53 +141,3 @@ class LogBucketHistogram:
             "max_s": self.max,
         }
 
-    # ------------------------------------------------------------------
-    # Exact JSON round-trip and merging.
-    # ------------------------------------------------------------------
-    def to_payload(self) -> dict[str, object]:
-        """JSON-able state; bucket counts are sparse ``[index, count]`` pairs."""
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "buckets_per_decade": self.buckets_per_decade,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "counts": [[i, c] for i, c in enumerate(self._counts) if c],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LogBucketHistogram":
-        hist = cls(
-            lo=float(payload["lo"]),
-            hi=float(payload["hi"]),
-            buckets_per_decade=int(payload["buckets_per_decade"]),
-        )
-        hist.count = int(payload["count"])
-        hist.total = float(payload["total"])
-        if hist.count:
-            hist.min = float(payload["min"])
-            hist.max = float(payload["max"])
-        for index, bucket_count in payload["counts"]:
-            hist._counts[int(index)] += int(bucket_count)
-        return hist
-
-    def compatible_with(self, other: "LogBucketHistogram") -> bool:
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.buckets_per_decade == other.buckets_per_decade
-        )
-
-    def merge(self, other: "LogBucketHistogram") -> None:
-        """Fold ``other`` in exactly (same bucket configuration required)."""
-        if not self.compatible_with(other):
-            raise ValueError("cannot merge histograms with different bucket layouts")
-        self.count += other.count
-        self.total += other.total
-        if other.count:
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count

@@ -1,7 +1,7 @@
 """Load generation against the scheduler service, and the serve bench.
 
 The load generator replays a recorded workload trace against a running
-scheduler service (either topology) at a wall-clock arrival-rate
+scheduler service at a wall-clock arrival-rate
 multiplier: task ``i`` is submitted when ``arrival_i * time_unit / rate``
 wall seconds have elapsed.  Virtual time travels *with* the submissions, so
 the decision stream is bit-identical at every rate — the multiplier only
@@ -9,16 +9,14 @@ controls how hard the admission loop is driven, which is exactly what the
 throughput/latency curve measures.
 
 ``run_bench`` sweeps several multipliers (a fresh service per rate, same
-seed, built by :func:`~repro.serve.workers.build_service`), checks the
-decision stream against an offline :meth:`HCSimulator.run` replay of the
-same trace, and writes the machine-readable ``BENCH_serve.json`` perf
-artefact.  The bench drives any service topology: Unix socket or TCP
-(``transport=``), one admission core or N sharded worker processes
-(``workers=``), and a deliberately tiny bounded inbox (``inbox_limit=``) to
-measure the overload rejection curve — submissions turned away with
-``accepted=false`` are counted per rate, and the equivalence check then
-compares each shard's stream (one core is shard 0 of one) against an
-offline replay of exactly the tasks that were *accepted* into that shard.
+seed), checks the decision stream against an offline
+:meth:`HCSimulator.run` replay of the same trace, and writes the
+machine-readable ``BENCH_serve.json`` perf artefact.  The bench drives the
+service over a Unix socket or TCP (``transport=``), and a deliberately tiny
+bounded inbox (``inbox_limit=``) measures the overload rejection curve —
+submissions turned away with ``accepted=false`` are counted per rate, and
+the equivalence check then compares the stream against an offline replay
+of exactly the tasks that were *accepted*.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Callable, Mapping, Sequence
@@ -37,8 +35,7 @@ from ..simulator.engine import HCSimulator, SimulatorConfig
 from ..workload.generator import WorkloadTrace
 from .metrics import LatencyHistogram
 from .protocol import decode_line, encode_line, open_endpoint, spec_to_payload
-from .service import decision_map, offline_decision_map
-from .workers import build_service, partition_trace, shard_seed
+from .service import SchedulerService, build_core, decision_map, offline_decision_map
 
 __all__ = [
     "BenchReport",
@@ -146,8 +143,6 @@ class BenchReport:
     equivalent_to_offline: bool | None
     #: ``unix`` or ``tcp`` — the transport the bench drove.
     transport: str = "unix"
-    #: Engine-worker processes behind the front-end (1 = single-process).
-    workers: int = 1
 
     def to_payload(self) -> dict[str, object]:
         return {
@@ -159,7 +154,6 @@ class BenchReport:
             "seed": self.seed,
             "time_unit_seconds": self.time_unit_seconds,
             "transport": self.transport,
-            "workers": self.workers,
             "equivalent_to_offline": self.equivalent_to_offline,
             "rates": [rate.to_payload() for rate in self.rates],
         }
@@ -298,50 +292,34 @@ def _rate_report(multiplier: float, outcome: ReplayOutcome) -> RateReport:
     )
 
 
-def _offline_shard_maps(
+def _offline_map(
     pet: PETMatrix,
     heuristic_name: str,
     trace: WorkloadTrace,
     *,
     seed: int,
-    workers: int,
     sim_config: SimulatorConfig | None,
     rejected: frozenset[int] = frozenset(),
-) -> dict[int, dict]:
-    """Expected decision maps for the *accepted* subset of a trace.
-
-    Keyed by shard index: each map is the offline replay of exactly that
-    shard's accepted task subsequence, seeded with :func:`shard_seed` — the
-    per-shard replay-equivalence contract.  One worker is shard 0 of one,
-    seeded ``shard_seed(seed, 0) == seed``: the whole trace.
-    """
-    maps: dict[int, dict] = {}
-    for shard, shard_tasks in enumerate(partition_trace(trace, workers)):
-        specs = [spec for spec in shard_tasks if spec.task_id not in rejected]
-        heuristic = make_heuristic(heuristic_name, num_task_types=pet.num_task_types)
-        sim = HCSimulator(pet, heuristic, config=sim_config, rng=shard_seed(seed, shard))
-        maps[shard] = offline_decision_map(sim.run(specs)) if specs else {}
-    return maps
+) -> dict:
+    """Expected decision map: the offline replay of the *accepted* tasks."""
+    specs = [spec for spec in trace if spec.task_id not in rejected]
+    if not specs:
+        return {}
+    heuristic = make_heuristic(heuristic_name, num_task_types=pet.num_task_types)
+    sim = HCSimulator(pet, heuristic, config=sim_config, rng=seed)
+    return offline_decision_map(sim.run(specs))
 
 
 def _check_outcome_offline(
     outcome: ReplayOutcome, expected: Mapping, *, multiplier: float
 ) -> None:
-    """Raise ``RuntimeError`` if any shard's stream diverged from offline.
-
-    A single-process service's events carry no ``shard`` field: all of
-    them are shard 0's.
-    """
-    for shard, offline_map in expected.items():
-        streamed = decision_map(
-            [e for e in outcome.decisions if e.get("shard", 0) == shard]
+    """Raise ``RuntimeError`` if the stream diverged from the offline replay."""
+    streamed = decision_map(outcome.decisions)
+    if streamed != expected:
+        raise RuntimeError(
+            f"decision stream at {multiplier:g}x diverged from the offline "
+            f"replay: {_first_difference(streamed, expected)}"
         )
-        if streamed != offline_map:
-            diff = _first_difference(streamed, offline_map)
-            raise RuntimeError(
-                f"decision stream at {multiplier:g}x diverged from shard "
-                f"{shard}'s offline replay: {diff}"
-            )
 
 
 def run_bench(
@@ -356,8 +334,7 @@ def run_bench(
     sim_config: SimulatorConfig | None = None,
     check_offline: bool = True,
     transport: str = "unix",
-    workers: int = 1,
-    inbox_limit: int | None = None,
+    inbox_limit: int = 1024,
     out_path: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> BenchReport:
@@ -369,32 +346,22 @@ def run_bench(
     replay-equivalence harness.  A mismatch raises ``RuntimeError``.
 
     ``transport`` selects the client-facing socket (``"unix"`` or
-    ``"tcp"``), ``workers`` the number of sharded engine processes (1 keeps
-    the single-process service), and ``inbox_limit`` shrinks the admission
-    queue (front-end in-flight cap when sharded) to provoke measurable
-    backpressure — each rate row then records how many submissions were
-    turned away with ``accepted=false``, and the equivalence check replays
-    only the accepted subset offline (per shard when sharded).
+    ``"tcp"``), and ``inbox_limit`` shrinks the admission queue to provoke
+    measurable backpressure — each rate row then records how many
+    submissions were turned away with ``accepted=false``, and the
+    equivalence check replays only the accepted subset offline.
     """
     if not rates:
         raise ValueError("at least one rate multiplier is required")
     if transport not in ("unix", "tcp"):
         raise ValueError(f"transport must be 'unix' or 'tcp', got {transport!r}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     say = progress if progress is not None else (lambda message: None)
-    baseline: dict[int, dict] | None = None
+    baseline: dict | None = None
     if check_offline:
-        baseline = _offline_shard_maps(
-            pet,
-            heuristic_name,
-            trace,
-            seed=seed,
-            workers=workers,
-            sim_config=sim_config,
+        baseline = _offline_map(
+            pet, heuristic_name, trace, seed=seed, sim_config=sim_config
         )
-        recorded = sum(len(m) for m in baseline.values())
-        say(f"offline replay: {recorded} task outcomes recorded")
+        say(f"offline replay: {len(baseline)} task outcomes recorded")
 
     reports: list[RateReport] = []
     equivalent: bool | None = None if baseline is None else True
@@ -410,7 +377,6 @@ def run_bench(
                 time_unit_seconds=time_unit_seconds,
                 sim_config=sim_config,
                 transport=transport,
-                workers=workers,
                 inbox_limit=inbox_limit,
             )
         )
@@ -422,12 +388,11 @@ def run_bench(
                     "backpressure; re-deriving the offline baseline for the "
                     "accepted subset"
                 )
-                expected = _offline_shard_maps(
+                expected = _offline_map(
                     pet,
                     heuristic_name,
                     trace,
                     seed=seed,
-                    workers=workers,
                     sim_config=sim_config,
                     rejected=frozenset(outcome.rejected_ids),
                 )
@@ -442,7 +407,6 @@ def run_bench(
         rates=tuple(reports),
         equivalent_to_offline=equivalent,
         transport=transport,
-        workers=workers,
     )
     if out_path is not None:
         report.write(out_path)
@@ -459,8 +423,7 @@ async def _bench_one_rate(
     time_unit_seconds: float,
     sim_config: SimulatorConfig | None,
     transport: str = "unix",
-    workers: int = 1,
-    inbox_limit: int | None = None,
+    inbox_limit: int = 1024,
 ) -> ReplayOutcome:
     """One fresh service + one replay, torn down cleanly even on interrupt."""
     with TemporaryDirectory(prefix="repro-serve-") as scratch:
@@ -468,13 +431,9 @@ async def _bench_one_rate(
             listen: str | Path = "tcp:127.0.0.1:0"
         else:
             listen = Path(scratch) / "serve.sock"
-        service = build_service(
-            pet,
-            heuristic_name,
+        service = SchedulerService(
+            build_core(pet, heuristic_name, seed=seed, sim_config=sim_config),
             listen,
-            workers=workers,
-            seed=seed,
-            sim_config=sim_config,
             inbox_limit=inbox_limit,
         )
         await service.start()

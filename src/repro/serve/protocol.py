@@ -9,20 +9,16 @@ than :data:`MAX_LINE_BYTES` is answered with :data:`OVERLONG_LINE_ERROR`
 and the connection is closed.
 
 ``accepted`` events carry an explicit ``accepted`` boolean: ``true`` once
-the service has validated the submission — its ``task_id`` is unused and its
-arrival is not behind the engine's processed virtual-time frontier — and
+the service has validated the submission — its ``task_type`` has a row in
+the PET, its ``task_id`` is unused and its arrival is not behind the
+engine's processed virtual-time frontier — and
 sent *before* the engine advances on its behalf, so the ack never waits
 for the scheduling that arrival releases.  An accepted task is injected:
 a failure after the ack is internal and fatal (an ``error`` event with
 ``"fatal": true``, then EOF), never a per-task ``error`` for that id.
 ``false`` (with a ``reason``, currently ``"overloaded"``) means
 backpressure rejected it at the door — a rejected submission never
-touches the engine and never produces decisions.  On a sharded service
-the front-end's per-shard in-flight cap counts the submissions their
-worker has not yet validated.  Decision events from a sharded service
-additionally carry ``shard`` (which worker decided) and ``shard_seq``
-(that worker's own stream sequence) beside the globally re-sequenced
-``seq``.
+touches the engine and never produces decisions.
 
 Submissions already queued when the service turns to them are admitted
 as one *run*: every member is answered — one write per client, its
@@ -74,7 +70,7 @@ __all__ = [
 ]
 
 #: Longest request line a service reads (asyncio's default stream limit,
-#: passed explicitly to the connection hub's server).
+#: passed explicitly to the service's server).
 MAX_LINE_BYTES = 2**16
 
 #: The event answering a longer line, just before the connection closes.

@@ -13,9 +13,8 @@ Two layers, deliberately separable:
     to an offline :meth:`HCSimulator.run` of the same trace.
 
 :class:`SchedulerService`
-    The asyncio layer: the single-process topology of the JSON-lines
-    :class:`~repro.serve.hub.ConnectionHub` (Unix socket or TCP, same wire
-    protocol), whose one admission loop serialises all client submissions
+    The asyncio layer: a JSON-lines server (Unix socket or TCP, same wire
+    protocol) whose one admission loop serialises all client submissions
     into the core and streams decision events back to every connected
     client.  The inbox between the client handlers and the admission loop
     is *bounded*: when it is full, further submissions are answered with an
@@ -31,13 +30,14 @@ still join the same mapping event, exactly as they would in batch replay.
 ``flush()`` force-processes the held instant; ``close()`` drains everything
 and finalises the run.
 
-Rejections (duplicate id, late arrival, malformed payload, overload) leave
-the live system untouched: a submission is validated *before* the virtual
-clock advances on its behalf, so a rejected submit changes neither the
-engine frontier nor the decision stream.  That check is
-:meth:`SchedulerCore.admit`, and it alone decides acceptance: the service
-answers ``accepted`` as soon as it passes, before the engine advances, and
-only then runs the scheduling the arrival releases.  A failure past that
+Rejections (a task type outside the PET, duplicate id, late arrival,
+malformed payload, overload) leave the live system untouched: a submission
+is validated *before* the virtual clock advances on its behalf, so a
+rejected submit changes neither the engine frontier nor the decision
+stream.  That check is :meth:`SchedulerCore.admit`, and it alone decides
+acceptance: the service answers ``accepted`` as soon as it passes, before
+the engine advances, and only then runs the scheduling the arrival
+releases.  A failure past that
 point is internal and fatal to the service, never a per-task ``error``.
 Submissions that queued up meanwhile are admitted as one *run*: one reply
 write per client before the run's scheduling, one decision broadcast after
@@ -47,7 +47,9 @@ it (see :meth:`SchedulerService._submit_run`).
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
+import traceback
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +57,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..heuristics import make_heuristic
 from ..obs.export import snapshot as obs_snapshot
 from ..obs.telemetry import active as obs_active
 from ..pet.matrix import PETMatrix
@@ -63,14 +66,23 @@ from ..simulator.mapping import MappingDecision
 from ..simulator.metrics import SimulationResult
 from ..simulator.task import Task, TaskStatus
 from ..workload.spec import TaskSpec
-from .hub import ConnectionHub
 from .metrics import ServiceMetrics
-from .protocol import decision_to_payload, encode_line, spec_from_payload
+from .protocol import (
+    MAX_LINE_BYTES,
+    OVERLONG_LINE_ERROR,
+    decision_to_payload,
+    decode_line,
+    encode_line,
+    format_endpoint,
+    parse_endpoint,
+    spec_from_payload,
+)
 
 __all__ = [
     "Decision",
     "SchedulerCore",
     "SchedulerService",
+    "build_core",
     "decision_map",
     "offline_decision_map",
 ]
@@ -310,6 +322,22 @@ class SchedulerCore:
         return drained
 
 
+def build_core(
+    pet: PETMatrix,
+    heuristic: str,
+    *,
+    seed: int,
+    sim_config: SimulatorConfig | None = None,
+) -> SchedulerCore:
+    """The core ``serve run`` and the serve bench host, from a heuristic name."""
+    return SchedulerCore(
+        pet,
+        make_heuristic(heuristic, num_task_types=pet.num_task_types),
+        config=sim_config,
+        rng=seed,
+    )
+
+
 # ----------------------------------------------------------------------
 # Replay-equivalence views.
 # ----------------------------------------------------------------------
@@ -380,22 +408,24 @@ def offline_decision_map(
 # ----------------------------------------------------------------------
 # The asyncio socket service.
 # ----------------------------------------------------------------------
-class SchedulerService(ConnectionHub):
+class SchedulerService:
     """JSON-lines admission service over a Unix socket or TCP.
 
-    The :class:`~repro.serve.hub.ConnectionHub` handles the connections;
-    one admission loop owns the core: submissions from every connection are
-    funnelled through a *bounded* :class:`asyncio.Queue`, processed in
-    arrival order — those already queued together, as one run — and the
-    resulting decision events are broadcast to every connected client.
-    When the inbox is full a further ``submit`` is answered with
+    ``listen`` accepts a filesystem path / ``unix:PATH`` (Unix socket) or
+    ``tcp:HOST:PORT`` (TCP; port ``0`` binds an ephemeral port, read the
+    bound address back from :attr:`endpoint` after :meth:`start`).  Each
+    connection gets a read loop; one admission loop owns the core:
+    submissions from every connection are funnelled through a *bounded*
+    :class:`asyncio.Queue`, processed in arrival order — those already
+    queued together, as one run — and the resulting decision events are
+    broadcast to every connected client.  When the inbox is full a further
+    ``submit`` is answered with
     ``{"event": "accepted", "accepted": false, "reason": "overloaded"}``
-    and never enqueued — backpressure keeps the service's
-    memory bounded under overload (control ops still queue, applying
-    natural flow control to their connection).  ``stop()`` drains in-flight
-    submissions first (bounded by ``drain_grace`` seconds), then closes the
-    socket and removes its path — no orphaned asyncio task survives it.
-    ``listen`` is any endpoint the hub accepts.
+    and never enqueued — backpressure keeps the service's memory bounded
+    under overload (control ops still queue, applying natural flow control
+    to their connection).  ``stop()`` drains in-flight submissions first
+    (bounded by ``drain_grace`` seconds), then closes the socket and removes
+    its path — no orphaned asyncio task survives it.
     """
 
     def __init__(
@@ -406,33 +436,124 @@ class SchedulerService(ConnectionHub):
         drain_grace: float = 5.0,
         inbox_limit: int = 1024,
     ) -> None:
-        super().__init__(listen, drain_grace=drain_grace)
+        self._endpoint = parse_endpoint(listen)
         if inbox_limit < 1:
             raise ValueError("inbox_limit must be at least 1")
+        #: Socket path for Unix-socket services; ``None`` over TCP.
+        self.socket_path = Path(self._endpoint[1]) if self._endpoint[0] == "unix" else None
+        self.drain_grace = float(drain_grace)
         self.core = core
         #: The core's counters, which are the service's own.
         self.metrics = core.metrics
         self.inbox_limit = int(inbox_limit)
+        #: The exception that brought the service down, if any — a loud
+        #: record of an ungraceful shutdown.
+        self.failure: BaseException | None = None
+        self._server: asyncio.AbstractServer | None = None
+        self._writers: set[asyncio.StreamWriter] = set()
         self._inbox: asyncio.Queue | None = None
         self._admission: asyncio.Task | None = None
+        self._stopped = asyncio.Event()
+        self._stopping = False
+        self._stopper: asyncio.Task | None = None
 
-    async def _start_topology(self) -> None:
-        self._inbox = asyncio.Queue(maxsize=self.inbox_limit)
-        self._admission = asyncio.create_task(
-            self._admission_loop(), name="repro-serve-admission"
-        )
+    @property
+    def endpoint(self) -> str:
+        """The client-facing endpoint string (actual bound port over TCP)."""
+        return format_endpoint(self._endpoint)
 
-    async def _stop_topology(self, drain: bool) -> None:
-        """Drain the inbox (grace-bounded) when asked, then end the loop."""
-        if self._admission is None or self._admission.done():
+    async def start(self) -> None:
+        if self._server is not None:
+            raise RuntimeError("the service is already started")
+        try:
+            self._inbox = asyncio.Queue(maxsize=self.inbox_limit)
+            self._admission = asyncio.create_task(
+                self._admission_loop(), name="repro-serve-admission"
+            )
+            if self._endpoint[0] == "unix":
+                assert self.socket_path is not None
+                self.socket_path.parent.mkdir(parents=True, exist_ok=True)
+                if self.socket_path.exists():
+                    self.socket_path.unlink()
+                self._server = await asyncio.start_unix_server(
+                    self._handle_client, path=str(self.socket_path), limit=MAX_LINE_BYTES
+                )
+            else:
+                self._server = await asyncio.start_server(
+                    self._handle_client,
+                    host=self._endpoint[1],
+                    port=self._endpoint[2],
+                    limit=MAX_LINE_BYTES,
+                )
+                bound = self._server.sockets[0].getsockname()
+                self._endpoint = ("tcp", bound[0], bound[1])
+        except BaseException:
+            # Nothing a failed start brought up may outlive it.
+            await self.stop(drain=False)
+            raise
+
+    async def wait_stopped(self) -> None:
+        """Block until the service has fully shut down."""
+        await self._stopped.wait()
+
+    async def stop(self, *, drain: bool = True) -> None:
+        """Graceful shutdown; idempotent and safe to call from any task."""
+        if self._stopping:
+            await self._stopped.wait()
             return
-        if drain:
-            assert self._inbox is not None
-            with suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._inbox.join(), self.drain_grace)
-        self._admission.cancel()
-        with suppress(asyncio.CancelledError):
-            await self._admission
+        self._stopping = True
+        # One loop tick first: a connection sitting in the accept backlog gets
+        # its handler created now, so the teardown below closes it too instead
+        # of stranding the client without an EOF.
+        await asyncio.sleep(0)
+        if self._server is not None:
+            self._server.close()
+        if self._admission is not None and not self._admission.done():
+            if drain:
+                assert self._inbox is not None
+                with suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(self._inbox.join(), self.drain_grace)
+            self._admission.cancel()
+            with suppress(asyncio.CancelledError):
+                await self._admission
+        for writer in list(self._writers):
+            await self._discard_writer(writer)
+        if self._server is not None:
+            with suppress(OSError):
+                await self._server.wait_closed()
+            self._server = None
+        if self.socket_path is not None:
+            with suppress(OSError):
+                if self.socket_path.exists():
+                    self.socket_path.unlink()
+        self._stopped.set()
+
+    def _schedule_stop(self) -> None:
+        """Shut down from a fresh task: ``stop()`` may cancel the caller."""
+        if self._stopper is None and not self._stopping:
+            self._stopper = asyncio.create_task(self.stop(drain=False))
+
+    async def _fail(
+        self, exc: BaseException, where: str, writer: asyncio.StreamWriter | None = None
+    ) -> None:
+        """Record, log, tell ``writer`` (or, without one, every client), shut down."""
+        self.failure = exc
+        print(
+            f"repro.serve: {where} failed\n{''.join(traceback.format_exception(exc))}",
+            file=sys.stderr,
+            flush=True,
+        )
+        event = {
+            "event": "error",
+            "fatal": True,
+            "message": f"internal error: {type(exc).__name__}: {exc}",
+        }
+        with suppress(Exception):
+            if writer is None:
+                await self._broadcast(event)
+            else:
+                await self._send(writer, event)
+        self._schedule_stop()
 
     # ------------------------------------------------------------------
     async def _dispatch(self, request: dict, writer: asyncio.StreamWriter) -> None:
@@ -620,3 +741,62 @@ class SchedulerService(ConnectionHub):
             await self._broadcast_bytes(
                 b"".join(encode_line(decision_to_payload(d)) for d in decisions)
             )
+
+    # ------------------------------------------------------------------
+    async def _handle_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self._writers.add(writer)
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Past the stream limit: answer, then hang up.
+                    await self._send(writer, OVERLONG_LINE_ERROR)
+                    break
+                if not line:
+                    break
+                if not line.strip():
+                    continue
+                try:
+                    request = decode_line(line)
+                except ValueError as exc:
+                    await self._send(writer, {"event": "error", "message": str(exc)})
+                    continue
+                try:
+                    await self._dispatch(request, writer)
+                except Exception as exc:
+                    await self._fail(exc, f"dispatch of {request.get('op')!r}", writer)
+                    return
+        except (ConnectionResetError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            await self._discard_writer(writer)
+
+    async def _broadcast(self, payload: Mapping) -> None:
+        await self._broadcast_bytes(encode_line(payload))
+
+    async def _broadcast_bytes(self, data: bytes) -> None:
+        """Send encoded wire lines to every client: one write and drain each."""
+        for writer in list(self._writers):
+            await self._write(writer, data)
+
+    async def _send(self, writer: asyncio.StreamWriter, payload: Mapping) -> None:
+        await self._write(writer, encode_line(payload))
+
+    async def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
+        if writer not in self._writers:
+            return
+        try:
+            writer.write(data)
+            await writer.drain()
+        except (ConnectionResetError, BrokenPipeError, RuntimeError):
+            await self._discard_writer(writer)
+
+    async def _discard_writer(self, writer: asyncio.StreamWriter) -> None:
+        if writer in self._writers:
+            self._writers.discard(writer)
+            with suppress(Exception):
+                writer.close()
+                await writer.wait_closed()

@@ -279,13 +279,18 @@ class HCSimulator:
     def validate_inject(self, spec: TaskSpec) -> None:
         """Check a submission against the live stream *without* touching state.
 
-        Raises exactly the errors :meth:`inject_task` would raise — duplicate
-        task id, or an arrival at or before an already-processed event
-        timestamp — so admission layers can reject a submission *before*
-        advancing the virtual clock on its behalf.
+        Raises exactly the errors :meth:`inject_task` would raise — a task
+        type the PET has no row for, a duplicate task id, or an arrival at or
+        before an already-processed event timestamp — so admission layers can
+        reject a submission *before* advancing the virtual clock on its behalf.
         """
         if self.state is None:
             raise RuntimeError("begin_stream() must be called before inject_task()")
+        if spec.task_type >= self.pet.num_task_types:
+            raise ValueError(
+                f"task {spec.task_id} has type {spec.task_type}, but the PET has "
+                f"{self.pet.num_task_types} task types"
+            )
         if spec.task_id in self.tasks:
             raise ValueError(f"task {spec.task_id} was already injected")
         if spec.arrival <= self._processed_through:

@@ -52,9 +52,14 @@ class TestReplayValidation:
             )
 
 
+#: The client-facing transports the bench drives.
+TRANSPORTS = ["unix", "tcp"]
+
+
 class TestRunBench:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_bench_writes_report_and_checks_equivalence(
-        self, tmp_path, small_gamma_pet, light_trace
+        self, tmp_path, small_gamma_pet, light_trace, transport
     ):
         out = tmp_path / "BENCH_serve.json"
         report = run_bench(
@@ -66,6 +71,7 @@ class TestRunBench:
             rates=(200.0, 2000.0),
             check_offline=True,
             out_path=out,
+            transport=transport,
         )
         assert report.equivalent_to_offline is True
         assert len(report.rates) == 2
@@ -82,6 +88,7 @@ class TestRunBench:
         assert payload["schema"] == 1
         assert payload["benchmark"] == "repro.serve"
         assert payload["trace_tasks"] == len(light_trace)
+        assert payload["transport"] == transport
         assert payload["equivalent_to_offline"] is True
         assert len(payload["rates"]) == 2
         for row in payload["rates"]:
@@ -101,7 +108,8 @@ class TestRunBench:
                 "robustness_percent",
             }
 
-    def test_decisions_identical_across_rates(self, small_gamma_pet, light_trace):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_decisions_identical_across_rates(self, small_gamma_pet, light_trace, transport):
         """Rate multipliers change pacing, never outcomes."""
         import asyncio
 
@@ -117,6 +125,7 @@ class TestRunBench:
                     rate=rate,
                     time_unit_seconds=0.001,
                     sim_config=None,
+                    transport=transport,
                 )
             )
             for rate in (100.0, 10_000.0)
@@ -156,13 +165,13 @@ class TestRunBench:
         )
         assert report.equivalent_to_offline is None
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_overload_rejects_yet_accepted_subset_matches_offline(
-        self, small_gamma_pet, small_trace, workers
+        self, small_gamma_pet, small_trace, transport
     ):
-        """A four-slot inbox (in-flight cap when sharded) at 5000x turns
-        submissions away with accepted=false, and the stream of the accepted
-        subset still equals its offline replay (per shard when sharded)."""
+        """A four-slot inbox at 5000x turns submissions away with
+        accepted=false, and the stream of the accepted subset still equals
+        its offline replay."""
         report = run_bench(
             small_gamma_pet,
             small_trace,
@@ -170,8 +179,8 @@ class TestRunBench:
             pet_kind="small",
             seed=5,
             rates=(5000.0,),
-            workers=workers,
             inbox_limit=4,
+            transport=transport,
         )
         [rate] = report.rates
         assert rate.rejected > 0

@@ -15,8 +15,7 @@ import itertools
 import socket
 import threading
 import time
-from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import pytest
@@ -26,20 +25,13 @@ from repro.pet.builders import build_transcoding_pet
 from repro.serve import (
     SchedulerCore,
     SchedulerService,
-    ShardedSchedulerService,
-    build_service,
-    build_shard_specs,
     decision_map,
     decode_line,
     encode_line,
     offline_decision_map,
     open_endpoint,
     parse_endpoint,
-    partition_trace,
     replay_trace,
-    shard_for,
-    shard_seed,
-    slice_trace,
     spec_from_payload,
     spec_to_payload,
 )
@@ -59,6 +51,11 @@ def _heuristic(pet, name="PAMF"):
 
 def _offline(pet, trace, *, name="PAMF", seed=5):
     return HCSimulator(pet, _heuristic(pet, name), rng=seed).run(trace)
+
+
+def _service(pet, listen, **kwargs) -> SchedulerService:
+    """The service over a fresh PAMF core, seeded 5."""
+    return SchedulerService(SchedulerCore(pet, _heuristic(pet), rng=5), listen, **kwargs)
 
 
 class TestReplayEquivalence:
@@ -192,6 +189,27 @@ class TestAdmissionGuards:
             core.submit(TaskSpec(arrival=10, task_id=7, task_type=1, deadline=250))
         assert core.metrics.rejected == 1
 
+    def test_task_type_outside_the_pet_rejected(self, small_gamma_pet, small_trace):
+        """A type the PET has no row for is refused and counted before the
+        clock moves: the valid tasks around it stream exactly as without it."""
+        alone = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
+        expected = [d for spec in small_trace for d in alone.submit(spec)] + alone.close()
+        core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
+        decisions = []
+        mid = len(small_trace) // 2
+        for index, spec in enumerate(small_trace):
+            if index == mid:
+                bad = TaskSpec(arrival=spec.arrival + 1, task_id=10_000, task_type=4, deadline=9_999)
+                with pytest.raises(ValueError, match="type 4, but the PET has 4 task types"):
+                    core.submit(bad)
+            decisions += core.submit(spec)
+        decisions += core.close()
+        assert core.metrics.rejected == 1
+        assert core.metrics.submitted == len(small_trace)
+        assert [(d.seq, d.task_id, d.action, d.time, d.machine) for d in decisions] == [
+            (d.seq, d.task_id, d.action, d.time, d.machine) for d in expected
+        ]
+
     def test_same_instant_resubmission_allowed(self, small_gamma_pet):
         """Equal-arrival submissions are not 'late' — the batch is open."""
         core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
@@ -225,21 +243,16 @@ class TestAdmissionGuards:
 
 
 class TestDuplicateTaskId:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_second_copy_is_refused_on_any_shard(self, tmp_path, small_gamma_pet, workers):
-        """Task 7 twice, typed for shards 0 and 1 of two: on either topology
-        the second copy gets the single service's non-fatal error and the
-        run counts one task."""
-        assert (shard_for(0, 2), shard_for(2, 2)) == (0, 1)
+    def test_second_copy_is_refused(self, listen, small_gamma_pet):
+        """Task 7 twice, with different types: the second copy gets a
+        non-fatal error and the run counts one task."""
 
         def submit(task_type):
             task = {"task_id": 7, "task_type": task_type, "arrival": 1, "deadline": 100}
             return encode_line({"op": "submit", "task": task})
 
         async def drive():
-            service = build_service(
-                small_gamma_pet, "PAMF", tmp_path / "serve.sock", workers=workers, seed=5
-            )
+            service = _service(small_gamma_pet, listen)
             await service.start()
             try:
                 reader, writer = await open_endpoint(service.endpoint)
@@ -320,7 +333,7 @@ class TestBookkeepingBounds:
 
 
 class TestAdmissionLoopResilience:
-    def test_unexpected_failure_is_loud_and_fatal(self, tmp_path, small_gamma_pet):
+    def test_unexpected_failure_is_loud_and_fatal(self, listen, small_gamma_pet):
         """A poisoned request must not kill the admission loop silently:
         the client gets a fatal error event, the failure is recorded, and
         the service shuts down instead of stalling every client forever."""
@@ -332,9 +345,9 @@ class TestAdmissionLoopResilience:
                 raise TypeError("poisoned request")
 
             core.submit = poisoned
-            service = SchedulerService(core, tmp_path / "serve.sock")
+            service = SchedulerService(core, listen)
             await service.start()
-            reader, writer = await asyncio.open_unix_connection(str(service.socket_path))
+            reader, writer = await open_endpoint(service.endpoint)
             spec = TaskSpec(arrival=1, task_id=0, task_type=0, deadline=100)
             writer.write(encode_line({"op": "submit", "task": spec_to_payload(spec)}))
             await writer.drain()
@@ -355,7 +368,7 @@ class TestAdmissionLoopResilience:
         assert isinstance(service.failure, TypeError)
 
     def test_error_path_still_broadcasts_pending_decisions(
-        self, tmp_path, small_gamma_pet
+        self, listen, small_gamma_pet
     ):
         """A failure inside ``submit`` comes after admission, so it is fatal:
         the client sees ``accepted``, then the decision the engine made
@@ -370,9 +383,9 @@ class TestAdmissionLoopResilience:
                 raise RuntimeError("engine fell over mid-submit")
 
             core.submit = failing
-            service = SchedulerService(core, tmp_path / "serve.sock")
+            service = SchedulerService(core, listen)
             await service.start()
-            reader, writer = await asyncio.open_unix_connection(str(service.socket_path))
+            reader, writer = await open_endpoint(service.endpoint)
             spec = TaskSpec(arrival=1, task_id=0, task_type=0, deadline=100)
             writer.write(encode_line({"op": "submit", "task": spec_to_payload(spec)}))
             await writer.drain()
@@ -421,7 +434,10 @@ def _hosted_in_thread(core: SchedulerCore, socket_path: Path, gate: threading.Ev
 
     Yields the service and its loop.  ``core``'s heuristic may block that
     loop on ``gate`` while the test thread reads the socket; exiting opens
-    the gate first, so a failed test still ends.
+    the gate first, so a failed test still ends.  The host runs until the
+    service stops itself (a client's ``close``) or exit asks it to stop;
+    exit never waits on a future, because a loop already shutting down
+    drops whatever is scheduled onto it.
     """
     hosted: dict = {}
     started = threading.Event()
@@ -429,9 +445,17 @@ def _hosted_in_thread(core: SchedulerCore, socket_path: Path, gate: threading.Ev
     async def host():
         service = SchedulerService(core, socket_path)
         await service.start()
-        hosted.update(service=service, loop=asyncio.get_running_loop())
+        stop_requested = asyncio.Event()
+        hosted.update(service=service, loop=asyncio.get_running_loop(), stop=stop_requested)
         started.set()
-        await service.wait_stopped()
+        waiters = {
+            asyncio.ensure_future(service.wait_stopped()),
+            asyncio.ensure_future(stop_requested.wait()),
+        }
+        await asyncio.wait(waiters, return_when=asyncio.FIRST_COMPLETED)
+        for waiter in waiters:
+            waiter.cancel()
+        await service.stop(drain=False)
 
     thread = threading.Thread(target=asyncio.run, args=(host(),), daemon=True)
     thread.start()
@@ -440,10 +464,8 @@ def _hosted_in_thread(core: SchedulerCore, socket_path: Path, gate: threading.Ev
         yield hosted["service"], hosted["loop"]
     finally:
         gate.set()
-        if thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                hosted["service"].stop(drain=False), hosted["loop"]
-            ).result(timeout=GATE_TIMEOUT_S)
+        with suppress(RuntimeError):  # the loop has closed: the host is done
+            hosted["loop"].call_soon_threadsafe(hosted["stop"].set)
         thread.join(timeout=GATE_TIMEOUT_S)
         assert not thread.is_alive()
 
@@ -555,19 +577,15 @@ class TestRuns:
         assert closed["summary"]["tasks"] == len(tasks)
         assert closed["metrics"]["runs"] == 1
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_window_one_client_gets_a_run_per_submission(
-        self, tmp_path, small_gamma_pet, small_trace, workers
+        self, listen, small_gamma_pet, small_trace
     ):
         """A client that sends its next submission only after the previous
-        ``accepted`` never queues behind a run: every run is one submission,
-        and the sharded ``closed`` sums the workers' counts."""
+        ``accepted`` never queues behind a run: every run is one submission."""
         trace = small_trace[:24]
 
         async def drive():
-            service = build_service(
-                small_gamma_pet, "PAMF", tmp_path / "serve.sock", workers=workers, seed=5
-            )
+            service = _service(small_gamma_pet, listen)
             await service.start()
             try:
                 reader, writer = await open_endpoint(service.endpoint)
@@ -592,7 +610,7 @@ class TestRuns:
         assert closed["metrics"]["runs"] == len(trace)
 
     def test_failure_mid_run_sends_acks_then_released_decisions_then_fatal_error(
-        self, tmp_path, small_gamma_pet
+        self, listen, small_gamma_pet
     ):
         """The second ``submit`` of a three-submission run raises.  The
         client has all three ``accepted`` already, then gets the decisions
@@ -618,9 +636,9 @@ class TestRuns:
                 return real_submit(spec, received=received)
 
             core.submit = failing_second
-            service = SchedulerService(core, tmp_path / "serve.sock")
+            service = SchedulerService(core, listen)
             await service.start()
-            reader, writer = await asyncio.open_unix_connection(str(service.socket_path))
+            reader, writer = await open_endpoint(service.endpoint)
             while not service._writers:
                 await asyncio.sleep(0.01)
             [hub_writer] = service._writers
@@ -661,7 +679,7 @@ def _task(task_id, task_type, arrival, deadline=600) -> dict:
 #: Submitted and acknowledged before the burst, so a later copy of task 0
 #: duplicates an id the engine has already injected.
 _PREFIX = [_task(0, 0, 10), _task(1, 2, 10), _task(2, 1, 20), _task(3, 3, 20)]
-#: One burst.  Types 0 and 1 route to shard 0 of two, types 2 and 3 to shard 1.
+#: One burst.
 _BURST = [
     _task(10, 0, 40),
     _task(11, 1, 40),  # the same instant as task 10
@@ -678,13 +696,9 @@ _BURST = [
 ]
 
 
-def _sequential_reference(pet, workers: int):
-    """What ``SchedulerCore.submit`` one request at a time answers and decides,
-    with each task on the shard its type routes to."""
-    cores = [
-        SchedulerCore(pet, _heuristic(pet), rng=shard_seed(5, shard))
-        for shard in range(workers)
-    ]
+def _sequential_reference(pet):
+    """What ``SchedulerCore.submit`` one request at a time answers and decides."""
+    core = SchedulerCore(pet, _heuristic(pet), rng=5)
     replies, decisions, accepted, malformed = [], [], [], 0
     for payload in _PREFIX + _BURST:
         try:
@@ -694,38 +708,33 @@ def _sequential_reference(pet, workers: int):
             replies.append(("error", None, str(exc)))
             continue
         try:
-            decisions += cores[shard_for(spec.task_type, workers)].submit(spec)
+            decisions += core.submit(spec)
         except ValueError as exc:
             replies.append(("error", spec.task_id, str(exc)))
         else:
             replies.append(("accepted", spec.task_id, None))
             accepted.append(spec)
-    for core in cores:
-        decisions += core.close()
-    submitted = sum(core.metrics.submitted for core in cores)
-    rejected = malformed + sum(core.metrics.rejected for core in cores)
-    return replies, decision_map(decisions), accepted, submitted, rejected
+    decisions += core.close()
+    rejected = malformed + core.metrics.rejected
+    return replies, decision_map(decisions), accepted, core.metrics.submitted, rejected
 
 
 class TestRunExactness:
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_burst_answers_and_decides_as_sequential_admission(
-        self, tmp_path, small_gamma_pet, workers
+        self, listen, small_gamma_pet
     ):
         """Every reply (kind and message), the submitted/rejected counts and
         the decision map of a burst served in runs equal one-at-a-time
         ``SchedulerCore.submit``; the decisions also equal an offline run of
         the accepted subset."""
         replies, expected, accepted, submitted, rejected = _sequential_reference(
-            small_gamma_pet, workers
+            small_gamma_pet
         )
         by_id = {spec.task_id for spec in accepted}
         assert {13, 14} <= by_id and 15 not in by_id, "the burst lost its edge cases"
 
         async def drive():
-            service = build_service(
-                small_gamma_pet, "PAMF", tmp_path / "serve.sock", workers=workers, seed=5
-            )
+            service = _service(small_gamma_pet, listen)
             await service.start()
             try:
                 reader, writer = await open_endpoint(service.endpoint)
@@ -755,48 +764,27 @@ class TestRunExactness:
             for e in events
             if e["event"] in ("accepted", "error")
         ]
-        if workers == 1:
-            assert served == replies
-        else:
-            # The front-end answers duplicate ids itself, naming a first copy
-            # its worker has not acknowledged yet "in flight"; and shards
-            # answer independently, so only the multiset of replies is fixed.
-            served = [
-                (kind, task_id, message and message.replace(
-                    "is already in flight", "was already injected"
-                ))
-                for kind, task_id, message in served
-            ]
-            assert Counter(served) == Counter(replies)
+        assert served == replies
         [closed] = [e for e in events if e["event"] == "closed"]
         assert (closed["metrics"]["submitted"], closed["metrics"]["rejected"]) == (
             submitted,
             rejected,
         )
         assert decision_map(events) == expected
-        offline: dict = {}
-        for shard, shard_tasks in enumerate(partition_trace(accepted, workers)):
-            result = HCSimulator(
-                small_gamma_pet, _heuristic(small_gamma_pet), rng=shard_seed(5, shard)
-            ).run(sorted(shard_tasks, key=lambda spec: spec.arrival))
-            offline.update(offline_decision_map(result))
-        assert decision_map(events) == offline
+        offline = _offline(small_gamma_pet, sorted(accepted, key=lambda spec: spec.arrival))
+        assert decision_map(events) == offline_decision_map(offline)
 
 
 class TestWireContract:
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_ack_precedes_decisions_and_no_error_follows_it(
-        self, tmp_path, small_gamma_pet, small_trace, workers
+        self, listen, small_gamma_pet, small_trace
     ):
-        """A replayed trace on either topology: each task's ``accepted``
-        precedes its decisions, no per-task ``error`` follows an
-        ``accepted`` for that id, and the decisions equal the offline run
-        (per shard when sharded)."""
+        """A replayed trace: each task's ``accepted`` precedes its
+        decisions, no per-task ``error`` follows an ``accepted`` for that
+        id, and the decisions equal the offline run."""
 
         async def drive():
-            service = build_service(
-                small_gamma_pet, "PAMF", tmp_path / "serve.sock", workers=workers, seed=5
-            )
+            service = _service(small_gamma_pet, listen)
             await service.start()
             try:
                 reader, writer = await open_endpoint(service.endpoint)
@@ -826,28 +814,23 @@ class TestWireContract:
             else:
                 assert kind == "closed", event
         assert sorted(accepted_at) == sorted(spec.task_id for spec in small_trace)
-        expected: dict = {}
-        for shard, shard_tasks in enumerate(partition_trace(small_trace, workers)):
-            offline = HCSimulator(
-                small_gamma_pet, _heuristic(small_gamma_pet), rng=shard_seed(5, shard)
-            ).run(shard_tasks)
-            expected.update(offline_decision_map(offline))
+        expected = offline_decision_map(_offline(small_gamma_pet, small_trace))
         assert decision_map(events) == expected
 
 
 class TestBackpressure:
-    def test_full_inbox_rejects_submissions_explicitly(self, tmp_path, small_gamma_pet):
+    def test_full_inbox_rejects_submissions_explicitly(self, listen, small_gamma_pet):
         """With the admission loop frozen, submissions beyond the bounded
         inbox are answered accepted=false and never reach the engine."""
 
         async def drive():
             core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
-            service = SchedulerService(core, tmp_path / "serve.sock", inbox_limit=2)
+            service = SchedulerService(core, listen, inbox_limit=2)
             await service.start()
             assert service._admission is not None
             service._admission.cancel()
             await asyncio.sleep(0)
-            reader, writer = await asyncio.open_unix_connection(str(service.socket_path))
+            reader, writer = await open_endpoint(service.endpoint)
             for task_id in range(4):
                 writer.write(
                     encode_line(
@@ -963,9 +946,8 @@ class TestWireProtocol:
 
 class TestOverlongLine:
     @pytest.mark.parametrize("terminated", [True, False])
-    @pytest.mark.parametrize("topology", ["single", "sharded"])
     def test_overlong_line_is_answered_and_closed(
-        self, tmp_path, small_gamma_pet, topology, terminated
+        self, listen, small_gamma_pet, terminated
     ):
         """A request line past the stream limit — newline-terminated or not
         — gets an error event naming the limit and EOF; another client is
@@ -976,12 +958,7 @@ class TestOverlongLine:
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, context: unhandled.append(context)
             )
-            if topology == "single":
-                core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
-                service = SchedulerService(core, tmp_path / "serve.sock")
-            else:
-                specs = build_shard_specs(small_gamma_pet, "PAMF", workers=2, seed=5)
-                service = ShardedSchedulerService(specs, tmp_path / "front.sock")
+            service = _service(small_gamma_pet, listen)
             await service.start()
             try:
                 reader, writer = await open_endpoint(service.endpoint)
@@ -1010,10 +987,7 @@ class TestOverlongLine:
 
 
 class TestOversizedIntegers:
-    @pytest.mark.parametrize("topology", ["single", "sharded"])
-    def test_oversized_task_id_is_a_plain_rejection(
-        self, tmp_path, small_gamma_pet, topology
-    ):
+    def test_oversized_task_id_is_a_plain_rejection(self, listen, small_gamma_pet):
         """A 401-digit task_id is answered with a non-fatal error; the
         service stays up and takes the next submit, whose 2**53+1 id comes
         back to the digit."""
@@ -1023,12 +997,7 @@ class TestOversizedIntegers:
             return encode_line({"op": "submit", "task": task})
 
         async def drive():
-            if topology == "single":
-                core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
-                service = SchedulerService(core, tmp_path / "serve.sock")
-            else:
-                specs = build_shard_specs(small_gamma_pet, "PAMF", workers=2, seed=5)
-                service = ShardedSchedulerService(specs, tmp_path / "front.sock")
+            service = _service(small_gamma_pet, listen)
             await service.start()
             try:
                 reader, writer = await open_endpoint(service.endpoint)
@@ -1049,3 +1018,290 @@ class TestOversizedIntegers:
         assert "task_id" in error["message"]
         assert accepted["accepted"] is True and accepted["task_id"] == 2**53 + 1
         assert service.failure is None
+
+
+class TestTaskTypeOutsideThePet:
+    def test_rejected_in_place_and_the_next_task_is_served(self, listen, small_gamma_pet):
+        """Type 99 on the 4-type PET gets a non-fatal per-task error naming
+        both counts; the service stays up, accepts and decides the next
+        task, and the run counts only that one."""
+
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                writer.write(_submit_line(_task(0, 99, 5, 400)))
+                await writer.drain()
+                error = await _next_event(reader)
+                writer.write(_submit_line(_task(1, 0, 6, 400)) + encode_line({"op": "close"}))
+                await writer.drain()
+                events = []
+                while line := await asyncio.wait_for(reader.readline(), timeout=30.0):
+                    events.append(decode_line(line))
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await service.stop(drain=False)
+            return service, error, events
+
+        service, error, events = asyncio.run(drive())
+        assert error == {
+            "event": "error",
+            "task_id": 0,
+            "message": "task 0 has type 99, but the PET has 4 task types",
+        }
+        assert events[0] == {"event": "accepted", "accepted": True, "task_id": 1}
+        assert {e["task_id"] for e in events if e["event"] == "decision"} == {1}
+        [closed] = [e for e in events if e["event"] == "closed"]
+        assert closed["summary"]["tasks"] == 1
+        assert closed["metrics"]["rejected"] == 1
+        assert service.failure is None
+
+
+async def _connect_registered(service):
+    """A client connection the service has registered: one ``stats`` round trip."""
+    reader, writer = await open_endpoint(service.endpoint)
+    writer.write(encode_line({"op": "stats"}))
+    await writer.drain()
+    assert (await _next_event(reader))["event"] == "stats"
+    return reader, writer
+
+
+async def _events_until_eof(reader) -> list[dict]:
+    events = []
+    while line := await asyncio.wait_for(reader.readline(), timeout=30.0):
+        events.append(decode_line(line))
+    return events
+
+
+async def _hang_up(writer) -> None:
+    writer.close()
+    with suppress(ConnectionError):
+        await writer.wait_closed()
+
+
+class TestConnections:
+    """The read loop and the client set, over either transport."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"not json", b"[1, 2]", b"\xff\xfe"],
+        ids=["not-json", "not-an-object", "not-utf8"],
+    )
+    def test_undecodable_line_is_answered_and_the_connection_kept(
+        self, listen, small_gamma_pet, line
+    ):
+        """A line that is no JSON object gets a non-fatal error naming no
+        task, blank lines get nothing, and the same connection then
+        submits and is accepted."""
+
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                writer.write(line + b"\n\n   \n" + _submit_line(_task(0, 0, 5, 400)))
+                await writer.drain()
+                replies = [await _next_event(reader), await _next_event(reader)]
+                await _hang_up(writer)
+            finally:
+                await service.stop(drain=False)
+            return service, replies
+
+        service, (error, accepted) = asyncio.run(drive())
+        assert set(error) == {"event", "message"} and error["event"] == "error"
+        assert accepted == {"event": "accepted", "accepted": True, "task_id": 0}
+        assert service.metrics.rejected == 0
+        assert service.failure is None
+
+    def test_unknown_op_is_a_non_fatal_error(self, listen, small_gamma_pet):
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                writer.write(encode_line({"op": "explode"}) + encode_line({"op": "stats"}))
+                await writer.drain()
+                replies = [await _next_event(reader), await _next_event(reader)]
+                await _hang_up(writer)
+            finally:
+                await service.stop(drain=False)
+            return service, replies
+
+        service, (error, stats) = asyncio.run(drive())
+        assert error == {"event": "error", "message": "unknown op 'explode'"}
+        assert stats["event"] == "stats"
+        assert service.failure is None
+
+    def test_flush_maps_the_held_instant_before_answering(self, listen, small_gamma_pet):
+        """The time-5 batch is held open until ``flush``: its decision goes
+        out first, then ``flushed``, as a core flushed directly decides."""
+        spec = TaskSpec(arrival=5, task_id=0, task_type=0, deadline=400)
+        twin = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
+        assert twin.submit(spec) == []
+        expected = [(d.task_id, d.action, d.time, d.machine) for d in twin.flush()]
+        assert expected
+
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                writer.write(_submit_line(spec_to_payload(spec)))
+                await writer.drain()
+                accepted = await _next_event(reader)
+                writer.write(encode_line({"op": "flush"}))
+                await writer.drain()
+                events = []
+                while (event := await _next_event(reader))["event"] != "flushed":
+                    events.append(event)
+                await _hang_up(writer)
+            finally:
+                await service.stop(drain=False)
+            return service, accepted, events
+
+        service, accepted, events = asyncio.run(drive())
+        assert accepted == {"event": "accepted", "accepted": True, "task_id": 0}
+        assert [
+            (e["task_id"], e["action"], e["time"], e.get("machine")) for e in events
+        ] == expected
+        assert service.failure is None
+
+    def test_stats_reports_every_counter_and_no_histogram_buckets(
+        self, listen, small_gamma_pet, small_trace
+    ):
+        trace = small_trace[:6]
+
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+            try:
+                reader, writer = await open_endpoint(service.endpoint)
+                for spec in trace:
+                    writer.write(_submit_line(spec_to_payload(spec)))
+                    await writer.drain()
+                    while (await _next_event(reader))["event"] != "accepted":
+                        pass
+                writer.write(encode_line({"op": "stats"}))
+                await writer.drain()
+                while (stats := await _next_event(reader))["event"] != "stats":
+                    pass
+                await _hang_up(writer)
+            finally:
+                await service.stop(drain=False)
+            return service, stats
+
+        service, stats = asyncio.run(drive())
+        assert set(stats) == {"event", "metrics"}
+        metrics = stats["metrics"]
+        assert set(metrics) == set(service.metrics.snapshot())
+        assert metrics["submitted"] == len(trace)
+        assert metrics["runs"] == len(trace)
+        assert set(metrics["admission_latency"]) == {
+            "count", "mean_s", "p50_s", "p95_s", "p99_s", "max_s"
+        }
+
+    def test_decisions_and_closed_reach_every_client(
+        self, listen, small_gamma_pet, small_trace
+    ):
+        """A watcher that submits nothing receives every decision and the
+        ``closed`` event, but none of the submitter's acks."""
+
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+            try:
+                watcher_reader, watcher = await _connect_registered(service)
+                reader, writer = await open_endpoint(service.endpoint)
+                for spec in small_trace:
+                    writer.write(_submit_line(spec_to_payload(spec)))
+                writer.write(encode_line({"op": "close"}))
+                await writer.drain()
+                submitted = await _events_until_eof(reader)
+                watched = await _events_until_eof(watcher_reader)
+                await _hang_up(writer)
+                await _hang_up(watcher)
+            finally:
+                await service.stop(drain=False)
+            return service, submitted, watched
+
+        service, submitted, watched = asyncio.run(drive())
+        offline = _offline(small_gamma_pet, small_trace)
+        assert decision_map(watched) == decision_map(submitted) == offline_decision_map(offline)
+        assert {e["event"] for e in watched} == {"decision", "closed"}
+        [closed] = [e for e in watched if e["event"] == "closed"]
+        assert closed["summary"] == offline.summary()
+        assert service.failure is None
+
+    def test_a_client_that_hangs_up_leaves_the_others_served(
+        self, listen, small_gamma_pet, small_trace
+    ):
+        """One client submits the first half, reads its acks and hangs up
+        while those tasks are still in flight; decisions meant for it are
+        dropped with its connection, and a client connected throughout
+        submits the rest and gets the offline run's every decision."""
+        mid = len(small_trace) // 2
+
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+            try:
+                reader, writer = await _connect_registered(service)
+                early_reader, early = await open_endpoint(service.endpoint)
+                for spec in small_trace[:mid]:
+                    early.write(_submit_line(spec_to_payload(spec)))
+                await early.drain()
+                acks = 0
+                while acks < mid:
+                    acks += (await _next_event(early_reader))["event"] == "accepted"
+                await _hang_up(early)
+                for spec in small_trace[mid:]:
+                    writer.write(_submit_line(spec_to_payload(spec)))
+                writer.write(encode_line({"op": "close"}))
+                await writer.drain()
+                events = await _events_until_eof(reader)
+                await _hang_up(writer)
+            finally:
+                await service.stop(drain=False)
+            return service, events
+
+        service, events = asyncio.run(drive())
+        offline = _offline(small_gamma_pet, small_trace)
+        assert decision_map(events) == offline_decision_map(offline)
+        [closed] = [e for e in events if e["event"] == "closed"]
+        assert closed["summary"] == offline.summary()
+        assert service.failure is None
+        assert service._writers == set()
+
+    def test_dispatch_failure_is_fatal_and_told_to_its_client(
+        self, listen, small_gamma_pet
+    ):
+        """A request the service fails to queue records the failure, tells
+        that client with a fatal error, and shuts the service down."""
+
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+
+            def broken(item):
+                raise RuntimeError("inbox fell over")
+
+            service._inbox.put_nowait = broken
+            reader, writer = await open_endpoint(service.endpoint)
+            writer.write(_submit_line(_task(0, 0, 5, 400)))
+            await writer.drain()
+            events = await _events_until_eof(reader)
+            await asyncio.wait_for(service.wait_stopped(), timeout=10.0)
+            await _hang_up(writer)
+            return service, events
+
+        service, events = asyncio.run(drive())
+        assert events == [
+            {
+                "event": "error",
+                "fatal": True,
+                "message": "internal error: RuntimeError: inbox fell over",
+            }
+        ]
+        assert isinstance(service.failure, RuntimeError)

@@ -3,9 +3,7 @@
 Mirrors the executor's KeyboardInterrupt contract: stopping the service —
 by API, by a client ``close``, or by an interrupt mid-bench — must drain
 in-flight submissions (when asked), close and unlink the socket, and leave
-no orphaned asyncio task behind.  The connection hub owns these steps for
-both topologies, so the socket, idempotence and ``close`` contracts run on
-each; a sharded service must also leave no worker process alive.
+no orphaned asyncio task behind.
 """
 
 from __future__ import annotations
@@ -19,32 +17,20 @@ from repro.heuristics import make_heuristic
 from repro.serve import (
     SchedulerCore,
     SchedulerService,
-    build_service,
     decode_line,
     encode_line,
+    open_endpoint,
     spec_to_payload,
 )
 import repro.serve.loadgen as loadgen
-
-#: Worker counts of the two topologies ``build_service`` builds.
-TOPOLOGIES = {"single": 1, "sharded": 2}
 
 
 def _core(pet, seed=5):
     return SchedulerCore(pet, make_heuristic("PAMF", num_task_types=pet.num_task_types), rng=seed)
 
 
-def _service(pet, listen, topology):
-    return build_service(pet, "PAMF", listen, workers=TOPOLOGIES[topology], seed=5)
-
-
-def _workers_alive(service) -> list[bool]:
-    """Liveness of a sharded service's worker processes (none for one core)."""
-    return [
-        shard.process.is_alive()
-        for shard in getattr(service, "_shards", ())
-        if shard.process is not None
-    ]
+def _service(pet, listen):
+    return SchedulerService(_core(pet), listen)
 
 
 async def _events_until_eof(reader: asyncio.StreamReader) -> list[dict]:
@@ -52,6 +38,17 @@ async def _events_until_eof(reader: asyncio.StreamReader) -> list[dict]:
     while line := await reader.readline():
         events.append(decode_line(line))
     return events
+
+
+async def _refuses_connections(endpoint: str) -> bool:
+    """Whether nothing listens at ``endpoint`` any more."""
+    try:
+        _, writer = await open_endpoint(endpoint)
+    except (ConnectionRefusedError, FileNotFoundError):
+        return True
+    writer.close()
+    await writer.wait_closed()
+    return False
 
 
 async def _settled_tasks(deadline: float = 2.0) -> list[asyncio.Task]:
@@ -66,13 +63,13 @@ async def _settled_tasks(deadline: float = 2.0) -> list[asyncio.Task]:
 
 
 class TestGracefulStop:
-    def test_stop_drains_inflight_submissions(self, tmp_path, small_gamma_pet, small_trace):
+    def test_stop_drains_inflight_submissions(self, listen, small_gamma_pet, small_trace):
         """Submissions already accepted into the inbox are processed before
         the admission loop is torn down."""
 
         async def drive():
             core = _core(small_gamma_pet)
-            service = SchedulerService(core, tmp_path / "serve.sock")
+            service = SchedulerService(core, listen)
             await service.start()
             for spec in small_trace:
                 service._inbox.put_nowait(
@@ -85,10 +82,10 @@ class TestGracefulStop:
         core = asyncio.run(drive())
         assert core.metrics.submitted == len(small_trace)
 
-    def test_stop_without_drain_discards_backlog(self, tmp_path, small_gamma_pet, small_trace):
+    def test_stop_without_drain_discards_backlog(self, listen, small_gamma_pet, small_trace):
         async def drive():
             core = _core(small_gamma_pet)
-            service = SchedulerService(core, tmp_path / "serve.sock")
+            service = SchedulerService(core, listen)
             await service.start()
             for spec in small_trace:
                 service._inbox.put_nowait(
@@ -103,15 +100,16 @@ class TestGracefulStop:
         # stop must not wait for all of it.
         assert core.metrics.submitted <= len(small_trace)
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_socket_closed_and_unlinked_after_stop(self, tmp_path, small_gamma_pet, topology):
-        socket_path = tmp_path / "serve.sock"
+    def test_socket_closed_and_unlinked_after_stop(self, listen, small_gamma_pet):
+        """The listener closes (a Unix socket file is unlinked too) and the
+        accepted connection gets EOF."""
 
         async def drive():
-            service = _service(small_gamma_pet, socket_path, topology)
+            service = _service(small_gamma_pet, listen)
             await service.start()
-            assert socket_path.exists()
-            reader, writer = await asyncio.open_unix_connection(str(socket_path))
+            socket_path = service.socket_path
+            assert socket_path is None or socket_path.exists()
+            reader, writer = await open_endpoint(service.endpoint)
             # Round-trip once so the connection is fully established (not
             # merely sitting in the accept backlog) before tearing down.
             writer.write(encode_line({"op": "stats"}))
@@ -119,7 +117,7 @@ class TestGracefulStop:
             stats = decode_line(await reader.readline())
             assert stats["event"] == "stats"
             await service.stop(drain=True)
-            assert not socket_path.exists()
+            assert socket_path is None or not socket_path.exists()
             # The accepted connection was torn down by the service.
             assert await reader.read() == b""
             writer.close()
@@ -128,27 +126,17 @@ class TestGracefulStop:
             except (ConnectionError, BrokenPipeError):
                 pass
             assert await _settled_tasks() == []
-            return service
+            assert await _refuses_connections(service.endpoint)
 
-        service = asyncio.run(drive())
-        assert not any(_workers_alive(service))
-        with pytest.raises((ConnectionRefusedError, FileNotFoundError)):
-            import socket as socket_module
+        asyncio.run(drive())
 
-            client = socket_module.socket(socket_module.AF_UNIX)
-            try:
-                client.connect(str(socket_path))
-            finally:
-                client.close()
-
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_failed_bind_leaves_nothing_running(self, small_gamma_pet, topology):
-        """A start whose bind fails stops what the topology brought up."""
+    def test_failed_bind_leaves_nothing_running(self, small_gamma_pet):
+        """A start whose bind fails stops the admission loop it started."""
 
         async def drive():
             taken = await asyncio.start_server(lambda reader, writer: None, "127.0.0.1", 0)
             port = taken.sockets[0].getsockname()[1]
-            service = _service(small_gamma_pet, f"tcp:127.0.0.1:{port}", topology)
+            service = _service(small_gamma_pet, f"tcp:127.0.0.1:{port}")
             try:
                 with pytest.raises(OSError):
                     await service.start()
@@ -160,31 +148,42 @@ class TestGracefulStop:
 
         service = asyncio.run(drive())
         assert service.failure is None
-        assert not any(_workers_alive(service))
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_stop_is_idempotent(self, tmp_path, small_gamma_pet, topology):
+    def test_failed_unix_bind_leaves_nothing_running(self, tmp_path, small_gamma_pet):
+        """A socket path longer than ``sun_path`` holds fails the bind
+        itself; the start stops its admission loop and leaves no file."""
+        socket_path = tmp_path / ("s" * 120 + ".sock")
+
         async def drive():
-            service = _service(small_gamma_pet, tmp_path / "serve.sock", topology)
-            await service.start()
-            await service.stop(drain=True)
-            await service.stop(drain=True)  # second stop returns immediately
+            service = _service(small_gamma_pet, socket_path)
+            with pytest.raises(OSError):
+                await service.start()
             assert await _settled_tasks() == []
             return service
 
         service = asyncio.run(drive())
-        assert not any(_workers_alive(service))
+        assert service.failure is None
+        assert not socket_path.exists()
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_stop_is_idempotent(self, listen, small_gamma_pet):
+        async def drive():
+            service = _service(small_gamma_pet, listen)
+            await service.start()
+            await service.stop(drain=True)
+            await service.stop(drain=True)  # second stop returns immediately
+            assert await _settled_tasks() == []
+
+        asyncio.run(drive())
+
     def test_client_close_op_stops_the_service(
-        self, tmp_path, small_gamma_pet, light_trace, topology
+        self, listen, small_gamma_pet, light_trace
     ):
         """A wire `close` finalises the run and shuts the whole service down."""
 
         async def drive():
-            service = _service(small_gamma_pet, tmp_path / "serve.sock", topology)
+            service = _service(small_gamma_pet, listen)
             await service.start()
-            reader, writer = await asyncio.open_unix_connection(str(service.socket_path))
+            reader, writer = await open_endpoint(service.endpoint)
             for spec in light_trace:
                 writer.write(encode_line({"op": "submit", "task": spec_to_payload(spec)}))
             writer.write(encode_line({"op": "close"}))
@@ -192,7 +191,8 @@ class TestGracefulStop:
             await asyncio.wait_for(service.wait_stopped(), timeout=10.0)
             events = await asyncio.wait_for(_events_until_eof(reader), timeout=10.0)
             writer.close()
-            assert not service.socket_path.exists()
+            assert service.socket_path is None or not service.socket_path.exists()
+            assert await _refuses_connections(service.endpoint)
             assert await _settled_tasks() == []
             return service, events
 
@@ -200,7 +200,6 @@ class TestGracefulStop:
         [closed] = [event for event in events if event["event"] == "closed"]
         assert closed["summary"]["tasks"] == len(light_trace)
         assert service.metrics.submitted == len(light_trace)
-        assert not any(_workers_alive(service))
 
 
 class TestInterruptMidBench:
@@ -210,10 +209,10 @@ class TestInterruptMidBench:
         """SIGINT mid-replay (KeyboardInterrupt in the loadgen client) still
         tears the per-rate service down: socket unlinked, loop drained."""
         created = []
-        original_build = loadgen.build_service
+        original_service = loadgen.SchedulerService
 
-        def spy_build(*args, **kwargs):
-            created.append(original_build(*args, **kwargs))
+        def spy_service(*args, **kwargs):
+            created.append(original_service(*args, **kwargs))
             return created[-1]
 
         async def interrupting_replay(socket_path, trace, **kwargs):
@@ -231,7 +230,7 @@ class TestInterruptMidBench:
                 with suppress(ConnectionError):
                     await writer.wait_closed()
 
-        monkeypatch.setattr(loadgen, "build_service", spy_build)
+        monkeypatch.setattr(loadgen, "SchedulerService", spy_service)
         monkeypatch.setattr(loadgen, "replay_trace", interrupting_replay)
 
         with pytest.raises(KeyboardInterrupt):

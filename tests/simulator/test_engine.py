@@ -131,6 +131,55 @@ class TestBatchOrder:
         assert all(batch == tuple(sorted(batch)) for batch in seen)
 
 
+class TestStreamAdmission:
+    """``validate_inject`` refuses what the live stream cannot take, untouched."""
+
+    def _streaming(self, pet):
+        sim = HCSimulator(pet, MinCompletionMinCompletion(), rng=3)
+        sim.begin_stream()
+        return sim
+
+    @pytest.mark.parametrize("task_type", [4, 5, 99])
+    def test_task_type_without_a_pet_row_rejected(self, small_gamma_pet, task_type):
+        sim = self._streaming(small_gamma_pet)
+        spec = TaskSpec(arrival=5, task_id=0, task_type=task_type, deadline=400)
+        message = f"task 0 has type {task_type}, but the PET has 4 task types"
+        with pytest.raises(ValueError, match=message):
+            sim.validate_inject(spec)
+        with pytest.raises(ValueError, match=message):
+            sim.inject_task(spec)
+        assert sim.tasks == {}
+        assert not sim.events
+
+    def test_last_task_type_of_the_pet_admitted(self, small_gamma_pet):
+        sim = self._streaming(small_gamma_pet)
+        spec = TaskSpec(arrival=5, task_id=0, task_type=3, deadline=400)
+        sim.validate_inject(spec)
+        assert sim.inject_task(spec).task_type == 3
+        result = sim.finish_stream()
+        assert len(result.tasks) == 1
+
+    def test_rejected_type_leaves_the_stream_identical(self, small_gamma_pet, small_trace):
+        """A bad type injected mid-stream changes no decision of the run."""
+        control = self._streaming(small_gamma_pet)
+        probed = self._streaming(small_gamma_pet)
+        mid = len(small_trace) // 2
+        for index, spec in enumerate(small_trace):
+            for sim in (control, probed):
+                sim.inject_task(spec)
+                sim.advance_until(spec.arrival)
+            if index == mid:
+                bad = TaskSpec(
+                    arrival=spec.arrival + 1, task_id=10_000, task_type=7, deadline=10**6
+                )
+                with pytest.raises(ValueError, match="type 7"):
+                    probed.inject_task(bad)
+        assert probed.finish_stream().summary() == control.finish_stream().summary()
+        assert {
+            task_id: (task.status, task.machine) for task_id, task in probed.tasks.items()
+        } == {task_id: (task.status, task.machine) for task_id, task in control.tasks.items()}
+
+
 class TestSystemModel:
     def test_queue_capacity_never_exceeded(self, small_gamma_pet, small_trace):
         config = SimulatorConfig(queue_capacity=2)

@@ -633,20 +633,24 @@ class TestServeCommands:
         assert args.pet == "transcoding"
         assert args.heuristic == "PAMF"
         assert args.drain_grace == 5.0
-        assert args.workers == 1
-        assert args.inbox_limit is None
+        assert args.inbox_limit == 1024
         assert args.listen == "/tmp/s.sock"
 
-    def test_run_accepts_tcp_listen_with_workers(self):
+    def test_run_accepts_tcp_listen_and_inbox_limit(self):
         args = build_parser().parse_args(
-            [
-                "serve", "run", "--listen", "tcp:127.0.0.1:0",
-                "--workers", "4", "--inbox-limit", "64",
-            ]
+            ["serve", "run", "--listen", "tcp:127.0.0.1:0", "--inbox-limit", "64"]
         )
         assert args.listen == "tcp:127.0.0.1:0"
-        assert args.workers == 4
         assert args.inbox_limit == 64
+
+    def test_workers_flag_is_gone(self):
+        """One service schedules the one system: no parser shards it."""
+        for argv in (
+            ["serve", "run", "--listen", "/tmp/s.sock", "--workers", "2"],
+            ["serve", "bench", "--workers", "2"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_one_endpoint_flag_per_command(self):
         """A bare path is an endpoint: ``--listen``/``--connect`` take it, and
@@ -685,18 +689,13 @@ class TestServeCommands:
         assert args.out == "BENCH_serve.json"
         assert not args.no_check
         assert args.transport == "unix"
-        assert args.workers == 1
-        assert args.inbox_limit is None
+        assert args.inbox_limit == 1024
 
-    def test_bench_topology_flags(self):
+    def test_bench_transport_and_inbox_flags(self):
         args = build_parser().parse_args(
-            [
-                "serve", "bench", "--transport", "tcp",
-                "--workers", "2", "--inbox-limit", "8",
-            ]
+            ["serve", "bench", "--transport", "tcp", "--inbox-limit", "8"]
         )
         assert args.transport == "tcp"
-        assert args.workers == 2
         assert args.inbox_limit == 8
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "bench", "--transport", "udp"])
@@ -725,10 +724,10 @@ class TestServeCommands:
         assert payload["trace_tasks"] == 12
         assert [row["multiplier"] for row in payload["rates"]] == [500.0, 5000.0]
         assert payload["transport"] == "unix"
-        assert payload["workers"] == 1
+        assert "workers" not in payload
 
-    def test_bench_sharded_tcp_end_to_end(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_serve_shard2.json"
+    def test_bench_tcp_end_to_end(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_serve_tcp.json"
         exit_code = main(
             [
                 "serve", "bench",
@@ -736,7 +735,6 @@ class TestServeCommands:
                 "--tasks", "12",
                 "--rates", "2000",
                 "--transport", "tcp",
-                "--workers", "2",
                 "--out", str(out),
             ]
         )
@@ -745,5 +743,4 @@ class TestServeCommands:
         assert "replay-equivalent to offline run: True" in captured.out
         payload = json.loads(out.read_text())
         assert payload["transport"] == "tcp"
-        assert payload["workers"] == 2
         assert payload["equivalent_to_offline"] is True

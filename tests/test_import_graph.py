@@ -89,7 +89,7 @@ def test_lazy_exports_keep_the_public_names():
     assert out.splitlines() == ["[]"]
 
 
-def test_serve_run_child_serves_a_submission_without_scipy(tmp_path):
+def test_serve_run_child_serves_a_submission_without_scipy(tmp_path, capsys):
     from repro.cli import main
 
     sock = tmp_path / "serve.sock"
@@ -97,7 +97,7 @@ def test_serve_run_child_serves_a_submission_without_scipy(tmp_path):
         "import sys\n"
         "from repro.cli import main\n"
         f"code = main(['serve', 'run', '--listen', {str(sock)!r}, '--heuristic', 'PAMF', '--seed', '5'])\n"
-        "print('loaded:', loaded('scipy', 'repro.sweep', 'repro.experiments'))\n"
+        "print('loaded:', loaded('scipy', 'repro.sweep', 'repro.experiments', 'multiprocessing'))\n"
         "sys.exit(code)\n"
     )
     try:
@@ -106,6 +106,10 @@ def test_serve_run_child_serves_a_submission_without_scipy(tmp_path):
             assert child.poll() is None, child.stderr.read()
             assert time.monotonic() < deadline, "serve run did not start listening"
             time.sleep(0.01)
+        # A task type outside the PET is the service's per-task error: the
+        # client says so and exits 1, and the service serves on.
+        assert main(["serve", "submit", "--connect", str(sock), "--task", "0", "99", "5", "400"]) == 1
+        assert "task 0 has type 99, but the PET has" in capsys.readouterr().err
         # One accepted submission, then ``--close`` drains the service and
         # the child's ``main`` returns.
         assert main(["serve", "submit", "--connect", str(sock), "--task", "0", "0", "5", "400", "--close"]) == 0
@@ -115,5 +119,5 @@ def test_serve_run_child_serves_a_submission_without_scipy(tmp_path):
             child.kill()
             child.communicate()
     assert child.returncode == 0, err
-    assert '"submitted": 1,' in out and '"completed": 1,' in out
+    assert '"submitted": 1,' in out and '"completed": 1,' in out and '"rejected": 1,' in out
     assert "loaded: []" in out.splitlines()
