@@ -269,8 +269,10 @@ class SchedulerCore:
                 reason=task.drop_reason.value if task.drop_reason is not None else None,
             )
         # Terminal means no further event can concern this task: prune its
-        # per-task bookkeeping so a long-lived service stays O(in-flight
-        # tasks), not O(all tasks ever submitted).
+        # per-task bookkeeping.  The engine forgets its Task here too, so a
+        # long-lived service holds objects for in-flight tasks only; a
+        # finished task costs one row of typed outcome columns (82 bytes)
+        # plus its id in the engine's set of injected ids.
         self._submit_wall.pop(task.task_id, None)
         self._first_decided.discard(task.task_id)
 
@@ -393,15 +395,26 @@ def decision_map(
 def offline_decision_map(
     result: SimulationResult,
 ) -> dict[int, tuple[int | None, str, str | None, bool]]:
-    """The same per-task outcome view, from a batch simulation result."""
+    """The same per-task outcome view, from a batch simulation result.
+
+    Read through ``tolist()``: the values are Python ints and bools, whose
+    ``repr`` (hashed by the decision digests) a NumPy scalar would change.
+    """
+    outcomes = result.outcomes
     return {
-        task.task_id: (
-            task.machine,
-            task.status.value,
-            task.drop_reason.value if task.drop_reason is not None else None,
-            task.on_time,
+        task_id: (
+            machine,
+            status.value,
+            reason.value if reason is not None else None,
+            on_time,
         )
-        for task in result.tasks
+        for task_id, machine, status, reason, on_time in zip(
+            outcomes.values("task_id"),
+            outcomes.values("machine"),
+            outcomes.values("status"),
+            outcomes.values("drop_reason"),
+            outcomes.on_time.tolist(),
+        )
     }
 
 
@@ -451,6 +464,8 @@ class SchedulerService:
         self.failure: BaseException | None = None
         self._server: asyncio.AbstractServer | None = None
         self._writers: set[asyncio.StreamWriter] = set()
+        #: One read-loop task per connection, which ``stop()`` ends itself.
+        self._handlers: set[asyncio.Task] = set()
         self._inbox: asyncio.Queue | None = None
         self._admission: asyncio.Task | None = None
         self._stopped = asyncio.Event()
@@ -476,11 +491,11 @@ class SchedulerService:
                 if self.socket_path.exists():
                     self.socket_path.unlink()
                 self._server = await asyncio.start_unix_server(
-                    self._handle_client, path=str(self.socket_path), limit=MAX_LINE_BYTES
+                    self._accept, path=str(self.socket_path), limit=MAX_LINE_BYTES
                 )
             else:
                 self._server = await asyncio.start_server(
-                    self._handle_client,
+                    self._accept,
                     host=self._endpoint[1],
                     port=self._endpoint[2],
                     limit=MAX_LINE_BYTES,
@@ -518,6 +533,9 @@ class SchedulerService:
                 await self._admission
         for writer in list(self._writers):
             await self._discard_writer(writer)
+        for handler in self._handlers:
+            handler.cancel()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
         if self._server is not None:
             with suppress(OSError):
                 await self._server.wait_closed()
@@ -743,6 +761,19 @@ class SchedulerService:
             )
 
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Start a connection's read loop as a task the service owns.
+
+        A coroutine callback would leave the task to the stream protocol,
+        whose done-callback (Python 3.11) logs an error for a cancelled one:
+        ``asyncio.run`` cancelling a read loop stranded in ``wait_closed``
+        after a KeyboardInterrupt did exactly that.  ``stop()`` cancels and
+        awaits these tasks instead.
+        """
+        handler = asyncio.create_task(self._handle_client(reader, writer))
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
+
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:

@@ -93,7 +93,7 @@ from .mapping import (
     MappingDecision,
     TerminalEvent,
 )
-from .metrics import SimulationCounters, SimulationResult
+from .metrics import OutcomeTable, SimulationCounters, SimulationResult
 from .state import SystemState
 from .task import DropReason, Task, TaskStatus
 
@@ -234,7 +234,12 @@ class HCSimulator:
         #: The single global event heap (arrivals, finishes, rounds,
         #: watermarks as typed events).
         self.events = EventManager()
+        #: The live tasks: injected and not yet terminal.  A task's outcome
+        #: moves to ``_outcomes`` at its terminal event and the task is
+        #: forgotten; ``_injected`` keeps its id so the id stays taken.
         self.tasks: dict[int, Task] = {}
+        self._injected: set[int] = set()
+        self._outcomes = OutcomeTable()
         #: The batch queue, kept in ``(arrival, task_id)`` order: arrivals
         #: mostly join in that order already, so it is re-sorted only after
         #: one that did not (``_batch_tail`` is the largest key seen).
@@ -291,7 +296,7 @@ class HCSimulator:
                 f"task {spec.task_id} has type {spec.task_type}, but the PET has "
                 f"{self.pet.num_task_types} task types"
             )
-        if spec.task_id in self.tasks:
+        if spec.task_id in self._injected:
             raise ValueError(f"task {spec.task_id} was already injected")
         if spec.arrival <= self._processed_through:
             raise ValueError(
@@ -309,6 +314,7 @@ class HCSimulator:
         self.validate_inject(spec)
         task = Task(spec)
         self.tasks[spec.task_id] = task
+        self._injected.add(spec.task_id)
         self.events.push(spec.arrival, EventKind.ARRIVAL, spec.task_id)
         return task
 
@@ -340,11 +346,9 @@ class HCSimulator:
         self._finalise_unfinished_tasks()
         if self._obs.enabled:
             self._publish_obs_counters()
-        ordered = tuple(
-            sorted(self.tasks.values(), key=lambda t: (t.arrival, t.task_id))
-        )
+        outcomes, self._outcomes = self._outcomes.freeze(), OutcomeTable()
         return SimulationResult(
-            tasks=ordered,
+            outcomes=outcomes,
             machine_names=tuple(self.pet.machine_names),
             machine_busy_times=tuple(float(m.busy_time) for m in self.machines),
             machine_prices=tuple(self.machine_prices),
@@ -386,7 +390,10 @@ class HCSimulator:
                     self._batch_in_order = False
             elif kind == _FINISH:
                 self._popped_finishes += 1
-                self._handle_finish(tasks[task_id], now)
+                # A task dropped after its finish was scheduled is forgotten.
+                task = tasks.get(task_id)
+                if task is not None:
+                    self._handle_finish(task, now)
             else:
                 # ROUND markers (and defensively, stray watermarks) carry no
                 # payload: popping one is what forces this step to exist.
@@ -424,6 +431,8 @@ class HCSimulator:
             max_impulses=self.config.max_impulses,
         )
         self.tasks = {}
+        self._injected = set()
+        self._outcomes = OutcomeTable()
         self._batch = {}
         self._batch_tail = (-1, -1)
         self._batch_in_order = True
@@ -490,9 +499,12 @@ class HCSimulator:
             self._record_terminal(task)
 
     def _record_terminal(self, task: Task) -> None:
+        """The one path to a terminal state: record the outcome, forget the task."""
         self._terminal_since_event.append(
             TerminalEvent(task.task_id, task.task_type, task.on_time)
         )
+        self._outcomes.append(task)
+        del self.tasks[task.task_id]
         if self.observer is not None:
             self.observer.on_terminal(task)
 
@@ -557,8 +569,8 @@ class HCSimulator:
     def _apply_decision(self, decision: MappingDecision, now: int) -> None:
         for drop in decision.queue_drops:
             machine = self.machines[drop.machine_index]
-            task = self.tasks[drop.task_id]
-            if task.is_terminal:
+            task = self.tasks.get(drop.task_id)
+            if task is None:
                 continue
             if machine.executing is task:
                 machine.finish_executing(task, now)
@@ -578,8 +590,8 @@ class HCSimulator:
         applied: list[tuple[Task, int]] = []
         for assignment in decision.assignments:
             machine = self.machines[assignment.machine_index]
-            task = self.tasks[assignment.task_id]
-            if task.is_terminal or task.task_id not in self._batch:
+            task = self._batch.get(assignment.task_id)
+            if task is None:
                 continue
             if not machine.has_free_slot:
                 continue
@@ -624,9 +636,7 @@ class HCSimulator:
         those tasks are dropped at their deadlines.
         """
         end_time = self._now
-        for task in self.tasks.values():
-            if task.is_terminal:
-                continue
+        for task in list(self.tasks.values()):
             drop_time = max(task.deadline, self._now)
             end_time = max(end_time, drop_time)
             if task.status is TaskStatus.PENDING:
@@ -635,7 +645,7 @@ class HCSimulator:
                 reason = DropReason.DEADLINE_MISS_QUEUED
             else:
                 reason = DropReason.DEADLINE_MISS_EXECUTING
-            if task.machine is not None and not task.is_terminal:
+            if task.machine is not None:
                 machine = self.machines[task.machine]
                 if machine.executing is task:
                     machine.finish_executing(task, drop_time)
@@ -645,8 +655,7 @@ class HCSimulator:
                     self.state.notify_remove(machine.index, task)
             task.mark_dropped(drop_time, reason)
             self._counters.deadline_miss_drops += 1
-            if self.observer is not None:
-                self.observer.on_terminal(task)
+            self._record_terminal(task)
         self._now = end_time
 
 

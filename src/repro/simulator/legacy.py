@@ -35,7 +35,7 @@ from .mapping import (
     TerminalEvent,
     batch_in_arrival_order,
 )
-from .metrics import SimulationCounters, SimulationResult
+from .metrics import SimulationCounters, SimulationResult, TaskOutcomes
 from .state import SystemState
 from .task import DropReason, Task, TaskStatus
 
@@ -146,11 +146,8 @@ class LegacyHCSimulator:
         while self._events:
             self._step_once()
         self._finalise_unfinished_tasks()
-        ordered = tuple(
-            sorted(self.tasks.values(), key=lambda t: (t.arrival, t.task_id))
-        )
         return SimulationResult(
-            tasks=ordered,
+            outcomes=TaskOutcomes.of(self.tasks.values()),
             machine_names=tuple(self.pet.machine_names),
             machine_busy_times=tuple(float(m.busy_time) for m in self.machines),
             machine_prices=tuple(self.machine_prices),

@@ -6,18 +6,184 @@ and cool-down window of tasks is excluded so that only the oversubscribed
 portion of the trial is evaluated.  Secondary metrics cover fairness
 (variance of per-type completion percentages, Figure 6) and incurred cost
 (Figure 8).
+
+A result keeps each task's terminal outcome as one row of typed columns
+(:class:`TaskOutcomes`), not the engine's :class:`~repro.simulator.task.Task`
+objects: the engine appends a row to an :class:`OutcomeTable` as each task
+turns terminal and then forgets the task.  Ten int64 and two int8 columns
+make a finished task cost 82 bytes, and every metric below is a vector
+expression over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, fields
+from typing import Iterable
 
 import numpy as np
 
 from .cost import cost_per_percent_robustness, total_cost
-from .task import DropReason, Task, TaskStatus
+from .task import DropReason, Task, TaskStatus, TaskView
 
-__all__ = ["SimulationCounters", "SimulationResult"]
+__all__ = [
+    "DROP_REASONS",
+    "NONE",
+    "OutcomeTable",
+    "SimulationCounters",
+    "SimulationResult",
+    "STATUSES",
+    "TaskOutcome",
+    "TaskOutcomes",
+]
+
+#: Enum members by their code in the outcome table (the member's position).
+STATUSES = tuple(TaskStatus)
+DROP_REASONS = tuple(DropReason)
+_STATUS_CODE = {status: code for code, status in enumerate(STATUSES)}
+_REASON_CODE = {reason: code for code, reason in enumerate(DROP_REASONS)}
+_COMPLETED = _STATUS_CODE[TaskStatus.COMPLETED]
+_DROPPED = _STATUS_CODE[TaskStatus.DROPPED]
+#: ``None`` in an outcome column.  No column that can hold ``None`` has a
+#: negative value: a TaskSpec rejects negative arrivals, so no time is, and
+#: machine indices and enum codes start at 0.
+NONE = -1
+_UNMAPPED = _REASON_CODE[DropReason.DEADLINE_MISS_UNMAPPED]
+#: ``status_counts`` keys by outcome code: completed on time or late, dropped
+#: for each reason (no reason counts as unmapped), then any live status.
+_OUTCOME_LABELS = (
+    "completed-on-time",
+    "completed-late",
+    *(reason.value for reason in DROP_REASONS),
+    *(status.value for status in STATUSES),
+)
+
+
+@dataclass(frozen=True, slots=True)
+class TaskOutcome(TaskView):
+    """Read-only record of one finished task: one row of a result's table."""
+
+    task_id: int
+    task_type: int
+    arrival: int
+    deadline: int
+    status: TaskStatus
+    machine: int | None
+    mapped_at: int | None
+    exec_start: int | None
+    exec_end: int | None
+    actual_execution_time: int | None
+    drop_reason: DropReason | None
+    dropped_at: int | None
+
+
+#: Outcome-table columns, in row order; the enum codes are int8, the rest int64.
+OUTCOME_FIELDS = tuple(f.name for f in fields(TaskOutcome))
+_CODED = ("status", "drop_reason")
+#: Columns that are never ``NONE``.
+_ALWAYS_SET = ("task_id", "task_type", "arrival", "deadline", "status")
+
+
+@dataclass(frozen=True, eq=False)
+class TaskOutcomes:
+    """Every task's terminal outcome as read-only columns, ``(arrival, task_id)`` order."""
+
+    task_id: np.ndarray
+    task_type: np.ndarray
+    arrival: np.ndarray
+    deadline: np.ndarray
+    #: Code of the task's :class:`TaskStatus` (its index in ``STATUSES``).
+    status: np.ndarray
+    machine: np.ndarray
+    mapped_at: np.ndarray
+    exec_start: np.ndarray
+    exec_end: np.ndarray
+    actual_execution_time: np.ndarray
+    #: Code of the :class:`DropReason` (index in ``DROP_REASONS``), or ``NONE``.
+    drop_reason: np.ndarray
+    dropped_at: np.ndarray
+
+    @classmethod
+    def of(cls, tasks: Iterable[Task]) -> "TaskOutcomes":
+        """The table of ``tasks``, each already in its terminal state."""
+        table = OutcomeTable()
+        for task in tasks:
+            table.append(task)
+        return table.freeze()
+
+    def __len__(self) -> int:
+        return len(self.task_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TaskOutcomes):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in OUTCOME_FIELDS
+        )
+
+    @property
+    def on_time(self) -> np.ndarray:
+        """Per row: completed at or before its deadline."""
+        return (
+            (self.status == _COMPLETED)
+            & (self.exec_end != NONE)
+            & (self.exec_end <= self.deadline)
+        )
+
+    def values(self, name: str) -> list:
+        """Column ``name`` as Python values: ``None`` and enum members decoded."""
+        raw = getattr(self, name).tolist()
+        if name == "status":
+            return [STATUSES[code] for code in raw]
+        if name == "drop_reason":
+            return [None if code == NONE else DROP_REASONS[code] for code in raw]
+        if name in _ALWAYS_SET:
+            return raw
+        return [None if value == NONE else value for value in raw]
+
+    def records(self) -> tuple[TaskOutcome, ...]:
+        """Every row as a :class:`TaskOutcome` record, built now."""
+        columns = [self.values(name) for name in OUTCOME_FIELDS]
+        return tuple(TaskOutcome(*row) for row in zip(*columns))
+
+
+class OutcomeTable:
+    """Growable typed columns with one row per task, appended as it turns terminal."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self) -> None:
+        self._columns = tuple(
+            array("b" if name in _CODED else "q") for name in OUTCOME_FIELDS
+        )
+
+    def append(self, task: Task) -> None:
+        row = (
+            task.task_id,
+            task.task_type,
+            task.arrival,
+            task.deadline,
+            _STATUS_CODE[task.status],
+            NONE if task.machine is None else task.machine,
+            NONE if task.mapped_at is None else task.mapped_at,
+            NONE if task.exec_start is None else task.exec_start,
+            NONE if task.exec_end is None else task.exec_end,
+            NONE if task.actual_execution_time is None else task.actual_execution_time,
+            NONE if task.drop_reason is None else _REASON_CODE[task.drop_reason],
+            NONE if task.dropped_at is None else task.dropped_at,
+        )
+        for column, value in zip(self._columns, row):
+            column.append(value)
+
+    def freeze(self) -> TaskOutcomes:
+        """The rows as NumPy columns in ``(arrival, task_id)`` order."""
+        columns = dict(zip(OUTCOME_FIELDS, map(np.asarray, self._columns)))
+        order = np.lexsort((columns["task_id"], columns["arrival"]))
+        for name, column in columns.items():
+            columns[name] = column = column[order]
+            column.flags.writeable = False
+        return TaskOutcomes(**columns)
 
 
 @dataclass
@@ -48,8 +214,8 @@ class SimulationCounters:
 class SimulationResult:
     """Everything measured during one simulated workload trial."""
 
-    #: All tasks in arrival order, in their terminal state.
-    tasks: tuple[Task, ...]
+    #: Every task's terminal outcome, in arrival order.
+    outcomes: TaskOutcomes
     #: Machine names, aligned with busy_times and prices.
     machine_names: tuple[str, ...]
     #: Busy time accumulated per machine (includes wasted time on evicted tasks).
@@ -63,36 +229,44 @@ class SimulationResult:
     #: Simulation time at which the run finished.
     end_time: int = 0
 
+    @property
+    def tasks(self) -> tuple[TaskOutcome, ...]:
+        """All tasks in arrival order, as records built anew on every read."""
+        return self.outcomes.records()
+
+    @property
+    def num_tasks(self) -> int:
+        return len(self.outcomes)
+
     # ------------------------------------------------------------------
     # Task selection
     # ------------------------------------------------------------------
-    def evaluated_tasks(self, *, warmup: int = 0, cooldown: int = 0) -> tuple[Task, ...]:
-        """Tasks kept for analysis after trimming warm-up / cool-down windows.
+    def _window(self, warmup: int, cooldown: int) -> slice:
+        """Rows kept for analysis after trimming warm-up / cool-down windows.
 
         The paper removes the first and last hundred tasks of each trial so
         only the oversubscribed portion is measured; trimming is by arrival
-        order.  If trimming would remove everything, the untrimmed list is
-        returned so metrics stay well defined on tiny smoke-test runs.
+        order.  If trimming would remove everything, every row is kept so
+        metrics stay well defined on tiny smoke-test runs.
         """
         if warmup < 0 or cooldown < 0:
             raise ValueError("warmup and cooldown must be non-negative")
-        if warmup + cooldown >= len(self.tasks):
-            return self.tasks
-        end = len(self.tasks) - cooldown if cooldown else len(self.tasks)
-        return self.tasks[warmup:end]
+        if warmup + cooldown >= self.num_tasks:
+            return slice(None)
+        return slice(warmup, self.num_tasks - cooldown)
 
     # ------------------------------------------------------------------
     # Robustness (Figures 4, 5, 7, 9)
     # ------------------------------------------------------------------
     def completed_on_time(self, *, warmup: int = 0, cooldown: int = 0) -> int:
-        return sum(1 for t in self.evaluated_tasks(warmup=warmup, cooldown=cooldown) if t.on_time)
+        return int(np.count_nonzero(self.outcomes.on_time[self._window(warmup, cooldown)]))
 
     def robustness_percent(self, *, warmup: int = 0, cooldown: int = 0) -> float:
         """Percentage of evaluated tasks completing on or before their deadline."""
-        tasks = self.evaluated_tasks(warmup=warmup, cooldown=cooldown)
-        if not tasks:
+        on_time = self.outcomes.on_time[self._window(warmup, cooldown)]
+        if not on_time.size:
             return 0.0
-        return 100.0 * sum(1 for t in tasks if t.on_time) / len(tasks)
+        return 100.0 * int(np.count_nonzero(on_time)) / on_time.size
 
     # ------------------------------------------------------------------
     # Fairness (Figure 6)
@@ -105,13 +279,11 @@ class SimulationResult:
         Types with no evaluated task are reported as ``nan`` so they do not
         distort the fairness variance.
         """
-        tasks = self.evaluated_tasks(warmup=warmup, cooldown=cooldown)
-        totals = np.zeros(self.num_task_types, dtype=np.float64)
-        on_time = np.zeros(self.num_task_types, dtype=np.float64)
-        for task in tasks:
-            totals[task.task_type] += 1
-            if task.on_time:
-                on_time[task.task_type] += 1
+        window = self._window(warmup, cooldown)
+        types = self.outcomes.task_type[window]
+        on_time_types = types[self.outcomes.on_time[window]]
+        totals = np.bincount(types, minlength=self.num_task_types).astype(np.float64)
+        on_time = np.bincount(on_time_types, minlength=self.num_task_types).astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             percents = np.where(totals > 0, 100.0 * on_time / totals, np.nan)
         return percents
@@ -139,22 +311,24 @@ class SimulationResult:
     # Breakdown helpers
     # ------------------------------------------------------------------
     def status_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for task in self.tasks:
-            if task.status is TaskStatus.COMPLETED:
-                key = "completed-on-time" if task.on_time else "completed-late"
-            elif task.status is TaskStatus.DROPPED:
-                reason = task.drop_reason or DropReason.DEADLINE_MISS_UNMAPPED
-                key = reason.value
-            else:  # pragma: no cover - defensive; runs always terminate tasks
-                key = task.status.value
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        """Tasks per terminal outcome, keyed in order of first arrival."""
+        o = self.outcomes
+        reason = np.where(o.drop_reason == NONE, _UNMAPPED, o.drop_reason)
+        key = np.where(
+            o.status == _COMPLETED,
+            np.where(o.on_time, 0, 1),
+            np.where(o.status == _DROPPED, 2 + reason, 2 + len(DROP_REASONS) + o.status),
+        )
+        keys, first, counts = np.unique(key, return_index=True, return_counts=True)
+        return {
+            _OUTCOME_LABELS[k]: count
+            for _, k, count in sorted(zip(first.tolist(), keys.tolist(), counts.tolist()))
+        }
 
     def summary(self, *, warmup: int = 0, cooldown: int = 0) -> dict[str, float]:
         """Flat dictionary of the headline metrics for reports."""
         return {
-            "tasks": float(len(self.tasks)),
+            "tasks": float(self.num_tasks),
             "robustness_percent": self.robustness_percent(warmup=warmup, cooldown=cooldown),
             "fairness_variance": self.fairness_variance(warmup=warmup, cooldown=cooldown),
             "total_cost": self.total_cost(),

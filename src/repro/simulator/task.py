@@ -9,11 +9,11 @@ left the system.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..workload.spec import TaskSpec
 
-__all__ = ["Task", "TaskStatus", "DropReason"]
+__all__ = ["Task", "TaskView", "TaskStatus", "DropReason"]
 
 
 class TaskStatus(enum.Enum):
@@ -44,45 +44,10 @@ class DropReason(enum.Enum):
     PRUNED = "pruned"
 
 
-@dataclass(slots=True)
-class Task:
-    """Mutable simulator view of one task."""
+class TaskView:
+    """Outcome properties shared by a live :class:`Task` and its terminal record."""
 
-    spec: TaskSpec
-    status: TaskStatus = TaskStatus.PENDING
-    #: Index of the machine the task is (or was) mapped to, if any.
-    machine: int | None = None
-    #: Simulation time at which the task was mapped to a machine queue.
-    mapped_at: int | None = None
-    #: Simulation time at which execution started.
-    exec_start: int | None = None
-    #: Simulation time at which the task left the machine (completion or eviction).
-    exec_end: int | None = None
-    #: Sampled actual execution time (set when execution starts).
-    actual_execution_time: int | None = None
-    #: Why the task was dropped, when status is DROPPED.
-    drop_reason: DropReason | None = None
-    #: Simulation time at which the task was dropped.
-    dropped_at: int | None = None
-    #: Number of mapping events at which the task was deferred by the pruner.
-    times_deferred: int = field(default=0)
-
-    # ------------------------------------------------------------------
-    @property
-    def task_id(self) -> int:
-        return self.spec.task_id
-
-    @property
-    def task_type(self) -> int:
-        return self.spec.task_type
-
-    @property
-    def arrival(self) -> int:
-        return self.spec.arrival
-
-    @property
-    def deadline(self) -> int:
-        return self.spec.deadline
+    __slots__ = ()
 
     @property
     def is_terminal(self) -> bool:
@@ -105,6 +70,45 @@ class Task:
             return 0
         end = self.exec_end if self.exec_end is not None else self.exec_start
         return max(0, end - self.exec_start)
+
+
+@dataclass(slots=True)
+class Task(TaskView):
+    """Mutable simulator view of one task."""
+
+    spec: TaskSpec
+    status: TaskStatus = TaskStatus.PENDING
+    #: Index of the machine the task is (or was) mapped to, if any.
+    machine: int | None = None
+    #: Simulation time at which the task was mapped to a machine queue.
+    mapped_at: int | None = None
+    #: Simulation time at which execution started.
+    exec_start: int | None = None
+    #: Simulation time at which the task left the machine (completion or eviction).
+    exec_end: int | None = None
+    #: Sampled actual execution time (set when execution starts).
+    actual_execution_time: int | None = None
+    #: Why the task was dropped, when status is DROPPED.
+    drop_reason: DropReason | None = None
+    #: Simulation time at which the task was dropped.
+    dropped_at: int | None = None
+
+    # ------------------------------------------------------------------
+    @property
+    def task_id(self) -> int:
+        return self.spec.task_id
+
+    @property
+    def task_type(self) -> int:
+        return self.spec.task_type
+
+    @property
+    def arrival(self) -> int:
+        return self.spec.arrival
+
+    @property
+    def deadline(self) -> int:
+        return self.spec.deadline
 
     # ------------------------------------------------------------------
     def mark_mapped(self, machine: int, now: int) -> None:

@@ -57,7 +57,7 @@ class TrialMetrics:
                 warmup=warmup, cooldown=cooldown
             ),
             completed_on_time=result.completed_on_time(warmup=warmup, cooldown=cooldown),
-            total_tasks=len(result.tasks),
+            total_tasks=result.num_tasks,
             per_type_completion_percent=tuple(float(x) for x in per_type),
         )
 

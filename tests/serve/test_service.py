@@ -37,6 +37,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import MAX_LINE_BYTES
 from repro.simulator.engine import HCSimulator, SimulatorConfig
+from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.spec import TaskSpec
 from repro.workload.traces import load_trace
 
@@ -330,6 +331,32 @@ class TestBookkeepingBounds:
         core.close()
         assert core._submit_wall == {}
         assert core._first_decided == set()
+
+    def test_engine_keeps_only_in_flight_tasks(self, small_gamma_pet):
+        """After 4,000 submissions the engine holds a Task for each task
+        still in flight and nothing for a finished one, whose id stays
+        taken."""
+        trace = generate_workload(
+            WorkloadConfig(num_tasks=4000, time_span=20_000, beta=1.5), small_gamma_pet, rng=11
+        )
+        core = SchedulerCore(small_gamma_pet, _heuristic(small_gamma_pet), rng=5)
+        finished: set[int] = set()
+        for spec in trace:
+            finished.update(
+                d.task_id for d in core.submit(spec) if d.action in ("completed", "dropped")
+            )
+        in_flight = core.metrics.submitted - core.metrics.completed - core.metrics.dropped
+        assert core.metrics.submitted == 4000
+        assert len(core._sim.tasks) == in_flight < 100
+        assert set(core._sim.tasks).isdisjoint(finished)
+        reused = min(finished)
+        last = trace[len(trace) - 1]
+        with pytest.raises(ValueError, match=f"task {reused} was already injected"):
+            core.submit(TaskSpec(last.arrival, reused, 0, last.arrival + 100))
+        assert core.metrics.rejected == 1
+        core.close()
+        assert core._sim.tasks == {}
+        assert core.result.num_tasks == 4000
 
 
 class TestAdmissionLoopResilience:

@@ -9,6 +9,7 @@ no orphaned asyncio task behind.
 from __future__ import annotations
 
 import asyncio
+import logging
 from contextlib import suppress
 
 import pytest
@@ -204,10 +205,13 @@ class TestGracefulStop:
 
 class TestInterruptMidBench:
     def test_keyboard_interrupt_leaves_no_orphans(
-        self, monkeypatch, small_gamma_pet, light_trace
+        self, monkeypatch, caplog, small_gamma_pet, light_trace
     ):
         """SIGINT mid-replay (KeyboardInterrupt in the loadgen client) still
-        tears the per-rate service down: socket unlinked, loop drained."""
+        tears the per-rate service down: socket unlinked, loop drained, and
+        no read loop left for ``asyncio.run`` to cancel (which asyncio logs
+        as an error)."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
         created = []
         original_service = loadgen.SchedulerService
 
@@ -246,3 +250,4 @@ class TestInterruptMidBench:
         assert len(created) == 1
         [service] = created
         assert not service.socket_path.exists()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []

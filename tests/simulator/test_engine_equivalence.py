@@ -85,7 +85,6 @@ def _signature(result):
                 t.actual_execution_time,
                 t.dropped_at,
                 t.drop_reason,
-                t.times_deferred,
             )
             for t in result.tasks
         ),

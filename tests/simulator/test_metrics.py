@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simulator.metrics import SimulationCounters, SimulationResult
+from repro.simulator.metrics import SimulationCounters, SimulationResult, TaskOutcomes
 from repro.simulator.task import DropReason, Task
 from repro.workload.spec import TaskSpec
 
@@ -27,7 +27,7 @@ def make_result(statuses: list[tuple[int, bool | None]], *, num_types: int = 2) 
             task.mark_completed(i + 11 if on_time else i + 300)
         tasks.append(task)
     return SimulationResult(
-        tasks=tuple(tasks),
+        outcomes=TaskOutcomes.of(tasks),
         machine_names=("m0", "m1"),
         machine_busy_times=(1000.0, 500.0),
         machine_prices=(1.0, 2.0),
@@ -60,11 +60,11 @@ class TestRobustness:
     def test_negative_trim_rejected(self):
         result = make_result([(0, True)])
         with pytest.raises(ValueError):
-            result.evaluated_tasks(warmup=-1)
+            result.robustness_percent(warmup=-1)
 
     def test_empty_result(self):
         result = SimulationResult(
-            tasks=(),
+            outcomes=TaskOutcomes.of(()),
             machine_names=("m0",),
             machine_busy_times=(0.0,),
             machine_prices=(1.0,),
