@@ -3,7 +3,7 @@
 Runs the seeded 2k-task scale trial (the ``ScaleTraceConfig`` workload of
 the scale benchmarks, PAMF on the 12x8 SPEC PET) under a live
 :class:`~repro.obs.Telemetry`, replays a slice of the same trace through
-:class:`~repro.serve.SchedulerCore` so serve admission is traced too, and
+:class:`~repro.serve.service.SchedulerCore` so serve admission is traced too, and
 asserts that
 
 * the run was actually observed: spans exist for engine mapping events,
@@ -47,7 +47,7 @@ from repro.obs import (  # noqa: E402
     write_snapshot,
 )
 from repro.pet.builders import build_spec_pet  # noqa: E402
-from repro.serve import SchedulerCore  # noqa: E402
+from repro.serve.service import SchedulerCore  # noqa: E402
 from repro.simulator.engine import simulate  # noqa: E402
 from repro.workload.scale import (  # noqa: E402
     SCALE_TRACE_SEED,

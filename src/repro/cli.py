@@ -683,7 +683,8 @@ def _command_serve_run(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from .serve.service import SchedulerService, build_core
+    from .serve.server import SchedulerService
+    from .serve.service import build_core
 
     pet = _serve_pet(args)
     sim_config = SimulatorConfig(batch_window=args.batch_window)
@@ -732,8 +733,7 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from .serve import replay_trace, slice_trace
-    from .serve.loadgen import DEFAULT_TIME_UNIT_SECONDS
+    from .serve.loadgen import DEFAULT_TIME_UNIT_SECONDS, replay_trace, slice_trace
     from .workload.spec import TaskSpec
 
     if args.task is not None:
@@ -779,8 +779,7 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
 
 
 def _command_serve_bench(args: argparse.Namespace) -> int:
-    from .serve import run_bench, slice_trace
-    from .serve.loadgen import DEFAULT_TIME_UNIT_SECONDS
+    from .serve.loadgen import DEFAULT_TIME_UNIT_SECONDS, run_bench, slice_trace
 
     pet = _serve_pet(args)
     trace = slice_trace(_load_trace_file(args.trace), args.tasks)

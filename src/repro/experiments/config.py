@@ -63,7 +63,9 @@ class ExperimentScale(enum.Enum):
     SMOKE = "smoke"
     #: Benchmark-harness default: small trial counts, full workload sizes.
     QUICK = "quick"
-    #: Paper-scale: 30 trials per data point (hours on a laptop).
+    #: Paper-scale: 30 trials per data point.  All of figs 4–9 at 30 trials
+    #: (``figure 4 5 6 7 8 9 --trials 30 --jobs 2``, 74 points) took 7.3 min
+    #: on a 2-core VM; one trial per point took 18 s.
     PAPER = "paper"
 
 

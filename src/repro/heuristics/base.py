@@ -337,9 +337,10 @@ class ScoreTable:
         if self.robustness_based:
             times, probs = availability.impulses()
             width = times.size
-            if width > self._start_times.shape[1]:
-                self._start_times = np.pad(self._start_times, ((0, 0), (0, width)))
-                self._start_probs = np.pad(self._start_probs, ((0, 0), (0, width)))
+            grow = width - self._start_times.shape[1]
+            if grow > 0:
+                self._start_times = np.pad(self._start_times, ((0, 0), (0, grow)))
+                self._start_probs = np.pad(self._start_probs, ((0, 0), (0, grow)))
             self._start_times[j, :width] = times
             self._start_probs[j, :width] = probs
             # Padding carries probability 0.0: an exact +0.0 in the kernel's sum.

@@ -35,7 +35,8 @@ from ..simulator.engine import HCSimulator, SimulatorConfig
 from ..workload.generator import WorkloadTrace
 from .metrics import LatencyHistogram
 from .protocol import decode_line, encode_line, open_endpoint, spec_to_payload
-from .service import SchedulerService, build_core, decision_map, offline_decision_map
+from .server import SchedulerService
+from .service import build_core, decision_map, offline_decision_map
 
 __all__ = [
     "BenchReport",

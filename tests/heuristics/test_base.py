@@ -184,6 +184,23 @@ class TestScoreTable:
         # Only fast-b has a free slot, even though fast-a would be better.
         assert best_machines(table) == {1: 1}
 
+    def test_kernel_operand_is_as_wide_as_the_widest_column_scored(self, tiny_pet):
+        """Widening grows the packed operand to the new width, never past it."""
+        machines = [Machine(0, "fast-a", queue_capacity=6), Machine(1, "fast-b", queue_capacity=6)]
+        batch = [make_task(i, task_type=i % 2, deadline=900) for i in range(1, 6)]
+        context = make_context(tiny_pet, machines, batch=batch)
+        virtual = VirtualSystemState(context)
+        table = filled(context, virtual)
+        widest = int(table._widths.max())
+        for slot in range(4):  # each commit rescores machine 0 on a wider availability
+            virtual.assign(table.tasks[slot], 0)
+            table.active[slot] = False
+            table.mark_dirty(0)
+            table.best_rows()
+            assert table._widths[0] > widest
+            widest = int(table._widths.max())
+            assert table._start_times.shape == table._start_probs.shape == (2, widest)
+
     def test_refresh_after_assignment_changes_scores(self, tiny_pet):
         machines = [Machine(0, "fast-a", queue_capacity=3)]
         batch = [make_task(1, task_type=0, deadline=100), make_task(2, task_type=0, deadline=100)]

@@ -11,7 +11,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.heuristics.registry import make_heuristic
 from repro.obs import Telemetry, use_telemetry
 from repro.pet.builders import build_pet_from_means
-from repro.serve import SchedulerCore
+from repro.serve.service import SchedulerCore
 from repro.sweep import HeuristicSpec, PETSpec, SweepPoint, SweepSpec, run_sweep
 from repro.workload.generator import WorkloadConfig
 from repro.workload.spec import TaskSpec

@@ -12,8 +12,8 @@ import math
 
 import pytest
 
-from repro.serve import decision_map, run_bench, slice_trace
-from repro.serve.loadgen import replay_trace
+from repro.serve.loadgen import replay_trace, run_bench, slice_trace
+from repro.serve.service import decision_map
 from repro.workload.generator import WorkloadTrace
 
 

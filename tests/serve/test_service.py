@@ -22,20 +22,18 @@ import pytest
 
 from repro.heuristics import make_heuristic
 from repro.pet.builders import build_transcoding_pet
-from repro.serve import (
-    SchedulerCore,
-    SchedulerService,
-    decision_map,
+from repro.serve.loadgen import replay_trace
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     decode_line,
     encode_line,
-    offline_decision_map,
     open_endpoint,
     parse_endpoint,
-    replay_trace,
     spec_from_payload,
     spec_to_payload,
 )
-from repro.serve.protocol import MAX_LINE_BYTES
+from repro.serve.server import SchedulerService
+from repro.serve.service import SchedulerCore, decision_map, offline_decision_map
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.spec import TaskSpec

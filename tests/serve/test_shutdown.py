@@ -15,15 +15,10 @@ from contextlib import suppress
 import pytest
 
 from repro.heuristics import make_heuristic
-from repro.serve import (
-    SchedulerCore,
-    SchedulerService,
-    decode_line,
-    encode_line,
-    open_endpoint,
-    spec_to_payload,
-)
 import repro.serve.loadgen as loadgen
+from repro.serve.protocol import decode_line, encode_line, open_endpoint, spec_to_payload
+from repro.serve.server import SchedulerService
+from repro.serve.service import SchedulerCore
 
 
 def _core(pet, seed=5):

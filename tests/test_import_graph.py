@@ -5,7 +5,8 @@ for one thing — the Student-t quantile behind figure confidence intervals
 (``repro.utils.stats.confidence_interval_95``).  A process that parses a
 command line, runs a trial or serves submissions must never load it; nor
 should ``import repro`` load the sweep fabric or the figure drivers before
-something asks for them.  Each check runs in a fresh interpreter because
+something asks for them, nor a process that only compares decisions load
+the asyncio server.  Each check runs in a fresh interpreter because
 this test process has long since imported everything.
 """
 
@@ -73,7 +74,8 @@ def test_lazy_exports_keep_the_public_names():
         "assert repro.SweepSpec is repro.sweep.SweepSpec\n"
         "assert repro.ExperimentConfig is repro.experiments.ExperimentConfig\n"
         "import importlib\n"
-        "for package in ('repro', 'repro.core', 'repro.simulator', 'repro.heuristics'):\n"
+        "for package in ('repro', 'repro.core', 'repro.simulator', 'repro.heuristics',\n"
+        "                'repro.serve'):\n"
         "    module = importlib.import_module(package)\n"
         "    missing = [name for name in module.__all__ if not hasattr(module, name)]\n"
         "    assert not missing, (package, missing)\n"
@@ -89,6 +91,36 @@ def test_lazy_exports_keep_the_public_names():
     assert out.splitlines() == ["[]"]
 
 
+def test_offline_decision_view_loads_no_network_stack():
+    """The decision digests and the perf ledger read ``offline_decision_map``
+    of a finished trial; that must not import the asyncio server half."""
+    out = _run(
+        "from repro.serve.service import offline_decision_map\n"
+        "import repro\n"
+        "pet = repro.build_spec_pet(rng=1)\n"
+        "trace = repro.generate_workload(\n"
+        "    repro.WorkloadConfig(num_tasks=30, time_span=300), pet, rng=2)\n"
+        "result = repro.simulate(pet, repro.make_heuristic('PAMF', num_task_types=12), trace, rng=3)\n"
+        "assert len(offline_decision_map(result)) == 30\n"
+        "print(loaded('asyncio', 'repro.serve.protocol', 'repro.serve.loadgen',\n"
+        "             'repro.serve.server'))\n"
+    )
+    assert out.splitlines() == ["[]"]
+
+
+def test_serve_package_loads_no_submodule_until_a_name_is_read():
+    out = _run(
+        "import repro.serve\n"
+        "print(loaded('repro.serve'))\n"
+        "repro.serve.SchedulerCore\n"
+        "print(loaded('repro.serve'))\n"
+    )
+    assert out.splitlines() == [
+        "['repro.serve']",
+        "['repro.serve', 'repro.serve.metrics', 'repro.serve.service']",
+    ]
+
+
 def test_serve_run_child_serves_a_submission_without_scipy(tmp_path, capsys):
     from repro.cli import main
 
@@ -97,7 +129,8 @@ def test_serve_run_child_serves_a_submission_without_scipy(tmp_path, capsys):
         "import sys\n"
         "from repro.cli import main\n"
         f"code = main(['serve', 'run', '--listen', {str(sock)!r}, '--heuristic', 'PAMF', '--seed', '5'])\n"
-        "print('loaded:', loaded('scipy', 'repro.sweep', 'repro.experiments', 'multiprocessing'))\n"
+        "print('loaded:', loaded('scipy', 'repro.sweep', 'repro.experiments', 'multiprocessing',\n"
+        "                        'repro.serve.loadgen'))\n"
         "sys.exit(code)\n"
     )
     try:
