@@ -60,6 +60,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from typing import Sequence
@@ -100,11 +101,25 @@ def _non_negative_int(value: str) -> int:
     return count
 
 
+def _finite_float(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return number
+
+
 def _positive_float(value: str) -> float:
-    seconds = float(value)
-    if seconds <= 0:
+    number = _finite_float(value)
+    if number <= 0:
         raise argparse.ArgumentTypeError("must be positive")
-    return seconds
+    return number
+
+
+def _non_negative_float(value: str) -> float:
+    number = _finite_float(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--span", type=_positive_int, default=2500, help="arrival window in time units"
     )
-    sim.add_argument("--beta", type=float, default=1.5, help="deadline slack coefficient")
+    sim.add_argument(
+        "--beta", type=_non_negative_float, default=1.5, help="deadline slack coefficient"
+    )
     sim.add_argument("--seed", type=int, default=2019)
     sim.add_argument(
         "--workload",
@@ -227,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument(
         "--beta",
-        type=float,
+        type=_non_negative_float,
         default=None,
         help="deadline slack coefficient (synthetic workloads only; default 1.5)",
     )

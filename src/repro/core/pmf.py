@@ -242,9 +242,15 @@ class DiscretePMF:
         """Build a PMF by histogramming observed execution times.
 
         This is the offline PET-construction procedure of Section III/VI-A:
-        sample execution times, histogram them, normalise.  Samples are
-        rounded to the integer grid; ``bin_width`` > 1 coarsens the grid
-        (each bin's mass is placed at the bin centre).
+        sample execution times, histogram them, normalise.  Each sample is
+        rounded to the nearest multiple of ``bin_width`` (``bin_width`` > 1
+        coarsens the grid, each bin's mass placed at the bin centre) and
+        raised to at least ``min_time``.  One ``np.bincount`` over the
+        quantised times, offset by their minimum, gives the histogram: the
+        PMF starts at the smallest quantised time, a time hit by ``c`` of
+        ``N`` samples holds ``c / N`` and every other time holds an exact
+        zero.  A quantised sample outside the signed 64-bit integer range
+        is a ``ValueError``.
         """
         arr = np.asarray(samples, dtype=np.float64)
         if arr.size == 0:
@@ -253,10 +259,16 @@ class DiscretePMF:
             raise ValueError("samples must be finite")
         if bin_width < 1:
             raise ValueError("bin_width must be >= 1")
-        quantised = np.maximum(np.rint(arr / bin_width).astype(np.int64) * bin_width, min_time)
-        values, counts = np.unique(quantised, return_counts=True)
-        probs = counts.astype(np.float64) / counts.sum()
-        return DiscretePMF.from_impulses(dict(zip(values.tolist(), probs.tolist())))
+        scaled = np.rint(arr / bin_width)
+        # Bin indices whose exact product with bin_width stays in the signed
+        # 64-bit range, so the int64 product below never wraps.
+        lowest, highest = -(2**63 // int(bin_width)), (2**63 - 1) // int(bin_width)
+        if int(scaled.min()) < lowest or int(scaled.max()) > highest:
+            raise ValueError("samples must quantise into the signed 64-bit integer range")
+        quantised = np.maximum(scaled.astype(np.int64) * bin_width, min_time)
+        lo = int(quantised.min())
+        counts = np.bincount(quantised - lo)
+        return DiscretePMF(counts / counts.sum(), offset=lo)
 
     # ------------------------------------------------------------------
     # Basic queries

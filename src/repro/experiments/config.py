@@ -17,6 +17,7 @@ collected here:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -101,6 +102,8 @@ class ExperimentConfig:
             raise ValueError("at least one trial is required")
         if self.warmup_tasks < 0 or self.cooldown_tasks < 0:
             raise ValueError("warmup/cooldown must be non-negative")
+        if not math.isfinite(self.task_scale):
+            raise ValueError(f"task_scale must be finite, got {self.task_scale!r}")
         if self.task_scale <= 0:
             raise ValueError("task_scale must be positive")
         if self.batch_window < 0:

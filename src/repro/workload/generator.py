@@ -8,6 +8,7 @@ higher arrival rate on the same eight machines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -50,6 +51,10 @@ class WorkloadConfig:
             raise ValueError("num_tasks must be positive")
         if self.time_span <= 0:
             raise ValueError("time_span must be positive")
+        for name in ("beta", "variance_fraction"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
         if self.variance_fraction <= 0:

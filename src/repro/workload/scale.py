@@ -22,6 +22,7 @@ same behaviour the full benchmark measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,10 @@ class ScaleTraceConfig:
     def __post_init__(self) -> None:
         if self.num_tasks <= 0:
             raise ValueError("num_tasks must be positive")
+        for name in ("load_factor", "beta", "variance_fraction"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.load_factor <= 0:
             raise ValueError("load_factor must be positive")
         if self.beta < 0:
@@ -128,14 +133,10 @@ def generate_scale_trace(
     deadlines = np.rint(arrivals.astype(np.float64) + slack).astype(np.int64)
     deadlines = np.maximum(deadlines, arrivals + 1)
 
+    # Column lists of Python ints; TaskSpec's positional order is
+    # (arrival, task_id, task_type, deadline).
     specs = tuple(
-        TaskSpec(
-            arrival=int(arrivals[i]),
-            task_id=i,
-            task_type=int(task_types[i]),
-            deadline=int(deadlines[i]),
-        )
-        for i in range(n)
+        map(TaskSpec, arrivals.tolist(), range(n), task_types.tolist(), deadlines.tolist())
     )
     workload = WorkloadConfig(
         num_tasks=n,

@@ -68,3 +68,8 @@ class TestExperimentConfig:
             ExperimentConfig(warmup_tasks=-1)
         with pytest.raises(ValueError):
             ExperimentConfig(task_scale=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_task_scale_rejected(self, value):
+        with pytest.raises(ValueError, match="^task_scale must be finite"):
+            ExperimentConfig(task_scale=value)

@@ -150,6 +150,51 @@ def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys
     assert "Traceback" not in captured.out + captured.err
 
 
+#: Floats that reach the workload builders; ``nan <= 0`` is false, so a bare
+#: sign check lets NaN through, and an infinite slack or scale overflows.
+NON_FINITE_INPUTS = [
+    (["simulate", "--tasks", "50", "--beta", "nan"], "argument --beta: must be a finite number"),
+    (["simulate", "--tasks", "50", "--beta", "inf"], "argument --beta: must be a finite number"),
+    (["simulate", "--tasks", "50", "--beta", "-1"], "argument --beta: must be non-negative"),
+    (
+        ["trace", "record", "--workload", "spec", "--beta", "nan", "--out", "t.json"],
+        "argument --beta: must be a finite number",
+    ),
+    (
+        ["trace", "record", "--workload", "spec", "--beta=-inf", "--out", "t.json"],
+        "argument --beta: must be a finite number",
+    ),
+    (
+        ["figure", "7", "--trials", "1", "--task-scale", "inf"],
+        "argument --task-scale: must be a finite number",
+    ),
+    (
+        ["figure", "7", "--trials", "1", "--task-scale", "nan"],
+        "argument --task-scale: must be a finite number",
+    ),
+    (
+        ["serve", "submit", "--connect", "x.sock", "--task", "0", "0", "5", "9", "--rate", "nan"],
+        "argument --rate: must be a finite number",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", NON_FINITE_INPUTS, ids=[" ".join(argv) for argv, _ in NON_FINITE_INPUTS]
+)
+def test_non_finite_float_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    """Exit code 2 and one error line before any workload is built."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    error = captured.err.strip().splitlines()[-1]
+    assert message in error
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "t.json").exists()
+
+
 class TestSimulateCommand:
     def test_runs_small_simulation(self, capsys):
         exit_code = main(

@@ -46,6 +46,13 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError):
             WorkloadConfig(num_tasks=10, time_span=100, variance_fraction=0)
 
+    @pytest.mark.parametrize("field", ["beta", "variance_fraction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        """``nan < 0`` is false: a bare sign check lets NaN reach the trace."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            WorkloadConfig(num_tasks=10, time_span=100, **{field: value})
+
 
 class TestGenerateWorkload:
     def test_task_count_and_order(self, small_gamma_pet):

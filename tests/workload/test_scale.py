@@ -77,3 +77,11 @@ class TestScaleTrace:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ScaleTraceConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["load_factor", "beta", "variance_fraction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        """A NaN slack gave every task ``deadline = arrival + 1``, an infinite
+        load factor put every arrival at t = 1; both are refused up front."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ScaleTraceConfig(num_tasks=5, **{field: value})
