@@ -14,10 +14,16 @@ The task count is environment-scaled so the same gate serves three tiers::
     REPRO_SCALE_TASKS=10000  pytest benchmarks/test_bench_scale.py   # CI scale-smoke
     REPRO_SCALE_TASKS=100000 pytest benchmarks/test_bench_scale.py   # full gate
 
-The >= 2x batched-rounds speedup is enforced from 10k tasks up (the scale
-the ISSUE names); below that the ratio is still measured and recorded, with
-a loose >= 1.2x floor so a regression that erases batching entirely fails
-even the tier-1 run.
+The >= 2x batched-rounds speedup is enforced from 10k tasks up; below that
+the ratio is still measured and recorded, with a loose >= 1.2x floor so a
+regression that erases batching entirely fails even the tier-1 run.
+
+Each mode is timed as the best of three interleaved runs in CPU time
+(``time.process_time``): the simulation is single-threaded, so a busy
+neighbour on the host stalls a run's wall clock but not its CPU time, and
+the best of three drops the run a cache or scheduler hiccup slowed.  One
+wall-clock pair once read 1.17x under host load where unloaded runs read
+1.40-1.84x.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from repro.heuristics.registry import make_heuristic
 from repro.pet.builders import build_spec_pet
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.workload.scale import SCALE_TRACE_SEED, scale_trace
+
+#: Timed runs per mode, interleaved; each mode's best counts.
+REPEATS = 3
 
 #: Round window for the batched mode: ~10x the scale trace's mean
 #: inter-arrival gap (~12 time units at load factor 1.15), at any task count.
@@ -53,9 +62,9 @@ def _run(pet, trace, *, window: int) -> tuple[float, object]:
     sim = HCSimulator(
         pet, heuristic, config=SimulatorConfig(batch_window=window), rng=SCALE_TRACE_SEED
     )
-    start = time.perf_counter()
+    start = time.process_time()
     result = sim.run(trace)
-    return time.perf_counter() - start, result
+    return time.process_time() - start, result
 
 
 def test_bench_scale_trace_end_to_end():
@@ -66,8 +75,13 @@ def test_bench_scale_trace_end_to_end():
     trace = scale_trace(num_tasks=num_tasks)
     build_seconds = time.perf_counter() - build_start
 
-    heap_seconds, heap_result = _run(pet, trace, window=0)
-    batched_seconds, batched_result = _run(pet, trace, window=BATCH_WINDOW)
+    heap_times, batched_times = [], []
+    for _ in range(REPEATS):
+        seconds, heap_result = _run(pet, trace, window=0)
+        heap_times.append(seconds)
+        seconds, batched_result = _run(pet, trace, window=BATCH_WINDOW)
+        batched_times.append(seconds)
+    heap_seconds, batched_seconds = min(heap_times), min(batched_times)
 
     # Both modes must fully account for every task (nothing stranded).
     for result in (heap_result, batched_result):

@@ -135,10 +135,9 @@ class SchedulerCore:
         if obs.enabled:
             start_ns = time.perf_counter_ns()
         self.admit(spec)
-        if self._watermark is not None and spec.arrival > self._watermark:
-            # A later instant: every pending event before it is now safe to
-            # process — no future submission may precede this arrival.
-            self._sim.advance_until(spec.arrival)
+        # ``HCSimulator.run``'s two calls.  Every pending event before this
+        # arrival is safe to process; there is one only if it is the latest.
+        self._sim.advance_until(spec.arrival)
         self._sim.inject_task(spec)
         self._submit_wall[spec.task_id] = received
         if self._watermark is None or spec.arrival > self._watermark:

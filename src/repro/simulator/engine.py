@@ -17,10 +17,10 @@ The engine drives a workload trace through the system model of the paper:
 The engine is deterministic given a seeded ``numpy.random.Generator``.
 
 Everything the engine reacts to lives in one **global event heap**
-(:class:`~repro.simulator.events.EventManager`): arrivals, finishes,
-scheduling-round markers, and stream watermarks are typed events popped in
-``(time, kind, seq)`` order, following the Firmament-style trace
-simulators.  Two scheduling modes share that heap:
+(:class:`~repro.simulator.events.EventManager`): arrivals, finishes and
+scheduling-round markers are typed events popped in ``(time, kind, seq)``
+order, following the Firmament-style trace simulators.  Two scheduling
+modes share that heap:
 
 * **per-event mapping** (``batch_window=0``, the default and the paper's
   protocol) — a mapping event fires at every event timestamp, exactly as
@@ -47,19 +47,16 @@ heuristics' ``ScoreTable`` scores every (task, machine) candidate pair
 against it in a single batched kernel call.
 See ``docs/architecture.md`` for the full event-loop lifecycle.
 
-Two driving modes share the same event loop:
-
-* **batch replay** — :meth:`HCSimulator.run` pre-loads a whole trace and
-  drains the event heap to completion (the paper's protocol);
-* **externally-driven streaming** — :meth:`HCSimulator.begin_stream` /
-  :meth:`inject_task` / :meth:`advance_until` / :meth:`finish_stream` let a
-  caller (the :mod:`repro.serve` admission service) feed arrivals one at a
-  time and advance virtual time between them.  ``advance_until`` plants a
-  typed ``WATERMARK`` event and drains the heap up to it, so the frontier
-  is itself part of the heap discipline.  ``run`` is implemented on top of
-  these primitives, so a trace streamed in arrival order produces
-  bit-identical decisions to a batch replay of the same trace — in either
-  scheduling mode.
+Tasks enter the engine by one path: :meth:`HCSimulator.begin_stream`, then
+per task :meth:`advance_until` its arrival and :meth:`inject_task`, then
+:meth:`finish_stream`.  ``advance_until`` processes every event timestamp
+strictly before its argument, so an arrival joins the heap only once the
+clock has reached its instant, and the engine holds the tasks in flight
+rather than the whole trace.  :meth:`HCSimulator.run` is that loop over an
+arrival-sorted iterable of specs (the paper's offline protocol), and the
+:mod:`repro.serve` admission service makes the same calls one submission
+at a time, so a served stream and an offline replay of it decide alike by
+construction — in either scheduling mode.
 
 An optional :class:`EngineObserver` receives per-task callbacks (assigned,
 terminal) and per-mapping-event callbacks as they happen, which is how the
@@ -74,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter_ns
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -83,7 +80,6 @@ from ..obs.telemetry import NULL_TELEMETRY
 from ..obs.telemetry import active as obs_active
 from ..pet.matrix import PETMatrix
 from ..utils.rng import make_generator
-from ..workload.generator import WorkloadTrace
 from ..workload.spec import TaskSpec
 from .cost import default_prices_for
 from .events import EventKind, EventManager
@@ -184,7 +180,6 @@ class SimulatorConfig:
 
 # Module-level aliases keep the inner loop free of attribute lookups on the
 # enum class (popped hundreds of thousands of times on large traces).
-_WATERMARK = int(EventKind.WATERMARK)
 _ARRIVAL = int(EventKind.ARRIVAL)
 _FINISH = int(EventKind.FINISH)
 #: A deadline no task has.
@@ -231,8 +226,8 @@ class HCSimulator:
         self.state: SystemState | None = None
         #: Optional decision-stream observer (see :class:`EngineObserver`).
         self.observer: EngineObserver | None = None
-        #: The single global event heap (arrivals, finishes, rounds,
-        #: watermarks as typed events).
+        #: The single global event heap (arrivals, finishes and rounds as
+        #: typed events).
         self.events = EventManager()
         #: The live tasks: injected and not yet terminal.  A task's outcome
         #: moves to ``_outcomes`` at its terminal event and the task is
@@ -253,8 +248,8 @@ class HCSimulator:
         self._misses_since_event = 0
         self._terminal_since_event: list[TerminalEvent] = []
         self._now = 0
-        #: Latest event timestamp fully processed in streaming mode; arrivals
-        #: at or before this instant can no longer join their mapping event.
+        #: Latest event timestamp fully processed; arrivals at or before
+        #: this instant can no longer join their mapping event.
         self._processed_through = -1
         #: Next instant a scheduling round is due (batched-rounds mode);
         #: ``None`` until the first engine step fires the first round.
@@ -266,15 +261,23 @@ class HCSimulator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(self, trace: WorkloadTrace) -> SimulationResult:
-        """Simulate one workload trace to completion and return the metrics."""
+    def run(self, trace: Iterable[TaskSpec]) -> SimulationResult:
+        """Simulate arrival-sorted task specs to completion; return the metrics.
+
+        Each spec is injected once the clock reaches its arrival, as the
+        serving layer does, so ``trace`` may be any iterable (a
+        :class:`~repro.workload.generator.WorkloadTrace`, a list, a
+        generator).  A spec arriving before an instant already processed
+        raises ``ValueError``.
+        """
         self.begin_stream()
         for spec in trace:
+            self.advance_until(spec.arrival)
             self.inject_task(spec)
         return self.finish_stream()
 
     # ------------------------------------------------------------------
-    # Externally-driven streaming mode (the online serving layer).
+    # The arrival path, driven by ``run`` and by the serving layer.
     # ------------------------------------------------------------------
     def begin_stream(self) -> None:
         """Reset the engine for an externally-driven arrival stream."""
@@ -324,19 +327,9 @@ class HCSimulator:
         Events at ``time`` itself stay pending so late-but-simultaneous
         arrivals can still join their mapping event — the caller advances
         past an instant only once it knows no more arrivals carry it.
-
-        The frontier is a typed ``WATERMARK`` event planted in the heap: it
-        sorts ahead of every real event at its own timestamp, so draining
-        stops the moment the watermark surfaces — before the guarded
-        instant is opened.
         """
         events = self.events
-        events.push(time, EventKind.WATERMARK)
-        while True:
-            head = events.peek()
-            if head[1] == _WATERMARK:
-                events.pop()
-                return
+        while events and events.next_time() < time:
             self._step_once()
 
     def finish_stream(self) -> SimulationResult:
@@ -361,8 +354,8 @@ class HCSimulator:
     def pending_events(self) -> int:
         """Pending *task* events (arrivals/finishes) still in the heap.
 
-        Round markers and watermarks are bookkeeping, not workload, and are
-        excluded from the count.
+        Round markers are bookkeeping, not workload, and are excluded from
+        the count.
         """
         return self.events.count_kind(EventKind.ARRIVAL) + self.events.count_kind(
             EventKind.FINISH
@@ -395,8 +388,8 @@ class HCSimulator:
                 if task is not None:
                     self._handle_finish(task, now)
             else:
-                # ROUND markers (and defensively, stray watermarks) carry no
-                # payload: popping one is what forces this step to exist.
+                # ROUND markers carry no payload: popping one is what forces
+                # this step to exist.
                 self._popped_markers += 1
         self._drop_missed_tasks(now)
         window = self.config.batch_window
@@ -662,7 +655,7 @@ class HCSimulator:
 def simulate(
     pet: PETMatrix,
     heuristic: MappingHeuristicProtocol,
-    trace: WorkloadTrace,
+    trace: Iterable[TaskSpec],
     *,
     config: SimulatorConfig | None = None,
     machine_prices: Sequence[float] | None = None,

@@ -2,11 +2,10 @@
 
 Every occurrence the engine reacts to is one *typed event* in a single
 priority queue, patterned after the ``EventManager`` of Firmament's trace
-simulator: task arrivals, task finishes (completion or eviction), scheduling
-**round** markers (batched-rounds mode bounds round latency with them), and
-stream **watermarks** (the externally-driven serving mode marks "safe to
-process everything before here" with one instead of comparing timestamps
-inline).
+simulator: task arrivals, task finishes (completion or eviction), and
+scheduling **round** markers (batched-rounds mode bounds round latency with
+them).  An arrival is pushed only once the engine's clock has reached its
+instant, so the heap holds the tasks in flight, not the whole trace.
 
 Heap entries are plain ``(time, kind, seq, task_id)`` tuples, not event
 objects — a 100k-task trace pushes and pops hundreds of thousands of events
@@ -14,9 +13,8 @@ and the per-event Python overhead of materialising an object per event is
 measurable.  The tuple order is load-bearing:
 
 * ``time`` — events pop in virtual-time order;
-* ``kind`` — at one instant, watermarks pop first (they *guard* the
-  instant: nothing at their timestamp may be processed yet), then arrivals,
-  then finishes, then round markers;
+* ``kind`` — at one instant, arrivals pop first, then finishes, then
+  round markers;
 * ``seq`` — a monotone tie-breaker making the pop order of same-time,
   same-kind events deterministic (push order) without ever comparing task
   payloads.
@@ -38,11 +36,6 @@ __all__ = ["EventKind", "EventManager"]
 class EventKind(IntEnum):
     """Event types sharing the global heap (the tuple's second sort key)."""
 
-    #: Streaming-mode frontier marker: everything strictly before this
-    #: instant may be processed, nothing at or after it.  Sorts ahead of
-    #: every real event at its own timestamp so the drain loop stops
-    #: *before* opening the instant.
-    WATERMARK = -1
     #: A task joins the batch queue of unmapped tasks.
     ARRIVAL = 0
     #: The executing task on some machine reaches its finish instant
@@ -61,13 +54,11 @@ class EventManager:
     method stays a couple of bytecodes away from the raw heap operation.
     """
 
-    __slots__ = ("_heap", "_seq", "events_processed")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, int, int]] = []
         self._seq = itertools.count()
-        #: Total events popped since construction (diagnostics only).
-        self.events_processed = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -83,13 +74,8 @@ class EventManager:
         """Timestamp of the earliest pending event (``None`` when empty)."""
         return self._heap[0][0] if self._heap else None
 
-    def peek(self) -> tuple[int, int, int, int] | None:
-        """The earliest pending event entry without popping it."""
-        return self._heap[0] if self._heap else None
-
     def pop(self) -> tuple[int, int, int, int]:
         """Pop the earliest event entry."""
-        self.events_processed += 1
         return heapq.heappop(self._heap)
 
     def pending_at(self, time: int) -> bool:

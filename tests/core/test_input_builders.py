@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pmf import DiscretePMF
+from repro.core.pmf import _MAX_SUPPORT_BINS, DiscretePMF
 from repro.pet.builders import build_pet_from_means, build_spec_pet, build_transcoding_pet
 from repro.pet.matrix import PETMatrix
 from repro.workload.scale import ScaleTraceConfig, generate_scale_trace
@@ -94,6 +94,41 @@ class TestFromSamples:
     def test_huge_finite_mean_is_refused_not_wrapped(self):
         with pytest.raises(ValueError, match="signed 64-bit"):
             build_pet_from_means([[1e300]], task_types=["t"], machine_names=["m"], rng=0)
+
+
+class TestSupportBound:
+    """A support too wide to allocate is refused before allocating: the
+    histogram of ``[1.0, 1e12]`` used to end in a 7.28 TiB ``MemoryError``."""
+
+    @pytest.mark.parametrize(
+        "samples", [[1.0, 1e12], [1.0, float(_MAX_SUPPORT_BINS + 1)], [-(2.0**62), 2.0**62]]
+    )
+    def test_from_samples_refuses_a_wide_support(self, samples):
+        with pytest.raises(ValueError, match="bins"):
+            DiscretePMF.from_samples(samples, min_time=-(2**63))
+
+    @pytest.mark.parametrize("hi", [_MAX_SUPPORT_BINS, 10**12])
+    def test_from_impulses_refuses_a_wide_support(self, hi):
+        with pytest.raises(ValueError, match="bins"):
+            DiscretePMF.from_impulses({0: 0.5, hi: 0.5})
+
+    def test_the_widest_allowed_support_builds(self):
+        pmf = DiscretePMF.from_samples([1.0, float(_MAX_SUPPORT_BINS)])
+        assert pmf.probs.size == _MAX_SUPPORT_BINS
+        pmf = DiscretePMF.from_impulses({-1: 0.5, _MAX_SUPPORT_BINS - 2: 0.5})
+        assert pmf.probs.size == _MAX_SUPPORT_BINS
+
+    def test_every_built_pet_is_far_inside_the_bound(self):
+        """The widest entry of either trial PET over seeds 0-39."""
+        widest = max(
+            entry.probs.size
+            for build in (build_spec_pet, build_transcoding_pet)
+            for seed in range(40)
+            for row in build(rng=seed).pmfs
+            for entry in row
+        )
+        assert widest == 1_353
+        assert widest * 100 < _MAX_SUPPORT_BINS
 
 
 def loop_scale_trace(config: ScaleTraceConfig, *, rng: int, pet: PETMatrix) -> tuple:

@@ -9,19 +9,25 @@ gate that the rework changed nothing observable at ``batch_window=0``:
 * **Hypothesis differential tests** — random traces replayed through both
   loops must produce identical *decision sequences* (every observer
   callback, in order) and identical metrics, with atol=0;
-* the same holds when the heap engine is driven through the **streaming
-  API** (``begin_stream``/``inject_task``/``advance_until``) instead of
-  batch replay, including mid-trace time advancement;
+* the heap engine is driven two ways: ``run``, which advances the clock
+  to each arrival before injecting it (the one arrival path the serving
+  layer shares), and an eager replay that injects the whole trace before
+  the first event — both must match the legacy loop;
 * the **660-task reference trace** is pinned heuristic by heuristic;
 * under **batched rounds** (``batch_window > 0``) the engine keeps its
   documented contracts: streaming equals batch replay, observer
   ``on_assigned`` callbacks of one round surface in ascending task-id
   order, a terminal callback never precedes its task's assignment, and a
-  ``ROUND`` marker bounds mapping latency even across quiet stretches.
+  ``ROUND`` marker bounds mapping latency even across quiet stretches;
+* **one arrival path**: the engine holds only the tasks in flight, ``run``
+  takes any arrival-sorted iterable and refuses a spec that arrives before
+  an instant already processed, and the decisions made before task k
+  arrives are those of the trace truncated before k.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -29,11 +35,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.heuristics import make_heuristic
-from repro.pet.builders import build_transcoding_pet
+from repro.pet.builders import build_spec_pet, build_transcoding_pet
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.events import EventKind
 from repro.simulator.legacy import LegacyHCSimulator
 from repro.workload.generator import WorkloadConfig, WorkloadTrace
+from repro.workload.scale import SCALE_TRACE_SEED, scale_trace
 from repro.workload.spec import TaskSpec
 from repro.workload.traces import load_trace
 
@@ -112,13 +119,13 @@ def _run_heap(pet, trace, *, heuristic="PAMF", seed=17, config=None, streamed=Fa
     )
     observer = RecordingObserver()
     sim.observer = observer
-    if not streamed:
+    if streamed:
+        # ``run`` advances time to each arrival before injecting it, so
+        # the engine steps mid-trace.
         return sim.run(trace), observer.log
+    # Eager replay: the whole trace sits in the heap before the first event.
     sim.begin_stream()
     for spec in trace:
-        # The serving layer's admission pattern: time advances to each
-        # arrival before it is injected, so the engine steps mid-trace.
-        sim.advance_until(spec.arrival)
         sim.inject_task(spec)
     return sim.finish_stream(), observer.log
 
@@ -340,3 +347,109 @@ class TestBatchedRoundContracts:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError, match="batch_window"):
             SimulatorConfig(batch_window=-1)
+
+
+# ----------------------------------------------------------------------
+# One arrival path: ``run`` feeds the engine the way the service does
+# ----------------------------------------------------------------------
+
+
+class LiveTaskObserver:
+    """Checks the engine's task table against the arrivals at every mapping event."""
+
+    def __init__(self, sim: HCSimulator, arrivals: list[int]) -> None:
+        self.sim = sim
+        self.arrivals = arrivals
+        self.terminal = 0
+        self.live: list[int] = []
+
+    def on_assigned(self, task, machine_index, now):
+        pass
+
+    def on_terminal(self, task):
+        self.terminal += 1
+
+    def on_mapping_event(self, now, decision):
+        in_flight = bisect_right(self.arrivals, now) - self.terminal
+        assert len(self.sim.tasks) <= in_flight
+        self.live.append(len(self.sim.tasks))
+
+
+def _log_before(log: list[tuple], instant: int) -> list[tuple]:
+    """The callbacks through the last mapping event before ``instant``."""
+    ends = [i for i, entry in enumerate(log) if entry[0] == "mapping" and entry[1] < instant]
+    return log[: ends[-1] + 1] if ends else []
+
+
+class TestOneArrivalPath:
+    @pytest.mark.parametrize("window", [0, 120])
+    def test_engine_holds_only_the_tasks_in_flight(self, window):
+        num_tasks = 2_400
+        pet = build_spec_pet(rng=SCALE_TRACE_SEED)
+        trace = scale_trace(num_tasks=num_tasks)
+        sim = HCSimulator(
+            pet,
+            make_heuristic("PAMF", num_task_types=pet.num_task_types),
+            config=SimulatorConfig(batch_window=window),
+            rng=SCALE_TRACE_SEED,
+        )
+        observer = sim.observer = LiveTaskObserver(sim, [spec.arrival for spec in trace])
+        result = sim.run(trace)
+        assert result.num_tasks == observer.terminal == num_tasks
+        assert observer.live[0] < num_tasks // 100
+        assert max(observer.live) < num_tasks // 10
+
+    def test_arrival_before_a_processed_instant_is_refused(self, tiny_pet):
+        specs = [
+            TaskSpec(arrival=0, task_id=0, task_type=0, deadline=50),
+            TaskSpec(arrival=20, task_id=1, task_type=1, deadline=70),
+            TaskSpec(arrival=5, task_id=2, task_type=2, deadline=90),
+        ]
+        sim = HCSimulator(
+            tiny_pet, make_heuristic("MM", num_task_types=tiny_pet.num_task_types), rng=1
+        )
+        with pytest.raises(ValueError, match="task 2 arrives at 5"):
+            sim.run(specs)
+
+    @pytest.mark.parametrize("window", [0, 7])
+    def test_a_generator_runs_as_the_trace(self, window):
+        pet = build_transcoding_pet(rng=2019)
+        trace = load_trace(REFERENCE_TRACE)
+        runs = []
+        for specs in (trace, (spec for spec in trace)):
+            sim = HCSimulator(
+                pet,
+                make_heuristic("PAMF", num_task_types=pet.num_task_types),
+                config=SimulatorConfig(batch_window=window),
+                rng=2021,
+            )
+            runs.append(sim.run(specs))
+        from_trace, from_generator = runs
+        assert from_generator.outcomes == from_trace.outcomes
+        assert from_generator.counters.as_dict() == from_trace.counters.as_dict()
+        assert from_generator.end_time == from_trace.end_time
+
+    @given(
+        trace=traces(),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        window=st.sampled_from([0, 1, 7]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_decisions_before_an_arrival_ignore_the_rest_of_the_trace(
+        self, tiny_pet, trace, data, seed, window
+    ):
+        """Metamorphic relation: what happens before task k arrives is what
+        the trace truncated before k does."""
+        k = data.draw(st.integers(min_value=0, max_value=len(trace) - 1))
+        heuristic = data.draw(st.sampled_from(HEURISTICS))
+        config = SimulatorConfig(batch_window=window)
+        _, full_log = _run_heap(
+            tiny_pet, trace, heuristic=heuristic, seed=seed, config=config, streamed=True
+        )
+        _, truncated_log = _run_heap(
+            tiny_pet, trace.tasks[:k], heuristic=heuristic, seed=seed, config=config,
+            streamed=True,
+        )
+        arrival = trace[k].arrival
+        assert _log_before(truncated_log, arrival) == _log_before(full_log, arrival)
