@@ -1,11 +1,14 @@
-"""Print the bytes a finished simulation result retains per task.
+"""Print the bytes a finished simulation result retains per task, and the
+bytes of the spec PET's CDF table.
 
 The run is the perf ledger's ``trial-batched`` input (``bench/trial.py``):
 2,400 scale-trace tasks at load 1.15 on the SPEC PET, PAMF in 120-unit
 rounds, seed 2019.  The figure is what ``tracemalloc`` sees released when
 the result is dropped, after the engine and the trace are gone, divided by
 the task count.  ``tests/simulator/test_outcomes.py`` gates it at 128
-bytes; CI prints it on every commit.
+bytes.  The second figure is ``cdf_table().flat.nbytes`` of the same PET,
+the execution-time CDFs every mapping event scores against.  CI prints both
+on every commit.
 
 Usage::
 
@@ -63,8 +66,14 @@ def bytes_per_task() -> float:
         tracemalloc.stop()
 
 
+def cdf_table_bytes() -> int:
+    """Bytes of the spec PET's flat CDF table at the run's seed."""
+    return build_spec_pet(rng=SEED).cdf_table().flat.nbytes
+
+
 def main() -> int:
     print(f"finished result: {bytes_per_task():.1f} bytes per task ({NUM_TASKS:,}-task batched run)")
+    print(f"spec PET CDF table: {cdf_table_bytes():,} bytes (build_spec_pet(rng={SEED}))")
     return 0
 
 

@@ -23,8 +23,9 @@ kernel (:func:`packed_success_probability`) takes each machine's
 availability as its own impulses instead — :func:`pack_impulses`, one
 ``(n_machines, K)`` row per machine — and returns one value per candidate
 pair, ``(n_tasks, n_machines)`` like ``ScoreTable.robustness`` or one per
-listed pair.  Execution-time CDFs are pre-gathered once per PET matrix into
-a :class:`CDFTable` of shape ``(n_task_types, n_machines, max_cdf_len)``.
+listed pair.  Execution-time CDFs are gathered once per PET matrix into
+a :class:`CDFTable`, every (type, machine) entry's CDF back to back in one
+flat array.
 
 Exact-equivalence contract
 --------------------------
@@ -256,66 +257,44 @@ class PMFBatch:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CDFTable:
-    """Padded execution-time CDFs for a grid of PMFs (one per (type, machine)).
+    """Execution-time CDFs of a grid of PMFs (one per (type, machine)), back to back.
 
     The success-probability kernel needs random access to
-    ``P(execution <= budget)`` for every candidate pair.  This table gathers
-    the per-entry cumulative vectors (``DiscretePMF.cumulative()``) into one
-    dense array so a single fancy-index retrieves all of them.
+    ``P(execution <= budget)`` for every candidate pair.  This table stores
+    every entry's cumulative vector (``DiscretePMF.cumulative()``) in one
+    flat array so a single ``take`` retrieves all of them.
 
-    Parameters
-    ----------
-    cdfs:
-        ``(n_task_types, n_machines, max_cdf_len)`` float64; entry
-        ``cdfs[t, m, k]`` is ``P(execution of type t on machine m <=
-        offsets[t, m] + k)``.  Rows shorter than ``max_cdf_len`` are
-        zero-padded; the padding is never read because lookups clip the index
-        to ``lengths[t, m] - 1``.
-    offsets:
-        ``(n_task_types, n_machines)`` int64; time of each entry's first bin.
-    lengths:
-        ``(n_task_types, n_machines)`` int64; valid prefix length of each
-        CDF row.
-
-    The scoring kernel reads the same data flat, one lookup per
-    (pair, impulse).  Eq. 1 counts a start ``s`` only when ``s < deadline``
-    and the budget ``b = deadline - offset - s`` is not negative, i.e. when
-    ``b >= lower = max(0, 1 - offset)``; then it reads ``cdfs[t, m,
-    min(b, last)]``.  Entry ``(t, m)`` therefore stores its CDF from
-    ``lower`` on behind one leading ``0.0`` in :attr:`flat`, and row ``t *
-    n_machines + m`` of :attr:`entries` is ``(shift, first, end)``: the
+    Eq. 1 counts a start ``s`` only when ``s < deadline`` and the budget
+    ``b = deadline - offset - s`` is not negative, i.e. when ``b >= lower =
+    max(0, 1 - offset)``; then it reads ``cdf[min(b, last)]``, where
+    ``last`` is the index of the entry's last CDF bin.  Entry ``(t, m)``
+    (number ``e = t * n_machines + m``) therefore stores ``span = max(last,
+    lower) - lower + 1`` values, ``cdf[min(b, last)]`` for ``b`` from
+    ``lower`` on, behind one leading ``0.0`` in :attr:`flat`, and the
+    entries follow one another with no padding: entry ``e``'s segment
+    starts at ``first``, the sum of ``span + 1`` over the entries before
+    it.  Row ``e`` of :attr:`entries` is ``(shift, first, end)``: the
     lookup of budget ``b`` is ``flat[clip(deadline - shift - s, first,
     end)]``.  ``first`` is the index of the leading zero, which every
     budget below ``lower`` clamps to, and ``end`` the index of
-    ``cdfs[t, m, last]``, which every budget past the CDF clamps to.
+    ``cdf[last]``, which every budget past the CDF clamps to.
+
+    Attributes
+    ----------
+    flat:
+        ``(sum(span + 1),)`` float64: every entry's segment, back to back.
+    entries:
+        ``(n_task_types * n_machines, 3)`` int64 ``(shift, first, end)``.
+    n_task_types, n_machines:
+        Shape of the grid the table was built from.
     """
 
-    cdfs: np.ndarray
-    offsets: np.ndarray
-    lengths: np.ndarray
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    entries: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n_types, n_machines, n_bins = self.cdfs.shape
-        offsets = self.offsets.ravel().astype(np.int64)
-        lasts = self.lengths.ravel().astype(np.int64) - 1
-        lowers = np.maximum(0, 1 - offsets)
-        # Budgets lower..max(last, lower), each read as cdf[min(b, last)].
-        spans = np.maximum(lasts, lowers) - lowers + 1
-        width = max(int(spans.max()), n_bins) + 1
-        flat = np.zeros((n_types * n_machines, width), dtype=np.float64)
-        for entry, cdf in enumerate(self.cdfs.reshape(n_types * n_machines, -1)):
-            budgets = np.arange(lowers[entry], lowers[entry] + spans[entry])
-            flat[entry, 1 : 1 + spans[entry]] = cdf[np.minimum(budgets, lasts[entry])]
-        if not lowers.any():  # every row is [0.0 | its cdfs row]: keep one copy
-            object.__setattr__(self, "cdfs", flat[:, 1:].reshape(self.cdfs.shape))
-        first = np.arange(n_types * n_machines, dtype=np.int64) * width
-        entries = np.stack([offsets + lowers - first - 1, first, first + spans], axis=1)
-        object.__setattr__(self, "flat", flat.ravel())
-        object.__setattr__(self, "entries", entries)
+    flat: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(repr=False)
+    n_task_types: int
+    n_machines: int
 
     @classmethod
     def from_grid(cls, grid: Sequence[Sequence[DiscretePMF]]) -> "CDFTable":
@@ -324,32 +303,28 @@ class CDFTable:
         if not rows or not rows[0]:
             raise ValueError("CDF grid must be non-empty")
         n_types, n_machines = len(rows), len(rows[0])
-        width = max(pmf.probs.size for row in rows for pmf in row)
-        cdfs = np.zeros((n_types, n_machines, width), dtype=np.float64)
-        offsets = np.zeros((n_types, n_machines), dtype=np.int64)
-        lengths = np.zeros((n_types, n_machines), dtype=np.int64)
-        for t, row in enumerate(rows):
-            if len(row) != n_machines:
-                raise ValueError("CDF grid rows must all have the same length")
-            for m, pmf in enumerate(row):
-                cumulative = pmf.cumulative()
-                cdfs[t, m, : cumulative.size] = cumulative
-                offsets[t, m] = pmf.offset
-                lengths[t, m] = cumulative.size
-        return cls(cdfs, offsets, lengths)
+        if any(len(row) != n_machines for row in rows):
+            raise ValueError("CDF grid rows must all have the same length")
+        pmfs = [pmf for row in rows for pmf in row]
+        offsets = np.array([pmf.offset for pmf in pmfs], dtype=np.int64)
+        lasts = np.array([pmf.probs.size - 1 for pmf in pmfs], dtype=np.int64)
+        lowers = np.maximum(0, 1 - offsets)
+        # Budgets lower..max(last, lower), each read as cdf[min(b, last)].
+        spans = np.maximum(lasts, lowers) - lowers + 1
+        sizes = spans + 1  # the leading zero, then the span
+        first = np.cumsum(sizes) - sizes
+        flat = np.zeros(int(sizes.sum()), dtype=np.float64)
+        for pmf, lower, last, start in zip(pmfs, lowers.tolist(), lasts.tolist(), first.tolist()):
+            # cdf[lower:], or just cdf[last] when every budget is past the CDF.
+            segment = pmf.cumulative()[min(lower, last) :]
+            flat[start + 1 : start + 1 + segment.size] = segment
+        entries = np.stack([offsets + lowers - first - 1, first, first + spans], axis=1)
+        return cls(flat, entries, n_types, n_machines)
 
     @classmethod
     def from_pmf(cls, pmf: DiscretePMF) -> "CDFTable":
-        """A ``(1, 1, len)`` table for a single execution PMF."""
+        """A one-entry table for a single execution PMF."""
         return cls.from_grid([[pmf]])
-
-    @property
-    def n_task_types(self) -> int:
-        return int(self.cdfs.shape[0])
-
-    @property
-    def n_machines(self) -> int:
-        return int(self.cdfs.shape[1])
 
 
 def batched_convolve_ragged(

@@ -127,14 +127,15 @@ class PETMatrix:
         return self._mean_cache
 
     def cdf_table(self) -> CDFTable:
-        """Padded execution-time CDFs of every entry, for the batched scorer.
+        """Execution-time CDFs of every entry, for the batched scorer.
 
         Returns
         -------
         CDFTable
-            ``(num_task_types, num_machines, max_cdf_len)`` table built once
-            and cached — :class:`~repro.heuristics.base.ScoreTable` hands it
-            to :func:`repro.core.batch.packed_success_probability` at every
+            Every (type, machine) entry's CDF back to back in one flat
+            array, built once and cached —
+            :class:`~repro.heuristics.base.ScoreTable` hands it to
+            :func:`repro.core.batch.packed_success_probability` at every
             mapping event.
         """
         if self._cdf_cache is None:

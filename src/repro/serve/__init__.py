@@ -21,6 +21,11 @@ heterogeneous system the PET describes:
 * :mod:`repro.serve.protocol` — the JSON-lines wire format and endpoint
   notation (``unix:PATH`` / ``tcp:HOST:PORT``).
 
+Only the functions that open sockets load the network stack: the codec
+in :mod:`~repro.serve.protocol` and :func:`~repro.serve.loadgen.slice_trace`
+import without asyncio, which ``open_endpoint``, ``replay_trace`` and
+``run_bench`` import when they run.
+
 Virtual time is *externally clocked*: every submission carries its arrival
 instant in trace time units and the engine's clock advances with the
 submission watermark.  That is what makes serving exactly reproducible —

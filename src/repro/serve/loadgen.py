@@ -17,11 +17,15 @@ bounded inbox (``inbox_limit=``) measures the overload rejection curve —
 submissions turned away with ``accepted=false`` are counted per rate, and
 the equivalence check then compares the stream against an offline replay
 of exactly the tasks that were *accepted*.
+
+Only the functions that open sockets (:func:`replay_trace`,
+:func:`run_bench` and the per-rate service it starts) import asyncio, the
+wire protocol and the server, so :func:`slice_trace`, the report
+dataclasses and :data:`DEFAULT_TIME_UNIT_SECONDS` load no network stack.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
 from dataclasses import dataclass
@@ -34,8 +38,6 @@ from ..pet.matrix import PETMatrix
 from ..simulator.engine import HCSimulator, SimulatorConfig
 from ..workload.generator import WorkloadTrace
 from .metrics import LatencyHistogram
-from .protocol import decode_line, encode_line, open_endpoint, spec_to_payload
-from .server import SchedulerService
 from .service import build_core, decision_map, offline_decision_map
 
 __all__ = [
@@ -188,6 +190,10 @@ async def replay_trace(
     (backpressure) are recorded in :attr:`ReplayOutcome.rejected_ids`, not
     treated as errors.
     """
+    import asyncio
+
+    from .protocol import decode_line, encode_line, open_endpoint, spec_to_payload
+
     if rate <= 0:
         raise ValueError("rate must be positive")
     if time_unit_seconds <= 0:
@@ -352,6 +358,8 @@ def run_bench(
     submissions were turned away with ``accepted=false``, and the
     equivalence check replays only the accepted subset offline.
     """
+    import asyncio
+
     if not rates:
         raise ValueError("at least one rate multiplier is required")
     if transport not in ("unix", "tcp"):
@@ -427,6 +435,8 @@ async def _bench_one_rate(
     inbox_limit: int = 1024,
 ) -> ReplayOutcome:
     """One fresh service + one replay, torn down cleanly even on interrupt."""
+    from .server import SchedulerService
+
     with TemporaryDirectory(prefix="repro-serve-") as scratch:
         if transport == "tcp":
             listen: str | Path = "tcp:127.0.0.1:0"

@@ -46,15 +46,16 @@ live system.
 
 from __future__ import annotations
 
-import asyncio
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from ..workload.spec import TaskSpec, integral_field
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .service import Decision
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import asyncio  # the codec runs without it; only ``open_endpoint`` imports it
+
+    from .service import Decision  # avoids an import cycle
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -129,7 +130,13 @@ def format_endpoint(spec: tuple) -> str:
 async def open_endpoint(
     value: str | Path,
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Open a client stream to a service endpoint (Unix socket or TCP)."""
+    """Open a client stream to a service endpoint (Unix socket or TCP).
+
+    asyncio is imported here, not at module level, so a process that only
+    encodes or decodes wire lines never loads the network stack.
+    """
+    import asyncio
+
     spec = parse_endpoint(value)
     if spec[0] == "tcp":
         return await asyncio.open_connection(spec[1], spec[2])

@@ -48,7 +48,7 @@ from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable
 from repro.heuristics.registry import make_heuristic
 from repro.heuristics.scoring import fast_success_probability
-from repro.pet.builders import build_transcoding_pet
+from repro.pet.builders import build_spec_pet, build_transcoding_pet
 from repro.simulator.engine import HCSimulator
 from repro.workload.traces import load_trace
 
@@ -62,8 +62,9 @@ REFERENCE_TRACE = (
 # ----------------------------------------------------------------------
 # Scoring
 # ----------------------------------------------------------------------
-def union_grid(availabilities, execution, type_indices, deadlines, machine_indices):
-    """``batched_success_probability`` as it was: the union of start columns."""
+def union_grid(availabilities, grid_pmfs, type_indices, deadlines, machine_indices):
+    """``batched_success_probability`` as it was: the union of start columns,
+    read from every pair's execution CDF on a padded grid of its own."""
     availability = PMFBatch.from_pmfs(availabilities)
     n_tasks, n_machines = type_indices.size, machine_indices.size
     result = np.zeros((n_tasks, n_machines), dtype=np.float64)
@@ -72,23 +73,28 @@ def union_grid(availabilities, execution, type_indices, deadlines, machine_indic
         return result
     start_times = availability.offset + columns
     start_probs = availability.probs[:, columns]
-    exec_offsets = execution.offsets[type_indices[:, None], machine_indices[None, :]]
-    exec_lengths = execution.lengths[type_indices[:, None], machine_indices[None, :]]
+    pmfs = [
+        [grid_pmfs(t, m) for m in machine_indices.tolist()] for t in type_indices.tolist()
+    ]
+    exec_offsets = np.array([[pmf.offset for pmf in row] for row in pmfs], dtype=np.int64)
+    exec_lengths = np.array([[pmf.probs.size for pmf in row] for row in pmfs], dtype=np.int64)
+    cdfs = np.zeros((n_tasks, n_machines, int(exec_lengths.max())), dtype=np.float64)
+    for i, row in enumerate(pmfs):
+        for j, pmf in enumerate(row):
+            cdfs[i, j, : pmf.probs.size] = pmf.cumulative()
     budgets = (
         deadlines[:, None, None] - start_times[None, None, :] - exec_offsets[:, :, None]
     )
     clipped = np.minimum(budgets, (exec_lengths - 1)[:, :, None])
     usable = (start_times[None, None, :] < deadlines[:, None, None]) & (clipped >= 0)
-    gathered = execution.cdfs[
-        type_indices[:, None, None], machine_indices[None, :, None], np.maximum(clipped, 0)
-    ]
+    gathered = np.take_along_axis(cdfs, np.maximum(clipped, 0), axis=2)
     contributions = np.where(usable, gathered, 0.0) * start_probs[None, :, :]
     return np.minimum(1.0, sequential_sum(contributions, axis=-1))
 
 
 def assert_every_form_agrees(availabilities, grid_pmfs, execution, types, deadlines, machines, rng):
     """Packed grid == union grid == permuted pair list == scalar, per pair."""
-    want = union_grid(availabilities, execution, types, deadlines, machines)
+    want = union_grid(availabilities, grid_pmfs, types, deadlines, machines)
     packed = pack_impulses(availabilities)
     assert np.array_equal(
         packed_success_probability(*packed, execution, types, deadlines, machines), want
@@ -174,7 +180,7 @@ def test_recorded_scoring_calls_agree_in_every_form(recorded_scoring):
         # What the table kept from its own call — a packed operand with
         # one row per machine, stale impulses past each row's width carrying
         # probability 0 — is the union grid at the listed pairs.
-        want = union_grid(availabilities, pet.cdf_table(), types, deadlines, machines)
+        want = union_grid(availabilities, pet.get, types, deadlines, machines)
         assert np.array_equal(stored, want[pairs])
 
 
@@ -271,11 +277,79 @@ def test_cdf_table_layout_leading_zero_and_lower_bound():
     # the deadline (budget 0), and its first CDF value for budget 1.
     shift, first, end = table.entries[1].tolist()
     assert table.flat[first + 1] == grid[0][1].cumulative()[1]
-    # With no lower bound anywhere (every offset >= 1) the rows are the
-    # CDFs themselves behind their zero: ``cdfs`` is a view of ``flat``.
+    # The segments follow one another with no padding: each is span + 1
+    # values long, its budgets lower..max(last, lower) behind the zero.
+    spans = []
+    for m, pmf in enumerate(grid[0]):
+        shift, first, end = table.entries[m].tolist()
+        cdf, last = pmf.cumulative(), pmf.probs.size - 1
+        lower = max(0, 1 - pmf.offset)
+        spans.append(max(last, lower) - lower + 1)
+        assert first == sum(span + 1 for span in spans[:-1]) and end == first + spans[-1]
+        segment = [cdf[min(budget, last)] for budget in range(lower, lower + spans[-1])]
+        assert table.flat[first : end + 1].tolist() == [0.0, *segment]
+    assert table.flat.size == sum(span + 1 for span in spans)
+    # With no lower bound (offset >= 1) a segment is the entry's whole CDF
+    # behind its zero.
     later = CDFTable.from_grid([grid[0][2:]])
-    assert np.shares_memory(later.cdfs, later.flat)
-    assert later.cdfs[0, 1, :4].tolist() == grid[0][3].cumulative().tolist()[:4]
+    for m, pmf in enumerate(grid[0][2:]):
+        shift, first, end = later.entries[m].tolist()
+        assert later.flat[first : end + 1].tolist() == [0.0, *pmf.cumulative().tolist()]
+    assert later.flat.size == sum(pmf.probs.size + 1 for pmf in grid[0][2:])
+
+
+def test_spec_pet_cdf_table_holds_no_padding():
+    """The spec PET's entries differ in width (780 bins against a median of
+    198 at seed 2019): padded to the widest, ``flat`` took 599,808 bytes."""
+    pet = build_spec_pet(rng=2019)
+    size = 0
+    for pmf in (pmf for row in pet.pmfs for pmf in row):
+        lower = max(0, 1 - pmf.offset)
+        size += 1 + max(pmf.probs.size - 1, lower) - lower + 1  # zero, then span
+    flat = pet.cdf_table().flat
+    assert flat.size == size
+    assert flat.nbytes <= 200_000
+
+
+@st.composite
+def unequal_width_grid(draw):
+    """A PET grid whose entries differ wildly in width: single-bin entries
+    next to wide ones, at offsets from well below 0 (so ``lower > 0``, and
+    sometimes past the last bin) to well above it."""
+    n_types, n_machines = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    grid = []
+    for _ in range(n_types):
+        row = []
+        for _ in range(n_machines):
+            width = int(rng.choice([1, 1, 2, int(rng.integers(100, 400))]))
+            probs = rng.random(width) + 0.01
+            offset = int(rng.choice([-(width + 3), -int(rng.integers(0, width)), 0, 1, 25]))
+            row.append(DiscretePMF(probs / probs.sum(), offset=offset))
+        grid.append(row)
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=unequal_width_grid(),
+    availabilities=st.lists(availability_strategy(), min_size=4, max_size=4),
+    deadlines=st.lists(st.integers(-10, 700), min_size=1, max_size=5),
+    seed=st.integers(0, 2**31),
+)
+def test_back_to_back_table_scores_equal_the_scalar_kernel(grid, availabilities, deadlines, seed):
+    rng = np.random.default_rng(seed)
+    n_types, n_machines = len(grid), len(grid[0])
+    availabilities = availabilities[:n_machines]
+    types = rng.integers(0, n_types, len(deadlines))
+    deadlines = np.array(deadlines, dtype=np.int64)
+    got = packed_success_probability(
+        *pack_impulses(availabilities), CDFTable.from_grid(grid), types, deadlines
+    )
+    for row, (task_type, deadline) in enumerate(zip(types.tolist(), deadlines.tolist())):
+        for machine, availability in enumerate(availabilities):
+            scalar = fast_success_probability(grid[task_type][machine], availability, deadline)
+            assert got[row, machine] == scalar
 
 
 def test_packing_a_batch_equals_packing_its_pmfs():

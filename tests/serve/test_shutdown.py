@@ -16,6 +16,7 @@ import pytest
 
 from repro.heuristics import make_heuristic
 import repro.serve.loadgen as loadgen
+import repro.serve.server as server
 from repro.serve.protocol import decode_line, encode_line, open_endpoint, spec_to_payload
 from repro.serve.server import SchedulerService
 from repro.serve.service import SchedulerCore
@@ -208,7 +209,7 @@ class TestInterruptMidBench:
         as an error)."""
         caplog.set_level(logging.ERROR, logger="asyncio")
         created = []
-        original_service = loadgen.SchedulerService
+        original_service = server.SchedulerService
 
         def spy_service(*args, **kwargs):
             created.append(original_service(*args, **kwargs))
@@ -229,7 +230,9 @@ class TestInterruptMidBench:
                 with suppress(ConnectionError):
                     await writer.wait_closed()
 
-        monkeypatch.setattr(loadgen, "SchedulerService", spy_service)
+        # ``_bench_one_rate`` imports the server when it runs, so the spy
+        # goes where that import resolves the name.
+        monkeypatch.setattr(server, "SchedulerService", spy_service)
         monkeypatch.setattr(loadgen, "replay_trace", interrupting_replay)
 
         with pytest.raises(KeyboardInterrupt):

@@ -22,23 +22,31 @@ gate that the rework changed nothing observable at ``batch_window=0``:
 * **one arrival path**: the engine holds only the tasks in flight, ``run``
   takes any arrival-sorted iterable and refuses a spec that arrives before
   an instant already processed, and the decisions made before task k
-  arrives are those of the trace truncated before k.
+  arrives are those of the trace truncated before k;
+* **relabelling**: renaming task ids by a strictly increasing map changes
+  nothing in a run's outcomes and counters but the ids.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import replace
+from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.heuristics import make_heuristic
 from repro.pet.builders import build_spec_pet, build_transcoding_pet
+from repro.serve.service import SchedulerCore
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.events import EventKind
 from repro.simulator.legacy import LegacyHCSimulator
+from repro.simulator.metrics import OUTCOME_FIELDS
 from repro.workload.generator import WorkloadConfig, WorkloadTrace
 from repro.workload.scale import SCALE_TRACE_SEED, scale_trace
 from repro.workload.spec import TaskSpec
@@ -453,3 +461,56 @@ class TestOneArrivalPath:
         )
         arrival = trace[k].arrival
         assert _log_before(truncated_log, arrival) == _log_before(full_log, arrival)
+
+
+def _relabelled_run(pet, specs, *, heuristic, seed, window, streamed):
+    """One run of ``specs``: through ``run``, or submitted one at a time
+    to a :class:`SchedulerCore` (``advance_until`` then ``inject_task``
+    per arrival, the service's path)."""
+    config = SimulatorConfig(batch_window=window)
+    policy = make_heuristic(heuristic, num_task_types=pet.num_task_types)
+    if not streamed:
+        return HCSimulator(pet, policy, config=config, rng=seed).run(specs)
+    core = SchedulerCore(pet, policy, config=config, rng=seed)
+    for spec in specs:
+        core.submit(spec)
+    core.close()
+    return core.result
+
+
+class TestRelabelling:
+    @given(
+        trace=traces(),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        window=st.sampled_from([0, 7]),
+        heuristic=st.sampled_from(["PAM", "PAMF", "MOC"]),
+        streamed=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_increasing_relabelling_changes_only_the_ids(
+        self, tiny_pet, trace, data, seed, window, heuristic, streamed
+    ):
+        """Metamorphic relation: ids carry no meaning beyond their order."""
+        base = data.draw(st.integers(min_value=0, max_value=2**40))
+        gaps = data.draw(
+            st.lists(st.integers(1, 10**6), min_size=len(trace), max_size=len(trace))
+        )
+        ids = sorted(spec.task_id for spec in trace)
+        new_id = dict(zip(ids, accumulate(gaps, initial=base)))
+        relabelled = [replace(spec, task_id=new_id[spec.task_id]) for spec in trace]
+        run = partial(
+            _relabelled_run, tiny_pet, heuristic=heuristic, seed=seed, window=window,
+            streamed=streamed,
+        )
+        original, renamed = run(trace), run(relabelled)
+        assert renamed.outcomes.task_id.tolist() == [
+            new_id[task_id] for task_id in original.outcomes.task_id.tolist()
+        ]
+        for name in [name for name in OUTCOME_FIELDS if name != "task_id"]:
+            assert np.array_equal(
+                getattr(renamed.outcomes, name), getattr(original.outcomes, name)
+            ), name
+        assert renamed.counters.as_dict() == original.counters.as_dict()
+        assert renamed.machine_busy_times == original.machine_busy_times
+        assert renamed.end_time == original.end_time

@@ -6,8 +6,9 @@ for one thing — the Student-t quantile behind figure confidence intervals
 command line, runs a trial or serves submissions must never load it; nor
 should ``import repro`` load the sweep fabric or the figure drivers before
 something asks for them, nor a process that only compares decisions load
-the asyncio server.  Each check runs in a fresh interpreter because
-this test process has long since imported everything.
+the asyncio server, nor a wire client or a trace slice load asyncio.  Each
+check runs in a fresh interpreter because this test process has long since
+imported everything.
 """
 
 from __future__ import annotations
@@ -104,6 +105,36 @@ def test_offline_decision_view_loads_no_network_stack():
         "assert len(offline_decision_map(result)) == 30\n"
         "print(loaded('asyncio', 'repro.serve.protocol', 'repro.serve.loadgen',\n"
         "             'repro.serve.server'))\n"
+    )
+    assert out.splitlines() == ["[]"]
+
+
+def test_wire_codec_loads_no_network_stack():
+    """A client that only encodes and decodes JSON lines (the serve bench's
+    socket client) must not load asyncio or ssl for ``open_endpoint``."""
+    out = _run(
+        "from repro.serve.protocol import (\n"
+        "    decode_line, encode_line, spec_from_payload, spec_to_payload)\n"
+        "from repro.workload.spec import TaskSpec\n"
+        "spec = TaskSpec(task_id=3, task_type=1, arrival=5, deadline=400)\n"
+        "line = encode_line({'op': 'submit', 'task': spec_to_payload(spec)})\n"
+        "assert spec_from_payload(decode_line(line)['task']) == spec\n"
+        "print(loaded('asyncio', 'ssl', 'repro.serve.server'))\n"
+    )
+    assert out.splitlines() == ["[]"]
+
+
+def test_trace_slice_loads_no_network_stack():
+    """``slice_trace`` (a trial's batching check) must not import the
+    asyncio server the rest of the load generator drives."""
+    out = _run(
+        "from repro.serve.loadgen import slice_trace\n"
+        "import repro\n"
+        "pet = repro.build_spec_pet(rng=1)\n"
+        "trace = repro.generate_workload(\n"
+        "    repro.WorkloadConfig(num_tasks=30, time_span=300), pet, rng=2)\n"
+        "assert len(slice_trace(trace, 10)) == 10\n"
+        "print(loaded('asyncio', 'ssl', 'repro.serve.server'))\n"
     )
     assert out.splitlines() == ["[]"]
 
