@@ -281,10 +281,15 @@ class CDFTable:
     budget below ``lower`` clamps to, and ``end`` the index of
     ``cdf[last]``, which every budget past the CDF clamps to.
 
+    An entry with ``lower == 0`` (every offset ``>= 1``) stores its whole
+    CDF, so its PMF's :meth:`~repro.core.pmf.DiscretePMF.cumulative` cache
+    is re-pointed at that read-only segment rather than kept twice.
+
     Attributes
     ----------
     flat:
-        ``(sum(span + 1),)`` float64: every entry's segment, back to back.
+        ``(sum(span + 1),)`` read-only float64: every entry's segment, back
+        to back.
     entries:
         ``(n_task_types * n_machines, 3)`` int64 ``(shift, first, end)``.
     n_task_types, n_machines:
@@ -317,7 +322,14 @@ class CDFTable:
         for pmf, lower, last, start in zip(pmfs, lowers.tolist(), lasts.tolist(), first.tolist()):
             # cdf[lower:], or just cdf[last] when every budget is past the CDF.
             segment = pmf.cumulative()[min(lower, last) :]
-            flat[start + 1 : start + 1 + segment.size] = segment
+            stored = flat[start + 1 : start + 1 + segment.size]
+            stored[:] = segment
+            if lower == 0:
+                # The segment is the whole CDF: the PMF's cache reads it
+                # here instead of keeping a copy of its own.
+                stored.flags.writeable = False
+                pmf.__dict__["_cumulative_cache"] = stored
+        flat.flags.writeable = False
         entries = np.stack([offsets + lowers - first - 1, first, first + spans], axis=1)
         return cls(flat, entries, n_types, n_machines)
 

@@ -133,7 +133,8 @@ class PETMatrix:
         -------
         CDFTable
             Every (type, machine) entry's CDF back to back in one flat
-            array, built once and cached —
+            read-only array, built once and cached (an entry stored whole
+            there is its PMF's ``cumulative()`` too) —
             :class:`~repro.heuristics.base.ScoreTable` hands it to
             :func:`repro.core.batch.packed_success_probability` at every
             mapping event.

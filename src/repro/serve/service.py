@@ -242,8 +242,9 @@ class SchedulerCore:
         # Terminal means no further event can concern this task: prune its
         # per-task bookkeeping.  The engine forgets its Task here too, so a
         # long-lived service holds objects for in-flight tasks only; a
-        # finished task costs one row of typed outcome columns (82 bytes)
-        # plus its id in the engine's set of injected ids.
+        # finished task costs one row of outcome columns as narrow as its
+        # values (~37 bytes) plus its id in the engine's set of injected ids
+        # (~83 bytes; scripts/result_footprint.py prints both).
         self._submit_wall.pop(task.task_id, None)
         self._first_decided.discard(task.task_id)
 

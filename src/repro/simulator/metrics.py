@@ -10,9 +10,12 @@ portion of the trial is evaluated.  Secondary metrics cover fairness
 A result keeps each task's terminal outcome as one row of typed columns
 (:class:`TaskOutcomes`), not the engine's :class:`~repro.simulator.task.Task`
 objects: the engine appends a row to an :class:`OutcomeTable` as each task
-turns terminal and then forgets the task.  Ten int64 and two int8 columns
-make a finished task cost 82 bytes, and every metric below is a vector
-expression over them.
+turns terminal and then forgets the task.  Each column is only as wide as
+its values: the enum codes, task types and machine indices start as int8,
+ids and times as int32, and a column is copied into int64 the first time a
+value does not fit.  A finished task of the perf ledger's batched run costs
+~37 bytes (83 while ten columns were int64), and every metric below is a
+vector expression over them.
 """
 
 from __future__ import annotations
@@ -77,16 +80,23 @@ class TaskOutcome(TaskView):
     dropped_at: int | None
 
 
-#: Outcome-table columns, in row order; the enum codes are int8, the rest int64.
+#: Outcome-table columns, in row order.
 OUTCOME_FIELDS = tuple(f.name for f in fields(TaskOutcome))
-_CODED = ("status", "drop_reason")
+#: Columns that start as int8; the others start as int32.  Either widens to
+#: int64 the first time one of its values does not fit.
+_SMALL = ("task_type", "status", "machine", "drop_reason")
 #: Columns that are never ``NONE``.
 _ALWAYS_SET = ("task_id", "task_type", "arrival", "deadline", "status")
 
 
 @dataclass(frozen=True, eq=False)
 class TaskOutcomes:
-    """Every task's terminal outcome as read-only columns, ``(arrival, task_id)`` order."""
+    """Every task's terminal outcome as read-only columns, ``(arrival, task_id)`` order.
+
+    A column is int8, int32 or int64, whichever its values needed (see
+    :class:`OutcomeTable`), so upcast it before arithmetic that could leave
+    that range.
+    """
 
     task_id: np.ndarray
     task_type: np.ndarray
@@ -149,14 +159,17 @@ class TaskOutcomes:
 
 
 class OutcomeTable:
-    """Growable typed columns with one row per task, appended as it turns terminal."""
+    """Growable typed columns with one row per task, appended as it turns terminal.
+
+    The columns in ``_SMALL`` start as int8 and the others as int32; the
+    first value that does not fit copies its column into int64, so every
+    value stays exact and only that column pays for it.
+    """
 
     __slots__ = ("_columns",)
 
     def __init__(self) -> None:
-        self._columns = tuple(
-            array("b" if name in _CODED else "q") for name in OUTCOME_FIELDS
-        )
+        self._columns = [array("b" if name in _SMALL else "i") for name in OUTCOME_FIELDS]
 
     def append(self, task: Task) -> None:
         row = (
@@ -173,8 +186,13 @@ class OutcomeTable:
             NONE if task.drop_reason is None else _REASON_CODE[task.drop_reason],
             NONE if task.dropped_at is None else task.dropped_at,
         )
-        for column, value in zip(self._columns, row):
-            column.append(value)
+        columns = self._columns
+        for index, value in enumerate(row):
+            try:
+                columns[index].append(value)
+            except OverflowError:
+                columns[index] = array("q", columns[index])
+                columns[index].append(value)
 
     def freeze(self) -> TaskOutcomes:
         """The rows as NumPy columns in ``(arrival, task_id)`` order."""

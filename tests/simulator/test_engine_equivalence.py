@@ -24,7 +24,10 @@ gate that the rework changed nothing observable at ``batch_window=0``:
   an instant already processed, and the decisions made before task k
   arrives are those of the trace truncated before k;
 * **relabelling**: renaming task ids by a strictly increasing map changes
-  nothing in a run's outcomes and counters but the ids.
+  nothing in a run's outcomes and counters but the ids;
+* **no pruning ahead of a deadline**: PAM and PAMF with both thresholds at
+  0 and dropping off defer nothing, drop nothing proactively, and drop a
+  task only at or after its deadline.
 """
 
 from __future__ import annotations
@@ -37,16 +40,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.heuristics import make_heuristic
 from repro.pet.builders import build_spec_pet, build_transcoding_pet
+from repro.pruning.thresholds import PruningThresholds
 from repro.serve.service import SchedulerCore
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.events import EventKind
 from repro.simulator.legacy import LegacyHCSimulator
-from repro.simulator.metrics import OUTCOME_FIELDS
+from repro.simulator.metrics import NONE, OUTCOME_FIELDS
+from repro.simulator.task import DropReason
 from repro.workload.generator import WorkloadConfig, WorkloadTrace
 from repro.workload.scale import SCALE_TRACE_SEED, scale_trace
 from repro.workload.spec import TaskSpec
@@ -463,12 +468,12 @@ class TestOneArrivalPath:
         assert _log_before(truncated_log, arrival) == _log_before(full_log, arrival)
 
 
-def _relabelled_run(pet, specs, *, heuristic, seed, window, streamed):
+def _run_or_submit(pet, specs, *, heuristic, seed, window, streamed, **options):
     """One run of ``specs``: through ``run``, or submitted one at a time
     to a :class:`SchedulerCore` (``advance_until`` then ``inject_task``
-    per arrival, the service's path)."""
+    per arrival, the service's path).  ``options`` go to ``make_heuristic``."""
     config = SimulatorConfig(batch_window=window)
-    policy = make_heuristic(heuristic, num_task_types=pet.num_task_types)
+    policy = make_heuristic(heuristic, num_task_types=pet.num_task_types, **options)
     if not streamed:
         return HCSimulator(pet, policy, config=config, rng=seed).run(specs)
     core = SchedulerCore(pet, policy, config=config, rng=seed)
@@ -500,7 +505,7 @@ class TestRelabelling:
         new_id = dict(zip(ids, accumulate(gaps, initial=base)))
         relabelled = [replace(spec, task_id=new_id[spec.task_id]) for spec in trace]
         run = partial(
-            _relabelled_run, tiny_pet, heuristic=heuristic, seed=seed, window=window,
+            _run_or_submit, tiny_pet, heuristic=heuristic, seed=seed, window=window,
             streamed=streamed,
         )
         original, renamed = run(trace), run(relabelled)
@@ -514,3 +519,52 @@ class TestRelabelling:
         assert renamed.counters.as_dict() == original.counters.as_dict()
         assert renamed.machine_busy_times == original.machine_busy_times
         assert renamed.end_time == original.end_time
+
+
+#: One task that starts executing at time 0 and finishes at 4, before its
+#: deadline of 5.
+_START_AT_ZERO = WorkloadTrace(
+    (TaskSpec(arrival=0, task_id=0, task_type=1, deadline=5),),
+    WorkloadConfig(num_tasks=1, time_span=100),
+    num_task_types=3,
+)
+
+
+class TestNoPruningAheadOfDeadline:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "the finish handler reads exec_start 0 as unset ((exec_start or now) "
+            "in HCSimulator._handle_finish), so a task started at time 0 is "
+            "evicted at its finish, ahead of its deadline"
+        ),
+    )
+    @example(
+        trace=_START_AT_ZERO, seed=0, window=0, heuristic="PAM", streamed=False
+    )
+    @given(
+        trace=traces(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        window=st.sampled_from([0, 7]),
+        heuristic=st.sampled_from(["PAM", "PAMF"]),
+        streamed=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_zero_thresholds_without_dropping_drop_only_missed_deadlines(
+        self, tiny_pet, trace, seed, window, heuristic, streamed
+    ):
+        """Metamorphic relation: a deferring threshold of 0 with dropping
+        off prunes nothing ahead of a deadline."""
+        result = _run_or_submit(
+            tiny_pet, trace, heuristic=heuristic, seed=seed, window=window,
+            streamed=streamed,
+            thresholds=PruningThresholds(dropping=0.0, deferring=0.0),
+            enable_dropping=False,
+        )
+        assert result.counters.deferrals == 0
+        assert result.counters.proactive_drops == 0
+        outcomes = result.outcomes
+        assert DropReason.PRUNED not in outcomes.values("drop_reason")
+        dropped = outcomes.dropped_at != NONE
+        assert (outcomes.dropped_at[dropped] >= outcomes.deadline[dropped]).all()

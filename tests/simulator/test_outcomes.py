@@ -4,12 +4,15 @@ A result holds each task's terminal outcome as one row of typed columns, and
 the engine forgets a task at its terminal event.  Pinned here:
 
 * a finished 2,400-task batched scale run (the bench's ``trial-batched``
-  inputs) retains at most 128 bytes per task, and nothing reachable from the
+  inputs) retains at most 48 bytes per task, and nothing reachable from the
   result is a ``Task`` or a ``TaskSpec``;
 * the live engine holds exactly its non-terminal tasks;
 * on Hypothesis-drawn outcome sets, every metric equals the ``Task``-loop
   formula it replaced (``==``, warm-up and cool-down trims included), and the
-  records ``result.tasks`` builds carry the tasks' own field values.
+  records ``result.tasks`` builds carry the tasks' own field values;
+* ids, times and machine indices past the int8 and int32 limits (up to
+  ~2**62) widen only their own column, every column equals an int64
+  reference row for row, and the metrics above still hold.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from hypothesis import strategies as st
 
 from repro.heuristics.registry import make_heuristic
 from repro.simulator.engine import HCSimulator
-from repro.simulator.metrics import SimulationCounters, SimulationResult, TaskOutcomes
+from repro.simulator.metrics import (
+    DROP_REASONS,
+    NONE,
+    OUTCOME_FIELDS,
+    STATUSES,
+    SimulationCounters,
+    SimulationResult,
+    TaskOutcomes,
+)
 from repro.simulator.task import DropReason, Task, TaskStatus
 from repro.workload.spec import TaskSpec
 
@@ -35,7 +46,7 @@ _spec = importlib.util.spec_from_file_location(
 footprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(footprint)
 
-BYTES_PER_TASK = 128
+BYTES_PER_TASK = 48
 FIELDS = (
     "task_id",
     "task_type",
@@ -56,7 +67,7 @@ FIELDS = (
 
 
 class TestFootprint:
-    def test_finished_batched_run_retains_at_most_128_bytes_per_task(self):
+    def test_finished_batched_run_retains_at_most_48_bytes_per_task(self):
         assert footprint.bytes_per_task() <= BYTES_PER_TASK
 
     def test_result_references_no_task_or_spec(self):
@@ -104,17 +115,34 @@ KINDS = (
 )
 
 
+#: Row offsets that put a row's times below, across and far past the int32
+#: limit (a row spans at most ~180 units past its arrival).
+WIDE_TIME_BASES = (0, 2**31 - 100, 2**40, 2**62)
+#: Machine indices on both sides of the int8 and int32 limits.
+WIDE_MACHINES = (0, 3, 127, 128, 2**31 - 1, 2**31, 2**62)
+#: Outcome columns that start as int8; the others start as int32.
+INT8_COLUMNS = ("task_type", "status", "machine", "drop_reason")
+
+
 @st.composite
-def outcome_sets(draw):
+def outcome_sets(draw, *, wide=False):
+    """Terminal (and a few live) tasks of every kind, with metric trims.
+
+    ``wide`` draws ids, times and machine indices that cross the outcome
+    table's int8 and int32 column limits, up to ~2**62.
+    """
     num_types = draw(st.integers(1, 5))
+    arrivals = st.integers(0, 40)  # ties exercise the id tiebreak
+    if wide:
+        arrivals = st.tuples(st.sampled_from(WIDE_TIME_BASES), arrivals).map(sum)
     rows = draw(
         st.lists(
             st.tuples(
-                st.integers(0, 40),  # arrival: ties exercise the id tiebreak
+                arrivals,
                 st.integers(1, 60),  # slack
                 st.integers(0, num_types - 1),
                 st.sampled_from(KINDS),
-                st.integers(0, 3),  # machine
+                st.sampled_from(WIDE_MACHINES) if wide else st.integers(0, 3),
                 st.integers(0, 30),  # wait before the next transition
                 st.integers(1, 50),  # execution time
             ),
@@ -122,9 +150,11 @@ def outcome_sets(draw):
         )
     )
     ids = draw(st.permutations(range(len(rows))))
+    # Under ``wide``, ids step past 2**31 and 2**62 inside one table.
+    stride = draw(st.sampled_from([3, 2**27, 2**56])) if wide else 3
     tasks = []
     for task_id, (arrival, slack, task_type, kind, machine, wait, run) in zip(ids, rows):
-        task = Task(TaskSpec(arrival, task_id * 3 - 7, task_type, arrival + slack))
+        task = Task(TaskSpec(arrival, task_id * stride - 7, task_type, arrival + slack))
         tasks.append(task)
         later = arrival + wait
         if kind == "pending":
@@ -190,9 +220,8 @@ def _loop_formulas(tasks, num_types, warmup, cooldown):
     }
 
 
-@settings(max_examples=150, deadline=None)
-@given(outcome_sets())
-def test_metrics_equal_the_task_loop_formulas(drawn):
+def _check_against_the_task_loop(drawn) -> SimulationResult:
+    """The result of ``drawn``'s tasks, its metrics and records checked."""
     num_types, tasks, (warmup, cooldown) = drawn
     result = SimulationResult(
         outcomes=TaskOutcomes.of(tasks),
@@ -216,3 +245,36 @@ def test_metrics_equal_the_task_loop_formulas(drawn):
     assert [[getattr(t, name) for name in FIELDS] for t in result.tasks] == [
         [getattr(t, name) for name in FIELDS] for t in expected["ordered"]
     ]
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcome_sets())
+def test_metrics_equal_the_task_loop_formulas(drawn):
+    _check_against_the_task_loop(drawn)
+
+
+def _code(name, value):
+    """``value`` of column ``name`` as the outcome table stores it."""
+    if name == "status":
+        return STATUSES.index(value)
+    if value is None:
+        return NONE
+    return DROP_REASONS.index(value) if name == "drop_reason" else value
+
+
+@settings(max_examples=150, deadline=None)
+@given(outcome_sets(wide=True))
+def test_values_past_a_column_width_widen_that_column_and_stay_exact(drawn):
+    outcomes = _check_against_the_task_loop(drawn).outcomes
+    ordered = sorted(drawn[1], key=lambda t: (t.arrival, t.task_id))
+    for name in OUTCOME_FIELDS:
+        reference = np.array([_code(name, getattr(t, name)) for t in ordered], dtype=np.int64)
+        column = getattr(outcomes, name)
+        assert np.array_equal(column, reference), name
+        assert outcomes.values(name) == [getattr(t, name) for t in ordered], name
+        # Each column starts narrow and is int64 only if a value needed it.
+        start = np.int8 if name in INT8_COLUMNS else np.int32
+        limits = np.iinfo(start)
+        fits = all(limits.min <= value <= limits.max for value in reference.tolist())
+        assert column.dtype == (start if fits else np.int64), name
