@@ -7,25 +7,37 @@ path are visible independently of the figure-level harnesses.
 
 ``test_bench_batched_mapping_event_scoring`` is the acceptance gate for the
 batched engine: on a paper-scale mapping event it checks the batched grid is
-bit-identical to the scalar double loop *and* at least 3x faster.
+bit-identical to the reference model's Eq. 1 (``tests/reference/pmf.py``),
+pair by pair, *and* at least 3x faster than scoring the pairs one kernel
+call at a time.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from _artefacts import record_bench
 
-from repro.core.batch import PMFBatch, batched_success_probability
+from repro.core.batch import (
+    CDFTable,
+    PMFBatch,
+    batched_success_probability,
+    pack_impulses,
+    packed_success_probability,
+)
 from repro.core.completion import DroppingPolicy, queue_completion_pmfs
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.registry import make_heuristic
-from repro.heuristics.scoring import fast_success_probability
 from repro.pet.builders import build_spec_pet
 from repro.simulator.engine import simulate
 from repro.workload.generator import WorkloadConfig, generate_workload
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference import pmf as model  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -77,26 +89,28 @@ def test_bench_completion_chain(benchmark, spec_pet):
 
 
 def test_bench_success_probability_scoring(benchmark, spec_pet, availability_pmf):
-    exec_pmf = spec_pet.get(0, 0)
+    execution = CDFTable.from_pmf(spec_pet.get(0, 0))
+    packed = pack_impulses([availability_pmf])
+    task_type = np.array([0])
+
+    def score_one(deadline):
+        return packed_success_probability(*packed, execution, task_type, np.array([deadline]))
 
     def score_many():
-        return [
-            fast_success_probability(exec_pmf, availability_pmf, deadline)
-            for deadline in range(200, 1000, 10)
-        ]
+        return [float(score_one(deadline)[0, 0]) for deadline in range(200, 1000, 10)]
 
     values = benchmark(score_many)
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_bench_batched_mapping_event_scoring(benchmark, spec_pet):
-    """Batched vs scalar scoring of one paper-scale mapping event.
+    """Batched vs per-pair scoring of one paper-scale mapping event.
 
     Paper scale: the full 12-type x 8-machine SPEC PET, every machine with a
     non-trivial availability chain, and an oversubscribed batch queue of 200
     unmapped tasks — 1600 candidate (task, machine) pairs.  The batched
-    kernel must reproduce the scalar double loop bit for bit and beat it by
-    at least 3x.
+    kernel must reproduce the reference model pair by pair, bit for bit, and
+    beat a double loop of one-pair kernel calls by at least 3x.
     """
     rng = np.random.default_rng(21)
     n_machines = spec_pet.num_machines
@@ -115,13 +129,15 @@ def test_bench_batched_mapping_event_scoring(benchmark, spec_pet):
     def batched():
         return batched_success_probability(batch, cdf_table, types, deadlines)
 
+    packed = [pack_impulses([availability]) for availability in availabilities]
+
     def scalar_double_loop():
         out = np.zeros((n_tasks, n_machines))
         for i in range(n_tasks):
             for j in range(n_machines):
-                out[i, j] = fast_success_probability(
-                    spec_pet.get(int(types[i]), j), availabilities[j], int(deadlines[i])
-                )
+                out[i, j] = packed_success_probability(
+                    *packed[j], cdf_table, types[i : i + 1], deadlines[i : i + 1], np.array([j])
+                )[0, 0]
         return out
 
     def best_of(fn, repeats):
@@ -133,7 +149,16 @@ def test_bench_batched_mapping_event_scoring(benchmark, spec_pet):
         return best
 
     # Exact-equivalence gate at paper scale (atol=0).
-    assert np.array_equal(batched(), scalar_double_loop())
+    grid = batched()
+    for i in range(n_tasks):
+        for j in range(n_machines):
+            want = model.success_probability(
+                spec_pet.get(int(types[i]), j).to_impulses(),
+                availabilities[j].to_impulses(),
+                int(deadlines[i]),
+            )
+            assert grid[i, j] == want, (i, j)
+    assert np.array_equal(grid, scalar_double_loop())
 
     # Timing gate, best-of comparisons retried a few times so a noisy shared
     # CI runner cannot fail the build on a transient stall.  The reported

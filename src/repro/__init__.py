@@ -30,14 +30,7 @@ Quickstart::
 
 from importlib import import_module
 
-from .core import (
-    DiscretePMF,
-    DroppingPolicy,
-    completion_pmf,
-    queue_completion_pmfs,
-    robustness_of_pct,
-    success_probability,
-)
+from .core import DiscretePMF, DroppingPolicy, queue_completion_pmfs
 from .heuristics import (
     HEURISTIC_NAMES,
     FairPruningMapper,
@@ -111,10 +104,7 @@ __all__ = [
     # core
     "DiscretePMF",
     "DroppingPolicy",
-    "completion_pmf",
     "queue_completion_pmfs",
-    "robustness_of_pct",
-    "success_probability",
     # pet
     "PETMatrix",
     "build_pet_from_means",

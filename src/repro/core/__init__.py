@@ -2,9 +2,11 @@
 
 This subpackage implements the paper's mathematical substrate: discrete
 execution/completion-time PMFs, the completion-time model under task dropping
-(Section IV, Eqs. 2-5), robustness evaluation (Eq. 1), and the batched PMF
-engine (:mod:`repro.core.batch`) that scores whole (task, machine) grids in
-single NumPy calls — bit-identical to the scalar API.
+(Section IV, Eqs. 2-5, one chain step:
+:func:`~repro.core.completion.completion_step`), and the batched PMF engine
+(:mod:`repro.core.batch`) that scores whole (task, machine) grids against
+Eq. 1 in single NumPy calls.  The test suite pins both, at atol=0, against a
+reference model written from the paper's equations (``tests/reference/``).
 """
 
 from .batch import (
@@ -15,21 +17,8 @@ from .batch import (
     batched_success_probability,
     sequential_sum,
 )
-from .completion import (
-    DroppingPolicy,
-    completion_pmf,
-    pct_evict_drop,
-    pct_no_drop,
-    pct_pending_drop,
-    queue_completion_pmfs,
-    start_pmf_for_idle_machine,
-)
+from .completion import DroppingPolicy, queue_completion_pmfs
 from .pmf import MASS_TOLERANCE, DiscretePMF
-from .robustness import (
-    queue_success_probabilities,
-    robustness_of_pct,
-    success_probability,
-)
 
 __all__ = [
     "DiscretePMF",
@@ -41,13 +30,5 @@ __all__ = [
     "batched_convolve_ragged",
     "batched_success_probability",
     "DroppingPolicy",
-    "completion_pmf",
-    "pct_no_drop",
-    "pct_pending_drop",
-    "pct_evict_drop",
     "queue_completion_pmfs",
-    "start_pmf_for_idle_machine",
-    "robustness_of_pct",
-    "success_probability",
-    "queue_success_probabilities",
 ]

@@ -30,8 +30,9 @@ flat array.
 Exact-equivalence contract
 --------------------------
 Every batched kernel is **bit-identical** (``atol=0``) to its scalar
-counterpart in :class:`~repro.core.pmf.DiscretePMF` and
-:mod:`repro.heuristics.scoring`, regardless of how PMFs are grouped into
+counterpart in :class:`~repro.core.pmf.DiscretePMF` and to the paper's
+equations summed one impulse at a time (the reference model in
+``tests/reference/pmf.py``), regardless of how PMFs are grouped into
 batches or how much zero padding the shared grid introduces.  Two rules make
 this possible:
 
@@ -449,10 +450,8 @@ def packed_success_probability(
 
         P_ij = min(1, sum_t  P(machine j free at t) * P(exec_ij <= d_i - t))
 
-    over the impulses of machine ``j``'s availability, restricted to start
-    times strictly before the deadline — exactly what
-    :func:`repro.heuristics.scoring.fast_success_probability` computes for
-    one pair.
+    over the impulses of machine ``j``'s availability, in ascending time,
+    restricted to start times strictly before the deadline.
 
     Parameters
     ----------

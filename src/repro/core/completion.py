@@ -3,15 +3,15 @@
 Given the execution-time PMF of a task (a PET entry) and the completion-time
 PMF (PCT) of the task immediately ahead of it in a machine queue, this module
 computes the task's own completion-time PMF under the three dropping regimes
-of the paper:
+of the paper, one :class:`DroppingPolicy` each:
 
-* :func:`pct_no_drop` — Eq. 2, plain convolution, every mapped task runs to
+* ``NONE`` — Eq. 2, plain convolution, every mapped task runs to
   completion.
-* :func:`pct_pending_drop` — Eqs. 3-4, a *pending* task is dropped when its
-  deadline passes before it starts; the machine then becomes free when the
+* ``PENDING`` — Eqs. 3-4, a *pending* task is dropped when its deadline
+  passes before it starts; the machine then becomes free when the
   predecessor finishes.
-* :func:`pct_evict_drop` — Eq. 5, *any* task (including the executing one) is
-  dropped at its deadline; all residual mass collapses onto the deadline.
+* ``EVICT`` — Eq. 5, *any* task (including the executing one) is dropped
+  at its deadline; all residual mass collapses onto the deadline.
 
 Throughout, the returned PMF is best read as "the time at which the machine
 becomes available after dealing with this task" — which equals the task's
@@ -31,16 +31,10 @@ from .pmf import MASS_TOLERANCE, DiscretePMF, convolve_probs
 
 __all__ = [
     "DroppingPolicy",
-    "pct_no_drop",
-    "pct_pending_drop",
-    "pct_evict_drop",
-    "completion_pmf",
-    "completion_and_success",
     "ChainStep",
     "completion_step",
     "chain_step",
     "queue_completion_pmfs",
-    "start_pmf_for_idle_machine",
 ]
 
 
@@ -54,15 +48,6 @@ class DroppingPolicy(enum.Enum):
     #: Case C — any task, including the executing one, may be dropped
     #: (evicted) once its deadline passes.
     EVICT = "evict"
-
-
-def start_pmf_for_idle_machine(current_time: int) -> DiscretePMF:
-    """Availability PMF of an idle machine: a unit impulse at ``current_time``.
-
-    Convolving a PET entry with this point mass is the "shift by the arrival
-    time" of Section IV.
-    """
-    return DiscretePMF.point(int(current_time))
 
 
 class ChainStep(NamedTuple):
@@ -189,42 +174,6 @@ def _finish_step(
     completion = DiscretePMF._raw(merged, lo)._compact(merged.nonzero()[0])
     availability = completion if max_impulses is None else completion._rebin(max_impulses)
     return ChainStep(availability, prob, completion)
-
-
-def completion_pmf(
-    pet: DiscretePMF,
-    prev_pct: DiscretePMF,
-    deadline: int,
-    policy: DroppingPolicy = DroppingPolicy.EVICT,
-) -> DiscretePMF:
-    """The completion-time PMF of :func:`completion_step` under ``policy``."""
-    return completion_step(pet, prev_pct, deadline, policy).completion
-
-
-def pct_no_drop(pet: DiscretePMF, prev_pct: DiscretePMF) -> DiscretePMF:
-    """Eq. 2 — completion time when no mapped task can be dropped."""
-    return completion_pmf(pet, prev_pct, 0, DroppingPolicy.NONE)
-
-
-def pct_pending_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
-    """Eqs. 3-4 — completion time when pending tasks can be dropped."""
-    return completion_pmf(pet, prev_pct, deadline, DroppingPolicy.PENDING)
-
-
-def pct_evict_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
-    """Eq. 5 — completion time when even the executing task can be dropped."""
-    return completion_pmf(pet, prev_pct, deadline, DroppingPolicy.EVICT)
-
-
-def completion_and_success(
-    pet: DiscretePMF,
-    prev_pct: DiscretePMF,
-    deadline: int,
-    policy: DroppingPolicy = DroppingPolicy.EVICT,
-) -> tuple[DiscretePMF, float]:
-    """:func:`completion_pmf` and the task's success probability, from one step."""
-    step = completion_step(pet, prev_pct, deadline, policy)
-    return step.completion, step.success_probability
 
 
 def chain_step(

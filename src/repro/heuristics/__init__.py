@@ -11,11 +11,11 @@ from .baselines import (
     MinCompletionMaxUrgency,
     MinCompletionMinCompletion,
     MinCompletionSoonestDeadline,
+    urgency,
 )
 from .pam import PruningAwareMapper
 from .pamf import FairPruningMapper
 from .registry import HEURISTIC_NAMES, make_heuristic
-from .scoring import expected_completion, fast_success_probability, urgency
 
 __all__ = [
     "MappingHeuristic",
@@ -30,7 +30,5 @@ __all__ = [
     "FairPruningMapper",
     "HEURISTIC_NAMES",
     "make_heuristic",
-    "fast_success_probability",
-    "expected_completion",
     "urgency",
 ]

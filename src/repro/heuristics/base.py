@@ -277,8 +277,10 @@ class ScoreTable:
             elif kept < len(batch) and batch[kept] is task:
                 kept += 1
             else:  # the survivors are not the batch's prefix: start the rows over
-                kept = self.n = 0
+                kept = 0
                 break
+        if not kept:  # no row is kept: the rows start over in place
+            self.n = 0
         arrivals = batch[kept:]
         if 2 * kept < self.n or self.n + len(arrivals) > live.size:
             # Dead slots outnumber live ones, or the arrivals do not fit.

@@ -21,14 +21,44 @@ import itertools
 import numpy as np
 
 from .base import CandidatePair, TwoPhaseBatchHeuristic
-from .scoring import urgency
 
 __all__ = [
     "MinCompletionMinCompletion",
     "MinCompletionSoonestDeadline",
     "MinCompletionMaxUrgency",
     "MaxOntimeCompletions",
+    "urgency",
 ]
+
+
+def urgency(deadline, expected_completion_time):
+    """MMU urgency U = 1 / (deadline - E[completion]) (Section VI-C3).
+
+    Parameters
+    ----------
+    deadline:
+        Absolute deadline of the task(s): a number or an array.
+    expected_completion_time:
+        Expected completion time(s), ``E[availability] + E[execution]``
+        (``ScoreTable.completion``).
+
+    Returns
+    -------
+    float or np.ndarray
+        The urgency, elementwise; ``inf`` where the expected completion
+        already meets or exceeds the deadline.
+
+    Notes
+    -----
+    Tasks whose expected completion already exceeds their deadline are the
+    "least likely to succeed" tasks the paper criticises MMU for favouring;
+    they are treated as maximally urgent (``inf``) so the reproduction keeps
+    that behaviour.  One float64 subtraction and one division per element.
+    """
+    gap = np.subtract(deadline, expected_completion_time, dtype=np.float64)
+    out = np.full(np.shape(gap), np.inf)
+    np.divide(1.0, gap, out=out, where=~(gap <= 0))
+    return out[()]
 
 
 class MinCompletionMinCompletion(TwoPhaseBatchHeuristic):

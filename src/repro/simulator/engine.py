@@ -23,10 +23,10 @@ order, following the Firmament-style trace simulators.  Two scheduling
 modes share that heap:
 
 * **per-event mapping** (``batch_window=0``, the default and the paper's
-  protocol) — a mapping event fires at every event timestamp, exactly as
-  the pre-rework loop did.  This mode is bit-identical (atol=0) to the
-  frozen :class:`~repro.simulator.legacy.LegacyHCSimulator`, which the
-  differential property suite pins.
+  protocol) — a mapping event fires at every event timestamp.  This mode
+  is bit-identical (atol=0) to the per-event reference loop over a sorted
+  event list in ``tests/reference/loop.py``, which the differential
+  property suite pins.
 * **batched scheduling rounds** (``batch_window=W > 0``) — mapping events
   fire at most once per ``W`` time units; all tasks arriving within the
   window accumulate in the batch queue and are mapped together against a
@@ -477,8 +477,8 @@ class HCSimulator:
             return
         machine.finish_executing(task, now)
         self.state.notify_finish(machine.index, task)
-        finish_time = (task.exec_start or now) + (task.actual_execution_time or 0)
-        if finish_time <= now:
+        start = now if task.exec_start is None else task.exec_start
+        if start + (task.actual_execution_time or 0) <= now:
             task.mark_completed(now)
             self._counters.completions += 1
             if not task.on_time:
@@ -578,8 +578,8 @@ class HCSimulator:
         # Assignments are *applied* in decision order (that order decides who
         # wins the last free slot); under batched rounds the observer sees
         # them in ascending task-id order — the deterministic contract for
-        # round consumers — while per-event mode keeps the legacy decision
-        # order so the decision stream stays bit-identical to the old loop.
+        # round consumers — while per-event mode keeps the decision order,
+        # as the per-event reference loop reports it.
         applied: list[tuple[Task, int]] = []
         for assignment in decision.assignments:
             machine = self.machines[assignment.machine_index]

@@ -20,8 +20,8 @@ measurable.  The tuple order is load-bearing:
   payloads.
 
 The relative ``ARRIVAL < FINISH`` order and the per-kind FIFO tie-break are
-exactly the pre-rework engine's pop order, which is what keeps the heap loop
-bit-identical to the legacy loop at ``batch_window=0``.
+the pop order of the per-event reference loop (``tests/reference/loop.py``),
+which is what keeps the heap loop bit-identical to it at ``batch_window=0``.
 """
 
 from __future__ import annotations

@@ -109,7 +109,8 @@ class Machine:
             raise RuntimeError(
                 f"task {task.task_id} is not executing on machine {self.name}"
             )
-        self.busy_time += max(0, now - (task.exec_start or now))
+        if task.exec_start is not None:
+            self.busy_time += max(0, now - task.exec_start)
         self.executing = None
         self.queue_version += 1
 

@@ -1,8 +1,9 @@
-"""Exact-equivalence gate: batched kernels vs the scalar PMF API.
+"""Exact-equivalence gate: batched kernels vs the scalar PMF API and the model.
 
 Every comparison in this module is **zero tolerance** (``atol=0`` /
 bit-for-bit ``==``): the batched engine must produce exactly the floats the
-scalar path produces, no matter how PMFs are grouped into batches or how
+scalar path and the reference model's Eq. 1 (``tests/reference/pmf.py``)
+produce, no matter how PMFs are grouped into batches or how
 much padding the shared grid introduces.  These tests are the contract
 documented in :mod:`repro.core.batch`; do not loosen them to "close enough".
 """
@@ -27,7 +28,13 @@ from repro.core.batch import (
     sequential_sum,
 )
 from repro.core.pmf import DiscretePMF
-from repro.heuristics.scoring import fast_success_probability
+
+from reference import pmf as model
+
+
+def scalar_success(exec_pmf: DiscretePMF, availability: DiscretePMF, deadline: int) -> float:
+    """The model's Eq. 1 for one (task, machine) pair."""
+    return model.success_probability(exec_pmf.to_impulses(), availability.to_impulses(), deadline)
 
 
 def dense_values(pmf: DiscretePMF, lo: int, hi: int) -> np.ndarray:
@@ -195,7 +202,7 @@ class TestBatchedSuccessProbability:
         )
         for i in range(types.size):
             for j in machines:
-                scalar = fast_success_probability(
+                scalar = scalar_success(
                     small_gamma_pet.get(int(types[i]), j),
                     availabilities[j],
                     int(deadlines[i]),
@@ -350,7 +357,7 @@ def test_random_success_probability_matches_scalar(case):
     assert np.array_equal(listed, ref[rows[order], slots[order]])
     for i, (task_type, deadline) in enumerate(zip(types, deadlines)):
         for j, avail in enumerate(avail_pmfs):
-            assert out[i, j] == fast_success_probability(grid[task_type][j], avail, int(deadline))
+            assert out[i, j] == scalar_success(grid[task_type][j], avail, int(deadline))
 
 
 @settings(max_examples=25, deadline=None)

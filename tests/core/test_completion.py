@@ -1,21 +1,31 @@
-"""Tests of the completion-time model under task dropping (Eqs. 2-5)."""
+"""Tests of the completion-time model under task dropping (Eqs. 2-5).
+
+Every regime goes through the one chain step, :func:`completion_step`;
+``tests/core/test_reference_model.py`` pins it to the reference model.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.completion import (
-    DroppingPolicy,
-    completion_and_success,
-    completion_pmf,
-    pct_evict_drop,
-    pct_no_drop,
-    pct_pending_drop,
-    queue_completion_pmfs,
-    start_pmf_for_idle_machine,
-)
+from repro.core.completion import DroppingPolicy, completion_step, queue_completion_pmfs
 from repro.core.pmf import DiscretePMF
+
+
+def pct_no_drop(pet, prev):
+    """Eq. 2: the completion PMF when no mapped task can be dropped."""
+    return completion_step(pet, prev, 0, DroppingPolicy.NONE).completion
+
+
+def pct_pending_drop(pet, prev, deadline):
+    """Eqs. 3-4: the completion PMF when pending tasks can be dropped."""
+    return completion_step(pet, prev, deadline, DroppingPolicy.PENDING).completion
+
+
+def pct_evict_drop(pet, prev, deadline):
+    """Eq. 5: the completion PMF when even the executing task can be dropped."""
+    return completion_step(pet, prev, deadline, DroppingPolicy.EVICT).completion
 
 
 class TestNoDrop:
@@ -30,7 +40,7 @@ class TestNoDrop:
             assert result.probability_at(t) == pytest.approx(p)
 
     def test_idle_machine_shift(self, simple_pmf):
-        start = start_pmf_for_idle_machine(100)
+        start = DiscretePMF.point(100)
         result = pct_no_drop(simple_pmf, start)
         assert result.allclose(simple_pmf.shift(100))
 
@@ -104,25 +114,15 @@ class TestEvictDrop:
         assert far_evict.allclose(far_pending)
 
 
-class TestDispatcherAndChains:
-    def test_dispatcher_selects_policy(self, simple_pmf, fig2_prev_pct):
-        for policy, reference in [
-            (DroppingPolicy.NONE, pct_no_drop(simple_pmf, fig2_prev_pct)),
-            (DroppingPolicy.PENDING, pct_pending_drop(simple_pmf, fig2_prev_pct, 6)),
-            (DroppingPolicy.EVICT, pct_evict_drop(simple_pmf, fig2_prev_pct, 6)),
-        ]:
-            assert completion_pmf(simple_pmf, fig2_prev_pct, 6, policy).allclose(reference)
-
-    def test_dispatcher_rejects_unknown_policy(self, simple_pmf, fig2_prev_pct):
+class TestStepAndChains:
+    def test_step_rejects_unknown_policy(self, simple_pmf, fig2_prev_pct):
         with pytest.raises(ValueError):
-            completion_pmf(simple_pmf, fig2_prev_pct, 6, policy="bogus")  # type: ignore[arg-type]
-        with pytest.raises(ValueError):
-            completion_and_success(simple_pmf, fig2_prev_pct, 6, policy="bogus")  # type: ignore[arg-type]
+            completion_step(simple_pmf, fig2_prev_pct, 6, policy="bogus")  # type: ignore[arg-type]
 
     @pytest.mark.parametrize("policy", list(DroppingPolicy))
-    def test_completion_and_success_is_both_one_value_forms(self, policy, rng):
-        """One convolution, the same bits: the pair equals ``completion_pmf``
-        and the two-convolution success probability the pruner used to take."""
+    def test_success_probability_is_the_two_convolution_form(self, policy, rng):
+        """One convolution, the same bits as the success probability the
+        pruner used to take from a second convolution of the started branch."""
 
         def reference_success(pet, prev, deadline):
             if policy is DroppingPolicy.NONE:
@@ -142,11 +142,8 @@ class TestDispatcherAndChains:
         for prev in prevs:
             lo, hi = prev.min_time, prev.max_time + pet.max_time
             for deadline in (lo - 5, lo, lo + 1, (lo + hi) // 2, prev.max_time, hi, hi + 50):
-                pct, prob = completion_and_success(pet, prev, deadline, policy)
-                expected = completion_pmf(pet, prev, deadline, policy)
-                assert pct.offset == expected.offset
-                assert np.array_equal(pct.probs, expected.probs)
-                assert prob == reference_success(pet, prev, deadline)
+                step = completion_step(pet, prev, deadline, policy)
+                assert step.success_probability == reference_success(pet, prev, deadline)
 
     def test_queue_chain_lengths_and_monotone_means(self, simple_pmf):
         pets = [simple_pmf, simple_pmf, simple_pmf]

@@ -19,14 +19,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.completion import (
-    DroppingPolicy,
-    pct_evict_drop,
-    pct_no_drop,
-    pct_pending_drop,
-)
+from repro.core.completion import DroppingPolicy, completion_step
 from repro.core.pmf import DiscretePMF
-from repro.core.robustness import success_probability
+
+
+def pct_no_drop(pet, prev):
+    return completion_step(pet, prev, 0, DroppingPolicy.NONE).completion
+
+
+def pct_pending_drop(pet, prev, deadline):
+    return completion_step(pet, prev, deadline, DroppingPolicy.PENDING).completion
+
+
+def pct_evict_drop(pet, prev, deadline):
+    return completion_step(pet, prev, deadline, DroppingPolicy.EVICT).completion
+
+
+def success_probability(pet, prev, deadline, policy):
+    return completion_step(pet, prev, deadline, policy).success_probability
 
 
 @st.composite

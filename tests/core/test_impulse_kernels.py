@@ -8,15 +8,15 @@ work once, on impulses:
   pair list.  Before, every pair walked the union of all co-batched
   machines' non-zero start columns.  That body lives on here as the
   reference (``union_grid``): the packed grid, the pair list in any order
-  and the scalar ``fast_success_probability`` must all equal it bit for bit
-  — on every scoring call recorded from two real trials and on generated
-  operands with ragged impulse counts.
+  and the reference model's Eq. 1 (``tests/reference/pmf.py``) must all
+  equal it bit for bit — on every scoring call recorded from two real
+  trials and on generated operands with ragged impulse counts.
 * **the chain step** — ``completion_step`` computes Eqs. 2-5, the impulse
   cap, the task's success probability and its pre-cap completion PMF from
-  one convolution.  Before, ``completion_pmf(...).aggregate(cap)`` produced
-  the availability and a *second* convolution (``completion_and_success``)
-  the probability and the skewness; both are rebuilt here from the PMF
-  primitives (``old_*``) and must agree with the step bit for bit.
+  one convolution.  Before, the completion PMF's ``aggregate(cap)``
+  produced the availability and a *second* convolution the probability and
+  the skewness; both are rebuilt here from the PMF primitives (``old_*``)
+  and must agree with the step bit for bit.
 """
 
 from __future__ import annotations
@@ -37,20 +37,15 @@ from repro.core.batch import (
     packed_success_probability,
     sequential_sum,
 )
-from repro.core.completion import (
-    DroppingPolicy,
-    chain_step,
-    completion_and_success,
-    completion_pmf,
-    completion_step,
-)
+from repro.core.completion import DroppingPolicy, chain_step, completion_step
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable
 from repro.heuristics.registry import make_heuristic
-from repro.heuristics.scoring import fast_success_probability
 from repro.pet.builders import build_spec_pet, build_transcoding_pet
 from repro.simulator.engine import HCSimulator
 from repro.workload.traces import load_trace
+
+from reference import pmf as model
 
 REFERENCE_TRACE = (
     Path(__file__).resolve().parent.parent.parent
@@ -93,7 +88,7 @@ def union_grid(availabilities, grid_pmfs, type_indices, deadlines, machine_indic
 
 
 def assert_every_form_agrees(availabilities, grid_pmfs, execution, types, deadlines, machines, rng):
-    """Packed grid == union grid == permuted pair list == scalar, per pair."""
+    """Packed grid == union grid == permuted pair list == the model, per pair."""
     want = union_grid(availabilities, grid_pmfs, types, deadlines, machines)
     packed = pack_impulses(availabilities)
     assert np.array_equal(
@@ -112,9 +107,9 @@ def assert_every_form_agrees(availabilities, grid_pmfs, execution, types, deadli
     )
     assert np.array_equal(listed, want[rows[order], slots[order]])
     for row, slot in zip(rows[order].tolist(), slots[order].tolist()):
-        scalar = fast_success_probability(
-            grid_pmfs(int(types[row]), int(machines[slot])),
-            availabilities[slot],
+        scalar = model.success_probability(
+            grid_pmfs(int(types[row]), int(machines[slot])).to_impulses(),
+            availabilities[slot].to_impulses(),
             int(deadlines[row]),
         )
         assert scalar == want[row, slot]
@@ -356,7 +351,7 @@ def unequal_width_grid(draw):
     deadlines=st.lists(st.integers(-10, 700), min_size=1, max_size=5),
     seed=st.integers(0, 2**31),
 )
-def test_back_to_back_table_scores_equal_the_scalar_kernel(grid, availabilities, deadlines, seed):
+def test_back_to_back_table_scores_equal_the_model(grid, availabilities, deadlines, seed):
     rng = np.random.default_rng(seed)
     n_types, n_machines = len(grid), len(grid[0])
     availabilities = availabilities[:n_machines]
@@ -367,7 +362,9 @@ def test_back_to_back_table_scores_equal_the_scalar_kernel(grid, availabilities,
     )
     for row, (task_type, deadline) in enumerate(zip(types.tolist(), deadlines.tolist())):
         for machine, availability in enumerate(availabilities):
-            scalar = fast_success_probability(grid[task_type][machine], availability, deadline)
+            scalar = model.success_probability(
+                grid[task_type][machine].to_impulses(), availability.to_impulses(), deadline
+            )
             assert got[row, machine] == scalar
 
 
@@ -422,9 +419,6 @@ def assert_step_equals_the_old_forms(pet, prev, deadline):
             assert step.success_probability == want_prob
             assert step.completion.bounded_skewness() == want_pct.bounded_skewness()
             assert same_pmf(chain_step(pet, prev, deadline, policy, cap), step.availability)
-        assert same_pmf(completion_pmf(pet, prev, deadline, policy), want_pct)
-        got_pct, got_prob = completion_and_success(pet, prev, deadline, policy)
-        assert same_pmf(got_pct, want_pct) and got_prob == want_prob
 
 
 def random_operand(rng, *, dense: bool, mass: float = 1.0) -> DiscretePMF:

@@ -1,36 +1,52 @@
-"""Tests of robustness / success-probability evaluation (Eq. 1)."""
+"""Tests of robustness / success-probability evaluation (Eq. 1).
+
+Eq. 1 on a completion-time PMF is the reference model's ``robustness``;
+the engine reads a task's success probability off its chain step
+(:func:`completion_step`), and scores candidate pairs without the
+convolution (``packed_success_probability``, pinned to the model's scorer
+in ``tests/core/test_reference_model.py``).
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.completion import DroppingPolicy, completion_pmf
+from repro.core.completion import DroppingPolicy, completion_step
 from repro.core.pmf import DiscretePMF
-from repro.core.robustness import (
-    queue_success_probabilities,
-    robustness_of_pct,
-    success_probability,
-)
-from repro.heuristics.scoring import fast_success_probability
+
+from reference import pmf as model
+
+
+def success_probability(pet, prev, deadline, policy):
+    return completion_step(pet, prev, deadline, policy).success_probability
+
+
+def queue_success_probabilities(pets, deadlines, *, start, policy):
+    """Every queued task's success probability, head first, down one chain."""
+    probs, prev = [], start
+    for pet, deadline in zip(pets, deadlines):
+        step = completion_step(pet, prev, deadline, policy)
+        probs.append(step.success_probability)
+        prev = step.availability
+    return probs
 
 
 class TestRobustnessOfPct:
     def test_matches_cdf(self, simple_pmf):
         for deadline in range(0, 5):
-            assert robustness_of_pct(simple_pmf, deadline) == pytest.approx(
+            assert model.robustness(model.of(simple_pmf), deadline) == pytest.approx(
                 simple_pmf.cdf(deadline)
             )
 
     def test_clamped_to_one(self):
-        pmf = DiscretePMF.from_impulses({1: 0.5, 2: 0.5})
-        assert robustness_of_pct(pmf, 10) == pytest.approx(1.0)
+        assert model.robustness({1: 0.5, 2: 0.5}, 10) == pytest.approx(1.0)
 
     def test_paper_figure3_values(self):
         """The middle PMFs of Figure 3 all have robustness 0.75 at deadline 3."""
-        no_skew = DiscretePMF.from_impulses({2: 0.25, 3: 0.5, 4: 0.25})
-        left_skew = DiscretePMF.from_impulses({1: 0.15, 2: 0.25, 3: 0.35, 4: 0.25})
-        assert robustness_of_pct(no_skew, 3) == pytest.approx(0.75)
-        assert robustness_of_pct(left_skew, 3) == pytest.approx(0.75)
+        no_skew = {2: 0.25, 3: 0.5, 4: 0.25}
+        left_skew = {1: 0.15, 2: 0.25, 3: 0.35, 4: 0.25}
+        assert model.robustness(no_skew, 3) == pytest.approx(0.75)
+        assert model.robustness(left_skew, 3) == pytest.approx(0.75)
 
 
 class TestSuccessProbability:
@@ -56,19 +72,17 @@ class TestSuccessProbability:
 
     def test_evict_pct_would_overstate_success(self, simple_pmf, fig2_prev_pct):
         """The aggregated impulse at the deadline is eviction, not success —
-        success_probability must not count it."""
+        the step's success probability must not count it."""
         deadline = 5
-        pct = completion_pmf(simple_pmf, fig2_prev_pct, deadline, DroppingPolicy.EVICT)
-        naive = pct.cdf(deadline)
-        correct = success_probability(simple_pmf, fig2_prev_pct, deadline, DroppingPolicy.EVICT)
-        assert naive > correct
+        step = completion_step(simple_pmf, fig2_prev_pct, deadline, DroppingPolicy.EVICT)
+        assert step.completion.cdf(deadline) > step.success_probability
 
-    def test_agrees_with_fast_scoring_shortcut(self, simple_pmf, fig2_prev_pct):
-        for deadline in range(3, 10):
+    def test_agrees_with_the_scorer_without_convolution(self, simple_pmf, fig2_prev_pct):
+        for deadline in range(2, 12):
             slow = success_probability(
                 simple_pmf, fig2_prev_pct, deadline, DroppingPolicy.PENDING
             )
-            fast = fast_success_probability(simple_pmf, fig2_prev_pct, deadline)
+            fast = model.success_probability(model.of(simple_pmf), model.of(fig2_prev_pct), deadline)
             assert fast == pytest.approx(slow)
 
     def test_monotone_in_deadline(self, simple_pmf, fig2_prev_pct):
@@ -98,10 +112,6 @@ class TestQueueSuccessProbabilities:
         )
         assert probs[0] == pytest.approx(1.0)
         assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
-
-    def test_length_mismatch_rejected(self, simple_pmf):
-        with pytest.raises(ValueError):
-            queue_success_probabilities([simple_pmf], [1, 2], start=DiscretePMF.point(0))
 
     def test_probabilities_lie_in_unit_interval(self, simple_pmf):
         probs = queue_success_probabilities(

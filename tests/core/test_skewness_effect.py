@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.completion import DroppingPolicy
+from repro.core.completion import DroppingPolicy, completion_step
 from repro.core.pmf import DiscretePMF
-from repro.core.robustness import success_probability
+
+
+def success_probability(pet, prev, deadline, policy=DroppingPolicy.EVICT):
+    return completion_step(pet, prev, deadline, policy).success_probability
 
 
 @pytest.fixture

@@ -8,11 +8,12 @@ import pytest
 from repro.core.completion import DroppingPolicy
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable, VirtualSystemState
-from repro.heuristics.scoring import fast_success_probability
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext, batch_in_arrival_order
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
+
+from reference import pmf as model
 
 
 def make_task(task_id: int, *, task_type: int = 0, deadline: int = 500, arrival: int = 0) -> Task:
@@ -124,8 +125,8 @@ class TestScoreTable:
             for j in range(2):
                 exec_pmf = tiny_pet.get(task.task_type, j)
                 availability = virtual.availability(j)
-                assert table.robustness[i, j] == pytest.approx(
-                    fast_success_probability(exec_pmf, availability, task.deadline)
+                assert table.robustness[i, j] == model.success_probability(
+                    exec_pmf.to_impulses(), availability.to_impulses(), task.deadline
                 )
                 assert table.completion[i, j] == pytest.approx(
                     availability.mean() + exec_pmf.mean()

@@ -1,11 +1,10 @@
-"""ScoreTable's batched mapping-event scoring vs the scalar reference.
+"""ScoreTable's batched mapping-event scoring vs the reference model.
 
 The equivalence gate for the heuristics layer: a mapping event scored
 through the batched engine (`ScoreTable` -> `packed_success_probability`)
-must reproduce the scalar per-pair functions
-(:func:`fast_success_probability` / :func:`expected_completion`) **bit for
-bit** (``atol=0``), both on the first fill and after phase-2 commits
-trigger single-column rescores.
+must reproduce the reference model's per-pair Eq. 1 and expected
+completion (``tests/reference/pmf.py``) **bit for bit** (``atol=0``), both
+on the first fill and after phase-2 commits trigger single-column rescores.
 """
 
 from __future__ import annotations
@@ -16,13 +15,14 @@ from repro.core.completion import DroppingPolicy
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable, VirtualSystemState
 from repro.heuristics.registry import make_heuristic
-from repro.heuristics.scoring import expected_completion, fast_success_probability
 from repro.obs import NULL_TELEMETRY, Telemetry, use_telemetry
 from repro.simulator.engine import HCSimulator
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext, batch_in_arrival_order
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
+
+from reference import pmf as model
 
 
 def make_task(task_id: int, *, task_type: int = 0, deadline: int = 500, arrival: int = 0) -> Task:
@@ -52,7 +52,7 @@ def make_event(pet, *, now: int = 0, queue_plan=(), batch_plan=()) -> MappingCon
 
 
 def scalar_reference(pet, virtual, tasks):
-    """The pre-batching double loop, pair by pair through the scalar API."""
+    """The pre-batching double loop, pair by pair through the model."""
     n, m = len(tasks), len(virtual.free_slots)
     robustness = np.full((n, m), -1.0)
     completion = np.full((n, m), np.inf)
@@ -60,11 +60,12 @@ def scalar_reference(pet, virtual, tasks):
         for j, free in enumerate(virtual.free_slots):
             if free <= 0:
                 continue
-            exec_pmf = pet.get(task.task_type, j)
-            availability = virtual.availability(j)
-            robustness[i, j] = fast_success_probability(exec_pmf, availability, task.deadline)
-            if not availability.is_zero():
-                completion[i, j] = expected_completion(exec_pmf, availability)
+            exec_pmf = pet.get(task.task_type, j).to_impulses()
+            availability = virtual.availability(j).to_impulses()
+            robustness[i, j] = model.success_probability(exec_pmf, availability, task.deadline)
+            expected = model.expected_completion(exec_pmf, availability)
+            if expected == expected:  # no mass, no expected completion: inf
+                completion[i, j] = expected
     return robustness, completion
 
 

@@ -1,55 +1,53 @@
-"""Tests for the fast phase-1 scoring primitives."""
+"""Tests for phase-1 scoring of one candidate pair and the MMU urgency."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.completion import DroppingPolicy
+from repro.core.batch import CDFTable, pack_impulses, packed_success_probability
+from repro.core.completion import DroppingPolicy, completion_step
 from repro.core.pmf import DiscretePMF
-from repro.core.robustness import success_probability
-from repro.heuristics.scoring import expected_completion, fast_success_probability, urgency
+from repro.heuristics.baselines import urgency
 
 
-class TestFastSuccessProbability:
-    def test_matches_exact_computation(self, simple_pmf, fig2_prev_pct):
+def score(exec_pmf: DiscretePMF, availability: DiscretePMF, deadline: int) -> float:
+    """The scoring kernel on one (task, machine) pair."""
+    packed = pack_impulses([availability])
+    grid = packed_success_probability(
+        *packed, CDFTable.from_pmf(exec_pmf), np.array([0]), np.array([deadline])
+    )
+    return float(grid[0, 0])
+
+
+class TestPairScore:
+    def test_matches_the_chain_step(self, simple_pmf, fig2_prev_pct):
         for deadline in range(2, 12):
-            exact = success_probability(simple_pmf, fig2_prev_pct, deadline, DroppingPolicy.PENDING)
-            fast = fast_success_probability(simple_pmf, fig2_prev_pct, deadline)
-            assert fast == pytest.approx(exact)
+            exact = completion_step(simple_pmf, fig2_prev_pct, deadline, DroppingPolicy.PENDING)
+            assert score(simple_pmf, fig2_prev_pct, deadline) == pytest.approx(
+                exact.success_probability
+            )
 
     def test_idle_machine(self, simple_pmf):
         availability = DiscretePMF.point(10)
-        assert fast_success_probability(simple_pmf, availability, 13) == pytest.approx(1.0)
-        assert fast_success_probability(simple_pmf, availability, 12) == pytest.approx(0.75)
-        assert fast_success_probability(simple_pmf, availability, 10) == 0.0
+        assert score(simple_pmf, availability, 13) == pytest.approx(1.0)
+        assert score(simple_pmf, availability, 12) == pytest.approx(0.75)
+        assert score(simple_pmf, availability, 10) == 0.0
 
     def test_zero_when_start_at_or_after_deadline(self, simple_pmf):
         availability = DiscretePMF.point(20)
-        assert fast_success_probability(simple_pmf, availability, 20) == 0.0
-        assert fast_success_probability(simple_pmf, availability, 15) == 0.0
+        assert score(simple_pmf, availability, 20) == 0.0
+        assert score(simple_pmf, availability, 15) == 0.0
 
     def test_zero_mass_availability(self, simple_pmf):
-        assert fast_success_probability(simple_pmf, DiscretePMF.zero(), 100) == 0.0
+        assert score(simple_pmf, DiscretePMF.zero(), 100) == 0.0
 
     def test_monotone_in_deadline(self, simple_pmf, fig2_prev_pct):
-        values = [
-            fast_success_probability(simple_pmf, fig2_prev_pct, d) for d in range(2, 15)
-        ]
+        values = [score(simple_pmf, fig2_prev_pct, d) for d in range(2, 15)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_bounded_by_one(self, simple_pmf, fig2_prev_pct):
-        assert fast_success_probability(simple_pmf, fig2_prev_pct, 1000) <= 1.0
-
-
-class TestExpectedCompletion:
-    def test_sum_of_means(self, simple_pmf, fig2_prev_pct):
-        assert expected_completion(simple_pmf, fig2_prev_pct) == pytest.approx(
-            simple_pmf.mean() + fig2_prev_pct.mean()
-        )
-
-    def test_matches_convolution_mean(self, simple_pmf, fig2_prev_pct):
-        conv_mean = simple_pmf.convolve(fig2_prev_pct).mean()
-        assert expected_completion(simple_pmf, fig2_prev_pct) == pytest.approx(conv_mean)
+        assert score(simple_pmf, fig2_prev_pct, 1000) <= 1.0
 
 
 class TestUrgency:
@@ -62,3 +60,7 @@ class TestUrgency:
     def test_impossible_task_is_maximally_urgent(self):
         assert urgency(50, 50) == float("inf")
         assert urgency(40, 50) == float("inf")
+
+    def test_elementwise_on_arrays(self):
+        got = urgency(np.array([60, 50, 70]), np.array([50.0, 50.0, 60.0]))
+        assert got.tolist() == [pytest.approx(0.1), float("inf"), pytest.approx(0.1)]

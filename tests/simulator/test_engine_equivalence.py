@@ -1,19 +1,20 @@
-"""Differential property harness: heap engine vs the frozen legacy loop.
+"""Differential property harness: heap engine vs the reference loop.
 
-The PR 7 rework rebuilt :class:`~repro.simulator.engine.HCSimulator` around
-a single global event heap with optional batched scheduling rounds.  The
-pre-rework loop is frozen verbatim as
-:class:`~repro.simulator.legacy.LegacyHCSimulator`, and this suite is the
-gate that the rework changed nothing observable at ``batch_window=0``:
+:class:`~repro.simulator.engine.HCSimulator` runs a single global event
+heap with optional batched scheduling rounds.  At ``batch_window=0`` it
+must decide exactly as the per-event reference loop of
+``tests/reference/loop.py``, which drives the same machines, state and
+mappers from a sorted event list:
 
 * **Hypothesis differential tests** — random traces replayed through both
-  loops must produce identical *decision sequences* (every observer
-  callback, in order) and identical metrics, with atol=0;
+  loops, with eviction at the deadline on and off, must produce identical
+  *decision sequences* (every observer callback, in order) and identical
+  metrics, with atol=0;
 * the heap engine is driven two ways: ``run``, which advances the clock
   to each arrival before injecting it (the one arrival path the serving
   layer shares), and an eager replay that injects the whole trace before
-  the first event — both must match the legacy loop;
-* the **660-task reference trace** is pinned heuristic by heuristic;
+  the first event — both must match the reference loop;
+* the **660-task reference trace** is pinned for all six mappers;
 * under **batched rounds** (``batch_window > 0``) the engine keeps its
   documented contracts: streaming equals batch replay, observer
   ``on_assigned`` callbacks of one round surface in ascending task-id
@@ -29,7 +30,6 @@ gate that the rework changed nothing observable at ``batch_window=0``:
   0 and dropping off defer nothing, drop nothing proactively, and drop a
   task only at or after its deadline.
 """
-
 from __future__ import annotations
 
 from bisect import bisect_right
@@ -49,13 +49,14 @@ from repro.pruning.thresholds import PruningThresholds
 from repro.serve.service import SchedulerCore
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.events import EventKind
-from repro.simulator.legacy import LegacyHCSimulator
 from repro.simulator.metrics import NONE, OUTCOME_FIELDS
 from repro.simulator.task import DropReason
 from repro.workload.generator import WorkloadConfig, WorkloadTrace
 from repro.workload.scale import SCALE_TRACE_SEED, scale_trace
 from repro.workload.spec import TaskSpec
 from repro.workload.traces import load_trace
+
+from reference.loop import ReferenceLoop
 
 REFERENCE_TRACE = (
     Path(__file__).resolve().parent.parent.parent
@@ -64,6 +65,7 @@ REFERENCE_TRACE = (
 )
 
 HEURISTICS = ["MM", "PAM", "PAMF"]
+ALL_HEURISTICS = ["MM", "MSD", "MMU", "MOC", "PAM", "PAMF"]
 
 
 class RecordingObserver:
@@ -114,9 +116,9 @@ def _signature(result):
     )
 
 
-def _run_legacy(pet, trace, *, heuristic="PAMF", seed=17):
-    sim = LegacyHCSimulator(
-        pet, make_heuristic(heuristic, num_task_types=pet.num_task_types), rng=seed
+def _run_reference(pet, trace, *, heuristic="PAMF", seed=17, config=None):
+    sim = ReferenceLoop(
+        pet, make_heuristic(heuristic, num_task_types=pet.num_task_types), config=config, rng=seed
     )
     observer = RecordingObserver()
     sim.observer = observer
@@ -175,49 +177,51 @@ def traces(draw, *, max_tasks: int = 20, num_types: int = 3) -> WorkloadTrace:
 
 
 # ----------------------------------------------------------------------
-# Differential: heap loop vs legacy loop at batch_window=0
+# Differential: heap loop vs reference loop at batch_window=0
 # ----------------------------------------------------------------------
 
 
-class TestHeapMatchesLegacy:
-    @given(trace=traces(), data=st.data())
+class TestHeapMatchesReference:
+    @given(trace=traces(), data=st.data(), evict=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_batch_replay_identical(self, tiny_pet, trace, data):
+    def test_batch_replay_identical(self, tiny_pet, trace, data, evict):
         heuristic = data.draw(st.sampled_from(HEURISTICS))
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
-        legacy_result, legacy_log = _run_legacy(
-            tiny_pet, trace, heuristic=heuristic, seed=seed
+        config = SimulatorConfig(evict_executing_at_deadline=evict)
+        reference_result, reference_log = _run_reference(
+            tiny_pet, trace, heuristic=heuristic, seed=seed, config=config
         )
         heap_result, heap_log = _run_heap(
-            tiny_pet, trace, heuristic=heuristic, seed=seed
+            tiny_pet, trace, heuristic=heuristic, seed=seed, config=config
         )
-        assert heap_log == legacy_log
-        assert _signature(heap_result) == _signature(legacy_result)
+        assert heap_log == reference_log
+        assert _signature(heap_result) == _signature(reference_result)
 
-    @given(trace=traces(), data=st.data())
+    @given(trace=traces(), data=st.data(), evict=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_mid_trace_stream_injection_identical(self, tiny_pet, trace, data):
+    def test_mid_trace_stream_injection_identical(self, tiny_pet, trace, data, evict):
         heuristic = data.draw(st.sampled_from(HEURISTICS))
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
-        legacy_result, legacy_log = _run_legacy(
-            tiny_pet, trace, heuristic=heuristic, seed=seed
+        config = SimulatorConfig(evict_executing_at_deadline=evict)
+        reference_result, reference_log = _run_reference(
+            tiny_pet, trace, heuristic=heuristic, seed=seed, config=config
         )
         heap_result, heap_log = _run_heap(
-            tiny_pet, trace, heuristic=heuristic, seed=seed, streamed=True
+            tiny_pet, trace, heuristic=heuristic, seed=seed, config=config, streamed=True
         )
-        assert heap_log == legacy_log
-        assert _signature(heap_result) == _signature(legacy_result)
+        assert heap_log == reference_log
+        assert _signature(heap_result) == _signature(reference_result)
 
     @given(trace=traces(), seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_explicit_window_zero_config_identical(self, tiny_pet, trace, seed):
-        """``batch_window=0`` spelled out is the per-event legacy protocol."""
-        legacy_result, legacy_log = _run_legacy(tiny_pet, trace, seed=seed)
+        """``batch_window=0`` spelled out is the per-event protocol."""
+        reference_result, reference_log = _run_reference(tiny_pet, trace, seed=seed)
         heap_result, heap_log = _run_heap(
             tiny_pet, trace, seed=seed, config=SimulatorConfig(batch_window=0)
         )
-        assert heap_log == legacy_log
-        assert _signature(heap_result) == _signature(legacy_result)
+        assert heap_log == reference_log
+        assert _signature(heap_result) == _signature(reference_result)
 
     @given(
         trace=traces(),
@@ -236,23 +240,21 @@ class TestHeapMatchesLegacy:
         assert _signature(stream_result) == _signature(replay_result)
 
 
-@pytest.mark.parametrize("heuristic", HEURISTICS)
-def test_reference_trace_pinned_against_legacy(heuristic):
-    """Acceptance gate: 660-task reference trace, heap vs legacy, atol=0."""
+@pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
+def test_reference_trace_pinned_against_the_reference_loop(heuristic):
+    """Acceptance gate: 660-task reference trace, heap vs reference loop, atol=0."""
     trace = load_trace(REFERENCE_TRACE)
     pet = build_transcoding_pet(rng=2019)
-    legacy_result, legacy_log = _run_legacy(pet, trace, heuristic=heuristic, seed=2021)
+    reference_result, reference_log = _run_reference(pet, trace, heuristic=heuristic, seed=2021)
     heap_result, heap_log = _run_heap(pet, trace, heuristic=heuristic, seed=2021)
-    assert heap_log == legacy_log
-    assert _signature(heap_result) == _signature(legacy_result)
+    assert heap_log == reference_log
+    assert _signature(heap_result) == _signature(reference_result)
 
 
-def test_legacy_loop_refuses_batched_rounds(tiny_pet):
+def test_reference_loop_refuses_batched_rounds(tiny_pet):
     heuristic = make_heuristic("MM", num_task_types=tiny_pet.num_task_types)
-    with pytest.raises(ValueError, match="legacy reference loop"):
-        LegacyHCSimulator(
-            tiny_pet, heuristic, config=SimulatorConfig(batch_window=4)
-        )
+    with pytest.raises(ValueError, match="maps at every event"):
+        ReferenceLoop(tiny_pet, heuristic, config=SimulatorConfig(batch_window=4))
 
 
 # ----------------------------------------------------------------------
@@ -531,15 +533,6 @@ _START_AT_ZERO = WorkloadTrace(
 
 
 class TestNoPruningAheadOfDeadline:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=(
-            "the finish handler reads exec_start 0 as unset ((exec_start or now) "
-            "in HCSimulator._handle_finish), so a task started at time 0 is "
-            "evicted at its finish, ahead of its deadline"
-        ),
-    )
     @example(
         trace=_START_AT_ZERO, seed=0, window=0, heuristic="PAM", streamed=False
     )
