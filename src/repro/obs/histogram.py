@@ -105,10 +105,6 @@ class LogBucketHistogram:
         return self.count
 
     @property
-    def num_buckets(self) -> int:
-        return len(self._counts)
-
-    @property
     def mean(self) -> float:
         return self.total / self.count if self.count else float("nan")
 

@@ -36,7 +36,6 @@ per run, not per call.
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Mapping
 
 from .histogram import LogBucketHistogram
 
@@ -92,9 +91,6 @@ class NullTelemetry:
         return None
 
     def count(self, name: str, value: int = 1) -> None:
-        return None
-
-    def set_count(self, name: str, value: int) -> None:
         return None
 
     def gauge(self, name: str, value: float) -> None:
@@ -175,10 +171,6 @@ class Telemetry:
         """Add ``value`` to a monotone counter."""
         self.counters[name] = self.counters.get(name, 0) + int(value)
 
-    def set_count(self, name: str, value: int) -> None:
-        """Set a counter to an absolute total (idempotent publishing)."""
-        self.counters[name] = int(value)
-
     def gauge(self, name: str, value: float) -> None:
         """Record the latest value of a point-in-time measurement."""
         self.gauges[name] = float(value)
@@ -190,12 +182,6 @@ class Telemetry:
             hist = LogBucketHistogram(lo=_TIMING_LO_S, hi=_TIMING_HI_S)
             self.timings[name] = hist
         hist.record(duration_ns * 1e-9)
-
-    # ------------------------------------------------------------------
-    def merge_counts(self, counts: Mapping[str, int]) -> None:
-        """Fold a mapping of counter totals in (additive)."""
-        for name, value in counts.items():
-            self.count(name, int(value))
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,6 @@ actual runtimes from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
 import numpy as np
 
 from ..core.batch import CDFTable
@@ -62,26 +60,6 @@ class PETMatrix:
         self.pmfs = pmfs
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_mapping(
-        cls,
-        entries: Mapping[tuple[str, str], DiscretePMF],
-        task_types: Sequence[str],
-        machine_names: Sequence[str],
-    ) -> "PETMatrix":
-        """Build a matrix from a ``{(task_type, machine): pmf}`` mapping."""
-        rows = []
-        for t in task_types:
-            row = []
-            for m in machine_names:
-                try:
-                    row.append(entries[(t, m)])
-                except KeyError as exc:
-                    raise KeyError(f"missing PET entry for ({t!r}, {m!r})") from exc
-            rows.append(tuple(row))
-        return cls(tuple(task_types), tuple(machine_names), tuple(rows))
-
-    # ------------------------------------------------------------------
     @property
     def num_task_types(self) -> int:
         return len(self.task_types)
@@ -112,10 +90,6 @@ class PETMatrix:
             raise IndexError(f"machine index {m} out of range")
         return self.pmfs[t][m]
 
-    def __getitem__(self, key: tuple[int | str, int | str]) -> DiscretePMF:
-        task_type, machine = key
-        return self.get(task_type, machine)
-
     # ------------------------------------------------------------------
     def mean_execution_times(self) -> np.ndarray:
         """``(num_task_types, num_machines)`` array of PMF means (cached)."""
@@ -142,11 +116,6 @@ class PETMatrix:
         if self._cdf_cache is None:
             self._cdf_cache = CDFTable.from_grid(self.pmfs)
         return self._cdf_cache
-
-    def mean_execution_time(self, task_type: int | str, machine: int | str) -> float:
-        t = task_type if isinstance(task_type, int) else self.task_type_index(task_type)
-        m = machine if isinstance(machine, int) else self.machine_index(machine)
-        return float(self.mean_execution_times()[t, m])
 
     def task_type_mean(self, task_type: int | str) -> float:
         """Mean execution time of a task type averaged over all machines.

@@ -9,7 +9,6 @@ from .oversubscription import (
 from .pruner import Pruner, QueuePruneReport
 from .thresholds import (
     PruningThresholds,
-    adjusted_dropping_threshold,
     skewness_position_adjustment,
 )
 
@@ -17,7 +16,6 @@ __all__ = [
     "Pruner",
     "QueuePruneReport",
     "PruningThresholds",
-    "adjusted_dropping_threshold",
     "skewness_position_adjustment",
     "OversubscriptionDetector",
     "ExponentialMovingAverage",

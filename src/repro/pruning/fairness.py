@@ -11,7 +11,7 @@ in [0, 1] (0 = no sufferage).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -69,20 +69,6 @@ class SufferageTracker:
         self.version += 1
 
     # ------------------------------------------------------------------
-    def relaxed_threshold(self, base_threshold: float, task_type: int) -> float:
-        """Fair pruning threshold: base threshold minus the type's sufferage."""
-        return float(max(0.0, base_threshold - self.sufferage_of(task_type)))
-
     def reset(self) -> None:
         self._sufferage[:] = 0.0
         self.version += 1
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def fairness_of(per_type_completion_percent: Sequence[float]) -> float:
-        """Fairness metric of Figure 6: variance of per-type completion %."""
-        arr = np.asarray(per_type_completion_percent, dtype=np.float64)
-        valid = arr[~np.isnan(arr)]
-        if valid.size == 0:
-            return 0.0
-        return float(np.var(valid))

@@ -63,10 +63,6 @@ class SchmittTrigger:
         self.off_level = float(on_level) * (1.0 - separation)
         self._state = bool(initially_on)
 
-    @property
-    def is_on(self) -> bool:
-        return self._state
-
     def update(self, value: float) -> bool:
         if self._state:
             if value <= self.off_level:
@@ -110,10 +106,6 @@ class OversubscriptionDetector:
     def level(self) -> float:
         """Current oversubscription level d_tau."""
         return self._ewma.value
-
-    @property
-    def dropping_engaged(self) -> bool:
-        return self._trigger.is_on
 
     def observe(self, misses_since_last_event: int) -> bool:
         """Update with the misses since the last mapping event; return the toggle."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ..core.pmf import DiscretePMF
 
-__all__ = ["PruningThresholds", "adjusted_dropping_threshold", "skewness_position_adjustment"]
+__all__ = ["PruningThresholds", "skewness_position_adjustment"]
 
 
 def skewness_position_adjustment(
@@ -48,20 +48,6 @@ def skewness_position_adjustment(
     if rho < 0:
         raise ValueError("rho must be non-negative")
     return (-skewness * rho) / (queue_position + 1)
-
-
-def adjusted_dropping_threshold(
-    base_threshold: float,
-    completion_pmf: DiscretePMF,
-    queue_position: int,
-    *,
-    rho: float = 0.05,
-) -> float:
-    """Dynamic per-task dropping threshold ``base + phi_i`` clipped to [0, 1]."""
-    phi = skewness_position_adjustment(
-        completion_pmf.bounded_skewness(), queue_position, rho=rho
-    )
-    return float(min(1.0, max(0.0, base_threshold + phi)))
 
 
 @dataclass(frozen=True)
@@ -151,12 +137,3 @@ class PruningThresholds:
     def should_defer(self, success_probability: float, threshold: float) -> bool:
         """Defer when the best robustness fails to *meet* the threshold."""
         return success_probability < threshold
-
-    def with_gap(self, gap: float) -> "PruningThresholds":
-        """A copy whose deferring threshold is ``dropping + gap`` (Figure 5 sweep)."""
-        return PruningThresholds(
-            dropping=self.dropping,
-            deferring=float(min(1.0, self.dropping + gap)),
-            rho=self.rho,
-            dynamic_per_task=self.dynamic_per_task,
-        )

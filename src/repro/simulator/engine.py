@@ -350,17 +350,6 @@ class HCSimulator:
             end_time=self._now,
         )
 
-    @property
-    def pending_events(self) -> int:
-        """Pending *task* events (arrivals/finishes) still in the heap.
-
-        Round markers are bookkeeping, not workload, and are excluded from
-        the count.
-        """
-        return self.events.count_kind(EventKind.ARRIVAL) + self.events.count_kind(
-            EventKind.FINISH
-        )
-
     # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------

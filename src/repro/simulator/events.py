@@ -60,9 +60,6 @@ class EventManager:
         self._heap: list[tuple[int, int, int, int]] = []
         self._seq = itertools.count()
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         return bool(self._heap)
 
@@ -81,7 +78,3 @@ class EventManager:
     def pending_at(self, time: int) -> bool:
         """Whether the head of the heap sits exactly at ``time``."""
         return bool(self._heap) and self._heap[0][0] == time
-
-    def count_kind(self, kind: EventKind) -> int:
-        """Pending events of one kind (diagnostics; O(n))."""
-        return sum(1 for entry in self._heap if entry[1] == int(kind))

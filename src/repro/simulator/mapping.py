@@ -13,7 +13,6 @@ unit-testable without running a full simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..core.completion import DroppingPolicy, completion_step
 from ..core.pmf import DiscretePMF
@@ -123,20 +122,6 @@ class MappingContext:
         self.state.offer_step(machine_index, task, prev, step)
         return step.availability
 
-    def execution_pmf(self, task: Task, machine_index: int) -> DiscretePMF:
-        """PET entry of a task on a machine."""
-        return self.pet.get(task.task_type, machine_index)
-
-    def free_slots(self) -> int:
-        """Total free machine-queue slots across the system."""
-        return sum(m.free_slots for m in self.machines)
-
-    def batch_task(self, task_id: int) -> Task:
-        for task in self.batch:
-            if task.task_id == task_id:
-                return task
-        raise KeyError(f"task {task_id} is not in the batch queue")
-
 
 @dataclass
 class MappingDecision:
@@ -155,14 +140,6 @@ class MappingDecision:
         task_id = task if isinstance(task, int) else task.task_id
         machine_index = machine if isinstance(machine, int) else machine.index
         self.assignments.append(Assignment(task_id, machine_index))
-
-    def drop_from_queue(self, task: Task | int, machine: Machine | int) -> None:
-        task_id = task if isinstance(task, int) else task.task_id
-        machine_index = machine if isinstance(machine, int) else machine.index
-        self.queue_drops.append(QueueDrop(task_id, machine_index))
-
-    def defer(self, task: Task | int) -> None:
-        self.deferrals.append(task if isinstance(task, int) else task.task_id)
 
     def validate(self, context: MappingContext) -> None:
         """Sanity-check the decision against the context it was made for."""
@@ -192,8 +169,3 @@ class MappingDecision:
                     f"queue drop references task {drop.task_id} not queued on machine "
                     f"{drop.machine_index}"
                 )
-
-
-def batch_in_arrival_order(tasks: Sequence[Task]) -> tuple[Task, ...]:
-    """Helper used by the engine: batch queue sorted by arrival then id."""
-    return tuple(sorted(tasks, key=lambda t: (t.arrival, t.task_id)))

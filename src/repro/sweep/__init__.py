@@ -29,7 +29,7 @@ Quickstart::
         print(series.label, series.mean_robustness())
 """
 
-from .backends import Backend, LocalBackend, TrialResult, TrialTask
+from .backends import LocalBackend, TrialResult, TrialTask
 from .cache import CacheEntry, CacheStats, ResultCache
 from .executor import (
     ParallelExecutor,
@@ -54,7 +54,6 @@ from .spec import (
 from .trial import TrialMetrics, execute_trial
 
 __all__ = [
-    "Backend",
     "CACHE_SCHEMA_VERSION",
     "CacheEntry",
     "CacheStats",

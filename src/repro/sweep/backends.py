@@ -17,21 +17,22 @@ into the same deterministic entry point
 (:func:`repro.sweep.executor._execute_point_trial`, seeded by spawn
 position), so the worker count is a pure performance knob, bit-identical
 for every ``jobs`` setting and deliberately excluded from sweep cache keys.
-The :class:`Backend` protocol stays so tests can substitute a fake.
+Tests substitute a fake by passing any object with these four methods as
+``ParallelExecutor(backend=...)``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .trial import TrialMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .spec import SweepPoint
 
-__all__ = ["Backend", "LocalBackend", "TrialResult", "TrialTask"]
+__all__ = ["LocalBackend", "TrialResult", "TrialTask"]
 
 
 @dataclass(frozen=True)
@@ -50,26 +51,6 @@ class TrialResult:
     point_index: int
     trial_index: int
     metrics: TrialMetrics
-
-
-class Backend(Protocol):
-    """The executor-facing lifecycle every backend implements."""
-
-    def submit_trials(self, tasks: Sequence[TrialTask]) -> None:
-        """Accept the full set of trials to run (called exactly once)."""
-        ...  # pragma: no cover - protocol
-
-    def drain_results(self) -> Iterator[TrialResult]:
-        """Yield results as trials finish, until every submitted trial did."""
-        ...  # pragma: no cover - protocol
-
-    def cancel(self) -> list[TrialResult]:
-        """Stop outstanding work; return finished-but-undrained results."""
-        ...  # pragma: no cover - protocol
-
-    def close(self) -> None:
-        """Release pools/processes; idempotent."""
-        ...  # pragma: no cover - protocol
 
 
 def _run_trial(task: TrialTask) -> TrialResult:

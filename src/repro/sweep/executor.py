@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable
 
 from ..obs.telemetry import active as obs_active
 from ..simulator.engine import SimulatorConfig
-from .backends import Backend, LocalBackend, TrialResult, TrialTask
+from .backends import LocalBackend, TrialResult, TrialTask
 from .cache import ResultCache
 from .progress import PointReport, ProgressCallback
 from .spec import (
@@ -155,8 +155,7 @@ class ParallelExecutor:
     """Drives a :class:`SweepSpec` to completion with caching and progress.
 
     Trials run on a :class:`~repro.sweep.backends.LocalBackend` with
-    ``jobs`` workers; ``backend`` substitutes a ready-made
-    :class:`~repro.sweep.backends.Backend` instance instead.
+    ``jobs`` workers; ``backend`` substitutes a ready-made one instead.
     """
 
     def __init__(
@@ -165,7 +164,7 @@ class ParallelExecutor:
         jobs: int = 1,
         cache: ResultCache | None = None,
         progress: ProgressCallback | None = None,
-        backend: Backend | None = None,
+        backend: LocalBackend | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")

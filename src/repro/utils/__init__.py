@@ -1,14 +1,12 @@
 """Shared utilities: seeded RNG management, summary statistics, formatting."""
 
-from .rng import spawn_generators, make_generator
-from .stats import confidence_interval_95, mean_and_ci, summarize
+from .rng import make_generator
+from .stats import confidence_interval_95, summarize
 from .tables import format_table
 
 __all__ = [
-    "spawn_generators",
     "make_generator",
     "confidence_interval_95",
-    "mean_and_ci",
     "summarize",
     "format_table",
 ]

@@ -2,15 +2,16 @@
 
 Every stochastic component of the library takes a ``numpy.random.Generator``
 argument so that trials are reproducible.  Experiment drivers derive
-independent child generators with ``SeedSequence.spawn``, which guarantees
-statistically independent streams for the 30-trial experiments of the paper.
+independent per-trial streams with ``SeedSequence.spawn``
+(:func:`repro.sweep.spec.spawn_trial_seeds`), which guarantees statistically
+independent streams for the 30-trial experiments of the paper.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_generator", "spawn_generators"]
+__all__ = ["make_generator"]
 
 
 def make_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -18,11 +19,3 @@ def make_generator(seed: int | np.random.Generator | None) -> np.random.Generato
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_generators(seed: int | None, count: int) -> list[np.random.Generator]:
-    """Create ``count`` independent generators derived from one master seed."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

@@ -1,7 +1,7 @@
 """Summary statistics used by the experiment harness.
 
 The paper reports the mean and the 95 % confidence interval over 30 workload
-trials; :func:`mean_and_ci` reproduces that using a Student-t interval.
+trials; :func:`summarize` reproduces that using a Student-t interval.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["confidence_interval_95", "mean_and_ci", "Summary", "summarize"]
+__all__ = ["confidence_interval_95", "Summary", "summarize"]
 
 
 def confidence_interval_95(values: Sequence[float]) -> float:
@@ -31,14 +31,6 @@ def confidence_interval_95(values: Sequence[float]) -> float:
         return 0.0
     t_crit = sp_stats.t.ppf(0.975, df=arr.size - 1)
     return float(t_crit * sem)
-
-
-def mean_and_ci(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and 95 % CI half-width of a sequence of trial results."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return float("nan"), 0.0
-    return float(arr.mean()), confidence_interval_95(arr)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from .arrivals import (
     generate_arrival_times,
     spread_tasks_over_types,
 )
-from .deadlines import DeadlineModel, deadline_for
+from .deadlines import DeadlineModel
 from .generator import WorkloadConfig, WorkloadTrace, generate_workload
 from .scale import (
     SCALE_TRACE_SEED,
@@ -37,7 +37,6 @@ __all__ = [
     "WorkloadTrace",
     "generate_workload",
     "DeadlineModel",
-    "deadline_for",
     "gamma_interarrival_times",
     "generate_arrival_times",
     "spread_tasks_over_types",

@@ -14,23 +14,7 @@ from __future__ import annotations
 
 from ..pet.matrix import PETMatrix
 
-__all__ = ["deadline_for", "DeadlineModel"]
-
-
-def deadline_for(
-    arrival: int,
-    task_type: int,
-    pet: PETMatrix,
-    *,
-    beta: float = 1.0,
-) -> int:
-    """Deadline of one task following the paper's slack formula."""
-    if beta < 0:
-        raise ValueError("slack coefficient beta must be non-negative")
-    avg_type = pet.task_type_mean(task_type)
-    avg_all = pet.overall_mean()
-    deadline = arrival + avg_type + beta * avg_all
-    return int(round(deadline))
+__all__ = ["DeadlineModel"]
 
 
 class DeadlineModel:

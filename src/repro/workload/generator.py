@@ -60,11 +60,6 @@ class WorkloadConfig:
         if self.variance_fraction <= 0:
             raise ValueError("variance_fraction must be positive")
 
-    @property
-    def arrival_rate(self) -> float:
-        """Average tasks arriving per time unit."""
-        return self.num_tasks / self.time_span
-
 
 @dataclass(frozen=True)
 class WorkloadTrace:
@@ -92,14 +87,6 @@ class WorkloadTrace:
 
     def __getitem__(self, index: int) -> TaskSpec:
         return self.tasks[index]
-
-    @property
-    def makespan_lower_bound(self) -> int:
-        """Last arrival time — the trace cannot finish before this instant."""
-        return self.tasks[-1].arrival if self.tasks else 0
-
-    def tasks_of_type(self, task_type: int) -> list[TaskSpec]:
-        return [t for t in self.tasks if t.task_type == task_type]
 
     def type_counts(self) -> np.ndarray:
         counts = np.zeros(self.num_task_types, dtype=np.int64)

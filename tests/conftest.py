@@ -81,15 +81,18 @@ def tiny_pet() -> PETMatrix:
     "gamma" is long everywhere.  Deterministic (no sampling) so tests can
     reason about exact probabilities.
     """
-    entries = {
-        ("alpha", "fast-a"): _deterministic_pmf({4: 0.5, 5: 0.25, 6: 0.25}),
-        ("alpha", "fast-b"): _deterministic_pmf({8: 0.5, 10: 0.5}),
-        ("beta", "fast-a"): _deterministic_pmf({9: 0.5, 11: 0.5}),
-        ("beta", "fast-b"): _deterministic_pmf({3: 0.5, 4: 0.25, 5: 0.25}),
-        ("gamma", "fast-a"): _deterministic_pmf({12: 0.5, 14: 0.25, 16: 0.25}),
-        ("gamma", "fast-b"): _deterministic_pmf({13: 0.5, 15: 0.25, 17: 0.25}),
-    }
-    return PETMatrix.from_mapping(entries, ["alpha", "beta", "gamma"], ["fast-a", "fast-b"])
+    return PETMatrix(
+        ("alpha", "beta", "gamma"),
+        ("fast-a", "fast-b"),
+        (
+            (_deterministic_pmf({4: 0.5, 5: 0.25, 6: 0.25}), _deterministic_pmf({8: 0.5, 10: 0.5})),
+            (_deterministic_pmf({9: 0.5, 11: 0.5}), _deterministic_pmf({3: 0.5, 4: 0.25, 5: 0.25})),
+            (
+                _deterministic_pmf({12: 0.5, 14: 0.25, 16: 0.25}),
+                _deterministic_pmf({13: 0.5, 15: 0.25, 17: 0.25}),
+            ),
+        ),
+    )
 
 
 @pytest.fixture(scope="session")

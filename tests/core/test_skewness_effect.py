@@ -67,9 +67,10 @@ def test_figure3_quantitative_values(next_task_pet):
 def test_dropping_threshold_adjustment_favours_right_skew():
     """Eq. 7: a positively skewed task gets a lower (more lenient) dropping
     threshold than a negatively skewed one at the same queue position."""
-    from repro.pruning.thresholds import adjusted_dropping_threshold
+    from repro.pruning.thresholds import PruningThresholds
 
     base = 0.5
-    lenient = adjusted_dropping_threshold(base, RIGHT_SKEW, queue_position=0, rho=0.1)
-    strict = adjusted_dropping_threshold(base, LEFT_SKEW, queue_position=0, rho=0.1)
+    thresholds = PruningThresholds(dropping=base, rho=0.1)
+    lenient = thresholds.dropping_threshold_for(RIGHT_SKEW, queue_position=0)
+    strict = thresholds.dropping_threshold_for(LEFT_SKEW, queue_position=0)
     assert lenient < base < strict

@@ -20,13 +20,12 @@ class TestLevels:
         assert set(TRANSCODING_LEVELS) == {"10k", "12.5k", "15k", "17.5k"}
 
     def test_34k_is_heavier_than_19k(self):
-        assert (
-            OVERSUBSCRIPTION_LEVELS["34k"].arrival_rate
-            > OVERSUBSCRIPTION_LEVELS["19k"].arrival_rate
-        )
+        light, heavy = OVERSUBSCRIPTION_LEVELS["19k"], OVERSUBSCRIPTION_LEVELS["34k"]
+        assert heavy.num_tasks / heavy.time_span > light.num_tasks / light.time_span
 
     def test_transcoding_levels_monotone(self):
-        rates = [TRANSCODING_LEVELS[k].arrival_rate for k in ("10k", "12.5k", "15k", "17.5k")]
+        levels = [TRANSCODING_LEVELS[k] for k in ("10k", "12.5k", "15k", "17.5k")]
+        rates = [level.num_tasks / level.time_span for level in levels]
         assert rates == sorted(rates)
 
     def test_unknown_level_rejected(self):

@@ -9,7 +9,7 @@ from repro.core.completion import DroppingPolicy
 from repro.core.pmf import DiscretePMF
 from repro.heuristics.base import ScoreTable, VirtualSystemState
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -23,7 +23,7 @@ def make_task(task_id: int, *, task_type: int = 0, deadline: int = 500, arrival:
 def make_context(tiny_pet, machines, batch=(), now=0):
     return MappingContext(
         now=now,
-        batch=batch_in_arrival_order(batch),
+        batch=tuple(batch),
         machines=tuple(machines),
         pet=tiny_pet,
         policy=DroppingPolicy.EVICT,

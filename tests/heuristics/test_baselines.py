@@ -15,7 +15,7 @@ from repro.heuristics.baselines import (
     MinCompletionSoonestDeadline,
 )
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -61,7 +61,7 @@ def picked(heuristic, *pairs) -> int:
 def make_context(tiny_pet, machines, batch, now=0):
     return MappingContext(
         now=now,
-        batch=batch_in_arrival_order(batch),
+        batch=tuple(batch),
         machines=tuple(machines),
         pet=tiny_pet,
         policy=DroppingPolicy.EVICT,

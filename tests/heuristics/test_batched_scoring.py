@@ -18,7 +18,7 @@ from repro.heuristics.registry import make_heuristic
 from repro.obs import NULL_TELEMETRY, Telemetry, use_telemetry
 from repro.simulator.engine import HCSimulator
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -44,7 +44,7 @@ def make_event(pet, *, now: int = 0, queue_plan=(), batch_plan=()) -> MappingCon
     batch = [make_task(tid, task_type=tt, deadline=d) for tid, tt, d in batch_plan]
     return MappingContext(
         now=now,
-        batch=batch_in_arrival_order(batch),
+        batch=tuple(batch),
         machines=tuple(machines),
         pet=pet,
         policy=DroppingPolicy.EVICT,

@@ -7,7 +7,7 @@ from repro.heuristics.pam import PruningAwareMapper
 from repro.pruning.oversubscription import OversubscriptionDetector
 from repro.pruning.thresholds import PruningThresholds
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -19,7 +19,7 @@ def make_task(task_id: int, *, task_type: int = 0, deadline: int = 500, arrival:
 def make_context(tiny_pet, machines, batch, *, now=0, misses=0):
     return MappingContext(
         now=now,
-        batch=batch_in_arrival_order(batch),
+        batch=tuple(batch),
         machines=tuple(machines),
         pet=tiny_pet,
         policy=DroppingPolicy.EVICT,
@@ -109,9 +109,12 @@ class TestStateManagement:
         machine = Machine(0, "fast-a", queue_capacity=6)
         context = make_context(tiny_pet, [machine], [], misses=10)
         pam.map_tasks(context)
-        assert pam.pruner.detector.dropping_engaged
+        assert pam._dropping_engaged
         pam.reset()
-        assert not pam.pruner.detector.dropping_engaged
+        assert not pam._dropping_engaged
+        # An EWMA of 0.9 lies inside the hysteresis band (0.8, 1.0): an
+        # engaged toggle would stay on.
+        assert not pam.pruner.detector.observe(1)
 
     def test_thresholds_property(self):
         thresholds = PruningThresholds(dropping=0.4, deferring=0.8)

@@ -8,7 +8,7 @@ from repro.core.completion import DroppingPolicy
 from repro.heuristics.pamf import FairPruningMapper
 from repro.pruning.thresholds import PruningThresholds
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, TerminalEvent, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext, TerminalEvent
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -20,7 +20,7 @@ def make_task(task_id: int, *, task_type: int = 0, deadline: int = 500, arrival:
 def make_context(tiny_pet, machines, batch, *, now=0, misses=0, terminal=()):
     return MappingContext(
         now=now,
-        batch=batch_in_arrival_order(batch),
+        batch=tuple(batch),
         machines=tuple(machines),
         pet=tiny_pet,
         policy=DroppingPolicy.EVICT,

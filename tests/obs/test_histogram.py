@@ -23,10 +23,10 @@ def test_exact_scalars_and_len():
 
 def test_memory_is_bounded_by_construction():
     hist = LogBucketHistogram()
-    buckets_before = hist.num_buckets
+    buckets_before = len(hist._counts)
     for i in range(10_000):
         hist.record((i % 997 + 1) * 1e-5)
-    assert hist.num_buckets == buckets_before
+    assert len(hist._counts) == buckets_before
     assert hist.count == 10_000
 
 
@@ -89,7 +89,7 @@ def test_underflow_and_overflow_samples_are_kept_exactly():
     # The overflow bucket's reported quantile clamps to the exact max
     # instead of the bucket's infinite upper edge.
     assert hist.percentile(99.0) == 5e4
-    assert math.isinf(hist.bucket_upper_edge(hist.num_buckets - 1))
+    assert math.isinf(hist.bucket_upper_edge(len(hist._counts) - 1))
 
 
 def test_constructor_validation():

@@ -35,7 +35,6 @@ def test_null_telemetry_is_stateless_and_shared():
     with span:
         pass
     null.count("x")
-    null.set_count("x", 5)
     null.gauge("g", 1.0)
     null.observe_ns("t", 100)
     null.add_span("s", 0, 10)
@@ -49,16 +48,13 @@ def test_counters_gauges_and_timings():
     tel = Telemetry()
     tel.count("a")
     tel.count("a", 4)
-    tel.set_count("b", 7)
-    tel.set_count("b", 7)  # idempotent republish
+    tel.count("b", 7)
     tel.gauge("g", 2.5)
     tel.observe_ns("t", 1_000_000)
     assert tel.counters == {"a": 5, "b": 7}
     assert tel.gauges == {"g": 2.5}
     assert tel.timings["t"].count == 1
     assert tel.timings["t"].total == pytest.approx(1e-3)
-    tel.merge_counts({"a": 1, "c": 2})
-    assert tel.counters["a"] == 6 and tel.counters["c"] == 2
 
 
 def test_span_context_manager_records_on_exit():

@@ -31,18 +31,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PETMatrix(tiny_pet.task_types, tiny_pet.machine_names, rows)
 
-    def test_from_mapping_missing_entry(self, tiny_pet):
-        entries = {("alpha", "fast-a"): tiny_pet.get("alpha", "fast-a")}
-        with pytest.raises(KeyError):
-            PETMatrix.from_mapping(entries, ["alpha"], ["fast-a", "fast-b"])
-
-    def test_from_mapping_round_trip(self, tiny_pet):
-        entries = {
-            (t, m): tiny_pet.get(t, m)
+    def test_rows_round_trip(self, tiny_pet):
+        rows = tuple(
+            tuple(tiny_pet.get(t, m) for m in tiny_pet.machine_names)
             for t in tiny_pet.task_types
-            for m in tiny_pet.machine_names
-        }
-        rebuilt = PETMatrix.from_mapping(entries, tiny_pet.task_types, tiny_pet.machine_names)
+        )
+        rebuilt = PETMatrix(tiny_pet.task_types, tiny_pet.machine_names, rows)
+        assert rebuilt.get("gamma", "fast-b") is tiny_pet.get("gamma", "fast-b")
         assert rebuilt.mean_execution_times() == pytest.approx(tiny_pet.mean_execution_times())
 
 
@@ -51,9 +46,6 @@ class TestAccess:
         by_name = tiny_pet.get("beta", "fast-b")
         by_index = tiny_pet.get(1, 1)
         assert by_name is by_index
-
-    def test_getitem(self, tiny_pet):
-        assert tiny_pet["alpha", "fast-a"] is tiny_pet.get(0, 0)
 
     def test_unknown_names_raise(self, tiny_pet):
         with pytest.raises(KeyError):
@@ -79,7 +71,8 @@ class TestStatistics:
         assert means[0, 0] == pytest.approx(tiny_pet.get(0, 0).mean())
 
     def test_mean_execution_time_scalar(self, tiny_pet):
-        assert tiny_pet.mean_execution_time("alpha", "fast-a") == pytest.approx(
+        t, m = tiny_pet.task_type_index("alpha"), tiny_pet.machine_index("fast-a")
+        assert tiny_pet.mean_execution_times()[t, m] == pytest.approx(
             tiny_pet.get("alpha", "fast-a").mean()
         )
 

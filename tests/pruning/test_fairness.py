@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.pruning.fairness import SufferageTracker
+from repro.pruning.thresholds import PruningThresholds
 from repro.simulator.mapping import TerminalEvent
+from repro.simulator.metrics import SimulationResult, TaskOutcomes
+from repro.simulator.task import DropReason, Task
+from repro.workload.spec import TaskSpec
 
 
 class TestSufferageUpdates:
@@ -68,33 +72,72 @@ class TestSufferageUpdates:
             SufferageTracker(2, fairness_factor=1.5)
 
 
+def completion_result(on_time_of_total: list[tuple[int, int]]) -> SimulationResult:
+    """A result whose task type ``k`` has ``on_time`` of ``total`` tasks on time."""
+    tasks, task_id = [], 0
+    for task_type, (on_time, total) in enumerate(on_time_of_total):
+        for i in range(total):
+            task = Task(TaskSpec(arrival=task_id, task_id=task_id, task_type=task_type,
+                                 deadline=task_id + 100))
+            if i < on_time:
+                task.mark_mapped(0, task_id)
+                task.mark_executing(task_id, 10)
+                task.mark_completed(task_id + 10)
+            else:
+                task.mark_dropped(task_id + 200, DropReason.DEADLINE_MISS_UNMAPPED)
+            tasks.append(task)
+            task_id += 1
+    return SimulationResult(
+        outcomes=TaskOutcomes.of(tasks),
+        machine_names=("m0",),
+        machine_busy_times=(0.0,),
+        machine_prices=(1.0,),
+        num_task_types=len(on_time_of_total),
+    )
+
+
 class TestThresholdRelaxation:
+    """PAMF's relaxation as the pruner applies it: the type's sufferage
+    subtracted from the base threshold by ``PruningThresholds``."""
+
     def test_relaxed_threshold_subtracts_sufferage(self):
         tracker = SufferageTracker(2, fairness_factor=0.25)
         tracker.record_failure(0)
-        assert tracker.relaxed_threshold(0.9, 0) == pytest.approx(0.65)
-        assert tracker.relaxed_threshold(0.9, 1) == pytest.approx(0.9)
+        thresholds = PruningThresholds(dropping=0.5, deferring=0.9)
+        assert thresholds.deferring_threshold_for(
+            sufferage=tracker.sufferage_of(0)
+        ) == pytest.approx(0.65)
+        assert thresholds.deferring_threshold_for(
+            sufferage=tracker.sufferage_of(1)
+        ) == pytest.approx(0.9)
 
     def test_relaxed_threshold_floors_at_zero(self):
         tracker = SufferageTracker(1, fairness_factor=1.0)
         tracker.record_failure(0)
-        assert tracker.relaxed_threshold(0.5, 0) == 0.0
+        thresholds = PruningThresholds(dropping=0.5, deferring=0.9)
+        assert thresholds.dropping_threshold_for(sufferage=tracker.sufferage_of(0)) == 0.0
 
     def test_zero_fairness_factor_never_relaxes(self):
         tracker = SufferageTracker(2, fairness_factor=0.0)
         for _ in range(10):
             tracker.record_failure(1)
-        assert tracker.relaxed_threshold(0.9, 1) == pytest.approx(0.9)
+        thresholds = PruningThresholds(dropping=0.5, deferring=0.9)
+        assert thresholds.deferring_threshold_for(
+            sufferage=tracker.sufferage_of(1)
+        ) == pytest.approx(0.9)
 
 
 class TestFairnessMetric:
+    """Figure 6's metric as results report it: ``fairness_variance``."""
+
     def test_variance_of_equal_completion_is_zero(self):
-        assert SufferageTracker.fairness_of([50.0, 50.0, 50.0]) == 0.0
+        result = completion_result([(1, 2), (1, 2), (1, 2)])
+        assert result.fairness_variance() == 0.0
 
     def test_variance_grows_with_imbalance(self):
-        balanced = SufferageTracker.fairness_of([40.0, 50.0, 60.0])
-        skewed = SufferageTracker.fairness_of([5.0, 50.0, 95.0])
+        balanced = completion_result([(4, 10), (5, 10), (6, 10)]).fairness_variance()
+        skewed = completion_result([(1, 20), (10, 20), (19, 20)]).fairness_variance()
         assert skewed > balanced
 
     def test_nan_types_ignored(self):
-        assert SufferageTracker.fairness_of([50.0, float("nan")]) == 0.0
+        assert completion_result([(1, 2), (0, 0)]).fairness_variance() == 0.0

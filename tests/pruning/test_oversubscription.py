@@ -80,15 +80,15 @@ class TestSchmittTrigger:
     def test_reset(self):
         trigger = SchmittTrigger(on_level=1.0, initially_on=True)
         trigger.reset()
-        assert not trigger.is_on
+        # 0.9 lies between the off (0.8) and on (1.0) levels: the trigger keeps its state.
+        assert not trigger.update(0.9)
 
 
 class TestOversubscriptionDetector:
     def test_engages_after_sustained_misses(self):
         detector = OversubscriptionDetector(ewma_weight=0.9, toggle_level=1.0)
-        assert not detector.dropping_engaged
-        engaged = detector.observe(3)
-        assert engaged and detector.dropping_engaged
+        assert not detector.observe(1)  # EWMA 0.9, inside the band: it starts off
+        assert detector.observe(3)
 
     def test_single_spike_with_low_weight_does_not_engage(self):
         detector = OversubscriptionDetector(ewma_weight=0.1, toggle_level=1.0)
@@ -96,12 +96,13 @@ class TestOversubscriptionDetector:
 
     def test_disengages_with_hysteresis(self):
         detector = OversubscriptionDetector(ewma_weight=0.9, toggle_level=1.0, schmitt_separation=0.2)
-        detector.observe(5)
-        assert detector.dropping_engaged
+        engaged = detector.observe(5)
+        assert engaged
         # Level decays: stays on until it reaches 0.8 or lower.
         while detector.level > 0.8:
-            detector.observe(0)
-        assert not detector.dropping_engaged
+            assert engaged
+            engaged = detector.observe(0)
+        assert not engaged
 
     def test_level_property_tracks_ewma(self):
         detector = OversubscriptionDetector(ewma_weight=0.5)
@@ -113,4 +114,6 @@ class TestOversubscriptionDetector:
         detector.observe(10)
         detector.reset()
         assert detector.level == 0.0
-        assert not detector.dropping_engaged
+        # An EWMA of 0.9 lies inside the hysteresis band (0.8, 1.0): an
+        # engaged toggle would stay on.
+        assert not detector.observe(1)

@@ -11,7 +11,7 @@ from repro.pruning.oversubscription import OversubscriptionDetector
 from repro.pruning.pruner import Pruner
 from repro.pruning.thresholds import PruningThresholds
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, TerminalEvent, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext, TerminalEvent
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -23,7 +23,7 @@ def make_task(task_id: int, *, task_type: int = 0, deadline: int = 500, arrival:
 def make_context(tiny_pet, machines, *, now=0, misses=0, terminal=(), batch=()):
     return MappingContext(
         now=now,
-        batch=batch_in_arrival_order(batch),
+        batch=tuple(batch),
         machines=tuple(machines),
         pet=tiny_pet,
         policy=DroppingPolicy.EVICT,
@@ -67,7 +67,9 @@ class TestObserveMappingEvent:
         )
         pruner.observe_mapping_event(context)
         pruner.reset()
-        assert not pruner.detector.dropping_engaged
+        # An EWMA of 0.9 lies inside the hysteresis band (0.8, 1.0): an
+        # engaged toggle would stay on.
+        assert not pruner.detector.observe(1)
         assert fairness.sufferage_of(0) == 0.0
 
 

@@ -28,7 +28,7 @@ from repro.pet.matrix import PETMatrix
 from repro.pruning.thresholds import PruningThresholds
 from repro.simulator.engine import SimulatorConfig, simulate
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext
 from repro.simulator.state import SystemState
 from repro.simulator.task import Task
 from repro.workload.generator import WorkloadConfig, generate_workload
@@ -78,7 +78,7 @@ class CrossCheckingPruner(Pruner):
 def state_context(pet, machines, *, now=0, state=None):
     return MappingContext(
         now=now,
-        batch=batch_in_arrival_order(()),
+        batch=(),
         machines=tuple(machines),
         pet=pet,
         policy=DroppingPolicy.EVICT,
@@ -206,7 +206,7 @@ class TestUnitEquivalence:
         machine, state = self.build(tiny_pet, [make_task(1, deadline=300)])
         settings = dict(
             now=0,
-            batch=batch_in_arrival_order(()),
+            batch=(),
             machines=(machine,),
             pet=tiny_pet,
             policy=DroppingPolicy.EVICT,

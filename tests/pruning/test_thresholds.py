@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pmf import DiscretePMF
-from repro.pruning.thresholds import (
-    PruningThresholds,
-    adjusted_dropping_threshold,
-    skewness_position_adjustment,
-)
+from repro.pruning.thresholds import PruningThresholds, skewness_position_adjustment
 
 POSITIVE_SKEW = DiscretePMF.from_impulses({2: 0.6, 3: 0.2, 8: 0.2})
 NEGATIVE_SKEW = DiscretePMF.from_impulses({2: 0.2, 7: 0.2, 8: 0.6})
@@ -44,18 +40,25 @@ class TestSkewnessPositionAdjustment:
 
 
 class TestAdjustedDroppingThreshold:
+    """Eq. 7 through the pruner's own entry point, ``dropping_threshold_for``."""
+
+    @staticmethod
+    def adjusted(base: float, pmf: DiscretePMF, queue_position: int, *, rho: float) -> float:
+        thresholds = PruningThresholds(dropping=base, deferring=max(base, 0.9), rho=rho)
+        return thresholds.dropping_threshold_for(pmf, queue_position)
+
     def test_positive_skew_lowers_threshold(self):
-        assert adjusted_dropping_threshold(0.5, POSITIVE_SKEW, 0, rho=0.1) < 0.5
+        assert self.adjusted(0.5, POSITIVE_SKEW, 0, rho=0.1) < 0.5
 
     def test_negative_skew_raises_threshold(self):
-        assert adjusted_dropping_threshold(0.5, NEGATIVE_SKEW, 0, rho=0.1) > 0.5
+        assert self.adjusted(0.5, NEGATIVE_SKEW, 0, rho=0.1) > 0.5
 
     def test_symmetric_pmf_leaves_threshold(self):
-        assert adjusted_dropping_threshold(0.5, SYMMETRIC, 0, rho=0.1) == pytest.approx(0.5)
+        assert self.adjusted(0.5, SYMMETRIC, 0, rho=0.1) == pytest.approx(0.5)
 
     def test_clipped_to_unit_interval(self):
-        assert 0.0 <= adjusted_dropping_threshold(0.02, POSITIVE_SKEW, 0, rho=1.0) <= 1.0
-        assert 0.0 <= adjusted_dropping_threshold(0.98, NEGATIVE_SKEW, 0, rho=1.0) <= 1.0
+        assert 0.0 <= self.adjusted(0.02, POSITIVE_SKEW, 0, rho=1.0) <= 1.0
+        assert 0.0 <= self.adjusted(0.98, NEGATIVE_SKEW, 0, rho=1.0) <= 1.0
 
 
 class TestPruningThresholds:
@@ -67,6 +70,14 @@ class TestPruningThresholds:
     def test_defer_must_not_be_below_drop(self):
         with pytest.raises(ValueError):
             PruningThresholds(dropping=0.6, deferring=0.5)
+
+    def test_equal_thresholds_allowed(self):
+        thresholds = PruningThresholds(dropping=0.25, deferring=0.25)
+        assert thresholds.dropping == thresholds.deferring == pytest.approx(0.25)
+
+    def test_unit_interval_endpoints_allowed(self):
+        thresholds = PruningThresholds(dropping=0.0, deferring=1.0)
+        assert (thresholds.dropping, thresholds.deferring) == (0.0, 1.0)
 
     def test_threshold_bounds(self):
         with pytest.raises(ValueError):
@@ -103,11 +114,3 @@ class TestPruningThresholds:
         assert thresholds.dropping_threshold_for(NEGATIVE_SKEW, queue_position=0) == pytest.approx(
             thresholds.dropping
         )
-
-    def test_with_gap(self):
-        thresholds = PruningThresholds(dropping=0.25, deferring=0.25)
-        widened = thresholds.with_gap(0.3)
-        assert widened.deferring == pytest.approx(0.55)
-        assert widened.dropping == pytest.approx(0.25)
-        capped = thresholds.with_gap(2.0)
-        assert capped.deferring == 1.0

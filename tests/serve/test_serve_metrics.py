@@ -9,10 +9,10 @@ from repro.serve.metrics import LatencyHistogram, ServiceMetrics
 
 def test_latency_histogram_is_bounded():
     hist = LatencyHistogram()
-    buckets = hist.num_buckets
+    buckets = len(hist._counts)
     for i in range(50_000):
         hist.record((i % 1000 + 1) * 1e-5)
-    assert hist.num_buckets == buckets
+    assert len(hist._counts) == buckets
     assert len(hist) == 50_000
     assert not hasattr(hist, "samples")  # the unbounded list is gone
 

@@ -11,7 +11,6 @@ from repro.simulator.mapping import (
     MappingContext,
     MappingDecision,
     QueueDrop,
-    batch_in_arrival_order,
 )
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
@@ -28,10 +27,9 @@ def context(tiny_pet):
         Machine(1, "fast-b", queue_capacity=3),
     )
     machines[0].enqueue(make_task(100, deadline=400), now=0)
-    batch = (make_task(1, arrival=5), make_task(2, arrival=3))
     return MappingContext(
         now=10,
-        batch=batch_in_arrival_order(batch),
+        batch=(make_task(2, arrival=3), make_task(1, arrival=5)),
         machines=machines,
         pet=tiny_pet,
         policy=DroppingPolicy.EVICT,
@@ -39,9 +37,6 @@ def context(tiny_pet):
 
 
 class TestMappingContext:
-    def test_batch_sorted_by_arrival(self, context):
-        assert [t.task_id for t in context.batch] == [2, 1]
-
     def test_machine_availability_cached(self, context):
         first = context.machine_availability(0)
         second = context.machine_availability(0)
@@ -51,18 +46,6 @@ class TestMappingContext:
         availability = context.machine_availability(1)
         assert availability.probability_at(10) == pytest.approx(1.0)
 
-    def test_execution_pmf_lookup(self, context, tiny_pet):
-        task = context.batch[0]
-        assert context.execution_pmf(task, 1) is tiny_pet.get(task.task_type, 1)
-
-    def test_free_slots(self, context):
-        assert context.free_slots() == 2 + 3
-
-    def test_batch_task_lookup(self, context):
-        assert context.batch_task(1).task_id == 1
-        with pytest.raises(KeyError):
-            context.batch_task(999)
-
 
 class TestMappingDecision:
     def test_assign_accepts_objects_and_indices(self, context):
@@ -71,17 +54,10 @@ class TestMappingDecision:
         decision.assign(1, 0)
         assert decision.assignments == [Assignment(2, 1), Assignment(1, 0)]
 
-    def test_defer_and_drop_helpers(self, context):
-        decision = MappingDecision()
-        decision.defer(context.batch[0])
-        decision.drop_from_queue(100, 0)
-        assert decision.deferrals == [2]
-        assert decision.queue_drops == [QueueDrop(100, 0)]
-
     def test_validate_accepts_consistent_decision(self, context):
         decision = MappingDecision()
         decision.assign(2, 1)
-        decision.drop_from_queue(100, 0)
+        decision.queue_drops.append(QueueDrop(100, 0))
         decision.validate(context)
 
     def test_validate_rejects_unknown_task(self, context):
@@ -103,8 +79,20 @@ class TestMappingDecision:
         with pytest.raises(ValueError):
             decision.validate(context)
 
+    def test_validate_rejects_drop_on_unknown_machine(self, context):
+        decision = MappingDecision()
+        decision.queue_drops.append(QueueDrop(100, 7))
+        with pytest.raises(ValueError, match="unknown machine"):
+            decision.validate(context)
+
+    def test_validate_rejects_drop_from_another_machine(self, context):
+        decision = MappingDecision()
+        decision.queue_drops.append(QueueDrop(100, 1))  # task 100 is queued on machine 0
+        with pytest.raises(ValueError, match="not queued on machine 1"):
+            decision.validate(context)
+
     def test_validate_rejects_drop_of_unqueued_task(self, context):
         decision = MappingDecision()
-        decision.drop_from_queue(1, 0)  # task 1 is in the batch, not on machine 0
+        decision.queue_drops.append(QueueDrop(1, 0))  # task 1 is in the batch, not on machine 0
         with pytest.raises(ValueError):
             decision.validate(context)

@@ -21,7 +21,7 @@ from repro.heuristics.registry import make_heuristic
 from repro.obs import Telemetry, use_telemetry
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.machine import Machine
-from repro.simulator.mapping import MappingContext, batch_in_arrival_order
+from repro.simulator.mapping import MappingContext
 from repro.simulator.state import SystemState
 from repro.simulator.task import Task
 from repro.workload.generator import WorkloadConfig, generate_workload
@@ -294,7 +294,7 @@ class TestMappingContextViews:
         state.notify_enqueue(0, task)
         context = MappingContext(
             now=0,
-            batch=batch_in_arrival_order(()),
+            batch=(),
             machines=tuple(machines),
             pet=tiny_pet,
             policy=DroppingPolicy.EVICT,
@@ -309,7 +309,7 @@ class TestMappingContextViews:
         state.notify_enqueue(0, task)
         common = dict(
             now=0,
-            batch=batch_in_arrival_order(()),
+            batch=(),
             machines=tuple(machines),
             pet=tiny_pet,
             policy=DroppingPolicy.EVICT,

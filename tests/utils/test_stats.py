@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import make_generator, spawn_generators
-from repro.utils.stats import confidence_interval_95, mean_and_ci, summarize
+from repro.sweep.spec import spawn_trial_seeds
+from repro.utils.rng import make_generator
+from repro.utils.stats import confidence_interval_95, summarize
 from repro.utils.tables import format_table
 
 
@@ -34,14 +35,14 @@ class TestConfidenceInterval:
 
 class TestMeanAndSummarize:
     def test_mean_and_ci(self):
-        mean, ci = mean_and_ci([2.0, 4.0, 6.0])
-        assert mean == pytest.approx(4.0)
-        assert ci > 0
+        summary = summarize([2.0, 4.0, 6.0])
+        assert summary.mean == pytest.approx(4.0)
+        assert summary.ci95 > 0
 
     def test_empty_series(self):
-        mean, ci = mean_and_ci([])
-        assert np.isnan(mean)
-        assert ci == 0.0
+        summary = summarize([])
+        assert np.isnan(summary.mean)
+        assert summary.ci95 == 0.0
 
     def test_summarize_fields(self):
         summary = summarize([1.0, 2.0, 3.0, 4.0])
@@ -71,18 +72,25 @@ class TestRng:
         rng = np.random.default_rng(1)
         assert make_generator(rng) is rng
 
-    def test_spawn_generators_independent_and_reproducible(self):
-        first = spawn_generators(7, 3)
-        second = spawn_generators(7, 3)
+    def test_spawn_trial_seeds_independent_and_reproducible(self):
+        def generators(seed: int, trials: int) -> list[np.random.Generator]:
+            return [np.random.default_rng(child) for child in spawn_trial_seeds(seed, trials)]
+
+        first = generators(7, 3)
+        second = generators(7, 3)
         assert len(first) == 3
         for a, b in zip(first, second):
             assert a.integers(0, 1000, 5).tolist() == b.integers(0, 1000, 5).tolist()
-        draws = [g.integers(0, 1_000_000) for g in spawn_generators(7, 3)]
+        draws = [g.integers(0, 1_000_000) for g in generators(7, 3)]
         assert len(set(int(d) for d in draws)) == 3
 
-    def test_spawn_generators_invalid(self):
-        with pytest.raises(ValueError):
-            spawn_generators(1, -1)
+    def test_more_trials_keep_the_earlier_trials_seeds(self):
+        # Growing a sweep's trial count must not change the trials already run.
+        short = spawn_trial_seeds(7, 3)
+        longer = spawn_trial_seeds(7, 5)
+        assert len(longer) == 5
+        for a, b in zip(short, longer):
+            assert a.generate_state(4).tolist() == b.generate_state(4).tolist()
 
 
 class TestFormatTable:

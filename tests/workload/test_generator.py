@@ -32,10 +32,6 @@ class TestTaskSpec:
 
 
 class TestWorkloadConfig:
-    def test_arrival_rate(self):
-        config = WorkloadConfig(num_tasks=300, time_span=1500)
-        assert config.arrival_rate == pytest.approx(0.2)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkloadConfig(num_tasks=0, time_span=100)
@@ -126,10 +122,3 @@ class TestWorkloadTrace:
         )
         with pytest.raises(ValueError):
             WorkloadTrace(specs, WorkloadConfig(2, 100))
-
-    def test_makespan_lower_bound(self, small_trace):
-        assert small_trace.makespan_lower_bound == small_trace[len(small_trace) - 1].arrival
-
-    def test_tasks_of_type(self, small_trace):
-        for task in small_trace.tasks_of_type(0):
-            assert task.task_type == 0
